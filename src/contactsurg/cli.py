@@ -108,15 +108,6 @@ def cmd_unknot(args) -> int:
     return 0
 
 
-def _verify_cells(args):
-    workers = max(1, args.jobs)
-    return [
-        ("closed forms", lambda: verify_closed_forms(args.k_max, args.n_max)),
-        ("d3 regressions", lambda: verify_d3_regressions(args.n_max, jobs=workers)),
-        ("obstruction scan", lambda: _scan_summary(args.n_max)),
-    ]
-
-
 def _scan_summary(n_max):
     report = scan(-8, -1, min(n_max, 8))
     ok = report["not_obstructed"] == [{"tb": -1, "rot": 0, "v": "2"}]
@@ -132,7 +123,11 @@ def cmd_verify(args) -> int:
     summaries = []
     lines = []
     failed = False
-    for name, job in _verify_cells(args):
+    for name, job in (
+        ("closed forms", lambda: verify_closed_forms(args.k_max, args.n_max)),
+        ("d3 regressions", lambda: verify_d3_regressions(args.n_max)),
+        ("obstruction scan", lambda: _scan_summary(args.n_max)),
+    ):
         rep = job()
         summaries.append({"name": name, "ok": rep["ok"], "checks": rep["checks"],
                           "mismatches": rep["mismatches"]})
@@ -187,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed forms, d3 regressions, scan")
     p.add_argument("--k-max", type=int, default=20)
     p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0, help="reserved for reproducibility")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -244,17 +244,14 @@ class _Report:
         }
 
 
-def _qcols(matrix, cols):
-    return linalg.solve_columns(matrix, cols)
+def _q(qcols, col, row):
+    """Entry (row, col) of Q^-1."""
+    det, adj = qcols
+    return Fraction(adj[col][row], det)
 
 
 def _csq(qcols, r):
-    support = [(idx, v) for idx, v in enumerate(r) if v]
-    total = Fraction(0)
-    for j, rj in support:
-        col = qcols[j]
-        total += rj * sum(ri * col[i] for i, ri in support)
-    return total
+    return linalg.inverse_quadratic(*qcols, r)
 
 
 def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
@@ -299,9 +296,9 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
                    linalg.signature(mat), mat)
         if n == 2:
             rep.record("tb1_neg_csq", {"n": n}, Fraction(f["tb1_neg_csq"](n)),
-                       _csq(_qcols(mat, [0]), [0] * n), mat)
+                       _csq(linalg.adjugate_columns(mat, [0]), [0] * n), mat)
         else:
-            qc = _qcols(mat, [2])
+            qc = linalg.adjugate_columns(mat, [2])
             for pm in (1, -1):
                 r = [0] * n
                 r[2] = pm
@@ -312,7 +309,7 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
         mat = tb1_positive_matrix(n)
         rep.record("tb1_pos_sigma", {"n": n}, f["tb1_pos_sigma"](n),
                    linalg.signature(mat), mat)
-        qc = _qcols(mat, [1])
+        qc = linalg.adjugate_columns(mat, [1])
         for rho in _rot_values(n + 1):
             rep.record("tb1_pos_csq", {"n": n, "rho": rho},
                        Fraction(f["tb1_pos_csq"](n, rho)), _csq(qc, [0, rho]), mat)
@@ -323,11 +320,11 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
         rep.record("tb2_neg_sigma", {"n": n}, f["tb2_neg_sigma"](n),
                    linalg.signature(mat), mat)
         cols = [0] if n == 1 else [0, 1]
-        qc = _qcols(mat, cols)
+        qc = linalg.adjugate_columns(mat, cols)
         if n >= 2:
-            rep.record("tb2_neg_q11", {"n": n}, Fraction(f["tb2_neg_q11"](n)), qc[0][0], mat)
-            rep.record("tb2_neg_q12", {"n": n}, Fraction(f["tb2_neg_q12"](n)), qc[0][1], mat)
-            rep.record("tb2_neg_q22", {"n": n}, Fraction(f["tb2_neg_q22"](n)), qc[1][1], mat)
+            rep.record("tb2_neg_q11", {"n": n}, Fraction(f["tb2_neg_q11"](n)), _q(qc, 0, 0), mat)
+            rep.record("tb2_neg_q12", {"n": n}, Fraction(f["tb2_neg_q12"](n)), _q(qc, 0, 1), mat)
+            rep.record("tb2_neg_q22", {"n": n}, Fraction(f["tb2_neg_q22"](n)), _q(qc, 1, 1), mat)
             for i in (1, -1):
                 for j in (i + 2, i, i - 2):
                     r = [i, j] + [0] * (n - 2)
@@ -342,11 +339,11 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
         rep.record("tb2_pos_sigma", {"n": n}, f["tb2_pos_sigma"](n),
                    linalg.signature(matp), matp)
         qexp = f["tb2_pos_q"](n)
-        qcp = _qcols(matp, [0, 1, 2])
+        qcp = linalg.adjugate_columns(matp, [0, 1, 2])
         for i_ in range(3):
             for j_ in range(3):
                 rep.record("tb2_pos_q", {"n": n, "entry": (i_ + 1, j_ + 1)},
-                           Fraction(qexp[i_][j_]), qcp[j_][i_], matp)
+                           Fraction(qexp[i_][j_]), _q(qcp, j_, i_), matp)
         for i in (1, -1):
             for rho2 in (i + 1, i - 1):
                 for s in _rot_values(n):
@@ -366,11 +363,11 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
             rep.record(f"{tag}_sigma", {"k": k}, f[f"{tag}_sigma"](k),
                        linalg.signature(mat), mat)
             cols = [0] if size == 1 else [0, 1]
-            qc = _qcols(mat, cols)
-            rep.record(f"{tag}_q11", {"k": k}, f[f"{tag}_q11"](k), qc[0][0], mat)
+            qc = linalg.adjugate_columns(mat, cols)
+            rep.record(f"{tag}_q11", {"k": k}, f[f"{tag}_q11"](k), _q(qc, 0, 0), mat)
             if size >= 2:
-                rep.record(f"{tag}_q12", {"k": k}, f[f"{tag}_q12"](k), qc[0][1], mat)
-                rep.record(f"{tag}_q22", {"k": k}, f[f"{tag}_q22"](k), qc[1][1], mat)
+                rep.record(f"{tag}_q12", {"k": k}, f[f"{tag}_q12"](k), _q(qc, 0, 1), mat)
+                rep.record(f"{tag}_q22", {"k": k}, f[f"{tag}_q22"](k), _q(qc, 1, 1), mat)
             for i in rots:
                 if size == 1:
                     rep.record(f"{tag}_csq", {"k": k, "i": i},
@@ -389,17 +386,17 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
             rep.record("one_neg_sigma", {"k": k, "n": n}, f["one_neg_sigma"](k, n),
                        linalg.signature(mat), mat)
             cols = [0, 1] if n == 1 else [0, 1, k - 1]
-            qc = _qcols(mat, cols)
-            rep.record("one_neg_q11", {"k": k, "n": n}, f["one_neg_q11"](k, n), qc[0][0], mat)
-            rep.record("one_neg_q12", {"k": k, "n": n}, f["one_neg_q12"](k, n), qc[0][1], mat)
-            rep.record("one_neg_q22", {"k": k, "n": n}, f["one_neg_q22"](k, n), qc[1][1], mat)
+            qc = linalg.adjugate_columns(mat, cols)
+            rep.record("one_neg_q11", {"k": k, "n": n}, f["one_neg_q11"](k, n), _q(qc, 0, 0), mat)
+            rep.record("one_neg_q12", {"k": k, "n": n}, f["one_neg_q12"](k, n), _q(qc, 0, 1), mat)
+            rep.record("one_neg_q22", {"k": k, "n": n}, f["one_neg_q22"](k, n), _q(qc, 1, 1), mat)
             if n >= 2:
                 rep.record("one_neg_q1k", {"k": k, "n": n}, f["one_neg_q1k"](k, n),
-                           qc[0][k - 1], mat)
+                           _q(qc, 0, k - 1), mat)
                 rep.record("one_neg_q2k", {"k": k, "n": n}, f["one_neg_q2k"](k, n),
-                           qc[1][k - 1], mat)
+                           _q(qc, 1, k - 1), mat)
                 rep.record("one_neg_qkk", {"k": k, "n": n}, f["one_neg_qkk"](k, n),
-                           qc[k - 1][k - 1], mat)
+                           _q(qc, k - 1, k - 1), mat)
             for i in rots:
                 for e in (1, -1):
                     base = [0] * size
@@ -420,16 +417,19 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
             matp = tbk_positive_matrix(k, n)
             rep.record("one_pos_sigma", {"k": k, "n": n}, f["one_pos_sigma"](k, n),
                        linalg.signature(matp), matp)
-            qcp = _qcols(matp, [0, 1, k])
-            rep.record("one_pos_q11", {"k": k, "n": n}, f["one_pos_q11"](k, n), qcp[0][0], matp)
-            rep.record("one_pos_q12", {"k": k, "n": n}, f["one_pos_q12"](k, n), qcp[0][1], matp)
-            rep.record("one_pos_q22", {"k": k, "n": n}, f["one_pos_q22"](k, n), qcp[1][1], matp)
+            qcp = linalg.adjugate_columns(matp, [0, 1, k])
+            rep.record("one_pos_q11", {"k": k, "n": n}, f["one_pos_q11"](k, n),
+                       _q(qcp, 0, 0), matp)
+            rep.record("one_pos_q12", {"k": k, "n": n}, f["one_pos_q12"](k, n),
+                       _q(qcp, 0, 1), matp)
+            rep.record("one_pos_q22", {"k": k, "n": n}, f["one_pos_q22"](k, n),
+                       _q(qcp, 1, 1), matp)
             rep.record("one_pos_q1last", {"k": k, "n": n}, f["one_pos_q1last"](k, n),
-                       qcp[0][k], matp)
+                       _q(qcp, 0, k), matp)
             rep.record("one_pos_q2last", {"k": k, "n": n}, f["one_pos_q2last"](k, n),
-                       qcp[1][k], matp)
+                       _q(qcp, 1, k), matp)
             rep.record("one_pos_qlastlast", {"k": k, "n": n}, f["one_pos_qlastlast"](k, n),
-                       qcp[k][k], matp)
+                       _q(qcp, k, k), matp)
             for i in rots:
                 for e in (1, -1):
                     for s in _rot_values(n):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .closedforms import DEFAULT_FORMS
 from .farey import (
     CLOCKWISE,
     DecoratedFareyPath,
@@ -98,14 +99,21 @@ def check_pair(L: LegendrianData, v) -> CosmeticVerdict:
         raise ValueError("slope magnitude must be positive")
     if L.rot not in rot_range(L.tb):
         raise ValueError("rotation number outside the admissible range")
+    return _verdict(L.tb, v, lambda slope: d3_spectrum(L, slope))
+
+
+def _verdict(tb: int, v: Fraction, spectrum) -> CosmeticVerdict:
+    """Verdict on the pair {-v, +v} for a knot with this tb, where
+    ``spectrum(slope)`` is the d3 spectrum at a smooth slope.  It is not
+    called for the contact-0 cell (-v = tb)."""
     pair = (-v, v)
-    if -v == L.tb:
+    if -v == tb:
         return CosmeticVerdict(pair, frozenset(), frozenset(), "contact_zero")
-    neg = frozenset(d3_spectrum(L, -v))
-    pos = frozenset(d3_spectrum(L, v))
+    neg = frozenset(spectrum(-v))
+    pos = frozenset(spectrum(v))
     if neg.isdisjoint(pos):
         return CosmeticVerdict(pair, neg, pos, "obstructed")
-    flags = EXCEPTIONAL_FLAGS if (L.tb, v) == (-1, 2) else ()
+    flags = EXCEPTIONAL_FLAGS if (tb, v) == (-1, 2) else ()
     return CosmeticVerdict(pair, neg, pos, "not_obstructed", flags)
 
 
@@ -127,32 +135,14 @@ def _integer_roots_quadratic(b, c):
     return sorted(set(out))
 
 
-def _csq_one_neg(k, n, i, e, j):
-    return (
-        -n + 1 + (1 - k) * ((k - 1) * n - 1)
-        - 2 * j * (-1) ** k * (n - 1) * (e * (k - 1) - i)
-        + 2 * e * i * ((k - 1) * n - 1)
-        - n * i * i
-    )
-
-
-def _csq_one_pos(k, n, i, e, s):
-    return (
-        n * i * i
-        + 2 * ((1 - k) * n - 1) * e * i
-        + (k - 1) ** 2 * n + (k - 1)
-        + 2 * s * (-1) ** k * (i - e * k + e)
-    )
-
-
 def d3_negative_one_over_n(k, n, i, e, j):
     """d3 of the -1/n surgery trace on a tb = -k knot (exact rational)."""
-    return Fraction(_csq_one_neg(k, n, i, e, j) + k + n - 2, 4) + 1
+    return Fraction(DEFAULT_FORMS["one_neg_csq"](k, n, i, e, j) + k + n - 2, 4) + 1
 
 
 def d3_positive_one_over_n(k, n, i, e, s):
     """d3 of the +1/n surgery trace on a tb = -k knot (exact rational)."""
-    return Fraction(_csq_one_pos(k, n, i, e, s) + k - 5, 4) + 1
+    return Fraction(DEFAULT_FORMS["one_pos_csq"](k, n, i, e, s) + k - 5, 4) + 1
 
 
 def solve_d3_equation(tb: int, family: str, n_max: int = 20):
@@ -216,11 +206,13 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
                     continue
                 if abs(s) >= n or (s - (n - 1)) % 2 != 0:
                     continue
-                assert d3_negative_one_over_n(k, n, i, e1, j) == d3_positive_one_over_n(k, n, i, e2, s)
-                solutions.append(
-                    {"family": family, "i": i, "e1": e1, "e2": e2,
-                     "j": j, "s": s, "n": n}
-                )
+                sol = {"family": family, "i": i, "e1": e1, "e2": e2, "j": j, "s": s, "n": n}
+                neg = d3_negative_one_over_n(k, n, i, e1, j)
+                pos = d3_positive_one_over_n(k, n, i, e2, s)
+                if neg != pos:
+                    raise RuntimeError(f"solver and closed forms disagree at tb={tb}, "
+                                       f"{sol}: d3 {neg} at -1/n against {pos} at +1/n")
+                solutions.append(sol)
     return solutions
 
 
@@ -251,30 +243,23 @@ def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
         raise ValueError("scan covers tb <= -1")
     cells = []
     not_obstructed = []
+    magnitudes = [Fraction(2)] + [Fraction(1, n) for n in range(1, n_max + 1)]
     for tb in range(tb_min, tb_max + 1):
         for rot in rot_range(tb):
             L = LegendrianData(tb, rot)
-            magnitudes = [Fraction(2)] + [Fraction(1, n) for n in range(1, n_max + 1)]
             for v in magnitudes:
-                pair = (-v, v)
-                if -v == tb:
-                    verdict = CosmeticVerdict(pair, frozenset(), frozenset(),
-                                              "contact_zero")
-                    cells.append({"tb": tb, "rot": rot, "pair": [str(-v), str(v)],
-                                  "verdict": verdict.to_json()})
-                    continue
-                prov_neg = _provenance(L, -v)
-                prov_pos = _provenance(L, v)
-                neg = frozenset(_provenance_values(prov_neg))
-                pos = frozenset(_provenance_values(prov_pos))
-                if neg.isdisjoint(pos):
-                    verdict = CosmeticVerdict(pair, neg, pos, "obstructed")
-                else:
-                    flags = EXCEPTIONAL_FLAGS if (tb, v) == (-1, 2) else ()
-                    verdict = CosmeticVerdict(pair, neg, pos, "not_obstructed", flags)
-                cells.append({"tb": tb, "rot": rot, "pair": [str(-v), str(v)],
-                              "verdict": verdict.to_json(),
-                              "provenance": {"neg": prov_neg, "pos": prov_pos}})
+                prov = {}
+
+                def spectrum(slope):
+                    prov[slope] = _provenance(L, slope)
+                    return [Fraction(v["d3"]) for rec in prov[slope] for v in rec["values"]]
+
+                verdict = _verdict(tb, v, spectrum)
+                cell = {"tb": tb, "rot": rot, "pair": [str(-v), str(v)],
+                        "verdict": verdict.to_json()}
+                if prov:
+                    cell["provenance"] = {"neg": prov[-v], "pos": prov[v]}
+                cells.append(cell)
                 if verdict.outcome == "not_obstructed":
                     not_obstructed.append({"tb": tb, "rot": rot, "v": str(v)})
     solver = []
@@ -304,10 +289,6 @@ def _provenance(L, slope):
             ],
         })
     return out
-
-
-def _provenance_values(prov):
-    return [Fraction(v["d3"]) for rec in prov for v in rec["values"]]
 
 
 # ---------------------------------------------------------------------------

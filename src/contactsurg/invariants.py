@@ -35,20 +35,6 @@ def euler_char(form: IntersectionForm) -> int:
     return form.n + 1
 
 
-def c_squared(form: IntersectionForm) -> Fraction:
-    """Exact value of r^T Q^{-1} r; requires a nondegenerate form."""
-    if form.r is None:
-        raise ValueError("intersection form has no rotation vector")
-    if form.n == 0:
-        return Fraction(0)
-    if linalg.determinant(form.rows()) == 0:
-        raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class")
-    if all(x == 0 for x in form.r):
-        return Fraction(0)
-    x = linalg.solve_linear(form.rows(), list(form.r))
-    return sum((Fraction(ri) * xi for ri, xi in zip(form.r, x)), Fraction(0))
-
-
 @dataclass(frozen=True)
 class D3Result:
     chi: int
@@ -76,64 +62,57 @@ def _assemble(chi, sigma, csq, l):
     return D3Result(chi=chi, sigma=sigma, c_squared=csq, l=l, d3=value)
 
 
-def d3(form: IntersectionForm) -> D3Result:
-    """Assemble chi, sigma, c1^2 and l into the d3 invariant."""
-    chi = euler_char(form)
-    if form.n == 0:
-        sigma = 0
-    else:
-        if linalg.determinant(form.rows()) == 0:
-            raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class")
-        sigma = linalg.signature(form.rows())
-    return _assemble(chi, sigma, c_squared(form), form.l)
+def _d3_values(form: IntersectionForm, vectors, cache=None):
+    """d3 of ``form`` for each rotation vector.
 
-
-def _presentation_d3_values(pres, cache=None):
-    """d3 of every rotation vector of one presentation.
-
-    The signature and the needed columns of Q^{-1} are computed once and
-    shared by all rotation vectors; a cache keyed by the matrix lets the
-    stabilization variants of one conversion (identical framed links,
-    different pinned rotations) reuse them.
+    sigma, det Q and the columns of adj(Q) on the joint support of the
+    vectors cost one elimination pass and one signature; a cache keyed by
+    (Q, support) lets the stabilization variants of one conversion
+    (identical framed links, different pinned rotations) share them.
     """
-    form = linking_matrix(pres)
-    vectors = enumerate_rotations(pres)
     support = sorted({i for v in vectors for i, x in enumerate(v) if x})
     key = (form.Q, tuple(support))
     hit = cache.get(key) if cache is not None else None
     if hit is None:
         rows = form.rows()
-        if form.n and linalg.determinant(rows) == 0:
-            raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class")
-        sigma = linalg.signature(rows) if form.n else 0
-        cols = linalg.solve_columns(rows, support) if support else {}
-        hit = (sigma, cols)
+        try:
+            det, cols = linalg.adjugate_columns(rows, support)
+        except linalg.SingularMatrixError:
+            raise NonTorsionEulerClassError(
+                "c1^2 undefined: non-torsion Euler class") from None
+        hit = (linalg.signature(rows), det, cols)
         if cache is not None:
             cache[key] = hit
-    sigma, cols = hit
-    chi = form.n + 1
-    values = []
-    for rvec in vectors:
-        csq = Fraction(0)
-        for j in support:
-            if rvec[j]:
-                col = cols[j]
-                csq += rvec[j] * sum(rvec[i] * col[i] for i in support if rvec[i])
-        values.append((rvec, _assemble(chi, sigma, csq, form.l)))
-    return form, values
+    sigma, det, cols = hit
+    chi = euler_char(form)
+    return [_assemble(chi, sigma, linalg.inverse_quadratic(det, cols, r), form.l)
+            for r in vectors]
+
+
+def d3(form: IntersectionForm) -> D3Result:
+    """Assemble chi, sigma, c1^2 and l into the d3 invariant."""
+    if form.r is None:
+        raise ValueError("intersection form has no rotation vector")
+    return _d3_values(form, [form.r])[0]
+
+
+def c_squared(form: IntersectionForm) -> Fraction:
+    """Exact value of r^T Q^{-1} r; requires a nondegenerate form."""
+    return d3(form).c_squared
+
+
+def _presentation_d3_values(pres, cache=None):
+    """d3 of every rotation vector of one presentation."""
+    form = linking_matrix(pres)
+    vectors = enumerate_rotations(pres)
+    return form, list(zip(vectors, _d3_values(form, vectors, cache)))
 
 
 def d3_spectrum(L: LegendrianData, smooth_slope) -> set:
     """All d3 values of contact surgeries on L with the given smooth
     coefficient, over every presentation and rotation vector."""
-    smooth_slope = Fraction(smooth_slope)
-    contact = smooth_slope - L.tb
-    values = set()
-    cache = {}
-    for pres in convert(L, contact):
-        _, per_vector = _presentation_d3_values(pres, cache)
-        values.update(res.d3 for _, res in per_vector)
-    return values
+    return {v["d3"].d3 for rec in d3_spectrum_detail(L, smooth_slope)
+            for v in rec["values"]}
 
 
 def d3_spectrum_detail(L: LegendrianData, smooth_slope):

@@ -1,11 +1,13 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything in this module is exact: determinants use fraction-free
-(Bareiss) elimination, linear solves use rational Gaussian elimination,
-and signatures of symmetric integer matrices are computed by two
-independent methods (congruence diagonalization over Q, and Descartes'
-rule of signs applied to the characteristic polynomial) which are
-required to agree.
+Everything in this module is exact.  One fraction-free (Bareiss)
+elimination pass yields the determinant, the leading principal minors
+(Sylvester's criterion) and, by integer back-substitution, columns of
+the adjugate; inverse entries and r^T A^-1 r are single fractions over
+the determinant.  Signatures of symmetric integer matrices are computed
+by two independent methods (congruence diagonalization over Q, and
+Descartes' rule of signs applied to the characteristic polynomial) which
+are required to agree.
 
 Matrices are plain lists of lists of ints (rows).
 """
@@ -38,24 +40,33 @@ def is_symmetric(rows) -> bool:
     return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i))
 
 
-def determinant(rows) -> int:
-    """Exact determinant of an integer matrix via Bareiss elimination.
+def _bareiss(rows, cols=()):
+    """One fraction-free (Bareiss) elimination pass over [A | e_c for c in cols].
 
-    All intermediate quantities are integers (minors of the input), so
-    there is no rounding.  Rows untouched by an elimination step are
-    rescaled lazily: a row last combined at step t and zero in the
-    pivot columns since then satisfies row_true = row_stored * p_k // p_t
-    exactly, where p_s is the s-th leading pivot; this keeps the cost
-    proportional to the actual fill-in on banded matrices.
+    Returns (det, pivots, swapped, adj): det A; the pivot of each step
+    taken, which are the leading principal minors of A when no row was
+    swapped; whether a swap happened; and {c: column c of adj(A)} as
+    integers.  A singular A stops at the first column without a pivot,
+    with det = 0 and adj = {}.
+
+    Every intermediate is an integer minor.  A row skipped by the steps
+    t..k-1 (zero in their pivot columns) is rescaled lazily, by p_k / p_t
+    for leading pivots p_s, and ``hi`` bounds each row's nonzero columns,
+    so banded matrices cost only their fill-in.  Back-substitution on the
+    triangular result U, y_k = (det * b_k - sum_{j>k} U_kj y_j) // U_kk,
+    is exact because y = det * A^-1 e_c is integral.
     """
     n = _check_square(rows)
-    if n == 0:
-        return 1
+    cols = list(cols)
+    w = n + len(cols)
     a = [[int(x) for x in row] for row in rows]
+    if cols:
+        for i, row in enumerate(a):
+            row.extend(1 if c == i else 0 for c in cols)
     hi = []
     for row in a:
         top = 0
-        for j in range(n - 1, -1, -1):
+        for j in range(w - 1, -1, -1):
             if row[j]:
                 top = j + 1
                 break
@@ -63,6 +74,7 @@ def determinant(rows) -> int:
     level = [0] * n
     pivots = [1] * (n + 1)  # pivots[t] = pivot of step t-1
     sign = 1
+    swapped = False
     for k in range(n):
         piv = None
         for r in range(k, n):
@@ -70,12 +82,13 @@ def determinant(rows) -> int:
                 piv = r
                 break
         if piv is None:
-            return 0
+            return 0, pivots[1:k + 1], swapped, {}
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             level[k], level[piv] = level[piv], level[k]
             hi[k], hi[piv] = hi[piv], hi[k]
             sign = -sign
+            swapped = True
         t = level[k]
         if t < k:
             num, den = pivots[k], pivots[t]
@@ -105,154 +118,62 @@ def determinant(rows) -> int:
             row_i[k] = 0
             hi[i] = top
             level[i] = k + 1
-    return sign * a[n - 1][n - 1]
-
-
-def _minor(rows, i, j):
-    return [
-        [rows[r][c] for c in range(len(rows)) if c != j]
-        for r in range(len(rows))
-        if r != i
-    ]
-
-
-def inverse_entry(rows, i, j) -> Fraction:
-    """Entry (i, j) of the inverse, as an exact rational.
-
-    Adjugate formula: (A^-1)_{ij} = (-1)^{i+j} det(A_{ji}) / det(A), where
-    A_{ji} deletes row j and column i.
-    """
-    det = determinant(rows)
-    if det == 0:
-        raise SingularMatrixError("matrix is singular")
-    n = len(rows)
-    if n == 1:
-        return Fraction(1, det)
-    cof = determinant(_minor(rows, j, i))
-    return Fraction((-1) ** (i + j) * cof, det)
-
-
-def solve_columns(rows, cols):
-    """Solve A x = e_c exactly for each column index c in ``cols``.
-
-    Returns {c: column c of A^-1 as a list of Fractions}.  The forward
-    elimination is fraction-free (integer row operations only; scaling a
-    row does not change the equation it represents), and one pass is
-    shared between all right-hand sides; rationals appear only in the
-    back-substitution.
-    """
-    n = _check_square(rows)
-    cols = list(cols)
-    w = n + len(cols)
-    a = [
-        [int(x) for x in row] + [1 if c == i else 0 for c in cols]
-        for i, row in enumerate(rows)
-    ]
-    level = [0] * n
-    pivots = [1] * (n + 1)
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if a[r][k]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            level[k], level[piv] = level[piv], level[k]
-        t = level[k]
-        if t < k:
-            num, den = pivots[k], pivots[t]
-            row_k = a[k]
-            for j in range(k, w):
-                if row_k[j]:
-                    row_k[j] = row_k[j] * num // den
-            level[k] = k
-        pivot = a[k][k]
-        pivots[k + 1] = pivot
-        prev = pivots[k]
-        row_k = a[k]
-        for r in range(k + 1, n):
-            row_r = a[r]
-            if row_r[k] == 0:
-                continue
-            t = level[r]
-            if t < k:
-                num, den = pivots[k], pivots[t]
-                for j in range(k, w):
-                    if row_r[j]:
-                        row_r[j] = row_r[j] * num // den
-            f = row_r[k]
-            for j in range(k + 1, w):
-                row_r[j] = (pivot * row_r[j] - f * row_k[j]) // prev
-            row_r[k] = 0
-            level[r] = k + 1
-    out = {}
+    det = sign * pivots[n]
+    adj = {}
     for idx, c in enumerate(cols):
-        x = [Fraction(0)] * n
+        y = [0] * n
         for k in range(n - 1, -1, -1):
             row = a[k]
-            s = Fraction(row[n + idx])
-            for j in range(k + 1, n):
-                if row[j] and x[j]:
-                    s -= row[j] * x[j]
-            x[k] = s / row[k]
-        out[c] = x
-    return out
+            s = det * row[n + idx]
+            for j in range(k + 1, min(hi[k], n)):
+                if row[j]:
+                    s -= row[j] * y[j]
+            y[k] = s // row[k]
+        adj[c] = y
+    return det, pivots[1:], swapped, adj
 
 
-def solve_linear(rows, rhs):
-    """Solve A x = b exactly over the rationals; raises if A is singular."""
-    n = _check_square(rows)
-    if len(rhs) != n:
-        raise ValueError("dimension mismatch")
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if a[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        pk = a[k][k]
-        ak = a[k]
-        for r in range(k + 1, n):
-            f = a[r][k]
-            if f == 0:
-                continue
-            ratio = f / pk
-            ar = a[r]
-            for j in range(k, n + 1):
-                if ak[j]:
-                    ar[j] -= ratio * ak[j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = a[k][n]
-        row = a[k]
-        for j in range(k + 1, n):
-            if row[j] and x[j]:
-                s -= row[j] * x[j]
-        x[k] = s / row[k]
-    return x
+def determinant(rows) -> int:
+    """Exact determinant of an integer matrix (one Bareiss pass)."""
+    return _bareiss(rows)[0]
 
 
-def leading_minor_determinants(rows):
-    """Determinants of the leading principal k x k submatrices, k = 1..n."""
-    n = _check_square(rows)
-    out = []
-    for k in range(1, n + 1):
-        out.append(determinant([row[:k] for row in rows[:k]]))
-    return out
+def adjugate_columns(rows, cols):
+    """det A and the columns ``cols`` of adj(A) = det(A) A^-1.
+
+    Returns (det, {c: column c of adj(A) as a list of ints}); entry i of
+    column c over det is (A^-1)_{ic}.  One elimination pass is shared by
+    all columns.  Raises SingularMatrixError when det A = 0.
+    """
+    det, _, _, adj = _bareiss(rows, cols)
+    if det == 0:
+        raise SingularMatrixError("matrix is singular")
+    return det, adj
+
+
+def inverse_quadratic(det, adj, r) -> Fraction:
+    """r^T A^-1 r from det A and the adjugate columns on the support of r.
+
+    The sum r^T adj(A) r stays an integer; the only rational is the final
+    division by det.
+    """
+    support = [(i, x) for i, x in enumerate(r) if x]
+    total = 0
+    for j, rj in support:
+        col = adj[j]
+        total += rj * sum(ri * col[i] for i, ri in support)
+    return Fraction(total, det)
 
 
 def is_negative_definite(rows) -> bool:
-    """Sylvester's criterion: (-1)^k det(A_k) > 0 for every leading minor."""
-    dets = leading_minor_determinants(rows)
-    return all((-1) ** (k + 1) * d > 0 for k, d in enumerate(dets))
+    """Sylvester's criterion: (-1)^k det(A_k) > 0 for every leading minor.
+
+    The minors are the pivots of one elimination pass.  A row swap means
+    some leading minor vanished, so the matrix is not definite.
+    """
+    det, pivots, swapped, _ = _bareiss(rows)
+    return det != 0 and not swapped and all(
+        (-1) ** k * p > 0 for k, p in enumerate(pivots, 1))
 
 
 def congruence_signature(rows) -> int:

@@ -14,7 +14,6 @@ values behind the cosmetic-surgery obstructions for tb = -1, -2, -3:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .invariants import d3_spectrum
@@ -58,13 +57,9 @@ def _check_cell(cell):
     }
 
 
-def verify_d3_regressions(n_bound: int = 50, jobs: int = 1) -> dict:
+def verify_d3_regressions(n_bound: int = 50) -> dict:
     """Recompute all worked d3 spectra and report mismatches."""
     cells = _cells(n_bound)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_check_cell, cells, chunksize=8))
-    else:
-        results = [_check_cell(c) for c in cells]
+    results = [_check_cell(c) for c in cells]
     mismatches = [ctx for ok, ctx in results if not ok]
     return {"checks": len(cells), "mismatches": mismatches, "ok": not mismatches}

@@ -98,14 +98,17 @@ INFINITY = Slope(1, 0)
 
 
 def parse_slope(text: str) -> Slope:
-    """Parse 'p/q', 'p', or 'inf' into a Slope."""
+    """Parse 'p/q', 'p', or 'inf' into a Slope; other text raises SlopeError."""
     text = text.strip()
     if text in ("inf", "oo", "infinity"):
         return INFINITY
-    if "/" in text:
-        p, q = text.split("/")
-        return Slope(int(p), int(q))
-    return Slope(int(text))
+    try:
+        parts = [int(x) for x in text.split("/")]
+    except ValueError:
+        parts = []
+    if not 1 <= len(parts) <= 2:
+        raise SlopeError(f"malformed slope {text!r}: expected p/q, p or inf")
+    return Slope(*parts)
 
 
 def neg_cf_expand(r) -> list:

@@ -132,7 +132,11 @@ def _negative_chain(tb: int, rot: int, contact_coeff: Fraction):
         )
     cf = neg_cf_expand(smooth)
     m = tb - cf[0] - 1
-    assert m >= 0
+    if m < 0:
+        raise ValueError(
+            f"negative-coefficient conversion needs a negative contact "
+            f"coefficient, got {contact_coeff}"
+        )
     chain = tuple(
         Component("chain", c + 1, -1) for c in cf[1:]
     )

@@ -29,6 +29,13 @@ class TestD3Command:
         code, _, err = run(capsys, "d3", "--tb", "-1", "--rot", "1", "--slope", "-1/2")
         assert code == 2
 
+    def test_malformed_slope_exits_2(self, capsys):
+        for flag, text in (("--slope", "1/2/3"), ("--slope", "abc"),
+                           ("--coeff", "1/"), ("--coeff", "/2")):
+            code, out, err = run(capsys, "d3", "--tb", "-1", "--rot", "0", flag, text)
+            assert code == 2 and out == ""
+            assert err == f"error: malformed slope {text!r}: expected p/q, p or inf\n"
+
     def test_both_flags_rejected(self, capsys):
         code, _, _ = run(capsys, "d3", "--tb", "-1", "--rot", "0",
                          "--slope", "-1/2", "--coeff", "1/2")

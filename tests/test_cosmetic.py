@@ -111,6 +111,21 @@ class TestEquationSolver:
             assert (brute == []) == (solved == [])
             assert brute == []
 
+    def test_d3_equality_checked_on_every_solution(self, monkeypatch):
+        # with the rotation parity constraint lifted, the linear solver
+        # finds solutions at tb = -3; each must satisfy the closed-form d3
+        # equality, and a corrupted closed form must raise, also under -O
+        import contactsurg.cosmetic as cosmetic
+        from contactsurg.closedforms import DEFAULT_FORMS
+
+        monkeypatch.setattr(cosmetic, "rot_range", lambda tb: list(range(tb + 1, -tb)))
+        assert solve_d3_equation(-3, "pm_one_over_n")
+        original = DEFAULT_FORMS["one_pos_csq"]
+        monkeypatch.setitem(DEFAULT_FORMS, "one_pos_csq",
+                            lambda k, n, i, e, s: original(k, n, i, e, s) + 4)
+        with pytest.raises(RuntimeError, match="closed forms disagree"):
+            solve_d3_equation(-3, "pm_one_over_n")
+
     def test_bad_family(self):
         with pytest.raises(ValueError):
             solve_d3_equation(-4, "pm_seven")

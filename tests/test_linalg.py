@@ -2,6 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from contactsurg import linalg
 from contactsurg.closedforms import (
@@ -82,12 +86,18 @@ class TestDeterminant:
             assert linalg.determinant(m) == det_reference(m)
 
 
+def inverse_entry(rows, i, j):
+    """(A^-1)_{ij} from the adjugate columns."""
+    det, adj = linalg.adjugate_columns(rows, [j])
+    return Fraction(adj[j][i], det)
+
+
 class TestInverseEntry:
     def test_identity(self):
         ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
         for i in range(4):
             for j in range(4):
-                assert linalg.inverse_entry(ident, i, j) == (1 if i == j else 0)
+                assert inverse_entry(ident, i, j) == (1 if i == j else 0)
 
     def test_displayed_three_by_three_inverse(self):
         for n in range(1, 8):
@@ -97,13 +107,13 @@ class TestInverseEntry:
                         [2, -1, 0]]
             for i in range(3):
                 for j in range(3):
-                    assert linalg.inverse_entry(m, i, j) == expected[i][j]
+                    assert inverse_entry(m, i, j) == expected[i][j]
 
     def test_bordered_chain_entry(self):
         # tb = -2 family: top-left inverse entry is 3 - 4n
         from contactsurg.closedforms import tb2_negative_matrix
         for n in range(2, 9):
-            assert linalg.inverse_entry(tb2_negative_matrix(n), 0, 0) == 3 - 4 * n
+            assert inverse_entry(tb2_negative_matrix(n), 0, 0) == 3 - 4 * n
 
     def test_assembled_inverse_multiplies_to_identity(self):
         rng = random.Random(12)
@@ -114,7 +124,7 @@ class TestInverseEntry:
             if linalg.determinant(m) == 0:
                 continue
             done += 1
-            inv = [[linalg.inverse_entry(m, i, j) for j in range(n)] for i in range(n)]
+            inv = [[inverse_entry(m, i, j) for j in range(n)] for i in range(n)]
             for i in range(n):
                 for j in range(n):
                     s = sum(Fraction(m[i][k]) * inv[k][j] for k in range(n))
@@ -122,11 +132,12 @@ class TestInverseEntry:
 
     def test_singular_rejected(self):
         with pytest.raises(linalg.SingularMatrixError):
-            linalg.inverse_entry([[1, 1], [1, 1]], 0, 0)
+            linalg.adjugate_columns([[1, 1], [1, 1]], [0])
 
 
 class TestSolve:
     def test_solve_linear_matches_inverse(self):
+        # x = adj(A) b / det(A) solves A x = b
         rng = random.Random(3)
         done = 0
         while done < 60:
@@ -136,11 +147,13 @@ class TestSolve:
                 continue
             done += 1
             b = [rng.randint(-5, 5) for _ in range(n)]
-            x = linalg.solve_linear(m, b)
+            det, adj = linalg.adjugate_columns(m, range(n))
+            x = [Fraction(sum(adj[c][i] * b[c] for c in range(n)), det) for i in range(n)]
             for i in range(n):
                 assert sum(Fraction(m[i][k]) * x[k] for k in range(n)) == b[i]
 
     def test_solve_columns(self):
+        # A adj(A) = det(A) I, column by column
         rng = random.Random(8)
         done = 0
         while done < 60:
@@ -150,11 +163,85 @@ class TestSolve:
                 continue
             done += 1
             cols = sorted(rng.sample(range(n), rng.randint(1, n)))
-            sol = linalg.solve_columns(m, cols)
+            det, adj = linalg.adjugate_columns(m, cols)
+            assert det == linalg.determinant(m)
             for c in cols:
                 for i in range(n):
-                    s = sum(Fraction(m[i][k]) * sol[c][k] for k in range(n))
-                    assert s == (1 if i == c else 0)
+                    s = sum(m[i][k] * adj[c][k] for k in range(n))
+                    assert s == (det if i == c else 0)
+
+    def test_inverse_quadratic(self):
+        rng = random.Random(5)
+        done = 0
+        while done < 60:
+            n = rng.randint(1, 6)
+            m = random_matrix(rng, n, -6, 6, symmetric=True)
+            if linalg.determinant(m) == 0:
+                continue
+            done += 1
+            r = [rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
+            support = [i for i, x in enumerate(r) if x]
+            value = linalg.inverse_quadratic(*linalg.adjugate_columns(m, support), r)
+            expected = sum(r[i] * inverse_entry(m, i, j) * r[j]
+                           for i in range(n) for j in range(n))
+            assert value == expected
+
+
+def square_matrices(max_n=7):
+    """Random integer matrices up to max_n x max_n; small entries and many
+    zeros make singular matrices and row swaps common."""
+    entries = st.one_of(st.just(0), st.integers(-6, 6))
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+class TestKernelAgainstSympy:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_determinant_and_adjugate(self, m):
+        ref = sympy.Matrix(m)
+        det = ref.det()
+        assert linalg.determinant(m) == det
+        n = len(m)
+        if det == 0:
+            with pytest.raises(linalg.SingularMatrixError):
+                linalg.adjugate_columns(m, range(n))
+            return
+        got_det, adj = linalg.adjugate_columns(m, range(n))
+        assert got_det == det
+        ref_adj = DomainMatrix.from_Matrix(ref).adjugate().to_Matrix()
+        for c in range(n):
+            assert adj[c] == [ref_adj[i, c] for i in range(n)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_negative_definite(self, m):
+        n = len(m)
+        sym = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        assert linalg.is_negative_definite(sym) == sympy.Matrix(sym).is_negative_definite
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices(5))
+    def test_negative_definite_positive_cases(self, m):
+        # -(B^T B + I) is negative definite: random symmetric matrices
+        # rarely are, so this covers the accepting side of the criterion
+        n = len(m)
+        q = [[-sum(m[k][i] * m[k][j] for k in range(n)) - (i == j)
+              for j in range(n)] for i in range(n)]
+        assert linalg.is_negative_definite(q)
+        assert sympy.Matrix(q).is_negative_definite
+
+    def test_row_swap_cases(self):
+        # nonsingular, but the first pivot is zero: a swap is needed
+        swap = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+        assert linalg.determinant(swap) == sympy.Matrix(swap).det()
+        det, adj = linalg.adjugate_columns(swap, [0, 1, 2])
+        ref = DomainMatrix.from_Matrix(sympy.Matrix(swap)).adjugate().to_Matrix()
+        assert [adj[c] for c in range(3)] == [list(ref.col(c)) for c in range(3)]
+        assert not linalg.is_negative_definite(swap)
+        assert not linalg.is_negative_definite([[-1, 0], [0, 0]])
+        assert linalg.is_negative_definite([])
 
 
 class TestDefiniteness:

@@ -5,8 +5,3 @@ def test_regressions_clean():
     report = verify_d3_regressions(12)
     assert report["ok"] and report["mismatches"] == []
 
-
-def test_parallel_matches_serial():
-    serial = verify_d3_regressions(6, jobs=1)
-    parallel = verify_d3_regressions(6, jobs=2)
-    assert serial == parallel

@@ -40,6 +40,11 @@ class TestSlope:
         with pytest.raises(SlopeError):
             Slope(0, 0)
 
+    @pytest.mark.parametrize("text", ["1/2/3", "abc", "1/", "/2", "", "1.5"])
+    def test_malformed_text_named(self, text):
+        with pytest.raises(SlopeError, match=f"malformed slope {text!r}"):
+            parse_slope(text)
+
 
 class TestNegativeContinuedFractions:
     def test_single_term(self):

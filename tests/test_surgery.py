@@ -19,6 +19,7 @@ from contactsurg.surgery import (
     convert,
     enumerate_rotations,
     linking_matrix,
+    _negative_chain,
     smooth_recovery,
     unknot_rot_range,
 )
@@ -53,6 +54,11 @@ class TestConvert:
         comps = pres[0].components
         assert [c.sign for c in comps] == [1, 1]
         assert [c.role for c in comps] == ["pushoff", "pushoff"]
+
+    def test_negative_chain_needs_negative_coefficient(self):
+        # smooth -4 on tb = -5 would need -2 stabilizations
+        with pytest.raises(ValueError, match="negative contact coefficient"):
+            _negative_chain(-5, 0, Fraction(1))
 
     def test_single_negative_surgery(self):
         # smooth -1 on tb = -2 is contact (+1): one push-off
