@@ -45,6 +45,20 @@ def emit(report: dict, as_json: bool, lines) -> None:
             print(line)
 
 
+def _d3_lines(detail, results, values):
+    """Text report of ``cmd_d3``, produced only when it is printed."""
+    for rec, res in zip(detail, results):
+        pres = rec["presentation"]
+        yield (f"presentation: framings {[c.framing for c in pres.components]} "
+               f"(l = {pres.l})")
+        for row in res["matrix"]:
+            yield "  " + " ".join(f"{x:4d}" for x in row)
+        for v in res["values"]:
+            yield (f"  rot {v['rotations']}: chi={v['chi']} sigma={v['sigma']} "
+                   f"c^2={v['c_squared']} l={v['l']}  d3 = {v['d3']}")
+    yield "d3 spectrum: " + ", ".join(str(v) for v in sorted(values))
+
+
 def cmd_d3(args) -> int:
     if (args.slope is None) == (args.coeff is None):
         print("error: give exactly one of --slope (smooth) or --coeff (contact)",
@@ -54,31 +68,19 @@ def cmd_d3(args) -> int:
     smooth = _fraction(args.slope) if args.slope else args.tb + _fraction(args.coeff)
     detail = d3_spectrum_detail(L, smooth)
     results = []
-    lines = []
     values = set()
     for rec in detail:
-        pres = rec["presentation"]
-        form = rec["form"]
-        rows = form.rows()
         vals = [{"rotations": v["rotations"], **v["d3"].to_json()} for v in rec["values"]]
         values.update(v["d3"].d3 for v in rec["values"])
         results.append({
-            "presentation": pres.to_json(),
-            "matrix": rows,
+            "presentation": rec["presentation"].to_json(),
+            "matrix": rec["form"].rows(),
             "values": vals,
         })
-        lines.append(f"presentation: framings {[c.framing for c in pres.components]} "
-                     f"(l = {pres.l})")
-        for row in rows:
-            lines.append("  " + " ".join(f"{x:4d}" for x in row))
-        for v in vals:
-            lines.append(f"  rot {v['rotations']}: chi={v['chi']} sigma={v['sigma']} "
-                         f"c^2={v['c_squared']} l={v['l']}  d3 = {v['d3']}")
-    lines.append("d3 spectrum: " + ", ".join(str(v) for v in sorted(values)))
     report = envelope("d3", {"tb": args.tb, "rot": args.rot, "smooth_slope": str(smooth)},
                       {"presentations": results,
                        "spectrum": sorted(str(v) for v in sorted(values))})
-    emit(report, args.json, lines)
+    emit(report, args.json, _d3_lines(detail, results, values))
     return 0
 
 

@@ -216,22 +216,6 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
     return solutions
 
 
-def brute_force_d3_matches(tb: int, n_max: int = 20):
-    """Independent scan: intersect the +-1/n d3 spectra computed through
-    the full surgery pipeline.  Must coincide with the emptiness (or
-    not) reported by solve_d3_equation."""
-    matches = []
-    for i in rot_range(tb):
-        L = LegendrianData(tb, i)
-        for n in range(1, n_max + 1):
-            neg = d3_spectrum(L, Fraction(-1, n))
-            pos = d3_spectrum(L, Fraction(1, n))
-            common = neg & pos
-            if common:
-                matches.append({"i": i, "n": n, "values": sorted(common)})
-    return matches
-
-
 def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
     """Run check_pair over tb in [tb_min, tb_max], all admissible
     rotation numbers, the +-2 pair and the +-1/n pairs with n <= n_max.

@@ -18,7 +18,6 @@ the minimal clockwise path from -5/2 to -1 is -5/2, -2, -1.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -141,8 +140,8 @@ def minimal_path(a: Slope, b: Slope, direction: str = CLOCKWISE):
     """Minimal Farey path from a to b through the given rotational arc.
 
     All intermediate vertices lie strictly inside the arc; among such
-    paths this one has the fewest edges (validated against breadth-first
-    search on the truncated graph, see minimal_path_bfs).
+    paths this one has the fewest edges (the tests check it against
+    breadth-first search on the truncated graph).
     """
     if a == b:
         raise ValueError("minimal path needs distinct endpoints")
@@ -155,70 +154,6 @@ def minimal_path(a: Slope, b: Slope, direction: str = CLOCKWISE):
     normalized = _path_from_infinity(Fraction(t.num, t.den))
     inv = _invert_unimodular(m)
     return [_mul(inv, v) for v in normalized]
-
-
-def minimal_path_bfs(a: Slope, b: Slope, direction: str = CLOCKWISE,
-                     num_bound=None, den_bound=None, count_paths=False):
-    """Breadth-first-search oracle for minimal paths.
-
-    Searches the subgraph of slopes inside the arc with numerator and
-    denominator bounds (defaults are generous multiples of the endpoint
-    sizes).  Used to cross-validate minimal_path; with count_paths=True
-    also returns the number of geodesics.
-    """
-    if a == b:
-        raise ValueError("minimal path needs distinct endpoints")
-    if direction == ANTICLOCKWISE:
-        res = minimal_path_bfs(-a, -b, CLOCKWISE, num_bound, den_bound, count_paths)
-        if count_paths:
-            return [-v for v in res[0]], res[1]
-        return [-v for v in res]
-    if num_bound is None:
-        num_bound = 2 * (abs(a.num) + abs(b.num)) + 3
-    if den_bound is None:
-        den_bound = 2 * (a.den + b.den) + 3
-    vertices = {a, b}
-    for q in range(0, den_bound + 1):
-        for p in range(-num_bound, num_bound + 1):
-            if q == 0 and p != 1:
-                continue
-            if math.gcd(abs(p), q) != 1:
-                continue
-            s = Slope(p, q)
-            if in_clockwise_arc(s, a, b):
-                vertices.add(s)
-    verts = list(vertices)
-    neighbours = {v: [] for v in verts}
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if abs(_det(u, v)) == 1:
-                neighbours[u].append(v)
-                neighbours[v].append(u)
-    dist = {a: 0}
-    ways = {a: 1}
-    parent = {a: None}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        for v in neighbours[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                ways[v] = ways[u]
-                parent[v] = u
-                queue.append(v)
-            elif dist[v] == dist[u] + 1:
-                ways[v] += ways[u]
-    if b not in dist:
-        raise RuntimeError("BFS bounds too small to connect the endpoints")
-    path = []
-    v = b
-    while v is not None:
-        path.append(v)
-        v = parent[v]
-    path.reverse()
-    if count_paths:
-        return path, ways[b]
-    return path
 
 
 _SIGN_CHARS = {1: "+", -1: "-", None: "?"}
@@ -360,13 +295,6 @@ def sign_class_count(vertices, unsigned_positions) -> int:
         signed = sum(1 for i in block if i not in unsigned_positions)
         total *= signed + 1
     return total
-
-
-def raw_sign_count(vertices, unsigned_positions) -> int:
-    """Number of raw sign assignments, before the block-shuffle quotient."""
-    n_edges = len(vertices) - 1
-    signed = sum(1 for i in range(n_edges) if i not in unsigned_positions)
-    return 2 ** signed
 
 
 def count_tight_solid_torus(meridian: Slope, boundary: Slope,

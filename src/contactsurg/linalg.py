@@ -5,9 +5,11 @@ elimination pass yields the determinant, the leading principal minors
 (Sylvester's criterion) and, by integer back-substitution, columns of
 the adjugate; inverse entries and r^T A^-1 r are single fractions over
 the determinant.  Signatures of symmetric integer matrices are computed
-by two independent methods (congruence diagonalization over Q, and
-Descartes' rule of signs applied to the characteristic polynomial) which
-are required to agree.
+by two independent methods, which are required to agree: congruence
+diagonalization over Q, and Descartes' rule of signs applied to the
+characteristic polynomial.  The polynomial is built division-free and
+without elimination, by continuants along pendant paths and Berkowitz's
+algorithm on the rest, so it shares nothing with the first method.
 
 Matrices are plain lists of lists of ints (rows).
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 
 class SingularMatrixError(ValueError):
@@ -233,64 +234,137 @@ def congruence_signature(rows) -> int:
     return pos - neg
 
 
+# Distinct subgraphs the pendant-path recursion may visit (which also bounds
+# its depth) before char_poly hands the whole matrix to Berkowitz instead.
+# Every linking matrix here needs three; a branchy tree can need several n.
+_PENDANT_BUDGET = 256
+
+
+class _TooBranched(Exception):
+    """The pendant-path recursion exceeded _PENDANT_BUDGET subgraphs."""
+
+
 def char_poly(rows):
-    """Characteristic polynomial of A via principal-minor sums.
+    """Characteristic polynomial det(x*I - A) of a square integer matrix.
 
-    Returns the coefficients of det(lambda*I - A) in descending degree:
-    [1, -E_1, +E_2, ..., (-1)^n E_n], where E_i is the sum of all i x i
-    principal minors.  Exponential in n; intended for small matrices.
-    The same coefficients are produced by :func:`char_poly_interpolate`.
+    Returns the integer coefficients in descending degree, leading 1.
+    The route is division-free and uses no elimination: pendant paths of
+    the graph of nonzero off-diagonal entries are peeled off by continuant
+    recurrences, and whatever has no leaf goes to Berkowitz's algorithm.
+    A surgery linking matrix (a clique of k push-offs with one meridian
+    path attached) costs O(n^2 + k^4) integer operations this way.
     """
     n = _check_square(rows)
-    coeffs = [1]
-    for size in range(1, n + 1):
-        e = 0
-        for subset in combinations(range(n), size):
-            sub = [[rows[i][j] for j in subset] for i in subset]
-            e += determinant(sub)
-        coeffs.append((-1) ** size * e)
-    return coeffs
+    a = [[int(x) for x in row] for row in rows]
+    nbrs = [{j for j in range(n) if j != i and (a[i][j] or a[j][i])} for i in range(n)]
+    try:
+        coeffs = _char_poly(a, nbrs, frozenset(range(n)), {})
+    except _TooBranched:
+        coeffs = _berkowitz(a, list(range(n)))
+    return coeffs[::-1]
 
 
-def char_poly_interpolate(rows):
-    """Characteristic polynomial via exact interpolation of det(x*I - A).
+def _char_poly(a, nbrs, verts, memo):
+    """Ascending coefficients of det(x*I - A) on the vertex set ``verts``.
 
-    Evaluates the determinant at n+1 integer points and runs Newton's
-    divided differences; this elimination-based route gives the same
-    integer coefficients as the principal-minor sums of :func:`char_poly`.
+    Every component that is a path (an isolated vertex included) is a
+    continuant, seeded with the rest.  A pendant path v_1..v_m (v_m a leaf)
+    attached at a vertex c of degree >= 3 gives, with F_0 = chi(core) and
+    F_-1 = chi(core - c), F_k = (x - a_kk) F_(k-1) - w_k^2 F_(k-2), where
+    w_k^2 = a_(k,k-1) a_(k-1,k) and v_0 = c; both seeds recurse.
     """
-    n = _check_square(rows)
-    if n == 0:
-        return [1]
-    xs = list(range(n + 1))
-    base = [[-int(x) for x in row] for row in rows]
-    table = []
-    for x in xs:
-        shifted = [row.copy() for row in base]
-        for i in range(n):
-            shifted[i][i] += x
-        table.append(Fraction(determinant(shifted)))
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion of the Newton form, descending-degree coefficients
-    poly = [Fraction(0)] * n + [table[n]]
-    for i in range(n - 1, -1, -1):
-        new = [Fraction(0)] * (n + 1)
-        for j in range(n + 1):
-            c = poly[j]
-            if c:
-                if j - 1 >= 0:
-                    new[j - 1] += c
-                new[j] -= xs[i] * c
-        new[n] += table[i]
-        poly = new
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise RuntimeError("characteristic polynomial interpolation not integral")
-        out.append(c.numerator)
-    return out
+    hit = memo.get(verts)
+    if hit is not None:
+        return hit
+    if len(memo) >= _PENDANT_BUDGET:
+        raise _TooBranched
+    rest = set(verts)
+    degree = {v: len(nbrs[v] & rest) for v in rest}
+    paths, attached = [], None
+    for start in sorted(verts):
+        if start not in rest or degree[start] > 1:
+            continue
+        path, prev, end = [start], None, None
+        while True:
+            nxt = next((u for u in nbrs[path[-1]] if u != prev and u in rest), None)
+            if nxt is None:
+                break
+            if degree[nxt] > 2:
+                end = nxt
+                break
+            prev = path[-1]
+            path.append(nxt)
+        if end is None:
+            paths.append(path)
+            rest.difference_update(path)
+        elif attached is None:
+            attached = (path, end)
+    if attached is not None:
+        path, c = attached
+        core = frozenset(rest.difference(path))
+        poly = _path_extend(a, path[::-1], c, _char_poly(a, nbrs, core, memo),
+                            _char_poly(a, nbrs, core - {c}, memo))
+    else:
+        poly = _berkowitz(a, sorted(rest))
+    for path in paths:
+        poly = _path_extend(a, path, None, poly, None)
+    memo[verts] = poly
+    return poly
+
+
+def _path_extend(a, path, attach, f, g):
+    """Run the continuant along ``path`` from F_0 = f and F_-1 = g.
+
+    ``attach`` is the vertex the path hangs on; with None, the first step
+    has no w^2 term (the path is a whole component and f the rest).
+    Polynomials are ascending coefficient lists.
+    """
+    prev = attach
+    for v in path:
+        d = a[v][v]
+        nxt = [0] + f
+        for i, x in enumerate(f):
+            nxt[i] -= d * x
+        if prev is not None:
+            w2 = a[v][prev] * a[prev][v]
+            if w2:
+                for i, x in enumerate(g):
+                    nxt[i] -= w2 * x
+        f, g, prev = nxt, f, v
+    return f
+
+
+def _berkowitz(a, idx):
+    """Ascending coefficients of det(x*I - A) on ``idx`` (Berkowitz 1984).
+
+    Grows the leading block A_k one vertex v at a time, with column c and
+    row r the entries joining v to A_k.  From p = chi(A_k) and
+    t_m = r A_k^m c, chi(A_(k+1)) = (x - a_vv) p - sum_j x^j
+    sum_(i>j) p_i t_(i-j-1), by the adjugate identity
+    adj(x*I - A_k) = sum_j x^j sum_(i>j) p_i A_k^(i-j-1).  Rows are kept
+    sparse, so a step costs k matrix-vector products over the nonzeros.
+    """
+    off = [[(pos, a[u][w]) for pos, w in enumerate(idx) if w != u and a[u][w]]
+           for u in idx]
+    p = [1]
+    for k, v in enumerate(idx):
+        lead = idx[:k]
+        col = [a[u][v] for u in lead]
+        row = [(pos, x) for pos, x in off[k] if pos < k]
+        t = []
+        for m in range(k):
+            t.append(sum(x * col[pos] for pos, x in row))
+            if m + 1 < k:
+                col = [a[u][u] * col[i] + sum(x * col[pos] for pos, x in off[i] if pos < k)
+                       for i, u in enumerate(lead)]
+        q = [0] + p
+        d = a[v][v]
+        for i, x in enumerate(p):
+            q[i] -= d * x
+        for j in range(k):
+            q[j] -= sum(p[i] * t[i - j - 1] for i in range(j + 1, k + 1))
+        p = q
+    return p
 
 
 def _sign_changes(coeffs):
@@ -298,7 +372,7 @@ def _sign_changes(coeffs):
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
-def descartes_signature(rows, coeffs=None) -> int:
+def descartes_signature(rows) -> int:
     """Signature via Descartes' rule of signs on the char polynomial.
 
     A symmetric matrix has an all-real spectrum, so the sign-change count
@@ -306,8 +380,7 @@ def descartes_signature(rows, coeffs=None) -> int:
     P(-lambda) counts the negative ones.  Requires det != 0, which rules
     out zero eigenvalues.
     """
-    if coeffs is None:
-        coeffs = char_poly_interpolate(rows)
+    coeffs = char_poly(rows)
     if coeffs[-1] == 0:
         raise SingularMatrixError("matrix is singular")
     positive = _sign_changes(coeffs)

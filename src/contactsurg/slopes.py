@@ -13,6 +13,7 @@ coefficients on the unknot producing a fixed lens space.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 
@@ -97,18 +98,19 @@ class Slope:
 INFINITY = Slope(1, 0)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_slope(text: str) -> Slope:
     """Parse 'p/q', 'p', or 'inf' into a Slope; other text raises SlopeError."""
     text = text.strip()
     if text in ("inf", "oo", "infinity"):
         return INFINITY
-    try:
-        parts = [int(x) for x in text.split("/")]
-    except ValueError:
-        parts = []
-    if not 1 <= len(parts) <= 2:
+    parts = text.split("/")
+    # plain ASCII digits only: int() would also take "1_0" or " 3"
+    if len(parts) > 2 or not all(_INTEGER.fullmatch(x) for x in parts):
         raise SlopeError(f"malformed slope {text!r}: expected p/q, p or inf")
-    return Slope(*parts)
+    return Slope(*(int(x) for x in parts))
 
 
 def neg_cf_expand(r) -> list:
@@ -229,25 +231,6 @@ def same_lens_space(a, b) -> bool:
     return (q * q2) % p == 1
 
 
-def normalize_lens_bruteforce(p: int, q: int):
-    """Canonical representative of the lens class by exhaustive search.
-
-    Independent of mod_inverse: scans for the multiplicative inverse and
-    returns min(q, q^-1) mod p.  Used to cross-check same_lens_space.
-    """
-    if p <= 1:
-        return (p, 0)
-    q %= p
-    inverse = None
-    for x in range(1, p):
-        if (q * x) % p == 1:
-            inverse = x
-            break
-    if inverse is None:
-        return (p, q)
-    return (p, min(q, inverse))
-
-
 class CosmeticSlopeSet:
     """Surgery coefficients on the unknot giving one lens space.
 
@@ -258,9 +241,8 @@ class CosmeticSlopeSet:
 
     def __init__(self, p: int, q: int):
         if p < 1 or not (0 < q <= p) or math.gcd(p, q) != 1:
-            raise SlopeError(f"-{p}/{q} is not a canonical surgery coefficient")
-        if q == p and p != 1:
-            raise SlopeError(f"-{p}/{q} is not reduced")
+            raise SlopeError(f"p={p}, q={q}: -p/q is not a canonical surgery "
+                             "coefficient (needs 0 < q <= p, gcd(p, q) = 1)")
         self.p = p
         self.q = q
         self.qbar = mod_inverse(q, p)

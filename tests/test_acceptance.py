@@ -40,10 +40,10 @@ from contactsurg.slopes import (
     canonical_slope,
     cs_set,
     lens_parameters,
-    normalize_lens_bruteforce,
     same_lens_space,
 )
 from contactsurg.surgery import LegendrianData
+from oracles import normalize_lens_bruteforce
 
 
 def _report(number, description, t0):

@@ -59,6 +59,12 @@ class TestCsSetCommand:
         code, _, err = run(capsys, "cs-set", "3", "4", "--bound", "10")
         assert code == 2
 
+    def test_negative_p_named_once(self, capsys):
+        code, out, err = run(capsys, "cs-set", "-3", "1")
+        assert code == 2 and out == ""
+        assert err == ("error: p=-3, q=1: -p/q is not a canonical surgery coefficient "
+                       "(needs 0 < q <= p, gcd(p, q) = 1)\n")
+
     def test_json_round_trip_is_byte_identical(self, capsys):
         code, out, _ = run(capsys, "cs-set", "7", "2", "--bound", "30", "--json")
         assert code == 0
@@ -67,6 +73,13 @@ class TestCsSetCommand:
 
 
 class TestUnknotCommand:
+    def test_underscore_in_coefficient_exits_2(self, capsys):
+        for text in ("1_0/3", "1/_3"):
+            code, out, err = run(capsys, "unknot", "--tb", "-1", "--rot", "0",
+                                 "--coeff", text)
+            assert code == 2 and out == ""
+            assert err == f"error: malformed slope {text!r}: expected p/q, p or inf\n"
+
     def test_boundary_case(self, capsys):
         code, out, _ = run(capsys, "unknot", "--tb", "-1", "--rot", "0",
                            "--coeff", "5/3")

@@ -4,7 +4,6 @@ import pytest
 
 from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
-    brute_force_d3_matches,
     candidate_slopes,
     check_pair,
     d3_negative_one_over_n,
@@ -18,6 +17,7 @@ from contactsurg.cosmetic import (
 from contactsurg.invariants import d3_spectrum
 from contactsurg.slopes import Slope, SlopeError
 from contactsurg.surgery import ContactZeroError, LegendrianData
+from oracles import brute_force_d3_matches
 
 
 class TestRotRange:

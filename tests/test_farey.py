@@ -20,12 +20,11 @@ from contactsurg.farey import (
     in_clockwise_arc,
     is_edge,
     minimal_path,
-    minimal_path_bfs,
-    raw_sign_count,
     shorten,
     sign_class_count,
 )
 from contactsurg.slopes import INFINITY, Slope, neg_cf_expand
+from oracles import minimal_path_bfs, raw_sign_count
 
 
 def small_slopes(num_bound, den_bound):

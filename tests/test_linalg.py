@@ -15,6 +15,8 @@ from contactsurg.closedforms import (
     tb2_positive_matrix,
     tbk_two_matrix,
 )
+from contactsurg.surgery import LegendrianData, convert, linking_matrix
+from oracles import char_poly_interpolate, char_poly_minors
 
 
 def random_matrix(rng, n, lo=-9, hi=9, symmetric=False):
@@ -275,26 +277,148 @@ class TestDefiniteness:
 
 class TestCharPoly:
     def test_identity(self):
+        assert char_poly_minors([[1, 0], [0, 1]]) == [1, -2, 1]
         assert linalg.char_poly([[1, 0], [0, 1]]) == [1, -2, 1]
 
     def test_chain_two(self):
         # E_1 = -4, E_2 = 3 for the 2 x 2 chain
+        assert char_poly_minors(chain_matrix(2)) == [1, 4, 3]
         assert linalg.char_poly(chain_matrix(2)) == [1, 4, 3]
 
     def test_constant_term_is_signed_determinant(self):
+        # not necessarily symmetric: the route works on any square matrix
         rng = random.Random(6)
         for _ in range(100):
             n = rng.randint(1, 5)
             m = random_matrix(rng, n, -5, 5)
-            coeffs = linalg.char_poly(m)
+            coeffs = char_poly_minors(m)
             assert coeffs[-1] == (-1) ** n * linalg.determinant(m)
+            assert linalg.char_poly(m) == coeffs
 
     def test_minors_equal_interpolation(self):
         rng = random.Random(7)
         for _ in range(150):
             n = rng.randint(1, 6)
             m = random_matrix(rng, n, -6, 6)
-            assert linalg.char_poly(m) == linalg.char_poly_interpolate(m)
+            assert char_poly_minors(m) == char_poly_interpolate(m)
+
+
+def graph_matrix(n, edges):
+    """Symmetric matrices whose nonzero off-diagonal entries are exactly
+    ``edges``, with random weights and diagonal (zero allowed)."""
+    weights = st.integers(-5, 5).filter(bool)
+    return st.builds(_weighted, st.just(n), st.just(edges),
+                     st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                     st.lists(weights, min_size=len(edges), max_size=len(edges)))
+
+
+def _weighted(n, edges, diagonal, weights):
+    m = [[0] * n for _ in range(n)]
+    for i, d in enumerate(diagonal):
+        m[i][i] = d
+    for (i, j), w in zip(edges, weights):
+        m[i][j] = m[j][i] = w
+    return m
+
+
+def dense_graphs(max_n):
+    return st.integers(0, max_n).flatmap(lambda n: st.lists(
+        st.booleans(), min_size=n * n, max_size=n * n).flatmap(
+        lambda bits: graph_matrix(n, [(i, j) for i in range(n) for j in range(i)
+                                      if bits[i * n + j]])))
+
+
+def paths(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: graph_matrix(n, [(i, i + 1) for i in range(n - 1)]))
+
+
+def cycles(max_n):
+    return st.integers(3, max_n).flatmap(
+        lambda n: graph_matrix(n, [(i, (i + 1) % n) for i in range(n)]))
+
+
+def pendant_paths(max_clique, max_path):
+    """A clique with a path of 1..max_path vertices hung on one of its
+    vertices: the shape of a surgery linking matrix."""
+    def build(k, length, attach):
+        edges = [(i, j) for i in range(k) for j in range(i)]
+        chain = [attach % k] + list(range(k, k + length))
+        return graph_matrix(k + length, edges + list(zip(chain, chain[1:])))
+    return st.tuples(st.integers(1, max_clique), st.integers(1, max_path),
+                     st.integers(0, max_clique - 1)).flatmap(lambda t: build(*t))
+
+
+def _union(a, b):
+    n = len(a)
+    return ([row + [0] * len(b) for row in a]
+            + [[0] * n + row for row in b])
+
+
+def _relabel(m, order):
+    return [[m[i][j] for j in order] for i in order]
+
+
+def graph_shapes():
+    """Symmetric integer matrices of the shapes char_poly distinguishes,
+    relabelled at random so leaves and attachments sit anywhere."""
+    small = st.one_of(dense_graphs(4), paths(4), cycles(4), pendant_paths(3, 2))
+    shapes = st.one_of(
+        dense_graphs(7), paths(9), cycles(8), pendant_paths(4, 6),
+        st.builds(_union, small, small))
+    return shapes.flatmap(lambda m: st.permutations(range(len(m))).map(
+        lambda order: _relabel(m, order)))
+
+
+def sympy_char_poly(m):
+    if not m:
+        return [1]
+    return [int(c) for c in sympy.Matrix(m).charpoly().all_coeffs()]
+
+
+class TestCharPolyRoute:
+    @settings(max_examples=400, deadline=None)
+    @given(graph_shapes())
+    def test_matches_oracles_and_sympy(self, m):
+        coeffs = linalg.char_poly(m)
+        assert coeffs == char_poly_minors(m)
+        assert coeffs == char_poly_interpolate(m)
+        assert coeffs == sympy_char_poly(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph_shapes())
+    def test_berkowitz_alone(self, m):
+        # with no budget for the recursion, the whole matrix goes to Berkowitz
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_PENDANT_BUDGET", 0)
+            assert linalg.char_poly(m) == char_poly_interpolate(m)
+
+    def test_too_branched_falls_back(self):
+        # a clique with a leaf on every vertex: each peeled leaf doubles the
+        # subgraphs, so the recursion gives up and Berkowitz takes over
+        k = 10
+        m = [[0] * (2 * k) for _ in range(2 * k)]
+        for i in range(k):
+            m[i][i] = -i
+            m[i][k + i] = m[k + i][i] = 1 + i % 3
+            for j in range(i):
+                m[i][j] = m[j][i] = -1
+        assert linalg.char_poly(m) == char_poly_interpolate(m)
+
+    def test_linking_matrices(self):
+        seen = {}
+        for tb in (-1, -2, -3):
+            for big_n in range(1, 61):
+                contact = Fraction(-1, big_n) - tb
+                if contact == 0:
+                    continue
+                for rot in range(tb + 1, -tb, 2):
+                    for pres in convert(LegendrianData(tb, rot), contact):
+                        rows = linking_matrix(pres).rows()
+                        seen[tuple(map(tuple, rows))] = rows
+        assert max(len(m) for m in seen.values()) == 61
+        for m in seen.values():
+            assert linalg.char_poly(m) == char_poly_interpolate(m)
 
 
 class TestSignature:
@@ -319,6 +443,15 @@ class TestSignature:
                 continue
             count += 1
             assert linalg.congruence_signature(m) == linalg.descartes_signature(m)
+
+    def test_methods_agree_at_scale(self):
+        # the chain forms behind `d3 --tb -1 --rot 0 --slope -1/400`
+        forms = convert(LegendrianData(-1, 0), Fraction(-1, 400) + 1)
+        assert forms
+        for pres in forms:
+            rows = linking_matrix(pres).rows()
+            assert len(rows) == 400
+            assert linalg.congruence_signature(rows) == linalg.descartes_signature(rows)
 
     def test_zero_diagonal_handling(self):
         # congruence diagonalization must survive all-zero diagonals
