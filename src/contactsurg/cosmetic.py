@@ -23,14 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from .closedforms import DEFAULT_FORMS
-from .farey import (
-    CLOCKWISE,
-    DecoratedFareyPath,
-    cf_blocks,
-    decorated_path_key,
-    minimal_path,
-    shorten,
-)
+from .farey import CLOCKWISE, minimal_path_blocks
 from .invariants import d3_spectrum, d3_spectrum_detail
 from .slopes import Slope, SlopeError, canonical_slope, lens_parameters
 from .surgery import ContactZeroError, LegendrianData
@@ -304,47 +297,99 @@ class UnknotSurgeryClass:
         }
 
 
-def _complement_signs(tb: int, rot: int):
-    """Sign multiset decorating the complement of a Legendrian unknot.
+def _junction_cascade(blocks, tb: int):
+    """Merges made when the complement path tb, tb + 1, ..., 0 is glued
+    after a minimal path with these blocks ending at tb, and shortened.
 
-    The complement path runs from the surgery-dual slope 0 back to tb;
-    its first edge is unsigned and the remaining -tb - 1 edges carry the
-    stabilization signs, whose sum is the rotation number.
+    Follows the stack pass of ``farey.shorten`` a block at a time.
+    Pushing c_i = tb + i merges the junction edge into c_i when the last
+    surviving path vertex x neighbours c_i; then the path loses its last
+    vertex for as long as the vertex before it neighbours c_i too.  Along
+    a block det(start + j step, c_i) is linear in j, so a block costs
+    O(1): its whole tail goes when the step is parallel to c_i, at most
+    two vertices otherwise.  Once two complement vertices stand side by
+    side (|det| = 2) nothing merges again.  When x is infinity, every
+    c_i neighbours it, and the pushes merge straight through to the
+    first c_i that the vertex before x neighbours (solving det = +-1).
+
+    Returns the surviving edges of each block and the merged edges in
+    merge order, as runs ("path", block, n, edges left in the block) and
+    ("complement", i, j) for the edges into c_i, ..., c_j.
     """
     k = -tb
-    plus = (k - 1 + rot) // 2
-    minus = (k - 1) - plus
-    if plus < 0 or minus < 0:
-        raise ValueError("rotation number out of range for an unknot")
-    return [1] * plus + [-1] * minus
+    alive = [block.edges for block in blocks]
+    merged = []
+    # The last path edge, into tb, is the junction edge until it merges.
+    alive[-1] -= 1
+    top = len(blocks) - 1 if alive[-1] else len(blocks) - 2
 
+    def vertex(back):
+        """The surviving path vertex ``back`` places before the last one."""
+        if top < 0:
+            return blocks[0].start
+        (sn, sd), (wn, wd), _ = blocks[top]
+        j = alive[top] - back
+        return (sn + j * wn, sd + j * wd)
 
-def _surgery_decorations(path):
-    """One representative decoration per block-equivalence class, for a
-    solid-torus path (first edge unsigned)."""
-    blocks = cf_blocks(path)
-    per_block = []
-    for block in blocks:
-        signed = [i for i in block if i != 0]
-        per_block.append((signed, range(len(signed) + 1)))
-    reps = []
-    for choice in product(*(r for _, r in per_block)):
-        signs = [None] * (len(path) - 1)
-        for (edges, _), plus_count in zip(per_block, choice):
-            for pos, idx in enumerate(edges):
-                signs[idx] = 1 if pos < plus_count else -1
-        reps.append(tuple(signs))
-    return reps
+    def eat(t):
+        nonlocal top
+        while top >= 0:
+            (sn, sd), (wn, wd), _ = blocks[top]
+            d0, dw = sn - t * sd, wn - t * wd  # det(vertex j, c) = d0 + j dw
+            j = alive[top]
+            n = j if dw == 0 and abs(d0) == 1 else 0
+            while dw and n < j and abs(d0 + (j - 1 - n) * dw) == 1:
+                n += 1
+            if n:
+                alive[top] -= n
+                merged.append(("path", top, n, alive[top]))
+            if alive[top]:
+                return
+            top -= 1
+
+    i = 1
+    while i <= k:
+        xn, xd = vertex(0)
+        if abs(xn - (tb + i) * xd) != 1:
+            break
+        if not merged:
+            merged.append(("path", len(blocks) - 1, 1, alive[-1]))
+        stop = i
+        if xd == 0:  # x is infinity, never the path's first (finite) vertex
+            stop = k + 1
+            pn, pd = vertex(1)
+            for s in (1, -1):
+                if (pn - s) % pd == 0 and i <= (pn - s) // pd - tb < stop:
+                    stop = (pn - s) // pd - tb
+        if stop > i:
+            merged.append(("complement", i, stop - 1))
+            i = stop
+            continue
+        merged.append(("complement", i, i))
+        eat(tb + i)
+        i += 1
+    if not merged:
+        alive[-1] += 1
+    return alive, merged
 
 
 def equivalent_surgery_count(tb: int, rot: int, contact_coeff) -> int:
     """Number of contact surgeries at this slope giving one and the same
     tight result, computed by the block-quotient fiber argument.
 
-    Enumerates the decorated surgery tori at the slope, glues each to
-    the complement of the Legendrian unknot, shortens, and counts the
-    decorations landing on a single tight structure of the lens space.
-    All tight fibers have equal size, which is asserted.
+    A decorated surgery torus is a choice of plus signs per block of the
+    minimal path from the smooth slope to tb (first edge unsigned).  It
+    is glued to the complement of the Legendrian unknot, the path tb,
+    tb + 1, ..., 0 whose last edge is unsigned and whose other -tb - 1
+    edges carry the stabilization signs, plus first, summing to rot.
+    Blocks the merge cascade leaves alone keep their signs, so distinct
+    choices there give distinct tight structures.  Eaten blocks fold
+    into the junction edge: signed edges merged before the first
+    unsigned one must share one sign (a clash is overtwisted), and after
+    it every choice gives the same result.  The fiber size is the
+    product over eaten blocks of their tight choices.  As a check, the
+    tight decorations must number fiber size x the decorations that the
+    surviving edges carry on the lens space's own minimal path.
     """
     contact_coeff = Fraction(contact_coeff)
     smooth = tb + contact_coeff
@@ -352,24 +397,52 @@ def equivalent_surgery_count(tb: int, rot: int, contact_coeff) -> int:
         raise SlopeError("zero smooth slope excluded")
     if tb < smooth < 0:
         raise ValueError("overtwisted regime; per-slope counts are tight-only")
-    surgery_path = minimal_path(Slope(smooth), Slope(tb), CLOCKWISE)
-    comp_vertices = [Slope(t) for t in range(tb, 1)]  # tb, tb+1, ..., 0
-    comp_signs = [s for s in _complement_signs(tb, rot)] + [None]
-    vertices = tuple(surgery_path) + tuple(comp_vertices[1:])
-    fibers = {}
-    for dec in _surgery_decorations(surgery_path):
-        signs = tuple(dec) + tuple(comp_signs)
-        shortened, verdict = shorten(DecoratedFareyPath(vertices, signs))
-        if verdict != "tight":
-            continue
-        key = decorated_path_key(shortened)
-        fibers[key] = fibers.get(key, 0) + 1
-    if not fibers:
+    blocks = minimal_path_blocks(Slope(smooth), Slope(tb), CLOCKWISE)
+    k = -tb
+    plus = (k - 1 + rot) // 2
+    if not 0 <= plus <= k - 1:
+        raise ValueError("rotation number out of range for an unknot")
+    alive, merged = _junction_cascade(blocks, tb)
+
+    # signed edges merged before the first unsigned one: per block, and
+    # the complement's edges into tb + 1, ..., tb + h
+    held, h = {}, 0
+    for kind, *run in merged:
+        if kind == "path":
+            b, n, left = run
+            unsigned = b == 0 and left == 0
+            held[b] = held.get(b, 0) + n - unsigned
+        else:
+            h = min(run[1], k - 1)
+            unsigned = run[1] == k
+        if unsigned:
+            break
+    # The first merge takes the complement edge into tb + 1, so when two
+    # or more edges are held they include a complement sign to match.
+    constrained = sum(held.values()) + h > 1
+    if constrained and 0 < plus < h:
         raise RuntimeError("no tight decoration found in the tight regime")
-    sizes = set(fibers.values())
-    if len(sizes) != 1:
-        raise RuntimeError(f"tight fibers of unequal size: {fibers}")
-    return sizes.pop()
+
+    tight = fiber = 1
+    for b, block in enumerate(blocks):
+        signed = block.edges - (b == 0)
+        if alive[b] == block.edges:
+            tight *= signed + 1
+            continue
+        if alive[b] or (constrained and 0 < held.get(b, 0) < signed):
+            raise RuntimeError("the merge cascade splits a continued-fraction block")
+        choices = 1 if constrained and held.get(b, 0) else signed + 1
+        tight *= choices
+        fiber *= choices
+
+    kept, keys, offset = sum(alive), 1, 0
+    for block in minimal_path_blocks(Slope(smooth), Slope(0), CLOCKWISE):
+        keys *= max(0, min(offset + block.edges, kept) - max(offset, 1)) + 1
+        offset += block.edges
+    if tight != fiber * keys:
+        raise RuntimeError(f"{tight} tight decorations at smooth slope {smooth}, but "
+                           f"fibers of {fiber} over {keys} tight structures")
+    return fiber
 
 
 def unknot_classify(L: LegendrianData, contact_coeff) -> UnknotSurgeryClass:

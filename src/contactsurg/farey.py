@@ -8,6 +8,11 @@ implements decorated paths, the shortening move with its tight versus
 overtwisted verdict, continued-fraction blocks, and the resulting
 structure counts.
 
+A minimal path is built as its continued-fraction blocks, runs of
+vertices in arithmetic progression, by Euclid's algorithm: the work is
+logarithmic in the size of the endpoints, not linear in the number of
+vertices, and the structure counts read block lengths only.
+
 Convention: "clockwise" from a slope means moving in the direction of
 increasing slope, wrapping from large positive slopes through infinity
 to large negative ones.  This matches the disk picture with 0 at the
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .slopes import INFINITY, Slope, parse_slope
 
@@ -55,9 +60,10 @@ def in_clockwise_arc(x: Slope, a: Slope, b: Slope) -> bool:
     return x > a or x < b
 
 
-def _mul(m, s: Slope) -> Slope:
+def _mul(m, v):
+    """The integer matrix m times the vector v = (num, den)."""
     (a, b), (c, d) = m
-    return Slope(a * s.num + b * s.den, c * s.num + d * s.den)
+    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
 
 
 def _normalizing_matrix(s: Slope):
@@ -95,45 +101,74 @@ def _invert_unimodular(m):
     return ((d * det, -b * det), (-c * det, a * det))
 
 
-def _path_from_infinity(target: Fraction):
-    """Minimal path from infinity clockwise to a finite slope.
+class FareyBlock(NamedTuple):
+    """One continued-fraction block of a minimal path: the vertices
+    start + j * step for j = 0, ..., edges, as integer vectors (num, den).
 
-    Every vertex after infinity lies at or below the target; the greedy
-    step always jumps to the largest admissible neighbour, which is the
-    classical continued-fraction pivot construction.
+    All of them are Farey neighbours of the slope of step, and a block
+    ends where the next block starts.
     """
-    path = [INFINITY]
-    c = math.floor(target)
-    if c == target:
-        path.append(Slope(int(target)))
-        return path
-    path.append(Slope(c))
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("minimal path construction failed to terminate")
-        v = path[-1]
-        vf = Fraction(v.num, v.den)
-        if vf == target:
-            return path
-        gap = target - vf
-        if gap.numerator == 0:
-            return path
-        if abs(v.num * target.denominator - target.numerator * v.den) == 1:
-            path.append(Slope(target.numerator, target.denominator))
-            continue
-        p, q = v.num, v.den
-        g, x, y = _ext_gcd(q, p)
-        # r*q - s*p = 1 gives the family of neighbours above v
-        r, s = x, -y
-        # smallest s + k q > 0 with v + 1/(q (s + k q)) <= target
-        need = Fraction(1, q) / gap  # required lower bound for s + k q
-        k = math.ceil((need - s) / q)
-        u_num, u_den = r + k * p, s + k * q
-        if u_den <= 0:
-            raise RuntimeError("pivot step left the admissible range")
-        path.append(Slope(u_num, u_den))
+
+    start: tuple
+    step: tuple
+    edges: int
+
+
+def _blocks_from_infinity(num: int, den: int) -> list:
+    """Blocks of the minimal path from infinity clockwise to num/den
+    (den > 0).
+
+    Along the path every vertex y, with neighbours x before and z after,
+    satisfies z = a y - x, where a = |det(x, z)| >= 2 is its turn; turns
+    of 2 continue a block (z - y = y - x) and larger ones start the next.
+    Writing the target as T = -u x + v y with u, v > 0 gives a =
+    ceil(v / u) and the next state (a u - v, u): Euclid's algorithm on
+    the negative continued fraction of v / u.  A run of turns of 2 keeps
+    d = v - u fixed and takes u // d of them at once, leaving u % d, and
+    v halves at every other step: O(log den) steps however many vertices
+    the path has.
+    """
+    c = num // den
+    # infinity as (-1, 0), so that det(v_i, v_{i+1}) = -1 along the path
+    start, step, edges = (-1, 0), (c + 1, 1), 1
+    u, v = num - c * den, den
+    blocks = []
+    while u:
+        turn = -(-v // u)
+        if turn == 2:
+            d = v - u
+            edges += u // d
+            u, v = u % d, u % d + d
+        else:
+            blocks.append(FareyBlock(start, step, edges))
+            # from the block's last vertex y, the next step is z - y = (turn - 2) y + step
+            start = (start[0] + edges * step[0], start[1] + edges * step[1])
+            step = ((turn - 2) * start[0] + step[0], (turn - 2) * start[1] + step[1])
+            edges = 1
+            u, v = turn * u - v, u
+    blocks.append(FareyBlock(start, step, edges))
+    return blocks
+
+
+def minimal_path_blocks(a: Slope, b: Slope, direction: str = CLOCKWISE) -> list:
+    """Continued-fraction blocks of ``minimal_path(a, b, direction)``.
+
+    The path is built in coordinates where a is infinity, and a
+    determinant +1 map carries arithmetic progressions to arithmetic
+    progressions, so blocks map to blocks.
+    """
+    if a == b:
+        raise ValueError("minimal path needs distinct endpoints")
+    if direction == ANTICLOCKWISE:
+        return [FareyBlock((-s[0], s[1]), (-w[0], w[1]), n)
+                for s, w, n in minimal_path_blocks(-a, -b, CLOCKWISE)]
+    if direction != CLOCKWISE:
+        raise ValueError(f"unknown direction {direction!r}")
+    m = _normalizing_matrix(a)
+    t = Slope(*_mul(m, (b.num, b.den)))
+    inv = _invert_unimodular(m)
+    return [FareyBlock(_mul(inv, s), _mul(inv, w), n)
+            for s, w, n in _blocks_from_infinity(t.num, t.den)]
 
 
 def minimal_path(a: Slope, b: Slope, direction: str = CLOCKWISE):
@@ -141,19 +176,14 @@ def minimal_path(a: Slope, b: Slope, direction: str = CLOCKWISE):
 
     All intermediate vertices lie strictly inside the arc; among such
     paths this one has the fewest edges (the tests check it against
-    breadth-first search on the truncated graph).
+    breadth-first search on the truncated graph).  The vertex list is
+    expanded from ``minimal_path_blocks``.
     """
-    if a == b:
-        raise ValueError("minimal path needs distinct endpoints")
-    if direction == ANTICLOCKWISE:
-        return [-v for v in minimal_path(-a, -b, CLOCKWISE)]
-    if direction != CLOCKWISE:
-        raise ValueError(f"unknown direction {direction!r}")
-    m = _normalizing_matrix(a)
-    t = _mul(m, b)
-    normalized = _path_from_infinity(Fraction(t.num, t.den))
-    inv = _invert_unimodular(m)
-    return [_mul(inv, v) for v in normalized]
+    blocks = minimal_path_blocks(a, b, direction)
+    path = [Slope(*blocks[0].start)]
+    for (sn, sd), (wn, wd), edges in blocks:
+        path.extend(Slope(sn + j * wn, sd + j * wd) for j in range(1, edges + 1))
+    return path
 
 
 _SIGN_CHARS = {1: "+", -1: "-", None: "?"}
@@ -197,10 +227,6 @@ class DecoratedFareyPath:
         )
 
 
-class OvertwistedError(Exception):
-    pass
-
-
 def _merge_signs(s1, s2):
     """Sign of a merged edge; None absorbs, opposite signs overtwist."""
     if s1 is None or s2 is None:
@@ -225,23 +251,27 @@ def shorten(path: DecoratedFareyPath):
     merges are applied (tested by randomized move orders), because
     overlapping merge spots would force crossing chords in the Farey
     tessellation.
+
+    One stack pass: each vertex is pushed once, and merges run at the
+    top of the stack, whose prefix never holds a mergeable triple.  That
+    applies the merges leftmost first, as rescanning from the start
+    after every merge would, in time linear in the length of the path.
     """
-    verts = list(path.vertices)
-    signs = list(path.signs)
+    verts = [path.vertices[0]]
+    signs = []
     overtwisted = False
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(verts) - 1):
-            if verts[i - 1] == verts[i + 1]:
+    for vertex, sign in zip(path.vertices[1:], path.signs):
+        verts.append(vertex)
+        signs.append(sign)
+        while len(verts) > 2:
+            if verts[-3] == verts[-1]:
                 raise ValueError("path backtracks; not a monotone concatenation")
-            if abs(_det(verts[i - 1], verts[i + 1])) == 1:
-                merged, clash = _merge_signs(signs[i - 1], signs[i])
-                overtwisted = overtwisted or clash
-                verts[i - 1:i + 1] = [verts[i - 1]]
-                signs[i - 1:i + 1] = [merged]
-                changed = True
+            if abs(_det(verts[-3], verts[-1])) != 1:
                 break
+            merged, clash = _merge_signs(signs[-2], signs[-1])
+            overtwisted = overtwisted or clash
+            del verts[-2]
+            signs[-2:] = [merged]
     result = DecoratedFareyPath(tuple(verts), tuple(signs))
     return result, ("overtwisted" if overtwisted else "tight")
 
@@ -281,6 +311,17 @@ def decorated_path_key(path: DecoratedFareyPath):
     return (path.vertices, tuple(multisets))
 
 
+def _class_count(edge_counts, unsigned_positions) -> int:
+    """Decorated paths up to block shuffles, from the number of edges in
+    each block: a block with s signed edges contributes a factor s + 1."""
+    total, offset = 1, 0
+    for edges in edge_counts:
+        unsigned = sum(1 for i in unsigned_positions if offset <= i < offset + edges)
+        total *= edges - unsigned + 1
+        offset += edges
+    return total
+
+
 def sign_class_count(vertices, unsigned_positions) -> int:
     """Number of decorated paths on given vertices up to block shuffles.
 
@@ -289,12 +330,11 @@ def sign_class_count(vertices, unsigned_positions) -> int:
     block give the same contact structure, so each block with s signed
     edges contributes a factor s + 1.
     """
-    blocks = cf_blocks(vertices)
-    total = 1
-    for block in blocks:
-        signed = sum(1 for i in block if i not in unsigned_positions)
-        total *= signed + 1
-    return total
+    return _class_count([len(block) for block in cf_blocks(vertices)], unsigned_positions)
+
+
+def _edge_counts(a: Slope, b: Slope, direction: str = CLOCKWISE) -> list:
+    return [block.edges for block in minimal_path_blocks(a, b, direction)]
 
 
 def count_tight_solid_torus(meridian: Slope, boundary: Slope,
@@ -304,28 +344,26 @@ def count_tight_solid_torus(meridian: Slope, boundary: Slope,
     to the boundary slope, the first edge unsigned.  Lower-meridian tori
     use the clockwise path (the default); upper-meridian tori use the
     anticlockwise one."""
-    path = minimal_path(meridian, boundary, direction)
-    return sign_class_count(path, {0})
+    return _class_count(_edge_counts(meridian, boundary, direction), (0,))
 
 
 def count_tight_thickened_torus(s0: Slope, s1: Slope) -> int:
     """Tight minimally twisting structures on T^2 x I with dividing
     slopes s0 and s1: every edge of the minimal clockwise path from s0
     to s1 carries a sign."""
-    path = minimal_path(s0, s1, CLOCKWISE)
-    return sign_class_count(path, set())
+    return _class_count(_edge_counts(s0, s1), ())
 
 
 def count_tight_lens(s: Slope, r: Slope) -> int:
     """Tight structures on the lens space obtained by collapsing slope s
     at one end of T^2 x I and slope r at the other: signs on all edges
     of the minimal clockwise path from s to r except the first and
-    last."""
+    last.  For L(p, q) this is Honda's |(r_0 + 1) ... (r_k + 1)| over the
+    negative continued fraction -p/q = [r_0, ..., r_k]."""
     if s == r:
         raise ValueError("degenerate lens parameters")
-    path = minimal_path(s, r, CLOCKWISE)
-    last = len(path) - 2
-    return sign_class_count(path, {0, last})
+    counts = _edge_counts(s, r)
+    return _class_count(counts, (0, sum(counts) - 1))
 
 
 def count_tight_lens_pq(p: int, q: int) -> int:

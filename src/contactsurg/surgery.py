@@ -128,7 +128,8 @@ def _negative_chain(tb: int, rot: int, contact_coeff: Fraction):
     smooth = tb + contact_coeff
     if smooth >= -1:
         raise SlopeError(
-            f"negative-coefficient conversion needs smooth slope < -1, got {smooth}"
+            f"tb={tb}, contact coefficient {contact_coeff}: negative-coefficient "
+            f"conversion needs smooth slope < -1, got {smooth}"
         )
     cf = neg_cf_expand(smooth)
     m = tb - cf[0] - 1
@@ -181,6 +182,13 @@ def convert(L: LegendrianData, contact_coeff) -> list:
     if rem == 0:
         return [finish(pushoffs)]
     tail_coeff = Fraction(p, rem)
+    if L.tb + tail_coeff >= -1:
+        plural = "s" if k > 1 else ""
+        raise SlopeError(
+            f"tb={L.tb}, contact coefficient {contact_coeff} (smooth slope {smooth}): "
+            f"after {k} push-off{plural} the remainder coefficient {tail_coeff} needs "
+            f"smooth slope < -1, got {L.tb + tail_coeff}"
+        )
     return [finish(pushoffs + v) for v in _negative_chain(L.tb, L.rot, tail_coeff)]
 
 

@@ -1,21 +1,35 @@
 """Brute-force oracles for the fast paths of the library.
 
 Each is slow but plainly right, and shares no code with the route it
-checks: exhaustive search, breadth-first search, enumeration, and
-characteristic polynomials from Bareiss determinants (which have tests
-of their own).
+checks: exhaustive search, breadth-first search, enumeration, vertex by
+vertex Farey paths, and characteristic polynomials from Bareiss
+determinants (which have tests of their own).
 """
 
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from contactsurg.cosmetic import rot_range
-from contactsurg.farey import ANTICLOCKWISE, CLOCKWISE, in_clockwise_arc, is_edge
+from contactsurg.farey import (
+    ANTICLOCKWISE,
+    CLOCKWISE,
+    DecoratedFareyPath,
+    _det,
+    _ext_gcd,
+    _invert_unimodular,
+    _merge_signs,
+    _mul,
+    _normalizing_matrix,
+    cf_blocks,
+    decorated_path_key,
+    in_clockwise_arc,
+    is_edge,
+)
 from contactsurg.invariants import d3_spectrum
 from contactsurg.linalg import determinant
-from contactsurg.slopes import Slope
+from contactsurg.slopes import INFINITY, Slope
 from contactsurg.surgery import LegendrianData
 
 
@@ -181,3 +195,116 @@ def brute_force_d3_matches(tb: int, n_max: int = 20):
             if common:
                 matches.append({"i": i, "n": n, "values": sorted(common)})
     return matches
+
+
+def path_from_infinity(target: Fraction):
+    """Minimal path from infinity clockwise to a finite slope, one
+    vertex at a time.
+
+    Every vertex after infinity lies at or below the target; the greedy
+    step always jumps to the largest admissible neighbour, which is the
+    classical continued-fraction pivot construction.
+    """
+    path = [INFINITY]
+    c = math.floor(target)
+    path.append(Slope(c))
+    while Fraction(path[-1].num, path[-1].den) != target:
+        v = path[-1]
+        gap = target - Fraction(v.num, v.den)
+        if abs(v.num * target.denominator - target.numerator * v.den) == 1:
+            path.append(Slope(target.numerator, target.denominator))
+            continue
+        p, q = v.num, v.den
+        _, x, y = _ext_gcd(q, p)
+        # r*q - s*p = 1 gives the family of neighbours above v
+        r, s = x, -y
+        # smallest s + k q > 0 with v + 1/(q (s + k q)) <= target
+        need = Fraction(1, q) / gap
+        k = math.ceil((need - s) / q)
+        path.append(Slope(r + k * p, s + k * q))
+    return path
+
+
+def minimal_path_vertexwise(a: Slope, b: Slope, direction: str = CLOCKWISE):
+    """``farey.minimal_path`` built vertex by vertex: move a to infinity,
+    take the greedy path there, and move it back."""
+    if direction == ANTICLOCKWISE:
+        return [-v for v in minimal_path_vertexwise(-a, -b, CLOCKWISE)]
+    m = _normalizing_matrix(a)
+    t = Slope(*_mul(m, (b.num, b.den)))
+    inv = _invert_unimodular(m)
+    return [Slope(*_mul(inv, (v.num, v.den)))
+            for v in path_from_infinity(Fraction(t.num, t.den))]
+
+
+def shorten_restart(path: DecoratedFareyPath):
+    """``farey.shorten`` by rescanning from the start after every merge."""
+    verts = list(path.vertices)
+    signs = list(path.signs)
+    overtwisted = False
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(verts) - 1):
+            if verts[i - 1] == verts[i + 1]:
+                raise ValueError("path backtracks; not a monotone concatenation")
+            if abs(_det(verts[i - 1], verts[i + 1])) == 1:
+                merged, clash = _merge_signs(signs[i - 1], signs[i])
+                overtwisted = overtwisted or clash
+                verts[i - 1:i + 1] = [verts[i - 1]]
+                signs[i - 1:i + 1] = [merged]
+                changed = True
+                break
+    result = DecoratedFareyPath(tuple(verts), tuple(signs))
+    return result, ("overtwisted" if overtwisted else "tight")
+
+
+def complement_signs(tb: int, rot: int):
+    """Stabilization signs on the complement path tb, tb + 1, ..., 0 of
+    a Legendrian unknot, plus first, summing to rot; the last edge, into
+    0, is unsigned and not listed."""
+    k = -tb
+    plus = (k - 1 + rot) // 2
+    minus = (k - 1) - plus
+    if plus < 0 or minus < 0:
+        raise ValueError("rotation number out of range for an unknot")
+    return [1] * plus + [-1] * minus
+
+
+def surgery_decorations(path):
+    """One representative decoration per block-equivalence class, for a
+    solid-torus path (first edge unsigned): plus signs first in each
+    block."""
+    per_block = []
+    for block in cf_blocks(path):
+        signed = [i for i in block if i != 0]
+        per_block.append((signed, range(len(signed) + 1)))
+    reps = []
+    for choice in product(*(r for _, r in per_block)):
+        signs = [None] * (len(path) - 1)
+        for (edges, _), plus_count in zip(per_block, choice):
+            for pos, idx in enumerate(edges):
+                signs[idx] = 1 if pos < plus_count else -1
+        reps.append(tuple(signs))
+    return reps
+
+
+def equivalent_count_enumerated(tb: int, rot: int, contact_coeff):
+    """``cosmetic.equivalent_surgery_count`` by enumeration: glue every
+    representative surgery decoration to the unknot complement, shorten,
+    and count the decorations landing on each tight structure.  Returns
+    (tight decorations, {lens key: fiber size}); the unknot count is the
+    common fiber size."""
+    smooth = tb + Fraction(contact_coeff)
+    surgery_path = minimal_path_vertexwise(Slope(smooth), Slope(tb), CLOCKWISE)
+    vertices = tuple(surgery_path) + tuple(Slope(t) for t in range(tb + 1, 1))
+    comp = tuple(complement_signs(tb, rot)) + (None,)
+    fibers = {}
+    tight = 0
+    for dec in surgery_decorations(surgery_path):
+        shortened, verdict = shorten_restart(DecoratedFareyPath(vertices, dec + comp))
+        if verdict == "tight":
+            tight += 1
+            key = decorated_path_key(shortened)
+            fibers[key] = fibers.get(key, 0) + 1
+    return tight, fibers

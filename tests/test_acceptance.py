@@ -20,7 +20,6 @@ from contactsurg.closedforms import (
 )
 from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
-    _complement_signs,
     equivalent_surgery_count,
     rot_range,
     scan,
@@ -43,7 +42,7 @@ from contactsurg.slopes import (
     same_lens_space,
 )
 from contactsurg.surgery import LegendrianData
-from oracles import normalize_lens_bruteforce
+from oracles import complement_signs, normalize_lens_bruteforce
 
 
 def _report(number, description, t0):
@@ -171,7 +170,7 @@ def _oracle_equivalent_count(tb, rot, contact_coeff):
     smooth = tb + Fraction(contact_coeff)
     spath = minimal_path(Slope(smooth), Slope(tb), CLOCKWISE)
     comp_vertices = [Slope(t) for t in range(tb, 1)]
-    comp_signs = list(_complement_signs(tb, rot)) + [None]
+    comp_signs = complement_signs(tb, rot) + [None]
     vertices = tuple(spath) + tuple(comp_vertices[1:])
     n_edges = len(spath) - 1
     class_to_lens = {}

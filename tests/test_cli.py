@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactsurg.cli import main
 
@@ -35,6 +40,13 @@ class TestD3Command:
             code, out, err = run(capsys, "d3", "--tb", "-1", "--rot", "0", flag, text)
             assert code == 2 and out == ""
             assert err == f"error: malformed slope {text!r}: expected p/q, p or inf\n"
+
+    def test_remainder_error_names_the_inputs(self, capsys):
+        code, out, err = run(capsys, "d3", "--tb", "1", "--rot", "0", "--slope", "5")
+        assert code == 2 and out == ""
+        assert err == ("error: tb=1, contact coefficient 4 (smooth slope 5): after 1 "
+                       "push-off the remainder coefficient -4/3 needs smooth slope < -1, "
+                       "got -1/3\n")
 
     def test_both_flags_rejected(self, capsys):
         code, _, _ = run(capsys, "d3", "--tb", "-1", "--rot", "0",
@@ -93,6 +105,14 @@ class TestUnknotCommand:
         data = json.loads(out)
         assert data["results"]["equivalence"] == "unique"
 
+    def test_large_denominator_count(self, capsys):
+        code, out, _ = run(capsys, "unknot", "--tb", "-1", "--rot", "0",
+                           "--coeff", "300001/300000", "--json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["tightness"] == "tight"
+        assert results["count_at_slope"] == 300001
+
     def test_parity_error_exits_2(self, capsys):
         code, _, _ = run(capsys, "unknot", "--tb", "-1", "--rot", "1",
                          "--coeff", "5/3")
@@ -120,3 +140,62 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--k-max", "3", "--n-max", "3")
         assert code == 1
         assert "MISMATCH" in out
+
+
+def _fraction_text(max_value):
+    return st.one_of(
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(-max_value, max_value),
+                  st.integers(1, max_value)),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(-max_value, max_value),
+                  st.integers(-max_value, max_value)),
+        st.integers(-max_value, max_value).map(str),
+        st.sampled_from(["inf", "0", "1/0", "0/0", "abc", "1/2/3", "-", ""]),
+    )
+
+
+@st.composite
+def _knot(draw, tb_min, tb_max):
+    """(tb, rot), the rotation mostly of the right parity and in range."""
+    tb = draw(st.integers(tb_min, tb_max))
+    rot = draw(st.one_of(
+        st.sampled_from([tb + 1, -tb - 1]),
+        st.integers(0, max(0, -tb - 1)).map(lambda j: tb + 1 + 2 * j),
+        st.integers(-13, 13)))
+    return ["--tb", str(tb), "--rot", str(rot)]
+
+
+@st.composite
+def _cs_set_args(draw):
+    p = draw(st.integers(-3, 10**6))
+    q = draw(st.one_of(st.integers(1, max(1, p)), st.integers(-10**6, 10**6)))
+    return ["cs-set", str(p), str(q), "--bound", str(draw(st.integers(-3, 60)))]
+
+
+CLI_ARGS = st.one_of(
+    st.builds(lambda knot, coeff: ["unknot", *knot, "--coeff", coeff],
+              _knot(-12, 2), _fraction_text(10**6)),
+    _cs_set_args(),
+    st.builds(lambda knot, flag, value: ["d3", *knot, flag, value],
+              _knot(-4, 2), st.sampled_from(["--slope", "--coeff"]),
+              st.builds(lambda p, q: f"{p}/{q}", st.integers(-12, 12), st.integers(-5, 5))),
+)
+
+
+@given(argv=CLI_ARGS, as_json=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_cli_fuzz_exit_codes_and_json(argv, as_json):
+    """Exit 0 or 2 on any input, never a traceback; --json output
+    survives a parse and re-serialization byte for byte."""
+    argv = argv + (["--json"] if as_json else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().strip()
+    elif as_json:
+        text = out.getvalue()
+        assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from contactsurg.cosmetic import (
 from contactsurg.invariants import d3_spectrum
 from contactsurg.slopes import Slope, SlopeError
 from contactsurg.surgery import ContactZeroError, LegendrianData
-from oracles import brute_force_d3_matches
+from oracles import brute_force_d3_matches, equivalent_count_enumerated
 
 
 class TestRotRange:
@@ -199,6 +200,36 @@ class TestUnknotClassification:
             m = -((-r.denominator) // r.numerator)  # ceil(1/r)
             assert equivalent_surgery_count(-1, 0, cc) == m + 1
         assert equivalent_surgery_count(-1, 0, Fraction(-3, 2)) == 1  # smooth -5/2
+
+    def test_count_matches_enumeration(self):
+        # every boundary-rotation unknot with tb in -5..-1 and every tight
+        # smooth slope of height <= 15, below tb and above 0
+        checked = {"below": 0, "above": 0}
+        for tb in range(-5, 0):
+            for rot in sorted({tb + 1, -tb - 1}):
+                for den in range(1, 16):
+                    for num in range(-15, 16):
+                        smooth = Fraction(num, den)
+                        if math.gcd(num, den) != 1 or tb <= smooth <= 0:
+                            continue
+                        tight, fibers = equivalent_count_enumerated(tb, rot, smooth - tb)
+                        (size,) = set(fibers.values())
+                        assert tight == size * len(fibers)
+                        assert equivalent_surgery_count(tb, rot, smooth - tb) == size
+                        checked["below" if smooth < tb else "above"] += 1
+        assert checked == {"below": 247, "above": 1287}
+
+    def test_count_at_large_denominators(self):
+        # k + 1 at smooth slope 1/k, k + 2 inside (1/(k+1), 1/k): the path
+        # ends in one block of about k edges, which the count never walks
+        for k in (10**3, 3 * 10**5, 10**12):
+            assert equivalent_surgery_count(-1, 0, Fraction(1, k) + 1) == k + 1
+            assert equivalent_surgery_count(-1, 0, Fraction(2, 2 * k + 1) + 1) == k + 2
+        # a long complement path, tb = -10^6, at both boundary rotations:
+        # as for tb = -2 (checked above by enumeration), the path 1/3, 1/2,
+        # 1, inf folds away with 3 choices
+        for rot in (10**6 - 1, 1 - 10**6):
+            assert equivalent_surgery_count(-(10**6), rot, Fraction(1, 3) + 10**6) == 3
 
     def test_errors(self):
         with pytest.raises(ContactZeroError):

@@ -20,11 +20,17 @@ from contactsurg.farey import (
     in_clockwise_arc,
     is_edge,
     minimal_path,
+    minimal_path_blocks,
     shorten,
     sign_class_count,
 )
 from contactsurg.slopes import INFINITY, Slope, neg_cf_expand
-from oracles import minimal_path_bfs, raw_sign_count
+from oracles import (
+    minimal_path_bfs,
+    minimal_path_vertexwise,
+    raw_sign_count,
+    shorten_restart,
+)
 
 
 def small_slopes(num_bound, den_bound):
@@ -99,6 +105,62 @@ class TestMinimalPaths:
     def test_bfs_denominator_bound_example(self):
         path = minimal_path_bfs(Slope(-5, 2), Slope(-1), den_bound=8)
         assert path == [Slope(-5, 2), Slope(-2), Slope(-1)]
+
+
+SMALL_SLOPES = small_slopes(6, 5)
+
+
+class TestBlockRoute:
+    @given(a=st.sampled_from(SMALL_SLOPES), b=st.sampled_from(SMALL_SLOPES),
+           direction=st.sampled_from((CLOCKWISE, ANTICLOCKWISE)))
+    @settings(max_examples=300, deadline=None)
+    def test_expanded_blocks_match_oracles(self, a, b, direction):
+        if a == b:
+            return
+        path = minimal_path(a, b, direction)
+        assert path == minimal_path_vertexwise(a, b, direction)
+        assert path == minimal_path_bfs(a, b, direction)
+        # the builder's blocks are the continued-fraction blocks of the path
+        blocks = minimal_path_blocks(a, b, direction)
+        assert [blk.edges for blk in blocks] == [len(bl) for bl in cf_blocks(path)]
+
+    def test_huge_paths_cost_only_their_blocks(self):
+        # L(200001, 1) is one block of 200001 edges; -p/(p - 1) has a
+        # negative continued fraction of p - 1 terms, all -2, so a route
+        # that walks the terms hangs on p = 10^12
+        assert count_tight_lens_pq(200001, 1) == 200000
+        assert count_tight_lens_pq(10**12, 10**12 - 1) == 1
+        assert count_tight_lens_pq(10**12, 1) == 10**12 - 1
+        blocks = minimal_path_blocks(Slope(-(10**12)), Slope(0))
+        assert [blk.edges for blk in blocks] == [10**12]
+        assert count_tight_thickened_torus(Slope(1, 10**9), Slope(-1)) == 10**9 + 2
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_stack_shorten_matches_restart_scan(self, data):
+        # monotone concatenations, as gluing produces, and also arbitrary
+        # walks in the Farey graph, on which both must raise alike
+        a, mid, b = (data.draw(st.sampled_from(small_slopes(5, 3))) for _ in range(3))
+        if data.draw(st.booleans()):
+            if len({a, mid, b}) < 3 or not in_clockwise_arc(mid, a, b):
+                return
+            verts = tuple(minimal_path(a, mid)) + tuple(minimal_path(mid, b)[1:])
+        else:
+            verts = [a]
+            for _ in range(data.draw(st.integers(1, 8))):
+                nbrs = [s for s in SMALL_SLOPES if s != verts[-1] and is_edge(s, verts[-1])]
+                verts.append(data.draw(st.sampled_from(nbrs)))
+            verts = tuple(verts)
+        signs = tuple(data.draw(st.sampled_from((1, -1, None)))
+                      for _ in range(len(verts) - 1))
+        path = DecoratedFareyPath(verts, signs)
+        try:
+            expected = shorten_restart(path)
+        except ValueError:
+            with pytest.raises(ValueError):
+                shorten(path)
+            return
+        assert shorten(path) == expected
 
 
 class TestShorten:
@@ -248,14 +310,17 @@ class TestCounts:
         assert count_tight_lens_pq(3, 2) == 1
 
     def test_lens_counts_match_continued_fraction_product(self):
-        for p in range(2, 13):
-            for q in range(1, p):
-                if math.gcd(p, q) != 1:
-                    continue
-                expected = 1
-                for c in neg_cf_expand(Fraction(-p, q)):
-                    expected *= abs(c + 1)
-                assert count_tight_lens_pq(p, q) == expected
+        # Honda's |(r_0 + 1) ... (r_k + 1)| over -p/q = [r_0, ..., r_k], and
+        # the count on the vertex-by-vertex path, on all 1085 pairs p < 60
+        pairs = [(p, q) for p in range(2, 60) for q in range(1, p) if math.gcd(p, q) == 1]
+        assert len(pairs) == 1085
+        for p, q in pairs:
+            expected = 1
+            for c in neg_cf_expand(Fraction(-p, q)):
+                expected *= abs(c + 1)
+            path = minimal_path_vertexwise(Slope(-p, q), Slope(0))
+            assert sign_class_count(path, {0, len(path) - 2}) == expected
+            assert count_tight_lens_pq(p, q) == expected
 
     def test_lens_general_form(self):
         assert count_tight_lens(Slope(-3), Slope(0)) == 2
