@@ -7,53 +7,61 @@ __version__ = "0.1.0"
 
 from .slopes import (
     INFINITY,
-    CosmeticSlopeSet,
     Slope,
     SlopeError,
     canonical_slope,
     cs_set,
     lens_parameters,
-    mod_inverse,
     neg_cf_expand,
-    neg_cf_value,
     parse_slope,
-    rolfsen_twist,
     same_lens_space,
 )
 from .farey import (
     ANTICLOCKWISE,
     CLOCKWISE,
-    DecoratedFareyPath,
-    cf_blocks,
     count_tight_lens,
     count_tight_lens_pq,
     count_tight_solid_torus,
     count_tight_thickened_torus,
     is_edge,
-    minimal_path,
-    shorten,
+    minimal_path_blocks,
 )
 from .surgery import (
     ContactZeroError,
     IntersectionForm,
-    KnotMetadata,
     LegendrianData,
-    SurgeryPresentation,
     convert,
     enumerate_rotations,
     linking_matrix,
-    smooth_recovery,
+    rot_range,
 )
-from .invariants import D3Result, c_squared, d3, d3_spectrum, euler_char
+from .invariants import d3_spectrum, d3_spectrum_detail, d3_values
 from .cosmetic import (
-    CosmeticVerdict,
-    UnknotSurgeryClass,
     candidate_slopes,
     check_pair,
-    rot_range,
     scan,
     solve_d3_equation,
     unknot_classify,
 )
 from .closedforms import verify_closed_forms
 from .regressions import verify_d3_regressions
+
+__all__ = [
+    # slopes
+    "INFINITY", "Slope", "SlopeError", "canonical_slope", "cs_set",
+    "lens_parameters", "neg_cf_expand", "parse_slope", "same_lens_space",
+    # Farey counts
+    "ANTICLOCKWISE", "CLOCKWISE", "count_tight_lens", "count_tight_lens_pq",
+    "count_tight_solid_torus", "count_tight_thickened_torus", "is_edge",
+    "minimal_path_blocks",
+    # surgery presentations
+    "ContactZeroError", "IntersectionForm", "LegendrianData", "convert",
+    "enumerate_rotations", "linking_matrix", "rot_range",
+    # d3
+    "d3_spectrum", "d3_spectrum_detail", "d3_values",
+    # cosmetic obstructions and unknots
+    "candidate_slopes", "check_pair", "scan", "solve_d3_equation",
+    "unknot_classify",
+    # verification
+    "verify_closed_forms", "verify_d3_regressions",
+]

@@ -11,13 +11,14 @@ means success, 1 a verification mismatch, 2 a usage or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .closedforms import verify_closed_forms
-from .cosmetic import scan, solve_d3_equation, unknot_classify
+from .cosmetic import scan_cells, solve_d3_equations, unknot_classify
 from .invariants import d3_spectrum_detail
 from .regressions import verify_d3_regressions
 from .slopes import SlopeError, cs_set, parse_slope
@@ -65,7 +66,10 @@ def cmd_d3(args) -> int:
               file=sys.stderr)
         return 2
     L = LegendrianData(args.tb, args.rot)
-    smooth = _fraction(args.slope) if args.slope else args.tb + _fraction(args.coeff)
+    if args.slope is not None:
+        smooth = _fraction(args.slope)
+    else:
+        smooth = args.tb + _fraction(args.coeff)
     detail = d3_spectrum_detail(L, smooth)
     results = []
     values = set()
@@ -110,25 +114,26 @@ def cmd_unknot(args) -> int:
     return 0
 
 
-def _scan_summary(n_max):
-    report = scan(-8, -1, min(n_max, 8))
-    ok = report["not_obstructed"] == [{"tb": -1, "rot": 0, "v": "2"}]
-    ok = ok and not report["solver_solutions"]
+def _scan_summary(args):
+    """The obstruction scan over tb in [-8, -1], with the solutions of
+    the d3-equality equations for -k_max <= tb <= -3 (none expected)."""
+    report = scan_cells(-8, -1, min(args.n_max, 8))
+    solutions = solve_d3_equations(-args.k_max, -3, args.n_max)
+    ok = report["not_obstructed"] == [{"tb": -1, "rot": 0, "v": "2"}] and not solutions
     return {"ok": ok,
             "checks": len(report["cells"]),
             "mismatches": [] if ok else [{"check": "scan",
                                           "not_obstructed": report["not_obstructed"],
-                                          "solver_solutions": report["solver_solutions"]}]}
+                                          "solver_solutions": solutions}]}
 
 
 def cmd_verify(args) -> int:
     summaries = []
     lines = []
-    failed = False
     for name, job in (
         ("closed forms", lambda: verify_closed_forms(args.k_max, args.n_max)),
         ("d3 regressions", lambda: verify_d3_regressions(args.n_max)),
-        ("obstruction scan", lambda: _scan_summary(args.n_max)),
+        ("obstruction scan", lambda: _scan_summary(args)),
     ):
         rep = job()
         summaries.append({"name": name, "ok": rep["ok"], "checks": rep["checks"],
@@ -136,22 +141,18 @@ def cmd_verify(args) -> int:
         status = "ok" if rep["ok"] else "MISMATCH"
         lines.append(f"{name}: {rep['checks']} checks, {status}")
         if not rep["ok"]:
-            failed = True
-            first = rep["mismatches"][0]
-            lines.append(f"  first mismatch: {first}")
-    for tb in range(-args.k_max, -2):
-        for family in ("pm_one", "pm_one_over_n") + (("pm_two",) if tb <= -4 else ()):
-            sols = solve_d3_equation(tb, family, n_max=args.n_max)
-            if sols:
-                failed = True
-                lines.append(f"equation family {family} at tb={tb}: solutions {sols}")
+            lines.append(f"  first mismatch: {rep['mismatches'][0]}")
+    ok = all(summary["ok"] for summary in summaries)
     emit(envelope("verify", {"k_max": args.k_max, "n_max": args.n_max},
-                  {"summaries": summaries, "ok": not failed}),
+                  {"summaries": summaries, "ok": ok}),
          args.json, lines)
-    return 1 if failed else 0
+    return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: building it costs
+    more than most commands."""
     parser = argparse.ArgumentParser(
         prog="contactsurg",
         description="exact contact-surgery invariants and cosmetic-surgery checks",
@@ -209,8 +210,7 @@ def _join_slope_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_join_slope_values(list(argv)))
+    args = _parser().parse_args(_join_slope_values(list(argv)))
     try:
         return args.func(args)
     except (SlopeError, ValueError) as exc:

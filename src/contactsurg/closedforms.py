@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
+from .surgery import rot_range
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +148,6 @@ def tbk_two_matrix(k: int, sign: int):
 
 # ---------------------------------------------------------------------------
 # closed forms
-
-def _rot_values(t: int):
-    return list(range(t - 1, -t, -2))
-
 
 DEFAULT_FORMS = {
     # determinants
@@ -310,7 +307,7 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
         rep.record("tb1_pos_sigma", {"n": n}, f["tb1_pos_sigma"](n),
                    linalg.signature(mat), mat)
         qc = linalg.adjugate_columns(mat, [1])
-        for rho in _rot_values(n + 1):
+        for rho in rot_range(-n - 1)[::-1]:
             rep.record("tb1_pos_csq", {"n": n, "rho": rho},
                        Fraction(f["tb1_pos_csq"](n, rho)), _csq(qc, [0, rho]), mat)
 
@@ -346,13 +343,13 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
                            Fraction(qexp[i_][j_]), _q(qcp, j_, i_), matp)
         for i in (1, -1):
             for rho2 in (i + 1, i - 1):
-                for s in _rot_values(n):
+                for s in rot_range(-n)[::-1]:
                     rep.record("tb2_pos_csq", {"n": n, "i": i, "rho2": rho2, "s": s},
                                Fraction(f["tb2_pos_csq"](n, i, rho2, s)),
                                _csq(qcp, [i, rho2, s]), matp)
 
     for k in range(3, k_max + 1):
-        rots = _rot_values(k)
+        rots = rot_range(-k)[::-1]
 
         for sign, tag in ((-1, "two_neg"), (1, "two_pos")):
             mat = tbk_two_matrix(k, sign)
@@ -432,7 +429,7 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
                        _q(qcp, k, k), matp)
             for i in rots:
                 for e in (1, -1):
-                    for s in _rot_values(n):
+                    for s in rot_range(-n)[::-1]:
                         r = [0] * (k + 1)
                         r[0], r[1], r[k] = i, i + e, s
                         rep.record("one_pos_csq",

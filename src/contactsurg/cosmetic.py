@@ -26,7 +26,7 @@ from .closedforms import DEFAULT_FORMS
 from .farey import CLOCKWISE, minimal_path_blocks
 from .invariants import d3_spectrum, d3_spectrum_detail
 from .slopes import Slope, SlopeError, canonical_slope, lens_parameters
-from .surgery import ContactZeroError, LegendrianData
+from .surgery import ContactZeroError, LegendrianData, rot_range
 
 EXCEPTIONAL_FLAGS = (
     "tau=0",
@@ -37,18 +37,6 @@ EXCEPTIONAL_FLAGS = (
     "quasi-positive",
     "lagrangian-slice",
 )
-
-
-def rot_range(tb: int):
-    """Rotation numbers admissible for a knot with tau = 0 and the given
-    tb: the Bennequin-type bound tb + |rot| <= -1 with parity gives
-    tb+1, tb+3, ..., -tb-1."""
-    if tb > -1:
-        raise ValueError(
-            "tb >= 0 is outside the obstruction machinery; such knots are "
-            "handled by the classical bounds alone"
-        )
-    return list(range(tb + 1, -tb, 2))
 
 
 def candidate_slopes(genus: int, n_max: int = 10):
@@ -209,22 +197,31 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
     return solutions
 
 
-def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
+def solve_d3_equations(tb_min: int, tb_max: int, n_max: int) -> list:
+    """Solutions of every d3-equality family for tb_min <= tb <= tb_max,
+    each tagged with its tb; the families start at tb = -3, and +-2 at
+    tb = -4."""
+    return [{"tb": tb, **sol}
+            for tb in range(tb_min, min(tb_max, -3) + 1)
+            for family in ("pm_one", "pm_one_over_n") + (("pm_two",) if tb <= -4 else ())
+            for sol in solve_d3_equation(tb, family, n_max=n_max)]
+
+
+def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
     """Run check_pair over tb in [tb_min, tb_max], all admissible
     rotation numbers, the +-2 pair and the +-1/n pairs with n <= n_max.
 
-    The report carries both spectra and the matrix provenance for every
-    cell, plus the equation-solver results for tb <= -3.
+    Every cell carries both spectra and the matrix provenance; the cells
+    left unobstructed are listed apart.
     """
     if tb_max > -1:
         raise ValueError("scan covers tb <= -1")
     cells = []
     not_obstructed = []
-    magnitudes = [Fraction(2)] + [Fraction(1, n) for n in range(1, n_max + 1)]
     for tb in range(tb_min, tb_max + 1):
         for rot in rot_range(tb):
             L = LegendrianData(tb, rot)
-            for v in magnitudes:
+            for v in candidate_slopes(2, n_max):
                 prov = {}
 
                 def spectrum(slope):
@@ -239,18 +236,14 @@ def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
                 cells.append(cell)
                 if verdict.outcome == "not_obstructed":
                     not_obstructed.append({"tb": tb, "rot": rot, "v": str(v)})
-    solver = []
-    for tb in range(tb_min, min(tb_max, -3) + 1):
-        families = ["pm_one", "pm_one_over_n"] + (["pm_two"] if tb <= -4 else [])
-        for family in families:
-            for sol in solve_d3_equation(tb, family, n_max=n_max):
-                solver.append({"tb": tb, **sol})
-    return {
-        "range": {"tb_min": tb_min, "tb_max": tb_max, "n_max": n_max},
-        "cells": cells,
-        "not_obstructed": not_obstructed,
-        "solver_solutions": solver,
-    }
+    return {"cells": cells, "not_obstructed": not_obstructed}
+
+
+def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
+    """``scan_cells`` plus the equation-solver results for tb <= -3."""
+    return {"range": {"tb_min": tb_min, "tb_max": tb_max, "n_max": n_max},
+            **scan_cells(tb_min, tb_max, n_max),
+            "solver_solutions": solve_d3_equations(tb_min, tb_max, n_max)}
 
 
 def _provenance(L, slope):
@@ -301,7 +294,8 @@ def _junction_cascade(blocks, tb: int):
     """Merges made when the complement path tb, tb + 1, ..., 0 is glued
     after a minimal path with these blocks ending at tb, and shortened.
 
-    Follows the stack pass of ``farey.shorten`` a block at a time.
+    Follows the stack pass of the shortening move (merges at the top of a
+    stack of path vertices, leftmost first) a block at a time.
     Pushing c_i = tb + i merges the junction edge into c_i when the last
     surviving path vertex x neighbours c_i; then the path loses its last
     vertex for as long as the vertex before it neighbours c_i too.  Along

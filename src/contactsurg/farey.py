@@ -1,12 +1,10 @@
-"""The Farey graph on slopes and decorated minimal paths.
+"""The Farey graph on slopes and tight contact structure counts.
 
 Vertices are slopes (rationals together with infinity); p/q and p'/q'
 are joined by an edge when |p q' - p' q| = 1.  Tight contact structures
 on thickened tori, solid tori, and lens spaces are classified by minimal
-paths in this graph with signs on some of the edges, so the module also
-implements decorated paths, the shortening move with its tight versus
-overtwisted verdict, continued-fraction blocks, and the resulting
-structure counts.
+paths in this graph with signs on some of the edges, counted up to
+shuffles of the signs inside each continued-fraction block.
 
 A minimal path is built as its continued-fraction blocks, runs of
 vertices in arithmetic progression, by Euclid's algorithm: the work is
@@ -23,10 +21,9 @@ the minimal clockwise path from -5/2 to -1 is -5/2, -2, -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .slopes import INFINITY, Slope, parse_slope
+from .slopes import Slope
 
 CLOCKWISE = "clockwise"
 ANTICLOCKWISE = "anticlockwise"
@@ -41,23 +38,6 @@ def is_edge(a: Slope, b: Slope) -> bool:
     if a == b:
         raise ValueError("is_edge needs two distinct slopes")
     return abs(_det(a, b)) == 1
-
-
-def in_clockwise_arc(x: Slope, a: Slope, b: Slope) -> bool:
-    """True when x lies strictly inside the clockwise arc from a to b."""
-    if a == b:
-        raise ValueError("empty arc")
-    if x == a or x == b:
-        return False
-    if a.is_infinite:
-        return not x.is_infinite and x < b
-    if b.is_infinite:
-        return not x.is_infinite and x > a
-    if x.is_infinite:
-        return a > b
-    if a < b:
-        return a < x < b
-    return x > a or x < b
 
 
 def _mul(m, v):
@@ -151,11 +131,14 @@ def _blocks_from_infinity(num: int, den: int) -> list:
 
 
 def minimal_path_blocks(a: Slope, b: Slope, direction: str = CLOCKWISE) -> list:
-    """Continued-fraction blocks of ``minimal_path(a, b, direction)``.
+    """Continued-fraction blocks of the minimal Farey path from a to b
+    through the given rotational arc.
 
-    The path is built in coordinates where a is infinity, and a
-    determinant +1 map carries arithmetic progressions to arithmetic
-    progressions, so blocks map to blocks.
+    All intermediate vertices lie strictly inside the arc, and among such
+    paths this one has the fewest edges.  The path is built in
+    coordinates where a is infinity, and a determinant +1 map carries
+    arithmetic progressions to arithmetic progressions, so blocks map to
+    blocks.
     """
     if a == b:
         raise ValueError("minimal path needs distinct endpoints")
@@ -171,146 +154,6 @@ def minimal_path_blocks(a: Slope, b: Slope, direction: str = CLOCKWISE) -> list:
             for s, w, n in _blocks_from_infinity(t.num, t.den)]
 
 
-def minimal_path(a: Slope, b: Slope, direction: str = CLOCKWISE):
-    """Minimal Farey path from a to b through the given rotational arc.
-
-    All intermediate vertices lie strictly inside the arc; among such
-    paths this one has the fewest edges (the tests check it against
-    breadth-first search on the truncated graph).  The vertex list is
-    expanded from ``minimal_path_blocks``.
-    """
-    blocks = minimal_path_blocks(a, b, direction)
-    path = [Slope(*blocks[0].start)]
-    for (sn, sd), (wn, wd), edges in blocks:
-        path.extend(Slope(sn + j * wn, sd + j * wd) for j in range(1, edges + 1))
-    return path
-
-
-_SIGN_CHARS = {1: "+", -1: "-", None: "?"}
-_CHAR_SIGNS = {v: k for k, v in _SIGN_CHARS.items()}
-
-
-@dataclass(frozen=True)
-class DecoratedFareyPath:
-    """A Farey path with a sign (+1, -1, or None for unsigned) per edge."""
-
-    vertices: tuple
-    signs: tuple
-
-    def __post_init__(self):
-        if len(self.vertices) < 2:
-            raise ValueError("a path needs at least one edge")
-        if len(self.signs) != len(self.vertices) - 1:
-            raise ValueError("one sign per edge required")
-        for u, v in zip(self.vertices, self.vertices[1:]):
-            if not is_edge(u, v):
-                raise ValueError(f"{u} and {v} are not Farey neighbours")
-        for s in self.signs:
-            if s not in (1, -1, None):
-                raise ValueError("signs must be +1, -1, or None")
-
-    @property
-    def edges(self):
-        return list(zip(self.vertices, self.vertices[1:]))
-
-    def to_json(self):
-        return {
-            "vertices": [str(v) for v in self.vertices],
-            "signs": "".join(_SIGN_CHARS[s] for s in self.signs),
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            tuple(parse_slope(t) for t in data["vertices"]),
-            tuple(_CHAR_SIGNS[c] for c in data["signs"]),
-        )
-
-
-def _merge_signs(s1, s2):
-    """Sign of a merged edge; None absorbs, opposite signs overtwist."""
-    if s1 is None or s2 is None:
-        return None, False
-    if s1 == s2:
-        return s1, False
-    return None, True
-
-
-def shorten(path: DecoratedFareyPath):
-    """Shorten a decorated path to minimal length.
-
-    Two consecutive edges merge when the outer vertices are themselves
-    Farey neighbours.  Merging edges of opposite sign detects an
-    overtwisted structure; merging across an unsigned edge is always
-    allowed and the merged edge stays unsigned.  Returns the fully
-    shortened path and the verdict 'tight' or 'overtwisted'.
-
-    Intended for monotone concatenations (paths winding clockwise
-    through less than a full turn), which is what gluing produces; on
-    those the verdict and final path do not depend on the order in which
-    merges are applied (tested by randomized move orders), because
-    overlapping merge spots would force crossing chords in the Farey
-    tessellation.
-
-    One stack pass: each vertex is pushed once, and merges run at the
-    top of the stack, whose prefix never holds a mergeable triple.  That
-    applies the merges leftmost first, as rescanning from the start
-    after every merge would, in time linear in the length of the path.
-    """
-    verts = [path.vertices[0]]
-    signs = []
-    overtwisted = False
-    for vertex, sign in zip(path.vertices[1:], path.signs):
-        verts.append(vertex)
-        signs.append(sign)
-        while len(verts) > 2:
-            if verts[-3] == verts[-1]:
-                raise ValueError("path backtracks; not a monotone concatenation")
-            if abs(_det(verts[-3], verts[-1])) != 1:
-                break
-            merged, clash = _merge_signs(signs[-2], signs[-1])
-            overtwisted = overtwisted or clash
-            del verts[-2]
-            signs[-2:] = [merged]
-    result = DecoratedFareyPath(tuple(verts), tuple(signs))
-    return result, ("overtwisted" if overtwisted else "tight")
-
-
-def cf_blocks(path) -> list:
-    """Partition of the edges into continued-fraction blocks.
-
-    Edges e_i and e_{i+1} belong to a common block exactly when the
-    outer vertices satisfy |det| = 2; within a block the sign assignment
-    matters only as a multiset (basic slices can be shuffled).  Requires
-    a minimal path.
-    """
-    verts = path.vertices if isinstance(path, DecoratedFareyPath) else tuple(path)
-    n_edges = len(verts) - 1
-    for i in range(1, n_edges):
-        if abs(_det(verts[i - 1], verts[i + 1])) == 1:
-            raise ValueError("continued-fraction blocks require a minimal path")
-    blocks = [[0]]
-    for i in range(1, n_edges):
-        if abs(_det(verts[i - 1], verts[i + 1])) == 2:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return blocks
-
-
-def decorated_path_key(path: DecoratedFareyPath):
-    """Equality key: vertices plus the per-block multiset of signs."""
-    blocks = cf_blocks(path)
-    multisets = []
-    for block in blocks:
-        signed = sorted(
-            (path.signs[i] for i in block if path.signs[i] is not None), reverse=True
-        )
-        unsigned = sum(1 for i in block if path.signs[i] is None)
-        multisets.append((tuple(signed), unsigned))
-    return (path.vertices, tuple(multisets))
-
-
 def _class_count(edge_counts, unsigned_positions) -> int:
     """Decorated paths up to block shuffles, from the number of edges in
     each block: a block with s signed edges contributes a factor s + 1."""
@@ -320,17 +163,6 @@ def _class_count(edge_counts, unsigned_positions) -> int:
         total *= edges - unsigned + 1
         offset += edges
     return total
-
-
-def sign_class_count(vertices, unsigned_positions) -> int:
-    """Number of decorated paths on given vertices up to block shuffles.
-
-    Signs on the edges not listed in unsigned_positions range over +/-;
-    assignments differing by a permutation within a continued-fraction
-    block give the same contact structure, so each block with s signed
-    edges contributes a factor s + 1.
-    """
-    return _class_count([len(block) for block in cf_blocks(vertices)], unsigned_positions)
 
 
 def _edge_counts(a: Slope, b: Slope, direction: str = CLOCKWISE) -> list:

@@ -30,11 +30,6 @@ class NonTorsionEulerClassError(ValueError):
     """det Q = 0: c1^2 undefined (non-torsion Euler class)."""
 
 
-def euler_char(form: IntersectionForm) -> int:
-    """chi of the trace: one 0-handle plus one 2-handle per component."""
-    return form.n + 1
-
-
 @dataclass(frozen=True)
 class D3Result:
     chi: int
@@ -62,14 +57,16 @@ def _assemble(chi, sigma, csq, l):
     return D3Result(chi=chi, sigma=sigma, c_squared=csq, l=l, d3=value)
 
 
-def _d3_values(form: IntersectionForm, vectors, cache=None):
-    """d3 of ``form`` for each rotation vector.
+def d3_values(form: IntersectionForm, vectors, cache=None) -> list:
+    """d3 of ``form`` for each rotation vector, as D3Results.
 
     sigma, det Q and the columns of adj(Q) on the joint support of the
     vectors cost one elimination pass and one signature; a cache keyed by
     (Q, support) lets the stabilization variants of one conversion
     (identical framed links, different pinned rotations) share them.
     """
+    if any(len(v) != form.n for v in vectors):
+        raise ValueError("rotation vector length must match Q")
     support = sorted({i for v in vectors for i, x in enumerate(v) if x})
     key = (form.Q, tuple(support))
     hit = cache.get(key) if cache is not None else None
@@ -84,28 +81,9 @@ def _d3_values(form: IntersectionForm, vectors, cache=None):
         if cache is not None:
             cache[key] = hit
     sigma, det, cols = hit
-    chi = euler_char(form)
+    chi = form.n + 1  # one 0-handle plus one 2-handle per component
     return [_assemble(chi, sigma, linalg.inverse_quadratic(det, cols, r), form.l)
             for r in vectors]
-
-
-def d3(form: IntersectionForm) -> D3Result:
-    """Assemble chi, sigma, c1^2 and l into the d3 invariant."""
-    if form.r is None:
-        raise ValueError("intersection form has no rotation vector")
-    return _d3_values(form, [form.r])[0]
-
-
-def c_squared(form: IntersectionForm) -> Fraction:
-    """Exact value of r^T Q^{-1} r; requires a nondegenerate form."""
-    return d3(form).c_squared
-
-
-def _presentation_d3_values(pres, cache=None):
-    """d3 of every rotation vector of one presentation."""
-    form = linking_matrix(pres)
-    vectors = enumerate_rotations(pres)
-    return form, list(zip(vectors, _d3_values(form, vectors, cache)))
 
 
 def d3_spectrum(L: LegendrianData, smooth_slope) -> set:
@@ -122,7 +100,9 @@ def d3_spectrum_detail(L: LegendrianData, smooth_slope):
     records = []
     cache = {}
     for pres in convert(L, contact):
-        form, per_vector = _presentation_d3_values(pres, cache)
-        rots = [{"rotations": list(rvec), "d3": res} for rvec, res in per_vector]
+        form = linking_matrix(pres)
+        vectors = enumerate_rotations(pres)
+        rots = [{"rotations": list(rvec), "d3": res}
+                for rvec, res in zip(vectors, d3_values(form, vectors, cache))]
         records.append({"presentation": pres, "form": form, "values": rots})
     return records

@@ -6,8 +6,9 @@ moving the sign to the numerator, so 3/2 and -3/-2 are the same value.
 
 The module also provides negative continued fractions (all coefficients
 <= -2, the unique expansion of a rational < -1), modular inverses,
-Rolfsen-twist slope calculus on the unknot, and the set of surgery
-coefficients on the unknot producing a fixed lens space.
+canonical representatives of Rolfsen-twist orbits on the unknot, and
+the set of surgery coefficients on the unknot producing a fixed lens
+space.
 """
 
 from __future__ import annotations
@@ -133,18 +134,6 @@ def neg_cf_expand(r) -> list:
         r = Fraction(-1) / (r - c)
 
 
-def neg_cf_value(coeffs) -> Fraction:
-    """Evaluate a negative continued fraction; inverse of neg_cf_expand."""
-    if not coeffs:
-        raise SlopeError("empty continued fraction")
-    if any(c > -2 for c in coeffs):
-        raise SlopeError("negative continued fraction coefficients must be <= -2")
-    value = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        value = c - Fraction(1) / value
-    return value
-
-
 def mod_inverse(q: int, p: int):
     """Inverse of q mod p in [1, p-1], or None when gcd(q, p) != 1.
 
@@ -158,20 +147,6 @@ def mod_inverse(q: int, p: int):
     if p == 1:
         return 0
     return pow(q, -1, p)
-
-
-def rolfsen_twist(r: Slope, n: int) -> Slope:
-    """Twist p/q surgery on the unknot into p/(q + n|p|) surgery.
-
-    Twisting changes the surgery description, not the manifold.  The
-    result is infinity when the new denominator vanishes.  Zero and
-    infinite slopes are rejected: 0- and infinity-surgery sit outside
-    the slope calculus used here.
-    """
-    r = r if isinstance(r, Slope) else Slope(r)
-    if r.is_infinite or r.num == 0:
-        raise SlopeError("Rolfsen twist needs a finite nonzero slope")
-    return Slope(r.num, r.den + n * abs(r.num))
 
 
 def canonical_slope(r: Slope) -> Slope:
@@ -231,40 +206,25 @@ def same_lens_space(a, b) -> bool:
     return (q * q2) % p == 1
 
 
-class CosmeticSlopeSet:
-    """Surgery coefficients on the unknot giving one lens space.
+def cs_set(p: int, q: int, den_bound: int):
+    """Surgery coefficients on the unknot giving the lens space of -p/q.
 
     For canonical -p/q the set consists of -p/(q + np) and -p/(qbar + np)
     over all integers n, where qbar inverts q mod p.  The set is
-    infinite; members are generated up to a denominator bound.
+    infinite; returns its members -p/q' with 0 < |q'| <= den_bound,
+    sorted.
     """
-
-    def __init__(self, p: int, q: int):
-        if p < 1 or not (0 < q <= p) or math.gcd(p, q) != 1:
-            raise SlopeError(f"p={p}, q={q}: -p/q is not a canonical surgery "
-                             "coefficient (needs 0 < q <= p, gcd(p, q) = 1)")
-        self.p = p
-        self.q = q
-        self.qbar = mod_inverse(q, p)
-
-    def members(self, den_bound: int):
-        """Sorted members -p/q' with 0 < |q'| <= den_bound."""
-        if den_bound < 1:
-            raise ValueError("denominator bound must be positive")
-        p, seen = self.p, set()
-        branches = {self.q}
-        if self.qbar is not None:
-            branches.add(self.qbar)
-        for start in branches:
-            n0 = (-den_bound - start) // p
-            qq = start + n0 * p
-            while qq <= den_bound:
-                if qq != 0 and qq >= -den_bound:
-                    seen.add(Slope(-p, qq))
-                qq += p
-        return sorted(seen, key=lambda s: s.as_fraction())
-
-
-def cs_set(p: int, q: int, den_bound: int):
-    """Members of the cosmetic slope set of -p/q up to a denominator bound."""
-    return CosmeticSlopeSet(p, q).members(den_bound)
+    if p < 1 or not (0 < q <= p) or math.gcd(p, q) != 1:
+        raise SlopeError(f"p={p}, q={q}: -p/q is not a canonical surgery "
+                         "coefficient (needs 0 < q <= p, gcd(p, q) = 1)")
+    if den_bound < 1:
+        raise ValueError("denominator bound must be positive")
+    seen = set()
+    for start in {q, mod_inverse(q, p)}:
+        n0 = (-den_bound - start) // p
+        qq = start + n0 * p
+        while qq <= den_bound:
+            if qq != 0 and qq >= -den_bound:
+                seen.add(Slope(-p, qq))
+            qq += p
+    return sorted(seen, key=lambda s: s.as_fraction())

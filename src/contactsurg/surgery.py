@@ -31,32 +31,19 @@ class ContactZeroError(SlopeError):
 
 
 @dataclass(frozen=True)
-class KnotMetadata:
-    """Smooth knot-type inputs consumed, never computed, by the checker."""
-
-    tau: int | None = None
-    seifert_genus: int | None = None
-    slice_genus: int | None = None
-    max_tb: int | None = None
-    prime: bool | None = None
-    lagrangian_slice: bool | None = None
-
-
-@dataclass(frozen=True)
 class LegendrianData:
-    """A Legendrian knot given by its classical invariants."""
+    """A Legendrian knot given by its classical invariants, with the
+    concordance invariant tau of its knot type when the caller knows it."""
 
     tb: int
     rot: int
-    knot_meta: KnotMetadata | None = None
+    tau: int | None = None
 
     def __post_init__(self):
         if (self.rot - self.tb - 1) % 2 != 0:
             raise ValueError("rot must be congruent to tb + 1 mod 2")
-        meta = self.knot_meta
-        if meta is not None and meta.tau is not None:
-            if self.tb + abs(self.rot) > 2 * meta.tau - 1:
-                raise ValueError("tb + |rot| exceeds the 2 tau - 1 bound")
+        if self.tau is not None and self.tb + abs(self.rot) > 2 * self.tau - 1:
+            raise ValueError("tb + |rot| exceeds the 2 tau - 1 bound")
 
 
 @dataclass(frozen=True)
@@ -92,10 +79,6 @@ class SurgeryPresentation:
         """Number of contact (+1)-surgery components."""
         return sum(1 for c in self.components if c.sign == 1)
 
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
     def to_json(self):
         return {
             "components": [
@@ -106,17 +89,14 @@ class SurgeryPresentation:
         }
 
 
-def unknot_rot_range(tb: int):
-    """Rotation numbers of Legendrian unknots with the given tb:
-    tb - 1 in absolute value at most, with the right parity."""
+def rot_range(tb: int) -> list:
+    """Rotation numbers allowed by tb + |rot| <= -1 with rot = tb + 1
+    mod 2, ascending: tb + 1, tb + 3, ..., -tb - 1.  These are the
+    rotation numbers of Legendrian unknots with this tb, and those of
+    any knot with tau = 0."""
     if tb > -1:
-        raise ValueError("Legendrian unknots have tb <= -1")
-    t = -tb
-    return list(range(t - 1, -t, -2))
-
-
-def _stabilized_rot_values(rot: int, m: int):
-    return list(range(rot + m, rot - m - 1, -2))
+        raise ValueError(f"tb + |rot| <= -1 admits no rotation number at tb = {tb}")
+    return list(range(tb + 1, -tb, 2))
 
 
 def _negative_chain(tb: int, rot: int, contact_coeff: Fraction):
@@ -138,14 +118,10 @@ def _negative_chain(tb: int, rot: int, contact_coeff: Fraction):
             f"negative-coefficient conversion needs a negative contact "
             f"coefficient, got {contact_coeff}"
         )
-    chain = tuple(
-        Component("chain", c + 1, -1) for c in cf[1:]
-    )
-    variants = []
-    for stab_rot in _stabilized_rot_values(rot, m):
-        head = Component("pushoff", tb - m, -1, rot=stab_rot, stabilizations=m)
-        variants.append((head,) + chain)
-    return variants
+    chain = tuple(Component("chain", c + 1, -1) for c in cf[1:])
+    # m stabilizations shift rot by one of m, m - 2, ..., -m
+    return [(Component("pushoff", tb - m, -1, rot=rot + x, stabilizations=m),) + chain
+            for x in rot_range(-m - 1)[::-1]]
 
 
 def convert(L: LegendrianData, contact_coeff) -> list:
@@ -206,18 +182,17 @@ def enumerate_rotations(pres: SurgeryPresentation, base_rot: int | None = None):
         elif c.rot is not None:
             choices.append([c.rot])
         else:
-            choices.append(unknot_rot_range(c.tb))
+            choices.append(rot_range(c.tb)[::-1])
     return [tuple(v) for v in product(*choices)]
 
 
 @dataclass(frozen=True)
 class IntersectionForm:
     """Symmetric linking form Q of a presentation, with the count l of
-    (+1)-components and an optional rotation vector r."""
+    (+1)-components."""
 
     Q: tuple
     l: int
-    r: tuple | None = None
 
     def __post_init__(self):
         n = len(self.Q)
@@ -228,8 +203,6 @@ class IntersectionForm:
             for j in range(i):
                 if self.Q[i][j] != self.Q[j][i]:
                     raise ValueError("Q must be symmetric")
-        if self.r is not None and len(self.r) != n:
-            raise ValueError("rotation vector length must match Q")
 
     @property
     def n(self) -> int:
@@ -237,9 +210,6 @@ class IntersectionForm:
 
     def rows(self):
         return [list(row) for row in self.Q]
-
-    def with_rotation(self, r):
-        return IntersectionForm(self.Q, self.l, tuple(int(x) for x in r))
 
 
 def linking_matrix(pres: SurgeryPresentation) -> IntersectionForm:
@@ -266,33 +236,3 @@ def linking_matrix(pres: SurgeryPresentation) -> IntersectionForm:
             q[i][prev] = q[prev][i] = -1
             prev = i
     return IntersectionForm(tuple(tuple(row) for row in q), pres.l)
-
-
-def smooth_recovery(pres: SurgeryPresentation) -> Fraction:
-    """Smooth surgery coefficient recovered from the framed link.
-
-    Independent cross-check of convert: slam-dunk the meridian chain
-    into the last push-off, then combine the parallel push-offs (pairwise
-    linking t = tb) via r = t + 1/sum(1/(r_i - t)).
-    """
-    comps = pres.components
-    chain = [c for c in comps if c.role == "chain"]
-    pushoffs = [c for c in comps if c.role == "pushoff"]
-    if not pushoffs:
-        raise ValueError("presentation has no push-off of the base knot")
-    eff = None
-    for c in reversed(chain):
-        f = Fraction(c.framing)
-        eff = f if eff is None else f - 1 / eff
-    coeffs = [Fraction(c.framing) for c in pushoffs]
-    if eff is not None:
-        coeffs[-1] = coeffs[-1] - 1 / eff
-    t = Fraction(pres.base_tb)
-    total = Fraction(0)
-    for r in coeffs:
-        if r == t:
-            raise ZeroDivisionError("push-off framing equal to tb")
-        total += 1 / (r - t)
-    if total == 0:
-        raise ZeroDivisionError("framed link reduces to infinity surgery")
-    return t + 1 / total

@@ -1,37 +1,241 @@
-"""Brute-force oracles for the fast paths of the library.
+"""Brute-force oracles and cross-checks for the fast paths of the library.
 
 Each is slow but plainly right, and shares no code with the route it
 checks: exhaustive search, breadth-first search, enumeration, vertex by
-vertex Farey paths, and characteristic polynomials from Bareiss
-determinants (which have tests of their own).
+vertex Farey paths with their signs and shortening move, and
+characteristic polynomials from Bareiss determinants (which have tests
+of their own).
 """
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from contactsurg.cosmetic import rot_range
 from contactsurg.farey import (
     ANTICLOCKWISE,
     CLOCKWISE,
-    DecoratedFareyPath,
+    _class_count,
     _det,
     _ext_gcd,
     _invert_unimodular,
-    _merge_signs,
     _mul,
     _normalizing_matrix,
-    cf_blocks,
-    decorated_path_key,
-    in_clockwise_arc,
     is_edge,
+    minimal_path_blocks,
 )
 from contactsurg.invariants import d3_spectrum
 from contactsurg.linalg import determinant
-from contactsurg.slopes import INFINITY, Slope
-from contactsurg.surgery import LegendrianData
+from contactsurg.slopes import INFINITY, Slope, SlopeError, parse_slope
+from contactsurg.surgery import LegendrianData, rot_range
 
+
+# ---------------------------------------------------------------------------
+# slope calculus
+
+def neg_cf_value(coeffs) -> Fraction:
+    """Evaluate a negative continued fraction; inverse of neg_cf_expand."""
+    if not coeffs:
+        raise SlopeError("empty continued fraction")
+    if any(c > -2 for c in coeffs):
+        raise SlopeError("negative continued fraction coefficients must be <= -2")
+    value = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        value = c - Fraction(1) / value
+    return value
+
+
+def rolfsen_twist(r: Slope, n: int) -> Slope:
+    """Twist p/q surgery on the unknot into p/(q + n|p|) surgery.
+
+    Twisting changes the surgery description, not the manifold.  The
+    result is infinity when the new denominator vanishes.  Zero and
+    infinite slopes are rejected: 0- and infinity-surgery sit outside
+    the slope calculus used here.
+    """
+    if r.is_infinite or r.num == 0:
+        raise SlopeError("Rolfsen twist needs a finite nonzero slope")
+    return Slope(r.num, r.den + n * abs(r.num))
+
+
+def smooth_recovery(pres) -> Fraction:
+    """Smooth surgery coefficient recovered from the framed link.
+
+    Independent cross-check of convert: slam-dunk the meridian chain
+    into the last push-off, then combine the parallel push-offs (pairwise
+    linking t = tb) via r = t + 1/sum(1/(r_i - t)).
+    """
+    comps = pres.components
+    chain = [c for c in comps if c.role == "chain"]
+    pushoffs = [c for c in comps if c.role == "pushoff"]
+    if not pushoffs:
+        raise ValueError("presentation has no push-off of the base knot")
+    eff = None
+    for c in reversed(chain):
+        f = Fraction(c.framing)
+        eff = f if eff is None else f - 1 / eff
+    coeffs = [Fraction(c.framing) for c in pushoffs]
+    if eff is not None:
+        coeffs[-1] = coeffs[-1] - 1 / eff
+    t = Fraction(pres.base_tb)
+    total = Fraction(0)
+    for r in coeffs:
+        if r == t:
+            raise ZeroDivisionError("push-off framing equal to tb")
+        total += 1 / (r - t)
+    if total == 0:
+        raise ZeroDivisionError("framed link reduces to infinity surgery")
+    return t + 1 / total
+
+
+# ---------------------------------------------------------------------------
+# Farey paths vertex by vertex, with signs
+
+def in_clockwise_arc(x: Slope, a: Slope, b: Slope) -> bool:
+    """True when x lies strictly inside the clockwise arc from a to b."""
+    if a == b:
+        raise ValueError("empty arc")
+    if x == a or x == b:
+        return False
+    if a.is_infinite:
+        return not x.is_infinite and x < b
+    if b.is_infinite:
+        return not x.is_infinite and x > a
+    if x.is_infinite:
+        return a > b
+    if a < b:
+        return a < x < b
+    return x > a or x < b
+
+
+def minimal_path(a: Slope, b: Slope, direction: str = CLOCKWISE):
+    """The vertices of ``farey.minimal_path_blocks(a, b, direction)``."""
+    blocks = minimal_path_blocks(a, b, direction)
+    path = [Slope(*blocks[0].start)]
+    for (sn, sd), (wn, wd), edges in blocks:
+        path.extend(Slope(sn + j * wn, sd + j * wd) for j in range(1, edges + 1))
+    return path
+
+
+_SIGN_CHARS = {1: "+", -1: "-", None: "?"}
+_CHAR_SIGNS = {v: k for k, v in _SIGN_CHARS.items()}
+
+
+@dataclass(frozen=True)
+class DecoratedFareyPath:
+    """A Farey path with a sign (+1, -1, or None for unsigned) per edge."""
+
+    vertices: tuple
+    signs: tuple
+
+    def __post_init__(self):
+        if len(self.vertices) < 2:
+            raise ValueError("a path needs at least one edge")
+        if len(self.signs) != len(self.vertices) - 1:
+            raise ValueError("one sign per edge required")
+        for u, v in zip(self.vertices, self.vertices[1:]):
+            if not is_edge(u, v):
+                raise ValueError(f"{u} and {v} are not Farey neighbours")
+        for s in self.signs:
+            if s not in (1, -1, None):
+                raise ValueError("signs must be +1, -1, or None")
+
+    def to_json(self):
+        return {
+            "vertices": [str(v) for v in self.vertices],
+            "signs": "".join(_SIGN_CHARS[s] for s in self.signs),
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(
+            tuple(parse_slope(t) for t in data["vertices"]),
+            tuple(_CHAR_SIGNS[c] for c in data["signs"]),
+        )
+
+
+def _merge_signs(s1, s2):
+    """Sign of a merged edge; None absorbs, opposite signs overtwist."""
+    if s1 is None or s2 is None:
+        return None, False
+    if s1 == s2:
+        return s1, False
+    return None, True
+
+
+def shorten(path: DecoratedFareyPath):
+    """Shorten a decorated path to minimal length.
+
+    Two consecutive edges merge when the outer vertices are themselves
+    Farey neighbours.  Merging edges of opposite sign detects an
+    overtwisted structure; merging across an unsigned edge is always
+    allowed and the merged edge stays unsigned.  Returns the fully
+    shortened path and the verdict 'tight' or 'overtwisted'.
+
+    Intended for monotone concatenations (paths winding clockwise
+    through less than a full turn), which is what gluing produces; on
+    those the verdict and final path do not depend on the order in which
+    merges are applied.  One stack pass: merges run at the top of the
+    stack, leftmost first, as rescanning from the start after every
+    merge would (``shorten_restart``).
+    """
+    verts = [path.vertices[0]]
+    signs = []
+    overtwisted = False
+    for vertex, sign in zip(path.vertices[1:], path.signs):
+        verts.append(vertex)
+        signs.append(sign)
+        while len(verts) > 2:
+            if verts[-3] == verts[-1]:
+                raise ValueError("path backtracks; not a monotone concatenation")
+            if abs(_det(verts[-3], verts[-1])) != 1:
+                break
+            merged, clash = _merge_signs(signs[-2], signs[-1])
+            overtwisted = overtwisted or clash
+            del verts[-2]
+            signs[-2:] = [merged]
+    result = DecoratedFareyPath(tuple(verts), tuple(signs))
+    return result, ("overtwisted" if overtwisted else "tight")
+
+
+def cf_blocks(path) -> list:
+    """Partition of the edges of a minimal path into continued-fraction
+    blocks: edges e_i and e_{i+1} share a block exactly when the outer
+    vertices satisfy |det| = 2."""
+    verts = path.vertices if isinstance(path, DecoratedFareyPath) else tuple(path)
+    n_edges = len(verts) - 1
+    for i in range(1, n_edges):
+        if abs(_det(verts[i - 1], verts[i + 1])) == 1:
+            raise ValueError("continued-fraction blocks require a minimal path")
+    blocks = [[0]]
+    for i in range(1, n_edges):
+        if abs(_det(verts[i - 1], verts[i + 1])) == 2:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    return blocks
+
+
+def decorated_path_key(path: DecoratedFareyPath):
+    """Equality key: vertices plus the per-block multiset of signs."""
+    multisets = []
+    for block in cf_blocks(path):
+        signed = sorted(
+            (path.signs[i] for i in block if path.signs[i] is not None), reverse=True
+        )
+        unsigned = sum(1 for i in block if path.signs[i] is None)
+        multisets.append((tuple(signed), unsigned))
+    return (path.vertices, tuple(multisets))
+
+
+def sign_class_count(vertices, unsigned_positions) -> int:
+    """Number of decorated paths on given vertices up to block shuffles."""
+    return _class_count([len(block) for block in cf_blocks(vertices)], unsigned_positions)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra, lens spaces, d3 and unknot counts
 
 def char_poly_minors(rows):
     """Characteristic polynomial of A via principal-minor sums.

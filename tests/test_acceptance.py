@@ -21,18 +21,11 @@ from contactsurg.closedforms import (
 from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
     equivalent_surgery_count,
-    rot_range,
     scan,
     solve_d3_equation,
     unknot_classify,
 )
-from contactsurg.farey import (
-    CLOCKWISE,
-    DecoratedFareyPath,
-    decorated_path_key,
-    minimal_path,
-    shorten,
-)
+from contactsurg.farey import CLOCKWISE
 from contactsurg.invariants import d3_spectrum
 from contactsurg.slopes import (
     Slope,
@@ -41,8 +34,15 @@ from contactsurg.slopes import (
     lens_parameters,
     same_lens_space,
 )
-from contactsurg.surgery import LegendrianData
-from oracles import complement_signs, normalize_lens_bruteforce
+from contactsurg.surgery import LegendrianData, rot_range
+from oracles import (
+    DecoratedFareyPath,
+    complement_signs,
+    decorated_path_key,
+    minimal_path,
+    normalize_lens_bruteforce,
+    shorten,
+)
 
 
 def _report(number, description, t0):

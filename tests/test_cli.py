@@ -2,7 +2,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactsurg.cli import main
@@ -141,6 +141,49 @@ class TestVerifyCommand:
         assert code == 1
         assert "MISMATCH" in out
 
+    def test_solver_solutions_are_reported(self, capsys, monkeypatch):
+        # a solution at tb = -9 lies inside verify's tb range, -k_max..-3,
+        # and outside the cell scan's -8..-1; the failing stage names it
+        import contactsurg.cosmetic as cosmetic
+
+        def solver(tb, family, n_max=20):
+            if (tb, family) == (-9, "pm_one"):
+                return [{"family": family, "i": 0, "e1": 1, "e2": 1}]
+            return []
+
+        monkeypatch.setattr(cosmetic, "solve_d3_equation", solver)
+        code, out, _ = run(capsys, "verify", "--k-max", "9", "--n-max", "1", "--json")
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert results["ok"] is False
+        closed, regressions, scan = results["summaries"]
+        assert closed["ok"] and regressions["ok"]
+        assert scan["name"] == "obstruction scan" and scan["ok"] is False
+        assert scan["mismatches"] == [{
+            "check": "scan",
+            "not_obstructed": [{"tb": -1, "rot": 0, "v": "2"}],
+            "solver_solutions": [{"tb": -9, "family": "pm_one", "i": 0, "e1": 1, "e2": 1}],
+        }]
+        code, out, _ = run(capsys, "verify", "--k-max", "9", "--n-max", "1")
+        assert code == 1
+        assert f"obstruction scan: {scan['checks']} checks, MISMATCH" in out
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert main(["cs-set", "3", "1"]) == 0
+    assert built.count("contactsurg") <= 1
+
 
 def _fraction_text(max_value):
     return st.one_of(
@@ -176,12 +219,12 @@ CLI_ARGS = st.one_of(
               _knot(-12, 2), _fraction_text(10**6)),
     _cs_set_args(),
     st.builds(lambda knot, flag, value: ["d3", *knot, flag, value],
-              _knot(-4, 2), st.sampled_from(["--slope", "--coeff"]),
-              st.builds(lambda p, q: f"{p}/{q}", st.integers(-12, 12), st.integers(-5, 5))),
+              _knot(-4, 2), st.sampled_from(["--slope", "--coeff"]), _fraction_text(12)),
 )
 
 
 @given(argv=CLI_ARGS, as_json=st.booleans())
+@example(argv=["d3", "--tb", "-1", "--rot", "0", "--slope", ""], as_json=False)
 @settings(max_examples=200, deadline=None)
 def test_cli_fuzz_exit_codes_and_json(argv, as_json):
     """Exit 0 or 2 on any input, never a traceback; --json output

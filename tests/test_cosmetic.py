@@ -10,14 +10,13 @@ from contactsurg.cosmetic import (
     d3_negative_one_over_n,
     d3_positive_one_over_n,
     equivalent_surgery_count,
-    rot_range,
     scan,
     solve_d3_equation,
     unknot_classify,
 )
 from contactsurg.invariants import d3_spectrum
 from contactsurg.slopes import Slope, SlopeError
-from contactsurg.surgery import ContactZeroError, LegendrianData
+from contactsurg.surgery import ContactZeroError, LegendrianData, rot_range
 from oracles import brute_force_d3_matches, equivalent_count_enumerated
 
 

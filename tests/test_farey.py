@@ -9,27 +9,27 @@ from hypothesis import strategies as st
 from contactsurg.farey import (
     ANTICLOCKWISE,
     CLOCKWISE,
-    DecoratedFareyPath,
     _det,
-    cf_blocks,
     count_tight_lens,
     count_tight_lens_pq,
     count_tight_solid_torus,
     count_tight_thickened_torus,
-    decorated_path_key,
-    in_clockwise_arc,
     is_edge,
-    minimal_path,
     minimal_path_blocks,
-    shorten,
-    sign_class_count,
 )
 from contactsurg.slopes import INFINITY, Slope, neg_cf_expand
 from oracles import (
+    DecoratedFareyPath,
+    cf_blocks,
+    decorated_path_key,
+    in_clockwise_arc,
+    minimal_path,
     minimal_path_bfs,
     minimal_path_vertexwise,
     raw_sign_count,
+    shorten,
     shorten_restart,
+    sign_class_count,
 )
 
 

@@ -5,49 +5,56 @@ import pytest
 from contactsurg.invariants import (
     D3Result,
     NonTorsionEulerClassError,
-    c_squared,
-    d3,
     d3_spectrum,
-    euler_char,
+    d3_values,
 )
 from contactsurg.surgery import IntersectionForm, LegendrianData
 
 
-def form(q, l, r=None):
-    f = IntersectionForm(tuple(tuple(row) for row in q), l)
-    return f.with_rotation(r) if r is not None else f
+def form(q, l):
+    return IntersectionForm(tuple(tuple(row) for row in q), l)
+
+
+def d3(q, l, r):
+    """The D3Result of one rotation vector, through ``d3_values``."""
+    return d3_values(form(q, l), [r])[0]
 
 
 class TestEulerChar:
     def test_values(self):
-        assert euler_char(form([[0, -1], [-1, 0]], 2)) == 3
-        assert euler_char(IntersectionForm((), 0)) == 1  # no surgeries: the ball
+        assert d3([[0, -1], [-1, 0]], 2, (0, 0)).chi == 3
+        assert d3([], 0, ()).chi == 1  # no surgeries: the ball
 
 
 class TestCSquared:
     def test_zero_vector(self):
-        assert c_squared(form([[0, -1], [-1, 0]], 2, (0, 0))) == 0
+        assert d3([[0, -1], [-1, 0]], 2, (0, 0)).c_squared == 0
 
     def test_single_negative_generator(self):
-        assert c_squared(form([[-2]], 1, (2,))) == Fraction(-2)
-        assert c_squared(form([[-2]], 1, (0,))) == 0
+        assert d3([[-2]], 1, (2,)).c_squared == Fraction(-2)
+        assert d3([[-2]], 1, (0,)).c_squared == 0
 
     def test_singular_is_an_error(self):
         with pytest.raises(NonTorsionEulerClassError):
-            c_squared(form([[1, 1], [1, 1]], 0, (1, 0)))
+            d3([[1, 1], [1, 1]], 0, (1, 0))
 
 
 class TestD3:
     def test_half_surgeries(self):
-        res = d3(form([[0, -1], [-1, 0]], 2, (0, 0)))
+        res = d3([[0, -1], [-1, 0]], 2, (0, 0))
         assert (res.chi, res.sigma, res.c_squared, res.l) == (3, 0, 0, 2)
         assert res.d3 == 1
-        res = d3(form([[0, -1], [-1, -4]], 1, (0, 2)))
+        res = d3([[0, -1], [-1, -4]], 1, (0, 2))
         assert res.d3 == 0
 
     def test_identity_between_fields(self):
-        res = d3(form([[-2]], 1, (2,)))
+        res = d3([[-2]], 1, (2,))
         assert 4 * (res.d3 - res.l) + 3 * res.sigma + 2 * (res.chi - 1) == res.c_squared
+
+    def test_vector_length_must_match(self):
+        for r in ((2,), (0, 0, 2)):
+            with pytest.raises(ValueError, match="length must match"):
+                d3([[-2, 0], [0, -2]], 0, r)
 
     def test_inconsistent_result_rejected(self):
         with pytest.raises(ValueError):
@@ -56,14 +63,14 @@ class TestD3:
     def test_permutation_invariance(self):
         q = [[0, -1, 0], [-1, -3, -1], [0, -1, -2]]
         r = (0, 1, 0)
-        base = d3(form(q, 1, r)).d3
+        base = d3(q, 1, r).d3
         perm = [2, 0, 1]
         q2 = [[q[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
         r2 = tuple(r[p] for p in perm)
-        assert d3(form(q2, 1, r2)).d3 == base
+        assert d3(q2, 1, r2).d3 == base
 
     def test_json_is_exact(self):
-        res = d3(form([[-2]], 1, (2,)))
+        res = d3([[-2]], 1, (2,))
         data = res.to_json()
         assert data["d3"] == "3/4"
         assert data["c_squared"] == "-2"
@@ -97,6 +104,5 @@ class TestSpectra:
             for pres in convert(LegendrianData(tb, rot), slope - tb):
                 f = linking_matrix(pres)
                 det = abs(linalg.determinant(f.rows()))
-                for rvec in enumerate_rotations(pres):
-                    res = d3(f.with_rotation(rvec))
+                for res in d3_values(f, enumerate_rotations(pres)):
                     assert det % res.c_squared.denominator == 0

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactsurg.slopes import (
-    CosmeticSlopeSet,
     INFINITY,
     Slope,
     SlopeError,
@@ -15,12 +14,10 @@ from contactsurg.slopes import (
     lens_parameters,
     mod_inverse,
     neg_cf_expand,
-    neg_cf_value,
     parse_slope,
-    rolfsen_twist,
     same_lens_space,
 )
-from oracles import normalize_lens_bruteforce
+from oracles import neg_cf_value, normalize_lens_bruteforce, rolfsen_twist
 
 
 class TestSlope:
@@ -159,9 +156,9 @@ class TestCosmeticSlopeSet:
         assert all(abs(s.den) <= 30 for s in members)
 
     def test_members_canonicalize_into_the_two_branches(self):
-        ss = CosmeticSlopeSet(7, 2)
-        for s in ss.members(40):
-            assert canonical_slope(s) in (Slope(-7, 2), Slope(-7, ss.qbar))
+        qbar = mod_inverse(2, 7)
+        for s in cs_set(7, 2, 40):
+            assert canonical_slope(s) in (Slope(-7, 2), Slope(-7, qbar))
 
     def test_non_canonical_rejected(self):
         with pytest.raises(SlopeError):

