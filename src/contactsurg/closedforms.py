@@ -223,15 +223,26 @@ class _Report:
     def record(self, name, context, expected, actual, matrix=None):
         self.checks += 1
         if expected != actual:
-            entry = {
-                "check": name,
-                "context": context,
-                "expected": str(expected),
-                "actual": str(actual),
-            }
-            if matrix is not None:
-                entry["matrix"] = [list(r) for r in matrix]
-            self.mismatches.append(entry)
+            self._mismatch(name, context, expected, actual, matrix)
+
+    def ratio(self, name, context, expected, actual, matrix=None):
+        """Check a rational ``expected`` (int or Fraction) against the
+        exact quotient ``actual`` = (num, den), by cross-multiplication."""
+        self.checks += 1
+        num, den = actual
+        if expected.numerator * den != num * expected.denominator:
+            self._mismatch(name, context, expected, Fraction(num, den), matrix)
+
+    def _mismatch(self, name, context, expected, actual, matrix):
+        entry = {
+            "check": name,
+            "context": context,
+            "expected": str(expected),
+            "actual": str(actual),
+        }
+        if matrix is not None:
+            entry["matrix"] = [list(r) for r in matrix]
+        self.mismatches.append(entry)
 
     def as_dict(self):
         return {
@@ -242,13 +253,15 @@ class _Report:
 
 
 def _q(qcols, col, row):
-    """Entry (row, col) of Q^-1."""
+    """Entry (row, col) of Q^-1, as (numerator, denominator)."""
     det, adj = qcols
-    return Fraction(adj[col][row], det)
+    return adj[col][row], det
 
 
 def _csq(qcols, r):
-    return linalg.inverse_quadratic(*qcols, r)
+    """r^T Q^-1 r, as (numerator, denominator)."""
+    det, adj = qcols
+    return linalg.adjugate_quadratic(adj, r), det
 
 
 def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
@@ -292,15 +305,15 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
         rep.record("tb1_neg_sigma", {"n": n}, f["tb1_neg_sigma"](n),
                    linalg.signature(mat), mat)
         if n == 2:
-            rep.record("tb1_neg_csq", {"n": n}, Fraction(f["tb1_neg_csq"](n)),
-                       _csq(linalg.adjugate_columns(mat, [0]), [0] * n), mat)
+            rep.ratio("tb1_neg_csq", {"n": n}, f["tb1_neg_csq"](n),
+                      _csq(linalg.adjugate_columns(mat, [0]), [0] * n), mat)
         else:
             qc = linalg.adjugate_columns(mat, [2])
             for pm in (1, -1):
                 r = [0] * n
                 r[2] = pm
-                rep.record("tb1_neg_csq", {"n": n, "stab": pm},
-                           Fraction(f["tb1_neg_csq"](n)), _csq(qc, r), mat)
+                rep.ratio("tb1_neg_csq", {"n": n, "stab": pm},
+                          f["tb1_neg_csq"](n), _csq(qc, r), mat)
 
     for n in range(1, n_max + 1):
         mat = tb1_positive_matrix(n)
@@ -308,8 +321,8 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
                    linalg.signature(mat), mat)
         qc = linalg.adjugate_columns(mat, [1])
         for rho in rot_range(-n - 1)[::-1]:
-            rep.record("tb1_pos_csq", {"n": n, "rho": rho},
-                       Fraction(f["tb1_pos_csq"](n, rho)), _csq(qc, [0, rho]), mat)
+            rep.ratio("tb1_pos_csq", {"n": n, "rho": rho},
+                      f["tb1_pos_csq"](n, rho), _csq(qc, [0, rho]), mat)
 
     for n in range(1, n_max + 1):
         mat = tb2_negative_matrix(n)
@@ -319,18 +332,17 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
         cols = [0] if n == 1 else [0, 1]
         qc = linalg.adjugate_columns(mat, cols)
         if n >= 2:
-            rep.record("tb2_neg_q11", {"n": n}, Fraction(f["tb2_neg_q11"](n)), _q(qc, 0, 0), mat)
-            rep.record("tb2_neg_q12", {"n": n}, Fraction(f["tb2_neg_q12"](n)), _q(qc, 0, 1), mat)
-            rep.record("tb2_neg_q22", {"n": n}, Fraction(f["tb2_neg_q22"](n)), _q(qc, 1, 1), mat)
+            rep.ratio("tb2_neg_q11", {"n": n}, f["tb2_neg_q11"](n), _q(qc, 0, 0), mat)
+            rep.ratio("tb2_neg_q12", {"n": n}, f["tb2_neg_q12"](n), _q(qc, 0, 1), mat)
+            rep.ratio("tb2_neg_q22", {"n": n}, f["tb2_neg_q22"](n), _q(qc, 1, 1), mat)
             for i in (1, -1):
                 for j in (i + 2, i, i - 2):
                     r = [i, j] + [0] * (n - 2)
-                    rep.record("tb2_neg_csq", {"n": n, "i": i, "j": j},
-                               Fraction(f["tb2_neg_csq"](n, i, j)), _csq(qc, r), mat)
+                    rep.ratio("tb2_neg_csq", {"n": n, "i": i, "j": j},
+                              f["tb2_neg_csq"](n, i, j), _csq(qc, r), mat)
         else:
             for i in (1, -1):
-                rep.record("tb2_neg_csq", {"n": n, "i": i},
-                           Fraction(-1), _csq(qc, [i]), mat)
+                rep.ratio("tb2_neg_csq", {"n": n, "i": i}, -1, _csq(qc, [i]), mat)
 
         matp = tb2_positive_matrix(n)
         rep.record("tb2_pos_sigma", {"n": n}, f["tb2_pos_sigma"](n),
@@ -339,14 +351,14 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
         qcp = linalg.adjugate_columns(matp, [0, 1, 2])
         for i_ in range(3):
             for j_ in range(3):
-                rep.record("tb2_pos_q", {"n": n, "entry": (i_ + 1, j_ + 1)},
-                           Fraction(qexp[i_][j_]), _q(qcp, j_, i_), matp)
+                rep.ratio("tb2_pos_q", {"n": n, "entry": (i_ + 1, j_ + 1)},
+                          qexp[i_][j_], _q(qcp, j_, i_), matp)
         for i in (1, -1):
             for rho2 in (i + 1, i - 1):
                 for s in rot_range(-n)[::-1]:
-                    rep.record("tb2_pos_csq", {"n": n, "i": i, "rho2": rho2, "s": s},
-                               Fraction(f["tb2_pos_csq"](n, i, rho2, s)),
-                               _csq(qcp, [i, rho2, s]), matp)
+                    rep.ratio("tb2_pos_csq", {"n": n, "i": i, "rho2": rho2, "s": s},
+                              f["tb2_pos_csq"](n, i, rho2, s),
+                              _csq(qcp, [i, rho2, s]), matp)
 
     for k in range(3, k_max + 1):
         rots = rot_range(-k)[::-1]
@@ -361,19 +373,19 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
                        linalg.signature(mat), mat)
             cols = [0] if size == 1 else [0, 1]
             qc = linalg.adjugate_columns(mat, cols)
-            rep.record(f"{tag}_q11", {"k": k}, f[f"{tag}_q11"](k), _q(qc, 0, 0), mat)
+            rep.ratio(f"{tag}_q11", {"k": k}, f[f"{tag}_q11"](k), _q(qc, 0, 0), mat)
             if size >= 2:
-                rep.record(f"{tag}_q12", {"k": k}, f[f"{tag}_q12"](k), _q(qc, 0, 1), mat)
-                rep.record(f"{tag}_q22", {"k": k}, f[f"{tag}_q22"](k), _q(qc, 1, 1), mat)
+                rep.ratio(f"{tag}_q12", {"k": k}, f[f"{tag}_q12"](k), _q(qc, 0, 1), mat)
+                rep.ratio(f"{tag}_q22", {"k": k}, f[f"{tag}_q22"](k), _q(qc, 1, 1), mat)
             for i in rots:
                 if size == 1:
-                    rep.record(f"{tag}_csq", {"k": k, "i": i},
-                               f[f"{tag}_csq"](k, i, 1), _csq(qc, [i]), mat)
+                    rep.ratio(f"{tag}_csq", {"k": k, "i": i},
+                              f[f"{tag}_csq"](k, i, 1), _csq(qc, [i]), mat)
                 else:
                     for e in (1, -1):
                         r = [i, i + e] + [0] * (size - 2)
-                        rep.record(f"{tag}_csq", {"k": k, "i": i, "e": e},
-                                   f[f"{tag}_csq"](k, i, e), _csq(qc, r), mat)
+                        rep.ratio(f"{tag}_csq", {"k": k, "i": i, "e": e},
+                                  f[f"{tag}_csq"](k, i, e), _csq(qc, r), mat)
 
         for n in range(1, n_max + 1):
             mat = tbk_negative_matrix(k, n)
@@ -384,57 +396,57 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
                        linalg.signature(mat), mat)
             cols = [0, 1] if n == 1 else [0, 1, k - 1]
             qc = linalg.adjugate_columns(mat, cols)
-            rep.record("one_neg_q11", {"k": k, "n": n}, f["one_neg_q11"](k, n), _q(qc, 0, 0), mat)
-            rep.record("one_neg_q12", {"k": k, "n": n}, f["one_neg_q12"](k, n), _q(qc, 0, 1), mat)
-            rep.record("one_neg_q22", {"k": k, "n": n}, f["one_neg_q22"](k, n), _q(qc, 1, 1), mat)
+            rep.ratio("one_neg_q11", {"k": k, "n": n}, f["one_neg_q11"](k, n), _q(qc, 0, 0), mat)
+            rep.ratio("one_neg_q12", {"k": k, "n": n}, f["one_neg_q12"](k, n), _q(qc, 0, 1), mat)
+            rep.ratio("one_neg_q22", {"k": k, "n": n}, f["one_neg_q22"](k, n), _q(qc, 1, 1), mat)
             if n >= 2:
-                rep.record("one_neg_q1k", {"k": k, "n": n}, f["one_neg_q1k"](k, n),
-                           _q(qc, 0, k - 1), mat)
-                rep.record("one_neg_q2k", {"k": k, "n": n}, f["one_neg_q2k"](k, n),
-                           _q(qc, 1, k - 1), mat)
-                rep.record("one_neg_qkk", {"k": k, "n": n}, f["one_neg_qkk"](k, n),
-                           _q(qc, k - 1, k - 1), mat)
+                rep.ratio("one_neg_q1k", {"k": k, "n": n}, f["one_neg_q1k"](k, n),
+                          _q(qc, 0, k - 1), mat)
+                rep.ratio("one_neg_q2k", {"k": k, "n": n}, f["one_neg_q2k"](k, n),
+                          _q(qc, 1, k - 1), mat)
+                rep.ratio("one_neg_qkk", {"k": k, "n": n}, f["one_neg_qkk"](k, n),
+                          _q(qc, k - 1, k - 1), mat)
             for i in rots:
                 for e in (1, -1):
                     base = [0] * size
                     base[0], base[1] = i, i + e
                     if n == 1:
-                        rep.record("one_neg_csq", {"k": k, "n": n, "i": i, "e": e},
-                                   Fraction(f["one_neg_csq"](k, n, i, e, 0)),
-                                   _csq(qc, base), mat)
+                        rep.ratio("one_neg_csq", {"k": k, "n": n, "i": i, "e": e},
+                                  f["one_neg_csq"](k, n, i, e, 0),
+                                  _csq(qc, base), mat)
                     else:
                         for j in (1, -1):
                             r = list(base)
                             r[k - 1] = j
-                            rep.record("one_neg_csq",
-                                       {"k": k, "n": n, "i": i, "e": e, "j": j},
-                                       Fraction(f["one_neg_csq"](k, n, i, e, j)),
-                                       _csq(qc, r), mat)
+                            rep.ratio("one_neg_csq",
+                                      {"k": k, "n": n, "i": i, "e": e, "j": j},
+                                      f["one_neg_csq"](k, n, i, e, j),
+                                      _csq(qc, r), mat)
 
             matp = tbk_positive_matrix(k, n)
             rep.record("one_pos_sigma", {"k": k, "n": n}, f["one_pos_sigma"](k, n),
                        linalg.signature(matp), matp)
             qcp = linalg.adjugate_columns(matp, [0, 1, k])
-            rep.record("one_pos_q11", {"k": k, "n": n}, f["one_pos_q11"](k, n),
-                       _q(qcp, 0, 0), matp)
-            rep.record("one_pos_q12", {"k": k, "n": n}, f["one_pos_q12"](k, n),
-                       _q(qcp, 0, 1), matp)
-            rep.record("one_pos_q22", {"k": k, "n": n}, f["one_pos_q22"](k, n),
-                       _q(qcp, 1, 1), matp)
-            rep.record("one_pos_q1last", {"k": k, "n": n}, f["one_pos_q1last"](k, n),
-                       _q(qcp, 0, k), matp)
-            rep.record("one_pos_q2last", {"k": k, "n": n}, f["one_pos_q2last"](k, n),
-                       _q(qcp, 1, k), matp)
-            rep.record("one_pos_qlastlast", {"k": k, "n": n}, f["one_pos_qlastlast"](k, n),
-                       _q(qcp, k, k), matp)
+            rep.ratio("one_pos_q11", {"k": k, "n": n}, f["one_pos_q11"](k, n),
+                      _q(qcp, 0, 0), matp)
+            rep.ratio("one_pos_q12", {"k": k, "n": n}, f["one_pos_q12"](k, n),
+                      _q(qcp, 0, 1), matp)
+            rep.ratio("one_pos_q22", {"k": k, "n": n}, f["one_pos_q22"](k, n),
+                      _q(qcp, 1, 1), matp)
+            rep.ratio("one_pos_q1last", {"k": k, "n": n}, f["one_pos_q1last"](k, n),
+                      _q(qcp, 0, k), matp)
+            rep.ratio("one_pos_q2last", {"k": k, "n": n}, f["one_pos_q2last"](k, n),
+                      _q(qcp, 1, k), matp)
+            rep.ratio("one_pos_qlastlast", {"k": k, "n": n}, f["one_pos_qlastlast"](k, n),
+                      _q(qcp, k, k), matp)
             for i in rots:
                 for e in (1, -1):
                     for s in rot_range(-n)[::-1]:
                         r = [0] * (k + 1)
                         r[0], r[1], r[k] = i, i + e, s
-                        rep.record("one_pos_csq",
-                                   {"k": k, "n": n, "i": i, "e": e, "s": s},
-                                   Fraction(f["one_pos_csq"](k, n, i, e, s)),
-                                   _csq(qcp, r), matp)
+                        rep.ratio("one_pos_csq",
+                                  {"k": k, "n": n, "i": i, "e": e, "s": s},
+                                  f["one_pos_csq"](k, n, i, e, s),
+                                  _csq(qcp, r), matp)
 
     return rep.as_dict()

@@ -212,21 +212,25 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
     rotation numbers, the +-2 pair and the +-1/n pairs with n <= n_max.
 
     Every cell carries both spectra and the matrix provenance; the cells
-    left unobstructed are listed apart.
+    left unobstructed are listed apart.  The cells of one tb share one
+    d3 cache (signature, det and adjugate columns per form), dropped when
+    tb moves on.
     """
     if tb_max > -1:
         raise ValueError("scan covers tb <= -1")
     cells = []
     not_obstructed = []
     for tb in range(tb_min, tb_max + 1):
+        cache = {}
         for rot in rot_range(tb):
             L = LegendrianData(tb, rot)
             for v in candidate_slopes(2, n_max):
                 prov = {}
 
                 def spectrum(slope):
-                    prov[slope] = _provenance(L, slope)
-                    return [Fraction(v["d3"]) for rec in prov[slope] for v in rec["values"]]
+                    detail = d3_spectrum_detail(L, slope, cache)
+                    prov[slope] = _provenance(detail)
+                    return [x["d3"].d3 for rec in detail for x in rec["values"]]
 
                 verdict = _verdict(tb, v, spectrum)
                 cell = {"tb": tb, "rot": rot, "pair": [str(-v), str(v)],
@@ -246,19 +250,14 @@ def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
             "solver_solutions": solve_d3_equations(tb_min, tb_max, n_max)}
 
 
-def _provenance(L, slope):
-    detail = d3_spectrum_detail(L, slope)
-    out = []
-    for rec in detail:
-        out.append({
-            "framings": [c.framing for c in rec["presentation"].components],
-            "l": rec["presentation"].l,
-            "values": [
-                {"rotations": v["rotations"], "d3": str(v["d3"].d3)}
-                for v in rec["values"]
-            ],
-        })
-    return out
+def _provenance(detail):
+    """The framings, l and d3 strings of each record of d3_spectrum_detail."""
+    return [{
+        "framings": [c.framing for c in rec["presentation"].components],
+        "l": rec["presentation"].l,
+        "values": [{"rotations": v["rotations"], "d3": str(v["d3"].d3)}
+                   for v in rec["values"]],
+    } for rec in detail]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,10 @@ class D3Result:
     d3: Fraction
 
     def __post_init__(self):
-        if 4 * (self.d3 - self.l) + 3 * self.sigma + 2 * (self.chi - 1) != self.c_squared:
+        # 4 (d3 - l) + 3 sigma + 2 (chi - 1) = c1^2, cross-multiplied
+        a, b = self.d3.numerator, self.d3.denominator
+        c, d = self.c_squared.numerator, self.c_squared.denominator
+        if (4 * (a - self.l * b) + (3 * self.sigma + 2 * (self.chi - 1)) * b) * d != c * b:
             raise ValueError("inconsistent d3 data")
 
     def to_json(self):
@@ -52,24 +55,27 @@ class D3Result:
         }
 
 
-def _assemble(chi, sigma, csq, l):
-    value = Fraction(csq - 3 * sigma - 2 * (chi - 1), 4) + l
-    return D3Result(chi=chi, sigma=sigma, c_squared=csq, l=l, d3=value)
+def _assemble(chi, sigma, l, det, num):
+    """The D3Result with c1^2 = num / det, num = r^T adj(Q) r: d3 is the
+    single fraction (num - (3 sigma + 2 (chi - 1) - 4 l) det) / (4 det)."""
+    d3 = Fraction(num - (3 * sigma + 2 * (chi - 1) - 4 * l) * det, 4 * det)
+    return D3Result(chi=chi, sigma=sigma, c_squared=Fraction(num, det), l=l, d3=d3)
 
 
 def d3_values(form: IntersectionForm, vectors, cache=None) -> list:
     """d3 of ``form`` for each rotation vector, as D3Results.
 
     sigma, det Q and the columns of adj(Q) on the joint support of the
-    vectors cost one elimination pass and one signature; a cache keyed by
-    (Q, support) lets the stabilization variants of one conversion
-    (identical framed links, different pinned rotations) share them.
+    vectors cost one elimination pass and one signature.  ``cache`` maps
+    Q to {support: (sigma, det, columns)}, so forms met again (the
+    stabilization variants of one conversion, the rotation numbers of a
+    scan) reuse them, and a new support of a known Q reuses its sigma.
     """
     if any(len(v) != form.n for v in vectors):
         raise ValueError("rotation vector length must match Q")
-    support = sorted({i for v in vectors for i, x in enumerate(v) if x})
-    key = (form.Q, tuple(support))
-    hit = cache.get(key) if cache is not None else None
+    support = tuple(sorted({i for v in vectors for i, x in enumerate(v) if x}))
+    known = cache.setdefault(form.Q, {}) if cache is not None else {}
+    hit = known.get(support)
     if hit is None:
         rows = form.rows()
         try:
@@ -77,12 +83,11 @@ def d3_values(form: IntersectionForm, vectors, cache=None) -> list:
         except linalg.SingularMatrixError:
             raise NonTorsionEulerClassError(
                 "c1^2 undefined: non-torsion Euler class") from None
-        hit = (linalg.signature(rows), det, cols)
-        if cache is not None:
-            cache[key] = hit
+        sigma = next(iter(known.values()))[0] if known else linalg.signature(rows)
+        hit = known[support] = (sigma, det, cols)
     sigma, det, cols = hit
     chi = form.n + 1  # one 0-handle plus one 2-handle per component
-    return [_assemble(chi, sigma, linalg.inverse_quadratic(det, cols, r), form.l)
+    return [_assemble(chi, sigma, form.l, det, linalg.adjugate_quadratic(cols, r))
             for r in vectors]
 
 
@@ -93,12 +98,17 @@ def d3_spectrum(L: LegendrianData, smooth_slope) -> set:
             for v in rec["values"]}
 
 
-def d3_spectrum_detail(L: LegendrianData, smooth_slope):
-    """Like d3_spectrum but keeps the provenance of every value."""
+def d3_spectrum_detail(L: LegendrianData, smooth_slope, cache=None):
+    """Like d3_spectrum but keeps the provenance of every value.
+
+    ``cache`` is handed to d3_values; a caller that asks for many slopes
+    or rotation numbers of one tb can share it among the calls.
+    """
     smooth_slope = Fraction(smooth_slope)
     contact = smooth_slope - L.tb
+    if cache is None:
+        cache = {}
     records = []
-    cache = {}
     for pres in convert(L, contact):
         form = linking_matrix(pres)
         vectors = enumerate_rotations(pres)

@@ -3,21 +3,22 @@
 Everything in this module is exact.  One fraction-free (Bareiss)
 elimination pass yields the determinant, the leading principal minors
 (Sylvester's criterion) and, by integer back-substitution, columns of
-the adjugate; inverse entries and r^T A^-1 r are single fractions over
-the determinant.  Signatures of symmetric integer matrices are computed
-by two independent methods, which are required to agree: congruence
-diagonalization over Q, and Descartes' rule of signs applied to the
-characteristic polynomial.  The polynomial is built division-free and
-without elimination, by continuants along pendant paths and Berkowitz's
-algorithm on the rest, so it shares nothing with the first method.
+the adjugate; inverse entries and r^T A^-1 r are integers over the
+determinant.  Signatures of symmetric integer matrices are computed by
+two independent methods, which are required to agree: a sparse,
+fraction-free congruence diagonalization, and Descartes' rule of signs
+applied to the characteristic polynomial.  The polynomial is built
+division-free and without elimination, by continuants along pendant
+paths and Berkowitz's algorithm on the rest, so it shares nothing with
+the first method.
 
 Matrices are plain lists of lists of ints (rows).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 
 class SingularMatrixError(ValueError):
@@ -152,18 +153,17 @@ def adjugate_columns(rows, cols):
     return det, adj
 
 
-def inverse_quadratic(det, adj, r) -> Fraction:
-    """r^T A^-1 r from det A and the adjugate columns on the support of r.
+def adjugate_quadratic(adj, r) -> int:
+    """The integer r^T adj(A) r, from the adjugate columns on r's support.
 
-    The sum r^T adj(A) r stays an integer; the only rational is the final
-    division by det.
+    Over det A it is r^T A^-1 r; the sum runs over the support of r only.
     """
     support = [(i, x) for i, x in enumerate(r) if x]
     total = 0
     for j, rj in support:
         col = adj[j]
         total += rj * sum(ri * col[i] for i, ri in support)
-    return Fraction(total, det)
+    return total
 
 
 def is_negative_definite(rows) -> bool:
@@ -178,60 +178,89 @@ def is_negative_definite(rows) -> bool:
 
 
 def congruence_signature(rows) -> int:
-    """Signature via congruence diagonalization over the rationals.
+    """Signature via congruence diagonalization, fraction-free and sparse.
 
-    Symmetric row+column operations M -> E M E^T preserve the signature;
-    the answer is read off the diagonal signs.  Requires det != 0.
+    Symmetric elimination M -> E M E^T keeps the signature, and the k-th
+    diagonal entry it leaves is p_k / p_(k-1) for the leading principal
+    minors p_k of the pivot order, so the signs come from consecutive
+    pivots.  The trailing block is held as the integer bordered minors
+    T = p_(k-1) S of the Schur complement S (Bareiss 1968): pivot v with
+    value p updates T_ij <- (p T_ij - T_iv T_vj) / p_(k-1), an exact
+    division, on the rows of its neighbours i only; a row no pivot has
+    touched since step t is rescaled lazily by p_k / p_t.  Rows are dicts
+    of their nonzeros.  A zero pivot gives way to a later nonzero
+    diagonal entry; when every remaining diagonal entry vanishes, row and
+    column v gain a row and column holding a nonzero entry of row v, a
+    unimodular congruence that makes the diagonal entry nonzero.
+    Requires det != 0.
     """
-    n = _check_square(rows)
-    if not is_symmetric(rows):
-        raise ValueError("matrix must be symmetric")
-    a = [[Fraction(x) for x in row] for row in rows]
-    pos = neg = 0
+    n = len(rows)
+    every = range(n)
+    a = []
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        a.append({j: int(row[j]) for j in compress(every, row)})
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            if a[j].get(i) != x:
+                raise ValueError("matrix must be symmetric")
+    order = list(every)
+    level = [0] * n  # row i holds the bordered minors of step level[i]
+    pivots = [1]  # pivots[k] = p_k, the leading minor after k steps
+
+    def current(u, k):
+        """Row u, rescaled to step k."""
+        t = level[u]
+        if t < k:
+            num, den = pivots[k], pivots[t]
+            a[u] = {j: x * num // den for j, x in a[u].items()}
+            level[u] = k
+        return a[u]
+
+    pos = 0
     for k in range(n):
-        if a[k][k] == 0:
-            swap = None
-            for r in range(k + 1, n):
-                if a[r][r] != 0:
-                    swap = r
-                    break
+        v = order[k]
+        if v not in a[v]:
+            swap = next((r for r in range(k + 1, n) if order[r] in a[order[r]]), None)
             if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
+                order[k], order[swap] = order[swap], order[k]
+                v = order[k]
             else:
-                # every remaining diagonal entry vanishes; mix in a row with
-                # a nonzero off-diagonal entry (one exists when det != 0)
-                mix = None
-                for r in range(k + 1, n):
-                    if a[k][r] != 0:
-                        mix = r
-                        break
+                mix = next(iter(a[v]), None)
                 if mix is None:
                     raise SingularMatrixError("matrix is singular")
-                for j in range(n):
-                    a[k][j] += a[mix][j]
-                for i in range(n):
-                    a[i][k] += a[i][mix]
-        pk = a[k][k]
-        if pk > 0:
+                # row v += row mix, then column v += column mix; with both
+                # diagonal entries zero, T_vv becomes 2 T_v,mix
+                row_v, row_m = current(v, k), current(mix, k)
+                for j, x in row_m.items():
+                    row_v[j] = row_v.get(j, 0) + x
+                for i in list(row_m):
+                    row_i = a[i]
+                    row_i[v] = row_i.get(v, 0) + row_i.get(mix, 0)
+                for j in [j for j, x in row_v.items() if not x]:
+                    del row_v[j], a[j][v]
+        row_v = current(v, k)
+        a[v] = None
+        prev, p = pivots[k], row_v.pop(v)
+        pivots.append(p)
+        if (p > 0) == (prev > 0):
             pos += 1
-        else:
-            neg += 1
-        ak = a[k]
-        for r in range(k + 1, n):
-            f = a[r][k]
-            if f == 0:
-                continue
-            ratio = f / pk
-            ar = a[r]
-            for j in range(k, n):
-                if ak[j]:
-                    ar[j] -= ratio * ak[j]
-            for i in range(k, n):
-                if a[i][k]:
-                    a[i][r] -= ratio * a[i][k]
-    return pos - neg
+        for i, f in row_v.items():
+            row_i = current(i, k)
+            del row_i[v]
+            new = {}
+            for j, x in row_i.items():
+                y = row_v.get(j)
+                x = (p * x - f * y) // prev if y is not None else x * p // prev
+                if x:
+                    new[j] = x
+            for j, y in row_v.items():
+                if j not in row_i:
+                    new[j] = -f * y // prev
+            a[i] = new
+            level[i] = k + 1
+    return 2 * pos - n
 
 
 # Distinct subgraphs the pendant-path recursion may visit (which also bounds

@@ -124,14 +124,16 @@ def neg_cf_expand(r) -> list:
     r = Fraction(r)
     if r >= -1:
         raise SlopeError(f"negative continued fraction requires r < -1, got {r}")
+    # Euclid on r = p/q: c = floor(p/q) and r - c = rem/q give the next
+    # term -1/(r - c) = -q/rem, while the remainder is nonzero
+    p, q = r.numerator, r.denominator
     coeffs = []
     while True:
-        c = math.floor(r)
-        if c == r:
-            coeffs.append(c)
-            return coeffs
+        c, rem = divmod(p, q)
         coeffs.append(c)
-        r = Fraction(-1) / (r - c)
+        if not rem:
+            return coeffs
+        p, q = -q, rem
 
 
 def mod_inverse(q: int, p: int):

@@ -2,9 +2,9 @@
 
 Each is slow but plainly right, and shares no code with the route it
 checks: exhaustive search, breadth-first search, enumeration, vertex by
-vertex Farey paths with their signs and shortening move, and
+vertex Farey paths with their signs and shortening move,
 characteristic polynomials from Bareiss determinants (which have tests
-of their own).
+of their own), and a dense Fraction congruence diagonalization.
 """
 
 import math
@@ -26,7 +26,7 @@ from contactsurg.farey import (
     minimal_path_blocks,
 )
 from contactsurg.invariants import d3_spectrum
-from contactsurg.linalg import determinant
+from contactsurg.linalg import SingularMatrixError, determinant
 from contactsurg.slopes import INFINITY, Slope, SlopeError, parse_slope
 from contactsurg.surgery import LegendrianData, rot_range
 
@@ -293,6 +293,58 @@ def char_poly_interpolate(rows):
             raise RuntimeError("characteristic polynomial interpolation not integral")
         out.append(c.numerator)
     return out
+
+
+def congruence_signature_dense(rows) -> int:
+    """Signature by dense congruence diagonalization over the rationals.
+
+    Every entry becomes a Fraction; a zero pivot swaps in a later nonzero
+    diagonal entry, and an all-zero remaining diagonal mixes in a row
+    with a nonzero off-diagonal entry.  Raises SingularMatrixError when
+    det = 0.  O(n^3) Fraction operations, zeros included.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    zero = Fraction(0)  # immutable, so one object serves every zero entry
+    a = [[Fraction(x) if x else zero for x in row] for row in rows]
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][r] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                mix = next((r for r in range(k + 1, n) if a[k][r] != 0), None)
+                if mix is None:
+                    raise SingularMatrixError("matrix is singular")
+                for j in range(n):
+                    a[k][j] += a[mix][j]
+                for i in range(n):
+                    a[i][k] += a[i][mix]
+        pk = a[k][k]
+        if pk > 0:
+            pos += 1
+        else:
+            neg += 1
+        ak = a[k]
+        for r in range(k + 1, n):
+            f = a[r][k]
+            if not f:
+                continue
+            ratio = f / pk
+            ar = a[r]
+            for j in range(k, n):
+                if ak[j]:
+                    ar[j] -= ratio * ak[j]
+            for i in range(k, n):
+                if a[i][k]:
+                    a[i][r] -= ratio * a[i][k]
+    return pos - neg
 
 
 def normalize_lens_bruteforce(p: int, q: int):

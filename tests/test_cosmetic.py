@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from contactsurg import cosmetic, linalg
 from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
     candidate_slopes,
@@ -150,6 +151,45 @@ class TestScan:
         report = scan(-2, -2, 2)
         cell = next(c for c in report["cells"] if c["pair"] == ["-1", "1"])
         assert cell["provenance"]["pos"][0]["framings"] == [-1, -4, -2]
+
+
+class TestScanSharesMatrixWork:
+    """One d3 cache per tb: the matrix work of scan_cells(-12, -1, 12) is
+    done once per distinct (Q, support) and its signature once per Q."""
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        adjugates, signatures, tb = [], [], [None]
+        adjugate_columns, signature = linalg.adjugate_columns, linalg.signature
+        detail = cosmetic.d3_spectrum_detail
+
+        def count_adjugate(rows, cols):
+            adjugates.append(1)
+            return adjugate_columns(rows, cols)
+
+        def count_signature(rows):
+            signatures.append((tb[0], tuple(map(tuple, rows))))
+            return signature(rows)
+
+        def note_tb(L, *args):
+            tb[0] = L.tb
+            return detail(L, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "adjugate_columns", count_adjugate)
+            mp.setattr(linalg, "signature", count_signature)
+            mp.setattr(cosmetic, "d3_spectrum_detail", note_tb)
+            cosmetic.scan_cells(-12, -1, 12)
+        return len(adjugates), signatures
+
+    def test_one_adjugate_pass_per_distinct_form(self, counted):
+        # 586 distinct (tb, Q, support) keys; a cache per call made 2,312 passes
+        assert counted[0] <= 586
+
+    def test_one_signature_per_form_within_a_tb(self, counted):
+        signatures = counted[1]
+        assert signatures
+        assert len(signatures) == len(set(signatures))
 
 
 class TestUnknotClassification:

@@ -16,7 +16,7 @@ from contactsurg.closedforms import (
     tbk_two_matrix,
 )
 from contactsurg.surgery import LegendrianData, convert, linking_matrix
-from oracles import char_poly_interpolate, char_poly_minors
+from oracles import char_poly_interpolate, char_poly_minors, congruence_signature_dense
 
 
 def random_matrix(rng, n, lo=-9, hi=9, symmetric=False):
@@ -183,7 +183,8 @@ class TestSolve:
             done += 1
             r = [rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
             support = [i for i, x in enumerate(r) if x]
-            value = linalg.inverse_quadratic(*linalg.adjugate_columns(m, support), r)
+            det, adj = linalg.adjugate_columns(m, support)
+            value = Fraction(linalg.adjugate_quadratic(adj, r), det)
             expected = sum(r[i] * inverse_entry(m, i, j) * r[j]
                            for i in range(n) for j in range(n))
             assert value == expected
@@ -432,6 +433,11 @@ class TestSignature:
         with pytest.raises(linalg.SingularMatrixError):
             linalg.signature([[1, 1], [1, 1]])
 
+    def test_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "congruence_signature", lambda rows: 2)
+        with pytest.raises(linalg.SignatureMismatchError):
+            linalg.signature([[-7919, 1], [1, -3]])
+
     def test_methods_agree_on_seeded_corpus(self):
         # criterion corpus: 1000 seeded random symmetric nonsingular matrices
         rng = random.Random(20260809)
@@ -458,3 +464,105 @@ class TestSignature:
         m = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         assert linalg.determinant(m) == 2
         assert linalg.congruence_signature(m) == linalg.descartes_signature(m) == -1
+
+
+def zero_diagonal(m):
+    return [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+def with_dependent_row(m):
+    """m bordered by a copy of its last row and column: det = 0."""
+    return [row + [row[-1]] for row in m] + [m[-1] + [m[-1][-1]]] if m else m
+
+
+def clique(tb, diagonal, path):
+    """tb*J + D on len(diagonal) push-offs, with a meridian path of
+    diagonal entries ``path`` hung on the last one by -1 links."""
+    k = len(diagonal)
+    n = k + len(path)
+    m = [[0] * n for _ in range(n)]
+    for i in range(k):
+        for j in range(k):
+            m[i][j] = tb
+        m[i][i] = diagonal[i]
+    for step, d in enumerate(path):
+        i = k + step
+        m[i][i] = d
+        m[i][i - 1] = m[i - 1][i] = -1
+    return m
+
+
+def congruence_shapes():
+    """Symmetric integer matrices for the congruence route: random ones,
+    all-zero diagonals, singular ones, and push-off cliques tb*J + D
+    with and without a pendant path."""
+    symmetric = square_matrices().map(
+        lambda m: [[m[max(i, j)][min(i, j)] for j in range(len(m))] for i in range(len(m))])
+    cliques = st.builds(clique, st.integers(-4, 4),
+                        st.lists(st.integers(-6, 6), min_size=1, max_size=7),
+                        st.lists(st.integers(-5, 1), max_size=5))
+    return st.one_of(symmetric, symmetric.map(zero_diagonal), graph_shapes().map(zero_diagonal),
+                     symmetric.map(with_dependent_row), cliques, graph_shapes())
+
+
+def sympy_signature(m):
+    """Signature from sympy's characteristic polynomial: Sturm counts of
+    the positive and the negative roots of each square-free factor."""
+    if not m:
+        return 0
+    pos = neg = 0
+    for factor, power in sympy.Matrix(m).charpoly().sqf_list()[1]:
+        pos += power * factor.count_roots(0, None)
+        neg += power * factor.count_roots(None, 0)
+    assert pos + neg == len(m)
+    return pos - neg
+
+
+class TestCongruence:
+    @settings(max_examples=300, deadline=None)
+    @given(congruence_shapes())
+    def test_matches_dense_oracle_and_sympy(self, m):
+        if (sympy.Matrix(m).det() if m else 1) == 0:
+            with pytest.raises(linalg.SingularMatrixError):
+                linalg.congruence_signature(m)
+            with pytest.raises(linalg.SingularMatrixError):
+                congruence_signature_dense(m)
+            return
+        assert linalg.congruence_signature(m) == congruence_signature_dense(m) == sympy_signature(m)
+
+    def test_integer_only_and_independent(self, monkeypatch):
+        # no Fraction is made, and nothing of the other method's route or of
+        # the Bareiss kernel runs
+        made = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__",
+                            lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+
+        def forbidden(*args):
+            raise AssertionError("shared helper called")
+
+        for name in ("_bareiss", "char_poly", "_check_square", "is_symmetric"):
+            monkeypatch.setattr(linalg, name, forbidden)
+        for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
+                  [[0, 2, 1], [2, 0, 1], [1, 1, 0]], [[0, 1, 0], [1, 2, 0], [0, 0, -1]]):
+            linalg.congruence_signature(m)
+        assert made == []
+        Fraction(1, 3)
+        assert made == [(1, 3)]
+
+    def test_rejects_non_square_and_asymmetric(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg.congruence_signature([[1, 2]])
+        with pytest.raises(ValueError, match="symmetric"):
+            linalg.congruence_signature([[1, 2], [0, 1]])
+
+    def test_large_surgery_forms(self):
+        # `d3 --tb -1 --rot 0 --slope -1/1600` (a 1600-chain) and
+        # `d3 --tb -1 --rot 0 --coeff 1/40` (a 40-clique of push-offs);
+        # Descartes on long chains is test_methods_agree_at_scale's
+        for coeff, n, sig in ((Fraction(-1, 1600) + 1, 1600, -1598), (Fraction(1, 40), 40, 38)):
+            rows = linking_matrix(convert(LegendrianData(-1, 0), coeff)[0]).rows()
+            assert len(rows) == n
+            assert linalg.congruence_signature(rows) == congruence_signature_dense(rows) == sig
+            if n < 100:
+                assert linalg.descartes_signature(rows) == sig

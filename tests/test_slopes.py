@@ -79,6 +79,20 @@ class TestNegativeContinuedFractions:
         assert neg_cf_value(neg_cf_expand(r)) == r
         assert all(c <= -2 for c in neg_cf_expand(r))
 
+    @given(num=st.integers(1, 10 ** 9), den=st.integers(1, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_large_denominators(self, num, den):
+        # the integer Euclid against the Fraction evaluation of the oracle
+        r = Fraction(-num, den) - 1
+        cf = neg_cf_expand(r)
+        assert neg_cf_value(cf) == r
+        assert all(isinstance(c, int) and c <= -2 for c in cf)
+
+    def test_domain_error_text(self):
+        for r, shown in ((Fraction(-1), "-1"), (Fraction(1, 2), "1/2"), (0, "0")):
+            with pytest.raises(SlopeError, match=f"requires r < -1, got {shown}$"):
+                neg_cf_expand(r)
+
 
 class TestModInverse:
     def test_examples(self):
