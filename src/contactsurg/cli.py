@@ -38,9 +38,71 @@ def envelope(command: str, inputs: dict, results) -> dict:
     }
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    The stdlib drops its C encoder when ``indent`` is set, and its Python
+    encoder then writes a dense matrix one token at a time; here a list
+    whose elements are all exactly ``int`` is written by one join.  The
+    tree may hold dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else, floats and Fractions included, raises TypeError,
+    because reports are exact.
+    """
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, newline, out):
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` is a line
+    break plus the indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(_ESCAPE(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:  # not isinstance: True prints as true
+            out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _ESCAPE(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def emit(report: dict, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json_text(report))
     else:
         for line in lines:
             print(line)

@@ -38,8 +38,15 @@ def _check_square(rows):
 
 
 def is_symmetric(rows) -> bool:
-    n = _check_square(rows)
-    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i))
+    """Whether a square matrix equals its transpose.
+
+    One C-level pass compares each row with the column ``zip`` yields
+    beside it; the columns are made one at a time, never the whole
+    transpose.  A ragged or non-square matrix raises ValueError first,
+    since ``zip`` would silently truncate ragged rows.
+    """
+    _check_square(rows)
+    return all(map(tuple.__eq__, map(tuple, rows), zip(*rows)))
 
 
 def _bareiss(rows, cols=()):
@@ -61,18 +68,12 @@ def _bareiss(rows, cols=()):
     n = _check_square(rows)
     cols = list(cols)
     w = n + len(cols)
-    a = [[int(x) for x in row] for row in rows]
+    a = [list(map(int, row)) for row in rows]
     if cols:
         for i, row in enumerate(a):
             row.extend(1 if c == i else 0 for c in cols)
-    hi = []
-    for row in a:
-        top = 0
-        for j in range(w - 1, -1, -1):
-            if row[j]:
-                top = j + 1
-                break
-        hi.append(top)
+    # one past each row's last nonzero column
+    hi = [next(compress(range(w, 0, -1), reversed(row)), 0) for row in a]
     level = [0] * n
     pivots = [1] * (n + 1)  # pivots[t] = pivot of step t-1
     sign = 1
@@ -284,8 +285,13 @@ def char_poly(rows):
     path attached) costs O(n^2 + k^4) integer operations this way.
     """
     n = _check_square(rows)
-    a = [[int(x) for x in row] for row in rows]
-    nbrs = [{j for j in range(n) if j != i and (a[i][j] or a[j][i])} for i in range(n)]
+    a = [list(map(int, row)) for row in rows]
+    # nonzero off-diagonal entries of each row, then of each column too
+    nbrs = [set(compress(range(n), row)) for row in a]
+    for i, row in enumerate(nbrs):
+        row.discard(i)
+        for j in row:
+            nbrs[j].add(i)
     try:
         coeffs = _char_poly(a, nbrs, frozenset(range(n)), {})
     except _TooBranched:
@@ -421,9 +427,8 @@ def descartes_signature(rows) -> int:
 
 @lru_cache(maxsize=4096)
 def _signature_cached(key) -> int:
-    rows = [list(r) for r in key]
-    a = congruence_signature(rows)
-    b = descartes_signature(rows)
+    a = congruence_signature(key)
+    b = descartes_signature(key)
     if a != b:
         raise SignatureMismatchError(
             f"signature methods disagree: diagonalization={a} descartes={b}"
@@ -440,6 +445,7 @@ def signature(rows) -> int:
     memoized, so repeated forms (the same surgery trace with different
     rotation vectors) cost one computation.
     """
-    if not is_symmetric(rows):
+    key = tuple(tuple(map(int, r)) for r in rows)
+    if not is_symmetric(key):
         raise ValueError("matrix must be symmetric")
-    return _signature_cached(tuple(tuple(int(x) for x in r) for r in rows))
+    return _signature_cached(key)

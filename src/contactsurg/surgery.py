@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .linalg import is_symmetric
 from .slopes import SlopeError, neg_cf_expand
 
 
@@ -195,14 +196,12 @@ class IntersectionForm:
     l: int
 
     def __post_init__(self):
-        n = len(self.Q)
-        for row in self.Q:
-            if len(row) != n:
-                raise ValueError("Q must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.Q[i][j] != self.Q[j][i]:
-                    raise ValueError("Q must be symmetric")
+        try:
+            symmetric = is_symmetric(self.Q)
+        except ValueError:
+            raise ValueError("Q must be square") from None
+        if not symmetric:
+            raise ValueError("Q must be symmetric")
 
     @property
     def n(self) -> int:

@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactsurg.cli import main
+from contactsurg.cli import json_text, main
 
 
 def run(capsys, *argv):
@@ -82,6 +84,43 @@ class TestCsSetCommand:
         assert code == 0
         parsed = json.loads(out)
         assert json.dumps(parsed, sort_keys=True, indent=2) == out.strip()
+
+
+@pytest.mark.parametrize("argv", [
+    "d3 --tb -1 --rot 0 --slope -1/200 --json",  # a 200 x 200 matrix
+    "unknot --tb -2 --rot 1 --coeff 3/2 --json",
+    "verify --k-max 3 --n-max 1 --json",
+])
+def test_json_round_trip_at_scale_is_byte_identical(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+_TEXT = st.one_of(st.text(max_size=6),
+                  st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9", "\U0001f600", ""]))
+_JSON_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40),
+              _TEXT, st.lists(st.one_of(st.integers(), st.booleans()))),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=25)
+
+
+class TestJsonText:
+    @given(_JSON_TREES)
+    @example([1, True, 0])
+    @example({"": [], "a": {}, "b": ((),), "\u00e9\"\\": [-10**30, None, False]})
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps(self, tree):
+        assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {1, 2}])
+    def test_inexact_or_unknown_types_raise(self, value):
+        for tree in (value, [1, value], {"k": [value]}):
+            with pytest.raises(TypeError):
+                json_text(tree)
 
 
 class TestUnknotCommand:

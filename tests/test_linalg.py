@@ -394,6 +394,21 @@ class TestCharPolyRoute:
             mp.setattr(linalg, "_PENDANT_BUDGET", 0)
             assert linalg.char_poly(m) == char_poly_interpolate(m)
 
+    @settings(max_examples=200, deadline=None)
+    @given(graph_shapes(), st.randoms(use_true_random=False))
+    def test_one_sided_entries(self, m, rng):
+        # a[i][j] != 0 with a[j][i] == 0 still joins i and j in the graph
+        for i in range(len(m)):
+            for j in range(i):
+                if m[i][j] and rng.random() < 0.7:
+                    if rng.random() < 0.5:
+                        m[i][j] = 0
+                    else:
+                        m[j][i] = 0
+        coeffs = linalg.char_poly(m)
+        assert coeffs == char_poly_minors(m)
+        assert coeffs == sympy_char_poly(m)
+
     def test_too_branched_falls_back(self):
         # a clique with a leaf on every vertex: each peeled leaf doubles the
         # subgraphs, so the recursion gives up and Berkowitz takes over
@@ -432,6 +447,19 @@ class TestSignature:
     def test_singular_rejected(self):
         with pytest.raises(linalg.SingularMatrixError):
             linalg.signature([[1, 1], [1, 1]])
+
+    def test_rejects_ragged_non_square_and_asymmetric(self):
+        # the symmetry check transposes with zip, which would truncate
+        # ragged rows: the square check runs first
+        for m in ([[1, 2], [3]], [[1, 2]], [[1, 2], [2, 1, 0]]):
+            with pytest.raises(ValueError, match="square"):
+                linalg.is_symmetric(m)
+            with pytest.raises(ValueError, match="square"):
+                linalg.signature(m)
+        assert not linalg.is_symmetric([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="symmetric"):
+            linalg.signature([[1, 2], [3, 4]])
+        assert linalg.is_symmetric([]) and linalg.is_symmetric([[1, 2], [2, 4]])
 
     def test_disagreement_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "congruence_signature", lambda rows: 2)

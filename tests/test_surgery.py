@@ -13,6 +13,7 @@ from contactsurg.closedforms import (
 )
 from contactsurg.surgery import (
     ContactZeroError,
+    IntersectionForm,
     LegendrianData,
     convert,
     enumerate_rotations,
@@ -120,6 +121,14 @@ class TestLinkingMatrix:
         pres = convert(LegendrianData(-1, 0), Fraction(2, 5))[0]  # three pushoffs
         q = linking_matrix(pres).Q
         assert q[0][1] == q[0][2] == q[1][2] == -1
+
+    def test_rejects_ragged_non_square_and_asymmetric(self):
+        for q in (((1, 2), (3,)), ((1, 2),), ((1, 2), (2, 1, 0))):
+            with pytest.raises(ValueError, match="^Q must be square$"):
+                IntersectionForm(q, 0)
+        with pytest.raises(ValueError, match="^Q must be symmetric$"):
+            IntersectionForm(((1, 2), (3, 4)), 0)
+        assert IntersectionForm(((1, 2), (2, 4)), 0).n == 2
 
 
 class TestSmoothRecovery:
