@@ -252,16 +252,21 @@ class _Report:
         }
 
 
-def _q(qcols, col, row):
+def _block(mat, cols):
+    """Q^-1 on the index list ``cols``: (cols, det Q, adj(Q)[cols, cols])."""
+    return (cols, *linalg.adjugate_block(mat, cols))
+
+
+def _q(qb, col, row):
     """Entry (row, col) of Q^-1, as (numerator, denominator)."""
-    det, adj = qcols
-    return adj[col][row], det
+    cols, det, block = qb
+    return block[cols.index(row)][cols.index(col)], det
 
 
-def _csq(qcols, r):
+def _csq(qb, r):
     """r^T Q^-1 r, as (numerator, denominator)."""
-    det, adj = qcols
-    return linalg.adjugate_quadratic(adj, r), det
+    cols, det, block = qb
+    return linalg.adjugate_quadratic(block, cols, r), det
 
 
 def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
@@ -306,9 +311,9 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
                    linalg.signature(mat), mat)
         if n == 2:
             rep.ratio("tb1_neg_csq", {"n": n}, f["tb1_neg_csq"](n),
-                      _csq(linalg.adjugate_columns(mat, [0]), [0] * n), mat)
+                      _csq(_block(mat, [0]), [0] * n), mat)
         else:
-            qc = linalg.adjugate_columns(mat, [2])
+            qc = _block(mat, [2])
             for pm in (1, -1):
                 r = [0] * n
                 r[2] = pm
@@ -319,7 +324,7 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
         mat = tb1_positive_matrix(n)
         rep.record("tb1_pos_sigma", {"n": n}, f["tb1_pos_sigma"](n),
                    linalg.signature(mat), mat)
-        qc = linalg.adjugate_columns(mat, [1])
+        qc = _block(mat, [1])
         for rho in rot_range(-n - 1)[::-1]:
             rep.ratio("tb1_pos_csq", {"n": n, "rho": rho},
                       f["tb1_pos_csq"](n, rho), _csq(qc, [0, rho]), mat)
@@ -330,7 +335,7 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
         rep.record("tb2_neg_sigma", {"n": n}, f["tb2_neg_sigma"](n),
                    linalg.signature(mat), mat)
         cols = [0] if n == 1 else [0, 1]
-        qc = linalg.adjugate_columns(mat, cols)
+        qc = _block(mat, cols)
         if n >= 2:
             rep.ratio("tb2_neg_q11", {"n": n}, f["tb2_neg_q11"](n), _q(qc, 0, 0), mat)
             rep.ratio("tb2_neg_q12", {"n": n}, f["tb2_neg_q12"](n), _q(qc, 0, 1), mat)
@@ -348,7 +353,7 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
         rep.record("tb2_pos_sigma", {"n": n}, f["tb2_pos_sigma"](n),
                    linalg.signature(matp), matp)
         qexp = f["tb2_pos_q"](n)
-        qcp = linalg.adjugate_columns(matp, [0, 1, 2])
+        qcp = _block(matp, [0, 1, 2])
         for i_ in range(3):
             for j_ in range(3):
                 rep.ratio("tb2_pos_q", {"n": n, "entry": (i_ + 1, j_ + 1)},
@@ -372,7 +377,7 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
             rep.record(f"{tag}_sigma", {"k": k}, f[f"{tag}_sigma"](k),
                        linalg.signature(mat), mat)
             cols = [0] if size == 1 else [0, 1]
-            qc = linalg.adjugate_columns(mat, cols)
+            qc = _block(mat, cols)
             rep.ratio(f"{tag}_q11", {"k": k}, f[f"{tag}_q11"](k), _q(qc, 0, 0), mat)
             if size >= 2:
                 rep.ratio(f"{tag}_q12", {"k": k}, f[f"{tag}_q12"](k), _q(qc, 0, 1), mat)
@@ -395,7 +400,7 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
             rep.record("one_neg_sigma", {"k": k, "n": n}, f["one_neg_sigma"](k, n),
                        linalg.signature(mat), mat)
             cols = [0, 1] if n == 1 else [0, 1, k - 1]
-            qc = linalg.adjugate_columns(mat, cols)
+            qc = _block(mat, cols)
             rep.ratio("one_neg_q11", {"k": k, "n": n}, f["one_neg_q11"](k, n), _q(qc, 0, 0), mat)
             rep.ratio("one_neg_q12", {"k": k, "n": n}, f["one_neg_q12"](k, n), _q(qc, 0, 1), mat)
             rep.ratio("one_neg_q22", {"k": k, "n": n}, f["one_neg_q22"](k, n), _q(qc, 1, 1), mat)
@@ -426,7 +431,7 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
             matp = tbk_positive_matrix(k, n)
             rep.record("one_pos_sigma", {"k": k, "n": n}, f["one_pos_sigma"](k, n),
                        linalg.signature(matp), matp)
-            qcp = linalg.adjugate_columns(matp, [0, 1, k])
+            qcp = _block(matp, [0, 1, k])
             rep.ratio("one_pos_q11", {"k": k, "n": n}, f["one_pos_q11"](k, n),
                       _q(qcp, 0, 0), matp)
             rep.ratio("one_pos_q12", {"k": k, "n": n}, f["one_pos_q12"](k, n),

@@ -24,7 +24,7 @@ from itertools import product
 
 from .closedforms import DEFAULT_FORMS
 from .farey import CLOCKWISE, minimal_path_blocks
-from .invariants import d3_spectrum, d3_spectrum_detail
+from .invariants import D3Cache, d3_spectrum, d3_spectrum_detail
 from .slopes import Slope, SlopeError, canonical_slope, lens_parameters
 from .surgery import ContactZeroError, LegendrianData, rot_range
 
@@ -213,15 +213,15 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
 
     Every cell carries both spectra and the matrix provenance; the cells
     left unobstructed are listed apart.  The cells of one tb share one
-    d3 cache (signature, det and adjugate columns per form), dropped when
-    tb moves on.
+    D3Cache (a plan per smooth slope, and signature, det and adjugate
+    block per form), dropped when tb moves on.
     """
     if tb_max > -1:
         raise ValueError("scan covers tb <= -1")
     cells = []
     not_obstructed = []
     for tb in range(tb_min, tb_max + 1):
-        cache = {}
+        cache = D3Cache()
         for rot in rot_range(tb):
             L = LegendrianData(tb, rot)
             for v in candidate_slopes(2, n_max):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from . import linalg
 from .surgery import (
@@ -23,6 +24,7 @@ from .surgery import (
     convert,
     enumerate_rotations,
     linking_matrix,
+    relabel,
 )
 
 
@@ -62,32 +64,51 @@ def _assemble(chi, sigma, l, det, num):
     return D3Result(chi=chi, sigma=sigma, c_squared=Fraction(num, det), l=l, d3=d3)
 
 
+class D3Cache:
+    """Work that d3 requests on knots of one tb share.
+
+    ``plans`` maps (tb, smooth slope) to the presentations of one
+    ``convert`` call, each with its form and rotation vectors; a request
+    at another rotation number relabels them (``surgery.relabel``).
+    ``forms`` maps Q to {support S: (sigma, det Q, adj(Q)[S, S])}, the
+    cache of d3_values.
+    """
+
+    def __init__(self):
+        self.plans = {}
+        self.forms = {}
+
+
 def d3_values(form: IntersectionForm, vectors, cache=None) -> list:
     """d3 of ``form`` for each rotation vector, as D3Results.
 
-    sigma, det Q and the columns of adj(Q) on the joint support of the
-    vectors cost one elimination pass and one signature.  ``cache`` maps
-    Q to {support: (sigma, det, columns)}, so forms met again (the
+    sigma, det Q and the block B = adj(Q)[S, S] on the joint support S
+    of the vectors cost one elimination pass and one signature, and
+    c1^2 of a vector r is v^T B v / det Q with v = r on S.  ``cache``
+    maps Q to {support: (sigma, det, B)}, so forms met again (the
     stabilization variants of one conversion, the rotation numbers of a
     scan) reuse them, and a new support of a known Q reuses its sigma.
+    A singular Q raises and leaves nothing in the cache.
     """
     if any(len(v) != form.n for v in vectors):
         raise ValueError("rotation vector length must match Q")
-    support = tuple(sorted({i for v in vectors for i, x in enumerate(v) if x}))
-    known = cache.setdefault(form.Q, {}) if cache is not None else {}
+    support = tuple(compress(range(form.n), map(any, zip(*vectors))))
+    if cache is None:
+        cache = {}
+    known = cache.get(form.Q, {})
     hit = known.get(support)
     if hit is None:
-        rows = form.rows()
         try:
-            det, cols = linalg.adjugate_columns(rows, support)
+            det, block = linalg.adjugate_block(form.Q, support)
         except linalg.SingularMatrixError:
             raise NonTorsionEulerClassError(
                 "c1^2 undefined: non-torsion Euler class") from None
-        sigma = next(iter(known.values()))[0] if known else linalg.signature(rows)
-        hit = known[support] = (sigma, det, cols)
-    sigma, det, cols = hit
+        sigma = next(iter(known.values()))[0] if known else linalg.signature(form.Q)
+        hit = (sigma, det, block)
+        cache.setdefault(form.Q, {})[support] = hit
+    sigma, det, block = hit
     chi = form.n + 1  # one 0-handle plus one 2-handle per component
-    return [_assemble(chi, sigma, form.l, det, linalg.adjugate_quadratic(cols, r))
+    return [_assemble(chi, sigma, form.l, det, linalg.adjugate_quadratic(block, support, r))
             for r in vectors]
 
 
@@ -101,18 +122,27 @@ def d3_spectrum(L: LegendrianData, smooth_slope) -> set:
 def d3_spectrum_detail(L: LegendrianData, smooth_slope, cache=None):
     """Like d3_spectrum but keeps the provenance of every value.
 
-    ``cache`` is handed to d3_values; a caller that asks for many slopes
-    or rotation numbers of one tb can share it among the calls.
+    A caller that asks for many slopes or rotation numbers of one tb can
+    share a D3Cache among the calls.  The first request at a (tb, slope)
+    keeps its plan: the presentations of one ``convert`` call with their
+    forms and rotation vectors.  A request at another rotation number
+    relabels the plan instead of converting again, since the rotation
+    number changes neither the forms nor the free chain rotations.  A
+    request that raises keeps nothing.
     """
     smooth_slope = Fraction(smooth_slope)
-    contact = smooth_slope - L.tb
     if cache is None:
-        cache = {}
+        cache = D3Cache()
+    key = (L.tb, smooth_slope)
+    plan = cache.plans.get(key)
+    if plan is None:
+        plan = [(pres, linking_matrix(pres), enumerate_rotations(pres))
+                for pres in convert(L, smooth_slope - L.tb)]
     records = []
-    for pres in convert(L, contact):
-        form = linking_matrix(pres)
-        vectors = enumerate_rotations(pres)
-        rots = [{"rotations": list(rvec), "d3": res}
-                for rvec, res in zip(vectors, d3_values(form, vectors, cache))]
+    for pres, form, vectors in plan:
+        pres, vectors = relabel(pres, vectors, L.rot)
+        rots = [{"rotations": rvec, "d3": res}
+                for rvec, res in zip(vectors, d3_values(form, vectors, cache.forms))]
         records.append({"presentation": pres, "form": form, "values": rots})
+    cache.plans[key] = plan
     return records

@@ -4,7 +4,8 @@ Everything in this module is exact.  One fraction-free (Bareiss)
 elimination pass yields the determinant, the leading principal minors
 (Sylvester's criterion) and, by integer back-substitution, columns of
 the adjugate; inverse entries and r^T A^-1 r are integers over the
-determinant.  Signatures of symmetric integer matrices are computed by
+determinant, read from the block of the adjugate on r's support.
+Signatures of symmetric integer matrices are computed by
 two independent methods, which are required to agree: a sparse,
 fraction-free congruence diagonalization, and Descartes' rule of signs
 applied to the characteristic polynomial.  The polynomial is built
@@ -12,13 +13,15 @@ division-free and without elimination, by continuants along pendant
 paths and Berkowitz's algorithm on the rest, so it shares nothing with
 the first method.
 
-Matrices are plain lists of lists of ints (rows).
+Matrices are sequences of rows of ints: lists of lists, or tuples of
+tuples such as IntersectionForm.Q.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
+from operator import mul
 
 
 class SingularMatrixError(ValueError):
@@ -154,16 +157,31 @@ def adjugate_columns(rows, cols):
     return det, adj
 
 
-def adjugate_quadratic(adj, r) -> int:
-    """The integer r^T adj(A) r, from the adjugate columns on r's support.
+def adjugate_block(rows, support):
+    """det A and the block B = adj(A)[S, S] on the index list S = ``support``.
 
-    Over det A it is r^T A^-1 r; the sum runs over the support of r only.
+    B[a][b] is entry (S[a], S[b]) of adj(A), so (A^-1)_{S[a], S[b]} is
+    B[a][b] / det.  One elimination pass with the columns S gives it.
+    Raises SingularMatrixError when det A = 0.
     """
-    support = [(i, x) for i, x in enumerate(r) if x]
+    det, adj = adjugate_columns(rows, support)
+    return det, tuple(tuple(adj[c][i] for c in support) for i in support)
+
+
+def adjugate_quadratic(block, support, r) -> int:
+    """The integer r^T adj(A) r = v^T B v from B = adj(A)[S, S], where v is r
+    on S; over det A it is r^T A^-1 r.
+
+    An entry of r off S would need a part of adj(A) that B does not hold,
+    so it raises ValueError.
+    """
+    v = list(map(r.__getitem__, support))
+    if len(r) - r.count(0) != len(v) - v.count(0):
+        raise ValueError("vector has a nonzero entry outside the block's support")
     total = 0
-    for j, rj in support:
-        col = adj[j]
-        total += rj * sum(ri * col[i] for i, ri in support)
+    for x, row in zip(v, block):
+        if x:
+            total += x * sum(map(mul, row, v))
     return total
 
 

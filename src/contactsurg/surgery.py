@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from .linalg import is_symmetric
 from .slopes import SlopeError, neg_cf_expand
@@ -169,22 +170,42 @@ def convert(L: LegendrianData, contact_coeff) -> list:
     return [finish(pushoffs + v) for v in _negative_chain(L.tb, L.rot, tail_coeff)]
 
 
-def enumerate_rotations(pres: SurgeryPresentation, base_rot: int | None = None):
+def enumerate_rotations(pres: SurgeryPresentation):
     """All rotation vectors consistent with the presentation.
 
-    Components with a pinned rotation number keep it (pass base_rot to
-    override the unstabilized push-offs); each chain unknot with tb = -t
-    ranges over t-1, t-3, ..., -t+1.
+    Components with a pinned rotation number (the push-offs) keep it;
+    each chain unknot with tb = -t ranges over t-1, t-3, ..., -t+1.
     """
-    choices = []
-    for c in pres.components:
-        if c.role == "pushoff" and c.stabilizations == 0:
-            choices.append([base_rot if base_rot is not None else c.rot])
-        elif c.rot is not None:
-            choices.append([c.rot])
-        else:
-            choices.append(rot_range(c.tb)[::-1])
-    return [tuple(v) for v in product(*choices)]
+    return list(product(*([c.rot] if c.rot is not None else rot_range(c.tb)[::-1]
+                          for c in pres.components)))
+
+
+def relabel(pres: SurgeryPresentation, vectors, rot: int):
+    """The presentation and rotation vectors of the same surgery on a knot
+    with rotation number ``rot`` in place of ``pres.base_rot``.
+
+    This is exact because the rotation number of the knot enters
+    ``convert`` only as the pinned rotation number of each push-off:
+    L.rot for a plain push-off and L.rot + x for the stabilized one.  The
+    components, their tb, signs and framings, and the order of the
+    stabilization outcomes depend on tb and the coefficient alone.  So
+    shifting every pinned rotation number by d = rot - base_rot yields the
+    presentation ``convert`` returns at the same position for
+    LegendrianData(tb, rot).  A pinned component adds its one value to
+    the product in ``enumerate_rotations``, so shifting the same entries
+    of each vector by d yields its rotation vectors, in the same order.
+    The vectors come back as new lists, which the caller may keep.
+    """
+    d = rot - pres.base_rot
+    if d == 0:
+        return pres, [list(v) for v in vectors]
+    comps = tuple(c if c.rot is None else
+                  Component(c.role, c.tb, c.sign, c.rot + d, c.stabilizations)
+                  for c in pres.components)
+    offset = [0 if c.rot is None else d for c in comps]
+    shifted = SurgeryPresentation(comps, pres.base_tb, rot, pres.contact_coeff,
+                                  pres.smooth_slope)
+    return shifted, [list(map(add, v, offset)) for v in vectors]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from contactsurg import cosmetic, linalg
+from contactsurg import cosmetic, invariants, linalg
 from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
     candidate_slopes,
@@ -154,18 +156,24 @@ class TestScan:
 
 
 class TestScanSharesMatrixWork:
-    """One d3 cache per tb: the matrix work of scan_cells(-12, -1, 12) is
-    done once per distinct (Q, support) and its signature once per Q."""
+    """One d3 cache per tb: scan_cells(-12, -1, 12) converts each (tb,
+    slope) once and relabels it for the other rotation numbers, does the
+    matrix work once per distinct (Q, support) and each signature once
+    per Q."""
 
     @pytest.fixture(scope="class")
     def counted(self):
-        adjugates, signatures, tb = [], [], [None]
+        calls = {"adjugate": 0, "convert": 0, "linking_matrix": 0}
+        signatures, tb = [], [None]
         adjugate_columns, signature = linalg.adjugate_columns, linalg.signature
+        convert, linking_matrix = invariants.convert, invariants.linking_matrix
         detail = cosmetic.d3_spectrum_detail
 
-        def count_adjugate(rows, cols):
-            adjugates.append(1)
-            return adjugate_columns(rows, cols)
+        def counting(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
 
         def count_signature(rows):
             signatures.append((tb[0], tuple(map(tuple, rows))))
@@ -176,20 +184,41 @@ class TestScanSharesMatrixWork:
             return detail(L, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "adjugate_columns", count_adjugate)
+            mp.setattr(linalg, "adjugate_columns", counting("adjugate", adjugate_columns))
+            mp.setattr(invariants, "convert", counting("convert", convert))
+            mp.setattr(invariants, "linking_matrix",
+                       counting("linking_matrix", linking_matrix))
             mp.setattr(linalg, "signature", count_signature)
             mp.setattr(cosmetic, "d3_spectrum_detail", note_tb)
             cosmetic.scan_cells(-12, -1, 12)
-        return len(adjugates), signatures
+        return calls, signatures
 
     def test_one_adjugate_pass_per_distinct_form(self, counted):
         # 586 distinct (tb, Q, support) keys; a cache per call made 2,312 passes
-        assert counted[0] <= 586
+        assert counted[0]["adjugate"] <= 586
+
+    def test_one_conversion_per_tb_and_slope(self, counted):
+        # 308 distinct (tb, slope); converting per (tb, rot, slope) made 2,022
+        assert counted[0]["convert"] <= 308
+
+    def test_one_form_per_planned_presentation(self, counted):
+        # 689 presentations in the 308 plans; per (tb, rot, slope) it was 4,125
+        assert counted[0]["linking_matrix"] <= 689
 
     def test_one_signature_per_form_within_a_tb(self, counted):
         signatures = counted[1]
         assert signatures
         assert len(signatures) == len(set(signatures))
+
+
+class TestScanDigest:
+    # sha256 of json.dumps(scan(-12, -1, 12), sort_keys=True), computed by a
+    # scan that converted every (tb, rot, slope) afresh, so no plan shaped it
+    SCAN_SHA256 = "a9e1a78e110d35e5d1f3de502d824966d712f37aa4874c5917b0faadc730ce1a"
+
+    def test_scan_json_is_unchanged(self):
+        text = json.dumps(scan(-12, -1, 12), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SCAN_SHA256
 
 
 class TestUnknotClassification:

@@ -1,14 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactsurg.invariants import (
+    D3Cache,
     D3Result,
     NonTorsionEulerClassError,
     d3_spectrum,
+    d3_spectrum_detail,
     d3_values,
 )
-from contactsurg.surgery import IntersectionForm, LegendrianData
+from contactsurg.surgery import ContactZeroError, IntersectionForm, LegendrianData, rot_range
 
 
 def form(q, l):
@@ -106,3 +110,57 @@ class TestSpectra:
                 det = abs(linalg.determinant(f.rows()))
                 for res in d3_values(f, enumerate_rotations(pres)):
                     assert det % res.c_squared.denominator == 0
+
+
+def outcome(L, slope, cache=None):
+    """The records of one d3_spectrum_detail request, or the type and text
+    of the domain error it raised."""
+    try:
+        return d3_spectrum_detail(L, slope, cache)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def cache_state(cache):
+    return dict(cache.plans), {q: dict(known) for q, known in cache.forms.items()}
+
+
+class TestPlans:
+    """A D3Cache shared by requests in any order of (rot, slope) gives what
+    uncached requests give; a request that raises keeps nothing."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(-7, -1), st.data())
+    def test_shared_cache_matches_uncached_requests(self, tb, data):
+        fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+        # the contact-zero slope tb and the singular slope 0 raise
+        pool = data.draw(st.lists(st.one_of(st.just(Fraction(tb)), st.just(Fraction(0)),
+                                            fractions), min_size=1, max_size=4))
+        requests = data.draw(st.lists(
+            st.tuples(st.sampled_from(rot_range(tb)), st.sampled_from(pool)),
+            min_size=1, max_size=12))
+        cache = D3Cache()
+        for rot, slope in requests:
+            L = LegendrianData(tb, rot)
+            before = cache_state(cache)
+            got = outcome(L, slope, cache)
+            assert got == outcome(L, slope)
+            if isinstance(got, tuple):
+                assert cache_state(cache) == before
+            else:
+                assert (tb, slope) in cache.plans
+
+    @pytest.mark.parametrize("tb", range(-7, 0))
+    def test_failing_slopes_raise_alike_at_every_rot(self, tb):
+        cache = D3Cache()
+        for rot in rot_range(tb):
+            d3_spectrum_detail(LegendrianData(tb, rot), Fraction(-1, 2), cache)
+        before = cache_state(cache)
+        for slope, error in ((tb, ContactZeroError), (0, NonTorsionEulerClassError)):
+            texts = set()
+            for rot in rot_range(tb):
+                with pytest.raises(error) as info:
+                    d3_spectrum_detail(LegendrianData(tb, rot), slope, cache)
+                texts.add(str(info.value))
+                assert cache_state(cache) == before
+            assert len(texts) == 1

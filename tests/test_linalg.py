@@ -183,11 +183,68 @@ class TestSolve:
             done += 1
             r = [rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
             support = [i for i, x in enumerate(r) if x]
-            det, adj = linalg.adjugate_columns(m, support)
-            value = Fraction(linalg.adjugate_quadratic(adj, r), det)
+            det, block = linalg.adjugate_block(m, support)
+            value = Fraction(linalg.adjugate_quadratic(block, support, r), det)
             expected = sum(r[i] * inverse_entry(m, i, j) * r[j]
                            for i in range(n) for j in range(n))
             assert value == expected
+
+
+def symmetric_with_vector(max_n=6):
+    """A random symmetric integer matrix, a vector r, and a sorted index
+    list S holding r's support plus some indices where r is zero."""
+    def build(n):
+        entries = st.one_of(st.just(0), st.integers(-6, 6))
+        return st.tuples(
+            st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.one_of(st.just(0), st.integers(-5, 5)), min_size=n, max_size=n),
+            st.lists(st.booleans(), min_size=n, max_size=n))
+
+    def shape(args):
+        m, r, extra = args
+        n = len(m)
+        sym = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        support = [i for i in range(n) if r[i] or extra[i]]
+        return sym, r, support
+
+    return st.integers(1, max_n).flatmap(build).map(shape)
+
+
+class TestAdjugateBlock:
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_with_vector())
+    def test_block_quadratic_matches_sympy_inverse(self, case):
+        m, r, support = case
+        ref = sympy.Matrix(m)
+        if ref.det() == 0:
+            with pytest.raises(linalg.SingularMatrixError):
+                linalg.adjugate_block(m, support)
+            return
+        det, block = linalg.adjugate_block(m, support)
+        inv = ref.inv()
+        assert [list(row) for row in block] == [
+            [inv[i, j] * det for j in support] for i in support]
+        expected = (sympy.Matrix([r]) * inv * sympy.Matrix(r))[0, 0]
+        assert Fraction(linalg.adjugate_quadratic(block, support, r), det) == expected
+        n = len(m)
+        assert expected == sum(r[i] * inverse_entry(m, i, j) * r[j]
+                               for i in range(n) for j in range(n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_with_vector(), st.data())
+    def test_vector_off_the_support_raises(self, case, data):
+        m, r, support = case
+        if linalg.determinant(m) == 0 or not support:
+            return
+        dropped = data.draw(st.sampled_from(support))
+        rest = [i for i in support if i != dropped]
+        _, block = linalg.adjugate_block(m, rest)
+        off = list(r)
+        off[dropped] = data.draw(st.integers(1, 5))
+        with pytest.raises(ValueError):
+            linalg.adjugate_quadratic(block, rest, off)
+        with pytest.raises(ValueError):
+            linalg.adjugate_quadratic(block, rest, tuple(off))
 
 
 def square_matrices(max_n=7):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactsurg.closedforms import (
     tb1_negative_matrix,
@@ -19,6 +21,7 @@ from contactsurg.surgery import (
     enumerate_rotations,
     linking_matrix,
     _negative_chain,
+    relabel,
     rot_range,
 )
 from oracles import smooth_recovery
@@ -146,6 +149,29 @@ class TestSmoothRecovery:
                             assert smooth_recovery(pres) == tb + cc
                             count += 1
         assert count > 1000
+
+
+class TestRelabel:
+    """A presentation made at one rotation number, relabelled to another,
+    is the one ``convert`` makes there, with the same rotation vectors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-7, -1), st.integers(-12, 12), st.integers(1, 6), st.data())
+    def test_matches_convert_at_every_rot(self, tb, p, q, data):
+        coeff = Fraction(p, q) - tb
+        rot0 = data.draw(st.sampled_from(rot_range(tb)))
+        if coeff == 0:
+            with pytest.raises(ContactZeroError):
+                convert(LegendrianData(tb, rot0), coeff)
+            return
+        base = convert(LegendrianData(tb, rot0), coeff)
+        for rot in rot_range(tb):
+            want = convert(LegendrianData(tb, rot), coeff)
+            assert len(want) == len(base)
+            for pres0, pres in zip(base, want):
+                got, vectors = relabel(pres0, enumerate_rotations(pres0), rot)
+                assert got == pres
+                assert vectors == [list(v) for v in enumerate_rotations(pres)]
 
 
 class TestRotations:
