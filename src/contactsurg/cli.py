@@ -140,7 +140,7 @@ def cmd_d3(args) -> int:
         values.update(v["d3"].d3 for v in rec["values"])
         results.append({
             "presentation": rec["presentation"].to_json(),
-            "matrix": rec["form"].rows(),
+            "matrix": rec["form"].Q,
             "values": vals,
         })
     report = envelope("d3", {"tb": args.tb, "rot": args.rot, "smooth_slope": str(smooth)},

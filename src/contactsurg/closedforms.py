@@ -269,21 +269,19 @@ def _csq(qb, r):
     return linalg.adjugate_quadratic(block, cols, r), det
 
 
-def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
-                        block_range: int = 3, block_n_max: int = 6):
-    """Check every closed form against the generic exact routines.
+def verify_closed_forms(k_max: int = 20, n_max: int = 20):
+    """Check every closed form of DEFAULT_FORMS against the generic exact
+    routines.
 
     Sweeps 3 <= k <= k_max, 1 <= n <= n_max and all admissible rotation
-    data (i, stabilization sign, chain rotations).  Mismatches are
+    data (i, stabilization sign, chain rotations), and the bordered block
+    determinants for |a|, |b|, |c| <= 3 and 1 <= m <= 6.  Mismatches are
     collected, not raised; the returned report lists them with enough
-    context to recompute by hand.  Passing a modified ``forms`` mapping
-    deliberately corrupts the expectations (negative-control testing).
+    context to recompute by hand.
     """
     if k_max < 3 or n_max < 1:
         raise ValueError("needs k_max >= 3 and n_max >= 1")
-    f = dict(DEFAULT_FORMS)
-    if forms:
-        f.update(forms)
+    f = DEFAULT_FORMS
     rep = _Report()
 
     for n in range(1, max(50, n_max) + 1):
@@ -292,10 +290,10 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
         rep.record("chain_primed_det", {"n": n}, f["chain_primed_det"](n),
                    linalg.determinant(chain_matrix_primed(n)))
 
-    for a in range(-block_range, block_range + 1):
-        for b in range(-block_range, block_range + 1):
-            for c in range(-block_range, block_range + 1):
-                for m in range(1, block_n_max + 1):
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            for c in range(-3, 4):
+                for m in range(1, 7):
                     mat = bordered_block_matrix(a, b, c, m)
                     rep.record("block_det", {"a": a, "b": b, "c": c, "m": m},
                                f["block_det"](a, b, c, m), linalg.determinant(mat))
@@ -347,7 +345,8 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20, forms=None,
                               f["tb2_neg_csq"](n, i, j), _csq(qc, r), mat)
         else:
             for i in (1, -1):
-                rep.ratio("tb2_neg_csq", {"n": n, "i": i}, -1, _csq(qc, [i]), mat)
+                rep.ratio("tb2_neg_csq", {"n": n, "i": i}, f["tb2_neg_csq"](n, i, 0),
+                          _csq(qc, [i]), mat)
 
         matp = tb2_positive_matrix(n)
         rep.record("tb2_pos_sigma", {"n": n}, f["tb2_pos_sigma"](n),

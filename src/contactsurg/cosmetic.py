@@ -17,7 +17,6 @@ how many equivalent contact surgeries live at a given companion slope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -101,76 +100,87 @@ def _verdict(tb: int, v: Fraction, spectrum) -> CosmeticVerdict:
 # ---------------------------------------------------------------------------
 # integer-solution searches for the d3-equality equations, tb = -k <= -3
 
-def _integer_roots_quadratic(b, c):
-    """Integer roots of x^2 + b x + c."""
-    disc = b * b - 4 * c
-    if disc < 0:
-        return []
-    root = math.isqrt(disc)
-    if root * root != disc:
-        return []
-    out = []
-    for r in ((-b + root), (-b - root)):
-        if r % 2 == 0:
-            out.append(r // 2)
-    return sorted(set(out))
+def _shifted_d3(family, csq_args, sigma_args, size):
+    """The integer 4 (d3 - 1) = c1^2 - 3 sigma - 2 size of a surgery trace,
+    from the ``family`` csq and sigma forms of DEFAULT_FORMS; ``size`` is
+    the number of rows of its form (closedforms.tbk_negative_matrix,
+    tbk_positive_matrix, tbk_two_matrix)."""
+    return (DEFAULT_FORMS[family + "_csq"](*csq_args)
+            - (3 * DEFAULT_FORMS[family + "_sigma"](*sigma_args) + 2 * size))
+
+
+def _neg_one_over_n(k, n, i, e, j):
+    """4 (d3 - 1) of the -1/n surgery trace on a tb = -k knot."""
+    return _shifted_d3("one_neg", (k, n, i, e, j), (k, n), k + n - 2)
+
+
+def _pos_one_over_n(k, n, i, e, s):
+    """4 (d3 - 1) of the +1/n surgery trace on a tb = -k knot."""
+    return _shifted_d3("one_pos", (k, n, i, e, s), (k, n), k + 1)
 
 
 def d3_negative_one_over_n(k, n, i, e, j):
     """d3 of the -1/n surgery trace on a tb = -k knot (exact rational)."""
-    return Fraction(DEFAULT_FORMS["one_neg_csq"](k, n, i, e, j) + k + n - 2, 4) + 1
+    return Fraction(_neg_one_over_n(k, n, i, e, j), 4) + 1
 
 
 def d3_positive_one_over_n(k, n, i, e, s):
     """d3 of the +1/n surgery trace on a tb = -k knot (exact rational)."""
-    return Fraction(DEFAULT_FORMS["one_pos_csq"](k, n, i, e, s) + k - 5, 4) + 1
+    return Fraction(_pos_one_over_n(k, n, i, e, s), 4) + 1
 
 
 def solve_d3_equation(tb: int, family: str, n_max: int = 20):
     """Admissible integer solutions of the d3-equality equations.
 
-    family 'pm_one' and 'pm_two' reduce, for each choice of the two
-    stabilization signs, to a monic quadratic in the rotation number i;
-    'pm_one_over_n' is linear in (n, s) for fixed (i, signs, j), and n is
-    solved exactly with the constraints 2 <= n <= n_max, -n < s < n and
-    the parity of s.  Returns every admissible solution (the cosmetic
-    surgery statements amount to these lists being empty).
+    Each side's d3 comes from the closed forms of DEFAULT_FORMS, as the
+    integer 4 (d3 - 1); e1 is the stabilization sign on the negative
+    side and e2 on the positive one.  'pm_one' (the n = 1 case of the
+    +-1/n forms) and 'pm_two' compare the sides at every admissible
+    rotation number i.  For 'pm_one_over_n' and fixed (i, e1, e2, j) the
+    difference of the sides is affine in (n, s); its coefficients are
+    read at (n, s) = (0, 0), (1, 0) and (0, 1), n is solved exactly with
+    the constraints 2 <= n <= n_max, -n < s < n and the parity of s, and
+    each solution is checked against the forms at its own (n, s), which
+    guards the affine assumption.  Returns every admissible solution (the
+    cosmetic surgery statements amount to these lists being empty).
     """
     k = -tb
     if k < 3:
         raise ValueError("the equation families cover tb <= -3")
     rots = rot_range(tb)
-    solutions = []
+    signs = (1, -1)
 
     if family in ("pm_one", "pm_two"):
         if family == "pm_two" and k < 4:
             raise ValueError("the +-2 equation family needs tb <= -4")
-        for e1, e2 in product((1, -1), repeat=2):
-            if family == "pm_one":
-                b = -(k * e2 + e1 * (k - 2))
-            else:
-                b = e2 * (k + 1) - e1 * (k - 3)
-            c = k * k - 2 * k - 1
-            for i in _integer_roots_quadratic(b, c):
-                if i in rots:
-                    solutions.append({"family": family, "i": i, "e1": e1, "e2": e2})
-        return solutions
+        if family == "pm_one":
+            neg = {(i, e): _neg_one_over_n(k, 1, i, e, 0) for i in rots for e in signs}
+            pos = {(i, e): _pos_one_over_n(k, 1, i, e, 0) for i in rots for e in signs}
+        else:
+            neg = {(i, e): _shifted_d3("two_neg", (k, i, e), (k,), k - 2)
+                   for i in rots for e in signs}
+            pos = {(i, e): _shifted_d3("two_pos", (k, i, e), (k,), k + 2)
+                   for i in rots for e in signs}
+        return [{"family": family, "i": i, "e1": e1, "e2": e2}
+                for e1, e2 in product(signs, repeat=2) for i in rots
+                if neg[i, e1] == pos[i, e2]]
 
     if family != "pm_one_over_n":
         raise ValueError(f"unknown family {family!r}")
 
-    sign_k = (-1) ** k
+    solutions = []
     for i in rots:
-        for e1, e2, j in product((1, -1), repeat=3):
-            # coefficient of n, of s, and the constant in c2pos - c2neg - n - 3
-            a_n = (
-                2 * i * i
-                - 2 * (k - 1) * (e1 + e2) * i
-                + 2 * (k - 1) ** 2
-                - 2 * j * sign_k * (i - e1 * (k - 1))
-            )
-            d_s = 2 * sign_k * (i - e2 * (k - 1))
-            c_0 = 2 * (e1 - e2) * i - 4 + 2 * j * sign_k * (i - e1 * (k - 1))
+        # each side at the (n, s) that the coefficients are read from
+        neg = {(e, j): (_neg_one_over_n(k, 0, i, e, j), _neg_one_over_n(k, 1, i, e, j))
+               for e, j in product(signs, repeat=2)}
+        pos = {e: (_pos_one_over_n(k, 0, i, e, 0), _pos_one_over_n(k, 1, i, e, 0),
+                   _pos_one_over_n(k, 0, i, e, 1)) for e in signs}
+        for e1, e2, j in product(signs, repeat=3):
+            # 4 (d3 at +1/n - d3 at -1/n) = a_n n + d_s s + c_0
+            (neg_0, neg_1), (pos_00, pos_10, pos_01) = neg[e1, j], pos[e2]
+            c_0 = pos_00 - neg_0
+            a_n = pos_10 - neg_1 - c_0
+            d_s = pos_01 - neg_0 - c_0
             for s in range(-(n_max - 1), n_max):
                 if a_n == 0:
                     if d_s * s + c_0 == 0:
@@ -188,11 +198,11 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
                 if abs(s) >= n or (s - (n - 1)) % 2 != 0:
                     continue
                 sol = {"family": family, "i": i, "e1": e1, "e2": e2, "j": j, "s": s, "n": n}
-                neg = d3_negative_one_over_n(k, n, i, e1, j)
-                pos = d3_positive_one_over_n(k, n, i, e2, s)
-                if neg != pos:
-                    raise RuntimeError(f"solver and closed forms disagree at tb={tb}, "
-                                       f"{sol}: d3 {neg} at -1/n against {pos} at +1/n")
+                if _pos_one_over_n(k, n, i, e2, s) != _neg_one_over_n(k, n, i, e1, j):
+                    raise RuntimeError(
+                        f"solver and closed forms disagree at tb={tb}, {sol}: d3 "
+                        f"{d3_negative_one_over_n(k, n, i, e1, j)} at -1/n against "
+                        f"{d3_positive_one_over_n(k, n, i, e2, s)} at +1/n")
                 solutions.append(sol)
     return solutions
 
@@ -208,8 +218,9 @@ def solve_d3_equations(tb_min: int, tb_max: int, n_max: int) -> list:
 
 
 def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
-    """Run check_pair over tb in [tb_min, tb_max], all admissible
-    rotation numbers, the +-2 pair and the +-1/n pairs with n <= n_max.
+    """The verdict of each cell (``_verdict``, as in check_pair) over tb in
+    [tb_min, tb_max], all admissible rotation numbers, the +-2 pair and
+    the +-1/n pairs with n <= n_max.
 
     Every cell carries both spectra and the matrix provenance; the cells
     left unobstructed are listed apart.  The cells of one tb share one

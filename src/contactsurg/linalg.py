@@ -144,27 +144,17 @@ def determinant(rows) -> int:
     return _bareiss(rows)[0]
 
 
-def adjugate_columns(rows, cols):
-    """det A and the columns ``cols`` of adj(A) = det(A) A^-1.
-
-    Returns (det, {c: column c of adj(A) as a list of ints}); entry i of
-    column c over det is (A^-1)_{ic}.  One elimination pass is shared by
-    all columns.  Raises SingularMatrixError when det A = 0.
-    """
-    det, _, _, adj = _bareiss(rows, cols)
-    if det == 0:
-        raise SingularMatrixError("matrix is singular")
-    return det, adj
-
-
 def adjugate_block(rows, support):
     """det A and the block B = adj(A)[S, S] on the index list S = ``support``.
 
     B[a][b] is entry (S[a], S[b]) of adj(A), so (A^-1)_{S[a], S[b]} is
-    B[a][b] / det.  One elimination pass with the columns S gives it.
-    Raises SingularMatrixError when det A = 0.
+    B[a][b] / det; S = range(n) gives the whole adjugate.  One elimination
+    pass with the columns S gives it.  Raises SingularMatrixError when
+    det A = 0.
     """
-    det, adj = adjugate_columns(rows, support)
+    det, _, _, adj = _bareiss(rows, support)
+    if det == 0:
+        raise SingularMatrixError("matrix is singular")
     return det, tuple(tuple(adj[c][i] for c in support) for i in support)
 
 

@@ -228,9 +228,6 @@ class IntersectionForm:
     def n(self) -> int:
         return len(self.Q)
 
-    def rows(self):
-        return [list(row) for row in self.Q]
-
 
 def linking_matrix(pres: SurgeryPresentation) -> IntersectionForm:
     """Intersection form of the trace of the surgeries.

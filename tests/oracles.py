@@ -4,7 +4,8 @@ Each is slow but plainly right, and shares no code with the route it
 checks: exhaustive search, breadth-first search, enumeration, vertex by
 vertex Farey paths with their signs and shortening move,
 characteristic polynomials from Bareiss determinants (which have tests
-of their own), and a dense Fraction congruence diagonalization.
+of their own), a dense Fraction congruence diagonalization, and the
+d3-equality equations with hand-derived coefficients.
 """
 
 import math
@@ -451,6 +452,59 @@ def brute_force_d3_matches(tb: int, n_max: int = 20):
             if common:
                 matches.append({"i": i, "n": n, "values": sorted(common)})
     return matches
+
+
+def _integer_roots_quadratic(b, c):
+    """Integer roots of x^2 + b x + c."""
+    disc = b * b - 4 * c
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return []
+    return sorted({r // 2 for r in (-b + root, -b - root) if r % 2 == 0})
+
+
+def solve_d3_equation_by_hand(tb: int, family: str, rots, n_max: int = 20):
+    """solve_d3_equation from hand-derived equations over the rotation
+    numbers ``rots``, without reading the closed forms.
+
+    With e1 the stabilization sign at -v and e2 at +v, half the difference
+    of 4 (d3 - 1) at +v and at -v is i^2 + b i + k^2 - 2k - 1 with
+    b = -(k e2 + (k - 2) e1) for +-1 and b = -((k + 1) e2 + (k - 3) e1)
+    for +-2.  For +-1/n the difference is a_n n + d_s s + c_0 with the
+    coefficients below, solved for n at each s.
+    """
+    k = -tb
+    solutions = []
+    if family in ("pm_one", "pm_two"):
+        for e1, e2 in product((1, -1), repeat=2):
+            if family == "pm_one":
+                b = -(k * e2 + e1 * (k - 2))
+            else:
+                b = -((k + 1) * e2 + e1 * (k - 3))
+            for i in _integer_roots_quadratic(b, k * k - 2 * k - 1):
+                if i in rots:
+                    solutions.append({"family": family, "i": i, "e1": e1, "e2": e2})
+        return solutions
+    sign_k = (-1) ** k
+    for i in rots:
+        for e1, e2, j in product((1, -1), repeat=3):
+            a_n = (2 * i * i - 2 * (k - 1) * (e1 + e2) * i + 2 * (k - 1) ** 2
+                   - 2 * j * sign_k * (i - e1 * (k - 1)))
+            d_s = 2 * sign_k * (i - e2 * (k - 1))
+            c_0 = 2 * (e1 - e2) * i - 4 + 2 * j * sign_k * (i - e1 * (k - 1))
+            for s in range(-(n_max - 1), n_max):
+                if a_n == 0:
+                    if d_s * s + c_0 == 0:
+                        solutions.append({"family": family, "i": i, "e1": e1, "e2": e2,
+                                          "j": j, "s": s, "n": "all"})
+                    continue
+                n, rest = divmod(-(d_s * s + c_0), a_n)
+                if rest == 0 and 2 <= n <= n_max and abs(s) < n and (s - n + 1) % 2 == 0:
+                    solutions.append({"family": family, "i": i, "e1": e1, "e2": e2,
+                                      "j": j, "s": s, "n": n})
+    return solutions
 
 
 def path_from_infinity(target: Fraction):

@@ -166,16 +166,9 @@ class TestVerifyCommand:
 
     def test_corrupted_formula_fails(self, capsys, monkeypatch):
         # negative control: corrupt one closed form and expect a nonzero exit
-        import contactsurg.closedforms as cf
-        import contactsurg.cli as cli
+        from contactsurg.closedforms import DEFAULT_FORMS
 
-        original = cf.verify_closed_forms
-
-        def corrupted(k_max, n_max, forms=None, **kw):
-            return original(k_max, n_max,
-                            forms={"chain_det": lambda n: (-1) ** n * (n + 2)}, **kw)
-
-        monkeypatch.setattr(cli, "verify_closed_forms", corrupted)
+        monkeypatch.setitem(DEFAULT_FORMS, "chain_det", lambda n: (-1) ** n * (n + 2))
         code, out, _ = run(capsys, "verify", "--k-max", "3", "--n-max", "3")
         assert code == 1
         assert "MISMATCH" in out

@@ -2,6 +2,7 @@ import pytest
 
 from contactsurg import linalg
 from contactsurg.closedforms import (
+    DEFAULT_FORMS,
     bordered_block_matrix,
     chain_matrix,
     tbk_negative_matrix,
@@ -47,20 +48,25 @@ class TestVerifier:
         assert rep["ok"] and rep["mismatches"] == []
         assert rep["checks"] > 3000
 
-    def test_corrupted_form_detected(self):
-        rep = verify_closed_forms(
-            k_max=4, n_max=3,
-            forms={"one_neg_sigma": lambda k, n: -k - n + 3},
-        )
+    def test_corrupted_form_detected(self, monkeypatch):
+        monkeypatch.setitem(DEFAULT_FORMS, "one_neg_sigma", lambda k, n: -k - n + 3)
+        rep = verify_closed_forms(k_max=4, n_max=3)
         assert not rep["ok"]
         assert all(m["check"] == "one_neg_sigma" for m in rep["mismatches"])
 
-    def test_corrupted_csq_detected(self):
-        rep = verify_closed_forms(
-            k_max=4, n_max=2,
-            forms={"tb1_neg_csq": lambda n: 3 - n},
-        )
+    def test_corrupted_csq_detected(self, monkeypatch):
+        monkeypatch.setitem(DEFAULT_FORMS, "tb1_neg_csq", lambda n: 3 - n)
+        rep = verify_closed_forms(k_max=4, n_max=2)
         assert not rep["ok"]
+
+    def test_tb2_neg_csq_checked_at_n_one(self, monkeypatch):
+        # at n = 1 the form is the 1x1 matrix [-1] and c1^2 is -1
+        original = DEFAULT_FORMS["tb2_neg_csq"]
+        monkeypatch.setitem(DEFAULT_FORMS, "tb2_neg_csq",
+                            lambda n, i, j: original(n, i, j) + (n == 1))
+        rep = verify_closed_forms(k_max=3, n_max=2)
+        assert [(m["check"], m["context"]) for m in rep["mismatches"]] == [
+            ("tb2_neg_csq", {"n": 1, "i": 1}), ("tb2_neg_csq", {"n": 1, "i": -1})]
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from contactsurg import cosmetic, invariants, linalg
+from contactsurg.closedforms import DEFAULT_FORMS
 from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
     candidate_slopes,
@@ -20,7 +21,16 @@ from contactsurg.cosmetic import (
 from contactsurg.invariants import d3_spectrum
 from contactsurg.slopes import Slope, SlopeError
 from contactsurg.surgery import ContactZeroError, LegendrianData, rot_range
-from oracles import brute_force_d3_matches, equivalent_count_enumerated
+from oracles import (
+    brute_force_d3_matches,
+    equivalent_count_enumerated,
+    solve_d3_equation_by_hand,
+)
+
+
+def lifted_rot_range(tb):
+    """rot_range(tb) with the rotation parity constraint lifted."""
+    return list(range(tb + 1, -tb))
 
 
 class TestRotRange:
@@ -114,18 +124,48 @@ class TestEquationSolver:
             assert (brute == []) == (solved == [])
             assert brute == []
 
-    def test_d3_equality_checked_on_every_solution(self, monkeypatch):
-        # with the rotation parity constraint lifted, the linear solver
-        # finds solutions at tb = -3; each must satisfy the closed-form d3
-        # equality, and a corrupted closed form must raise, also under -O
-        import contactsurg.cosmetic as cosmetic
-        from contactsurg.closedforms import DEFAULT_FORMS
-
-        monkeypatch.setattr(cosmetic, "rot_range", lambda tb: list(range(tb + 1, -tb)))
+    def test_matches_hand_derived_equations(self, monkeypatch):
+        # with the rotation parity constraint lifted the +-1/n equations
+        # have solutions; the solver, which reads DEFAULT_FORMS, lists the
+        # same ones as the hand-derived coefficients, in the same order
+        monkeypatch.setattr(cosmetic, "rot_range", lifted_rot_range)
         assert solve_d3_equation(-3, "pm_one_over_n")
+        for k in range(3, 13):
+            for family in ("pm_one", "pm_one_over_n"):
+                assert (solve_d3_equation(-k, family, n_max=20)
+                        == solve_d3_equation_by_hand(-k, family, lifted_rot_range(-k)))
+        for k in range(4, 41):
+            assert solve_d3_equation(-k, "pm_two") == []
+            assert solve_d3_equation_by_hand(-k, "pm_two", lifted_rot_range(-k)) == []
+
+    @pytest.mark.parametrize("name, family, tb, expected", [
+        # half the difference of the sides is i^2 + 2i + 2 + shift/2 at
+        # tb = -3, e1 = 1, e2 = -1, and the shift -4 gives the roots -2, 0
+        ("one_pos_csq", "pm_one", -3,
+         [(0, 1, 1), (-2, 1, -1), (0, 1, -1), (0, -1, 1), (2, -1, 1), (0, -1, -1)]),
+        # at tb = -4, e1 = -1, e2 = 1 the difference is i^2 - 4i + 7 + shift
+        ("two_pos_csq", "pm_two", -4,
+         [(-3, 1, -1), (-1, 1, -1), (1, -1, 1), (3, -1, 1)]),
+    ])
+    def test_corrupted_form_meets_other_side(self, monkeypatch, name, family, tb, expected):
+        # a positive-side c1^2 shifted by -4 meets the negative side at
+        # admissible rotation numbers; the solver reports each (i, e1, e2)
+        original = DEFAULT_FORMS[name]
+        monkeypatch.setitem(DEFAULT_FORMS, name, lambda *args: original(*args) - 4)
+        assert solve_d3_equation(tb, family) == [
+            {"family": family, "i": i, "e1": e1, "e2": e2} for i, e1, e2 in expected]
+
+    def test_d3_equality_checked_on_every_solution(self, monkeypatch):
+        # the solver reads the +-1/n coefficients at (n, s) = (0, 0), (1, 0)
+        # and (0, 1), assuming the difference of the sides affine; a
+        # corruption that vanishes there but not at n = 2 keeps the
+        # solutions found with the parity lifted, and each must then fail
+        # the d3 equality at its own (n, s), also under -O
+        monkeypatch.setattr(cosmetic, "rot_range", lifted_rot_range)
+        assert any(sol["n"] == 2 for sol in solve_d3_equation(-3, "pm_one_over_n"))
         original = DEFAULT_FORMS["one_pos_csq"]
         monkeypatch.setitem(DEFAULT_FORMS, "one_pos_csq",
-                            lambda k, n, i, e, s: original(k, n, i, e, s) + 4)
+                            lambda k, n, i, e, s: original(k, n, i, e, s) + 4 * n * (n - 1))
         with pytest.raises(RuntimeError, match="closed forms disagree"):
             solve_d3_equation(-3, "pm_one_over_n")
 
@@ -165,7 +205,7 @@ class TestScanSharesMatrixWork:
     def counted(self):
         calls = {"adjugate": 0, "convert": 0, "linking_matrix": 0}
         signatures, tb = [], [None]
-        adjugate_columns, signature = linalg.adjugate_columns, linalg.signature
+        adjugate_block, signature = linalg.adjugate_block, linalg.signature
         convert, linking_matrix = invariants.convert, invariants.linking_matrix
         detail = cosmetic.d3_spectrum_detail
 
@@ -184,7 +224,7 @@ class TestScanSharesMatrixWork:
             return detail(L, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "adjugate_columns", counting("adjugate", adjugate_columns))
+            mp.setattr(linalg, "adjugate_block", counting("adjugate", adjugate_block))
             mp.setattr(invariants, "convert", counting("convert", convert))
             mp.setattr(invariants, "linking_matrix",
                        counting("linking_matrix", linking_matrix))

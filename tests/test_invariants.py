@@ -107,7 +107,7 @@ class TestSpectra:
         for tb, rot, slope in cases:
             for pres in convert(LegendrianData(tb, rot), slope - tb):
                 f = linking_matrix(pres)
-                det = abs(linalg.determinant(f.rows()))
+                det = abs(linalg.determinant(f.Q))
                 for res in d3_values(f, enumerate_rotations(pres)):
                     assert det % res.c_squared.denominator == 0
 
