@@ -1,17 +1,18 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything in this module is exact.  One fraction-free (Bareiss)
-elimination pass yields the determinant, the leading principal minors
-(Sylvester's criterion) and, by integer back-substitution, columns of
-the adjugate; inverse entries and r^T A^-1 r are integers over the
-determinant, read from the block of the adjugate on r's support.
-Signatures of symmetric integer matrices are computed by
-two independent methods, which are required to agree: a sparse,
-fraction-free congruence diagonalization, and Descartes' rule of signs
-applied to the characteristic polynomial.  The polynomial is built
+Everything in this module is exact.  One sparse, fraction-free
+elimination of a symmetric matrix (``_eliminate``) yields its
+determinant, its signature and, by integer back-substitution, columns
+of its adjugate; inverse entries and r^T A^-1 r are integers over the
+determinant, read from the block of the adjugate on r's support, and a
+matrix is negative definite when its signature is -n.  Signatures are
+computed by two independent methods, which are required to agree: that
+elimination (a congruence diagonalization) and Descartes' rule of signs
+on the characteristic polynomial.  The polynomial is built
 division-free and without elimination, by continuants along pendant
 paths and Berkowitz's algorithm on the rest, so it shares nothing with
-the first method.
+the first method; determinants of any square matrix are its constant
+term.
 
 Matrices are sequences of rows of ints: lists of lists, or tuples of
 tuples such as IntersectionForm.Q.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from operator import mul
+from operator import add, mul, sub
 
 
 class SingularMatrixError(ValueError):
@@ -52,107 +53,148 @@ def is_symmetric(rows) -> bool:
     return all(map(tuple.__eq__, map(tuple, rows), zip(*rows)))
 
 
-def _bareiss(rows, cols=()):
-    """One fraction-free (Bareiss) elimination pass over [A | e_c for c in cols].
+def _eliminate(rows, cols=()):
+    """One sparse, fraction-free symmetric elimination of Q = ``rows``.
 
-    Returns (det, pivots, swapped, adj): det A; the pivot of each step
-    taken, which are the leading principal minors of A when no row was
-    swapped; whether a swap happened; and {c: column c of adj(A)} as
-    integers.  A singular A stops at the first column without a pivot,
-    with det = 0 and adj = {}.
+    Returns (det, sigma, adj): det Q, the signature of Q and
+    {c: column c of adj(Q)} for c in ``cols``, as integers.  A singular
+    Q stops at the first remaining row without a nonzero entry and
+    returns (0, None, {}).
 
-    Every intermediate is an integer minor.  A row skipped by the steps
-    t..k-1 (zero in their pivot columns) is rescaled lazily, by p_k / p_t
-    for leading pivots p_s, and ``hi`` bounds each row's nonzero columns,
-    so banded matrices cost only their fill-in.  Back-substitution on the
-    triangular result U, y_k = (det * b_k - sum_{j>k} U_kj y_j) // U_kk,
-    is exact because y = det * A^-1 e_c is integral.
+    Symmetric elimination M -> E M E^T keeps the signature, and the k-th
+    diagonal entry it leaves is p_k / p_(k-1) for the leading principal
+    minors p_k of the pivot order, so the signs come from consecutive
+    pivots.  The trailing block is held as the integer bordered minors
+    T = p_(k-1) S of the Schur complement S (Bareiss 1968): pivot v with
+    value p updates T_ij <- (p T_ij - T_iv T_vj) / p_(k-1), an exact
+    division, on the rows of its neighbours i only; a row no pivot has
+    touched since step t is rescaled lazily by p_k / p_t.  Rows are dicts
+    of their nonzeros.  A zero pivot gives way to a later nonzero
+    diagonal entry; when every remaining diagonal entry vanishes, row and
+    column v gain a row and column holding a nonzero entry of row v, a
+    unimodular congruence F Q F^T that makes the diagonal entry nonzero.
+
+    Each e_c is the extra key n + idx of row c, so the row updates carry
+    the right-hand sides.  The pivot rows are kept, and the column step
+    of a congruence reaches them too; back-substitution in reverse pivot
+    order, y_v = (det T_v,rhs - sum_j T_vj y_j) / p, is exact because
+    y = det F^-T Q^-1 e_c is integral, and y_mix += y_v undoes each
+    congruence, the last one first.
     """
-    n = _check_square(rows)
-    cols = list(cols)
-    w = n + len(cols)
-    a = [list(map(int, row)) for row in rows]
-    if cols:
-        for i, row in enumerate(a):
-            row.extend(1 if c == i else 0 for c in cols)
-    # one past each row's last nonzero column
-    hi = [next(compress(range(w, 0, -1), reversed(row)), 0) for row in a]
-    level = [0] * n
-    pivots = [1] * (n + 1)  # pivots[t] = pivot of step t-1
-    sign = 1
-    swapped = False
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if a[r][k]:
-                piv = r
-                break
-        if piv is None:
-            return 0, pivots[1:k + 1], swapped, {}
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            level[k], level[piv] = level[piv], level[k]
-            hi[k], hi[piv] = hi[piv], hi[k]
-            sign = -sign
-            swapped = True
-        t = level[k]
+    n = len(rows)
+    every = range(n)
+    a = []
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        a.append({j: int(row[j]) for j in compress(every, row)})
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            if a[j].get(i) != x:
+                raise ValueError("matrix must be symmetric")
+    for idx, c in enumerate(cols):
+        a[c][n + idx] = 1
+    order = list(every)
+    level = [0] * n  # row i holds the bordered minors of step level[i]
+    pivots = [1]  # pivots[k] = p_k, the leading minor after k steps
+    done = []  # (v, p, pivot row v) of each step, kept when cols are asked for
+    mixes = []  # (v, mix) of each congruence, in order
+
+    def current(u, k):
+        """Row u, rescaled to step k."""
+        t = level[u]
         if t < k:
             num, den = pivots[k], pivots[t]
-            row_k = a[k]
-            for j in range(k, hi[k]):
-                if row_k[j]:
-                    row_k[j] = row_k[j] * num // den
-            level[k] = k
-        pivot = a[k][k]
-        pivots[k + 1] = pivot
-        prev = pivots[k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            if row_i[k] == 0:
+            a[u] = {j: x * num // den for j, x in a[u].items()}
+            level[u] = k
+        return a[u]
+
+    pos = 0
+    for k in range(n):
+        v = order[k]
+        if v not in a[v]:
+            swap = next((r for r in range(k + 1, n) if order[r] in a[order[r]]), None)
+            if swap is not None:
+                order[k], order[swap] = order[swap], order[k]
+                v = order[k]
+            else:
+                mix = next((j for j in a[v] if j < n), None)
+                if mix is None:
+                    return 0, None, {}
+                mixes.append((v, mix))
+                # row v += row mix, then column v += column mix; with both
+                # diagonal entries zero, T_vv becomes 2 T_v,mix
+                row_v, row_m = current(v, k), current(mix, k)
+                for j, x in row_m.items():
+                    row_v[j] = row_v.get(j, 0) + x
+                for i in [i for i in row_m if i < n]:
+                    row_i = a[i]
+                    row_i[v] = row_i.get(v, 0) + row_i.get(mix, 0)
+                for _, _, row_u in done:  # a zero left here adds nothing
+                    if mix in row_u:
+                        row_u[v] = row_u.get(v, 0) + row_u[mix]
+                for j in [j for j, x in row_v.items() if not x]:
+                    del row_v[j]
+                    if j < n:
+                        del a[j][v]
+        row_v = current(v, k)
+        a[v] = None
+        prev, p = pivots[k], row_v.pop(v)
+        pivots.append(p)
+        if (p > 0) == (prev > 0):
+            pos += 1
+        if cols:
+            done.append((v, p, row_v))
+        for i, f in row_v.items():
+            if i >= n:
                 continue
-            t = level[i]
-            if t < k:
-                num, den = pivots[k], pivots[t]
-                for j in range(k, hi[i]):
-                    if row_i[j]:
-                        row_i[j] = row_i[j] * num // den
-            f = row_i[k]
-            top = max(hi[i], hi[k])
-            for j in range(k + 1, top):
-                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
-            row_i[k] = 0
-            hi[i] = top
+            row_i = current(i, k)
+            del row_i[v]
+            new = {}
+            for j, x in row_i.items():
+                y = row_v.get(j)
+                x = (p * x - f * y) // prev if y is not None else x * p // prev
+                if x:
+                    new[j] = x
+            for j, y in row_v.items():
+                if j not in row_i:
+                    new[j] = -f * y // prev
+            a[i] = new
             level[i] = k + 1
-    det = sign * pivots[n]
-    adj = {}
-    for idx, c in enumerate(cols):
-        y = [0] * n
-        for k in range(n - 1, -1, -1):
-            row = a[k]
-            s = det * row[n + idx]
-            for j in range(k + 1, min(hi[k], n)):
-                if row[j]:
-                    s -= row[j] * y[j]
-            y[k] = s // row[k]
-        adj[c] = y
-    return det, pivots[1:], swapped, adj
+    det, sigma = pivots[n], 2 * pos - n
+    if not cols:
+        return det, sigma, {}
+    # y[v] holds row v of adj(Q)[:, cols], all right-hand sides at once
+    y = [None] * n
+    for v, p, row in reversed(done):
+        acc = [0] * len(cols)
+        for j, x in row.items():
+            if j < n:
+                acc = list(map(sub, acc, map(x.__mul__, y[j])))
+            else:
+                acc[j - n] += det * x
+        y[v] = [s // p for s in acc]
+    for v, mix in reversed(mixes):
+        y[mix] = list(map(add, y[mix], y[v]))
+    return det, sigma, {c: [row[idx] for row in y] for idx, c in enumerate(cols)}
 
 
 def determinant(rows) -> int:
-    """Exact determinant of an integer matrix (one Bareiss pass)."""
-    return _bareiss(rows)[0]
+    """Exact determinant of a square integer matrix, (-1)^n chi_A(0)."""
+    coeffs = char_poly(rows)
+    return (-1) ** (len(coeffs) - 1) * coeffs[-1]
 
 
 def adjugate_block(rows, support):
-    """det A and the block B = adj(A)[S, S] on the index list S = ``support``.
+    """det A and the block B = adj(A)[S, S] on the index list S = ``support``
+    of a symmetric integer matrix A.
 
     B[a][b] is entry (S[a], S[b]) of adj(A), so (A^-1)_{S[a], S[b]} is
     B[a][b] / det; S = range(n) gives the whole adjugate.  One elimination
     pass with the columns S gives it.  Raises SingularMatrixError when
     det A = 0.
     """
-    det, _, _, adj = _bareiss(rows, support)
+    det, _, adj = _eliminate(rows, support)
     if det == 0:
         raise SingularMatrixError("matrix is singular")
     return det, tuple(tuple(adj[c][i] for c in support) for i in support)
@@ -176,100 +218,21 @@ def adjugate_quadratic(block, support, r) -> int:
 
 
 def is_negative_definite(rows) -> bool:
-    """Sylvester's criterion: (-1)^k det(A_k) > 0 for every leading minor.
-
-    The minors are the pivots of one elimination pass.  A row swap means
-    some leading minor vanished, so the matrix is not definite.
-    """
-    det, pivots, swapped, _ = _bareiss(rows)
-    return det != 0 and not swapped and all(
-        (-1) ** k * p > 0 for k, p in enumerate(pivots, 1))
+    """Whether a symmetric integer matrix is negative definite: det != 0
+    and signature -n, from one elimination pass."""
+    det, sigma, _ = _eliminate(rows)
+    return det != 0 and sigma == -len(rows)
 
 
 def congruence_signature(rows) -> int:
-    """Signature via congruence diagonalization, fraction-free and sparse.
-
-    Symmetric elimination M -> E M E^T keeps the signature, and the k-th
-    diagonal entry it leaves is p_k / p_(k-1) for the leading principal
-    minors p_k of the pivot order, so the signs come from consecutive
-    pivots.  The trailing block is held as the integer bordered minors
-    T = p_(k-1) S of the Schur complement S (Bareiss 1968): pivot v with
-    value p updates T_ij <- (p T_ij - T_iv T_vj) / p_(k-1), an exact
-    division, on the rows of its neighbours i only; a row no pivot has
-    touched since step t is rescaled lazily by p_k / p_t.  Rows are dicts
-    of their nonzeros.  A zero pivot gives way to a later nonzero
-    diagonal entry; when every remaining diagonal entry vanishes, row and
-    column v gain a row and column holding a nonzero entry of row v, a
-    unimodular congruence that makes the diagonal entry nonzero.
-    Requires det != 0.
+    """Signature of a symmetric integer matrix by sparse, fraction-free
+    congruence diagonalization (one elimination pass).  Raises
+    SingularMatrixError when det = 0.
     """
-    n = len(rows)
-    every = range(n)
-    a = []
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        a.append({j: int(row[j]) for j in compress(every, row)})
-    for i, row in enumerate(a):
-        for j, x in row.items():
-            if a[j].get(i) != x:
-                raise ValueError("matrix must be symmetric")
-    order = list(every)
-    level = [0] * n  # row i holds the bordered minors of step level[i]
-    pivots = [1]  # pivots[k] = p_k, the leading minor after k steps
-
-    def current(u, k):
-        """Row u, rescaled to step k."""
-        t = level[u]
-        if t < k:
-            num, den = pivots[k], pivots[t]
-            a[u] = {j: x * num // den for j, x in a[u].items()}
-            level[u] = k
-        return a[u]
-
-    pos = 0
-    for k in range(n):
-        v = order[k]
-        if v not in a[v]:
-            swap = next((r for r in range(k + 1, n) if order[r] in a[order[r]]), None)
-            if swap is not None:
-                order[k], order[swap] = order[swap], order[k]
-                v = order[k]
-            else:
-                mix = next(iter(a[v]), None)
-                if mix is None:
-                    raise SingularMatrixError("matrix is singular")
-                # row v += row mix, then column v += column mix; with both
-                # diagonal entries zero, T_vv becomes 2 T_v,mix
-                row_v, row_m = current(v, k), current(mix, k)
-                for j, x in row_m.items():
-                    row_v[j] = row_v.get(j, 0) + x
-                for i in list(row_m):
-                    row_i = a[i]
-                    row_i[v] = row_i.get(v, 0) + row_i.get(mix, 0)
-                for j in [j for j, x in row_v.items() if not x]:
-                    del row_v[j], a[j][v]
-        row_v = current(v, k)
-        a[v] = None
-        prev, p = pivots[k], row_v.pop(v)
-        pivots.append(p)
-        if (p > 0) == (prev > 0):
-            pos += 1
-        for i, f in row_v.items():
-            row_i = current(i, k)
-            del row_i[v]
-            new = {}
-            for j, x in row_i.items():
-                y = row_v.get(j)
-                x = (p * x - f * y) // prev if y is not None else x * p // prev
-                if x:
-                    new[j] = x
-            for j, y in row_v.items():
-                if j not in row_i:
-                    new[j] = -f * y // prev
-            a[i] = new
-            level[i] = k + 1
-    return 2 * pos - n
+    det, sigma, _ = _eliminate(rows)
+    if det == 0:
+        raise SingularMatrixError("matrix is singular")
+    return sigma
 
 
 # Distinct subgraphs the pendant-path recursion may visit (which also bounds
@@ -445,7 +408,8 @@ def _signature_cached(key) -> int:
 
 
 def signature(rows) -> int:
-    """Signature of a nondegenerate symmetric integer matrix.
+    """Signature of a nondegenerate symmetric integer matrix; ValueError
+    for a matrix that is not square and symmetric.
 
     Computed independently by congruence diagonalization and by the
     Descartes/characteristic-polynomial method; a disagreement aborts
@@ -453,7 +417,4 @@ def signature(rows) -> int:
     memoized, so repeated forms (the same surgery trace with different
     rotation vectors) cost one computation.
     """
-    key = tuple(tuple(map(int, r)) for r in rows)
-    if not is_symmetric(key):
-        raise ValueError("matrix must be symmetric")
-    return _signature_cached(key)
+    return _signature_cached(tuple(tuple(map(int, r)) for r in rows))

@@ -2,17 +2,17 @@
 
 Each is slow but plainly right, and shares no code with the route it
 checks: exhaustive search, breadth-first search, enumeration, vertex by
-vertex Farey paths with their signs and shortening move,
-characteristic polynomials from Bareiss determinants (which have tests
-of their own), a dense Fraction congruence diagonalization, and the
-d3-equality equations with hand-derived coefficients.
+vertex Farey paths with their signs and shortening move, a dense Bareiss
+elimination for determinants and adjugates, characteristic polynomials
+from its determinants, a dense Fraction congruence diagonalization, and
+the d3-equality equations with hand-derived coefficients.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from contactsurg.farey import (
     ANTICLOCKWISE,
@@ -27,7 +27,7 @@ from contactsurg.farey import (
     minimal_path_blocks,
 )
 from contactsurg.invariants import d3_spectrum
-from contactsurg.linalg import SingularMatrixError, determinant
+from contactsurg.linalg import SingularMatrixError
 from contactsurg.slopes import INFINITY, Slope, SlopeError, parse_slope
 from contactsurg.surgery import LegendrianData, rot_range
 
@@ -238,6 +238,77 @@ def sign_class_count(vertices, unsigned_positions) -> int:
 # ---------------------------------------------------------------------------
 # linear algebra, lens spaces, d3 and unknot counts
 
+def bareiss(rows, cols=()):
+    """Dense fraction-free (Bareiss) elimination over [A | e_c for c in cols].
+
+    Returns (det, adj): det A of any square integer matrix, and
+    {c: column c of adj(A)} as integers; a singular A gives (0, {}).
+    Partial pivoting by row swaps.  A row skipped by the steps t..k-1
+    (zero in their pivot columns) is rescaled lazily, by p_k / p_t, and
+    ``hi`` bounds each row's nonzero columns.  Back-substitution on the
+    triangular result U, y_k = (det * b_k - sum_{j>k} U_kj y_j) // U_kk,
+    is exact because y = det * A^-1 e_c is integral.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    cols = list(cols)
+    w = n + len(cols)
+    a = [list(map(int, row)) for row in rows]
+    for i, row in enumerate(a):
+        row.extend(1 if c == i else 0 for c in cols)
+    # one past each row's last nonzero column
+    hi = [next(compress(range(w, 0, -1), reversed(row)), 0) for row in a]
+    level = [0] * n
+    pivots = [1] * (n + 1)  # pivots[t] = pivot of step t-1
+    sign = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return 0, {}
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            level[k], level[piv] = level[piv], level[k]
+            hi[k], hi[piv] = hi[piv], hi[k]
+            sign = -sign
+        t = level[k]
+        row_k = a[k]
+        if t < k:
+            num, den = pivots[k], pivots[t]
+            for j in range(k, hi[k]):
+                row_k[j] = row_k[j] * num // den
+            level[k] = k
+        pivot = row_k[k]
+        pivots[k + 1] = pivot
+        prev = pivots[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            if row_i[k] == 0:
+                continue
+            t = level[i]
+            if t < k:
+                num, den = pivots[k], pivots[t]
+                for j in range(k, hi[i]):
+                    row_i[j] = row_i[j] * num // den
+            f = row_i[k]
+            top = max(hi[i], hi[k])
+            for j in range(k + 1, top):
+                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
+            row_i[k] = 0
+            hi[i] = top
+            level[i] = k + 1
+    det = sign * pivots[n]
+    adj = {}
+    for idx, c in enumerate(cols):
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = a[k]
+            s = det * row[n + idx] - sum(row[j] * y[j] for j in range(k + 1, min(hi[k], n)))
+            y[k] = s // row[k]
+        adj[c] = y
+    return det, adj
+
+
 def char_poly_minors(rows):
     """Characteristic polynomial of A via principal-minor sums.
 
@@ -251,7 +322,7 @@ def char_poly_minors(rows):
         e = 0
         for subset in combinations(range(n), size):
             sub = [[rows[i][j] for j in subset] for i in subset]
-            e += determinant(sub)
+            e += bareiss(sub)[0]
         coeffs.append((-1) ** size * e)
     return coeffs
 
@@ -272,7 +343,7 @@ def char_poly_interpolate(rows):
         shifted = [row.copy() for row in base]
         for i in range(n):
             shifted[i][i] += x
-        table.append(Fraction(determinant(shifted)))
+        table.append(Fraction(bareiss(shifted)[0]))
     for level in range(1, n + 1):
         for i in range(n, level - 1, -1):
             table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from contactsurg import linalg
@@ -5,10 +7,16 @@ from contactsurg.closedforms import (
     DEFAULT_FORMS,
     bordered_block_matrix,
     chain_matrix,
+    tb1_negative_matrix,
+    tb1_positive_matrix,
+    tb2_negative_matrix,
+    tb2_positive_matrix,
     tbk_negative_matrix,
+    tbk_positive_matrix,
     tbk_two_matrix,
     verify_closed_forms,
 )
+from contactsurg.surgery import LegendrianData, convert, linking_matrix, rot_range
 
 
 class TestBlockDeterminant:
@@ -40,6 +48,27 @@ class TestFamilies:
     def test_chain_caps(self):
         assert chain_matrix(0) == []
         assert chain_matrix(1) == [[-2]]
+
+    def test_families_equal_the_pipeline_forms(self):
+        # each family is the linking matrix of every presentation that
+        # `convert` gives at its tb and smooth slope, so the verifier checks
+        # the forms the d3 pipeline uses
+        cases = []
+        for n in range(1, 21):
+            cases += [(tb1_positive_matrix(n), -1, Fraction(1, n)),
+                      (tb2_negative_matrix(n), -2, Fraction(-1, n)),
+                      (tb2_positive_matrix(n), -2, Fraction(1, n))]
+            if n >= 2:
+                cases.append((tb1_negative_matrix(n), -1, Fraction(-1, n)))
+        for k in range(3, 21):
+            cases += [(tbk_two_matrix(k, sign), -k, Fraction(2 * sign)) for sign in (1, -1)]
+            for n in range(1, 21):
+                cases += [(tbk_negative_matrix(k, n), -k, Fraction(-1, n)),
+                          (tbk_positive_matrix(k, n), -k, Fraction(1, n))]
+        for family, tb, slope in cases:
+            knot = LegendrianData(tb, rot_range(tb)[0])
+            forms = [linking_matrix(pres).Q for pres in convert(knot, slope - tb)]
+            assert forms and all(q == tuple(map(tuple, family)) for q in forms), (tb, slope)
 
 
 class TestVerifier:

@@ -16,7 +16,7 @@ from contactsurg.closedforms import (
     tbk_two_matrix,
 )
 from contactsurg.surgery import LegendrianData, convert, linking_matrix
-from oracles import char_poly_interpolate, char_poly_minors, congruence_signature_dense
+from oracles import bareiss, char_poly_interpolate, char_poly_minors, congruence_signature_dense
 
 
 def random_matrix(rng, n, lo=-9, hi=9, symmetric=False):
@@ -74,7 +74,7 @@ class TestDeterminant:
         for _ in range(500):
             n = rng.randint(1, 7)
             m = random_matrix(rng, n)
-            assert linalg.determinant(m) == det_reference(m)
+            assert linalg.determinant(m) == bareiss(m)[0] == det_reference(m)
 
     def test_sparse_rows(self):
         rng = random.Random(4)
@@ -85,7 +85,7 @@ class TestDeterminant:
                 for j in range(n):
                     if rng.random() < 0.35:
                         m[i][j] = rng.randint(-5, 5)
-            assert linalg.determinant(m) == det_reference(m)
+            assert linalg.determinant(m) == bareiss(m)[0] == det_reference(m)
 
 
 def inverse_entry(rows, i, j):
@@ -122,7 +122,7 @@ class TestInverseEntry:
         done = 0
         while done < 40:
             n = rng.randint(1, 5)
-            m = random_matrix(rng, n, -4, 4)
+            m = random_matrix(rng, n, -4, 4, symmetric=True)
             if linalg.determinant(m) == 0:
                 continue
             done += 1
@@ -136,6 +136,13 @@ class TestInverseEntry:
         with pytest.raises(linalg.SingularMatrixError):
             linalg.adjugate_block([[1, 1], [1, 1]], range(2))
 
+    def test_non_symmetric_rejected(self):
+        for m in ([[1, 2], [0, 1]], chain_matrix_primed(3)):
+            with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+                linalg.adjugate_block(m, range(len(m)))
+            with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+                linalg.is_negative_definite(m)
+
 
 class TestSolve:
     def test_solve_linear_matches_inverse(self):
@@ -144,7 +151,7 @@ class TestSolve:
         done = 0
         while done < 60:
             n = rng.randint(1, 6)
-            m = random_matrix(rng, n, -6, 6)
+            m = random_matrix(rng, n, -6, 6, symmetric=True)
             if linalg.determinant(m) == 0:
                 continue
             done += 1
@@ -160,7 +167,7 @@ class TestSolve:
         done = 0
         while done < 60:
             n = rng.randint(1, 6)
-            m = random_matrix(rng, n, -6, 6)
+            m = random_matrix(rng, n, -6, 6, symmetric=True)
             if linalg.determinant(m) == 0:
                 continue
             done += 1
@@ -255,53 +262,6 @@ def square_matrices(max_n=7):
                            min_size=n, max_size=n))
 
 
-class TestKernelAgainstSympy:
-    @settings(max_examples=300, deadline=None)
-    @given(square_matrices())
-    def test_determinant_and_adjugate(self, m):
-        ref = sympy.Matrix(m)
-        det = ref.det()
-        assert linalg.determinant(m) == det
-        n = len(m)
-        if det == 0:
-            with pytest.raises(linalg.SingularMatrixError):
-                linalg.adjugate_block(m, range(n))
-            return
-        got_det, adj = linalg.adjugate_block(m, range(n))
-        assert got_det == det
-        ref_adj = DomainMatrix.from_Matrix(ref).adjugate().to_Matrix()
-        assert [list(row) for row in adj] == ref_adj.tolist()
-
-    @settings(max_examples=300, deadline=None)
-    @given(square_matrices())
-    def test_negative_definite(self, m):
-        n = len(m)
-        sym = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
-        assert linalg.is_negative_definite(sym) == sympy.Matrix(sym).is_negative_definite
-
-    @settings(max_examples=100, deadline=None)
-    @given(square_matrices(5))
-    def test_negative_definite_positive_cases(self, m):
-        # -(B^T B + I) is negative definite: random symmetric matrices
-        # rarely are, so this covers the accepting side of the criterion
-        n = len(m)
-        q = [[-sum(m[k][i] * m[k][j] for k in range(n)) - (i == j)
-              for j in range(n)] for i in range(n)]
-        assert linalg.is_negative_definite(q)
-        assert sympy.Matrix(q).is_negative_definite
-
-    def test_row_swap_cases(self):
-        # nonsingular, but the first pivot is zero: a swap is needed
-        swap = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
-        assert linalg.determinant(swap) == sympy.Matrix(swap).det()
-        det, adj = linalg.adjugate_block(swap, range(3))
-        ref = DomainMatrix.from_Matrix(sympy.Matrix(swap)).adjugate().to_Matrix()
-        assert [list(row) for row in adj] == ref.tolist()
-        assert not linalg.is_negative_definite(swap)
-        assert not linalg.is_negative_definite([[-1, 0], [0, 0]])
-        assert linalg.is_negative_definite([])
-
-
 class TestDefiniteness:
     def test_chain_matrices_negative_definite(self):
         for n in range(1, 11):
@@ -348,7 +308,7 @@ class TestCharPoly:
             n = rng.randint(1, 5)
             m = random_matrix(rng, n, -5, 5)
             coeffs = char_poly_minors(m)
-            assert coeffs[-1] == (-1) ** n * linalg.determinant(m)
+            assert coeffs[-1] == (-1) ** n * bareiss(m)[0]
             assert linalg.char_poly(m) == coeffs
 
     def test_minors_equal_interpolation(self):
@@ -601,6 +561,56 @@ def sympy_signature(m):
     return pos - neg
 
 
+class TestKernelAgainstSympy:
+    @settings(max_examples=300, deadline=None)
+    @given(congruence_shapes())
+    def test_determinant_and_adjugate(self, m):
+        n = len(m)
+        ref = sympy.Matrix(n, n, [x for row in m for x in row])
+        det = ref.det()
+        oracle_det, oracle_adj = bareiss(m, range(n))
+        assert linalg.determinant(m) == oracle_det == det
+        if det == 0:
+            with pytest.raises(linalg.SingularMatrixError):
+                linalg.adjugate_block(m, range(n))
+            return
+        got_det, adj = linalg.adjugate_block(m, range(n))
+        assert got_det == det
+        ref_adj = DomainMatrix.from_Matrix(ref).adjugate().to_Matrix().tolist() if n else []
+        assert [list(row) for row in adj] == ref_adj
+        assert [list(row) for row in adj] == [[oracle_adj[c][i] for c in range(n)]
+                                              for i in range(n)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_negative_definite(self, m):
+        n = len(m)
+        sym = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        assert linalg.is_negative_definite(sym) == sympy.Matrix(sym).is_negative_definite
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices(5))
+    def test_negative_definite_positive_cases(self, m):
+        # -(B^T B + I) is negative definite: random symmetric matrices
+        # rarely are, so this covers the accepting side of the criterion
+        n = len(m)
+        q = [[-sum(m[k][i] * m[k][j] for k in range(n)) - (i == j)
+              for j in range(n)] for i in range(n)]
+        assert linalg.is_negative_definite(q)
+        assert sympy.Matrix(q).is_negative_definite
+
+    def test_row_swap_cases(self):
+        # nonsingular, with an all-zero diagonal: the first pivot needs a congruence
+        swap = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+        assert linalg.determinant(swap) == sympy.Matrix(swap).det()
+        det, adj = linalg.adjugate_block(swap, range(3))
+        ref = DomainMatrix.from_Matrix(sympy.Matrix(swap)).adjugate().to_Matrix()
+        assert [list(row) for row in adj] == ref.tolist()
+        assert not linalg.is_negative_definite(swap)
+        assert not linalg.is_negative_definite([[-1, 0], [0, 0]])
+        assert linalg.is_negative_definite([])
+
+
 class TestCongruence:
     @settings(max_examples=300, deadline=None)
     @given(congruence_shapes())
@@ -614,8 +624,7 @@ class TestCongruence:
         assert linalg.congruence_signature(m) == congruence_signature_dense(m) == sympy_signature(m)
 
     def test_integer_only_and_independent(self, monkeypatch):
-        # no Fraction is made, and nothing of the other method's route or of
-        # the Bareiss kernel runs
+        # no Fraction is made, and nothing of the other method's route runs
         made = []
         new = Fraction.__new__
         monkeypatch.setattr(Fraction, "__new__",
@@ -624,7 +633,7 @@ class TestCongruence:
         def forbidden(*args):
             raise AssertionError("shared helper called")
 
-        for name in ("_bareiss", "char_poly", "_check_square", "is_symmetric"):
+        for name in ("char_poly", "_check_square", "is_symmetric"):
             monkeypatch.setattr(linalg, name, forbidden)
         for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
                   [[0, 2, 1], [2, 0, 1], [1, 1, 0]], [[0, 1, 0], [1, 2, 0], [0, 0, -1]]):
@@ -632,6 +641,22 @@ class TestCongruence:
         assert made == []
         Fraction(1, 3)
         assert made == [(1, 3)]
+
+    def test_characteristic_route_runs_without_the_kernel(self, monkeypatch):
+        # the other direction of independence: Descartes, char_poly and
+        # determinant never reach the elimination kernel
+        def forbidden(*args):
+            raise AssertionError("elimination kernel called")
+
+        monkeypatch.setattr(linalg, "_eliminate", forbidden)
+        for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
+                  chain_matrix(12), tbk_two_matrix(5, 1)):
+            assert linalg.descartes_signature(m) == sympy_signature(m)
+            assert linalg.char_poly(m) == sympy_char_poly(m)
+            assert linalg.determinant(m) == sympy.Matrix(m).det()
+        for m in (chain_matrix_primed(7), [[1, 2], [3, 4]]):
+            assert linalg.char_poly(m) == sympy_char_poly(m)
+            assert linalg.determinant(m) == sympy.Matrix(m).det()
 
     def test_rejects_non_square_and_asymmetric(self):
         with pytest.raises(ValueError, match="square"):
