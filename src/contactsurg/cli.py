@@ -5,7 +5,8 @@ set), unknot (classification of a contact surgery on a Legendrian
 unknot), verify (closed-form sweep, d3 regressions, obstruction scan).
 
 All numbers in reports are exact integers or "p/q" strings; exit code 0
-means success, 1 a verification mismatch, 2 a usage or domain error.
+means success, 1 a verification mismatch or a failed internal check, 2 a
+usage or domain error.
 """
 
 from __future__ import annotations
@@ -278,6 +279,9 @@ def main(argv=None) -> int:
     except (SlopeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a self-check of the library failed
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,10 +2,12 @@
 
 The intersection forms appearing in the cosmetic-surgery computations
 are bordered chain matrices: a (-2)-chain with -1 links, bordered by a
-first row depending on tb = -k.  This module constructs each family
-directly, states the closed forms for determinants, signatures, inverse
-entries and c1^2, and checks all of them against the generic exact
-routines of :mod:`contactsurg.linalg`.
+first row depending on tb = -k.  This module states the closed forms
+for their determinants, signatures, inverse entries and c1^2, and checks
+all of them on the forms the d3 pipeline itself builds (``convert``,
+then ``linking_matrix``) with the generic exact routines of
+:mod:`contactsurg.linalg`: one elimination pass per form gives its
+signature and the inverse entries its checks read.
 
 One displayed closed form for c1^2 of the positive 1/n family is
 inconsistent with its own inverse-entry table; the form used here is the
@@ -18,11 +20,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .surgery import rot_range
+from .surgery import LegendrianData, convert, linking_matrix, rot_range
 
 
 # ---------------------------------------------------------------------------
-# matrix families
+# lemma matrices
 
 def chain_matrix(n: int):
     """Tridiagonal matrix with -2 on the diagonal and -1 off it."""
@@ -65,85 +67,6 @@ def bordered_block_matrix(a: int, b: int, c: int, m: int):
         for j in range(m):
             q[2 + i][2 + j] = chain[i][j]
     return q
-
-
-def bordered_chain(a0: int, a1: int, b: int, size: int):
-    """Chain matrix bordered by diag (a0, a1, -2, ...) and link b."""
-    if size < 1:
-        raise ValueError("size must be positive")
-    q = [[0] * size for _ in range(size)]
-    q[0][0] = a0
-    if size > 1:
-        q[1][1] = a1
-        q[0][1] = q[1][0] = b
-    for i in range(2, size):
-        q[i][i] = -2
-    for i in range(1, size - 1):
-        q[i][i + 1] = q[i + 1][i] = -1
-    return q
-
-
-def tb1_negative_matrix(n: int):
-    """Form of the -1/n surgery trace on a tb = -1 knot (n >= 2)."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    q = [[0] * n for _ in range(n)]
-    q[0][1] = q[1][0] = -1
-    if n > 2:
-        q[0][2] = q[2][0] = -1
-        q[1][2] = q[2][1] = -1
-        q[2][2] = -3
-        for i in range(3, n):
-            q[i][i] = -2
-        for i in range(2, n - 1):
-            q[i][i + 1] = q[i + 1][i] = -1
-    return q
-
-
-def tb1_positive_matrix(n: int):
-    """Form of the +1/n surgery trace on a tb = -1 knot."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    return [[0, -1], [-1, -2 - n]]
-
-
-def tb2_negative_matrix(n: int):
-    """Form of the -1/n surgery trace on a tb = -2 knot (n >= 1)."""
-    return bordered_chain(-1, -5, -2, n)
-
-
-def tb2_positive_matrix(n: int):
-    """Form of the +1/n surgery trace on a tb = -2 knot."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    return [[-1, -2, 0], [-2, -4, -1], [0, -1, -n - 1]]
-
-
-def tbk_negative_matrix(k: int, n: int):
-    """Form of the -1/n surgery trace on a tb = -k knot, k >= 3."""
-    if k < 3 or n < 1:
-        raise ValueError("needs k >= 3 and n >= 1")
-    q = bordered_chain(-k + 1, -k - 2, -k, k + n - 2)
-    if n >= 2:
-        q[k - 1][k - 1] = -3
-    return q
-
-
-def tbk_positive_matrix(k: int, n: int):
-    """Form of the +1/n surgery trace on a tb = -k knot, k >= 3."""
-    if k < 3 or n < 1:
-        raise ValueError("needs k >= 3 and n >= 1")
-    q = bordered_chain(-k + 1, -k - 2, -k, k + 1)
-    q[k][k] = -n - 1
-    return q
-
-
-def tbk_two_matrix(k: int, sign: int):
-    """Form of the (sign) 2 surgery trace on a tb = -k knot, k >= 3."""
-    if k < 3 or sign not in (1, -1):
-        raise ValueError("needs k >= 3 and sign +-1")
-    size = k + 2 if sign == 1 else k - 2
-    return bordered_chain(-k + 1, -k - 2, -k, size)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +175,19 @@ class _Report:
         }
 
 
+def _form(tb, smooth_slope):
+    """Q of the first presentation ``convert`` gives for the surgery with
+    smooth coefficient ``smooth_slope`` on a knot with this tb; the
+    rotation number and the stabilization outcome leave Q unchanged."""
+    knot = LegendrianData(tb, rot_range(tb)[0])
+    return linking_matrix(convert(knot, smooth_slope - tb)[0]).Q
+
+
 def _block(mat, cols):
-    """Q^-1 on the index list ``cols``: (cols, det Q, adj(Q)[cols, cols])."""
-    return (cols, *linalg.adjugate_block(mat, cols))
+    """sigma(Q) and Q^-1 on the index list ``cols``, from one elimination
+    pass: (sigma, (cols, det Q, adj(Q)[cols, cols]))."""
+    det, sigma, block = linalg.adjugate_block(mat, cols)
+    return sigma, (cols, det, block)
 
 
 def _q(qb, col, row):
@@ -271,7 +204,7 @@ def _csq(qb, r):
 
 def verify_closed_forms(k_max: int = 20, n_max: int = 20):
     """Check every closed form of DEFAULT_FORMS against the generic exact
-    routines.
+    routines, on the forms ``convert`` and ``linking_matrix`` build.
 
     Sweeps 3 <= k <= k_max, 1 <= n <= n_max and all admissible rotation
     data (i, stabilization sign, chain rotations), and the bordered block
@@ -302,16 +235,15 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
                                    True, linalg.is_negative_definite(mat))
 
     for n in range(2, n_max + 1):
-        mat = tb1_negative_matrix(n)
+        mat = _form(-1, Fraction(-1, n))
+        sigma, qc = _block(mat, [0] if n == 2 else [2])
         rep.record("tb1_neg_det", {"n": n}, f["tb1_neg_det"](n),
                    linalg.determinant(mat), mat)
-        rep.record("tb1_neg_sigma", {"n": n}, f["tb1_neg_sigma"](n),
-                   linalg.signature(mat), mat)
+        rep.record("tb1_neg_sigma", {"n": n}, f["tb1_neg_sigma"](n), sigma, mat)
         if n == 2:
             rep.ratio("tb1_neg_csq", {"n": n}, f["tb1_neg_csq"](n),
-                      _csq(_block(mat, [0]), [0] * n), mat)
+                      _csq(qc, [0] * n), mat)
         else:
-            qc = _block(mat, [2])
             for pm in (1, -1):
                 r = [0] * n
                 r[2] = pm
@@ -319,21 +251,18 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
                           f["tb1_neg_csq"](n), _csq(qc, r), mat)
 
     for n in range(1, n_max + 1):
-        mat = tb1_positive_matrix(n)
-        rep.record("tb1_pos_sigma", {"n": n}, f["tb1_pos_sigma"](n),
-                   linalg.signature(mat), mat)
-        qc = _block(mat, [1])
+        mat = _form(-1, Fraction(1, n))
+        sigma, qc = _block(mat, [1])
+        rep.record("tb1_pos_sigma", {"n": n}, f["tb1_pos_sigma"](n), sigma, mat)
         for rho in rot_range(-n - 1)[::-1]:
             rep.ratio("tb1_pos_csq", {"n": n, "rho": rho},
                       f["tb1_pos_csq"](n, rho), _csq(qc, [0, rho]), mat)
 
     for n in range(1, n_max + 1):
-        mat = tb2_negative_matrix(n)
-        rep.record("tb2_neg_negdef", {"n": n}, True, linalg.is_negative_definite(mat), mat)
-        rep.record("tb2_neg_sigma", {"n": n}, f["tb2_neg_sigma"](n),
-                   linalg.signature(mat), mat)
-        cols = [0] if n == 1 else [0, 1]
-        qc = _block(mat, cols)
+        mat = _form(-2, Fraction(-1, n))
+        sigma, qc = _block(mat, [0] if n == 1 else [0, 1])
+        rep.record("tb2_neg_negdef", {"n": n}, True, sigma == -len(mat), mat)
+        rep.record("tb2_neg_sigma", {"n": n}, f["tb2_neg_sigma"](n), sigma, mat)
         if n >= 2:
             rep.ratio("tb2_neg_q11", {"n": n}, f["tb2_neg_q11"](n), _q(qc, 0, 0), mat)
             rep.ratio("tb2_neg_q12", {"n": n}, f["tb2_neg_q12"](n), _q(qc, 0, 1), mat)
@@ -348,11 +277,10 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
                 rep.ratio("tb2_neg_csq", {"n": n, "i": i}, f["tb2_neg_csq"](n, i, 0),
                           _csq(qc, [i]), mat)
 
-        matp = tb2_positive_matrix(n)
-        rep.record("tb2_pos_sigma", {"n": n}, f["tb2_pos_sigma"](n),
-                   linalg.signature(matp), matp)
+        matp = _form(-2, Fraction(1, n))
+        sigma, qcp = _block(matp, [0, 1, 2])
+        rep.record("tb2_pos_sigma", {"n": n}, f["tb2_pos_sigma"](n), sigma, matp)
         qexp = f["tb2_pos_q"](n)
-        qcp = _block(matp, [0, 1, 2])
         for i_ in range(3):
             for j_ in range(3):
                 rep.ratio("tb2_pos_q", {"n": n, "entry": (i_ + 1, j_ + 1)},
@@ -368,15 +296,12 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
         rots = rot_range(-k)[::-1]
 
         for sign, tag in ((-1, "two_neg"), (1, "two_pos")):
-            mat = tbk_two_matrix(k, sign)
+            mat = _form(-k, 2 * sign)
             size = len(mat)
+            sigma, qc = _block(mat, [0] if size == 1 else [0, 1])
             if sign == -1:
-                rep.record("two_neg_negdef", {"k": k}, True,
-                           linalg.is_negative_definite(mat), mat)
-            rep.record(f"{tag}_sigma", {"k": k}, f[f"{tag}_sigma"](k),
-                       linalg.signature(mat), mat)
-            cols = [0] if size == 1 else [0, 1]
-            qc = _block(mat, cols)
+                rep.record("two_neg_negdef", {"k": k}, True, sigma == -size, mat)
+            rep.record(f"{tag}_sigma", {"k": k}, f[f"{tag}_sigma"](k), sigma, mat)
             rep.ratio(f"{tag}_q11", {"k": k}, f[f"{tag}_q11"](k), _q(qc, 0, 0), mat)
             if size >= 2:
                 rep.ratio(f"{tag}_q12", {"k": k}, f[f"{tag}_q12"](k), _q(qc, 0, 1), mat)
@@ -392,14 +317,11 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
                                   f[f"{tag}_csq"](k, i, e), _csq(qc, r), mat)
 
         for n in range(1, n_max + 1):
-            mat = tbk_negative_matrix(k, n)
-            size = k + n - 2
-            rep.record("one_neg_negdef", {"k": k, "n": n}, True,
-                       linalg.is_negative_definite(mat), mat)
-            rep.record("one_neg_sigma", {"k": k, "n": n}, f["one_neg_sigma"](k, n),
-                       linalg.signature(mat), mat)
-            cols = [0, 1] if n == 1 else [0, 1, k - 1]
-            qc = _block(mat, cols)
+            mat = _form(-k, Fraction(-1, n))
+            size = len(mat)
+            sigma, qc = _block(mat, [0, 1] if n == 1 else [0, 1, k - 1])
+            rep.record("one_neg_negdef", {"k": k, "n": n}, True, sigma == -size, mat)
+            rep.record("one_neg_sigma", {"k": k, "n": n}, f["one_neg_sigma"](k, n), sigma, mat)
             rep.ratio("one_neg_q11", {"k": k, "n": n}, f["one_neg_q11"](k, n), _q(qc, 0, 0), mat)
             rep.ratio("one_neg_q12", {"k": k, "n": n}, f["one_neg_q12"](k, n), _q(qc, 0, 1), mat)
             rep.ratio("one_neg_q22", {"k": k, "n": n}, f["one_neg_q22"](k, n), _q(qc, 1, 1), mat)
@@ -427,10 +349,9 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
                                       f["one_neg_csq"](k, n, i, e, j),
                                       _csq(qc, r), mat)
 
-            matp = tbk_positive_matrix(k, n)
-            rep.record("one_pos_sigma", {"k": k, "n": n}, f["one_pos_sigma"](k, n),
-                       linalg.signature(matp), matp)
-            qcp = _block(matp, [0, 1, k])
+            matp = _form(-k, Fraction(1, n))
+            sigma, qcp = _block(matp, [0, 1, k])
+            rep.record("one_pos_sigma", {"k": k, "n": n}, f["one_pos_sigma"](k, n), sigma, matp)
             rep.ratio("one_pos_q11", {"k": k, "n": n}, f["one_pos_q11"](k, n),
                       _q(qcp, 0, 0), matp)
             rep.ratio("one_pos_q12", {"k": k, "n": n}, f["one_pos_q12"](k, n),

@@ -70,7 +70,7 @@ class D3Cache:
     ``plans`` maps (tb, smooth slope) to the presentations of one
     ``convert`` call, each with its form and rotation vectors; a request
     at another rotation number relabels them (``surgery.relabel``).
-    ``forms`` maps Q to {support S: (sigma, det Q, adj(Q)[S, S])}, the
+    ``forms`` maps Q to {support S: (det Q, sigma, adj(Q)[S, S])}, the
     cache of d3_values.
     """
 
@@ -82,31 +82,27 @@ class D3Cache:
 def d3_values(form: IntersectionForm, vectors, cache=None) -> list:
     """d3 of ``form`` for each rotation vector, as D3Results.
 
-    sigma, det Q and the block B = adj(Q)[S, S] on the joint support S
-    of the vectors cost one elimination pass and one signature, and
-    c1^2 of a vector r is v^T B v / det Q with v = r on S.  ``cache``
-    maps Q to {support: (sigma, det, B)}, so forms met again (the
-    stabilization variants of one conversion, the rotation numbers of a
-    scan) reuse them, and a new support of a known Q reuses its sigma.
-    A singular Q raises and leaves nothing in the cache.
+    det Q, sigma and the block B = adj(Q)[S, S] on the joint support S
+    of the vectors cost one ``linalg.adjugate_block`` pass, and c1^2 of
+    a vector r is v^T B v / det Q with v = r on S.  ``cache`` maps Q to
+    {support: (det, sigma, B)}, so forms met again (the stabilization
+    variants of one conversion, the rotation numbers of a scan) reuse
+    them.  A singular Q raises and leaves nothing in the cache.
     """
     if any(len(v) != form.n for v in vectors):
         raise ValueError("rotation vector length must match Q")
     support = tuple(compress(range(form.n), map(any, zip(*vectors))))
     if cache is None:
         cache = {}
-    known = cache.get(form.Q, {})
-    hit = known.get(support)
+    hit = cache.get(form.Q, {}).get(support)
     if hit is None:
         try:
-            det, block = linalg.adjugate_block(form.Q, support)
+            hit = linalg.adjugate_block(form.Q, support)
         except linalg.SingularMatrixError:
             raise NonTorsionEulerClassError(
                 "c1^2 undefined: non-torsion Euler class") from None
-        sigma = next(iter(known.values()))[0] if known else linalg.signature(form.Q)
-        hit = (sigma, det, block)
         cache.setdefault(form.Q, {})[support] = hit
-    sigma, det, block = hit
+    det, sigma, block = hit
     chi = form.n + 1  # one 0-handle plus one 2-handle per component
     return [_assemble(chi, sigma, form.l, det, linalg.adjugate_quadratic(block, support, r))
             for r in vectors]

@@ -8,11 +8,12 @@ determinant, read from the block of the adjugate on r's support, and a
 matrix is negative definite when its signature is -n.  Signatures are
 computed by two independent methods, which are required to agree: that
 elimination (a congruence diagonalization) and Descartes' rule of signs
-on the characteristic polynomial.  The polynomial is built
-division-free and without elimination, by continuants along pendant
-paths and Berkowitz's algorithm on the rest, so it shares nothing with
-the first method; determinants of any square matrix are its constant
-term.
+on the characteristic polynomial, memoized by the matrix, which
+``adjugate_block`` compares with the signature of its one pass.  The
+polynomial is built division-free and without elimination, by
+continuants along pendant paths and Berkowitz's algorithm on the rest,
+so it shares nothing with the first method; determinants of any square
+matrix are its constant term.
 
 Matrices are sequences of rows of ints: lists of lists, or tuples of
 tuples such as IntersectionForm.Q.
@@ -186,18 +187,24 @@ def determinant(rows) -> int:
 
 
 def adjugate_block(rows, support):
-    """det A and the block B = adj(A)[S, S] on the index list S = ``support``
-    of a symmetric integer matrix A.
+    """det A, the signature of A and the block B = adj(A)[S, S] on the
+    index list S = ``support`` of a symmetric integer matrix A.
 
     B[a][b] is entry (S[a], S[b]) of adj(A), so (A^-1)_{S[a], S[b]} is
     B[a][b] / det; S = range(n) gives the whole adjugate.  One elimination
-    pass with the columns S gives it.  Raises SingularMatrixError when
-    det A = 0.
+    pass with the columns S gives all three, and its signature must equal
+    the Descartes signature, which is memoized by A; a disagreement raises
+    SignatureMismatchError (it would mean a bug, not a property of the
+    input).  Raises SingularMatrixError when det A = 0.
     """
-    det, _, adj = _eliminate(rows, support)
+    det, sigma, adj = _eliminate(rows, support)
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    return det, tuple(tuple(adj[c][i] for c in support) for i in support)
+    check = _descartes_cached(tuple(tuple(map(int, r)) for r in rows))
+    if sigma != check:
+        raise SignatureMismatchError(f"signature methods disagree: "
+                                     f"diagonalization={sigma} descartes={check}")
+    return det, sigma, tuple(tuple(adj[c][i] for c in support) for i in support)
 
 
 def adjugate_quadratic(block, support, r) -> int:
@@ -397,24 +404,15 @@ def descartes_signature(rows) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _signature_cached(key) -> int:
-    a = congruence_signature(key)
-    b = descartes_signature(key)
-    if a != b:
-        raise SignatureMismatchError(
-            f"signature methods disagree: diagonalization={a} descartes={b}"
-        )
-    return a
+def _descartes_cached(key) -> int:
+    return descartes_signature(key)
 
 
 def signature(rows) -> int:
     """Signature of a nondegenerate symmetric integer matrix; ValueError
     for a matrix that is not square and symmetric.
 
-    Computed independently by congruence diagonalization and by the
-    Descartes/characteristic-polynomial method; a disagreement aborts
-    (it would mean a bug, not a property of the input).  Results are
-    memoized, so repeated forms (the same surgery trace with different
-    rotation vectors) cost one computation.
+    The elimination's signature, checked against Descartes' rule of signs
+    on the characteristic polynomial by ``adjugate_block``.
     """
-    return _signature_cached(tuple(tuple(map(int, r)) for r in rows))
+    return adjugate_block(rows, ())[1]

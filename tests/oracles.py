@@ -4,8 +4,9 @@ Each is slow but plainly right, and shares no code with the route it
 checks: exhaustive search, breadth-first search, enumeration, vertex by
 vertex Farey paths with their signs and shortening move, a dense Bareiss
 elimination for determinants and adjugates, characteristic polynomials
-from its determinants, a dense Fraction congruence diagonalization, and
-the d3-equality equations with hand-derived coefficients.
+from its determinants, a dense Fraction congruence diagonalization, the
+d3-equality equations with hand-derived coefficients, and the
+intersection-form families built by hand from their displayed shape.
 """
 
 import math
@@ -233,6 +234,89 @@ def decorated_path_key(path: DecoratedFareyPath):
 def sign_class_count(vertices, unsigned_positions) -> int:
     """Number of decorated paths on given vertices up to block shuffles."""
     return _class_count([len(block) for block in cf_blocks(vertices)], unsigned_positions)
+
+
+# ---------------------------------------------------------------------------
+# intersection-form families, derived by hand: the reference for the forms
+# that ``convert`` and ``linking_matrix`` build
+
+def bordered_chain(a0: int, a1: int, b: int, size: int):
+    """Chain matrix bordered by diag (a0, a1, -2, ...) and link b."""
+    if size < 1:
+        raise ValueError("size must be positive")
+    q = [[0] * size for _ in range(size)]
+    q[0][0] = a0
+    if size > 1:
+        q[1][1] = a1
+        q[0][1] = q[1][0] = b
+    for i in range(2, size):
+        q[i][i] = -2
+    for i in range(1, size - 1):
+        q[i][i + 1] = q[i + 1][i] = -1
+    return q
+
+
+def tb1_negative_matrix(n: int):
+    """Form of the -1/n surgery trace on a tb = -1 knot (n >= 2)."""
+    if n < 2:
+        raise ValueError("needs n >= 2")
+    q = [[0] * n for _ in range(n)]
+    q[0][1] = q[1][0] = -1
+    if n > 2:
+        q[0][2] = q[2][0] = -1
+        q[1][2] = q[2][1] = -1
+        q[2][2] = -3
+        for i in range(3, n):
+            q[i][i] = -2
+        for i in range(2, n - 1):
+            q[i][i + 1] = q[i + 1][i] = -1
+    return q
+
+
+def tb1_positive_matrix(n: int):
+    """Form of the +1/n surgery trace on a tb = -1 knot."""
+    if n < 1:
+        raise ValueError("needs n >= 1")
+    return [[0, -1], [-1, -2 - n]]
+
+
+def tb2_negative_matrix(n: int):
+    """Form of the -1/n surgery trace on a tb = -2 knot (n >= 1)."""
+    return bordered_chain(-1, -5, -2, n)
+
+
+def tb2_positive_matrix(n: int):
+    """Form of the +1/n surgery trace on a tb = -2 knot."""
+    if n < 1:
+        raise ValueError("needs n >= 1")
+    return [[-1, -2, 0], [-2, -4, -1], [0, -1, -n - 1]]
+
+
+def tbk_negative_matrix(k: int, n: int):
+    """Form of the -1/n surgery trace on a tb = -k knot, k >= 3."""
+    if k < 3 or n < 1:
+        raise ValueError("needs k >= 3 and n >= 1")
+    q = bordered_chain(-k + 1, -k - 2, -k, k + n - 2)
+    if n >= 2:
+        q[k - 1][k - 1] = -3
+    return q
+
+
+def tbk_positive_matrix(k: int, n: int):
+    """Form of the +1/n surgery trace on a tb = -k knot, k >= 3."""
+    if k < 3 or n < 1:
+        raise ValueError("needs k >= 3 and n >= 1")
+    q = bordered_chain(-k + 1, -k - 2, -k, k + 1)
+    q[k][k] = -n - 1
+    return q
+
+
+def tbk_two_matrix(k: int, sign: int):
+    """Form of the (sign) 2 surgery trace on a tb = -k knot, k >= 3."""
+    if k < 3 or sign not in (1, -1):
+        raise ValueError("needs k >= 3 and sign +-1")
+    size = k + 2 if sign == 1 else k - 2
+    return bordered_chain(-k + 1, -k - 2, -k, size)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,7 @@ import time
 from fractions import Fraction
 
 from contactsurg import linalg
-from contactsurg.closedforms import (
-    tb2_negative_matrix,
-    tb2_positive_matrix,
-    tbk_two_matrix,
-    verify_closed_forms,
-)
+from contactsurg.closedforms import verify_closed_forms
 from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
     equivalent_surgery_count,
@@ -42,6 +37,9 @@ from oracles import (
     minimal_path,
     normalize_lens_bruteforce,
     shorten,
+    tb2_negative_matrix,
+    tb2_positive_matrix,
+    tbk_two_matrix,
 )
 
 

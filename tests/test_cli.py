@@ -55,6 +55,20 @@ class TestD3Command:
                          "--slope", "-1/2", "--coeff", "1/2")
         assert code == 2
 
+    def test_failed_internal_check_exits_1(self, capsys, monkeypatch):
+        # the signature methods disagree: one error line, no traceback
+        from contactsurg import linalg
+
+        linalg._descartes_cached.cache_clear()
+        monkeypatch.setattr(linalg, "descartes_signature", lambda rows: len(rows) + 1)
+        try:
+            code, out, err = run(capsys, "d3", "--tb", "-1", "--rot", "0", "--slope", "-1/3")
+        finally:
+            linalg._descartes_cached.cache_clear()
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal check failed: signature methods disagree")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCsSetCommand:
     def test_example(self, capsys):

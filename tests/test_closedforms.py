@@ -2,11 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from contactsurg import linalg
+from contactsurg import closedforms, linalg
 from contactsurg.closedforms import (
     DEFAULT_FORMS,
     bordered_block_matrix,
     chain_matrix,
+    verify_closed_forms,
+)
+from contactsurg.surgery import (
+    IntersectionForm,
+    LegendrianData,
+    convert,
+    linking_matrix,
+    rot_range,
+)
+from oracles import (
     tb1_negative_matrix,
     tb1_positive_matrix,
     tb2_negative_matrix,
@@ -14,9 +24,7 @@ from contactsurg.closedforms import (
     tbk_negative_matrix,
     tbk_positive_matrix,
     tbk_two_matrix,
-    verify_closed_forms,
 )
-from contactsurg.surgery import LegendrianData, convert, linking_matrix, rot_range
 
 
 class TestBlockDeterminant:
@@ -96,6 +104,39 @@ class TestVerifier:
         rep = verify_closed_forms(k_max=3, n_max=2)
         assert [(m["check"], m["context"]) for m in rep["mismatches"]] == [
             ("tb2_neg_csq", {"n": 1, "i": 1}), ("tb2_neg_csq", {"n": 1, "i": -1})]
+
+    def test_reads_the_pipeline_forms(self, monkeypatch):
+        # a linking matrix with its first chain framing shifted by one must
+        # fail the sweep: the verifier checks the forms the pipeline builds
+        def shifted(pres):
+            form = linking_matrix(pres)
+            roles = [c.role for c in pres.components]
+            if "chain" not in roles:
+                return form
+            i = roles.index("chain")
+            q = [list(row) for row in form.Q]
+            q[i][i] -= 1
+            return IntersectionForm(tuple(map(tuple, q)), form.l)
+
+        monkeypatch.setattr(closedforms, "linking_matrix", shifted)
+        rep = verify_closed_forms(k_max=4, n_max=3)
+        assert not rep["ok"]
+        checks = {m["check"] for m in rep["mismatches"]}
+        assert {"tb2_neg_q11", "one_neg_csq", "one_pos_sigma"} <= checks
+
+    def test_one_elimination_pass_per_form(self, monkeypatch):
+        # 835 family forms, one pass each, and 150 block_negdef matrices;
+        # separate negdef, signature and block passes made 2,218
+        passes = []
+        eliminate = linalg._eliminate
+
+        def counted(rows, cols=()):
+            passes.append(len(rows))
+            return eliminate(rows, cols)
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        assert verify_closed_forms()["ok"]
+        assert len(passes) <= 985
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):

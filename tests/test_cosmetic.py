@@ -197,17 +197,14 @@ class TestScan:
 
 class TestScanSharesMatrixWork:
     """One d3 cache per tb: scan_cells(-12, -1, 12) converts each (tb,
-    slope) once and relabels it for the other rotation numbers, does the
-    matrix work once per distinct (Q, support) and each signature once
-    per Q."""
+    slope) once and relabels it for the other rotation numbers, and makes
+    one elimination pass, its signature included, per distinct (Q,
+    support)."""
 
     @pytest.fixture(scope="class")
     def counted(self):
-        calls = {"adjugate": 0, "convert": 0, "linking_matrix": 0}
-        signatures, tb = [], [None]
-        adjugate_block, signature = linalg.adjugate_block, linalg.signature
+        calls = {"adjugate": 0, "convert": 0, "linking_matrix": 0, "eliminate": 0}
         convert, linking_matrix = invariants.convert, invariants.linking_matrix
-        detail = cosmetic.d3_spectrum_detail
 
         def counting(name, fn):
             def call(*args):
@@ -215,40 +212,32 @@ class TestScanSharesMatrixWork:
                 return fn(*args)
             return call
 
-        def count_signature(rows):
-            signatures.append((tb[0], tuple(map(tuple, rows))))
-            return signature(rows)
-
-        def note_tb(L, *args):
-            tb[0] = L.tb
-            return detail(L, *args)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "adjugate_block", counting("adjugate", adjugate_block))
+            mp.setattr(linalg, "adjugate_block",
+                       counting("adjugate", linalg.adjugate_block))
+            mp.setattr(linalg, "_eliminate", counting("eliminate", linalg._eliminate))
             mp.setattr(invariants, "convert", counting("convert", convert))
             mp.setattr(invariants, "linking_matrix",
                        counting("linking_matrix", linking_matrix))
-            mp.setattr(linalg, "signature", count_signature)
-            mp.setattr(cosmetic, "d3_spectrum_detail", note_tb)
             cosmetic.scan_cells(-12, -1, 12)
-        return calls, signatures
+        return calls
 
     def test_one_adjugate_pass_per_distinct_form(self, counted):
         # 586 distinct (tb, Q, support) keys; a cache per call made 2,312 passes
-        assert counted[0]["adjugate"] <= 586
+        assert counted["adjugate"] <= 586
 
     def test_one_conversion_per_tb_and_slope(self, counted):
         # 308 distinct (tb, slope); converting per (tb, rot, slope) made 2,022
-        assert counted[0]["convert"] <= 308
+        assert counted["convert"] <= 308
 
     def test_one_form_per_planned_presentation(self, counted):
         # 689 presentations in the 308 plans; per (tb, rot, slope) it was 4,125
-        assert counted[0]["linking_matrix"] <= 689
+        assert counted["linking_matrix"] <= 689
 
-    def test_one_signature_per_form_within_a_tb(self, counted):
-        signatures = counted[1]
-        assert signatures
-        assert len(signatures) == len(set(signatures))
+    def test_one_elimination_pass_per_form(self, counted):
+        # the adjugate pass gives sigma too; a separate signature pass per
+        # new Q made 893
+        assert counted["eliminate"] <= 586
 
 
 class TestScanDigest:

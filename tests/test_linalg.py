@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from contactsurg import linalg
-from contactsurg.closedforms import (
-    bordered_block_matrix,
-    chain_matrix,
-    chain_matrix_primed,
+from contactsurg.closedforms import bordered_block_matrix, chain_matrix, chain_matrix_primed
+from contactsurg.invariants import d3_values
+from contactsurg.surgery import IntersectionForm, LegendrianData, convert, linking_matrix
+from oracles import (
+    bareiss,
+    char_poly_interpolate,
+    char_poly_minors,
+    congruence_signature_dense,
+    tb2_negative_matrix,
     tb2_positive_matrix,
     tbk_two_matrix,
 )
-from contactsurg.surgery import LegendrianData, convert, linking_matrix
-from oracles import bareiss, char_poly_interpolate, char_poly_minors, congruence_signature_dense
 
 
 def random_matrix(rng, n, lo=-9, hi=9, symmetric=False):
@@ -90,7 +93,7 @@ class TestDeterminant:
 
 def inverse_entry(rows, i, j):
     """(A^-1)_{ij} from the whole adjugate."""
-    det, adj = linalg.adjugate_block(rows, range(len(rows)))
+    det, _, adj = linalg.adjugate_block(rows, range(len(rows)))
     return Fraction(adj[i][j], det)
 
 
@@ -113,7 +116,6 @@ class TestInverseEntry:
 
     def test_bordered_chain_entry(self):
         # tb = -2 family: top-left inverse entry is 3 - 4n
-        from contactsurg.closedforms import tb2_negative_matrix
         for n in range(2, 9):
             assert inverse_entry(tb2_negative_matrix(n), 0, 0) == 3 - 4 * n
 
@@ -156,7 +158,7 @@ class TestSolve:
                 continue
             done += 1
             b = [rng.randint(-5, 5) for _ in range(n)]
-            det, adj = linalg.adjugate_block(m, range(n))
+            det, _, adj = linalg.adjugate_block(m, range(n))
             x = [Fraction(sum(adj[i][c] * b[c] for c in range(n)), det) for i in range(n)]
             for i in range(n):
                 assert sum(Fraction(m[i][k]) * x[k] for k in range(n)) == b[i]
@@ -171,7 +173,7 @@ class TestSolve:
             if linalg.determinant(m) == 0:
                 continue
             done += 1
-            det, adj = linalg.adjugate_block(m, range(n))
+            det, _, adj = linalg.adjugate_block(m, range(n))
             assert det == linalg.determinant(m)
             for c in range(n):
                 for i in range(n):
@@ -189,7 +191,7 @@ class TestSolve:
             done += 1
             r = [rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
             support = [i for i, x in enumerate(r) if x]
-            det, block = linalg.adjugate_block(m, support)
+            det, _, block = linalg.adjugate_block(m, support)
             value = Fraction(linalg.adjugate_quadratic(block, support, r), det)
             expected = sum(r[i] * inverse_entry(m, i, j) * r[j]
                            for i in range(n) for j in range(n))
@@ -226,7 +228,7 @@ class TestAdjugateBlock:
             with pytest.raises(linalg.SingularMatrixError):
                 linalg.adjugate_block(m, support)
             return
-        det, block = linalg.adjugate_block(m, support)
+        det, _, block = linalg.adjugate_block(m, support)
         inv = ref.inv()
         assert [list(row) for row in block] == [
             [inv[i, j] * det for j in support] for i in support]
@@ -244,7 +246,7 @@ class TestAdjugateBlock:
             return
         dropped = data.draw(st.sampled_from(support))
         rest = [i for i in support if i != dropped]
-        _, block = linalg.adjugate_block(m, rest)
+        _, _, block = linalg.adjugate_block(m, rest)
         off = list(r)
         off[dropped] = data.draw(st.integers(1, 5))
         with pytest.raises(ValueError):
@@ -477,9 +479,19 @@ class TestSignature:
         assert linalg.is_symmetric([]) and linalg.is_symmetric([[1, 2], [2, 4]])
 
     def test_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(linalg, "congruence_signature", lambda rows: 2)
-        with pytest.raises(linalg.SignatureMismatchError):
-            linalg.signature([[-7919, 1], [1, -3]])
+        # a wrong Descartes half stops every caller of the one kernel pass
+        rows = ((-7919, 1), (1, -3))
+        linalg._descartes_cached.cache_clear()
+        monkeypatch.setattr(linalg, "descartes_signature", lambda rows: 2)
+        try:
+            with pytest.raises(linalg.SignatureMismatchError):
+                linalg.adjugate_block(rows, (0,))
+            with pytest.raises(linalg.SignatureMismatchError):
+                linalg.signature(rows)
+            with pytest.raises(linalg.SignatureMismatchError):
+                d3_values(IntersectionForm(rows, 0), [(1, 0)])
+        finally:
+            linalg._descartes_cached.cache_clear()
 
     def test_methods_agree_on_seeded_corpus(self):
         # criterion corpus: 1000 seeded random symmetric nonsingular matrices
@@ -574,8 +586,8 @@ class TestKernelAgainstSympy:
             with pytest.raises(linalg.SingularMatrixError):
                 linalg.adjugate_block(m, range(n))
             return
-        got_det, adj = linalg.adjugate_block(m, range(n))
-        assert got_det == det
+        got_det, sigma, adj = linalg.adjugate_block(m, range(n))
+        assert got_det == det and sigma == sympy_signature(m)
         ref_adj = DomainMatrix.from_Matrix(ref).adjugate().to_Matrix().tolist() if n else []
         assert [list(row) for row in adj] == ref_adj
         assert [list(row) for row in adj] == [[oracle_adj[c][i] for c in range(n)]
@@ -603,7 +615,7 @@ class TestKernelAgainstSympy:
         # nonsingular, with an all-zero diagonal: the first pivot needs a congruence
         swap = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
         assert linalg.determinant(swap) == sympy.Matrix(swap).det()
-        det, adj = linalg.adjugate_block(swap, range(3))
+        det, _, adj = linalg.adjugate_block(swap, range(3))
         ref = DomainMatrix.from_Matrix(sympy.Matrix(swap)).adjugate().to_Matrix()
         assert [list(row) for row in adj] == ref.tolist()
         assert not linalg.is_negative_definite(swap)

@@ -4,15 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactsurg.closedforms import (
-    tb1_negative_matrix,
-    tb1_positive_matrix,
-    tb2_negative_matrix,
-    tb2_positive_matrix,
-    tbk_negative_matrix,
-    tbk_positive_matrix,
-    tbk_two_matrix,
-)
 from contactsurg.surgery import (
     ContactZeroError,
     IntersectionForm,
@@ -24,7 +15,16 @@ from contactsurg.surgery import (
     relabel,
     rot_range,
 )
-from oracles import smooth_recovery
+from oracles import (
+    smooth_recovery,
+    tb1_negative_matrix,
+    tb1_positive_matrix,
+    tb2_negative_matrix,
+    tb2_positive_matrix,
+    tbk_negative_matrix,
+    tbk_positive_matrix,
+    tbk_two_matrix,
+)
 
 
 def matrix_of(tb, rot, smooth):
