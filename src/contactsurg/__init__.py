@@ -5,44 +5,15 @@ integer and rational arithmetic."""
 
 __version__ = "0.1.0"
 
-from .slopes import (
-    INFINITY,
-    Slope,
-    SlopeError,
-    canonical_slope,
-    cs_set,
-    lens_parameters,
-    neg_cf_expand,
-    parse_slope,
-    same_lens_space,
-)
-from .farey import (
-    ANTICLOCKWISE,
-    CLOCKWISE,
-    count_tight_lens,
-    count_tight_lens_pq,
-    count_tight_solid_torus,
-    count_tight_thickened_torus,
-    is_edge,
-    minimal_path_blocks,
-)
-from .surgery import (
-    ContactZeroError,
-    IntersectionForm,
-    LegendrianData,
-    convert,
-    enumerate_rotations,
-    linking_matrix,
-    rot_range,
-)
-from .invariants import d3_spectrum, d3_spectrum_detail, d3_values
-from .cosmetic import (
-    candidate_slopes,
-    check_pair,
-    scan,
-    solve_d3_equation,
-    unknot_classify,
-)
+from .slopes import (INFINITY, Slope, SlopeError, canonical_slope, cs_set,
+                     lens_parameters, neg_cf_expand, parse_slope, same_lens_space)
+from .farey import (ANTICLOCKWISE, CLOCKWISE, count_tight_lens, count_tight_lens_pq,
+                    count_tight_solid_torus, count_tight_thickened_torus, is_edge,
+                    minimal_path_blocks)
+from .surgery import (ContactZeroError, IntersectionForm, LegendrianData, convert,
+                      enumerate_rotations, linking_matrix, rot_range)
+from .invariants import d3_spectrum, d3_spectrum_detail
+from .cosmetic import candidate_slopes, check_pair, scan, solve_d3_equation, unknot_classify
 from .closedforms import verify_closed_forms
 from .regressions import verify_d3_regressions
 
@@ -58,7 +29,7 @@ __all__ = [
     "ContactZeroError", "IntersectionForm", "LegendrianData", "convert",
     "enumerate_rotations", "linking_matrix", "rot_range",
     # d3
-    "d3_spectrum", "d3_spectrum_detail", "d3_values",
+    "d3_spectrum", "d3_spectrum_detail",
     # cosmetic obstructions and unknots
     "candidate_slopes", "check_pair", "scan", "solve_d3_equation",
     "unknot_classify",

@@ -72,6 +72,13 @@ def bordered_block_matrix(a: int, b: int, c: int, m: int):
 # ---------------------------------------------------------------------------
 # closed forms
 
+def _half(x: int) -> int:
+    """x / 2 exactly; an odd x means the rotation number has the wrong parity."""
+    if x % 2:
+        raise ValueError(f"{x}/2 is not an integer: rotation number of inadmissible parity")
+    return x // 2
+
+
 DEFAULT_FORMS = {
     # determinants
     "chain_det": lambda n: (-1) ** n * (n + 1),
@@ -117,8 +124,8 @@ DEFAULT_FORMS = {
     "tb1_pos_csq": lambda n, rho: 0,
     "tb2_neg_csq": lambda n, i, j: 8 - 9 * n if i * j < 0 else -n,
     "tb2_pos_csq": lambda n, i, rho2, s: -1 if rho2 == 2 * i else 4 * n + 3 + 4 * i * s,
-    "two_neg_csq": lambda k, i, e: Fraction(-i * i, 2) + e * (k - 3) * i + Fraction(-k * k + 4 * k - 3, 2),
-    "two_pos_csq": lambda k, i, e: Fraction(i * i, 2) - e * (k + 1) * i + Fraction(k * k - 1, 2),
+    "two_neg_csq": lambda k, i, e: _half(-i * i - k * k + 4 * k - 3) + e * (k - 3) * i,
+    "two_pos_csq": lambda k, i, e: _half(i * i + k * k - 1) - e * (k + 1) * i,
     "one_neg_csq": lambda k, n, i, e, j: (
         -n + 1 + (1 - k) * ((k - 1) * n - 1)
         - 2 * j * (-1) ** k * (n - 1) * (e * (k - 1) - i)
@@ -175,19 +182,21 @@ class _Report:
         }
 
 
-def _form(tb, smooth_slope):
-    """Q of the first presentation ``convert`` gives for the surgery with
-    smooth coefficient ``smooth_slope`` on a knot with this tb; the
-    rotation number and the stabilization outcome leave Q unchanged."""
+def _block(rep, tag, context, tb, smooth_slope, cols):
+    """(Q, sigma(Q), (cols, det Q, adj(Q)[cols, cols])) from one pass on
+    the ``cols`` inside Q, the form of the first presentation ``convert``
+    gives at (tb, smooth_slope) (the rotation number and stabilization
+    outcome leave Q unchanged).  A singular Q is one mismatch,
+    ``tag``_invertible, and gives None: the caller skips that form."""
     knot = LegendrianData(tb, rot_range(tb)[0])
-    return linking_matrix(convert(knot, smooth_slope - tb)[0]).Q
-
-
-def _block(mat, cols):
-    """sigma(Q) and Q^-1 on the index list ``cols``, from one elimination
-    pass: (sigma, (cols, det Q, adj(Q)[cols, cols]))."""
-    det, sigma, block = linalg.adjugate_block(mat, cols)
-    return sigma, (cols, det, block)
+    mat = linking_matrix(convert(knot, smooth_slope - tb)[0]).Q
+    cols = [c for c in cols if c < len(mat)]
+    try:
+        det, sigma, block = linalg.adjugate_block(mat, cols)
+    except linalg.SingularMatrixError:
+        rep._mismatch(f"{tag}_invertible", context, "det != 0", "det = 0", mat)
+        return None
+    return mat, sigma, (cols, det, block)
 
 
 def _q(qb, col, row):
@@ -196,10 +205,22 @@ def _q(qb, col, row):
     return block[cols.index(row)][cols.index(col)], det
 
 
-def _csq(qb, r):
-    """r^T Q^-1 r, as (numerator, denominator)."""
+def _csq(qb, v):
+    """r^T Q^-1 r for the vector r that is ``v`` on cols and 0 elsewhere,
+    as (numerator, denominator)."""
     cols, det, block = qb
-    return linalg.adjugate_quadratic(block, cols, r), det
+    return linalg.adjugate_quadratic(block, range(len(cols)), v), det
+
+
+def _entries(rep, tag, context, args, qb, mat, entries):
+    """Check the inverse entry forms ``tag``_name(*args) against Q^-1 at
+    (row, col), for each (name, row, col) of ``entries``."""
+    for name, row, col in entries:
+        rep.ratio(f"{tag}_{name}", context, DEFAULT_FORMS[f"{tag}_{name}"](*args),
+                  _q(qb, col, row), mat)
+
+
+_LEADING = (("q11", 0, 0), ("q12", 1, 0), ("q22", 1, 1))
 
 
 def verify_closed_forms(k_max: int = 20, n_max: int = 20):
@@ -235,50 +256,49 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
                                    True, linalg.is_negative_definite(mat))
 
     for n in range(2, n_max + 1):
-        mat = _form(-1, Fraction(-1, n))
-        sigma, qc = _block(mat, [0] if n == 2 else [2])
+        if (blk := _block(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n),
+                          [0 if n == 2 else 2])) is None:
+            continue
+        mat, sigma, qc = blk
         rep.record("tb1_neg_det", {"n": n}, f["tb1_neg_det"](n),
                    linalg.determinant(mat), mat)
         rep.record("tb1_neg_sigma", {"n": n}, f["tb1_neg_sigma"](n), sigma, mat)
         if n == 2:
-            rep.ratio("tb1_neg_csq", {"n": n}, f["tb1_neg_csq"](n),
-                      _csq(qc, [0] * n), mat)
-        else:
-            for pm in (1, -1):
-                r = [0] * n
-                r[2] = pm
-                rep.ratio("tb1_neg_csq", {"n": n, "stab": pm},
-                          f["tb1_neg_csq"](n), _csq(qc, r), mat)
+            rep.ratio("tb1_neg_csq", {"n": n}, f["tb1_neg_csq"](n), _csq(qc, [0]), mat)
+        for pm in (1, -1) if n > 2 else ():
+            rep.ratio("tb1_neg_csq", {"n": n, "stab": pm},
+                      f["tb1_neg_csq"](n), _csq(qc, [pm]), mat)
 
     for n in range(1, n_max + 1):
-        mat = _form(-1, Fraction(1, n))
-        sigma, qc = _block(mat, [1])
+        if (blk := _block(rep, "tb1_pos", {"n": n}, -1, Fraction(1, n), [1])) is None:
+            continue
+        mat, sigma, qc = blk
         rep.record("tb1_pos_sigma", {"n": n}, f["tb1_pos_sigma"](n), sigma, mat)
         for rho in rot_range(-n - 1)[::-1]:
             rep.ratio("tb1_pos_csq", {"n": n, "rho": rho},
-                      f["tb1_pos_csq"](n, rho), _csq(qc, [0, rho]), mat)
+                      f["tb1_pos_csq"](n, rho), _csq(qc, [rho]), mat)
 
     for n in range(1, n_max + 1):
-        mat = _form(-2, Fraction(-1, n))
-        sigma, qc = _block(mat, [0] if n == 1 else [0, 1])
+        if (blk := _block(rep, "tb2_neg", {"n": n}, -2, Fraction(-1, n), [0, 1])) is None:
+            continue
+        mat, sigma, qc = blk
         rep.record("tb2_neg_negdef", {"n": n}, True, sigma == -len(mat), mat)
         rep.record("tb2_neg_sigma", {"n": n}, f["tb2_neg_sigma"](n), sigma, mat)
         if n >= 2:
-            rep.ratio("tb2_neg_q11", {"n": n}, f["tb2_neg_q11"](n), _q(qc, 0, 0), mat)
-            rep.ratio("tb2_neg_q12", {"n": n}, f["tb2_neg_q12"](n), _q(qc, 0, 1), mat)
-            rep.ratio("tb2_neg_q22", {"n": n}, f["tb2_neg_q22"](n), _q(qc, 1, 1), mat)
+            _entries(rep, "tb2_neg", {"n": n}, (n,), qc, mat, _LEADING)
             for i in (1, -1):
                 for j in (i + 2, i, i - 2):
-                    r = [i, j] + [0] * (n - 2)
                     rep.ratio("tb2_neg_csq", {"n": n, "i": i, "j": j},
-                              f["tb2_neg_csq"](n, i, j), _csq(qc, r), mat)
+                              f["tb2_neg_csq"](n, i, j), _csq(qc, [i, j]), mat)
         else:
             for i in (1, -1):
                 rep.ratio("tb2_neg_csq", {"n": n, "i": i}, f["tb2_neg_csq"](n, i, 0),
                           _csq(qc, [i]), mat)
 
-        matp = _form(-2, Fraction(1, n))
-        sigma, qcp = _block(matp, [0, 1, 2])
+    for n in range(1, n_max + 1):
+        if (blk := _block(rep, "tb2_pos", {"n": n}, -2, Fraction(1, n), [0, 1, 2])) is None:
+            continue
+        matp, sigma, qcp = blk
         rep.record("tb2_pos_sigma", {"n": n}, f["tb2_pos_sigma"](n), sigma, matp)
         qexp = f["tb2_pos_q"](n)
         for i_ in range(3):
@@ -296,82 +316,53 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
         rots = rot_range(-k)[::-1]
 
         for sign, tag in ((-1, "two_neg"), (1, "two_pos")):
-            mat = _form(-k, 2 * sign)
+            if (blk := _block(rep, tag, {"k": k}, -k, 2 * sign, [0, 1])) is None:
+                continue
+            mat, sigma, qc = blk
             size = len(mat)
-            sigma, qc = _block(mat, [0] if size == 1 else [0, 1])
             if sign == -1:
                 rep.record("two_neg_negdef", {"k": k}, True, sigma == -size, mat)
             rep.record(f"{tag}_sigma", {"k": k}, f[f"{tag}_sigma"](k), sigma, mat)
-            rep.ratio(f"{tag}_q11", {"k": k}, f[f"{tag}_q11"](k), _q(qc, 0, 0), mat)
-            if size >= 2:
-                rep.ratio(f"{tag}_q12", {"k": k}, f[f"{tag}_q12"](k), _q(qc, 0, 1), mat)
-                rep.ratio(f"{tag}_q22", {"k": k}, f[f"{tag}_q22"](k), _q(qc, 1, 1), mat)
+            _entries(rep, tag, {"k": k}, (k,), qc, mat, _LEADING[:1 if size == 1 else 3])
             for i in rots:
                 if size == 1:
                     rep.ratio(f"{tag}_csq", {"k": k, "i": i},
                               f[f"{tag}_csq"](k, i, 1), _csq(qc, [i]), mat)
-                else:
-                    for e in (1, -1):
-                        r = [i, i + e] + [0] * (size - 2)
-                        rep.ratio(f"{tag}_csq", {"k": k, "i": i, "e": e},
-                                  f[f"{tag}_csq"](k, i, e), _csq(qc, r), mat)
+                for e in (1, -1) if size > 1 else ():
+                    rep.ratio(f"{tag}_csq", {"k": k, "i": i, "e": e},
+                              f[f"{tag}_csq"](k, i, e), _csq(qc, [i, i + e]), mat)
 
         for n in range(1, n_max + 1):
-            mat = _form(-k, Fraction(-1, n))
+            if (blk := _block(rep, "one_neg", {"k": k, "n": n}, -k, Fraction(-1, n),
+                              [0, 1, k - 1])) is None:
+                continue
+            mat, sigma, qc = blk
             size = len(mat)
-            sigma, qc = _block(mat, [0, 1] if n == 1 else [0, 1, k - 1])
             rep.record("one_neg_negdef", {"k": k, "n": n}, True, sigma == -size, mat)
             rep.record("one_neg_sigma", {"k": k, "n": n}, f["one_neg_sigma"](k, n), sigma, mat)
-            rep.ratio("one_neg_q11", {"k": k, "n": n}, f["one_neg_q11"](k, n), _q(qc, 0, 0), mat)
-            rep.ratio("one_neg_q12", {"k": k, "n": n}, f["one_neg_q12"](k, n), _q(qc, 0, 1), mat)
-            rep.ratio("one_neg_q22", {"k": k, "n": n}, f["one_neg_q22"](k, n), _q(qc, 1, 1), mat)
-            if n >= 2:
-                rep.ratio("one_neg_q1k", {"k": k, "n": n}, f["one_neg_q1k"](k, n),
-                          _q(qc, 0, k - 1), mat)
-                rep.ratio("one_neg_q2k", {"k": k, "n": n}, f["one_neg_q2k"](k, n),
-                          _q(qc, 1, k - 1), mat)
-                rep.ratio("one_neg_qkk", {"k": k, "n": n}, f["one_neg_qkk"](k, n),
-                          _q(qc, k - 1, k - 1), mat)
+            _entries(rep, "one_neg", {"k": k, "n": n}, (k, n), qc, mat, _LEADING + (
+                (("q1k", k - 1, 0), ("q2k", k - 1, 1), ("qkk", k - 1, k - 1)) if n >= 2 else ()))
             for i in rots:
                 for e in (1, -1):
-                    base = [0] * size
-                    base[0], base[1] = i, i + e
                     if n == 1:
                         rep.ratio("one_neg_csq", {"k": k, "n": n, "i": i, "e": e},
-                                  f["one_neg_csq"](k, n, i, e, 0),
-                                  _csq(qc, base), mat)
-                    else:
-                        for j in (1, -1):
-                            r = list(base)
-                            r[k - 1] = j
-                            rep.ratio("one_neg_csq",
-                                      {"k": k, "n": n, "i": i, "e": e, "j": j},
-                                      f["one_neg_csq"](k, n, i, e, j),
-                                      _csq(qc, r), mat)
+                                  f["one_neg_csq"](k, n, i, e, 0), _csq(qc, [i, i + e]), mat)
+                    for j in (1, -1) if n > 1 else ():
+                        rep.ratio("one_neg_csq", {"k": k, "n": n, "i": i, "e": e, "j": j},
+                                  f["one_neg_csq"](k, n, i, e, j), _csq(qc, [i, i + e, j]), mat)
 
-            matp = _form(-k, Fraction(1, n))
-            sigma, qcp = _block(matp, [0, 1, k])
+        for n in range(1, n_max + 1):
+            if (blk := _block(rep, "one_pos", {"k": k, "n": n}, -k, Fraction(1, n),
+                              [0, 1, k])) is None:
+                continue
+            matp, sigma, qcp = blk
             rep.record("one_pos_sigma", {"k": k, "n": n}, f["one_pos_sigma"](k, n), sigma, matp)
-            rep.ratio("one_pos_q11", {"k": k, "n": n}, f["one_pos_q11"](k, n),
-                      _q(qcp, 0, 0), matp)
-            rep.ratio("one_pos_q12", {"k": k, "n": n}, f["one_pos_q12"](k, n),
-                      _q(qcp, 0, 1), matp)
-            rep.ratio("one_pos_q22", {"k": k, "n": n}, f["one_pos_q22"](k, n),
-                      _q(qcp, 1, 1), matp)
-            rep.ratio("one_pos_q1last", {"k": k, "n": n}, f["one_pos_q1last"](k, n),
-                      _q(qcp, 0, k), matp)
-            rep.ratio("one_pos_q2last", {"k": k, "n": n}, f["one_pos_q2last"](k, n),
-                      _q(qcp, 1, k), matp)
-            rep.ratio("one_pos_qlastlast", {"k": k, "n": n}, f["one_pos_qlastlast"](k, n),
-                      _q(qcp, k, k), matp)
+            _entries(rep, "one_pos", {"k": k, "n": n}, (k, n), qcp, matp, _LEADING + (
+                ("q1last", k, 0), ("q2last", k, 1), ("qlastlast", k, k)))
             for i in rots:
                 for e in (1, -1):
                     for s in rot_range(-n)[::-1]:
-                        r = [0] * (k + 1)
-                        r[0], r[1], r[k] = i, i + e, s
-                        rep.ratio("one_pos_csq",
-                                  {"k": k, "n": n, "i": i, "e": e, "s": s},
-                                  f["one_pos_csq"](k, n, i, e, s),
-                                  _csq(qcp, r), matp)
+                        rep.ratio("one_pos_csq", {"k": k, "n": n, "i": i, "e": e, "s": s},
+                                  f["one_pos_csq"](k, n, i, e, s), _csq(qcp, [i, i + e, s]), matp)
 
     return rep.as_dict()

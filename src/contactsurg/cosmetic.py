@@ -23,7 +23,7 @@ from itertools import product
 
 from .closedforms import DEFAULT_FORMS
 from .farey import CLOCKWISE, minimal_path_blocks
-from .invariants import D3Cache, d3_spectrum, d3_spectrum_detail
+from .invariants import D3Cache, d3_records, d3_spectrum
 from .slopes import Slope, SlopeError, canonical_slope, lens_parameters
 from .surgery import ContactZeroError, LegendrianData, rot_range
 
@@ -61,8 +61,8 @@ class CosmeticVerdict:
     def to_json(self):
         return {
             "slope_pair": [str(s) for s in self.slope_pair],
-            "spectrum_neg": sorted(str(v) for v in self.spectrum_neg),
-            "spectrum_pos": sorted(str(v) for v in self.spectrum_pos),
+            "spectrum_neg": sorted(map(str, self.spectrum_neg)),
+            "spectrum_pos": sorted(map(str, self.spectrum_pos)),
             "outcome": self.outcome,
             "exception_flags": list(self.exception_flags),
         }
@@ -84,12 +84,13 @@ def check_pair(L: LegendrianData, v) -> CosmeticVerdict:
 
 def _verdict(tb: int, v: Fraction, spectrum) -> CosmeticVerdict:
     """Verdict on the pair {-v, +v} for a knot with this tb, where
-    ``spectrum(slope)`` is the d3 spectrum at a smooth slope.  It is not
-    called for the contact-0 cell (-v = tb)."""
+    ``spectrum(slope)`` is the d3 spectrum at a smooth slope, asked at -v
+    first and then at v.  It is not called for the contact-0 cell
+    (-v = tb)."""
     pair = (-v, v)
-    if -v == tb:
+    if pair[0] == tb:
         return CosmeticVerdict(pair, frozenset(), frozenset(), "contact_zero")
-    neg = frozenset(spectrum(-v))
+    neg = frozenset(spectrum(pair[0]))
     pos = frozenset(spectrum(v))
     if neg.isdisjoint(pos):
         return CosmeticVerdict(pair, neg, pos, "obstructed")
@@ -224,8 +225,8 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
 
     Every cell carries both spectra and the matrix provenance; the cells
     left unobstructed are listed apart.  The cells of one tb share one
-    D3Cache (a plan per smooth slope, and signature, det and adjugate
-    block per form), dropped when tb moves on.
+    D3Cache (a plan per smooth slope), dropped when tb moves on.  The
+    spectra are frozensets of d3 strings, read off the plans in integers.
     """
     if tb_max > -1:
         raise ValueError("scan covers tb <= -1")
@@ -236,18 +237,12 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
         for rot in rot_range(tb):
             L = LegendrianData(tb, rot)
             for v in candidate_slopes(2, n_max):
-                prov = {}
-
-                def spectrum(slope):
-                    detail = d3_spectrum_detail(L, slope, cache)
-                    prov[slope] = _provenance(detail)
-                    return [x["d3"].d3 for rec in detail for x in rec["values"]]
-
-                verdict = _verdict(tb, v, spectrum)
+                prov = []  # the neg side's records, then the pos side's
+                verdict = _verdict(tb, v, lambda slope: _provenance(L, slope, cache, prov))
                 cell = {"tb": tb, "rot": rot, "pair": [str(-v), str(v)],
                         "verdict": verdict.to_json()}
                 if prov:
-                    cell["provenance"] = {"neg": prov[-v], "pos": prov[v]}
+                    cell["provenance"] = {"neg": prov[0], "pos": prov[1]}
                 cells.append(cell)
                 if verdict.outcome == "not_obstructed":
                     not_obstructed.append({"tb": tb, "rot": rot, "v": str(v)})
@@ -261,14 +256,22 @@ def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
             "solver_solutions": solve_d3_equations(tb_min, tb_max, n_max)}
 
 
-def _provenance(detail):
-    """The framings, l and d3 strings of each record of d3_spectrum_detail."""
-    return [{
-        "framings": [c.framing for c in rec["presentation"].components],
-        "l": rec["presentation"].l,
-        "values": [{"rotations": v["rotations"], "d3": str(v["d3"].d3)}
-                   for v in rec["values"]],
-    } for rec in detail]
+def _provenance(L, slope, cache, out):
+    """The scan spectrum at L.rot: the set of d3 strings, each the one
+    ``str`` gives the reduced Fraction.  Appends to ``out`` the framings
+    (diag Q), l and d3 strings of each presentation of the plan."""
+    records, spectrum = [], set()
+    for e, d, nums, pairs in d3_records(L, slope, cache):
+        text = {num: f"{a}/{b}" if b != 1 else str(a) for num, (a, b) in pairs.items()}
+        spectrum.update(text.values())
+        records.append({
+            "framings": list(map(tuple.__getitem__, e.form.Q, range(e.form.n))),
+            "l": e.form.l,
+            "values": [{"rotations": r, "d3": text[num]}
+                       for r, num in zip(e.rotations(d), nums)],
+        })
+    out.append(records)
+    return spectrum
 
 
 # ---------------------------------------------------------------------------

@@ -15,21 +15,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import product
+from math import gcd
+from operator import mul
 
 from . import linalg
-from .surgery import (
-    IntersectionForm,
-    LegendrianData,
-    convert,
-    enumerate_rotations,
-    linking_matrix,
-    relabel,
-)
+from .surgery import (IntersectionForm, LegendrianData, SurgeryPresentation, convert,
+                      linking_matrix, relabel, rotation_choices)
 
 
 class NonTorsionEulerClassError(ValueError):
     """det Q = 0: c1^2 undefined (non-torsion Euler class)."""
+
+
+class PipelineCheckError(RuntimeError):
+    """A self-check of the d3 route failed; internal error."""
 
 
 @dataclass(frozen=True)
@@ -48,97 +48,131 @@ class D3Result:
             raise ValueError("inconsistent d3 data")
 
     def to_json(self):
-        return {
-            "chi": self.chi,
-            "sigma": self.sigma,
-            "c_squared": str(self.c_squared),
-            "l": self.l,
-            "d3": str(self.d3),
-        }
+        return {"chi": self.chi, "sigma": self.sigma, "c_squared": str(self.c_squared),
+                "l": self.l, "d3": str(self.d3)}
 
 
-def _assemble(chi, sigma, l, det, num):
-    """The D3Result with c1^2 = num / det, num = r^T adj(Q) r: d3 is the
-    single fraction (num - (3 sigma + 2 (chi - 1) - 4 l) det) / (4 det)."""
-    d3 = Fraction(num - (3 * sigma + 2 * (chi - 1) - 4 * l) * det, 4 * det)
-    return D3Result(chi=chi, sigma=sigma, c_squared=Fraction(num, det), l=l, d3=d3)
+@dataclass(frozen=True)
+class PlanEntry:
+    """One presentation of a plan, with the integers its d3 values need.
+
+    ``choices`` are its ``rotation_choices`` at ``pres.base_rot`` and u =
+    ``pinned`` is 1 on the push-offs, whose rotation numbers follow the
+    knot's: at the shift d = rot - base_rot, each rotation vector v
+    becomes v + d u.  With B = adj(Q)[S, S] on the support S of u and the
+    vectors, c1^2 of v + d u is (N_v + 2 d W_v + d^2 U) / det for
+    N_v = v^T B v (``quad``), W_v = u^T B v (``cross``), U = u^T B u.
+    """
+
+    pres: SurgeryPresentation
+    form: IntersectionForm
+    choices: list
+    pinned: tuple
+    det: int
+    sigma: int
+    quad: list
+    cross: list
+    U: int
+
+    def rotations(self, d):
+        """The rotation vectors at shift d, as tuples."""
+        return list(product(*[(c[0] + d,) if p else c
+                              for c, p in zip(self.choices, self.pinned)]))
 
 
 class D3Cache:
-    """Work that d3 requests on knots of one tb share.
-
-    ``plans`` maps (tb, smooth slope) to the presentations of one
-    ``convert`` call, each with its form and rotation vectors; a request
-    at another rotation number relabels them (``surgery.relabel``).
-    ``forms`` maps Q to {support S: (det Q, sigma, adj(Q)[S, S])}, the
-    cache of d3_values.
-    """
+    """Work that d3 requests on knots of one tb share: ``plans`` maps
+    (tb, smooth slope) to the PlanEntry list of one ``convert`` call."""
 
     def __init__(self):
         self.plans = {}
-        self.forms = {}
 
 
-def d3_values(form: IntersectionForm, vectors, cache=None) -> list:
-    """d3 of ``form`` for each rotation vector, as D3Results.
+def _plan(L: LegendrianData, smooth_slope: Fraction, cache: D3Cache) -> list:
+    """The plan of (L.tb, smooth_slope), made at L.rot on first request.
+    The presentations of one conversion share Q and S, so one
+    ``linalg.adjugate_block`` pass (its signature checked against
+    Descartes').  S holds every pinned index, as a pinned entry that is 0
+    here is not at other rotation numbers.  Each form is checked against
+    its slope p/q: |det Q| = |p| and U / det = q / p mod 1, the linking
+    form on the knot's meridian.  A singular Q raises; a raise keeps no
+    plan."""
+    key = (L.tb, smooth_slope)
+    plan = cache.plans.get(key)
+    if plan is not None:
+        return plan
+    p, q = smooth_slope.numerator, smooth_slope.denominator
+    plan, blocks = [], {}
+    for pres in convert(L, smooth_slope - L.tb):
+        form, choices = linking_matrix(pres), rotation_choices(pres)
+        pinned = tuple(int(c.rot is not None) for c in pres.components)
+        support = tuple(i for i, c in enumerate(choices) if pinned[i] or any(c))
+        hit = blocks.get((form.Q, support))
+        if hit is None:
+            try:
+                hit = blocks[form.Q, support] = linalg.adjugate_block(form.Q, support)
+            except linalg.SingularMatrixError:
+                raise NonTorsionEulerClassError(
+                    "c1^2 undefined: non-torsion Euler class") from None
+        det, sigma, block = hit
+        u = [pinned[i] for i in support]
+        bu = [sum(map(mul, row, u)) for row in block]
+        U = sum(map(mul, bu, u))
+        if abs(det) != abs(p) or (U * p - q * det) % (det * p):
+            raise PipelineCheckError(f"tb={L.tb}, smooth slope {smooth_slope}: det Q = {det} "
+                                     f"and meridian square {U}/{det} disagree with the slope")
+        vectors = list(product(*choices))
+        plan.append(PlanEntry(pres, form, choices, pinned, det, sigma,
+                              [linalg.adjugate_quadratic(block, support, v) for v in vectors],
+                              [sum(map(mul, bu, map(v.__getitem__, support))) for v in vectors],
+                              U))
+    cache.plans[key] = plan
+    return plan
 
-    det Q, sigma and the block B = adj(Q)[S, S] on the joint support S
-    of the vectors cost one ``linalg.adjugate_block`` pass, and c1^2 of
-    a vector r is v^T B v / det Q with v = r on S.  ``cache`` maps Q to
-    {support: (det, sigma, B)}, so forms met again (the stabilization
-    variants of one conversion, the rotation numbers of a scan) reuse
-    them.  A singular Q raises and leaves nothing in the cache.
-    """
-    if any(len(v) != form.n for v in vectors):
-        raise ValueError("rotation vector length must match Q")
-    support = tuple(compress(range(form.n), map(any, zip(*vectors))))
-    if cache is None:
-        cache = {}
-    hit = cache.get(form.Q, {}).get(support)
-    if hit is None:
-        try:
-            hit = linalg.adjugate_block(form.Q, support)
-        except linalg.SingularMatrixError:
-            raise NonTorsionEulerClassError(
-                "c1^2 undefined: non-torsion Euler class") from None
-        cache.setdefault(form.Q, {})[support] = hit
-    det, sigma, block = hit
-    chi = form.n + 1  # one 0-handle plus one 2-handle per component
-    return [_assemble(chi, sigma, form.l, det, linalg.adjugate_quadratic(block, support, r))
-            for r in vectors]
+
+def d3_records(L: LegendrianData, smooth_slope, cache=None) -> list:
+    """The d3 route, in integers: (e, d, nums, pairs) per PlanEntry e,
+    with d the shift to L.rot, nums[i] = det c1^2 of rotation vector i,
+    and pairs mapping each distinct num to d3 = (num - K det) / (4 det),
+    K = 3 sigma + 2 n - 4 l, reduced with denominator > 0 and checked by
+    the d3 identity 4 d3 + K = c1^2, cross-multiplied."""
+    smooth_slope = Fraction(smooth_slope)
+    out = []
+    for e in _plan(L, smooth_slope, D3Cache() if cache is None else cache):
+        d, det = L.rot - e.pres.base_rot, e.det
+        k = 3 * e.sigma + 2 * e.form.n - 4 * e.form.l
+        k_det, den, sign = k * det, 4 * det, 1 if det > 0 else -1
+        lin, sq = 2 * d, d * d * e.U
+        nums = [N + lin * W + sq for N, W in zip(e.quad, e.cross)] if d else e.quad
+        pairs = {}
+        for num in set(nums):
+            g = gcd(num - k_det, den) * sign
+            a, b = (num - k_det) // g, den // g
+            if (4 * a + k * b) * det != num * b:
+                raise PipelineCheckError(f"inconsistent d3 data: {a}/{b} at c1^2 {num}/{det}")
+            pairs[num] = a, b
+        out.append((e, d, nums, pairs))
+    return out
 
 
 def d3_spectrum(L: LegendrianData, smooth_slope) -> set:
     """All d3 values of contact surgeries on L with the given smooth
     coefficient, over every presentation and rotation vector."""
-    return {v["d3"].d3 for rec in d3_spectrum_detail(L, smooth_slope)
-            for v in rec["values"]}
+    pairs = {pair for *_, known in d3_records(L, smooth_slope) for pair in known.values()}
+    return {Fraction(a, b) for a, b in pairs}
 
 
 def d3_spectrum_detail(L: LegendrianData, smooth_slope, cache=None):
-    """Like d3_spectrum but keeps the provenance of every value.
-
-    A caller that asks for many slopes or rotation numbers of one tb can
-    share a D3Cache among the calls.  The first request at a (tb, slope)
-    keeps its plan: the presentations of one ``convert`` call with their
-    forms and rotation vectors.  A request at another rotation number
-    relabels the plan instead of converting again, since the rotation
-    number changes neither the forms nor the free chain rotations.  A
-    request that raises keeps nothing.
-    """
-    smooth_slope = Fraction(smooth_slope)
-    if cache is None:
-        cache = D3Cache()
-    key = (L.tb, smooth_slope)
-    plan = cache.plans.get(key)
-    if plan is None:
-        plan = [(pres, linking_matrix(pres), enumerate_rotations(pres))
-                for pres in convert(L, smooth_slope - L.tb)]
+    """Like d3_spectrum but keeps the provenance of every value: per
+    presentation, relabelled to L.rot (``surgery.relabel``), its form and
+    a D3Result per rotation vector.  Requests on one tb may share a
+    D3Cache; the records are the same."""
     records = []
-    for pres, form, vectors in plan:
-        pres, vectors = relabel(pres, vectors, L.rot)
-        rots = [{"rotations": rvec, "d3": res}
-                for rvec, res in zip(vectors, d3_values(form, vectors, cache.forms))]
-        records.append({"presentation": pres, "form": form, "values": rots})
-    cache.plans[key] = plan
+    for e, d, nums, pairs in d3_records(L, smooth_slope, cache):
+        chi, det = e.form.n + 1, e.det
+        res = {num: D3Result(chi, e.sigma, Fraction(num, det), e.form.l, Fraction(a, b))
+               for num, (a, b) in pairs.items()}
+        records.append({"presentation": relabel(e.pres, L.rot), "form": e.form,
+                        "values": [{"rotations": list(r), "d3": res[num]}
+                                   for r, num in zip(e.rotations(d), nums)]})
     return records

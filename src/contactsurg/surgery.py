@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add
 
 from .linalg import is_symmetric
 from .slopes import SlopeError, neg_cf_expand
@@ -170,19 +169,23 @@ def convert(L: LegendrianData, contact_coeff) -> list:
     return [finish(pushoffs + v) for v in _negative_chain(L.tb, L.rot, tail_coeff)]
 
 
+def rotation_choices(pres: SurgeryPresentation) -> list:
+    """The rotation numbers each component may take, in enumeration order:
+    a push-off keeps its pinned one, and a chain unknot with tb = -t
+    ranges over t-1, t-3, ..., -t+1."""
+    return [(c.rot,) if c.rot is not None else tuple(rot_range(c.tb)[::-1])
+            for c in pres.components]
+
+
 def enumerate_rotations(pres: SurgeryPresentation):
-    """All rotation vectors consistent with the presentation.
-
-    Components with a pinned rotation number (the push-offs) keep it;
-    each chain unknot with tb = -t ranges over t-1, t-3, ..., -t+1.
-    """
-    return list(product(*([c.rot] if c.rot is not None else rot_range(c.tb)[::-1]
-                          for c in pres.components)))
+    """All rotation vectors consistent with the presentation: the product
+    of its ``rotation_choices``."""
+    return list(product(*rotation_choices(pres)))
 
 
-def relabel(pres: SurgeryPresentation, vectors, rot: int):
-    """The presentation and rotation vectors of the same surgery on a knot
-    with rotation number ``rot`` in place of ``pres.base_rot``.
+def relabel(pres: SurgeryPresentation, rot: int) -> SurgeryPresentation:
+    """The presentation of the same surgery on a knot with rotation
+    number ``rot`` in place of ``pres.base_rot``.
 
     This is exact because the rotation number of the knot enters
     ``convert`` only as the pinned rotation number of each push-off:
@@ -192,20 +195,18 @@ def relabel(pres: SurgeryPresentation, vectors, rot: int):
     shifting every pinned rotation number by d = rot - base_rot yields the
     presentation ``convert`` returns at the same position for
     LegendrianData(tb, rot).  A pinned component adds its one value to
-    the product in ``enumerate_rotations``, so shifting the same entries
-    of each vector by d yields its rotation vectors, in the same order.
-    The vectors come back as new lists, which the caller may keep.
+    the product in ``enumerate_rotations``, so shifting that value by d
+    yields the rotation vectors there, in the same order
+    (``invariants.PlanEntry.rotations``).
     """
     d = rot - pres.base_rot
     if d == 0:
-        return pres, [list(v) for v in vectors]
+        return pres
     comps = tuple(c if c.rot is None else
                   Component(c.role, c.tb, c.sign, c.rot + d, c.stabilizations)
                   for c in pres.components)
-    offset = [0 if c.rot is None else d for c in comps]
-    shifted = SurgeryPresentation(comps, pres.base_tb, rot, pres.contact_coeff,
-                                  pres.smooth_slope)
-    return shifted, [list(map(add, v, offset)) for v in vectors]
+    return SurgeryPresentation(comps, pres.base_tb, rot, pres.contact_coeff,
+                               pres.smooth_slope)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Each is slow but plainly right, and shares no code with the route it
 checks: exhaustive search, breadth-first search, enumeration, vertex by
 vertex Farey paths with their signs and shortening move, a dense Bareiss
 elimination for determinants and adjugates, characteristic polynomials
-from its determinants, a dense Fraction congruence diagonalization, the
-d3-equality equations with hand-derived coefficients, and the
-intersection-form families built by hand from their displayed shape.
+from its determinants, a dense Fraction congruence diagonalization, d3
+one rotation vector at a time, the d3-equality equations with
+hand-derived coefficients, and the intersection-form families built by
+hand from their displayed shape.
 """
 
 import math
@@ -27,10 +28,17 @@ from contactsurg.farey import (
     is_edge,
     minimal_path_blocks,
 )
-from contactsurg.invariants import d3_spectrum
+from contactsurg import linalg
+from contactsurg.invariants import D3Result, NonTorsionEulerClassError, d3_spectrum
 from contactsurg.linalg import SingularMatrixError
 from contactsurg.slopes import INFINITY, Slope, SlopeError, parse_slope
-from contactsurg.surgery import LegendrianData, rot_range
+from contactsurg.surgery import (
+    LegendrianData,
+    convert,
+    enumerate_rotations,
+    linking_matrix,
+    rot_range,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +599,41 @@ def raw_sign_count(vertices, unsigned_positions) -> int:
     n_edges = len(vertices) - 1
     signed = sum(1 for i in range(n_edges) if i not in unsigned_positions)
     return 2 ** signed
+
+
+def _assemble(chi, sigma, l, det, num):
+    """The D3Result with c1^2 = num / det, num = r^T adj(Q) r: d3 is the
+    single fraction (num - (3 sigma + 2 (chi - 1) - 4 l) det) / (4 det)."""
+    d3 = Fraction(num - (3 * sigma + 2 * (chi - 1) - 4 * l) * det, 4 * det)
+    return D3Result(chi=chi, sigma=sigma, c_squared=Fraction(num, det), l=l, d3=d3)
+
+
+def d3_values(form, vectors) -> list:
+    """d3 of ``form`` for each rotation vector, as D3Results, one vector
+    at a time: c1^2 of r is v^T B v / det Q for B = adj(Q)[S, S] on the
+    joint support S of the vectors and v = r on S, each assembled in
+    Fractions.  A singular Q raises NonTorsionEulerClassError."""
+    if any(len(v) != form.n for v in vectors):
+        raise ValueError("rotation vector length must match Q")
+    support = tuple(compress(range(form.n), map(any, zip(*vectors))))
+    try:
+        det, sigma, block = linalg.adjugate_block(form.Q, support)
+    except SingularMatrixError:
+        raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class") from None
+    return [_assemble(form.n + 1, sigma, form.l, det,
+                      linalg.adjugate_quadratic(block, support, r)) for r in vectors]
+
+
+def d3_spectrum_detail_by_vector(L, smooth_slope) -> list:
+    """The records of ``invariants.d3_spectrum_detail`` from a fresh
+    ``convert`` at L and ``d3_values`` on each presentation."""
+    records = []
+    for pres in convert(L, Fraction(smooth_slope) - L.tb):
+        form, vectors = linking_matrix(pres), enumerate_rotations(pres)
+        records.append({"presentation": pres, "form": form,
+                        "values": [{"rotations": list(r), "d3": res}
+                                   for r, res in zip(vectors, d3_values(form, vectors))]})
+    return records
 
 
 def brute_force_d3_matches(tb: int, n_max: int = 20):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from contactsurg import closedforms, linalg
+from contactsurg.cli import main
 from contactsurg.closedforms import (
     DEFAULT_FORMS,
     bordered_block_matrix,
@@ -79,6 +80,24 @@ class TestFamilies:
             assert forms and all(q == tuple(map(tuple, family)) for q in forms), (tb, slope)
 
 
+class TestHalvedForms:
+    def test_two_csq_halves_exactly(self):
+        # the +-2 forms of c1^2 are integers at the admissible parity of
+        # i and refuse the other parity instead of rounding it
+        for k in range(3, 12):
+            for i in range(-k, k + 1):
+                for e in (1, -1):
+                    neg = Fraction(-i * i - k * k + 4 * k - 3, 2) + e * (k - 3) * i
+                    pos = Fraction(i * i + k * k - 1, 2) - e * (k + 1) * i
+                    for name, value in (("two_neg_csq", neg), ("two_pos_csq", pos)):
+                        if (i - k - 1) % 2 == 0:
+                            got = DEFAULT_FORMS[name](k, i, e)
+                            assert type(got) is int and got == value
+                        else:
+                            with pytest.raises(ValueError, match="inadmissible parity"):
+                                DEFAULT_FORMS[name](k, i, e)
+
+
 class TestVerifier:
     def test_small_sweep_clean(self):
         rep = verify_closed_forms(k_max=6, n_max=6)
@@ -123,6 +142,28 @@ class TestVerifier:
         assert not rep["ok"]
         checks = {m["check"] for m in rep["mismatches"]}
         assert {"tb2_neg_q11", "one_neg_csq", "one_pos_sigma"} <= checks
+
+    def test_singular_form_is_a_mismatch(self, monkeypatch, capsys):
+        # the first chain framing raised by one makes some forms singular;
+        # each is one mismatch with its matrix, and the CLI exits 1
+        def raised(pres):
+            form = linking_matrix(pres)
+            roles = [c.role for c in pres.components]
+            if "chain" not in roles:
+                return form
+            i = roles.index("chain")
+            q = [list(row) for row in form.Q]
+            q[i][i] += 1
+            return IntersectionForm(tuple(map(tuple, q)), form.l)
+
+        monkeypatch.setattr(closedforms, "linking_matrix", raised)
+        rep = verify_closed_forms(k_max=4, n_max=3)
+        assert not rep["ok"]
+        singular = [m for m in rep["mismatches"] if m["check"].endswith("_invertible")]
+        assert singular and all(m["actual"] == "det = 0" and linalg.determinant(m["matrix"]) == 0
+                                for m in singular)
+        assert main(["verify", "--k-max", "4", "--n-max", "3"]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
 
     def test_one_elimination_pass_per_form(self, monkeypatch):
         # 835 family forms, one pass each, and 150 block_negdef matrices;

@@ -135,8 +135,12 @@ class TestEquationSolver:
                 assert (solve_d3_equation(-k, family, n_max=20)
                         == solve_d3_equation_by_hand(-k, family, lifted_rot_range(-k)))
         for k in range(4, 41):
-            assert solve_d3_equation(-k, "pm_two") == []
+            # the +-2 forms halve an integer that is even exactly at the
+            # admissible parity, so the lifted range is refused, not rounded
+            with pytest.raises(ValueError, match="inadmissible parity"):
+                solve_d3_equation(-k, "pm_two")
             assert solve_d3_equation_by_hand(-k, "pm_two", lifted_rot_range(-k)) == []
+            assert solve_d3_equation_by_hand(-k, "pm_two", rot_range(-k)) == []
 
     @pytest.mark.parametrize("name, family, tb, expected", [
         # half the difference of the sides is i^2 + 2i + 2 + shift/2 at
@@ -196,10 +200,9 @@ class TestScan:
 
 
 class TestScanSharesMatrixWork:
-    """One d3 cache per tb: scan_cells(-12, -1, 12) converts each (tb,
-    slope) once and relabels it for the other rotation numbers, and makes
-    one elimination pass, its signature included, per distinct (Q,
-    support)."""
+    """One d3 cache per tb: scan_cells(-12, -1, 12) plans each (tb, slope)
+    once and reads the other rotation numbers off the plan in integers,
+    with one elimination pass, its signature included, per plan."""
 
     @pytest.fixture(scope="class")
     def counted(self):
@@ -223,8 +226,10 @@ class TestScanSharesMatrixWork:
         return calls
 
     def test_one_adjugate_pass_per_distinct_form(self, counted):
-        # 586 distinct (tb, Q, support) keys; a cache per call made 2,312 passes
-        assert counted["adjugate"] <= 586
+        # 308 plans, each with one (Q, support) since the support holds the
+        # push-offs; a support per rotation number made 586 passes, and a
+        # cache per call 2,312
+        assert counted["adjugate"] <= 308
 
     def test_one_conversion_per_tb_and_slope(self, counted):
         # 308 distinct (tb, slope); converting per (tb, rot, slope) made 2,022
@@ -237,7 +242,25 @@ class TestScanSharesMatrixWork:
     def test_one_elimination_pass_per_form(self, counted):
         # the adjugate pass gives sigma too; a separate signature pass per
         # new Q made 893
-        assert counted["eliminate"] <= 586
+        assert counted["eliminate"] <= 308
+
+    def test_fewer_fractions_than_d3_values(self):
+        # d3 values are read off the plans as integer pairs and strings; a
+        # Fraction per value (and more for c1^2) made 42,120 for 15,939
+        calls = [0]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls[0] += 1
+            return new(cls, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Fraction, "__new__", staticmethod(counting))
+            report = cosmetic.scan_cells(-12, -1, 12)
+        values = sum(len(rec["values"]) for cell in report["cells"]
+                     for side in cell.get("provenance", {}).values() for rec in side)
+        assert values == 15939
+        assert calls[0] < values
 
 
 class TestScanDigest:

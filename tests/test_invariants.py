@@ -1,18 +1,29 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactsurg import invariants
 from contactsurg.invariants import (
     D3Cache,
     D3Result,
     NonTorsionEulerClassError,
+    PipelineCheckError,
+    d3_records,
     d3_spectrum,
     d3_spectrum_detail,
-    d3_values,
 )
-from contactsurg.surgery import ContactZeroError, IntersectionForm, LegendrianData, rot_range
+from contactsurg.slopes import SlopeError
+from contactsurg.surgery import (
+    ContactZeroError,
+    IntersectionForm,
+    LegendrianData,
+    linking_matrix,
+    rot_range,
+)
+from oracles import d3_spectrum_detail_by_vector, d3_values
 
 
 def form(q, l):
@@ -20,7 +31,7 @@ def form(q, l):
 
 
 def d3(q, l, r):
-    """The D3Result of one rotation vector, through ``d3_values``."""
+    """The D3Result of one rotation vector, through the per-vector oracle."""
     return d3_values(form(q, l), [r])[0]
 
 
@@ -112,22 +123,24 @@ class TestSpectra:
                     assert det % res.c_squared.denominator == 0
 
 
-def outcome(L, slope, cache=None):
-    """The records of one d3_spectrum_detail request, or the type and text
-    of the domain error it raised."""
+def outcome(L, slope, cache=None, detail=d3_spectrum_detail):
+    """The records of one d3_spectrum_detail request (or of ``detail``),
+    or the type and text of the domain error it raised."""
     try:
-        return d3_spectrum_detail(L, slope, cache)
+        return detail(L, slope, *(() if cache is None else (cache,)))
     except ValueError as err:
         return type(err), str(err)
 
 
 def cache_state(cache):
-    return dict(cache.plans), {q: dict(known) for q, known in cache.forms.items()}
+    return dict(cache.plans)
 
 
 class TestPlans:
     """A D3Cache shared by requests in any order of (rot, slope) gives what
-    uncached requests give; a request that raises keeps nothing."""
+    uncached requests give, and what the per-vector oracle gives on a
+    fresh conversion at each rotation number; a request that raises keeps
+    nothing."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(-7, -1), st.data())
@@ -145,6 +158,7 @@ class TestPlans:
             before = cache_state(cache)
             got = outcome(L, slope, cache)
             assert got == outcome(L, slope)
+            assert got == outcome(L, slope, detail=d3_spectrum_detail_by_vector)
             if isinstance(got, tuple):
                 assert cache_state(cache) == before
             else:
@@ -164,3 +178,63 @@ class TestPlans:
                 texts.add(str(info.value))
                 assert cache_state(cache) == before
             assert len(texts) == 1
+
+
+def slope_grid():
+    """Knots with tb -12..2 and smooth slopes p/q, 0 < |p| <= 25, q <= 11."""
+    for tb in range(-12, 3):
+        for p in range(-25, 26):
+            for q in range(1, 12):
+                if p and math.gcd(p, q) == 1:
+                    yield LegendrianData(tb, (tb + 1) % 2), Fraction(p, q)
+
+
+def grid_outcomes():
+    """Presentations planned over the grid, and the requests that raised,
+    by error type."""
+    counts = {"presentations": 0}
+    for L, slope in slope_grid():
+        try:
+            counts["presentations"] += len(d3_records(L, slope))
+        except (ValueError, PipelineCheckError) as err:
+            counts[type(err)] = counts.get(type(err), 0) + 1
+    return counts
+
+
+def mutant(change):
+    """linking_matrix with ``change(rows, components)`` applied to Q."""
+    def build(pres):
+        form = linking_matrix(pres)
+        rows = [list(row) for row in form.Q]
+        change(rows, pres.components)
+        return IntersectionForm(tuple(map(tuple, rows)), form.l)
+    return build
+
+
+def chain_framing_up(rows, comps):
+    i = next((i for i, c in enumerate(comps) if c.role == "chain"), None)
+    if i is not None:
+        rows[i][i] += 1
+
+
+def pushoff_link_up(rows, comps):
+    pushoffs = [i for i, c in enumerate(comps) if c.role == "pushoff"]
+    for i in pushoffs:
+        for j in pushoffs:
+            rows[i][j] += i != j
+
+
+class TestFormMatchesSlope:
+    """Each plan checks |det Q| = |p| and that the meridian's linking
+    form U / det is q / p mod 1."""
+
+    def test_holds_on_the_grid(self):
+        assert grid_outcomes() == {"presentations": 14626, SlopeError: 415,
+                                   ContactZeroError: 14}
+
+    @pytest.mark.parametrize("change", [chain_framing_up, pushoff_link_up])
+    def test_mutant_forms_are_caught(self, monkeypatch, change):
+        monkeypatch.setattr(invariants, "linking_matrix", mutant(change))
+        assert grid_outcomes().get(PipelineCheckError, 0) > 1000
+        with pytest.raises(PipelineCheckError, match="disagree with the slope"):
+            d3_spectrum(LegendrianData(-3, 0), 2)

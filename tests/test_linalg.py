@@ -9,8 +9,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from contactsurg import linalg
 from contactsurg.closedforms import bordered_block_matrix, chain_matrix, chain_matrix_primed
-from contactsurg.invariants import d3_values
-from contactsurg.surgery import IntersectionForm, LegendrianData, convert, linking_matrix
+from contactsurg.invariants import d3_spectrum
+from contactsurg.surgery import LegendrianData, convert, linking_matrix
 from oracles import (
     bareiss,
     char_poly_interpolate,
@@ -489,7 +489,7 @@ class TestSignature:
             with pytest.raises(linalg.SignatureMismatchError):
                 linalg.signature(rows)
             with pytest.raises(linalg.SignatureMismatchError):
-                d3_values(IntersectionForm(rows, 0), [(1, 0)])
+                d3_spectrum(LegendrianData(-2, 1), Fraction(-1, 3))
         finally:
             linalg._descartes_cached.cache_clear()
 

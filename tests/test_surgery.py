@@ -153,7 +153,8 @@ class TestSmoothRecovery:
 
 class TestRelabel:
     """A presentation made at one rotation number, relabelled to another,
-    is the one ``convert`` makes there, with the same rotation vectors."""
+    is the one ``convert`` makes there.  (Its rotation vectors shift in
+    the d3 plans; ``test_invariants.TestPlans`` checks them.)"""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(-7, -1), st.integers(-12, 12), st.integers(1, 6), st.data())
@@ -169,9 +170,7 @@ class TestRelabel:
             want = convert(LegendrianData(tb, rot), coeff)
             assert len(want) == len(base)
             for pres0, pres in zip(base, want):
-                got, vectors = relabel(pres0, enumerate_rotations(pres0), rot)
-                assert got == pres
-                assert vectors == [list(v) for v in enumerate_rotations(pres)]
+                assert relabel(pres0, rot) == pres
 
 
 class TestRotations:
