@@ -11,8 +11,8 @@ from .farey import (ANTICLOCKWISE, CLOCKWISE, count_tight_lens, count_tight_lens
                     count_tight_solid_torus, count_tight_thickened_torus, is_edge,
                     minimal_path_blocks)
 from .surgery import (ContactZeroError, IntersectionForm, LegendrianData, convert,
-                      enumerate_rotations, linking_matrix, rot_range)
-from .invariants import d3_spectrum, d3_spectrum_detail
+                      linking_matrix, rot_range)
+from .invariants import d3_spectrum
 from .cosmetic import candidate_slopes, check_pair, scan, solve_d3_equation, unknot_classify
 from .closedforms import verify_closed_forms
 from .regressions import verify_d3_regressions
@@ -27,9 +27,9 @@ __all__ = [
     "minimal_path_blocks",
     # surgery presentations
     "ContactZeroError", "IntersectionForm", "LegendrianData", "convert",
-    "enumerate_rotations", "linking_matrix", "rot_range",
+    "linking_matrix", "rot_range",
     # d3
-    "d3_spectrum", "d3_spectrum_detail",
+    "d3_spectrum",
     # cosmetic obstructions and unknots
     "candidate_slopes", "check_pair", "scan", "solve_d3_equation",
     "unknot_classify",

@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .closedforms import verify_closed_forms
 from .cosmetic import scan_cells, solve_d3_equations, unknot_classify
-from .invariants import d3_spectrum_detail
+from .invariants import d3_records, ratio_text
 from .regressions import verify_d3_regressions
 from .slopes import SlopeError, cs_set, parse_slope
 from .surgery import LegendrianData
@@ -102,25 +103,32 @@ def _write(obj, newline, out):
 
 
 def emit(report: dict, as_json: bool, lines) -> None:
-    if as_json:
-        print(json_text(report))
-    else:
-        for line in lines:
-            print(line)
+    """Print the report; a reader closing the pipe early ends only the output."""
+    try:
+        if as_json:
+            print(json_text(report))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now writes to nowhere, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _d3_lines(detail, results, values):
-    """Text report of ``cmd_d3``, produced only when it is printed."""
-    for rec, res in zip(detail, results):
-        pres = rec["presentation"]
-        yield (f"presentation: framings {[c.framing for c in pres.components]} "
-               f"(l = {pres.l})")
+def _d3_lines(records, results, spectrum):
+    """Text report of ``cmd_d3``, produced only when it is printed; the
+    spectrum in numeric order."""
+    for (e, *_), res in zip(records, results):
+        yield (f"presentation: framings {[c.framing for c in e.pres.components]} "
+               f"(l = {e.pres.l})")
         for row in res["matrix"]:
             yield "  " + " ".join(f"{x:4d}" for x in row)
         for v in res["values"]:
             yield (f"  rot {v['rotations']}: chi={v['chi']} sigma={v['sigma']} "
                    f"c^2={v['c_squared']} l={v['l']}  d3 = {v['d3']}")
-    yield "d3 spectrum: " + ", ".join(str(v) for v in sorted(values))
+    values = sorted(spectrum, key=lambda pair: Fraction(*pair))
+    yield "d3 spectrum: " + ", ".join(ratio_text(*v) for v in values)
 
 
 def cmd_d3(args) -> int:
@@ -133,21 +141,25 @@ def cmd_d3(args) -> int:
         smooth = _fraction(args.slope)
     else:
         smooth = args.tb + _fraction(args.coeff)
-    detail = d3_spectrum_detail(L, smooth)
+    # a fresh plan is made at L.rot: e.pres is this knot's presentation
+    records = d3_records(L, smooth)
     results = []
-    values = set()
-    for rec in detail:
-        vals = [{"rotations": v["rotations"], **v["d3"].to_json()} for v in rec["values"]]
-        values.update(v["d3"].d3 for v in rec["values"])
+    spectrum = set()
+    for e, _, nums, pairs in records:
+        head = {"chi": e.form.n + 1, "sigma": e.sigma, "l": e.form.l}
+        value = {num: {**head, "c_squared": ratio_text(num, e.det), "d3": ratio_text(a, b)}
+                 for num, (a, b) in pairs.items()}
+        spectrum.update(pairs.values())
         results.append({
-            "presentation": rec["presentation"].to_json(),
-            "matrix": rec["form"].Q,
-            "values": vals,
+            "presentation": e.pres.to_json(),
+            "matrix": e.form.Q,
+            "values": [{"rotations": list(r), **value[num]}
+                       for r, num in zip(e.rotations(0), nums)],
         })
     report = envelope("d3", {"tb": args.tb, "rot": args.rot, "smooth_slope": str(smooth)},
                       {"presentations": results,
-                       "spectrum": sorted(str(v) for v in sorted(values))})
-    emit(report, args.json, _d3_lines(detail, results, values))
+                       "spectrum": sorted(ratio_text(a, b) for a, b in spectrum)})
+    emit(report, args.json, _d3_lines(records, results, spectrum))
     return 0
 
 

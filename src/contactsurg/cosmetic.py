@@ -23,7 +23,7 @@ from itertools import product
 
 from .closedforms import DEFAULT_FORMS
 from .farey import CLOCKWISE, minimal_path_blocks
-from .invariants import D3Cache, d3_records, d3_spectrum
+from .invariants import d3_records, d3_spectrum, ratio_text
 from .slopes import Slope, SlopeError, canonical_slope, lens_parameters
 from .surgery import ContactZeroError, LegendrianData, rot_range
 
@@ -225,7 +225,7 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
 
     Every cell carries both spectra and the matrix provenance; the cells
     left unobstructed are listed apart.  The cells of one tb share one
-    D3Cache (a plan per smooth slope), dropped when tb moves on.  The
+    dict of plans (a plan per smooth slope), dropped when tb moves on.  The
     spectra are frozensets of d3 strings, read off the plans in integers.
     """
     if tb_max > -1:
@@ -233,12 +233,12 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
     cells = []
     not_obstructed = []
     for tb in range(tb_min, tb_max + 1):
-        cache = D3Cache()
+        plans = {}
         for rot in rot_range(tb):
             L = LegendrianData(tb, rot)
             for v in candidate_slopes(2, n_max):
                 prov = []  # the neg side's records, then the pos side's
-                verdict = _verdict(tb, v, lambda slope: _provenance(L, slope, cache, prov))
+                verdict = _verdict(tb, v, lambda slope: _provenance(L, slope, plans, prov))
                 cell = {"tb": tb, "rot": rot, "pair": [str(-v), str(v)],
                         "verdict": verdict.to_json()}
                 if prov:
@@ -256,13 +256,13 @@ def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
             "solver_solutions": solve_d3_equations(tb_min, tb_max, n_max)}
 
 
-def _provenance(L, slope, cache, out):
+def _provenance(L, slope, plans, out):
     """The scan spectrum at L.rot: the set of d3 strings, each the one
-    ``str`` gives the reduced Fraction.  Appends to ``out`` the framings
-    (diag Q), l and d3 strings of each presentation of the plan."""
+    ``str`` gives the Fraction (``ratio_text``).  Appends to ``out`` the
+    framings (diag Q), l and d3 strings of each presentation of the plan."""
     records, spectrum = [], set()
-    for e, d, nums, pairs in d3_records(L, slope, cache):
-        text = {num: f"{a}/{b}" if b != 1 else str(a) for num, (a, b) in pairs.items()}
+    for e, d, nums, pairs in d3_records(L, slope, plans):
+        text = {num: ratio_text(a, b) for num, (a, b) in pairs.items()}
         spectrum.update(text.values())
         records.append({
             "framings": list(map(tuple.__getitem__, e.form.Q, range(e.form.n))),

@@ -21,7 +21,7 @@ from operator import mul
 
 from . import linalg
 from .surgery import (IntersectionForm, LegendrianData, SurgeryPresentation, convert,
-                      linking_matrix, relabel, rotation_choices)
+                      linking_matrix, rotation_choices)
 
 
 class NonTorsionEulerClassError(ValueError):
@@ -33,28 +33,9 @@ class PipelineCheckError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class D3Result:
-    chi: int
-    sigma: int
-    c_squared: Fraction
-    l: int
-    d3: Fraction
-
-    def __post_init__(self):
-        # 4 (d3 - l) + 3 sigma + 2 (chi - 1) = c1^2, cross-multiplied
-        a, b = self.d3.numerator, self.d3.denominator
-        c, d = self.c_squared.numerator, self.c_squared.denominator
-        if (4 * (a - self.l * b) + (3 * self.sigma + 2 * (self.chi - 1)) * b) * d != c * b:
-            raise ValueError("inconsistent d3 data")
-
-    def to_json(self):
-        return {"chi": self.chi, "sigma": self.sigma, "c_squared": str(self.c_squared),
-                "l": self.l, "d3": str(self.d3)}
-
-
-@dataclass(frozen=True)
 class PlanEntry:
-    """One presentation of a plan, with the integers its d3 values need.
+    """One presentation of a plan, with the integers its d3 values need;
+    the presentations of a plan share ``form``, ``det``, ``sigma`` and U.
 
     ``choices`` are its ``rotation_choices`` at ``pres.base_rot`` and u =
     ``pinned`` is 1 on the push-offs, whose rotation numbers follow the
@@ -80,65 +61,59 @@ class PlanEntry:
                               for c, p in zip(self.choices, self.pinned)]))
 
 
-class D3Cache:
-    """Work that d3 requests on knots of one tb share: ``plans`` maps
-    (tb, smooth slope) to the PlanEntry list of one ``convert`` call."""
-
-    def __init__(self):
-        self.plans = {}
-
-
-def _plan(L: LegendrianData, smooth_slope: Fraction, cache: D3Cache) -> list:
-    """The plan of (L.tb, smooth_slope), made at L.rot on first request.
-    The presentations of one conversion share Q and S, so one
-    ``linalg.adjugate_block`` pass (its signature checked against
-    Descartes').  S holds every pinned index, as a pinned entry that is 0
-    here is not at other rotation numbers.  Each form is checked against
-    its slope p/q: |det Q| = |p| and U / det = q / p mod 1, the linking
-    form on the knot's meridian.  A singular Q raises; a raise keeps no
-    plan."""
+def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict) -> list:
+    """The plan of (L.tb, smooth_slope) in ``plans``, made at L.rot on
+    first request: a PlanEntry per presentation of one ``convert`` call.
+    These differ only in their pinned rotation numbers, so they share Q
+    and S, and one ``linking_matrix`` and one ``linalg.adjugate_block``
+    pass (its signature checked against Descartes') serve them all.  S
+    holds every pinned index, as a pinned entry that is 0 here is not at
+    other rotation numbers.  The form is checked against its slope p/q:
+    |det Q| = |p| and U / det = q / p mod 1, the linking form on the
+    knot's meridian.  A singular Q raises; a raise keeps no plan."""
     key = (L.tb, smooth_slope)
-    plan = cache.plans.get(key)
+    plan = plans.get(key)
     if plan is not None:
         return plan
     p, q = smooth_slope.numerator, smooth_slope.denominator
-    plan, blocks = [], {}
-    for pres in convert(L, smooth_slope - L.tb):
-        form, choices = linking_matrix(pres), rotation_choices(pres)
-        pinned = tuple(int(c.rot is not None) for c in pres.components)
-        support = tuple(i for i, c in enumerate(choices) if pinned[i] or any(c))
-        hit = blocks.get((form.Q, support))
-        if hit is None:
-            try:
-                hit = blocks[form.Q, support] = linalg.adjugate_block(form.Q, support)
-            except linalg.SingularMatrixError:
-                raise NonTorsionEulerClassError(
-                    "c1^2 undefined: non-torsion Euler class") from None
-        det, sigma, block = hit
-        u = [pinned[i] for i in support]
-        bu = [sum(map(mul, row, u)) for row in block]
-        U = sum(map(mul, bu, u))
-        if abs(det) != abs(p) or (U * p - q * det) % (det * p):
-            raise PipelineCheckError(f"tb={L.tb}, smooth slope {smooth_slope}: det Q = {det} "
-                                     f"and meridian square {U}/{det} disagree with the slope")
+    presentations = convert(L, smooth_slope - L.tb)
+    first = presentations[0]
+    form = linking_matrix(first)
+    pinned = tuple(int(c.rot is not None) for c in first.components)
+    support = tuple(i for i, c in enumerate(rotation_choices(first)) if pinned[i] or any(c))
+    try:
+        det, sigma, block = linalg.adjugate_block(form.Q, support)
+    except linalg.SingularMatrixError:
+        raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class") from None
+    u = [pinned[i] for i in support]
+    bu = [sum(map(mul, row, u)) for row in block]
+    U = sum(map(mul, bu, u))
+    if abs(det) != abs(p) or (U * p - q * det) % (det * p):
+        raise PipelineCheckError(f"tb={L.tb}, smooth slope {smooth_slope}: det Q = {det} "
+                                 f"and meridian square {U}/{det} disagree with the slope")
+    plan = []
+    for pres in presentations:
+        choices = rotation_choices(pres)
         vectors = list(product(*choices))
         plan.append(PlanEntry(pres, form, choices, pinned, det, sigma,
                               [linalg.adjugate_quadratic(block, support, v) for v in vectors],
                               [sum(map(mul, bu, map(v.__getitem__, support))) for v in vectors],
                               U))
-    cache.plans[key] = plan
+    plans[key] = plan
     return plan
 
 
-def d3_records(L: LegendrianData, smooth_slope, cache=None) -> list:
+def d3_records(L: LegendrianData, smooth_slope, plans=None) -> list:
     """The d3 route, in integers: (e, d, nums, pairs) per PlanEntry e,
     with d the shift to L.rot, nums[i] = det c1^2 of rotation vector i,
     and pairs mapping each distinct num to d3 = (num - K det) / (4 det),
     K = 3 sigma + 2 n - 4 l, reduced with denominator > 0 and checked by
-    the d3 identity 4 d3 + K = c1^2, cross-multiplied."""
+    the d3 identity 4 d3 + K = c1^2, cross-multiplied.  Requests on knots
+    of one tb may share the dict ``plans``, keyed by (tb, smooth slope);
+    without it, the plan is made at L.rot and d is 0."""
     smooth_slope = Fraction(smooth_slope)
     out = []
-    for e in _plan(L, smooth_slope, D3Cache() if cache is None else cache):
+    for e in _plan(L, smooth_slope, {} if plans is None else plans):
         d, det = L.rot - e.pres.base_rot, e.det
         k = 3 * e.sigma + 2 * e.form.n - 4 * e.form.l
         k_det, den, sign = k * det, 4 * det, 1 if det > 0 else -1
@@ -155,24 +130,15 @@ def d3_records(L: LegendrianData, smooth_slope, cache=None) -> list:
     return out
 
 
+def ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den != 0, without the Fraction."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def d3_spectrum(L: LegendrianData, smooth_slope) -> set:
     """All d3 values of contact surgeries on L with the given smooth
     coefficient, over every presentation and rotation vector."""
     pairs = {pair for *_, known in d3_records(L, smooth_slope) for pair in known.values()}
     return {Fraction(a, b) for a, b in pairs}
-
-
-def d3_spectrum_detail(L: LegendrianData, smooth_slope, cache=None):
-    """Like d3_spectrum but keeps the provenance of every value: per
-    presentation, relabelled to L.rot (``surgery.relabel``), its form and
-    a D3Result per rotation vector.  Requests on one tb may share a
-    D3Cache; the records are the same."""
-    records = []
-    for e, d, nums, pairs in d3_records(L, smooth_slope, cache):
-        chi, det = e.form.n + 1, e.det
-        res = {num: D3Result(chi, e.sigma, Fraction(num, det), e.form.l, Fraction(a, b))
-               for num, (a, b) in pairs.items()}
-        records.append({"presentation": relabel(e.pres, L.rot), "form": e.form,
-                        "values": [{"rotations": list(r), "d3": res[num]}
-                                   for r, num in zip(e.rotations(d), nums)]})
-    return records

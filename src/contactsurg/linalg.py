@@ -8,8 +8,8 @@ determinant, read from the block of the adjugate on r's support, and a
 matrix is negative definite when its signature is -n.  Signatures are
 computed by two independent methods, which are required to agree: that
 elimination (a congruence diagonalization) and Descartes' rule of signs
-on the characteristic polynomial, memoized by the matrix, which
-``adjugate_block`` compares with the signature of its one pass.  The
+on the characteristic polynomial, which ``adjugate_block`` compares with
+the signature of its one pass on every matrix it is given.  The
 polynomial is built division-free and without elimination, by
 continuants along pendant paths and Berkowitz's algorithm on the rest,
 so it shares nothing with the first method; determinants of any square
@@ -21,7 +21,6 @@ tuples such as IntersectionForm.Q.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
 from operator import add, mul, sub
 
@@ -193,14 +192,14 @@ def adjugate_block(rows, support):
     B[a][b] is entry (S[a], S[b]) of adj(A), so (A^-1)_{S[a], S[b]} is
     B[a][b] / det; S = range(n) gives the whole adjugate.  One elimination
     pass with the columns S gives all three, and its signature must equal
-    the Descartes signature, which is memoized by A; a disagreement raises
+    the Descartes signature of A; a disagreement raises
     SignatureMismatchError (it would mean a bug, not a property of the
     input).  Raises SingularMatrixError when det A = 0.
     """
     det, sigma, adj = _eliminate(rows, support)
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    check = _descartes_cached(tuple(tuple(map(int, r)) for r in rows))
+    check = descartes_signature(rows)
     if sigma != check:
         raise SignatureMismatchError(f"signature methods disagree: "
                                      f"diagonalization={sigma} descartes={check}")
@@ -401,11 +400,6 @@ def descartes_signature(rows) -> int:
     negated = [c if (degree - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
     negative = _sign_changes(negated)
     return positive - negative
-
-
-@lru_cache(maxsize=4096)
-def _descartes_cached(key) -> int:
-    return descartes_signature(key)
 
 
 def signature(rows) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .linalg import is_symmetric
 from .slopes import SlopeError, neg_cf_expand
@@ -129,9 +128,9 @@ def convert(L: LegendrianData, contact_coeff) -> list:
     """All (+1/-1)-surgery presentations of contact r-surgery on L.
 
     One presentation is returned per stabilization outcome of the single
-    stabilized component (its rotation number is pinned); the rotation
-    numbers of chain unknots remain free and are enumerated by
-    enumerate_rotations.
+    stabilized component (its rotation number is pinned); they differ only
+    in that rotation number.  The rotation numbers of chain unknots remain
+    free (``rotation_choices``).
     """
     contact_coeff = Fraction(contact_coeff)
     if contact_coeff == 0:
@@ -175,38 +174,6 @@ def rotation_choices(pres: SurgeryPresentation) -> list:
     ranges over t-1, t-3, ..., -t+1."""
     return [(c.rot,) if c.rot is not None else tuple(rot_range(c.tb)[::-1])
             for c in pres.components]
-
-
-def enumerate_rotations(pres: SurgeryPresentation):
-    """All rotation vectors consistent with the presentation: the product
-    of its ``rotation_choices``."""
-    return list(product(*rotation_choices(pres)))
-
-
-def relabel(pres: SurgeryPresentation, rot: int) -> SurgeryPresentation:
-    """The presentation of the same surgery on a knot with rotation
-    number ``rot`` in place of ``pres.base_rot``.
-
-    This is exact because the rotation number of the knot enters
-    ``convert`` only as the pinned rotation number of each push-off:
-    L.rot for a plain push-off and L.rot + x for the stabilized one.  The
-    components, their tb, signs and framings, and the order of the
-    stabilization outcomes depend on tb and the coefficient alone.  So
-    shifting every pinned rotation number by d = rot - base_rot yields the
-    presentation ``convert`` returns at the same position for
-    LegendrianData(tb, rot).  A pinned component adds its one value to
-    the product in ``enumerate_rotations``, so shifting that value by d
-    yields the rotation vectors there, in the same order
-    (``invariants.PlanEntry.rotations``).
-    """
-    d = rot - pres.base_rot
-    if d == 0:
-        return pres
-    comps = tuple(c if c.rot is None else
-                  Component(c.role, c.tb, c.sign, c.rot + d, c.stabilizations)
-                  for c in pres.components)
-    return SurgeryPresentation(comps, pres.base_tb, rot, pres.contact_coeff,
-                               pres.smooth_slope)
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,15 @@ from contactsurg.farey import (
     minimal_path_blocks,
 )
 from contactsurg import linalg
-from contactsurg.invariants import D3Result, NonTorsionEulerClassError, d3_spectrum
+from contactsurg.invariants import NonTorsionEulerClassError, d3_spectrum
 from contactsurg.linalg import SingularMatrixError
 from contactsurg.slopes import INFINITY, Slope, SlopeError, parse_slope
 from contactsurg.surgery import (
     LegendrianData,
     convert,
-    enumerate_rotations,
     linking_matrix,
     rot_range,
+    rotation_choices,
 )
 
 
@@ -601,6 +601,35 @@ def raw_sign_count(vertices, unsigned_positions) -> int:
     return 2 ** signed
 
 
+@dataclass(frozen=True)
+class D3Result:
+    """chi, sigma, c1^2, l and d3 of one rotation vector, in Fractions;
+    building one checks the d3 identity."""
+
+    chi: int
+    sigma: int
+    c_squared: Fraction
+    l: int
+    d3: Fraction
+
+    def __post_init__(self):
+        # 4 (d3 - l) + 3 sigma + 2 (chi - 1) = c1^2, cross-multiplied
+        a, b = self.d3.numerator, self.d3.denominator
+        c, d = self.c_squared.numerator, self.c_squared.denominator
+        if (4 * (a - self.l * b) + (3 * self.sigma + 2 * (self.chi - 1)) * b) * d != c * b:
+            raise ValueError("inconsistent d3 data")
+
+    def to_json(self):
+        return {"chi": self.chi, "sigma": self.sigma, "c_squared": str(self.c_squared),
+                "l": self.l, "d3": str(self.d3)}
+
+
+def enumerate_rotations(pres):
+    """All rotation vectors consistent with the presentation: the product
+    of its ``rotation_choices``."""
+    return list(product(*rotation_choices(pres)))
+
+
 def _assemble(chi, sigma, l, det, num):
     """The D3Result with c1^2 = num / det, num = r^T adj(Q) r: d3 is the
     single fraction (num - (3 sigma + 2 (chi - 1) - 4 l) det) / (4 det)."""
@@ -625,8 +654,8 @@ def d3_values(form, vectors) -> list:
 
 
 def d3_spectrum_detail_by_vector(L, smooth_slope) -> list:
-    """The records of ``invariants.d3_spectrum_detail`` from a fresh
-    ``convert`` at L and ``d3_values`` on each presentation."""
+    """Per presentation of a fresh ``convert`` at L: the presentation, its
+    form and, from ``d3_values``, a D3Result per rotation vector."""
     records = []
     for pres in convert(L, Fraction(smooth_slope) - L.tb):
         form, vectors = linking_matrix(pres), enumerate_rotations(pres)

@@ -1,6 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -59,15 +63,59 @@ class TestD3Command:
         # the signature methods disagree: one error line, no traceback
         from contactsurg import linalg
 
-        linalg._descartes_cached.cache_clear()
         monkeypatch.setattr(linalg, "descartes_signature", lambda rows: len(rows) + 1)
-        try:
-            code, out, err = run(capsys, "d3", "--tb", "-1", "--rot", "0", "--slope", "-1/3")
-        finally:
-            linalg._descartes_cached.cache_clear()
+        code, out, err = run(capsys, "d3", "--tb", "-1", "--rot", "0", "--slope", "-1/3")
         assert code == 1 and out == ""
         assert err.startswith("error: internal check failed: signature methods disagree")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestD3Digest:
+    """sha256 of the stdout of ``d3`` reports, pinned from the code that
+    built a D3Result per rotation vector.  The 1/5 pair guards the two
+    orders of the spectrum: sorted as strings in JSON, numerically in
+    text."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("--tb -1 --rot 0 --slope -1/200 --json",
+         "707fc86f48e8dda9cf80520d408644888cf5e4aa1a034b5a641f449464b68ab3"),
+        ("--tb -1 --rot 0 --slope -1/200",
+         "1b70246f85a634383ea909ece98bc7d523dfdbd4c9148c5f1e56361429728323"),
+        ("--tb -2 --rot 1 --slope -1/40 --json",
+         "7ccd5302f6707b3853a21d3e5c299661f35f7ecac2d1b682bd7619c8a9798378"),
+        ("--tb -2 --rot 1 --slope -1/40",
+         "c1e7a0d720ca54aee079c9a4b702eab34a44fe91860a2d6cceb57e01eef7b3c5"),
+        ("--tb -3 --rot 2 --slope 2 --json",
+         "33539585ec370224ff872fc7362f5ad2f7dbd2fa5a00faf5065b4a790b9d08fe"),
+        ("--tb -3 --rot 2 --slope 2",
+         "8172ba29d1cd55272de1ed575dcdd801724c74822b36f9335dd651117c17b40d"),
+        ("--tb -1 --rot 0 --coeff 1/40 --json",
+         "99f502c83a7eb1d04568c98ddf82697b1a36618e63b3d6a467b36552f8c19c91"),
+        ("--tb -4 --rot 1 --slope 1/5 --json",
+         "04350a785e95e1a35e8e8e87f8cefe7d9627f2ed3059215278bdeead90549355"),
+        ("--tb -4 --rot 1 --slope 1/5",
+         "4de8ef43910a1765071ccc33884b1523a2820500d9f313d82cd045fda647bacf"),
+    ])
+    def test_report_bytes_are_unchanged(self, capsys, argv, digest):
+        code, out, err = run(capsys, "d3", *argv.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    # about 200 KB of text, more than a pipe holds: the writer meets the
+    # closed pipe while printing
+    import contactsurg
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(contactsurg.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "contactsurg.cli", "d3", "--tb", "-1", "--rot", "0",
+         "--slope", "-1/200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"presentation: ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0 and err == "", err
 
 
 class TestCsSetCommand:

@@ -236,8 +236,10 @@ class TestScanSharesMatrixWork:
         assert counted["convert"] <= 308
 
     def test_one_form_per_planned_presentation(self, counted):
-        # 689 presentations in the 308 plans; per (tb, rot, slope) it was 4,125
-        assert counted["linking_matrix"] <= 689
+        # the presentations of a plan share Q, so one form serves the 689
+        # presentations of the 308 plans; a form per presentation made 689,
+        # and per (tb, rot, slope) 4,125
+        assert counted["linking_matrix"] <= 308
 
     def test_one_elimination_pass_per_form(self, counted):
         # the adjugate pass gives sigma too; a separate signature pass per

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,23 +8,22 @@ from hypothesis import strategies as st
 
 from contactsurg import invariants
 from contactsurg.invariants import (
-    D3Cache,
-    D3Result,
     NonTorsionEulerClassError,
     PipelineCheckError,
     d3_records,
     d3_spectrum,
-    d3_spectrum_detail,
+    ratio_text,
 )
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import (
     ContactZeroError,
     IntersectionForm,
     LegendrianData,
+    convert,
     linking_matrix,
     rot_range,
 )
-from oracles import d3_spectrum_detail_by_vector, d3_values
+from oracles import D3Result, d3_spectrum_detail_by_vector, d3_values, enumerate_rotations
 
 
 def form(q, l):
@@ -84,6 +84,10 @@ class TestD3:
         r2 = tuple(r[p] for p in perm)
         assert d3(q2, 1, r2).d3 == base
 
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
+    def test_ratio_text_is_the_fraction_string(self, num, den):
+        assert ratio_text(num, den) == str(Fraction(num, den))
+
     def test_json_is_exact(self):
         res = d3([[-2]], 1, (2,))
         data = res.to_json()
@@ -111,7 +115,6 @@ class TestSpectra:
 
     def test_csq_denominator_divides_det(self):
         from contactsurg import linalg
-        from contactsurg.surgery import convert, enumerate_rotations, linking_matrix
 
         cases = [(-3, 2, Fraction(2)), (-4, 1, Fraction(-1, 3)),
                  (-2, 1, Fraction(1, 5)), (-1, 0, Fraction(-1, 4))]
@@ -123,24 +126,35 @@ class TestSpectra:
                     assert det % res.c_squared.denominator == 0
 
 
-def outcome(L, slope, cache=None, detail=d3_spectrum_detail):
-    """The records of one d3_spectrum_detail request (or of ``detail``),
-    or the type and text of the domain error it raised."""
+def outcome(L, slope, plans=None):
+    """Per presentation of one d3_records request, its form and the
+    (rotations, c1^2, d3) of each rotation vector; or the type and text
+    of the domain error it raised."""
     try:
-        return detail(L, slope, *(() if cache is None else (cache,)))
+        records = d3_records(L, slope, plans)
     except ValueError as err:
         return type(err), str(err)
+    return [(e.form, [(r, Fraction(num, e.det), Fraction(*pairs[num]))
+                      for r, num in zip(e.rotations(d), nums)])
+            for e, d, nums, pairs in records]
 
 
-def cache_state(cache):
-    return dict(cache.plans)
+def oracle_outcome(L, slope):
+    """``outcome`` through the per-vector oracle on a fresh conversion."""
+    try:
+        records = d3_spectrum_detail_by_vector(L, slope)
+    except ValueError as err:
+        return type(err), str(err)
+    return [(rec["form"], [(tuple(v["rotations"]), v["d3"].c_squared, v["d3"].d3)
+                           for v in rec["values"]])
+            for rec in records]
 
 
 class TestPlans:
-    """A D3Cache shared by requests in any order of (rot, slope) gives what
-    uncached requests give, and what the per-vector oracle gives on a
-    fresh conversion at each rotation number; a request that raises keeps
-    nothing."""
+    """A plan dict shared by d3_records requests in any order of
+    (rot, slope) gives what unshared requests give, and what the
+    per-vector oracle gives on a fresh conversion at each rotation
+    number; a request that raises keeps no plan."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(-7, -1), st.data())
@@ -152,31 +166,31 @@ class TestPlans:
         requests = data.draw(st.lists(
             st.tuples(st.sampled_from(rot_range(tb)), st.sampled_from(pool)),
             min_size=1, max_size=12))
-        cache = D3Cache()
+        plans = {}
         for rot, slope in requests:
             L = LegendrianData(tb, rot)
-            before = cache_state(cache)
-            got = outcome(L, slope, cache)
+            before = dict(plans)
+            got = outcome(L, slope, plans)
             assert got == outcome(L, slope)
-            assert got == outcome(L, slope, detail=d3_spectrum_detail_by_vector)
+            assert got == oracle_outcome(L, slope)
             if isinstance(got, tuple):
-                assert cache_state(cache) == before
+                assert plans == before
             else:
-                assert (tb, slope) in cache.plans
+                assert (tb, slope) in plans
 
     @pytest.mark.parametrize("tb", range(-7, 0))
     def test_failing_slopes_raise_alike_at_every_rot(self, tb):
-        cache = D3Cache()
+        plans = {}
         for rot in rot_range(tb):
-            d3_spectrum_detail(LegendrianData(tb, rot), Fraction(-1, 2), cache)
-        before = cache_state(cache)
+            d3_records(LegendrianData(tb, rot), Fraction(-1, 2), plans)
+        before = dict(plans)
         for slope, error in ((tb, ContactZeroError), (0, NonTorsionEulerClassError)):
             texts = set()
             for rot in rot_range(tb):
                 with pytest.raises(error) as info:
-                    d3_spectrum_detail(LegendrianData(tb, rot), slope, cache)
+                    d3_records(LegendrianData(tb, rot), slope, plans)
                 texts.add(str(info.value))
-                assert cache_state(cache) == before
+                assert plans == before
             assert len(texts) == 1
 
 
@@ -224,6 +238,24 @@ def pushoff_link_up(rows, comps):
             rows[i][j] += i != j
 
 
+def converted(change):
+    """convert with each presentation's components replaced by
+    ``change(components)``; the rotation choices follow them."""
+    def build(L, coeff):
+        return [replace(pres, components=change(pres.components))
+                for pres in convert(L, coeff)]
+    return build
+
+
+def one_pushoff_more(comps):
+    return comps[:1] + comps
+
+
+def chain_dropped(comps):
+    chain = [i for i, c in enumerate(comps) if c.role == "chain"]
+    return comps if not chain else comps[:chain[-1]] + comps[chain[-1] + 1:]
+
+
 class TestFormMatchesSlope:
     """Each plan checks |det Q| = |p| and that the meridian's linking
     form U / det is q / p mod 1."""
@@ -235,6 +267,13 @@ class TestFormMatchesSlope:
     @pytest.mark.parametrize("change", [chain_framing_up, pushoff_link_up])
     def test_mutant_forms_are_caught(self, monkeypatch, change):
         monkeypatch.setattr(invariants, "linking_matrix", mutant(change))
+        assert grid_outcomes().get(PipelineCheckError, 0) > 1000
+        with pytest.raises(PipelineCheckError, match="disagree with the slope"):
+            d3_spectrum(LegendrianData(-3, 0), 2)
+
+    @pytest.mark.parametrize("change", [one_pushoff_more, chain_dropped])
+    def test_mutant_conversions_are_caught(self, monkeypatch, change):
+        monkeypatch.setattr(invariants, "convert", converted(change))
         assert grid_outcomes().get(PipelineCheckError, 0) > 1000
         with pytest.raises(PipelineCheckError, match="disagree with the slope"):
             d3_spectrum(LegendrianData(-3, 0), 2)

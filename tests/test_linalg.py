@@ -481,17 +481,13 @@ class TestSignature:
     def test_disagreement_raises(self, monkeypatch):
         # a wrong Descartes half stops every caller of the one kernel pass
         rows = ((-7919, 1), (1, -3))
-        linalg._descartes_cached.cache_clear()
         monkeypatch.setattr(linalg, "descartes_signature", lambda rows: 2)
-        try:
-            with pytest.raises(linalg.SignatureMismatchError):
-                linalg.adjugate_block(rows, (0,))
-            with pytest.raises(linalg.SignatureMismatchError):
-                linalg.signature(rows)
-            with pytest.raises(linalg.SignatureMismatchError):
-                d3_spectrum(LegendrianData(-2, 1), Fraction(-1, 3))
-        finally:
-            linalg._descartes_cached.cache_clear()
+        with pytest.raises(linalg.SignatureMismatchError):
+            linalg.adjugate_block(rows, (0,))
+        with pytest.raises(linalg.SignatureMismatchError):
+            linalg.signature(rows)
+        with pytest.raises(linalg.SignatureMismatchError):
+            d3_spectrum(LegendrianData(-2, 1), Fraction(-1, 3))
 
     def test_methods_agree_on_seeded_corpus(self):
         # criterion corpus: 1000 seeded random symmetric nonsingular matrices

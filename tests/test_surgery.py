@@ -9,13 +9,12 @@ from contactsurg.surgery import (
     IntersectionForm,
     LegendrianData,
     convert,
-    enumerate_rotations,
     linking_matrix,
     _negative_chain,
-    relabel,
     rot_range,
 )
 from oracles import (
+    enumerate_rotations,
     smooth_recovery,
     tb1_negative_matrix,
     tb1_positive_matrix,
@@ -149,28 +148,6 @@ class TestSmoothRecovery:
                             assert smooth_recovery(pres) == tb + cc
                             count += 1
         assert count > 1000
-
-
-class TestRelabel:
-    """A presentation made at one rotation number, relabelled to another,
-    is the one ``convert`` makes there.  (Its rotation vectors shift in
-    the d3 plans; ``test_invariants.TestPlans`` checks them.)"""
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(-7, -1), st.integers(-12, 12), st.integers(1, 6), st.data())
-    def test_matches_convert_at_every_rot(self, tb, p, q, data):
-        coeff = Fraction(p, q) - tb
-        rot0 = data.draw(st.sampled_from(rot_range(tb)))
-        if coeff == 0:
-            with pytest.raises(ContactZeroError):
-                convert(LegendrianData(tb, rot0), coeff)
-            return
-        base = convert(LegendrianData(tb, rot0), coeff)
-        for rot in rot_range(tb):
-            want = convert(LegendrianData(tb, rot), coeff)
-            assert len(want) == len(base)
-            for pres0, pres in zip(base, want):
-                assert relabel(pres0, rot) == pres
 
 
 class TestRotations:
