@@ -4,10 +4,11 @@ The intersection forms appearing in the cosmetic-surgery computations
 are bordered chain matrices: a (-2)-chain with -1 links, bordered by a
 first row depending on tb = -k.  This module states the closed forms
 for their determinants, signatures, inverse entries and c1^2, and checks
-all of them on the forms the d3 pipeline itself builds (``convert``,
-then ``linking_matrix``) with the generic exact routines of
-:mod:`contactsurg.linalg`: one elimination pass per form gives its
-signature and the inverse entries its checks read.
+the family forms on the d3 route itself: one plan per form
+(``invariants._plan``: ``convert``, ``linking_matrix`` and one
+elimination pass) gives det, sigma and the block of adj(Q) the inverse
+entries are read from, and ``invariants.d3_records`` at every admissible
+rotation number gives each c1^2, mostly at a nonzero rotation shift.
 
 One displayed closed form for c1^2 of the positive 1/n family is
 inconsistent with its own inverse-entry table; the form used here is the
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
-from .surgery import LegendrianData, convert, linking_matrix, rot_range
+from . import invariants, linalg
+from .surgery import LegendrianData, rot_range
 
 
 # ---------------------------------------------------------------------------
@@ -182,42 +183,66 @@ class _Report:
         }
 
 
-def _block(rep, tag, context, tb, smooth_slope, cols):
-    """(Q, sigma(Q), (cols, det Q, adj(Q)[cols, cols])) from one pass on
-    the ``cols`` inside Q, the form of the first presentation ``convert``
-    gives at (tb, smooth_slope) (the rotation number and stabilization
-    outcome leave Q unchanged).  A singular Q is one mismatch,
-    ``tag``_invertible, and gives None: the caller skips that form."""
+def _form(tb, smooth_slope):
+    """Q of the first presentation ``convert`` gives at (tb, smooth_slope),
+    for the report of a form without a plan."""
     knot = LegendrianData(tb, rot_range(tb)[0])
-    mat = linking_matrix(convert(knot, smooth_slope - tb)[0]).Q
-    cols = [c for c in cols if c < len(mat)]
+    return invariants.linking_matrix(invariants.convert(knot, smooth_slope - tb)[0]).Q
+
+
+def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
+    """The ``d3_records`` of the form at (tb, smooth_slope) at every
+    rotation number of tb, descending, from one plan made at the first,
+    with the q-entry columns in its support, so most are read at a shift
+    d != 0.  Checks the per-form closed forms of ``tag`` on the first
+    record's entry, at the arguments context.values(): ``tag``_det and
+    the table ``tag``_q of Q^-1 if the family has them, negative
+    definiteness if ``negdef``, ``tag``_sigma, and the entry of Q^-1 at
+    (row, col) for each (name, row, col) of ``entries`` inside the form.
+    Returns (v, (num, det), Q) per rotation vector v of each record, in
+    record order: c1^2 at v is num / det.  A singular form is one
+    mismatch, ``tag``_invertible, and a form that fails the plan's slope
+    check one ``tag``_slope; either gives none."""
+    f = DEFAULT_FORMS
+    args = tuple(context.values())
+    table = f[f"{tag}_q"](*args) if f"{tag}_q" in f else ()
+    cols = {c for _, row, col in entries for c in (row, col)}.union(range(len(table)))
+    rots = rot_range(tb)[::-1]
+    plans = {}
     try:
-        det, sigma, block = linalg.adjugate_block(mat, cols)
-    except linalg.SingularMatrixError:
-        rep._mismatch(f"{tag}_invertible", context, "det != 0", "det = 0", mat)
-        return None
-    return mat, sigma, (cols, det, block)
-
-
-def _q(qb, col, row):
-    """Entry (row, col) of Q^-1, as (numerator, denominator)."""
-    cols, det, block = qb
-    return block[cols.index(row)][cols.index(col)], det
-
-
-def _csq(qb, v):
-    """r^T Q^-1 r for the vector r that is ``v`` on cols and 0 elsewhere,
-    as (numerator, denominator)."""
-    cols, det, block = qb
-    return linalg.adjugate_quadratic(block, range(len(cols)), v), det
-
-
-def _entries(rep, tag, context, args, qb, mat, entries):
-    """Check the inverse entry forms ``tag``_name(*args) against Q^-1 at
-    (row, col), for each (name, row, col) of ``entries``."""
+        invariants._plan(LegendrianData(tb, rots[0]), smooth_slope, plans, extra=cols)
+    except invariants.NonTorsionEulerClassError:
+        rep._mismatch(f"{tag}_invertible", context, "det != 0", "det = 0", _form(tb, smooth_slope))
+        return []
+    except invariants.PipelineCheckError as exc:
+        rep._mismatch(f"{tag}_slope", context, f"a form of slope {smooth_slope}", exc,
+                      _form(tb, smooth_slope))
+        return []
+    records = [record for i in rots
+               for record in invariants.d3_records(LegendrianData(tb, i), smooth_slope, plans)]
+    e = records[0][0]
+    mat = e.form.Q
+    if f"{tag}_det" in f:
+        rep.record(f"{tag}_det", context, f[f"{tag}_det"](*args), e.det, mat)
+    if negdef:
+        rep.record(f"{tag}_negdef", context, True, e.sigma == -len(mat), mat)
+    rep.record(f"{tag}_sigma", context, f[f"{tag}_sigma"](*args), e.sigma, mat)
     for name, row, col in entries:
-        rep.ratio(f"{tag}_{name}", context, DEFAULT_FORMS[f"{tag}_{name}"](*args),
-                  _q(qb, col, row), mat)
+        if max(row, col) < len(mat):
+            rep.ratio(f"{tag}_{name}", context, f[f"{tag}_{name}"](*args),
+                      _inverse(e, row, col), mat)
+    for row, line in enumerate(table):
+        for col, value in enumerate(line):
+            rep.ratio(f"{tag}_q", {**context, "entry": (row + 1, col + 1)}, value,
+                      _inverse(e, row, col), mat)
+    return [(v, (num, r.det), mat) for r, d, nums, _ in records
+            for v, num in zip(r.rotations(d), nums)]
+
+
+def _inverse(e, row, col):
+    """Entry (row, col) of Q^-1 off the plan entry's block, as
+    (numerator, denominator)."""
+    return e.block[e.support.index(row)][e.support.index(col)], e.det
 
 
 _LEADING = (("q11", 0, 0), ("q12", 1, 0), ("q22", 1, 1))
@@ -256,113 +281,49 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
                                    True, linalg.is_negative_definite(mat))
 
     for n in range(2, n_max + 1):
-        if (blk := _block(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n),
-                          [0 if n == 2 else 2])) is None:
-            continue
-        mat, sigma, qc = blk
-        rep.record("tb1_neg_det", {"n": n}, f["tb1_neg_det"](n),
-                   linalg.determinant(mat), mat)
-        rep.record("tb1_neg_sigma", {"n": n}, f["tb1_neg_sigma"](n), sigma, mat)
-        if n == 2:
-            rep.ratio("tb1_neg_csq", {"n": n}, f["tb1_neg_csq"](n), _csq(qc, [0]), mat)
-        for pm in (1, -1) if n > 2 else ():
-            rep.ratio("tb1_neg_csq", {"n": n, "stab": pm},
-                      f["tb1_neg_csq"](n), _csq(qc, [pm]), mat)
+        for v, csq, mat in _family(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n)):
+            rep.ratio("tb1_neg_csq", {"n": n} if n == 2 else {"n": n, "stab": v[2]},
+                      f["tb1_neg_csq"](n), csq, mat)
 
     for n in range(1, n_max + 1):
-        if (blk := _block(rep, "tb1_pos", {"n": n}, -1, Fraction(1, n), [1])) is None:
-            continue
-        mat, sigma, qc = blk
-        rep.record("tb1_pos_sigma", {"n": n}, f["tb1_pos_sigma"](n), sigma, mat)
-        for rho in rot_range(-n - 1)[::-1]:
-            rep.ratio("tb1_pos_csq", {"n": n, "rho": rho},
-                      f["tb1_pos_csq"](n, rho), _csq(qc, [rho]), mat)
+        for v, csq, mat in _family(rep, "tb1_pos", {"n": n}, -1, Fraction(1, n)):
+            rep.ratio("tb1_pos_csq", {"n": n, "rho": v[1]}, f["tb1_pos_csq"](n, v[1]), csq, mat)
 
     for n in range(1, n_max + 1):
-        if (blk := _block(rep, "tb2_neg", {"n": n}, -2, Fraction(-1, n), [0, 1])) is None:
-            continue
-        mat, sigma, qc = blk
-        rep.record("tb2_neg_negdef", {"n": n}, True, sigma == -len(mat), mat)
-        rep.record("tb2_neg_sigma", {"n": n}, f["tb2_neg_sigma"](n), sigma, mat)
-        if n >= 2:
-            _entries(rep, "tb2_neg", {"n": n}, (n,), qc, mat, _LEADING)
-            for i in (1, -1):
-                for j in (i + 2, i, i - 2):
-                    rep.ratio("tb2_neg_csq", {"n": n, "i": i, "j": j},
-                              f["tb2_neg_csq"](n, i, j), _csq(qc, [i, j]), mat)
-        else:
-            for i in (1, -1):
-                rep.ratio("tb2_neg_csq", {"n": n, "i": i}, f["tb2_neg_csq"](n, i, 0),
-                          _csq(qc, [i]), mat)
+        for v, csq, mat in _family(rep, "tb2_neg", {"n": n}, -2, Fraction(-1, n),
+                                   _LEADING if n >= 2 else (), negdef=True):
+            i, j = v[0], v[1] if n >= 2 else 0
+            rep.ratio("tb2_neg_csq", {"n": n, "i": i, "j": j} if n >= 2 else {"n": n, "i": i},
+                      f["tb2_neg_csq"](n, i, j), csq, mat)
 
     for n in range(1, n_max + 1):
-        if (blk := _block(rep, "tb2_pos", {"n": n}, -2, Fraction(1, n), [0, 1, 2])) is None:
-            continue
-        matp, sigma, qcp = blk
-        rep.record("tb2_pos_sigma", {"n": n}, f["tb2_pos_sigma"](n), sigma, matp)
-        qexp = f["tb2_pos_q"](n)
-        for i_ in range(3):
-            for j_ in range(3):
-                rep.ratio("tb2_pos_q", {"n": n, "entry": (i_ + 1, j_ + 1)},
-                          qexp[i_][j_], _q(qcp, j_, i_), matp)
-        for i in (1, -1):
-            for rho2 in (i + 1, i - 1):
-                for s in rot_range(-n)[::-1]:
-                    rep.ratio("tb2_pos_csq", {"n": n, "i": i, "rho2": rho2, "s": s},
-                              f["tb2_pos_csq"](n, i, rho2, s),
-                              _csq(qcp, [i, rho2, s]), matp)
+        for (i, rho2, s), csq, mat in _family(rep, "tb2_pos", {"n": n}, -2, Fraction(1, n)):
+            rep.ratio("tb2_pos_csq", {"n": n, "i": i, "rho2": rho2, "s": s},
+                      f["tb2_pos_csq"](n, i, rho2, s), csq, mat)
 
     for k in range(3, k_max + 1):
-        rots = rot_range(-k)[::-1]
-
         for sign, tag in ((-1, "two_neg"), (1, "two_pos")):
-            if (blk := _block(rep, tag, {"k": k}, -k, 2 * sign, [0, 1])) is None:
-                continue
-            mat, sigma, qc = blk
-            size = len(mat)
-            if sign == -1:
-                rep.record("two_neg_negdef", {"k": k}, True, sigma == -size, mat)
-            rep.record(f"{tag}_sigma", {"k": k}, f[f"{tag}_sigma"](k), sigma, mat)
-            _entries(rep, tag, {"k": k}, (k,), qc, mat, _LEADING[:1 if size == 1 else 3])
-            for i in rots:
-                if size == 1:
-                    rep.ratio(f"{tag}_csq", {"k": k, "i": i},
-                              f[f"{tag}_csq"](k, i, 1), _csq(qc, [i]), mat)
-                for e in (1, -1) if size > 1 else ():
-                    rep.ratio(f"{tag}_csq", {"k": k, "i": i, "e": e},
-                              f[f"{tag}_csq"](k, i, e), _csq(qc, [i, i + e]), mat)
+            for v, csq, mat in _family(rep, tag, {"k": k}, -k, Fraction(2 * sign), _LEADING,
+                                       negdef=sign == -1):
+                i, e = v[0], v[1] - v[0] if len(v) > 1 else 1
+                point = {"k": k, "i": i, "e": e} if len(v) > 1 else {"k": k, "i": i}
+                rep.ratio(f"{tag}_csq", point, f[f"{tag}_csq"](k, i, e), csq, mat)
 
         for n in range(1, n_max + 1):
-            if (blk := _block(rep, "one_neg", {"k": k, "n": n}, -k, Fraction(-1, n),
-                              [0, 1, k - 1])) is None:
-                continue
-            mat, sigma, qc = blk
-            size = len(mat)
-            rep.record("one_neg_negdef", {"k": k, "n": n}, True, sigma == -size, mat)
-            rep.record("one_neg_sigma", {"k": k, "n": n}, f["one_neg_sigma"](k, n), sigma, mat)
-            _entries(rep, "one_neg", {"k": k, "n": n}, (k, n), qc, mat, _LEADING + (
-                (("q1k", k - 1, 0), ("q2k", k - 1, 1), ("qkk", k - 1, k - 1)) if n >= 2 else ()))
-            for i in rots:
-                for e in (1, -1):
-                    if n == 1:
-                        rep.ratio("one_neg_csq", {"k": k, "n": n, "i": i, "e": e},
-                                  f["one_neg_csq"](k, n, i, e, 0), _csq(qc, [i, i + e]), mat)
-                    for j in (1, -1) if n > 1 else ():
-                        rep.ratio("one_neg_csq", {"k": k, "n": n, "i": i, "e": e, "j": j},
-                                  f["one_neg_csq"](k, n, i, e, j), _csq(qc, [i, i + e, j]), mat)
+            context = {"k": k, "n": n}
+            for v, csq, mat in _family(rep, "one_neg", context, -k, Fraction(-1, n), _LEADING + (
+                    ("q1k", k - 1, 0), ("q2k", k - 1, 1), ("qkk", k - 1, k - 1)), negdef=True):
+                i, e, j = v[0], v[1] - v[0], v[k - 1] if n >= 2 else 0
+                point = {**context, "i": i, "e": e}
+                rep.ratio("one_neg_csq", {**point, "j": j} if n >= 2 else point,
+                          f["one_neg_csq"](k, n, i, e, j), csq, mat)
 
         for n in range(1, n_max + 1):
-            if (blk := _block(rep, "one_pos", {"k": k, "n": n}, -k, Fraction(1, n),
-                              [0, 1, k])) is None:
-                continue
-            matp, sigma, qcp = blk
-            rep.record("one_pos_sigma", {"k": k, "n": n}, f["one_pos_sigma"](k, n), sigma, matp)
-            _entries(rep, "one_pos", {"k": k, "n": n}, (k, n), qcp, matp, _LEADING + (
-                ("q1last", k, 0), ("q2last", k, 1), ("qlastlast", k, k)))
-            for i in rots:
-                for e in (1, -1):
-                    for s in rot_range(-n)[::-1]:
-                        rep.ratio("one_pos_csq", {"k": k, "n": n, "i": i, "e": e, "s": s},
-                                  f["one_pos_csq"](k, n, i, e, s), _csq(qcp, [i, i + e, s]), matp)
+            context = {"k": k, "n": n}
+            for v, csq, mat in _family(rep, "one_pos", context, -k, Fraction(1, n), _LEADING + (
+                    ("q1last", k, 0), ("q2last", k, 1), ("qlastlast", k, k))):
+                i, e, s = v[0], v[1] - v[0], v[k]
+                rep.ratio("one_pos_csq", {**context, "i": i, "e": e, "s": s},
+                          f["one_pos_csq"](k, n, i, e, s), csq, mat)
 
     return rep.as_dict()

@@ -35,14 +35,17 @@ class PipelineCheckError(RuntimeError):
 @dataclass(frozen=True)
 class PlanEntry:
     """One presentation of a plan, with the integers its d3 values need;
-    the presentations of a plan share ``form``, ``det``, ``sigma`` and U.
+    the presentations of a plan share ``form``, ``det``, ``sigma``,
+    ``support``, ``block`` and U.
 
     ``choices`` are its ``rotation_choices`` at ``pres.base_rot`` and u =
     ``pinned`` is 1 on the push-offs, whose rotation numbers follow the
     knot's: at the shift d = rot - base_rot, each rotation vector v
-    becomes v + d u.  With B = adj(Q)[S, S] on the support S of u and the
-    vectors, c1^2 of v + d u is (N_v + 2 d W_v + d^2 U) / det for
-    N_v = v^T B v (``quad``), W_v = u^T B v (``cross``), U = u^T B u.
+    becomes v + d u.  ``block`` is B = adj(Q)[S, S] on the ascending index
+    tuple S = ``support``, which holds the support of u and the vectors,
+    so (Q^-1)_{S[a], S[b]} = B[a][b] / det; c1^2 of v + d u is
+    (N_v + 2 d W_v + d^2 U) / det for N_v = v^T B v (``quad``),
+    W_v = u^T B v (``cross``), U = u^T B u.
     """
 
     pres: SurgeryPresentation
@@ -51,6 +54,8 @@ class PlanEntry:
     pinned: tuple
     det: int
     sigma: int
+    support: tuple
+    block: tuple
     quad: list
     cross: list
     U: int
@@ -61,16 +66,19 @@ class PlanEntry:
                               for c, p in zip(self.choices, self.pinned)]))
 
 
-def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict) -> list:
+def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> list:
     """The plan of (L.tb, smooth_slope) in ``plans``, made at L.rot on
     first request: a PlanEntry per presentation of one ``convert`` call.
-    These differ only in their pinned rotation numbers, so they share Q
-    and S, and one ``linking_matrix`` and one ``linalg.adjugate_block``
+    These differ only in their pinned rotation numbers, so they share Q,
+    S and B, and one ``linking_matrix`` and one ``linalg.adjugate_block``
     pass (its signature checked against Descartes') serve them all.  S
     holds every pinned index, as a pinned entry that is 0 here is not at
-    other rotation numbers.  The form is checked against its slope p/q:
-    |det Q| = |p| and U / det = q / p mod 1, the linking form on the
-    knot's meridian.  A singular Q raises; a raise keeps no plan."""
+    other rotation numbers, every index a rotation vector can make
+    nonzero, and those indices in ``extra`` that Q has, for a caller that
+    reads entries of Q^-1 off B (``extra`` acts only when the plan is
+    made).  The form is checked against its slope p/q: |det Q| = |p| and
+    U / det = q / p mod 1, the linking form on the knot's meridian.  A
+    singular Q raises; a raise keeps no plan."""
     key = (L.tb, smooth_slope)
     plan = plans.get(key)
     if plan is not None:
@@ -80,7 +88,8 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict) -> list:
     first = presentations[0]
     form = linking_matrix(first)
     pinned = tuple(int(c.rot is not None) for c in first.components)
-    support = tuple(i for i, c in enumerate(rotation_choices(first)) if pinned[i] or any(c))
+    support = tuple(i for i, c in enumerate(rotation_choices(first))
+                    if pinned[i] or any(c) or i in extra)
     try:
         det, sigma, block = linalg.adjugate_block(form.Q, support)
     except linalg.SingularMatrixError:
@@ -95,7 +104,7 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict) -> list:
     for pres in presentations:
         choices = rotation_choices(pres)
         vectors = list(product(*choices))
-        plan.append(PlanEntry(pres, form, choices, pinned, det, sigma,
+        plan.append(PlanEntry(pres, form, choices, pinned, det, sigma, support, block,
                               [linalg.adjugate_quadratic(block, support, v) for v in vectors],
                               [sum(map(mul, bu, map(v.__getitem__, support))) for v in vectors],
                               U))

@@ -102,6 +102,24 @@ class TestD3Digest:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestVerifyDigest:
+    """sha256 of the stdout of ``verify`` reports, pinned from the sweep
+    that computed each c1^2 with its own adjugate quadratic at shift 0."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("", "f78884c4bbb393d40635ccdebef5971f4a8711a605da8a03541dd98dcc085525"),
+        ("--json", "dae1053cb467a1a6bc6753055a5e51fe3f4b9ca43927ef00e87663910ca99719"),
+        ("--k-max 4 --n-max 3",
+         "4b016982a00a9587cb381f20fbb2bc9e1330bf68d787da3901dbae6031c91e20"),
+        ("--k-max 4 --n-max 3 --json",
+         "1644df1f57b50f9c74d6302e04e80ae299e2edbcf7c48786a0663736b13f7b70"),
+    ])
+    def test_report_bytes_are_unchanged(self, capsys, argv, digest):
+        code, out, err = run(capsys, "verify", *argv.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_reader_closing_the_pipe_early_is_not_an_error():
     # about 200 KB of text, more than a pipe holds: the writer meets the
     # closed pipe while printing

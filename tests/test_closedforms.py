@@ -1,8 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from contactsurg import closedforms, linalg
+from contactsurg import cli, invariants, linalg
 from contactsurg.cli import main
 from contactsurg.closedforms import (
     DEFAULT_FORMS,
@@ -124,9 +125,10 @@ class TestVerifier:
         assert [(m["check"], m["context"]) for m in rep["mismatches"]] == [
             ("tb2_neg_csq", {"n": 1, "i": 1}), ("tb2_neg_csq", {"n": 1, "i": -1})]
 
-    def test_reads_the_pipeline_forms(self, monkeypatch):
-        # a linking matrix with its first chain framing shifted by one must
-        # fail the sweep: the verifier checks the forms the pipeline builds
+    @staticmethod
+    def _chain_framing_shifted(monkeypatch, delta):
+        # the linking matrices the d3 route builds, with the first chain
+        # framing moved by delta
         def shifted(pres):
             form = linking_matrix(pres)
             roles = [c.role for c in pres.components]
@@ -134,36 +136,63 @@ class TestVerifier:
                 return form
             i = roles.index("chain")
             q = [list(row) for row in form.Q]
-            q[i][i] -= 1
+            q[i][i] += delta
             return IntersectionForm(tuple(map(tuple, q)), form.l)
 
-        monkeypatch.setattr(closedforms, "linking_matrix", shifted)
+        monkeypatch.setattr(invariants, "linking_matrix", shifted)
+
+    def test_reads_the_pipeline_forms(self, monkeypatch):
+        # a linking matrix with its first chain framing lowered by one must
+        # fail the sweep: the verifier checks the forms the d3 route builds.
+        # Most such forms fail the plan's form/slope check first; each is
+        # one mismatch with its matrix, and that form gets no other check
+        self._chain_framing_shifted(monkeypatch, -1)
         rep = verify_closed_forms(k_max=4, n_max=3)
         assert not rep["ok"]
-        checks = {m["check"] for m in rep["mismatches"]}
-        assert {"tb2_neg_q11", "one_neg_csq", "one_pos_sigma"} <= checks
+        slope = [m for m in rep["mismatches"] if m["check"].endswith("_slope")]
+        assert {"tb2_neg_slope", "one_neg_slope", "one_pos_slope"} <= {m["check"] for m in slope}
+        for m in slope:
+            tag = m["check"][:-len("_slope")]
+            assert m["matrix"] and "disagree with the slope" in m["actual"]
+            assert [other for other in rep["mismatches"] if other["check"].startswith(tag)
+                    and other["context"] == m["context"]] == [m]
 
     def test_singular_form_is_a_mismatch(self, monkeypatch, capsys):
         # the first chain framing raised by one makes some forms singular;
-        # each is one mismatch with its matrix, and the CLI exits 1
-        def raised(pres):
-            form = linking_matrix(pres)
-            roles = [c.role for c in pres.components]
-            if "chain" not in roles:
-                return form
-            i = roles.index("chain")
-            q = [list(row) for row in form.Q]
-            q[i][i] += 1
-            return IntersectionForm(tuple(map(tuple, q)), form.l)
+        # each is one mismatch with its matrix, and the CLI exits 1.  The
+        # shift is held to the closed-form stage: the later stages read the
+        # same route and would stop at its slope check
+        def sweep(k_max, n_max):
+            with pytest.MonkeyPatch.context() as mp:
+                self._chain_framing_shifted(mp, 1)
+                return verify_closed_forms(k_max, n_max)
 
-        monkeypatch.setattr(closedforms, "linking_matrix", raised)
-        rep = verify_closed_forms(k_max=4, n_max=3)
+        rep = sweep(4, 3)
         assert not rep["ok"]
         singular = [m for m in rep["mismatches"] if m["check"].endswith("_invertible")]
         assert singular and all(m["actual"] == "det = 0" and linalg.determinant(m["matrix"]) == 0
                                 for m in singular)
+        monkeypatch.setattr(cli, "verify_closed_forms", sweep)
         assert main(["verify", "--k-max", "4", "--n-max", "3"]) == 1
-        assert "MISMATCH" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"closed forms: {rep['checks']} checks, MISMATCH" in out
+        assert "d3 regressions: 24 checks, ok" in out
+
+    @pytest.mark.parametrize("mutate", [
+        lambda e: replace(e, U=0),  # drops the d^2 U term of the shift
+        lambda e: replace(e, cross=[-w for w in e.cross]),  # flips the sign of W_v
+    ], ids=["no_d2U", "flipped_W"])
+    def test_route_mutants_fail_verify(self, monkeypatch, capsys, mutate):
+        # every c1^2 check reads d3_records at a shift d != 0 for most
+        # rotation numbers, so a broken shift formula fails verify itself
+        plan = invariants._plan
+        monkeypatch.setattr(invariants, "_plan",
+                            lambda *args, **kwargs: [mutate(e) for e in plan(*args, **kwargs)])
+        rep = verify_closed_forms(k_max=4, n_max=3)
+        assert not rep["ok"]
+        assert all(m["check"].endswith("_csq") for m in rep["mismatches"])
+        assert main(["verify", "--k-max", "4", "--n-max", "3"]) == 1
+        assert "closed forms: 2686 checks, MISMATCH" in capsys.readouterr().out
 
     def test_one_elimination_pass_per_form(self, monkeypatch):
         # 835 family forms, one pass each, and 150 block_negdef matrices;
@@ -178,6 +207,21 @@ class TestVerifier:
         monkeypatch.setattr(linalg, "_eliminate", counted)
         assert verify_closed_forms()["ok"]
         assert len(passes) <= 985
+
+    def test_c1_squares_read_off_plans(self, monkeypatch):
+        # N_v = v^T B v once per vector of a plan, made at one rotation
+        # number; the other rotation numbers shift it in integers.  One
+        # adjugate_quadratic per checked vector made 105,134
+        calls = []
+        quadratic = linalg.adjugate_quadratic
+
+        def counted(block, support, r):
+            calls.append(len(support))
+            return quadratic(block, support, r)
+
+        monkeypatch.setattr(linalg, "adjugate_quadratic", counted)
+        assert verify_closed_forms()["ok"]
+        assert len(calls) <= 9780
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):

@@ -36,3 +36,15 @@ def test_no_assert_statements():
     for path, tree in _modules():
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+def test_no_floats():
+    # exact arithmetic only: no float literal, no float() call and no true
+    # division anywhere in the library
+    for path, tree in _modules():
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                 or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "float"
+                 or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+        assert lines == [], f"{path.name}: float or true division on lines {lines}"
