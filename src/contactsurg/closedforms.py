@@ -199,10 +199,9 @@ def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
     the table ``tag``_q of Q^-1 if the family has them, negative
     definiteness if ``negdef``, ``tag``_sigma, and the entry of Q^-1 at
     (row, col) for each (name, row, col) of ``entries`` inside the form.
-    Returns (v, (num, det), Q) per rotation vector v of each record, in
-    record order: c1^2 at v is num / det.  A singular form is one
-    mismatch, ``tag``_invertible, and a form that fails the plan's slope
-    check one ``tag``_slope; either gives none."""
+    Returns the records, for ``_csq``.  A singular form is one mismatch,
+    ``tag``_invertible, and a form that fails the plan's slope check one
+    ``tag``_slope; either gives none."""
     f = DEFAULT_FORMS
     args = tuple(context.values())
     table = f[f"{tag}_q"](*args) if f"{tag}_q" in f else ()
@@ -235,8 +234,19 @@ def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
         for col, value in enumerate(line):
             rep.ratio(f"{tag}_q", {**context, "entry": (row + 1, col + 1)}, value,
                       _inverse(e, row, col), mat)
-    return [(v, (num, r.det), mat) for r, d, nums, _ in records
-            for v, num in zip(r.rotations(d), nums)]
+    return records
+
+
+def _csq(rep, name, records, args, context):
+    """Checks c1^2 = num / det at each rotation vector v of ``records``
+    against DEFAULT_FORMS[name](*args(v)), by cross-multiplication;
+    ``context(v)`` is built for a mismatch only."""
+    form = DEFAULT_FORMS[name]
+    for e, d, nums, _ in records:
+        for v, num in zip(e.rotations(d), nums):
+            if form(*args(v)) * e.det != num:
+                rep._mismatch(name, context(v), form(*args(v)), Fraction(num, e.det), e.form.Q)
+        rep.checks += len(nums)
 
 
 def _inverse(e, row, col):
@@ -281,49 +291,46 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
                                    True, linalg.is_negative_definite(mat))
 
     for n in range(2, n_max + 1):
-        for v, csq, mat in _family(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n)):
-            rep.ratio("tb1_neg_csq", {"n": n} if n == 2 else {"n": n, "stab": v[2]},
-                      f["tb1_neg_csq"](n), csq, mat)
+        _csq(rep, "tb1_neg_csq", _family(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n)),
+             lambda v: (n,), lambda v: {"n": n} if n == 2 else {"n": n, "stab": v[2]})
 
     for n in range(1, n_max + 1):
-        for v, csq, mat in _family(rep, "tb1_pos", {"n": n}, -1, Fraction(1, n)):
-            rep.ratio("tb1_pos_csq", {"n": n, "rho": v[1]}, f["tb1_pos_csq"](n, v[1]), csq, mat)
+        _csq(rep, "tb1_pos_csq", _family(rep, "tb1_pos", {"n": n}, -1, Fraction(1, n)),
+             lambda v: (n, v[1]), lambda v: {"n": n, "rho": v[1]})
 
     for n in range(1, n_max + 1):
-        for v, csq, mat in _family(rep, "tb2_neg", {"n": n}, -2, Fraction(-1, n),
-                                   _LEADING if n >= 2 else (), negdef=True):
-            i, j = v[0], v[1] if n >= 2 else 0
-            rep.ratio("tb2_neg_csq", {"n": n, "i": i, "j": j} if n >= 2 else {"n": n, "i": i},
-                      f["tb2_neg_csq"](n, i, j), csq, mat)
+        records = _family(rep, "tb2_neg", {"n": n}, -2, Fraction(-1, n),
+                          _LEADING if n >= 2 else (), negdef=True)
+        _csq(rep, "tb2_neg_csq", records, lambda v: (n, v[0], v[1] if n >= 2 else 0),
+             lambda v: {"n": n, "i": v[0], "j": v[1]} if n >= 2 else {"n": n, "i": v[0]})
 
     for n in range(1, n_max + 1):
-        for (i, rho2, s), csq, mat in _family(rep, "tb2_pos", {"n": n}, -2, Fraction(1, n)):
-            rep.ratio("tb2_pos_csq", {"n": n, "i": i, "rho2": rho2, "s": s},
-                      f["tb2_pos_csq"](n, i, rho2, s), csq, mat)
+        _csq(rep, "tb2_pos_csq", _family(rep, "tb2_pos", {"n": n}, -2, Fraction(1, n)),
+             lambda v: (n, *v), lambda v: {"n": n, "i": v[0], "rho2": v[1], "s": v[2]})
 
     for k in range(3, k_max + 1):
         for sign, tag in ((-1, "two_neg"), (1, "two_pos")):
-            for v, csq, mat in _family(rep, tag, {"k": k}, -k, Fraction(2 * sign), _LEADING,
-                                       negdef=sign == -1):
-                i, e = v[0], v[1] - v[0] if len(v) > 1 else 1
-                point = {"k": k, "i": i, "e": e} if len(v) > 1 else {"k": k, "i": i}
-                rep.ratio(f"{tag}_csq", point, f[f"{tag}_csq"](k, i, e), csq, mat)
+            records = _family(rep, tag, {"k": k}, -k, Fraction(2 * sign), _LEADING,
+                              negdef=sign == -1)
+            _csq(rep, f"{tag}_csq", records,
+                 lambda v: (k, v[0], v[1] - v[0] if len(v) > 1 else 1),
+                 lambda v: {"k": k, "i": v[0], "e": v[1] - v[0]} if len(v) > 1
+                 else {"k": k, "i": v[0]})
 
         for n in range(1, n_max + 1):
             context = {"k": k, "n": n}
-            for v, csq, mat in _family(rep, "one_neg", context, -k, Fraction(-1, n), _LEADING + (
-                    ("q1k", k - 1, 0), ("q2k", k - 1, 1), ("qkk", k - 1, k - 1)), negdef=True):
-                i, e, j = v[0], v[1] - v[0], v[k - 1] if n >= 2 else 0
-                point = {**context, "i": i, "e": e}
-                rep.ratio("one_neg_csq", {**point, "j": j} if n >= 2 else point,
-                          f["one_neg_csq"](k, n, i, e, j), csq, mat)
+            records = _family(rep, "one_neg", context, -k, Fraction(-1, n), _LEADING + (
+                ("q1k", k - 1, 0), ("q2k", k - 1, 1), ("qkk", k - 1, k - 1)), negdef=True)
+            _csq(rep, "one_neg_csq", records,
+                 lambda v: (k, n, v[0], v[1] - v[0], v[k - 1] if n >= 2 else 0),
+                 lambda v: {**context, "i": v[0], "e": v[1] - v[0], "j": v[k - 1]} if n >= 2
+                 else {**context, "i": v[0], "e": v[1] - v[0]})
 
         for n in range(1, n_max + 1):
             context = {"k": k, "n": n}
-            for v, csq, mat in _family(rep, "one_pos", context, -k, Fraction(1, n), _LEADING + (
-                    ("q1last", k, 0), ("q2last", k, 1), ("qlastlast", k, k))):
-                i, e, s = v[0], v[1] - v[0], v[k]
-                rep.ratio("one_pos_csq", {**context, "i": i, "e": e, "s": s},
-                          f["one_pos_csq"](k, n, i, e, s), csq, mat)
+            records = _family(rep, "one_pos", context, -k, Fraction(1, n), _LEADING + (
+                ("q1last", k, 0), ("q2last", k, 1), ("qlastlast", k, k)))
+            _csq(rep, "one_pos_csq", records, lambda v: (k, n, v[0], v[1] - v[0], v[k]),
+                 lambda v: {**context, "i": v[0], "e": v[1] - v[0], "s": v[k]})
 
     return rep.as_dict()

@@ -61,9 +61,8 @@ class PlanEntry:
     U: int
 
     def rotations(self, d):
-        """The rotation vectors at shift d, as tuples."""
-        return list(product(*[(c[0] + d,) if p else c
-                              for c, p in zip(self.choices, self.pinned)]))
+        """The rotation vectors at shift d, as an iterator of tuples."""
+        return product(*[(c[0] + d,) if p else c for c, p in zip(self.choices, self.pinned)])
 
 
 def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> list:
@@ -78,18 +77,19 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> l
     reads entries of Q^-1 off B (``extra`` acts only when the plan is
     made).  The form is checked against its slope p/q: |det Q| = |p| and
     U / det = q / p mod 1, the linking form on the knot's meridian.  A
-    singular Q raises; a raise keeps no plan."""
-    key = (L.tb, smooth_slope)
+    singular Q raises; a raise keeps no plan.  ``plans`` is keyed by
+    (tb, p, q) for the smooth slope p/q."""
+    p, q = smooth_slope.numerator, smooth_slope.denominator
+    key = (L.tb, p, q)
     plan = plans.get(key)
     if plan is not None:
         return plan
-    p, q = smooth_slope.numerator, smooth_slope.denominator
     presentations = convert(L, smooth_slope - L.tb)
     first = presentations[0]
     form = linking_matrix(first)
     pinned = tuple(int(c.rot is not None) for c in first.components)
-    support = tuple(i for i, c in enumerate(rotation_choices(first))
-                    if pinned[i] or any(c) or i in extra)
+    chosen = [rotation_choices(pres) for pres in presentations]
+    support = tuple(i for i, c in enumerate(chosen[0]) if pinned[i] or any(c) or i in extra)
     try:
         det, sigma, block = linalg.adjugate_block(form.Q, support)
     except linalg.SingularMatrixError:
@@ -98,11 +98,10 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> l
     bu = [sum(map(mul, row, u)) for row in block]
     U = sum(map(mul, bu, u))
     if abs(det) != abs(p) or (U * p - q * det) % (det * p):
-        raise PipelineCheckError(f"tb={L.tb}, smooth slope {smooth_slope}: det Q = {det} "
-                                 f"and meridian square {U}/{det} disagree with the slope")
+        raise PipelineCheckError(f"tb={L.tb}, smooth slope {smooth_slope}: det Q = {det} and "
+                                 f"meridian square {ratio_text(U, det)} disagree with the slope")
     plan = []
-    for pres in presentations:
-        choices = rotation_choices(pres)
+    for pres, choices in zip(presentations, chosen):
         vectors = list(product(*choices))
         plan.append(PlanEntry(pres, form, choices, pinned, det, sigma, support, block,
                               [linalg.adjugate_quadratic(block, support, v) for v in vectors],
@@ -118,20 +117,23 @@ def d3_records(L: LegendrianData, smooth_slope, plans=None) -> list:
     and pairs mapping each distinct num to d3 = (num - K det) / (4 det),
     K = 3 sigma + 2 n - 4 l, reduced with denominator > 0 and checked by
     the d3 identity 4 d3 + K = c1^2, cross-multiplied.  Requests on knots
-    of one tb may share the dict ``plans``, keyed by (tb, smooth slope);
-    without it, the plan is made at L.rot and d is 0."""
-    smooth_slope = Fraction(smooth_slope)
+    of one tb may share the dict ``plans`` (see ``_plan``); without it,
+    the plan is made at L.rot and d is 0."""
+    smooth_slope = smooth_slope if isinstance(smooth_slope, Fraction) else Fraction(smooth_slope)
+    plan = _plan(L, smooth_slope, {} if plans is None else plans)
+    first = plan[0]  # the entries of a plan share base_rot, det, sigma, form and U
+    d, det = L.rot - first.pres.base_rot, first.det
+    k = 3 * first.sigma + 2 * first.form.n - 4 * first.form.l
+    k_det, den, sign = k * det, 4 * det, 1 if det > 0 else -1
+    lin, sq = 2 * d, d * d * first.U
     out = []
-    for e in _plan(L, smooth_slope, {} if plans is None else plans):
-        d, det = L.rot - e.pres.base_rot, e.det
-        k = 3 * e.sigma + 2 * e.form.n - 4 * e.form.l
-        k_det, den, sign = k * det, 4 * det, 1 if det > 0 else -1
-        lin, sq = 2 * d, d * d * e.U
+    for e in plan:
         nums = [N + lin * W + sq for N, W in zip(e.quad, e.cross)] if d else e.quad
         pairs = {}
         for num in set(nums):
-            g = gcd(num - k_det, den) * sign
-            a, b = (num - k_det) // g, den // g
+            top = num - k_det
+            g = gcd(top, den) * sign
+            a, b = top // g, den // g
             if (4 * a + k * b) * det != num * b:
                 raise PipelineCheckError(f"inconsistent d3 data: {a}/{b} at c1^2 {num}/{det}")
             pairs[num] = a, b

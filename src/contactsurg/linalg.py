@@ -2,7 +2,7 @@
 
 Everything in this module is exact.  One sparse, fraction-free
 elimination of a symmetric matrix (``_eliminate``) yields its
-determinant, its signature and, by integer back-substitution, columns
+determinant, its signature and, by integer back-substitution, a block
 of its adjugate; inverse entries and r^T A^-1 r are integers over the
 determinant, read from the block of the adjugate on r's support, and a
 matrix is negative definite when its signature is -n.  Signatures are
@@ -56,10 +56,10 @@ def is_symmetric(rows) -> bool:
 def _eliminate(rows, cols=()):
     """One sparse, fraction-free symmetric elimination of Q = ``rows``.
 
-    Returns (det, sigma, adj): det Q, the signature of Q and
-    {c: column c of adj(Q)} for c in ``cols``, as integers.  A singular
-    Q stops at the first remaining row without a nonzero entry and
-    returns (0, None, {}).
+    Returns (det, sigma, B): det Q, the signature of Q and the block
+    B = adj(Q)[cols, cols] as a tuple of rows, B[a][b] the entry
+    (cols[a], cols[b]), in integers.  A singular Q stops at the first
+    remaining row without a nonzero entry and returns (0, None, ()).
 
     Symmetric elimination M -> E M E^T keeps the signature, and the k-th
     diagonal entry it leaves is p_k / p_(k-1) for the leading principal
@@ -75,11 +75,16 @@ def _eliminate(rows, cols=()):
     unimodular congruence F Q F^T that makes the diagonal entry nonzero.
 
     Each e_c is the extra key n + idx of row c, so the row updates carry
-    the right-hand sides.  The pivot rows are kept, and the column step
-    of a congruence reaches them too; back-substitution in reverse pivot
-    order, y_v = (det T_v,rhs - sum_j T_vj y_j) / p, is exact because
-    y = det F^-T Q^-1 e_c is integral, and y_mix += y_v undoes each
-    congruence, the last one first.
+    the right-hand sides.  The pivot order takes the other indices from
+    the last down, which peels a chain from its end, and the rows of
+    ``cols`` (distinct indices) last, so that no other row carries a
+    right-hand side unless a zero pivot moves one of them up.  The pivot
+    rows are kept, and the column step of a congruence reaches them too;
+    back-substitution in reverse pivot order, y_v = (det T_v,rhs -
+    sum_j T_vj y_j) / p, is exact because y = det F^-T Q^-1 e_c is
+    integral, and y_mix += y_v undoes each congruence, the last one
+    first.  Without a congruence it stops at the first row of ``cols``:
+    B needs no earlier one.
     """
     n = len(rows)
     every = range(n)
@@ -94,7 +99,8 @@ def _eliminate(rows, cols=()):
                 raise ValueError("matrix must be symmetric")
     for idx, c in enumerate(cols):
         a[c][n + idx] = 1
-    order = list(every)
+    last = set(cols)
+    order = [i for i in reversed(every) if i not in last] + list(cols)
     level = [0] * n  # row i holds the bordered minors of step level[i]
     pivots = [1]  # pivots[k] = p_k, the leading minor after k steps
     done = []  # (v, p, pivot row v) of each step, kept when cols are asked for
@@ -120,7 +126,7 @@ def _eliminate(rows, cols=()):
             else:
                 mix = next((j for j in a[v] if j < n), None)
                 if mix is None:
-                    return 0, None, {}
+                    return 0, None, ()
                 mixes.append((v, mix))
                 # row v += row mix, then column v += column mix; with both
                 # diagonal entries zero, T_vv becomes 2 T_v,mix
@@ -163,10 +169,11 @@ def _eliminate(rows, cols=()):
             level[i] = k + 1
     det, sigma = pivots[n], 2 * pos - n
     if not cols:
-        return det, sigma, {}
+        return det, sigma, ()
     # y[v] holds row v of adj(Q)[:, cols], all right-hand sides at once
+    start = 0 if mixes else min(k for k, v in enumerate(order) if v in last)
     y = [None] * n
-    for v, p, row in reversed(done):
+    for v, p, row in reversed(done[start:]):
         acc = [0] * len(cols)
         for j, x in row.items():
             if j < n:
@@ -176,7 +183,7 @@ def _eliminate(rows, cols=()):
         y[v] = [s // p for s in acc]
     for v, mix in reversed(mixes):
         y[mix] = list(map(add, y[mix], y[v]))
-    return det, sigma, {c: [row[idx] for row in y] for idx, c in enumerate(cols)}
+    return det, sigma, tuple(tuple(y[c]) for c in cols)
 
 
 def determinant(rows) -> int:
@@ -196,14 +203,14 @@ def adjugate_block(rows, support):
     SignatureMismatchError (it would mean a bug, not a property of the
     input).  Raises SingularMatrixError when det A = 0.
     """
-    det, sigma, adj = _eliminate(rows, support)
+    det, sigma, block = _eliminate(rows, support)
     if det == 0:
         raise SingularMatrixError("matrix is singular")
     check = descartes_signature(rows)
     if sigma != check:
         raise SignatureMismatchError(f"signature methods disagree: "
                                      f"diagonalization={sigma} descartes={check}")
-    return det, sigma, tuple(tuple(adj[c][i] for c in support) for i in support)
+    return det, sigma, block
 
 
 def adjugate_quadratic(block, support, r) -> int:
@@ -262,17 +269,16 @@ def char_poly(rows):
     path attached) costs O(n^2 + k^4) integer operations this way.
     """
     n = _check_square(rows)
-    a = [list(map(int, row)) for row in rows]
     # nonzero off-diagonal entries of each row, then of each column too
-    nbrs = [set(compress(range(n), row)) for row in a]
+    nbrs = [set(compress(range(n), row)) for row in rows]
     for i, row in enumerate(nbrs):
         row.discard(i)
         for j in row:
             nbrs[j].add(i)
     try:
-        coeffs = _char_poly(a, nbrs, frozenset(range(n)), {})
+        coeffs = _char_poly(rows, nbrs, frozenset(range(n)), {})
     except _TooBranched:
-        coeffs = _berkowitz(a, list(range(n)))
+        coeffs = _berkowitz(rows, list(range(n)))
     return coeffs[::-1]
 
 

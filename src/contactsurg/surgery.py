@@ -118,7 +118,9 @@ def _negative_chain(tb: int, rot: int, contact_coeff: Fraction):
             f"negative-coefficient conversion needs a negative contact "
             f"coefficient, got {contact_coeff}"
         )
-    chain = tuple(Component("chain", c + 1, -1) for c in cf[1:])
+    # equal chain unknots share one (immutable) Component
+    kinds = {c: Component("chain", c + 1, -1) for c in set(cf[1:])}
+    chain = tuple(map(kinds.__getitem__, cf[1:]))
     # m stabilizations shift rot by one of m, m - 2, ..., -m
     return [(Component("pushoff", tb - m, -1, rot=rot + x, stabilizations=m),) + chain
             for x in rot_range(-m - 1)[::-1]]
@@ -136,8 +138,6 @@ def convert(L: LegendrianData, contact_coeff) -> list:
     if contact_coeff == 0:
         raise ContactZeroError("contact (0)-surgery is not well-defined")
     smooth = L.tb + contact_coeff
-    if smooth == L.tb:
-        raise ContactZeroError("contact (0)-surgery is not well-defined")
 
     def finish(comps):
         return SurgeryPresentation(
@@ -171,9 +171,9 @@ def convert(L: LegendrianData, contact_coeff) -> list:
 def rotation_choices(pres: SurgeryPresentation) -> list:
     """The rotation numbers each component may take, in enumeration order:
     a push-off keeps its pinned one, and a chain unknot with tb = -t
-    ranges over t-1, t-3, ..., -t+1."""
-    return [(c.rot,) if c.rot is not None else tuple(rot_range(c.tb)[::-1])
-            for c in pres.components]
+    ranges over t-1, t-3, ..., -t+1 (``rot_range`` raises for t < 1)."""
+    return [(c.rot,) if c.rot is not None else tuple(range(-c.tb - 1, c.tb, -2))
+            if c.tb <= -1 else rot_range(c.tb) for c in pres.components]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -157,6 +159,17 @@ class TestVerifier:
             assert [other for other in rep["mismatches"] if other["check"].startswith(tag)
                     and other["context"] == m["context"]] == [m]
 
+    def test_slope_error_reduces_the_meridian_square(self, monkeypatch):
+        # the meridian square U / det prints in lowest terms with a positive
+        # denominator: "-5/2", not "5/-2"
+        self._chain_framing_shifted(monkeypatch, -1)
+        rep = verify_closed_forms(k_max=4, n_max=3)
+        texts = {(m["check"], tuple(m["context"].values())): m["actual"]
+                 for m in rep["mismatches"] if m["check"].endswith("_slope")}
+        assert "meridian square -5/2 disagree" in texts["tb2_neg_slope", (3,)]
+        assert "meridian square -4 disagree" in texts["two_pos_slope", (3,)]
+        assert not [text for text in texts.values() if "/-" in text]
+
     def test_singular_form_is_a_mismatch(self, monkeypatch, capsys):
         # the first chain framing raised by one makes some forms singular;
         # each is one mismatch with its matrix, and the CLI exits 1.  The
@@ -194,6 +207,24 @@ class TestVerifier:
         assert main(["verify", "--k-max", "4", "--n-max", "3"]) == 1
         assert "closed forms: 2686 checks, MISMATCH" in capsys.readouterr().out
 
+    def test_mismatch_provenance_digest(self, monkeypatch):
+        # closed forms off by one at a few points: sha256 of the report
+        # pins the mismatches' order, contexts, expected and actual texts
+        # and matrices, pinned from the sweep that built one context dict
+        # per c1^2 check
+        forms = dict(DEFAULT_FORMS)
+        monkeypatch.setitem(DEFAULT_FORMS, "one_pos_csq", lambda k, n, i, e, s: (
+            forms["one_pos_csq"](k, n, i, e, s) + (n == 2 and i == 1 and s > 0)))
+        monkeypatch.setitem(DEFAULT_FORMS, "tb2_neg_csq", lambda n, i, j: (
+            forms["tb2_neg_csq"](n, i, j) - (n == 3 and j > 0)))
+        monkeypatch.setitem(DEFAULT_FORMS, "two_neg_sigma", lambda k: (
+            forms["two_neg_sigma"](k) + (k == 4)))
+        rep = verify_closed_forms(4, 3)
+        assert [m["check"] for m in rep["mismatches"]] == [
+            "tb2_neg_csq"] * 3 + ["two_neg_sigma"] + ["one_pos_csq"] * 2
+        digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+        assert digest == "88c24ab849cbdaf69201cf7d0cef2f7cf32e4313881d108d8fff23e5d5afa3bd"
+
     def test_one_elimination_pass_per_form(self, monkeypatch):
         # 835 family forms, one pass each, and 150 block_negdef matrices;
         # separate negdef, signature and block passes made 2,218
@@ -207,6 +238,18 @@ class TestVerifier:
         monkeypatch.setattr(linalg, "_eliminate", counted)
         assert verify_closed_forms()["ok"]
         assert len(passes) <= 985
+
+    def test_verify_elimination_passes(self, monkeypatch, capsys):
+        # the closed forms' 985, the regressions' 82 (one per (tb, slope),
+        # where a plan per cell made 126) and the scan and solver stages';
+        # a pass per regression cell made 1,251
+        passes = []
+        eliminate = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate",
+                            lambda rows, cols=(): passes.append(len(rows)) or eliminate(rows, cols))
+        assert main(["verify", "--json"]) == 0
+        capsys.readouterr()
+        assert len(passes) <= 1207
 
     def test_c1_squares_read_off_plans(self, monkeypatch):
         # N_v = v^T B v once per vector of a plan, made at one rotation

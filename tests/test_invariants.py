@@ -176,7 +176,7 @@ class TestPlans:
             if isinstance(got, tuple):
                 assert plans == before
             else:
-                assert (tb, slope) in plans
+                assert (tb, slope.numerator, slope.denominator) in plans
 
     @pytest.mark.parametrize("tb", range(-7, 0))
     def test_failing_slopes_raise_alike_at_every_rot(self, tb):
