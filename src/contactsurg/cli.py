@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import compress
 
 from . import __version__
 from .closedforms import verify_closed_forms
@@ -47,11 +48,13 @@ def json_text(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
 
     The stdlib drops its C encoder when ``indent`` is set, and its Python
-    encoder then writes a dense matrix one token at a time; here a list
-    whose elements are all exactly ``int`` is written by one join.  The
-    tree may hold dicts with str keys, lists, tuples, str, int, bool and
-    None; anything else, floats and Fractions included, raises TypeError,
-    because reports are exact.
+    encoder then writes a dense matrix one token at a time.  Here a list
+    whose elements are all exactly ``int`` (a type test over every entry)
+    is written by one join, or, if at most a quarter are nonzero, with each
+    run of zeros as one repeated string; an element that is the element
+    before it reuses that one's text.  The tree may hold dicts with str
+    keys, lists, tuples, str, int, bool and None; anything else, floats
+    and Fractions included, raises TypeError, because reports are exact.
     """
     out = []
     _write(obj, "\n", out)
@@ -76,14 +79,28 @@ def _write(obj, newline, out):
             out.append("[]")
             return
         inner = newline + "  "
+        sep = "," + inner
         if set(map(type, obj)) == {int}:  # not isinstance: True prints as true
-            out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
+            if 4 * (len(obj) - obj.count(0)) > len(obj):
+                out.append("[" + inner + sep.join(map(str, obj)) + newline + "]")
+                return
+            zero, pieces, start = sep + "0", [], 0
+            for i in compress(range(len(obj)), obj):
+                pieces += (zero * (i - start), sep, str(obj[i]))
+                start = i + 1
+            pieces.append(zero * (len(obj) - start))
+            out.append("[" + "".join(pieces)[1:] + newline + "]")  # [1:] drops a comma
             return
-        sep = "[" + inner
+        lead, last = "[" + inner, out  # no element is the output list
         for x in obj:
-            out.append(sep)
-            _write(x, inner, out)
-            sep = "," + inner
+            out.append(lead)
+            if x is last:
+                out += out[mark:end]
+            else:
+                last, mark = x, len(out)
+                _write(x, inner, out)
+                end = len(out)
+            lead = sep
         out.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:

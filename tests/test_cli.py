@@ -95,6 +95,12 @@ class TestD3Digest:
          "04350a785e95e1a35e8e8e87f8cefe7d9627f2ed3059215278bdeead90549355"),
         ("--tb -4 --rot 1 --slope 1/5",
          "4de8ef43910a1765071ccc33884b1523a2820500d9f313d82cd045fda647bacf"),
+        ("--tb -2 --rot -1 --slope -1/134 --json",
+         "7b5eeba2fc045314fa609f8d1c1bc5a99ad7187b010e55ee1a62e28004be6fd6"),
+        ("--tb -1 --rot 0 --slope -1/400 --json",
+         "a1ad1472b987ef08e0f98f419c8c8c0acb170d7a98af17c12e095bca0ca3f6ce"),
+        ("--tb -1 --rot 0 --coeff 1/3 --json",  # a zero-diagonal clique
+         "d4cc370c08002546a9303e00eb93aa6db74464ce9e364a12cedcf01c2a1e7ed5"),
     ])
     def test_report_bytes_are_unchanged(self, capsys, argv, digest):
         code, out, err = run(capsys, "d3", *argv.split())
@@ -179,12 +185,38 @@ def test_json_round_trip_at_scale_is_byte_identical(capsys, argv):
 
 _TEXT = st.one_of(st.text(max_size=6),
                   st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9", "\U0001f600", ""]))
+
+
+def _sparse_row(n, entries):
+    row = [0] * n
+    for i, x in entries:
+        if i < n:
+            row[i] = x
+    return row
+
+
+# rows of 0-60 ints, mostly zeros: the writer's zero-run branch, with
+# leading, trailing and all-zero runs; short rows also take the dense one
+_SPARSE_ROWS = st.builds(
+    _sparse_row, st.integers(0, 60),
+    st.lists(st.tuples(st.integers(0, 59),
+                       st.one_of(st.integers(-3, 3), st.sampled_from([10**40, -10**40]))),
+             max_size=20))
+
+
+def _runs(pairs):
+    """One list holding each object its count of times in a row."""
+    return [x for x, count in pairs for _ in range(count)]
+
+
 _JSON_TREES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40),
-              _TEXT, st.lists(st.one_of(st.integers(), st.booleans()))),
+              _TEXT, st.lists(st.one_of(st.integers(), st.booleans())), _SPARSE_ROWS),
     lambda children: st.one_of(st.lists(children, max_size=4),
                                st.lists(children, max_size=4).map(tuple),
-                               st.dictionaries(_TEXT, children, max_size=4)),
+                               st.dictionaries(_TEXT, children, max_size=4),
+                               st.lists(st.tuples(children, st.integers(1, 4)),
+                                        max_size=3).map(_runs)),
     max_leaves=25)
 
 
@@ -192,6 +224,12 @@ class TestJsonText:
     @given(_JSON_TREES)
     @example([1, True, 0])
     @example({"": [], "a": {}, "b": ((),), "\u00e9\"\\": [-10**30, None, False]})
+    @example([None])
+    @example([None, None])
+    @example([0, 0, False, 0])
+    @example([[0] * 9, [0] * 9])
+    @example([[0] * 9] * 2)
+    @example([{"a": [None, "x"]}] * 3 + [[], []])
     @settings(max_examples=300, deadline=None)
     def test_equals_json_dumps(self, tree):
         assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
@@ -201,6 +239,15 @@ class TestJsonText:
         for tree in (value, [1, value], {"k": [value]}):
             with pytest.raises(TypeError):
                 json_text(tree)
+
+    @pytest.mark.parametrize("value", [0.0, Fraction(1, 2), Fraction(0)])
+    def test_inexact_entry_of_a_mostly_zero_row_raises(self, value):
+        for row in ([0] * 9 + [value], [value] + [0] * 9, [0] * 4 + [value, value] + [0] * 4):
+            with pytest.raises(TypeError):
+                json_text(row)
+
+    def test_bools_in_a_mostly_zero_row_print_as_bools(self):
+        assert json_text([0] * 8 + [False, True]).endswith("0,\n  false,\n  true\n]")
 
 
 class TestUnknotCommand:

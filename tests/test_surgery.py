@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactsurg.slopes import SlopeError
 from contactsurg.surgery import (
     ContactZeroError,
     IntersectionForm,
@@ -15,6 +16,7 @@ from contactsurg.surgery import (
 )
 from oracles import (
     enumerate_rotations,
+    neg_cf_value,
     smooth_recovery,
     tb1_negative_matrix,
     tb1_positive_matrix,
@@ -90,6 +92,37 @@ class TestConvert:
         pres = convert(LegendrianData(-2, 1), Fraction(-1, 4) + 2)[0]
         assert [c.framing for c in pres.components] == [-1, -5, -2, -2]
         assert [c.tb for c in pres.components] == [-2, -4, -1, -1]
+
+
+class TestToJson:
+    @staticmethod
+    def one_dict_per_component(pres):
+        return {"components": [{"role": c.role, "tb": c.tb, "rot": c.rot, "sign": c.sign}
+                               for c in pres.components],
+                "l": pres.l}
+
+    def test_equals_one_dict_per_component(self):
+        smooth = ([Fraction(sign, n) for n in (1, 2, 3, 5, 40) for sign in (1, -1)]
+                  + [Fraction(2), Fraction(-2)]
+                  + [neg_cf_value([c] + [-3] * k) for c in (-2, -5) for k in (1, 3, 8)])
+        checked = 0
+        for tb in range(-4, 0):
+            L = LegendrianData(tb, tb + 1)
+            for coeff in [Fraction(1, 3), Fraction(3, 4)] + [s - tb for s in smooth]:
+                try:
+                    presentations = convert(L, coeff)
+                except SlopeError:
+                    continue
+                for pres in presentations:
+                    assert pres.to_json() == self.one_dict_per_component(pres)
+                    checked += 1
+        assert checked > 100
+
+    def test_chain_terms_share_one_dict(self):
+        # two (+1) push-offs, the stabilized push-off, then 37 chain terms
+        pres = convert(LegendrianData(-1, 0), Fraction(-1, 40) + 1)[0]
+        comps = pres.to_json()["components"]
+        assert len(comps) == 40 and all(c is comps[3] for c in comps[3:])
 
 
 class TestLinkingMatrix:
