@@ -50,11 +50,11 @@ def json_text(obj) -> str:
     The stdlib drops its C encoder when ``indent`` is set, and its Python
     encoder then writes a dense matrix one token at a time.  Here a list
     whose elements are all exactly ``int`` (a type test over every entry)
-    is written by one join, or, if at most a quarter are nonzero, with each
-    run of zeros as one repeated string; an element that is the element
-    before it reuses that one's text.  The tree may hold dicts with str
-    keys, lists, tuples, str, int, bool and None; anything else, floats
-    and Fractions included, raises TypeError, because reports are exact.
+    is written by one join, in which only the nonzeros go through ``str``,
+    and an element that is the same object as the element before it
+    reuses that one's text.  The tree may hold dicts with str keys, lists,
+    tuples, str, int, bool and None; anything else, floats and Fractions
+    included, raises TypeError, because reports are exact.
     """
     out = []
     _write(obj, "\n", out)
@@ -81,15 +81,10 @@ def _write(obj, newline, out):
         inner = newline + "  "
         sep = "," + inner
         if set(map(type, obj)) == {int}:  # not isinstance: True prints as true
-            if 4 * (len(obj) - obj.count(0)) > len(obj):
-                out.append("[" + inner + sep.join(map(str, obj)) + newline + "]")
-                return
-            zero, pieces, start = sep + "0", [], 0
+            texts = ["0"] * len(obj)  # only the nonzeros go through str
             for i in compress(range(len(obj)), obj):
-                pieces += (zero * (i - start), sep, str(obj[i]))
-                start = i + 1
-            pieces.append(zero * (len(obj) - start))
-            out.append("[" + "".join(pieces)[1:] + newline + "]")  # [1:] drops a comma
+                texts[i] = str(obj[i])
+            out.append("[" + inner + sep.join(texts) + newline + "]")
             return
         lead, last = "[" + inner, out  # no element is the output list
         for x in obj:
@@ -167,8 +162,13 @@ def cmd_d3(args) -> int:
         value = {num: {**head, "c_squared": ratio_text(num, e.det), "d3": ratio_text(a, b)}
                  for num, (a, b) in pairs.items()}
         spectrum.update(pairs.values())
+        pres = e.pres.to_json()
+        terms = pres["components"]
+        for i in range(1, len(terms)):
+            if terms[i] == terms[i - 1]:  # a chain's terms: json_text writes one once
+                terms[i] = terms[i - 1]
         results.append({
-            "presentation": e.pres.to_json(),
+            "presentation": pres,
             "matrix": e.form.Q,
             "values": [{"rotations": list(r), **value[num]}
                        for r, num in zip(e.rotations(0), nums)],

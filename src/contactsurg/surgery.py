@@ -80,14 +80,13 @@ class SurgeryPresentation:
         return sum(1 for c in self.components if c.sign == 1)
 
     def to_json(self):
-        # a component that is the one before it (a chain term) reuses its
-        # dict, which cli.json_text then writes once
-        dicts, last = [], None
-        for c in self.components:
-            if c is not last:
-                last, data = c, {"role": c.role, "tb": c.tb, "rot": c.rot, "sign": c.sign}
-            dicts.append(data)
-        return {"components": dicts, "l": self.l}
+        return {
+            "components": [
+                {"role": c.role, "tb": c.tb, "rot": c.rot, "sign": c.sign}
+                for c in self.components
+            ],
+            "l": self.l,
+        }
 
 
 def rot_range(tb: int) -> list:

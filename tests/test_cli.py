@@ -195,8 +195,8 @@ def _sparse_row(n, entries):
     return row
 
 
-# rows of 0-60 ints, mostly zeros: the writer's zero-run branch, with
-# leading, trailing and all-zero runs; short rows also take the dense one
+# rows of 0-60 ints, mostly zeros, with leading, trailing and all-zero
+# runs: the writer passes only their nonzeros through str
 _SPARSE_ROWS = st.builds(
     _sparse_row, st.integers(0, 60),
     st.lists(st.tuples(st.integers(0, 59),

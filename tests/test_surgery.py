@@ -118,12 +118,6 @@ class TestToJson:
                     checked += 1
         assert checked > 100
 
-    def test_chain_terms_share_one_dict(self):
-        # two (+1) push-offs, the stabilized push-off, then 37 chain terms
-        pres = convert(LegendrianData(-1, 0), Fraction(-1, 40) + 1)[0]
-        comps = pres.to_json()["components"]
-        assert len(comps) == 40 and all(c is comps[3] for c in comps[3:])
-
 
 class TestLinkingMatrix:
     def test_displayed_matrices(self):
