@@ -10,10 +10,11 @@ computed by two independent methods, which are required to agree: that
 elimination (a congruence diagonalization) and Descartes' rule of signs
 on the characteristic polynomial, which ``adjugate_block`` compares with
 the signature of its one pass on every matrix it is given.  The
-polynomial is built division-free and without elimination, by
-continuants along pendant paths and Berkowitz's algorithm on the rest,
-so it shares nothing with the first method; determinants of any square
-matrix are its constant term.
+polynomial is built division-free and without elimination, by a
+continuant along the path of banded rows that ends the matrix (where
+``surgery.linking_matrix`` puts the meridian chain) and Berkowitz's
+algorithm on the head before it, so it shares nothing with the first
+method; determinants of any square matrix are its constant term.
 
 Matrices are sequences of rows of ints: lists of lists, or tuples of
 tuples such as IntersectionForm.Q.
@@ -248,25 +249,19 @@ def congruence_signature(rows) -> int:
     return sigma
 
 
-# Distinct subgraphs the pendant-path recursion may visit (which also bounds
-# its depth) before char_poly hands the whole matrix to Berkowitz instead.
-# Every linking matrix here needs three; a branchy tree can need several n.
-_PENDANT_BUDGET = 256
-
-
-class _TooBranched(Exception):
-    """The pendant-path recursion exceeded _PENDANT_BUDGET subgraphs."""
-
-
 def char_poly(rows):
     """Characteristic polynomial det(x*I - A) of a square integer matrix.
 
-    Returns the integer coefficients in descending degree, leading 1.
-    The route is division-free and uses no elimination: pendant paths of
-    the graph of nonzero off-diagonal entries are peeled off by continuant
-    recurrences, and whatever has no leaf goes to Berkowitz's algorithm.
-    A surgery linking matrix (a clique of k push-offs with one meridian
-    path attached) costs O(n^2 + k^4) integer operations this way.
+    Returns the integer coefficients in descending degree, leading 1,
+    division-free and without elimination.  Row i is banded when row and
+    column i are zero outside positions i-1..i+1.  The banded rows t..n-1
+    that end the matrix form a path, joined to the head 0..t-1 only by
+    entries (t-1, t) and (t, t-1): a continuant along it, seeded with chi
+    of the head and of the head without t-1 (both by Berkowitz), gives
+    chi.  ``linking_matrix`` puts the meridian chain last, hung on the
+    last push-off, so a linking matrix of size n with k push-offs costs
+    O(n^2 + k^4) integer operations; other matrices pay Berkowitz on the
+    head.
     """
     n = _check_square(rows)
     # nonzero off-diagonal entries of each row, then of each column too
@@ -275,66 +270,24 @@ def char_poly(rows):
         row.discard(i)
         for j in row:
             nbrs[j].add(i)
-    try:
-        coeffs = _char_poly(rows, nbrs, frozenset(range(n)), {})
-    except _TooBranched:
-        coeffs = _berkowitz(rows, list(range(n)))
-    return coeffs[::-1]
-
-
-def _char_poly(a, nbrs, verts, memo):
-    """Ascending coefficients of det(x*I - A) on the vertex set ``verts``.
-
-    Every component that is a path (an isolated vertex included) is a
-    continuant, seeded with the rest.  A pendant path v_1..v_m (v_m a leaf)
-    attached at a vertex c of degree >= 3 gives, with F_0 = chi(core) and
-    F_-1 = chi(core - c), F_k = (x - a_kk) F_(k-1) - w_k^2 F_(k-2), where
-    w_k^2 = a_(k,k-1) a_(k-1,k) and v_0 = c; both seeds recurse.
-    """
-    hit = memo.get(verts)
-    if hit is not None:
-        return hit
-    if len(memo) >= _PENDANT_BUDGET:
-        raise _TooBranched
-    rest = set(verts)
-    degree = {v: len(nbrs[v] & rest) for v in rest}
-    paths, attached = [], None
-    for start in sorted(verts):
-        if start not in rest or degree[start] > 1:
-            continue
-        path, prev, end = [start], None, None
-        while True:
-            nxt = next((u for u in nbrs[path[-1]] if u != prev and u in rest), None)
-            if nxt is None:
-                break
-            if degree[nxt] > 2:
-                end = nxt
-                break
-            prev = path[-1]
-            path.append(nxt)
-        if end is None:
-            paths.append(path)
-            rest.difference_update(path)
-        elif attached is None:
-            attached = (path, end)
-    if attached is not None:
-        path, c = attached
-        core = frozenset(rest.difference(path))
-        poly = _path_extend(a, path[::-1], c, _char_poly(a, nbrs, core, memo),
-                            _char_poly(a, nbrs, core - {c}, memo))
+    t = n
+    while t and nbrs[t - 1] <= {t - 2, t}:
+        t -= 1
+    if t == n:
+        coeffs = _berkowitz(rows, range(n))
+    elif t:
+        coeffs = _path_extend(rows, range(t, n), t - 1, _berkowitz(rows, range(t)),
+                              _berkowitz(rows, range(t - 1)))
     else:
-        poly = _berkowitz(a, sorted(rest))
-    for path in paths:
-        poly = _path_extend(a, path, None, poly, None)
-    memo[verts] = poly
-    return poly
+        coeffs = _path_extend(rows, range(n), None, [1], None)
+    return coeffs[::-1]
 
 
 def _path_extend(a, path, attach, f, g):
     """Run the continuant along ``path`` from F_0 = f and F_-1 = g.
 
     ``attach`` is the vertex the path hangs on; with None, the first step
-    has no w^2 term (the path is a whole component and f the rest).
+    has no w^2 term (the path starts the matrix and f = 1).
     Polynomials are ascending coefficient lists.
     """
     prev = attach

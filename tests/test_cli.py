@@ -101,6 +101,10 @@ class TestD3Digest:
          "a1ad1472b987ef08e0f98f419c8c8c0acb170d7a98af17c12e095bca0ca3f6ce"),
         ("--tb -1 --rot 0 --coeff 1/3 --json",  # a zero-diagonal clique
          "d4cc370c08002546a9303e00eb93aa6db74464ce9e364a12cedcf01c2a1e7ed5"),
+        ("--tb 0 --rot 1 --coeff 1/3 --json",  # unlinked push-offs: all tail
+         "b361508e3b43d65fc63284c9f8a4c79c6a56123ea4eaee835130519849d6c36f"),
+        ("--tb -3 --rot 0 --coeff 5/7 --json",  # a 3-clique head, a 1-row tail
+         "1d7fe5a2a02909a586f73d622b1fa79ea4d23c9e38285ee5eddb9e744ff29177"),
     ])
     def test_report_bytes_are_unchanged(self, capsys, argv, digest):
         code, out, err = run(capsys, "d3", *argv.split())

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -378,14 +379,32 @@ def _relabel(m, order):
 
 
 def graph_shapes():
-    """Symmetric integer matrices of the shapes char_poly distinguishes,
+    """Symmetric integer matrices of the shapes char_poly distinguishes:
+    as built, where paths, pendant paths and the second part of a union
+    come last, as the meridian chain does in a linking matrix, and
     relabelled at random so leaves and attachments sit anywhere."""
     small = st.one_of(dense_graphs(4), paths(4), cycles(4), pendant_paths(3, 2))
     shapes = st.one_of(
         dense_graphs(7), paths(9), cycles(8), pendant_paths(4, 6),
         st.builds(_union, small, small))
-    return shapes.flatmap(lambda m: st.permutations(range(len(m))).map(
-        lambda order: _relabel(m, order)))
+    return st.one_of(shapes, shapes.flatmap(lambda m: st.permutations(range(len(m))).map(
+        lambda order: _relabel(m, order))))
+
+
+def linking_forms(cases):
+    """{Q: push-off count} over the linking matrices of contact r-surgery
+    on (tb, rot) for each (tb, rot, r) of ``cases``."""
+    forms = {}
+    for tb, rot, contact in cases:
+        for pres in convert(LegendrianData(tb, rot), contact):
+            forms[linking_matrix(pres).Q] = sum(c.role == "pushoff" for c in pres.components)
+    return forms
+
+
+# smooth slopes -1/N, N <= 60, at tb = -1, -2, -3 and every rotation number
+CHAIN_CASES = [(tb, rot, Fraction(-1, big_n) - tb) for tb in (-1, -2, -3)
+               for big_n in range(1, 61) if Fraction(-1, big_n) != tb
+               for rot in range(tb + 1, -tb, 2)]
 
 
 def sympy_char_poly(m):
@@ -406,10 +425,8 @@ class TestCharPolyRoute:
     @settings(max_examples=100, deadline=None)
     @given(graph_shapes())
     def test_berkowitz_alone(self, m):
-        # with no budget for the recursion, the whole matrix goes to Berkowitz
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "_PENDANT_BUDGET", 0)
-            assert linalg.char_poly(m) == char_poly_interpolate(m)
+        # Berkowitz on the whole matrix, with no continuant
+        assert linalg._berkowitz(m, range(len(m)))[::-1] == char_poly_interpolate(m)
 
     @settings(max_examples=200, deadline=None)
     @given(graph_shapes(), st.randoms(use_true_random=False))
@@ -426,9 +443,9 @@ class TestCharPolyRoute:
         assert coeffs == char_poly_minors(m)
         assert coeffs == sympy_char_poly(m)
 
-    def test_too_branched_falls_back(self):
-        # a clique with a leaf on every vertex: each peeled leaf doubles the
-        # subgraphs, so the recursion gives up and Berkowitz takes over
+    def test_clique_with_a_leaf_on_every_vertex(self):
+        # every leaf hangs on a clique vertex, so no row at the end is
+        # banded and Berkowitz takes the whole matrix
         k = 10
         m = [[0] * (2 * k) for _ in range(2 * k)]
         for i in range(k):
@@ -439,19 +456,34 @@ class TestCharPolyRoute:
         assert linalg.char_poly(m) == char_poly_interpolate(m)
 
     def test_linking_matrices(self):
-        seen = {}
-        for tb in (-1, -2, -3):
-            for big_n in range(1, 61):
-                contact = Fraction(-1, big_n) - tb
-                if contact == 0:
-                    continue
-                for rot in range(tb + 1, -tb, 2):
-                    for pres in convert(LegendrianData(tb, rot), contact):
-                        rows = linking_matrix(pres).Q
-                        seen[rows] = rows
-        assert max(len(m) for m in seen.values()) == 61
-        for m in seen.values():
+        forms = linking_forms(CHAIN_CASES)
+        assert max(map(len, forms)) == 61
+        for m in forms:
             assert linalg.char_poly(m) == char_poly_interpolate(m)
+
+    def test_route_guard(self, monkeypatch):
+        # Berkowitz sees at most the push-offs of a linking matrix, and
+        # nothing of a lemma matrix: the continuant takes every chain row
+        sizes = []
+        berkowitz = linalg._berkowitz
+
+        def recording(a, idx):
+            sizes.append(len(idx))
+            return berkowitz(a, idx)
+
+        monkeypatch.setattr(linalg, "_berkowitz", recording)
+        forms = linking_forms(CHAIN_CASES + [(-1, 0, Fraction(r)) for r in ("1/3", "3/4", "1/20")])
+        for m, pushoffs in forms.items():
+            sizes.clear()
+            linalg.char_poly(m)
+            assert max(sizes, default=0) <= pushoffs, (len(m), pushoffs, sizes)
+        sizes.clear()
+        for n in range(1, 51):
+            linalg.char_poly(chain_matrix(n))
+            linalg.char_poly(chain_matrix_primed(n))
+        for a, b, c, m in itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), range(1, 7)):
+            linalg.char_poly(bordered_block_matrix(a, b, c, m))
+        assert not any(sizes)
 
 
 class TestSignature:
