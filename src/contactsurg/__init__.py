@@ -6,7 +6,7 @@ integer and rational arithmetic."""
 __version__ = "0.1.0"
 
 from .slopes import (INFINITY, Slope, SlopeError, canonical_slope, cs_set,
-                     lens_parameters, neg_cf_expand, parse_slope, same_lens_space)
+                     lens_parameters, neg_cf_runs, parse_slope, same_lens_space)
 from .farey import (ANTICLOCKWISE, CLOCKWISE, count_tight_lens, count_tight_lens_pq,
                     count_tight_solid_torus, count_tight_thickened_torus, is_edge,
                     minimal_path_blocks)
@@ -20,7 +20,7 @@ from .regressions import verify_d3_regressions
 __all__ = [
     # slopes
     "INFINITY", "Slope", "SlopeError", "canonical_slope", "cs_set",
-    "lens_parameters", "neg_cf_expand", "parse_slope", "same_lens_space",
+    "lens_parameters", "neg_cf_runs", "parse_slope", "same_lens_space",
     # Farey counts
     "ANTICLOCKWISE", "CLOCKWISE", "count_tight_lens", "count_tight_lens_pq",
     "count_tight_solid_torus", "count_tight_thickened_torus", "is_edge",

@@ -7,9 +7,12 @@ paths in this graph with signs on some of the edges, counted up to
 shuffles of the signs inside each continued-fraction block.
 
 A minimal path is built as its continued-fraction blocks, runs of
-vertices in arithmetic progression, by Euclid's algorithm: the work is
-logarithmic in the size of the endpoints, not linear in the number of
-vertices, and the structure counts read block lengths only.
+vertices in arithmetic progression.  Its turns are the terms of a
+negative continued fraction, read from the Euclid of
+``slopes.neg_cf_runs``, which gives a run of -2 terms (a block) as one
+entry: the work is logarithmic in the size of the endpoints, not linear
+in the number of vertices, and the structure counts read block lengths
+only.
 
 Convention: "clockwise" from a slope means moving in the direction of
 increasing slope, wrapping from large positive slopes through infinity
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .slopes import Slope
+from .slopes import Slope, neg_cf_runs
 
 CLOCKWISE = "clockwise"
 ANTICLOCKWISE = "anticlockwise"
@@ -47,38 +50,19 @@ def _mul(m, v):
 
 
 def _normalizing_matrix(s: Slope):
-    """A determinant +1 integer matrix sending s to infinity.
+    """A determinant +1 integer matrix sending s to infinity, and its
+    inverse.
 
     Such maps preserve Farey adjacency and the cyclic (clockwise) order
     of slopes, so minimal paths can be computed after moving one
     endpoint to infinity.
     """
     p, q = s.num, s.den
-    g, x, y = _ext_gcd(p, q)
-    # x*p + y*q = 1, so rows (x, y) and (-q, p) have determinant +1
-    return ((x, y), (-q, p))
-
-
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _invert_unimodular(m):
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return ((d * det, -b * det), (-c * det, a * det))
+    # x*p + y*q = 1 (infinity is p, q = 1, 0), so rows (x, y) and (-q, p)
+    # have determinant +1 and their adjugate ((p, -y), (q, x)) is the inverse
+    x = pow(p, -1, q) if q else 1
+    y = (1 - x * p) // q if q else 0
+    return ((x, y), (-q, p)), ((p, -y), (q, x))
 
 
 class FareyBlock(NamedTuple):
@@ -101,31 +85,26 @@ def _blocks_from_infinity(num: int, den: int) -> list:
     Along the path every vertex y, with neighbours x before and z after,
     satisfies z = a y - x, where a = |det(x, z)| >= 2 is its turn; turns
     of 2 continue a block (z - y = y - x) and larger ones start the next.
-    Writing the target as T = -u x + v y with u, v > 0 gives a =
-    ceil(v / u) and the next state (a u - v, u): Euclid's algorithm on
-    the negative continued fraction of v / u.  A run of turns of 2 keeps
-    d = v - u fixed and takes u // d of them at once, leaving u % d, and
-    v halves at every other step: O(log den) steps however many vertices
-    the path has.
+    After infinity and floor(num/den) + 1, the turns are the terms of
+    -den/u's negative continued fraction, negated, for u = num mod den:
+    ``neg_cf_runs`` gives a run of turns of 2 as one entry, so this takes
+    O(log den) steps however many vertices the path has.
     """
     c = num // den
     # infinity as (-1, 0), so that det(v_i, v_{i+1}) = -1 along the path
     start, step, edges = (-1, 0), (c + 1, 1), 1
-    u, v = num - c * den, den
+    u = num - c * den
     blocks = []
-    while u:
-        turn = -(-v // u)
-        if turn == 2:
-            d = v - u
-            edges += u // d
-            u, v = u % d, u % d + d
-        else:
-            blocks.append(FareyBlock(start, step, edges))
-            # from the block's last vertex y, the next step is z - y = (turn - 2) y + step
-            start = (start[0] + edges * step[0], start[1] + edges * step[1])
-            step = ((turn - 2) * start[0] + step[0], (turn - 2) * start[1] + step[1])
-            edges = 1
-            u, v = turn * u - v, u
+    for term, m in neg_cf_runs(-den, u) if u else ():
+        if term == -2:
+            edges += m
+            continue
+        blocks.append(FareyBlock(start, step, edges))
+        # from the block's last vertex y, the next step is z - y = (turn - 2) y + step
+        turn = -term
+        start = (start[0] + edges * step[0], start[1] + edges * step[1])
+        step = ((turn - 2) * start[0] + step[0], (turn - 2) * start[1] + step[1])
+        edges = 1
     blocks.append(FareyBlock(start, step, edges))
     return blocks
 
@@ -147,9 +126,8 @@ def minimal_path_blocks(a: Slope, b: Slope, direction: str = CLOCKWISE) -> list:
                 for s, w, n in minimal_path_blocks(-a, -b, CLOCKWISE)]
     if direction != CLOCKWISE:
         raise ValueError(f"unknown direction {direction!r}")
-    m = _normalizing_matrix(a)
+    m, inv = _normalizing_matrix(a)
     t = Slope(*_mul(m, (b.num, b.den)))
-    inv = _invert_unimodular(m)
     return [FareyBlock(_mul(inv, s), _mul(inv, w), n)
             for s, w, n in _blocks_from_infinity(t.num, t.den)]
 

@@ -5,7 +5,10 @@ which is represented as (1, 0).  Negative denominators are normalized by
 moving the sign to the numerator, so 3/2 and -3/-2 are the same value.
 
 The module also provides negative continued fractions (all coefficients
-<= -2, the unique expansion of a rational < -1), modular inverses,
+<= -2, the unique expansion of a rational < -1) by one Euclid,
+``neg_cf_runs``, which codes a run of -2 terms as one entry: both the
+(+1/-1) presentations of ``surgery`` and the Farey paths of ``farey``
+read their terms from it.  It also provides modular inverses,
 canonical representatives of Rolfsen-twist orbits on the unknot, and
 the set of surgery coefficients on the unknot producing a fixed lens
 space.
@@ -114,26 +117,37 @@ def parse_slope(text: str) -> Slope:
     return Slope(*(int(x) for x in parts))
 
 
-def neg_cf_expand(r) -> list:
-    """Negative continued fraction [c1, ..., cn] of a rational r < -1.
+def neg_cf_runs(p: int, q: int) -> list:
+    """Negative continued fraction of p/q < -1 (q > 0), run-length coded.
 
-    The expansion satisfies r = c1 - 1/(c2 - 1/(... - 1/cn)) with every
-    ci <= -2, and it is the unique such expansion.  Integers r <= -2 give
-    a single term.
+    The expansion p/q = c1 - 1/(c2 - 1/(... - 1/cn)) with every ci <= -2
+    is unique.  It is returned as [(c, m), ...]: a run of m terms of -2
+    is one entry, and every other term c <= -3 is an entry (c, 1) of its
+    own.  Terms of -3 or less at least double the continuants, so there
+    are O(log q) entries, and each is found in one floor division.
     """
-    r = Fraction(r)
-    if r >= -1:
-        raise SlopeError(f"negative continued fraction requires r < -1, got {r}")
-    # Euclid on r = p/q: c = floor(p/q) and r - c = rem/q give the next
-    # term -1/(r - c) = -q/rem, while the remainder is nonzero
-    p, q = r.numerator, r.denominator
-    coeffs = []
-    while True:
-        c, rem = divmod(p, q)
-        coeffs.append(c)
-        if not rem:
-            return coeffs
-        p, q = -q, rem
+    if q <= 0:
+        raise SlopeError(f"negative continued fraction needs a positive "
+                         f"denominator, got {p}/{q}")
+    if p >= -q:
+        raise SlopeError(f"negative continued fraction requires r < -1, "
+                         f"got {Fraction(p, q)}")
+    # Euclid on p/q: the term is c = floor(p/q), and p/q - c = rem/q gives
+    # the next p/q = -q/rem while rem != 0.  A term of -2 (d = -p - q <= q)
+    # keeps d and takes d off q, so a run of them ends at q mod d.
+    runs = []
+    while q:
+        d = -p - q
+        if d > q:
+            c = p // q
+            runs.append((c, 1))
+            p, q = -q, p - c * q
+        else:
+            m = q // d
+            runs.append((-2, m))
+            q -= m * d
+            p = -q - d
+    return runs
 
 
 def mod_inverse(q: int, p: int):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import is_symmetric
-from .slopes import SlopeError, neg_cf_expand
+from .slopes import SlopeError, neg_cf_runs
 
 
 class ContactZeroError(SlopeError):
@@ -111,16 +111,18 @@ def _negative_chain(tb: int, rot: int, contact_coeff: Fraction):
             f"tb={tb}, contact coefficient {contact_coeff}: negative-coefficient "
             f"conversion needs smooth slope < -1, got {smooth}"
         )
-    cf = neg_cf_expand(smooth)
-    m = tb - cf[0] - 1
+    runs = neg_cf_runs(smooth.numerator, smooth.denominator)
+    m = tb - runs[0][0] - 1
     if m < 0:
         raise ValueError(
             f"negative-coefficient conversion needs a negative contact "
             f"coefficient, got {contact_coeff}"
         )
-    # equal chain unknots share one (immutable) Component
-    kinds = {c: Component("chain", c + 1, -1) for c in set(cf[1:])}
-    chain = tuple(map(kinds.__getitem__, cf[1:]))
+    # the terms after the first, one shared (immutable) Component per run
+    chain = []
+    for c, k in runs:
+        chain += [Component("chain", c + 1, -1)] * k
+    chain = tuple(chain[1:])
     # m stabilizations shift rot by one of m, m - 2, ..., -m
     return [(Component("pushoff", tb - m, -1, rot=rot + x, stabilizations=m),) + chain
             for x in rot_range(-m - 1)[::-1]]

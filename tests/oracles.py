@@ -1,13 +1,14 @@
 """Brute-force oracles and cross-checks for the fast paths of the library.
 
 Each is slow but plainly right, and shares no code with the route it
-checks: exhaustive search, breadth-first search, enumeration, vertex by
-vertex Farey paths with their signs and shortening move, a dense Bareiss
-elimination for determinants and adjugates, characteristic polynomials
-from its determinants, a dense Fraction congruence diagonalization, d3
-one rotation vector at a time, the d3-equality equations with
-hand-derived coefficients, and the intersection-form families built by
-hand from their displayed shape.
+checks: exhaustive search, breadth-first search, enumeration, negative
+continued fractions one term at a time, vertex by vertex Farey paths
+with their own extended Euclid, their signs and shortening move, a
+dense Bareiss elimination for determinants and adjugates,
+characteristic polynomials from its determinants, a dense Fraction
+congruence diagonalization, d3 one rotation vector at a time, the
+d3-equality equations with hand-derived coefficients, and the
+intersection-form families built by hand from their displayed shape.
 """
 
 import math
@@ -21,10 +22,6 @@ from contactsurg.farey import (
     CLOCKWISE,
     _class_count,
     _det,
-    _ext_gcd,
-    _invert_unimodular,
-    _mul,
-    _normalizing_matrix,
     is_edge,
     minimal_path_blocks,
 )
@@ -44,8 +41,31 @@ from contactsurg.surgery import (
 # ---------------------------------------------------------------------------
 # slope calculus
 
+def neg_cf_terms(r) -> list:
+    """Negative continued fraction [c1, ..., cn] of a rational r < -1, one
+    term per Euclid step: -(N+1)/N takes N steps, where
+    ``slopes.neg_cf_runs`` takes one."""
+    r = Fraction(r)
+    if r >= -1:
+        raise SlopeError(f"negative continued fraction requires r < -1, got {r}")
+    # c = floor(p/q) and r - c = rem/q give the next term -1/(r - c) = -q/rem
+    p, q = r.numerator, r.denominator
+    coeffs = []
+    while True:
+        c, rem = divmod(p, q)
+        coeffs.append(c)
+        if not rem:
+            return coeffs
+        p, q = -q, rem
+
+
+def expand_runs(runs) -> list:
+    """The terms of a run-length coded continued fraction, one by one."""
+    return [c for c, m in runs for _ in range(m)]
+
+
 def neg_cf_value(coeffs) -> Fraction:
-    """Evaluate a negative continued fraction; inverse of neg_cf_expand."""
+    """Evaluate a negative continued fraction; inverse of neg_cf_terms."""
     if not coeffs:
         raise SlopeError("empty continued fraction")
     if any(c > -2 for c in coeffs):
@@ -734,6 +754,15 @@ def solve_d3_equation_by_hand(tb: int, family: str, rots, n_max: int = 20):
     return solutions
 
 
+def _bezout(a: int, b: int):
+    """(x, y) with a x + b y = gcd(a, b) >= 0, by the recursive extended
+    Euclid."""
+    if b == 0:
+        return (1, 0) if a >= 0 else (-1, 0)
+    x, y = _bezout(b, a % b)
+    return y, x - (a // b) * y
+
+
 def path_from_infinity(target: Fraction):
     """Minimal path from infinity clockwise to a finite slope, one
     vertex at a time.
@@ -752,7 +781,7 @@ def path_from_infinity(target: Fraction):
             path.append(Slope(target.numerator, target.denominator))
             continue
         p, q = v.num, v.den
-        _, x, y = _ext_gcd(q, p)
+        x, y = _bezout(q, p)
         # r*q - s*p = 1 gives the family of neighbours above v
         r, s = x, -y
         # smallest s + k q > 0 with v + 1/(q (s + k q)) <= target
@@ -767,11 +796,13 @@ def minimal_path_vertexwise(a: Slope, b: Slope, direction: str = CLOCKWISE):
     take the greedy path there, and move it back."""
     if direction == ANTICLOCKWISE:
         return [-v for v in minimal_path_vertexwise(-a, -b, CLOCKWISE)]
-    m = _normalizing_matrix(a)
-    t = Slope(*_mul(m, (b.num, b.den)))
-    inv = _invert_unimodular(m)
-    return [Slope(*_mul(inv, (v.num, v.den)))
-            for v in path_from_infinity(Fraction(t.num, t.den))]
+    p, q = a.num, a.den
+    x, y = _bezout(p, q)
+    # rows (x, y) and (-q, p) have determinant x p + y q = 1 and send a to
+    # infinity; their adjugate ((p, -y), (q, x)) moves the path back
+    target = Fraction(x * b.num + y * b.den, p * b.den - q * b.num)
+    return [Slope(p * v.num - y * v.den, q * v.num + x * v.den)
+            for v in path_from_infinity(target)]
 
 
 def shorten_restart(path: DecoratedFareyPath):

@@ -17,7 +17,7 @@ from contactsurg.farey import (
     is_edge,
     minimal_path_blocks,
 )
-from contactsurg.slopes import INFINITY, Slope, neg_cf_expand
+from contactsurg.slopes import INFINITY, Slope
 from oracles import (
     DecoratedFareyPath,
     cf_blocks,
@@ -26,6 +26,7 @@ from oracles import (
     minimal_path,
     minimal_path_bfs,
     minimal_path_vertexwise,
+    neg_cf_terms,
     raw_sign_count,
     shorten,
     shorten_restart,
@@ -316,7 +317,7 @@ class TestCounts:
         assert len(pairs) == 1085
         for p, q in pairs:
             expected = 1
-            for c in neg_cf_expand(Fraction(-p, q)):
+            for c in neg_cf_terms(Fraction(-p, q)):
                 expected *= abs(c + 1)
             path = minimal_path_vertexwise(Slope(-p, q), Slope(0))
             assert sign_class_count(path, {0, len(path) - 2}) == expected

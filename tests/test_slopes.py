@@ -13,11 +13,18 @@ from contactsurg.slopes import (
     cs_set,
     lens_parameters,
     mod_inverse,
-    neg_cf_expand,
+    neg_cf_runs,
     parse_slope,
     same_lens_space,
 )
-from oracles import neg_cf_value, normalize_lens_bruteforce, rolfsen_twist
+from oracles import (expand_runs, neg_cf_terms, neg_cf_value, normalize_lens_bruteforce,
+                     rolfsen_twist)
+
+
+def runs_expanded(r) -> list:
+    """``neg_cf_runs`` at the rational r, expanded term by term."""
+    r = Fraction(r)
+    return expand_runs(neg_cf_runs(r.numerator, r.denominator))
 
 
 class TestSlope:
@@ -46,52 +53,66 @@ class TestSlope:
 
 class TestNegativeContinuedFractions:
     def test_single_term(self):
-        assert neg_cf_expand(-2) == [-2]
+        assert runs_expanded(-2) == [-2]
 
     def test_examples(self):
-        assert neg_cf_expand(Fraction(-7, 2)) == [-4, -2]
+        assert runs_expanded(Fraction(-7, 2)) == [-4, -2]
         assert neg_cf_value([-4, -2]) == Fraction(-7, 2)
         assert neg_cf_value([-2]) == -2
+        # F(34)/F(32) is [-3] x 16: equal terms other than -2 stay apart
+        assert neg_cf_runs(-5702887, 2178309) == [(-3, 1)] * 16
 
     def test_all_twos_chain(self):
         # -(m+1)/m expands to m copies of -2; induction on the chain
         for m in range(1, 12):
-            assert neg_cf_expand(Fraction(-(m + 1), m)) == [-2] * m
+            assert runs_expanded(Fraction(-(m + 1), m)) == [-2] * m
+        # one entry for 10^15 terms, which a term-at-a-time loop cannot reach
+        assert neg_cf_runs(-(10 ** 15 + 1), 10 ** 15) == [(-2, 10 ** 15)]
 
     def test_round_trip_identity(self):
         cf = [-3, -2, -2]
-        assert neg_cf_expand(neg_cf_value(cf)) == cf
+        assert runs_expanded(neg_cf_value(cf)) == cf
 
     def test_domain_errors(self):
         with pytest.raises(SlopeError):
-            neg_cf_expand(Fraction(-1))
+            runs_expanded(Fraction(-1))
         with pytest.raises(SlopeError):
-            neg_cf_expand(Fraction(1, 2))
+            runs_expanded(Fraction(1, 2))
         with pytest.raises(SlopeError):
             neg_cf_value([])
         with pytest.raises(SlopeError):
             neg_cf_value([-2, -1])
+        for q in (0, -3):
+            with pytest.raises(SlopeError, match=f"positive denominator, got -7/{q}$"):
+                neg_cf_runs(-7, q)
 
     @given(num=st.integers(1, 10 ** 4), den=st.integers(1, 10 ** 4))
     @settings(max_examples=300, deadline=None)
     def test_round_trip_property(self, num, den):
         r = Fraction(-num, den) - 1  # any rational < -1
-        assert neg_cf_value(neg_cf_expand(r)) == r
-        assert all(c <= -2 for c in neg_cf_expand(r))
+        assert neg_cf_value(runs_expanded(r)) == r
+        assert all(c <= -2 for c in runs_expanded(r))
 
     @given(num=st.integers(1, 10 ** 9), den=st.integers(1, 10 ** 6))
     @settings(max_examples=300, deadline=None)
     def test_round_trip_large_denominators(self, num, den):
-        # the integer Euclid against the Fraction evaluation of the oracle
+        # the run-length Euclid against the term-at-a-time oracle and the
+        # Fraction evaluation
         r = Fraction(-num, den) - 1
-        cf = neg_cf_expand(r)
+        runs = neg_cf_runs(r.numerator, r.denominator)
+        cf = expand_runs(runs)
+        assert cf == neg_cf_terms(r)
         assert neg_cf_value(cf) == r
         assert all(isinstance(c, int) and c <= -2 for c in cf)
+        # only -2 terms share an entry, and a -2 run is never split in two
+        assert all(m >= 1 and c <= -2 for c, m in runs)
+        assert all(c == -2 for c, m in runs if m > 1)
+        assert all((a, b) != (-2, -2) for (a, _), (b, _) in zip(runs, runs[1:]))
 
     def test_domain_error_text(self):
         for r, shown in ((Fraction(-1), "-1"), (Fraction(1, 2), "1/2"), (0, "0")):
             with pytest.raises(SlopeError, match=f"requires r < -1, got {shown}$"):
-                neg_cf_expand(r)
+                runs_expanded(r)
 
 
 class TestModInverse:

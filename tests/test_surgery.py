@@ -92,6 +92,14 @@ class TestConvert:
         pres = convert(LegendrianData(-2, 1), Fraction(-1, 4) + 2)[0]
         assert [c.framing for c in pres.components] == [-1, -5, -2, -2]
         assert [c.tb for c in pres.components] == [-2, -4, -1, -1]
+        # contact -1/10^6 on tb = -1: smooth -(10^6 + 1)/10^6 is one run of
+        # 10^6 terms -2, so one push-off and 999,999 chain unknots, all framing -2
+        pres_list = convert(LegendrianData(-1, 0), Fraction(-1, 10 ** 6))
+        assert len(pres_list) == 1
+        comps = pres_list[0].components
+        assert [c.role for c in comps[:2]] == ["pushoff", "chain"]
+        assert sum(c.role == "chain" for c in comps) == 999_999
+        assert {c.framing for c in comps} == {-2}
 
 
 class TestToJson:
