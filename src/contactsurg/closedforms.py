@@ -264,7 +264,9 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
 
     Sweeps 3 <= k <= k_max, 1 <= n <= n_max and all admissible rotation
     data (i, stabilization sign, chain rotations), and the bordered block
-    determinants for |a|, |b|, |c| <= 3 and 1 <= m <= 6.  Mismatches are
+    determinants for |a|, |b|, |c| <= 3 and 1 <= m <= 6, with negative
+    definiteness where the block lemma claims it, read as signature -n
+    from ``linalg.adjugate_block``, which checks it.  Mismatches are
     collected, not raised; the returned report lists them with enough
     context to recompute by hand.
     """
@@ -284,11 +286,12 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
             for c in range(-3, 4):
                 for m in range(1, 7):
                     mat = bordered_block_matrix(a, b, c, m)
+                    det = linalg.determinant(mat)
                     rep.record("block_det", {"a": a, "b": b, "c": c, "m": m},
-                               f["block_det"](a, b, c, m), linalg.determinant(mat))
+                               f["block_det"](a, b, c, m), det)
                     if a < 0 and a * c - b * b > 0 and a * (c + 1) - b * b >= 0:
-                        rep.record("block_negdef", {"a": a, "b": b, "c": c, "m": m},
-                                   True, linalg.is_negative_definite(mat))
+                        rep.record("block_negdef", {"a": a, "b": b, "c": c, "m": m}, True,
+                                   det != 0 and linalg.adjugate_block(mat, ())[1] == -len(mat))
 
     for n in range(2, n_max + 1):
         _csq(rep, "tb1_neg_csq", _family(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n)),

@@ -120,16 +120,6 @@ def _pos_one_over_n(k, n, i, e, s):
     return _shifted_d3("one_pos", (k, n, i, e, s), (k, n), k + 1)
 
 
-def d3_negative_one_over_n(k, n, i, e, j):
-    """d3 of the -1/n surgery trace on a tb = -k knot (exact rational)."""
-    return Fraction(_neg_one_over_n(k, n, i, e, j), 4) + 1
-
-
-def d3_positive_one_over_n(k, n, i, e, s):
-    """d3 of the +1/n surgery trace on a tb = -k knot (exact rational)."""
-    return Fraction(_pos_one_over_n(k, n, i, e, s), 4) + 1
-
-
 def solve_d3_equation(tb: int, family: str, n_max: int = 20):
     """Admissible integer solutions of the d3-equality equations.
 
@@ -202,8 +192,8 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
                 if _pos_one_over_n(k, n, i, e2, s) != _neg_one_over_n(k, n, i, e1, j):
                     raise RuntimeError(
                         f"solver and closed forms disagree at tb={tb}, {sol}: d3 "
-                        f"{d3_negative_one_over_n(k, n, i, e1, j)} at -1/n against "
-                        f"{d3_positive_one_over_n(k, n, i, e2, s)} at +1/n")
+                        f"{ratio_text(_neg_one_over_n(k, n, i, e1, j) + 4, 4)} at -1/n "
+                        f"against {ratio_text(_pos_one_over_n(k, n, i, e2, s) + 4, 4)} at +1/n")
                 solutions.append(sol)
     return solutions
 

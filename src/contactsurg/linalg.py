@@ -3,13 +3,16 @@
 Everything in this module is exact.  One sparse, fraction-free
 elimination of a symmetric matrix (``_eliminate``) yields its
 determinant, its signature and, by integer back-substitution, a block
-of its adjugate; inverse entries and r^T A^-1 r are integers over the
-determinant, read from the block of the adjugate on r's support, and a
-matrix is negative definite when its signature is -n.  Signatures are
-computed by two independent methods, which are required to agree: that
-elimination (a congruence diagonalization) and Descartes' rule of signs
-on the characteristic polynomial, which ``adjugate_block`` compares with
-the signature of its one pass on every matrix it is given.  The
+of its adjugate; ``adjugate_block`` is its only caller.  Inverse entries
+and r^T A^-1 r are integers over the determinant, read from the block of
+the adjugate on r's support, and definiteness is read through
+``adjugate_block`` too: a matrix is negative definite when the signature
+it returns is -n.  Signatures are computed by two independent methods,
+which are required to agree: that elimination (a congruence
+diagonalization) and Descartes' rule of signs on the characteristic
+polynomial, which ``adjugate_block`` compares with the signature of its
+one pass on every matrix it is given, so no signature leaves this module
+unchecked.  The
 polynomial is built division-free and without elimination, by a
 continuant along the path of banded rows that ends the matrix (where
 ``surgery.linking_matrix`` puts the meridian chain) and Berkowitz's
@@ -231,24 +234,6 @@ def adjugate_quadratic(block, support, r) -> int:
     return total
 
 
-def is_negative_definite(rows) -> bool:
-    """Whether a symmetric integer matrix is negative definite: det != 0
-    and signature -n, from one elimination pass."""
-    det, sigma, _ = _eliminate(rows)
-    return det != 0 and sigma == -len(rows)
-
-
-def congruence_signature(rows) -> int:
-    """Signature of a symmetric integer matrix by sparse, fraction-free
-    congruence diagonalization (one elimination pass).  Raises
-    SingularMatrixError when det = 0.
-    """
-    det, sigma, _ = _eliminate(rows)
-    if det == 0:
-        raise SingularMatrixError("matrix is singular")
-    return sigma
-
-
 def char_poly(rows):
     """Characteristic polynomial det(x*I - A) of a square integer matrix.
 
@@ -360,12 +345,3 @@ def descartes_signature(rows) -> int:
     negative = _sign_changes(negated)
     return positive - negative
 
-
-def signature(rows) -> int:
-    """Signature of a nondegenerate symmetric integer matrix; ValueError
-    for a matrix that is not square and symmetric.
-
-    The elimination's signature, checked against Descartes' rule of signs
-    on the characteristic polynomial by ``adjugate_block``.
-    """
-    return adjugate_block(rows, ())[1]

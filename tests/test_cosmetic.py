@@ -11,8 +11,6 @@ from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
     candidate_slopes,
     check_pair,
-    d3_negative_one_over_n,
-    d3_positive_one_over_n,
     equivalent_surgery_count,
     scan,
     solve_d3_equation,
@@ -105,13 +103,13 @@ class TestEquationSolver:
                     L = LegendrianData(-k, i)
                     neg = d3_spectrum(L, Fraction(-1, n))
                     closed_neg = {
-                        d3_negative_one_over_n(k, n, i, e, j)
+                        Fraction(cosmetic._neg_one_over_n(k, n, i, e, j) + 4, 4)
                         for e in (1, -1) for j in (1, -1)
                     }
                     assert neg == closed_neg
                     pos = d3_spectrum(L, Fraction(1, n))
                     closed_pos = {
-                        d3_positive_one_over_n(k, n, i, e, s)
+                        Fraction(cosmetic._pos_one_over_n(k, n, i, e, s) + 4, 4)
                         for e in (1, -1) for s in range(n - 1, -n, -2)
                     }
                     assert pos == closed_pos
@@ -170,8 +168,12 @@ class TestEquationSolver:
         original = DEFAULT_FORMS["one_pos_csq"]
         monkeypatch.setitem(DEFAULT_FORMS, "one_pos_csq",
                             lambda k, n, i, e, s: original(k, n, i, e, s) + 4 * n * (n - 1))
-        with pytest.raises(RuntimeError, match="closed forms disagree"):
+        message = ("solver and closed forms disagree at tb=-3, {'family': 'pm_one_over_n', "
+                   "'i': -1, 'e1': -1, 'e2': -1, 'j': 1, 's': 1, 'n': 2}: "
+                   "d3 1/2 at -1/n against 5/2 at +1/n")
+        with pytest.raises(RuntimeError) as caught:
             solve_d3_equation(-3, "pm_one_over_n")
+        assert str(caught.value) == message
 
     def test_bad_family(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from contactsurg import linalg
+from contactsurg import closedforms, linalg
 from contactsurg.closedforms import bordered_block_matrix, chain_matrix, chain_matrix_primed
 from contactsurg.invariants import d3_spectrum
 from contactsurg.surgery import LegendrianData, convert, linking_matrix
@@ -144,7 +144,7 @@ class TestInverseEntry:
             with pytest.raises(ValueError, match="^matrix must be symmetric$"):
                 linalg.adjugate_block(m, range(len(m)))
             with pytest.raises(ValueError, match="^matrix must be symmetric$"):
-                linalg.is_negative_definite(m)
+                linalg.adjugate_block(m, ())
 
 
 class TestSolve:
@@ -265,20 +265,32 @@ def square_matrices(max_n=7):
                            min_size=n, max_size=n))
 
 
+def negative_definite(m):
+    """Negative definiteness as verify's block lemma reads it: det != 0
+    and the signature ``adjugate_block`` checks is -n."""
+    return linalg.determinant(m) != 0 and linalg.adjugate_block(m, ())[1] == -len(m)
+
+
+def kernel_negative_definite(m):
+    """det != 0 and signature -n from the elimination kernel alone."""
+    det, sigma, _ = linalg._eliminate(m)
+    return det != 0 and sigma == -len(m)
+
+
 class TestDefiniteness:
     def test_chain_matrices_negative_definite(self):
         for n in range(1, 11):
-            assert linalg.is_negative_definite(chain_matrix(n))
+            assert negative_definite(chain_matrix(n))
 
     def test_zero_diagonal_not_definite(self):
-        assert not linalg.is_negative_definite([[0, -1], [-1, 0]])
+        assert not negative_definite([[0, -1], [-1, 0]])
 
     def test_block_condition(self):
         # a < 0 with ac - b^2 > 0 and a(c+1) - b^2 >= 0 gives definiteness
         for (a, b, c) in [(-1, -2, -5), (-2, 1, -1), (-3, 2, -2)]:
             if a * c - b * b > 0 and a * (c + 1) - b * b >= 0:
                 for m in range(1, 8):
-                    assert linalg.is_negative_definite(bordered_block_matrix(a, b, c, m))
+                    assert negative_definite(bordered_block_matrix(a, b, c, m))
 
     def test_sylvester_agrees_with_descartes_definiteness(self):
         rng = random.Random(2026)
@@ -289,7 +301,7 @@ class TestDefiniteness:
             if linalg.determinant(m) == 0:
                 continue
             done += 1
-            sylvester = linalg.is_negative_definite(m)
+            sylvester = kernel_negative_definite(m)
             all_negative = linalg.descartes_signature(m) == -n
             assert sylvester == all_negative
 
@@ -489,13 +501,13 @@ class TestCharPolyRoute:
 class TestSignature:
     def test_examples(self):
         for n in range(1, 11):
-            assert linalg.signature(chain_matrix(n)) == -n
-        assert linalg.signature([[0, -1], [-1, 0]]) == 0
-        assert linalg.signature(tbk_two_matrix(3, 1)) == -3  # 5 x 5 case
+            assert linalg.adjugate_block(chain_matrix(n), ())[1] == -n
+        assert linalg.adjugate_block([[0, -1], [-1, 0]], ())[1] == 0
+        assert linalg.adjugate_block(tbk_two_matrix(3, 1), ())[1] == -3  # 5 x 5 case
 
     def test_singular_rejected(self):
         with pytest.raises(linalg.SingularMatrixError):
-            linalg.signature([[1, 1], [1, 1]])
+            linalg.adjugate_block([[1, 1], [1, 1]], ())
 
     def test_rejects_ragged_non_square_and_asymmetric(self):
         # the symmetry check transposes with zip, which would truncate
@@ -504,10 +516,10 @@ class TestSignature:
             with pytest.raises(ValueError, match="square"):
                 linalg.is_symmetric(m)
             with pytest.raises(ValueError, match="square"):
-                linalg.signature(m)
+                linalg.adjugate_block(m, ())
         assert not linalg.is_symmetric([[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="symmetric"):
-            linalg.signature([[1, 2], [3, 4]])
+            linalg.adjugate_block([[1, 2], [3, 4]], ())
         assert linalg.is_symmetric([]) and linalg.is_symmetric([[1, 2], [2, 4]])
 
     def test_disagreement_raises(self, monkeypatch):
@@ -517,9 +529,17 @@ class TestSignature:
         with pytest.raises(linalg.SignatureMismatchError):
             linalg.adjugate_block(rows, (0,))
         with pytest.raises(linalg.SignatureMismatchError):
-            linalg.signature(rows)
+            linalg.adjugate_block(rows, ())
         with pytest.raises(linalg.SignatureMismatchError):
             d3_spectrum(LegendrianData(-2, 1), Fraction(-1, 3))
+
+    def test_lemma_blocks_read_the_checked_signature(self, monkeypatch):
+        # with no family plan run, only verify's block_negdef checks reach
+        # a signature; the first is a 3 x 3 block (a, b, c, m = -3, -2, -3, 1)
+        monkeypatch.setattr(linalg, "descartes_signature", lambda rows: 0)
+        monkeypatch.setattr(closedforms, "_family", lambda *args, **kwargs: [])
+        with pytest.raises(linalg.SignatureMismatchError, match="diagonalization=-3 descartes=0$"):
+            closedforms.verify_closed_forms(3, 1)
 
     def test_methods_agree_on_seeded_corpus(self):
         # criterion corpus: 1000 seeded random symmetric nonsingular matrices
@@ -531,7 +551,7 @@ class TestSignature:
             if linalg.determinant(m) == 0:
                 continue
             count += 1
-            assert linalg.congruence_signature(m) == linalg.descartes_signature(m)
+            assert linalg._eliminate(m)[1] == linalg.descartes_signature(m)
 
     def test_methods_agree_at_scale(self):
         # the chain forms behind `d3 --tb -1 --rot 0 --slope -1/400`
@@ -540,13 +560,13 @@ class TestSignature:
         for pres in forms:
             rows = linking_matrix(pres).Q
             assert len(rows) == 400
-            assert linalg.congruence_signature(rows) == linalg.descartes_signature(rows)
+            assert linalg._eliminate(rows)[1] == linalg.descartes_signature(rows)
 
     def test_zero_diagonal_handling(self):
         # congruence diagonalization must survive all-zero diagonals
         m = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         assert linalg.determinant(m) == 2
-        assert linalg.congruence_signature(m) == linalg.descartes_signature(m) == -1
+        assert linalg._eliminate(m)[1] == linalg.descartes_signature(m) == -1
 
 
 def zero_diagonal(m):
@@ -626,7 +646,7 @@ class TestKernelAgainstSympy:
     def test_negative_definite(self, m):
         n = len(m)
         sym = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
-        assert linalg.is_negative_definite(sym) == sympy.Matrix(sym).is_negative_definite
+        assert kernel_negative_definite(sym) == sympy.Matrix(sym).is_negative_definite
 
     @settings(max_examples=100, deadline=None)
     @given(square_matrices(5))
@@ -636,7 +656,7 @@ class TestKernelAgainstSympy:
         n = len(m)
         q = [[-sum(m[k][i] * m[k][j] for k in range(n)) - (i == j)
               for j in range(n)] for i in range(n)]
-        assert linalg.is_negative_definite(q)
+        assert kernel_negative_definite(q)
         assert sympy.Matrix(q).is_negative_definite
 
     def test_row_swap_cases(self):
@@ -646,22 +666,22 @@ class TestKernelAgainstSympy:
         det, _, adj = linalg.adjugate_block(swap, range(3))
         ref = DomainMatrix.from_Matrix(sympy.Matrix(swap)).adjugate().to_Matrix()
         assert [list(row) for row in adj] == ref.tolist()
-        assert not linalg.is_negative_definite(swap)
-        assert not linalg.is_negative_definite([[-1, 0], [0, 0]])
-        assert linalg.is_negative_definite([])
+        assert not kernel_negative_definite(swap)
+        assert not kernel_negative_definite([[-1, 0], [0, 0]])
+        assert kernel_negative_definite([])
 
 
 class TestCongruence:
     @settings(max_examples=300, deadline=None)
     @given(congruence_shapes())
     def test_matches_dense_oracle_and_sympy(self, m):
+        det, sigma, _ = linalg._eliminate(m)
         if (sympy.Matrix(m).det() if m else 1) == 0:
-            with pytest.raises(linalg.SingularMatrixError):
-                linalg.congruence_signature(m)
+            assert det == 0
             with pytest.raises(linalg.SingularMatrixError):
                 congruence_signature_dense(m)
             return
-        assert linalg.congruence_signature(m) == congruence_signature_dense(m) == sympy_signature(m)
+        assert sigma == congruence_signature_dense(m) == sympy_signature(m)
 
     def test_integer_only_and_independent(self, monkeypatch):
         # no Fraction is made, and nothing of the other method's route runs
@@ -677,7 +697,7 @@ class TestCongruence:
             monkeypatch.setattr(linalg, name, forbidden)
         for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
                   [[0, 2, 1], [2, 0, 1], [1, 1, 0]], [[0, 1, 0], [1, 2, 0], [0, 0, -1]]):
-            linalg.congruence_signature(m)
+            linalg._eliminate(m)
         assert made == []
         Fraction(1, 3)
         assert made == [(1, 3)]
@@ -700,9 +720,9 @@ class TestCongruence:
 
     def test_rejects_non_square_and_asymmetric(self):
         with pytest.raises(ValueError, match="square"):
-            linalg.congruence_signature([[1, 2]])
+            linalg._eliminate([[1, 2]])
         with pytest.raises(ValueError, match="symmetric"):
-            linalg.congruence_signature([[1, 2], [0, 1]])
+            linalg._eliminate([[1, 2], [0, 1]])
 
     def test_large_surgery_forms(self):
         # `d3 --tb -1 --rot 0 --slope -1/1600` (a 1600-chain) and
@@ -711,6 +731,6 @@ class TestCongruence:
         for coeff, n, sig in ((Fraction(-1, 1600) + 1, 1600, -1598), (Fraction(1, 40), 40, 38)):
             rows = linking_matrix(convert(LegendrianData(-1, 0), coeff)[0]).Q
             assert len(rows) == n
-            assert linalg.congruence_signature(rows) == congruence_signature_dense(rows) == sig
+            assert linalg._eliminate(rows)[1] == congruence_signature_dense(rows) == sig
             if n < 100:
                 assert linalg.descartes_signature(rows) == sig

@@ -31,6 +31,32 @@ def test_library_does_not_import_the_oracles():
             assert not any("oracles" in name.split(".") for name in names), path.name
 
 
+def _names(node, name):
+    """Whether ``node`` defines, imports or refers to ``name``."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and name in (node.name, node.asname)
+            or isinstance(node, ast.FunctionDef) and node.name == name
+            or isinstance(node, ast.Constant) and node.value == name)
+
+
+def test_elimination_kernel_has_one_caller():
+    # adjugate_block checks the signature of every linalg._eliminate pass
+    # against Descartes' rule, so the kernel is named only at its
+    # definition and inside adjugate_block: no signature goes unchecked
+    seen = {}
+    for path, tree in _modules():
+        door = set()
+        if path.name == "linalg.py":
+            top = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+            door = {id(top["_eliminate"]), *map(id, ast.walk(top["adjugate_block"]))}
+        for node in ast.walk(tree):
+            if _names(node, "_eliminate"):
+                seen[f"{path.name}:{node.lineno}"] = id(node) in door
+    assert [where for where, inside in seen.items() if not inside] == []
+    assert len(seen) == 2  # the definition and the call in adjugate_block
+
+
 def test_no_assert_statements():
     # python -O strips assert, so a check written as one never runs there
     for path, tree in _modules():
