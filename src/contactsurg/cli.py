@@ -50,20 +50,26 @@ def json_text(obj) -> str:
     The stdlib drops its C encoder when ``indent`` is set, and its Python
     encoder then writes a dense matrix one token at a time.  Here a list
     whose elements are all exactly ``int`` (a type test over every entry)
-    is written by one join, in which only the nonzeros go through ``str``,
-    and an element that is the same object as the element before it
-    reuses that one's text.  The tree may hold dicts with str keys, lists,
-    tuples, str, int, bool and None; anything else, floats and Fractions
-    included, raises TypeError, because reports are exact.
+    is written by one join, in which only the nonzeros go through ``str``;
+    a dict writes its str, int, bool and None values in place; an element
+    that is the same object as the element before it reuses that one's
+    text; and any other list or tuple met again at the same indent, such
+    as the matrix that a chain's presentations share, copies the pieces
+    of its first text.  The ids that key those spans stay valid because
+    every node belongs to the caller's tree for the whole call.  The tree
+    may hold dicts with str keys, lists, tuples, str, int, bool and None;
+    anything else, floats and Fractions included, raises TypeError,
+    because reports are exact.
     """
     out = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out, {})
     return "".join(out)
 
 
-def _write(obj, newline, out):
+def _write(obj, newline, out, spans):
     """Append the JSON text of ``obj`` to ``out``; ``newline`` is a line
-    break plus the indent of the line ``obj`` starts on."""
+    break plus the indent of the line ``obj`` starts on, and ``spans``
+    maps id(list) to (newline, start, end) of a text already in ``out``."""
     if isinstance(obj, str):
         out.append(_ESCAPE(obj))
     elif obj is None:
@@ -86,6 +92,11 @@ def _write(obj, newline, out):
                 texts[i] = str(obj[i])
             out.append("[" + inner + sep.join(texts) + newline + "]")
             return
+        span = spans.get(id(obj))
+        if span is not None and span[0] == newline:
+            out += out[span[1]:span[2]]
+            return
+        start = len(out)
         lead, last = "[" + inner, out  # no element is the output list
         for x in obj:
             out.append(lead)
@@ -93,10 +104,11 @@ def _write(obj, newline, out):
                 out += out[mark:end]
             else:
                 last, mark = x, len(out)
-                _write(x, inner, out)
+                _write(x, inner, out, spans)
                 end = len(out)
             lead = sep
         out.append(newline + "]")
+        spans[id(obj)] = newline, start, len(out)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -106,8 +118,16 @@ def _write(obj, newline, out):
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _ESCAPE(key) + ": ")
-            _write(value, inner, out)
+            head, kind = sep + _ESCAPE(key) + ": ", type(value)
+            if kind is str:  # scalars in place, not by a call each
+                out.append(head + _ESCAPE(value))
+            elif kind is int:
+                out.append(head + int.__repr__(value))
+            elif kind is bool or value is None:
+                out.append(head + ("null" if value is None else "true" if value else "false"))
+            else:
+                out.append(head)
+                _write(value, inner, out, spans)
             sep = "," + inner
         out.append(newline + "}")
     else:

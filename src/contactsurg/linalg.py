@@ -244,9 +244,13 @@ def char_poly(rows):
     entries (t-1, t) and (t, t-1): a continuant along it, seeded with chi
     of the head and of the head without t-1 (both by Berkowitz), gives
     chi.  ``linking_matrix`` puts the meridian chain last, hung on the
-    last push-off, so a linking matrix of size n with k push-offs costs
-    O(n^2 + k^4) integer operations; other matrices pay Berkowitz on the
-    head.
+    last push-off.  Reading the rows costs O(n^2) and Berkowitz O(k^4)
+    on a head of k rows; the continuant costs O(len f) integer operations
+    per vertex, and O(r len f) for a run of r framings -2 that it takes in
+    one step (see ``_run``).  So a slope -1/N, whose meridian chain is one
+    such run hung on k <= 3 push-offs, costs O(N^2) reading plus O(N k)
+    arithmetic, not O(N^2) big-int steps; other matrices pay Berkowitz on
+    the head.
     """
     n = _check_square(rows)
     # nonzero off-diagonal entries of each row, then of each column too
@@ -269,25 +273,92 @@ def char_poly(rows):
 
 
 def _path_extend(a, path, attach, f, g):
-    """Run the continuant along ``path`` from F_0 = f and F_-1 = g.
+    """Run the continuant F_v = (x - a_vv) F_prev - w^2 F_prev2 along
+    ``path`` from F_0 = f and F_-1 = g, with w^2 = a[v][prev] a[prev][v].
 
     ``attach`` is the vertex the path hangs on; with None, the first step
-    has no w^2 term (the path starts the matrix and f = 1).
+    has no w^2 term (the path starts the matrix and f = 1).  A vertex
+    with a_vv = -2 and w^2 = 1 is held back, and each maximal run of them,
+    such as the meridian chain of a slope -1/N, goes to ``_run`` at once.
     Polynomials are ascending coefficient lists.
     """
-    prev = attach
+    prev, r = attach, 0
     for v in path:
         d = a[v][v]
+        w2 = 0 if prev is None else a[v][prev] * a[prev][v]
+        prev = v
+        if d == -2 and w2 == 1:
+            r += 1
+            continue
+        if r:
+            f, g = _run(f, g, r, True)
+            r = 0
         nxt = [0] + f
-        for i, x in enumerate(f):
-            nxt[i] -= d * x
-        if prev is not None:
-            w2 = a[v][prev] * a[prev][v]
-            if w2:
-                for i, x in enumerate(g):
-                    nxt[i] -= w2 * x
-        f, g, prev = nxt, f, v
+        for k, x in enumerate(f):
+            nxt[k] -= d * x
+        if w2:
+            for k, x in enumerate(g):
+                nxt[k] -= w2 * x
+        f, g = nxt, f
+    if r:
+        f = _run(f, g, r, False)[0]
     return f
+
+
+# a run takes the closed form when r >= _RUN_MIN len f; below that, r
+# plain steps cost less than its products and the 2r steps of _run_polys
+_RUN_MIN = 8
+
+
+def _run(f, g, r, more):
+    """(F_r, F_(r-1)) after r steps F_v = (x + 2) F_prev - F_prev2 from
+    F_0 = f and F_-1 = g; the closed form leaves F_(r-1) None unless
+    ``more``.
+
+    The run's transfer matrix is [[P_r, -P_(r-1)], [P_(r-1), -P_(r-2)]]
+    with P_r = U_r(1 + x/2) (see ``_run_polys``), P_0 = 1 and P_-1 = 0,
+    so F_r = P_r f - P_(r-1) g costs O(r len f) integer operations where r
+    steps cost O(r (len f + r)).  F_(r-1) = P_(r-1) f - P_(r-2) g, with
+    P_(r-2) = (x + 2) P_(r-1) - P_r, is built only for ``more``.
+    """
+    if r < _RUN_MIN * len(f):
+        for _ in range(r):
+            nxt = [0] + f
+            for k, x in enumerate(f):
+                nxt[k] += 2 * x
+            for k, x in enumerate(g):
+                nxt[k] -= x
+            f, g = nxt, f
+        return f, g
+    p, q = _run_polys(r)
+    pairs = [(p, q)]
+    if more:
+        pairs.append((q, [x + 2 * y - z for x, y, z in zip([0] + q, q, p[:r - 1])]))
+    out = []
+    for top, low in pairs:
+        h = [0] * (len(f) + len(top) - 1)
+        for poly, by, op in ((f, top, add), (g, low, sub)):
+            m = len(by)
+            for k, x in enumerate(poly):
+                if x:
+                    h[k:k + m] = map(op, h[k:k + m], map(x.__mul__, by))
+        out.append(h)
+    return out[0], out[1] if more else None
+
+
+def _run_polys(r):
+    """Ascending coefficients of P_r and P_(r-1), where
+    P_s = U_s(1 + x/2) = sum_j C(s+1+j, 2j+1) x^j; consecutive
+    coefficients differ by the exact factor
+    (s+2+j)(s-j) / ((2j+2)(2j+3))."""
+    out = []
+    for s in (r, r - 1):
+        c, poly = s + 1, []
+        for j in range(s + 1):
+            poly.append(c)
+            c = c * (s + 2 + j) * (s - j) // ((2 * j + 2) * (2 * j + 3))
+        out.append(poly)
+    return out
 
 
 def _berkowitz(a, idx):

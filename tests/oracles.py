@@ -5,7 +5,8 @@ checks: exhaustive search, breadth-first search, enumeration, negative
 continued fractions one term at a time, vertex by vertex Farey paths
 with their own extended Euclid, their signs and shortening move, a
 dense Bareiss elimination for determinants and adjugates,
-characteristic polynomials from its determinants, a dense Fraction
+characteristic polynomials from its determinants and by a continuant
+one vertex at a time, a dense Fraction
 congruence diagonalization, d3 one rotation vector at a time, the
 d3-equality equations with hand-derived coefficients, and the
 intersection-form families built by hand from their displayed shape.
@@ -477,6 +478,25 @@ def char_poly_interpolate(rows):
             raise RuntimeError("characteristic polynomial interpolation not integral")
         out.append(c.numerator)
     return out
+
+
+def continuant_steps(a, path, attach, f, g):
+    """The continuant F_v = (x - a_vv) F_prev - a[v][prev] a[prev][v] F_prev2
+    along ``path``, one vertex at a time, from F_0 = f and F_-1 = g
+    (ascending coefficient lists); with ``attach`` None the first step has
+    no second term.  This is ``linalg._path_extend`` before runs of -2
+    framings took one closed-form step."""
+    prev = attach
+    for v in path:
+        nxt = [0] + f
+        for i, x in enumerate(f):
+            nxt[i] -= a[v][v] * x
+        if prev is not None:
+            w2 = a[v][prev] * a[prev][v]
+            for i, x in enumerate(g):
+                nxt[i] -= w2 * x
+        f, g, prev = nxt, f, v
+    return f
 
 
 def congruence_signature_dense(rows) -> int:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contactsurg import cli
 from contactsurg.cli import json_text, main
 
 
@@ -105,6 +106,8 @@ class TestD3Digest:
          "b361508e3b43d65fc63284c9f8a4c79c6a56123ea4eaee835130519849d6c36f"),
         ("--tb -3 --rot 0 --coeff 5/7 --json",  # a 3-clique head, a 1-row tail
          "1d7fe5a2a02909a586f73d622b1fa79ea4d23c9e38285ee5eddb9e744ff29177"),
+        ("--tb -1 --rot 0 --slope -1000 --json",  # 999 presentations share one Q
+         "738f920892ec733fc2d8928af6eb56d7e38a0af5fe4772214674f4c3610c8c26"),
     ])
     def test_report_bytes_are_unchanged(self, capsys, argv, digest):
         code, out, err = run(capsys, "d3", *argv.split())
@@ -224,6 +227,28 @@ _JSON_TREES = st.recursive(
     max_leaves=25)
 
 
+@st.composite
+def _shared_subtrees(draw):
+    """A list holding one drawn subtree at several positions and depths,
+    beside other trees; sometimes twice over, reversed, under two keys."""
+    shared = draw(_JSON_TREES)
+    items = []
+    for _ in range(draw(st.integers(2, 6))):
+        if draw(st.booleans()):
+            items.append(draw(_JSON_TREES))
+            continue
+        x = shared
+        for wrap in draw(st.lists(st.sampled_from("ldt"), max_size=3)):
+            x = [x, 0] if wrap == "l" else {"k": x} if wrap == "d" else (x,)
+        items.append(x)
+    return {"a": items, "b": items[::-1]} if draw(st.booleans()) else items
+
+
+# one list of lists placed twice at one depth and once at another: a
+# shared list's text is copied only at the indent it was written at
+_SHARED = [[1, 2], [None, "x", [0, 3]], [], {"k": [True]}]
+
+
 class TestJsonText:
     @given(_JSON_TREES)
     @example([1, True, 0])
@@ -234,9 +259,35 @@ class TestJsonText:
     @example([[0] * 9, [0] * 9])
     @example([[0] * 9] * 2)
     @example([{"a": [None, "x"]}] * 3 + [[], []])
+    @example({"a": _SHARED, "b": _SHARED, "c": [_SHARED]})
+    @example([_SHARED, [_SHARED], _SHARED])
+    @example([[_SHARED], _SHARED, (_SHARED, _SHARED)])
     @settings(max_examples=300, deadline=None)
     def test_equals_json_dumps(self, tree):
         assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @given(_shared_subtrees())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_subtrees_equal_json_dumps(self, tree):
+        assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    def test_shared_matrix_is_written_once(self, monkeypatch):
+        m = tuple(tuple(range(i, i + 50)) for i in range(50))
+        calls = []
+        write = cli._write
+
+        def counting(*args):
+            calls.append(args[0])
+            return write(*args)
+
+        monkeypatch.setattr(cli, "_write", counting)
+        json_text({"a": m})
+        once = len(calls)
+        assert once == 52  # the dict, m and its 50 rows
+        calls.clear()
+        tree = {"a": m, "b": m}
+        assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+        assert len(calls) == once + 1
 
     @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {1, 2}])
     def test_inexact_or_unknown_types_raise(self, value):

@@ -10,13 +10,14 @@ from sympy.polys.matrices import DomainMatrix
 
 from contactsurg import closedforms, linalg
 from contactsurg.closedforms import bordered_block_matrix, chain_matrix, chain_matrix_primed
-from contactsurg.invariants import d3_spectrum
+from contactsurg.invariants import d3_records, d3_spectrum
 from contactsurg.surgery import LegendrianData, convert, linking_matrix
 from oracles import (
     bareiss,
     char_poly_interpolate,
     char_poly_minors,
     congruence_signature_dense,
+    continuant_steps,
     tb2_negative_matrix,
     tb2_positive_matrix,
     tbk_two_matrix,
@@ -496,6 +497,95 @@ class TestCharPolyRoute:
         for a, b, c, m in itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), range(1, 7)):
             linalg.char_poly(bordered_block_matrix(a, b, c, m))
         assert not any(sizes)
+
+
+# (a[v][prev], a[prev][v]) for a tail vertex v: w^2 = 1 most often, so
+# runs of -2 framings form; then 4, 0, one-sided entries and w^2 = -1
+_LINKS = st.sampled_from([(1, 1), (-1, -1), (1, 1), (-1, -1), (2, 2), (-2, -2),
+                          (0, 0), (1, 0), (0, -1), (2, 0), (1, -1), (-1, 1)])
+
+
+@st.composite
+def banded_tails(draw):
+    """A dense head of 0-3 rows, then a path of up to 64 banded rows: runs
+    of -2 framings of length 0..60 at random places between vertices of
+    other diagonals, each joined to the one before by a link of _LINKS."""
+    t = draw(st.integers(0, 3))
+    diag = []
+    for run, other in draw(st.lists(st.tuples(st.integers(0, 60), st.integers(-5, 3)),
+                                    min_size=1, max_size=4)):
+        diag += [-2] * run + [other]
+    diag = diag[:64] if draw(st.booleans()) else diag[:-1][:64]  # end on a run or not
+    n = t + len(diag)
+    m = [[0] * n for _ in range(n)]
+    for i in range(t):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    for v, d in enumerate(diag, t):
+        m[v][v] = d
+        if v:
+            m[v][v - 1], m[v - 1][v] = draw(_LINKS)
+    return t, m
+
+
+def _steps_oracle(m, t):
+    """char_poly of m by the one-vertex continuant along rows t..n-1."""
+    if not t:
+        return continuant_steps(m, range(len(m)), None, [1], None)[::-1]
+    return continuant_steps(m, range(t, len(m)), t - 1, linalg._berkowitz(m, range(t)),
+                            linalg._berkowitz(m, range(t - 1)))[::-1]
+
+
+def _p_polys(r_max):
+    """P_-1 = 0, P_0 = 1, ..., P_r_max by P_r = (x + 2) P_(r-1) - P_(r-2)."""
+    polys = [[], [1]]
+    for _ in range(r_max):
+        a, b = polys[-1], polys[-2] + [0] * (len(polys[-1]) + 1 - len(polys[-2]))
+        polys.append([2 * x + y - z for x, y, z in zip(a + [0], [0] + a, b)])
+    return polys
+
+
+class TestRunStep:
+    """A run of -2 framings with w^2 = 1 in one closed-form step."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(banded_tails())
+    def test_matches_steps_and_berkowitz(self, case):
+        t, m = case
+        want = _steps_oracle(m, t)
+        assert want == linalg._berkowitz(m, range(len(m)))[::-1]
+        assert linalg.char_poly(m) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_RUN_MIN", 0)  # every run takes the closed form
+            assert linalg.char_poly(m) == want
+
+    def test_run_polys_follow_the_recurrence(self):
+        polys = _p_polys(80)
+        for r in range(1, 81):
+            assert linalg._run_polys(r) == [polys[r + 1], polys[r]]
+
+    def test_run_against_steps(self, monkeypatch):
+        # F_r, and F_(r-1) when the path goes on, from seeds of 1-4 terms
+        monkeypatch.setattr(linalg, "_RUN_MIN", 0)
+        rng = random.Random(29)
+        chain = chain_matrix(82)
+        for r in range(1, 81):
+            size = rng.randint(1, 4)
+            f = [rng.randint(-10**30, 10**30) for _ in range(size)] + [1]
+            g = [rng.randint(-9, 9) for _ in range(size)]
+            want = continuant_steps(chain, range(1, r + 1), 0, f, g)
+            assert linalg._run(f, g, r, False)[0] == want
+            before = continuant_steps(chain, range(1, r), 0, f, g)
+            assert linalg._run(f, g, r, True) == (want, before)
+
+    def test_long_chain_signature(self):
+        # the meridian chain of -1/1600 is one run of -2 framings
+        forms = closedforms.DEFAULT_FORMS
+        records = d3_records(LegendrianData(-1, 0), Fraction(-1, 1600))
+        assert records
+        for e, *_ in records:
+            assert e.sigma == forms["tb1_neg_sigma"](1600) == -1598
+            assert linalg._eliminate(e.form.Q)[1] == linalg.descartes_signature(e.form.Q) == -1598
 
 
 class TestSignature:
