@@ -13,7 +13,7 @@ from .farey import (ANTICLOCKWISE, CLOCKWISE, count_tight_lens, count_tight_lens
 from .surgery import (ContactZeroError, IntersectionForm, LegendrianData, convert,
                       linking_matrix, rot_range)
 from .invariants import d3_spectrum
-from .cosmetic import candidate_slopes, check_pair, scan, solve_d3_equation, unknot_classify
+from .cosmetic import candidate_slopes, scan, solve_d3_equation, unknot_classify
 from .closedforms import verify_closed_forms
 from .regressions import verify_d3_regressions
 
@@ -31,8 +31,7 @@ __all__ = [
     # d3
     "d3_spectrum",
     # cosmetic obstructions and unknots
-    "candidate_slopes", "check_pair", "scan", "solve_d3_equation",
-    "unknot_classify",
+    "candidate_slopes", "scan", "solve_d3_equation", "unknot_classify",
     # verification
     "verify_closed_forms", "verify_d3_regressions",
 ]

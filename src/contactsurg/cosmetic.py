@@ -23,7 +23,7 @@ from itertools import product
 
 from .closedforms import DEFAULT_FORMS
 from .farey import CLOCKWISE, minimal_path_blocks
-from .invariants import d3_records, d3_spectrum, ratio_text
+from .invariants import d3_records, ratio_text
 from .slopes import Slope, SlopeError, canonical_slope, lens_parameters
 from .surgery import ContactZeroError, LegendrianData, rot_range
 
@@ -48,54 +48,6 @@ def candidate_slopes(genus: int, n_max: int = 10):
         out.append(Fraction(2))
     out.extend(Fraction(1, n) for n in range(1, n_max + 1))
     return out
-
-
-@dataclass(frozen=True)
-class CosmeticVerdict:
-    slope_pair: tuple
-    spectrum_neg: frozenset
-    spectrum_pos: frozenset
-    outcome: str  # obstructed | not_obstructed | contact_zero
-    exception_flags: tuple = ()
-
-    def to_json(self):
-        return {
-            "slope_pair": [str(s) for s in self.slope_pair],
-            "spectrum_neg": sorted(map(str, self.spectrum_neg)),
-            "spectrum_pos": sorted(map(str, self.spectrum_pos)),
-            "outcome": self.outcome,
-            "exception_flags": list(self.exception_flags),
-        }
-
-
-def check_pair(L: LegendrianData, v) -> CosmeticVerdict:
-    """Obstruct the cosmetic pair {-v, +v} on L through d3 spectra.
-
-    The cell where -v equals the contact-0 slope (v = -tb) is reported
-    as contact_zero rather than silently skipped.
-    """
-    v = Fraction(v)
-    if v <= 0:
-        raise ValueError("slope magnitude must be positive")
-    if L.rot not in rot_range(L.tb):
-        raise ValueError("rotation number outside the admissible range")
-    return _verdict(L.tb, v, lambda slope: d3_spectrum(L, slope))
-
-
-def _verdict(tb: int, v: Fraction, spectrum) -> CosmeticVerdict:
-    """Verdict on the pair {-v, +v} for a knot with this tb, where
-    ``spectrum(slope)`` is the d3 spectrum at a smooth slope, asked at -v
-    first and then at v.  It is not called for the contact-0 cell
-    (-v = tb)."""
-    pair = (-v, v)
-    if pair[0] == tb:
-        return CosmeticVerdict(pair, frozenset(), frozenset(), "contact_zero")
-    neg = frozenset(spectrum(pair[0]))
-    pos = frozenset(spectrum(v))
-    if neg.isdisjoint(pos):
-        return CosmeticVerdict(pair, neg, pos, "obstructed")
-    flags = EXCEPTIONAL_FLAGS if (tb, v) == (-1, 2) else ()
-    return CosmeticVerdict(pair, neg, pos, "not_obstructed", flags)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +161,18 @@ def solve_d3_equations(tb_min: int, tb_max: int, n_max: int) -> list:
 
 
 def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
-    """The verdict of each cell (``_verdict``, as in check_pair) over tb in
-    [tb_min, tb_max], all admissible rotation numbers, the +-2 pair and
-    the +-1/n pairs with n <= n_max.
+    """The verdict of each cell over tb in [tb_min, tb_max], all
+    admissible rotation numbers, the +-2 pair and the +-1/n pairs with
+    n <= n_max.
 
-    Every cell carries both spectra and the matrix provenance; the cells
-    left unobstructed are listed apart.  The cells of one tb share one
-    dict of plans (a plan per smooth slope), dropped when tb moves on.  The
-    spectra are frozensets of d3 strings, read off the plans in integers.
+    A cell is contact_zero where -v is the contact-0 slope tb, with empty
+    spectra and no provenance; otherwise it is obstructed exactly when
+    the d3 spectra at -v and v are disjoint.  Only the unobstructed +-2
+    cell on a tb = -1 knot carries the exception flags.  Every other cell
+    carries both spectra, as sorted d3 strings, and the matrix
+    provenance; the cells left unobstructed are listed apart.  The cells
+    of one tb share one dict of plans (a plan per smooth slope), dropped
+    when tb moves on.
     """
     if tb_max > -1:
         raise ValueError("scan covers tb <= -1")
@@ -227,15 +183,24 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
         for rot in rot_range(tb):
             L = LegendrianData(tb, rot)
             for v in candidate_slopes(2, n_max):
-                prov = []  # the neg side's records, then the pos side's
-                verdict = _verdict(tb, v, lambda slope: _provenance(L, slope, plans, prov))
-                cell = {"tb": tb, "rot": rot, "pair": [str(-v), str(v)],
-                        "verdict": verdict.to_json()}
-                if prov:
-                    cell["provenance"] = {"neg": prov[0], "pos": prov[1]}
+                pair = [str(-v), str(v)]
+                verdict = {"slope_pair": pair, "spectrum_neg": [], "spectrum_pos": [],
+                           "outcome": "contact_zero", "exception_flags": []}
+                cell = {"tb": tb, "rot": rot, "pair": pair, "verdict": verdict}
                 cells.append(cell)
-                if verdict.outcome == "not_obstructed":
-                    not_obstructed.append({"tb": tb, "rot": rot, "v": str(v)})
+                if -v == tb:
+                    continue
+                neg_records, neg = _provenance(L, -v, plans)
+                pos_records, pos = _provenance(L, v, plans)
+                verdict["spectrum_neg"], verdict["spectrum_pos"] = sorted(neg), sorted(pos)
+                cell["provenance"] = {"neg": neg_records, "pos": pos_records}
+                if neg.isdisjoint(pos):
+                    verdict["outcome"] = "obstructed"
+                    continue
+                verdict["outcome"] = "not_obstructed"
+                if (tb, v) == (-1, 2):
+                    verdict["exception_flags"] = list(EXCEPTIONAL_FLAGS)
+                not_obstructed.append({"tb": tb, "rot": rot, "v": str(v)})
     return {"cells": cells, "not_obstructed": not_obstructed}
 
 
@@ -246,10 +211,10 @@ def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
             "solver_solutions": solve_d3_equations(tb_min, tb_max, n_max)}
 
 
-def _provenance(L, slope, plans, out):
-    """The scan spectrum at L.rot: the set of d3 strings, each the one
-    ``str`` gives the Fraction (``ratio_text``).  Appends to ``out`` the
-    framings (diag Q), l and d3 strings of each presentation of the plan."""
+def _provenance(L, slope, plans):
+    """The framings (diag Q), l and d3 strings of each presentation of
+    the plan at L.rot, and the scan spectrum: the set of d3 strings, each
+    the one ``str`` gives the Fraction (``ratio_text``)."""
     records, spectrum = [], set()
     for e, d, nums, pairs in d3_records(L, slope, plans):
         text = {num: ratio_text(a, b) for num, (a, b) in pairs.items()}
@@ -260,8 +225,7 @@ def _provenance(L, slope, plans, out):
             "values": [{"rotations": r, "d3": text[num]}
                        for r, num in zip(e.rotations(d), nums)],
         })
-    out.append(records)
-    return spectrum
+    return records, spectrum
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,6 @@ def mod_inverse(q: int, p: int):
         raise ValueError("modulus must be positive")
     if math.gcd(q, p) != 1:
         return None
-    if p == 1:
-        return 0
     return pow(q, -1, p)
 
 

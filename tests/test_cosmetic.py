@@ -10,9 +10,9 @@ from contactsurg.closedforms import DEFAULT_FORMS
 from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
     candidate_slopes,
-    check_pair,
     equivalent_surgery_count,
     scan,
+    scan_cells,
     solve_d3_equation,
     unknot_classify,
 )
@@ -54,33 +54,88 @@ class TestCandidateSlopes:
         assert got == [Fraction(1, n) for n in range(1, 5)]
 
 
-class TestCheckPair:
+def cell(tb, rot, v, n_max=1):
+    """The scan cell of the pair {-v, +v} on the (tb, rot) knot, read off
+    ``scan_cells(tb, tb, n_max)``."""
+    pair = [str(-Fraction(v)), str(Fraction(v))]
+    return next(c for c in scan_cells(tb, tb, n_max)["cells"]
+                if c["rot"] == rot and c["pair"] == pair)
+
+
+class TestScanVerdicts:
     def test_tb1_half_obstructed(self):
-        v = check_pair(LegendrianData(-1, 0), Fraction(1, 2))
-        assert v.outcome == "obstructed"
-        assert v.spectrum_neg == {Fraction(1)} and v.spectrum_pos == {Fraction(0)}
+        v = cell(-1, 0, Fraction(1, 2), 2)["verdict"]
+        assert v["outcome"] == "obstructed"
+        assert v["spectrum_neg"] == ["1"] and v["spectrum_pos"] == ["0"]
 
     def test_tb1_two_is_the_exception(self):
-        v = check_pair(LegendrianData(-1, 0), Fraction(2))
-        assert v.outcome == "not_obstructed"
-        assert v.spectrum_neg == v.spectrum_pos == {Fraction(1, 4)}
-        assert v.exception_flags == EXCEPTIONAL_FLAGS
+        v = cell(-1, 0, Fraction(2))["verdict"]
+        assert v["outcome"] == "not_obstructed"
+        assert v["spectrum_neg"] == v["spectrum_pos"] == ["1/4"]
+        assert v["exception_flags"] == list(EXCEPTIONAL_FLAGS)
 
     def test_contact_zero_cells_reported(self):
-        assert check_pair(LegendrianData(-1, 0), 1).outcome == "contact_zero"
-        assert check_pair(LegendrianData(-2, 1), 2).outcome == "contact_zero"
+        for tb, rot, v in ((-1, 0, 1), (-2, 1, 2)):
+            c = cell(tb, rot, v)
+            assert c["verdict"] == {"slope_pair": c["pair"], "spectrum_neg": [],
+                                    "spectrum_pos": [], "outcome": "contact_zero",
+                                    "exception_flags": []}
+            assert "provenance" not in c
 
     def test_tb2_parity_split(self):
         # negative side odd, positive side even, for every n
+        cells = scan_cells(-2, -2, 50)["cells"]
         for rot in (1, -1):
-            L = LegendrianData(-2, rot)
             for n in range(1, 51):
-                v = check_pair(L, Fraction(1, n))
-                assert v.outcome == "obstructed"
-                assert all(x % 2 == 1 for x in v.spectrum_neg)
-                assert all(x % 2 == 0 for x in v.spectrum_pos)
+                pair = [str(Fraction(-1, n)), str(Fraction(1, n))]
+                v = next(c for c in cells if c["rot"] == rot and c["pair"] == pair)["verdict"]
+                assert v["outcome"] == "obstructed"
+                assert all(Fraction(x) % 2 == 1 for x in v["spectrum_neg"])
+                assert all(Fraction(x) % 2 == 0 for x in v["spectrum_pos"])
                 if n >= 2:
-                    assert v.spectrum_neg == {Fraction(1), Fraction(3 - 2 * n)}
+                    assert v["spectrum_neg"] == sorted(["1", str(3 - 2 * n)])
+
+    def test_rules_on_made_up_spectra(self, monkeypatch):
+        # the paper's data has no partly overlapping spectra and equal ones
+        # only at (tb -1, v 2), so the rules are checked on spectra made up
+        # here: a shared value does not obstruct, flags mark only the +-2
+        # cell at tb -1, and contact-zero cells ask for no spectrum
+        asked = []
+
+        def overlapping(L, slope, plans):
+            asked.append((L.tb, slope))
+            return [], {"0", "1"} if slope < 0 else {"1", "2"}
+
+        monkeypatch.setattr(cosmetic, "_provenance", overlapping)
+        report = scan_cells(-3, -1, 3)
+        live = [c for c in report["cells"] if c["verdict"]["outcome"] != "contact_zero"]
+        assert live and all(c["verdict"]["outcome"] == "not_obstructed" for c in live)
+        assert all(c["verdict"]["spectrum_neg"] == ["0", "1"]
+                   and c["verdict"]["spectrum_pos"] == ["1", "2"] for c in live)
+        assert len(report["not_obstructed"]) == len(live)
+        assert (-1, -1) not in asked and (-2, -2) not in asked
+        assert len(asked) == 2 * len(live)
+
+        monkeypatch.setattr(cosmetic, "_provenance", lambda L, slope, plans: ([], {"1/4"}))
+        report = scan_cells(-3, -1, 3)
+        flagged = {(c["tb"], c["rot"], c["pair"][1]) for c in report["cells"]
+                   if c["verdict"]["exception_flags"]}
+        assert flagged == {(-1, 0, "2")}
+        assert all(c["verdict"]["exception_flags"] in ([], list(EXCEPTIONAL_FLAGS))
+                   for c in report["cells"])
+
+    def test_spectra_match_d3_spectrum(self):
+        # every cell's spectra are the d3 spectra of a fresh plan at -v and v
+        for c in scan_cells(-5, -1, 8)["cells"]:
+            v = c["verdict"]
+            if v["outcome"] == "contact_zero":
+                continue
+            L = LegendrianData(c["tb"], c["rot"])
+            neg, pos = map(Fraction, c["pair"])
+            assert v["spectrum_neg"] == sorted(map(str, d3_spectrum(L, neg)))
+            assert v["spectrum_pos"] == sorted(map(str, d3_spectrum(L, pos)))
+            assert v["outcome"] == ("obstructed" if set(v["spectrum_neg"]).isdisjoint(
+                v["spectrum_pos"]) else "not_obstructed")
 
 
 class TestEquationSolver:

@@ -120,6 +120,8 @@ class TestModInverse:
         assert mod_inverse(2, 7) == 4
         assert mod_inverse(1, 11) == 1
         assert mod_inverse(2, 4) is None
+        # everything is congruent mod 1, so the inverse there is 0
+        assert all(mod_inverse(q, 1) == 0 for q in range(-5, 6))
 
     @given(q=st.integers(-50, 50), p=st.integers(2, 200))
     @settings(max_examples=200, deadline=None)
