@@ -151,28 +151,28 @@ class _Report:
         self.checks = 0
         self.mismatches = []
 
-    def record(self, name, context, expected, actual, matrix=None):
+    def record(self, name, context, expected, actual, form=None):
         self.checks += 1
         if expected != actual:
-            self._mismatch(name, context, expected, actual, matrix)
+            self._mismatch(name, context, expected, actual, form)
 
-    def ratio(self, name, context, expected, actual, matrix=None):
+    def ratio(self, name, context, expected, actual, form=None):
         """Check a rational ``expected`` (int or Fraction) against the
         exact quotient ``actual`` = (num, den), by cross-multiplication."""
         self.checks += 1
         num, den = actual
         if expected.numerator * den != num * expected.denominator:
-            self._mismatch(name, context, expected, Fraction(num, den), matrix)
+            self._mismatch(name, context, expected, Fraction(num, den), form)
 
-    def _mismatch(self, name, context, expected, actual, matrix):
+    def _mismatch(self, name, context, expected, actual, form):
         entry = {
             "check": name,
             "context": context,
             "expected": str(expected),
             "actual": str(actual),
         }
-        if matrix is not None:
-            entry["matrix"] = [list(r) for r in matrix]
+        if form is not None:
+            entry["matrix"] = [list(r) for r in form.Q]
         self.mismatches.append(entry)
 
     def as_dict(self):
@@ -184,10 +184,10 @@ class _Report:
 
 
 def _form(tb, smooth_slope):
-    """Q of the first presentation ``convert`` gives at (tb, smooth_slope),
-    for the report of a form without a plan."""
+    """The form of the first presentation ``convert`` gives at
+    (tb, smooth_slope), for the report of a form without a plan."""
     knot = LegendrianData(tb, rot_range(tb)[0])
-    return invariants.linking_matrix(invariants.convert(knot, smooth_slope - tb)[0]).Q
+    return invariants.linking_matrix(invariants.convert(knot, smooth_slope - tb)[0])
 
 
 def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
@@ -220,20 +220,20 @@ def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
     records = [record for i in rots
                for record in invariants.d3_records(LegendrianData(tb, i), smooth_slope, plans)]
     e = records[0][0]
-    mat = e.form.Q
+    form = e.form
     if f"{tag}_det" in f:
-        rep.record(f"{tag}_det", context, f[f"{tag}_det"](*args), e.det, mat)
+        rep.record(f"{tag}_det", context, f[f"{tag}_det"](*args), e.det, form)
     if negdef:
-        rep.record(f"{tag}_negdef", context, True, e.sigma == -len(mat), mat)
-    rep.record(f"{tag}_sigma", context, f[f"{tag}_sigma"](*args), e.sigma, mat)
+        rep.record(f"{tag}_negdef", context, True, e.sigma == -form.n, form)
+    rep.record(f"{tag}_sigma", context, f[f"{tag}_sigma"](*args), e.sigma, form)
     for name, row, col in entries:
-        if max(row, col) < len(mat):
+        if max(row, col) < form.n:
             rep.ratio(f"{tag}_{name}", context, f[f"{tag}_{name}"](*args),
-                      _inverse(e, row, col), mat)
+                      _inverse(e, row, col), form)
     for row, line in enumerate(table):
         for col, value in enumerate(line):
             rep.ratio(f"{tag}_q", {**context, "entry": (row + 1, col + 1)}, value,
-                      _inverse(e, row, col), mat)
+                      _inverse(e, row, col), form)
     return records
 
 
@@ -245,7 +245,7 @@ def _csq(rep, name, records, args, context):
     for e, d, nums, _ in records:
         for v, num in zip(e.rotations(d), nums):
             if form(*args(v)) * e.det != num:
-                rep._mismatch(name, context(v), form(*args(v)), Fraction(num, e.det), e.form.Q)
+                rep._mismatch(name, context(v), form(*args(v)), Fraction(num, e.det), e.form)
         rep.checks += len(nums)
 
 
@@ -277,15 +277,15 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
 
     for n in range(1, max(50, n_max) + 1):
         rep.record("chain_det", {"n": n}, f["chain_det"](n),
-                   linalg.determinant(chain_matrix(n)))
+                   linalg.determinant(linalg.sparse(chain_matrix(n))))
         rep.record("chain_primed_det", {"n": n}, f["chain_primed_det"](n),
-                   linalg.determinant(chain_matrix_primed(n)))
+                   linalg.determinant(linalg.sparse(chain_matrix_primed(n))))
 
     for a in range(-3, 4):
         for b in range(-3, 4):
             for c in range(-3, 4):
                 for m in range(1, 7):
-                    mat = bordered_block_matrix(a, b, c, m)
+                    mat = linalg.sparse(bordered_block_matrix(a, b, c, m))
                     det = linalg.determinant(mat)
                     rep.record("block_det", {"a": a, "b": b, "c": c, "m": m},
                                f["block_det"](a, b, c, m), det)

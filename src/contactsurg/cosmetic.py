@@ -220,7 +220,7 @@ def _provenance(L, slope, plans):
         text = {num: ratio_text(a, b) for num, (a, b) in pairs.items()}
         spectrum.update(text.values())
         records.append({
-            "framings": list(map(tuple.__getitem__, e.form.Q, range(e.form.n))),
+            "framings": [row.get(i, 0) for i, row in enumerate(e.form.rows)],
             "l": e.form.l,
             "values": [{"rotations": r, "d3": text[num]}
                        for r, num in zip(e.rotations(d), nums)],

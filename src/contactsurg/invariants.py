@@ -91,7 +91,7 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> l
     chosen = [rotation_choices(pres) for pres in presentations]
     support = tuple(i for i, c in enumerate(chosen[0]) if pinned[i] or any(c) or i in extra)
     try:
-        det, sigma, block = linalg.adjugate_block(form.Q, support)
+        det, sigma, block = linalg.adjugate_block(form.rows, support)
     except linalg.SingularMatrixError:
         raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class") from None
     u = [pinned[i] for i in support]

@@ -19,13 +19,12 @@ continuant along the path of banded rows that ends the matrix (where
 algorithm on the head before it, so it shares nothing with the first
 method; determinants of any square matrix are its constant term.
 
-Matrices are sequences of rows of ints: lists of lists, or tuples of
-tuples such as IntersectionForm.Q.
+Matrices are sparse rows, row i the dict {j: x} of its nonzeros, so a
+pass costs O(nnz), not O(n^2); ``sparse`` makes them from dense rows.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import add, mul, sub
 
 
@@ -37,24 +36,25 @@ class SignatureMismatchError(RuntimeError):
     """The two independent signature methods disagreed; internal error."""
 
 
-def _check_square(rows):
+def sparse(rows):
+    """The sparse rows of a square matrix given as dense rows."""
     n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("matrix must be square")
-    return n
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def is_symmetric(rows) -> bool:
-    """Whether a square matrix equals its transpose.
-
-    One C-level pass compares each row with the column ``zip`` yields
-    beside it; the columns are made one at a time, never the whole
-    transpose.  A ragged or non-square matrix raises ValueError first,
-    since ``zip`` would silently truncate ragged rows.
-    """
-    _check_square(rows)
-    return all(map(tuple.__eq__, map(tuple, rows), zip(*rows)))
+def check_symmetric(rows, name="matrix"):
+    """Raise ValueError unless ``rows`` are the sparse rows of a symmetric
+    n x n matrix: a key outside 0..n-1 or a stored 0 is not square, and
+    an entry (i, j) without an equal (j, i) is not symmetric."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if not 0 <= j < n or not x:
+                raise ValueError(f"{name} must be square")
+            if rows[j].get(i) != x:
+                raise ValueError(f"{name} must be symmetric")
 
 
 def _eliminate(rows, cols=()):
@@ -90,17 +90,10 @@ def _eliminate(rows, cols=()):
     first.  Without a congruence it stops at the first row of ``cols``:
     B needs no earlier one.
     """
+    check_symmetric(rows)
     n = len(rows)
     every = range(n)
-    a = []
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        a.append({j: int(row[j]) for j in compress(every, row)})
-    for i, row in enumerate(a):
-        for j, x in row.items():
-            if a[j].get(i) != x:
-                raise ValueError("matrix must be symmetric")
+    a = list(map(dict, rows))
     for idx, c in enumerate(cols):
         a[c][n + idx] = 1
     last = set(cols)
@@ -244,17 +237,17 @@ def char_poly(rows):
     entries (t-1, t) and (t, t-1): a continuant along it, seeded with chi
     of the head and of the head without t-1 (both by Berkowitz), gives
     chi.  ``linking_matrix`` puts the meridian chain last, hung on the
-    last push-off.  Reading the rows costs O(n^2) and Berkowitz O(k^4)
+    last push-off.  Reading the rows costs O(nnz) and Berkowitz O(k^4)
     on a head of k rows; the continuant costs O(len f) integer operations
     per vertex, and O(r len f) for a run of r framings -2 that it takes in
     one step (see ``_run``).  So a slope -1/N, whose meridian chain is one
-    such run hung on k <= 3 push-offs, costs O(N^2) reading plus O(N k)
+    such run hung on k <= 3 push-offs, costs O(N k) reading and
     arithmetic, not O(N^2) big-int steps; other matrices pay Berkowitz on
     the head.
     """
-    n = _check_square(rows)
+    n = len(rows)
     # nonzero off-diagonal entries of each row, then of each column too
-    nbrs = [set(compress(range(n), row)) for row in rows]
+    nbrs = list(map(set, rows))
     for i, row in enumerate(nbrs):
         row.discard(i)
         for j in row:
@@ -284,8 +277,8 @@ def _path_extend(a, path, attach, f, g):
     """
     prev, r = attach, 0
     for v in path:
-        d = a[v][v]
-        w2 = 0 if prev is None else a[v][prev] * a[prev][v]
+        d = a[v].get(v, 0)
+        w2 = 0 if prev is None else a[v].get(prev, 0) * a[prev].get(v, 0)
         prev = v
         if d == -2 and w2 == 1:
             r += 1
@@ -371,21 +364,21 @@ def _berkowitz(a, idx):
     adj(x*I - A_k) = sum_j x^j sum_(i>j) p_i A_k^(i-j-1).  Rows are kept
     sparse, so a step costs k matrix-vector products over the nonzeros.
     """
-    off = [[(pos, a[u][w]) for pos, w in enumerate(idx) if w != u and a[u][w]]
-           for u in idx]
+    where = {w: pos for pos, w in enumerate(idx)}
+    off = [[(where[w], x) for w, x in a[u].items() if w != u and w in where] for u in idx]
+    diag = [a[u].get(u, 0) for u in idx]
     p = [1]
     for k, v in enumerate(idx):
-        lead = idx[:k]
-        col = [a[u][v] for u in lead]
+        col = [a[u].get(v, 0) for u in idx[:k]]
         row = [(pos, x) for pos, x in off[k] if pos < k]
         t = []
         for m in range(k):
             t.append(sum(x * col[pos] for pos, x in row))
             if m + 1 < k:
-                col = [a[u][u] * col[i] + sum(x * col[pos] for pos, x in off[i] if pos < k)
-                       for i, u in enumerate(lead)]
+                col = [diag[i] * col[i] + sum(x * col[pos] for pos, x in off[i] if pos < k)
+                       for i in range(k)]
         q = [0] + p
-        d = a[v][v]
+        d = diag[k]
         for i, x in enumerate(p):
             q[i] -= d * x
         for j in range(k):

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .linalg import is_symmetric
+from .linalg import check_symmetric
 from .slopes import SlopeError, neg_cf_runs
 
 
@@ -59,7 +60,6 @@ class Component:
     tb: int
     sign: int
     rot: int | None = None
-    stabilizations: int = 0
 
     @property
     def framing(self) -> int:
@@ -124,7 +124,7 @@ def _negative_chain(tb: int, rot: int, contact_coeff: Fraction):
         chain += [Component("chain", c + 1, -1)] * k
     chain = tuple(chain[1:])
     # m stabilizations shift rot by one of m, m - 2, ..., -m
-    return [(Component("pushoff", tb - m, -1, rot=rot + x, stabilizations=m),) + chain
+    return [(Component("pushoff", tb - m, -1, rot=rot + x),) + chain
             for x in rot_range(-m - 1)[::-1]]
 
 
@@ -180,23 +180,28 @@ def rotation_choices(pres: SurgeryPresentation) -> list:
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Symmetric linking form Q of a presentation, with the count l of
-    (+1)-components."""
+    """Symmetric linking form of a presentation as sparse rows (row i the
+    dict {j: Q_ij} of its nonzeros), with the count l of (+1)-components;
+    ``Q`` is the dense view that reports read."""
 
-    Q: tuple
+    rows: tuple
     l: int
 
     def __post_init__(self):
-        try:
-            symmetric = is_symmetric(self.Q)
-        except ValueError:
-            raise ValueError("Q must be square") from None
-        if not symmetric:
-            raise ValueError("Q must be symmetric")
+        check_symmetric(self.rows, "Q")
 
     @property
     def n(self) -> int:
-        return len(self.Q)
+        return len(self.rows)
+
+    @cached_property
+    def Q(self) -> tuple:
+        """The dense n x n tuple of rows, built once per form."""
+        dense = [[0] * self.n for _ in self.rows]
+        for line, row in zip(dense, self.rows):
+            for j, x in row.items():
+                line[j] = x
+        return tuple(map(tuple, dense))
 
 
 def linking_matrix(pres: SurgeryPresentation) -> IntersectionForm:
@@ -207,19 +212,14 @@ def linking_matrix(pres: SurgeryPresentation) -> IntersectionForm:
     predecessor, with -1.
     """
     comps = pres.components
-    n = len(comps)
-    q = [[0] * n for _ in range(n)]
     pushoff_idx = [i for i, c in enumerate(comps) if c.role == "pushoff"]
-    for i, c in enumerate(comps):
-        q[i][i] = c.framing
-    for a_i, i in enumerate(pushoff_idx):
-        for j in pushoff_idx[a_i + 1:]:
-            q[i][j] = q[j][i] = pres.base_tb
+    q = [dict.fromkeys(pushoff_idx if c.role == "pushoff" else (), pres.base_tb) for c in comps]
     prev = pushoff_idx[-1] if pushoff_idx else None
     for i, c in enumerate(comps):
+        q[i][i] = c.framing
         if c.role == "chain":
             if prev is None:
                 raise ValueError("chain component without a predecessor")
             q[i][prev] = q[prev][i] = -1
             prev = i
-    return IntersectionForm(tuple(tuple(row) for row in q), pres.l)
+    return IntersectionForm(tuple({j: x for j, x in row.items() if x} for row in q), pres.l)

@@ -9,7 +9,8 @@ characteristic polynomials from its determinants and by a continuant
 one vertex at a time, a dense Fraction
 congruence diagonalization, d3 one rotation vector at a time, the
 d3-equality equations with hand-derived coefficients, and the
-intersection-form families built by hand from their displayed shape.
+intersection-form families built by hand from their displayed shape,
+and linking matrices built dense, entry by entry.
 """
 
 import math
@@ -346,6 +347,29 @@ def tbk_two_matrix(k: int, sign: int):
         raise ValueError("needs k >= 3 and sign +-1")
     size = k + 2 if sign == 1 else k - 2
     return bordered_chain(-k + 1, -k - 2, -k, size)
+
+
+def linking_matrix_dense(pres):
+    """Q of ``surgery.linking_matrix`` as a dense tuple of rows, built
+    entry by entry as that function once built it: framings on the
+    diagonal, the base tb between push-offs, -1 along the chain."""
+    comps = pres.components
+    n = len(comps)
+    q = [[0] * n for _ in range(n)]
+    pushoff_idx = [i for i, c in enumerate(comps) if c.role == "pushoff"]
+    for i, c in enumerate(comps):
+        q[i][i] = c.framing
+    for a_i, i in enumerate(pushoff_idx):
+        for j in pushoff_idx[a_i + 1:]:
+            q[i][j] = q[j][i] = pres.base_tb
+    prev = pushoff_idx[-1] if pushoff_idx else None
+    for i, c in enumerate(comps):
+        if c.role == "chain":
+            if prev is None:
+                raise ValueError("chain component without a predecessor")
+            q[i][prev] = q[prev][i] = -1
+            prev = i
+    return tuple(tuple(row) for row in q)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +710,7 @@ def d3_values(form, vectors) -> list:
         raise ValueError("rotation vector length must match Q")
     support = tuple(compress(range(form.n), map(any, zip(*vectors))))
     try:
-        det, sigma, block = linalg.adjugate_block(form.Q, support)
+        det, sigma, block = linalg.adjugate_block(form.rows, support)
     except SingularMatrixError:
         raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class") from None
     return [_assemble(form.n + 1, sigma, form.l, det,

@@ -22,6 +22,7 @@ from contactsurg.cosmetic import (
 )
 from contactsurg.farey import CLOCKWISE
 from contactsurg.invariants import d3_spectrum
+from contactsurg.linalg import sparse
 from contactsurg.slopes import (
     Slope,
     canonical_slope,
@@ -113,10 +114,10 @@ def test_criterion_5_signature_cross_validation():
         for i in range(n):
             for j in range(i, n):
                 m[i][j] = m[j][i] = rng.randint(-9, 9)
-        if linalg.determinant(m) == 0:
+        if linalg.determinant(sparse(m)) == 0:
             continue
         count += 1
-        assert linalg._eliminate(m)[1] == linalg.descartes_signature(m)
+        assert linalg._eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m))
     displayed = [
         [[0, -1], [-1, 0]],
         [[0, -1], [-1, -4]],
@@ -129,7 +130,7 @@ def test_criterion_5_signature_cross_validation():
         tbk_two_matrix(5, 1),
     ]
     for m in displayed:
-        assert linalg._eliminate(m)[1] == linalg.descartes_signature(m)
+        assert linalg._eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m))
     _report(5, "signature methods agree on 1000 seeded matrices and the "
                "displayed forms", t0)
 

@@ -7,6 +7,7 @@ import pytest
 
 from contactsurg import cli, invariants, linalg
 from contactsurg.cli import main
+from contactsurg.linalg import sparse
 from contactsurg.closedforms import (
     DEFAULT_FORMS,
     bordered_block_matrix,
@@ -39,11 +40,12 @@ class TestBlockDeterminant:
                 for c in range(-6, 7):
                     for m in range(1, 11):
                         expected = (-1) ** m * ((a * (c + 1) - b * b) * m + (a * c - b * b))
-                        assert linalg.determinant(bordered_block_matrix(a, b, c, m)) == expected
+                        block = sparse(bordered_block_matrix(a, b, c, m))
+                        assert linalg.determinant(block) == expected
 
     def test_spot_value(self):
         # a=0, b=-1, c=0, m=1 gives determinant 2 (3x3 cofactor expansion)
-        assert linalg.determinant(bordered_block_matrix(0, -1, 0, 1)) == 2
+        assert linalg.determinant(sparse(bordered_block_matrix(0, -1, 0, 1))) == 2
 
 
 class TestFamilies:
@@ -139,7 +141,7 @@ class TestVerifier:
             i = roles.index("chain")
             q = [list(row) for row in form.Q]
             q[i][i] += delta
-            return IntersectionForm(tuple(map(tuple, q)), form.l)
+            return IntersectionForm(sparse(q), form.l)
 
         monkeypatch.setattr(invariants, "linking_matrix", shifted)
 
@@ -183,8 +185,8 @@ class TestVerifier:
         rep = sweep(4, 3)
         assert not rep["ok"]
         singular = [m for m in rep["mismatches"] if m["check"].endswith("_invertible")]
-        assert singular and all(m["actual"] == "det = 0" and linalg.determinant(m["matrix"]) == 0
-                                for m in singular)
+        assert singular and all(m["actual"] == "det = 0"
+                                and linalg.determinant(sparse(m["matrix"])) == 0 for m in singular)
         monkeypatch.setattr(cli, "verify_closed_forms", sweep)
         assert main(["verify", "--k-max", "4", "--n-max", "3"]) == 1
         out = capsys.readouterr().out

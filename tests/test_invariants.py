@@ -14,6 +14,7 @@ from contactsurg.invariants import (
     d3_spectrum,
     ratio_text,
 )
+from contactsurg.linalg import sparse
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import (
     ContactZeroError,
@@ -27,7 +28,7 @@ from oracles import D3Result, d3_spectrum_detail_by_vector, d3_values, enumerate
 
 
 def form(q, l):
-    return IntersectionForm(tuple(tuple(row) for row in q), l)
+    return IntersectionForm(sparse(q), l)
 
 
 def d3(q, l, r):
@@ -121,7 +122,7 @@ class TestSpectra:
         for tb, rot, slope in cases:
             for pres in convert(LegendrianData(tb, rot), slope - tb):
                 f = linking_matrix(pres)
-                det = abs(linalg.determinant(f.Q))
+                det = abs(linalg.determinant(f.rows))
                 for res in d3_values(f, enumerate_rotations(pres)):
                     assert det % res.c_squared.denominator == 0
 
@@ -221,7 +222,7 @@ def mutant(change):
         form = linking_matrix(pres)
         rows = [list(row) for row in form.Q]
         change(rows, pres.components)
-        return IntersectionForm(tuple(map(tuple, rows)), form.l)
+        return IntersectionForm(sparse(rows), form.l)
     return build
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from sympy.polys.matrices import DomainMatrix
 from contactsurg import closedforms, linalg
 from contactsurg.closedforms import bordered_block_matrix, chain_matrix, chain_matrix_primed
 from contactsurg.invariants import d3_records, d3_spectrum
-from contactsurg.surgery import LegendrianData, convert, linking_matrix
+from contactsurg.linalg import sparse
+from contactsurg.slopes import SlopeError
+from contactsurg.surgery import IntersectionForm, LegendrianData, convert, linking_matrix
 from oracles import (
     bareiss,
     char_poly_interpolate,
@@ -62,24 +65,24 @@ def det_reference(rows):
 
 class TestDeterminant:
     def test_small_cases(self):
-        assert linalg.determinant([]) == 1
-        assert linalg.determinant([[7]]) == 7
-        assert linalg.determinant([[0, -1], [-1, 0]]) == -1
+        assert linalg.determinant(sparse([])) == 1
+        assert linalg.determinant(sparse([[7]])) == 7
+        assert linalg.determinant(sparse([[0, -1], [-1, 0]])) == -1
 
     def test_chain_determinants(self):
         for n in range(1, 51):
-            assert linalg.determinant(chain_matrix(n)) == (-1) ** n * (n + 1)
+            assert linalg.determinant(sparse(chain_matrix(n))) == (-1) ** n * (n + 1)
         for n in range(2, 30):
-            assert linalg.determinant(chain_matrix_primed(n)) == \
-                -linalg.determinant(chain_matrix(n - 1))
-        assert linalg.determinant(chain_matrix_primed(1)) == -1
+            assert linalg.determinant(sparse(chain_matrix_primed(n))) == \
+                -linalg.determinant(sparse(chain_matrix(n - 1)))
+        assert linalg.determinant(sparse(chain_matrix_primed(1))) == -1
 
     def test_against_reference(self):
         rng = random.Random(99)
         for _ in range(500):
             n = rng.randint(1, 7)
             m = random_matrix(rng, n)
-            assert linalg.determinant(m) == bareiss(m)[0] == det_reference(m)
+            assert linalg.determinant(sparse(m)) == bareiss(m)[0] == det_reference(m)
 
     def test_sparse_rows(self):
         rng = random.Random(4)
@@ -90,12 +93,12 @@ class TestDeterminant:
                 for j in range(n):
                     if rng.random() < 0.35:
                         m[i][j] = rng.randint(-5, 5)
-            assert linalg.determinant(m) == bareiss(m)[0] == det_reference(m)
+            assert linalg.determinant(sparse(m)) == bareiss(m)[0] == det_reference(m)
 
 
 def inverse_entry(rows, i, j):
     """(A^-1)_{ij} from the whole adjugate."""
-    det, _, adj = linalg.adjugate_block(rows, range(len(rows)))
+    det, _, adj = linalg.adjugate_block(sparse(rows), range(len(rows)))
     return Fraction(adj[i][j], det)
 
 
@@ -127,7 +130,7 @@ class TestInverseEntry:
         while done < 40:
             n = rng.randint(1, 5)
             m = random_matrix(rng, n, -4, 4, symmetric=True)
-            if linalg.determinant(m) == 0:
+            if linalg.determinant(sparse(m)) == 0:
                 continue
             done += 1
             inv = [[inverse_entry(m, i, j) for j in range(n)] for i in range(n)]
@@ -138,14 +141,14 @@ class TestInverseEntry:
 
     def test_singular_rejected(self):
         with pytest.raises(linalg.SingularMatrixError):
-            linalg.adjugate_block([[1, 1], [1, 1]], range(2))
+            linalg.adjugate_block(sparse([[1, 1], [1, 1]]), range(2))
 
     def test_non_symmetric_rejected(self):
         for m in ([[1, 2], [0, 1]], chain_matrix_primed(3)):
             with pytest.raises(ValueError, match="^matrix must be symmetric$"):
-                linalg.adjugate_block(m, range(len(m)))
+                linalg.adjugate_block(sparse(m), range(len(m)))
             with pytest.raises(ValueError, match="^matrix must be symmetric$"):
-                linalg.adjugate_block(m, ())
+                linalg.adjugate_block(sparse(m), ())
 
 
 class TestSolve:
@@ -156,11 +159,11 @@ class TestSolve:
         while done < 60:
             n = rng.randint(1, 6)
             m = random_matrix(rng, n, -6, 6, symmetric=True)
-            if linalg.determinant(m) == 0:
+            if linalg.determinant(sparse(m)) == 0:
                 continue
             done += 1
             b = [rng.randint(-5, 5) for _ in range(n)]
-            det, _, adj = linalg.adjugate_block(m, range(n))
+            det, _, adj = linalg.adjugate_block(sparse(m), range(n))
             x = [Fraction(sum(adj[i][c] * b[c] for c in range(n)), det) for i in range(n)]
             for i in range(n):
                 assert sum(Fraction(m[i][k]) * x[k] for k in range(n)) == b[i]
@@ -172,11 +175,11 @@ class TestSolve:
         while done < 60:
             n = rng.randint(1, 6)
             m = random_matrix(rng, n, -6, 6, symmetric=True)
-            if linalg.determinant(m) == 0:
+            if linalg.determinant(sparse(m)) == 0:
                 continue
             done += 1
-            det, _, adj = linalg.adjugate_block(m, range(n))
-            assert det == linalg.determinant(m)
+            det, _, adj = linalg.adjugate_block(sparse(m), range(n))
+            assert det == linalg.determinant(sparse(m))
             for c in range(n):
                 for i in range(n):
                     s = sum(m[i][k] * adj[k][c] for k in range(n))
@@ -188,12 +191,12 @@ class TestSolve:
         while done < 60:
             n = rng.randint(1, 6)
             m = random_matrix(rng, n, -6, 6, symmetric=True)
-            if linalg.determinant(m) == 0:
+            if linalg.determinant(sparse(m)) == 0:
                 continue
             done += 1
             r = [rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
             support = [i for i, x in enumerate(r) if x]
-            det, _, block = linalg.adjugate_block(m, support)
+            det, _, block = linalg.adjugate_block(sparse(m), support)
             value = Fraction(linalg.adjugate_quadratic(block, support, r), det)
             expected = sum(r[i] * inverse_entry(m, i, j) * r[j]
                            for i in range(n) for j in range(n))
@@ -228,9 +231,9 @@ class TestAdjugateBlock:
         ref = sympy.Matrix(m)
         if ref.det() == 0:
             with pytest.raises(linalg.SingularMatrixError):
-                linalg.adjugate_block(m, support)
+                linalg.adjugate_block(sparse(m), support)
             return
-        det, _, block = linalg.adjugate_block(m, support)
+        det, _, block = linalg.adjugate_block(sparse(m), support)
         inv = ref.inv()
         assert [list(row) for row in block] == [
             [inv[i, j] * det for j in support] for i in support]
@@ -244,11 +247,11 @@ class TestAdjugateBlock:
     @given(symmetric_with_vector(), st.data())
     def test_vector_off_the_support_raises(self, case, data):
         m, r, support = case
-        if linalg.determinant(m) == 0 or not support:
+        if linalg.determinant(sparse(m)) == 0 or not support:
             return
         dropped = data.draw(st.sampled_from(support))
         rest = [i for i in support if i != dropped]
-        _, _, block = linalg.adjugate_block(m, rest)
+        _, _, block = linalg.adjugate_block(sparse(m), rest)
         off = list(r)
         off[dropped] = data.draw(st.integers(1, 5))
         with pytest.raises(ValueError):
@@ -269,12 +272,13 @@ def square_matrices(max_n=7):
 def negative_definite(m):
     """Negative definiteness as verify's block lemma reads it: det != 0
     and the signature ``adjugate_block`` checks is -n."""
-    return linalg.determinant(m) != 0 and linalg.adjugate_block(m, ())[1] == -len(m)
+    rows = sparse(m)
+    return linalg.determinant(rows) != 0 and linalg.adjugate_block(rows, ())[1] == -len(m)
 
 
 def kernel_negative_definite(m):
     """det != 0 and signature -n from the elimination kernel alone."""
-    det, sigma, _ = linalg._eliminate(m)
+    det, sigma, _ = linalg._eliminate(sparse(m))
     return det != 0 and sigma == -len(m)
 
 
@@ -299,23 +303,23 @@ class TestDefiniteness:
         while done < 300:
             n = rng.randint(1, 6)
             m = random_matrix(rng, n, -9, 9, symmetric=True)
-            if linalg.determinant(m) == 0:
+            if linalg.determinant(sparse(m)) == 0:
                 continue
             done += 1
             sylvester = kernel_negative_definite(m)
-            all_negative = linalg.descartes_signature(m) == -n
+            all_negative = linalg.descartes_signature(sparse(m)) == -n
             assert sylvester == all_negative
 
 
 class TestCharPoly:
     def test_identity(self):
         assert char_poly_minors([[1, 0], [0, 1]]) == [1, -2, 1]
-        assert linalg.char_poly([[1, 0], [0, 1]]) == [1, -2, 1]
+        assert linalg.char_poly(sparse([[1, 0], [0, 1]])) == [1, -2, 1]
 
     def test_chain_two(self):
         # E_1 = -4, E_2 = 3 for the 2 x 2 chain
         assert char_poly_minors(chain_matrix(2)) == [1, 4, 3]
-        assert linalg.char_poly(chain_matrix(2)) == [1, 4, 3]
+        assert linalg.char_poly(sparse(chain_matrix(2))) == [1, 4, 3]
 
     def test_constant_term_is_signed_determinant(self):
         # not necessarily symmetric: the route works on any square matrix
@@ -325,7 +329,7 @@ class TestCharPoly:
             m = random_matrix(rng, n, -5, 5)
             coeffs = char_poly_minors(m)
             assert coeffs[-1] == (-1) ** n * bareiss(m)[0]
-            assert linalg.char_poly(m) == coeffs
+            assert linalg.char_poly(sparse(m)) == coeffs
 
     def test_minors_equal_interpolation(self):
         rng = random.Random(7)
@@ -430,7 +434,7 @@ class TestCharPolyRoute:
     @settings(max_examples=400, deadline=None)
     @given(graph_shapes())
     def test_matches_oracles_and_sympy(self, m):
-        coeffs = linalg.char_poly(m)
+        coeffs = linalg.char_poly(sparse(m))
         assert coeffs == char_poly_minors(m)
         assert coeffs == char_poly_interpolate(m)
         assert coeffs == sympy_char_poly(m)
@@ -439,7 +443,7 @@ class TestCharPolyRoute:
     @given(graph_shapes())
     def test_berkowitz_alone(self, m):
         # Berkowitz on the whole matrix, with no continuant
-        assert linalg._berkowitz(m, range(len(m)))[::-1] == char_poly_interpolate(m)
+        assert linalg._berkowitz(sparse(m), range(len(m)))[::-1] == char_poly_interpolate(m)
 
     @settings(max_examples=200, deadline=None)
     @given(graph_shapes(), st.randoms(use_true_random=False))
@@ -452,7 +456,7 @@ class TestCharPolyRoute:
                         m[i][j] = 0
                     else:
                         m[j][i] = 0
-        coeffs = linalg.char_poly(m)
+        coeffs = linalg.char_poly(sparse(m))
         assert coeffs == char_poly_minors(m)
         assert coeffs == sympy_char_poly(m)
 
@@ -466,13 +470,13 @@ class TestCharPolyRoute:
             m[i][k + i] = m[k + i][i] = 1 + i % 3
             for j in range(i):
                 m[i][j] = m[j][i] = -1
-        assert linalg.char_poly(m) == char_poly_interpolate(m)
+        assert linalg.char_poly(sparse(m)) == char_poly_interpolate(m)
 
     def test_linking_matrices(self):
         forms = linking_forms(CHAIN_CASES)
         assert max(map(len, forms)) == 61
         for m in forms:
-            assert linalg.char_poly(m) == char_poly_interpolate(m)
+            assert linalg.char_poly(sparse(m)) == char_poly_interpolate(m)
 
     def test_route_guard(self, monkeypatch):
         # Berkowitz sees at most the push-offs of a linking matrix, and
@@ -488,14 +492,14 @@ class TestCharPolyRoute:
         forms = linking_forms(CHAIN_CASES + [(-1, 0, Fraction(r)) for r in ("1/3", "3/4", "1/20")])
         for m, pushoffs in forms.items():
             sizes.clear()
-            linalg.char_poly(m)
+            linalg.char_poly(sparse(m))
             assert max(sizes, default=0) <= pushoffs, (len(m), pushoffs, sizes)
         sizes.clear()
         for n in range(1, 51):
-            linalg.char_poly(chain_matrix(n))
-            linalg.char_poly(chain_matrix_primed(n))
+            linalg.char_poly(sparse(chain_matrix(n)))
+            linalg.char_poly(sparse(chain_matrix_primed(n)))
         for a, b, c, m in itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), range(1, 7)):
-            linalg.char_poly(bordered_block_matrix(a, b, c, m))
+            linalg.char_poly(sparse(bordered_block_matrix(a, b, c, m)))
         assert not any(sizes)
 
 
@@ -532,8 +536,8 @@ def _steps_oracle(m, t):
     """char_poly of m by the one-vertex continuant along rows t..n-1."""
     if not t:
         return continuant_steps(m, range(len(m)), None, [1], None)[::-1]
-    return continuant_steps(m, range(t, len(m)), t - 1, linalg._berkowitz(m, range(t)),
-                            linalg._berkowitz(m, range(t - 1)))[::-1]
+    return continuant_steps(m, range(t, len(m)), t - 1, linalg._berkowitz(sparse(m), range(t)),
+                            linalg._berkowitz(sparse(m), range(t - 1)))[::-1]
 
 
 def _p_polys(r_max):
@@ -553,11 +557,11 @@ class TestRunStep:
     def test_matches_steps_and_berkowitz(self, case):
         t, m = case
         want = _steps_oracle(m, t)
-        assert want == linalg._berkowitz(m, range(len(m)))[::-1]
-        assert linalg.char_poly(m) == want
+        assert want == linalg._berkowitz(sparse(m), range(len(m)))[::-1]
+        assert linalg.char_poly(sparse(m)) == want
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_RUN_MIN", 0)  # every run takes the closed form
-            assert linalg.char_poly(m) == want
+            assert linalg.char_poly(sparse(m)) == want
 
     def test_run_polys_follow_the_recurrence(self):
         polys = _p_polys(80)
@@ -585,41 +589,43 @@ class TestRunStep:
         assert records
         for e, *_ in records:
             assert e.sigma == forms["tb1_neg_sigma"](1600) == -1598
-            assert linalg._eliminate(e.form.Q)[1] == linalg.descartes_signature(e.form.Q) == -1598
+            rows = e.form.rows
+            assert linalg._eliminate(rows)[1] == linalg.descartes_signature(rows) == -1598
 
 
 class TestSignature:
     def test_examples(self):
         for n in range(1, 11):
-            assert linalg.adjugate_block(chain_matrix(n), ())[1] == -n
-        assert linalg.adjugate_block([[0, -1], [-1, 0]], ())[1] == 0
-        assert linalg.adjugate_block(tbk_two_matrix(3, 1), ())[1] == -3  # 5 x 5 case
+            assert linalg.adjugate_block(sparse(chain_matrix(n)), ())[1] == -n
+        assert linalg.adjugate_block(sparse([[0, -1], [-1, 0]]), ())[1] == 0
+        assert linalg.adjugate_block(sparse(tbk_two_matrix(3, 1)), ())[1] == -3  # 5 x 5 case
 
     def test_singular_rejected(self):
         with pytest.raises(linalg.SingularMatrixError):
-            linalg.adjugate_block([[1, 1], [1, 1]], ())
+            linalg.adjugate_block(sparse([[1, 1], [1, 1]]), ())
 
     def test_rejects_ragged_non_square_and_asymmetric(self):
-        # the symmetry check transposes with zip, which would truncate
-        # ragged rows: the square check runs first
+        # dense rows are checked square as they become sparse rows
         for m in ([[1, 2], [3]], [[1, 2]], [[1, 2], [2, 1, 0]]):
             with pytest.raises(ValueError, match="square"):
-                linalg.is_symmetric(m)
+                linalg.check_symmetric(sparse(m))
             with pytest.raises(ValueError, match="square"):
-                linalg.adjugate_block(m, ())
-        assert not linalg.is_symmetric([[1, 2], [3, 4]])
+                linalg.adjugate_block(sparse(m), ())
         with pytest.raises(ValueError, match="symmetric"):
-            linalg.adjugate_block([[1, 2], [3, 4]], ())
-        assert linalg.is_symmetric([]) and linalg.is_symmetric([[1, 2], [2, 4]])
+            linalg.check_symmetric(sparse([[1, 2], [3, 4]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            linalg.adjugate_block(sparse([[1, 2], [3, 4]]), ())
+        linalg.check_symmetric(sparse([]))
+        linalg.check_symmetric(sparse([[1, 2], [2, 4]]))
 
     def test_disagreement_raises(self, monkeypatch):
         # a wrong Descartes half stops every caller of the one kernel pass
         rows = ((-7919, 1), (1, -3))
         monkeypatch.setattr(linalg, "descartes_signature", lambda rows: 2)
         with pytest.raises(linalg.SignatureMismatchError):
-            linalg.adjugate_block(rows, (0,))
+            linalg.adjugate_block(sparse(rows), (0,))
         with pytest.raises(linalg.SignatureMismatchError):
-            linalg.adjugate_block(rows, ())
+            linalg.adjugate_block(sparse(rows), ())
         with pytest.raises(linalg.SignatureMismatchError):
             d3_spectrum(LegendrianData(-2, 1), Fraction(-1, 3))
 
@@ -638,25 +644,25 @@ class TestSignature:
         while count < 1000:
             n = rng.randint(1, 8)
             m = random_matrix(rng, n, -9, 9, symmetric=True)
-            if linalg.determinant(m) == 0:
+            if linalg.determinant(sparse(m)) == 0:
                 continue
             count += 1
-            assert linalg._eliminate(m)[1] == linalg.descartes_signature(m)
+            assert linalg._eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m))
 
     def test_methods_agree_at_scale(self):
         # the chain forms behind `d3 --tb -1 --rot 0 --slope -1/400`
         forms = convert(LegendrianData(-1, 0), Fraction(-1, 400) + 1)
         assert forms
         for pres in forms:
-            rows = linking_matrix(pres).Q
+            rows = linking_matrix(pres).rows
             assert len(rows) == 400
             assert linalg._eliminate(rows)[1] == linalg.descartes_signature(rows)
 
     def test_zero_diagonal_handling(self):
         # congruence diagonalization must survive all-zero diagonals
         m = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-        assert linalg.determinant(m) == 2
-        assert linalg._eliminate(m)[1] == linalg.descartes_signature(m) == -1
+        assert linalg.determinant(sparse(m)) == 2
+        assert linalg._eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m)) == -1
 
 
 def zero_diagonal(m):
@@ -719,12 +725,12 @@ class TestKernelAgainstSympy:
         ref = sympy.Matrix(n, n, [x for row in m for x in row])
         det = ref.det()
         oracle_det, oracle_adj = bareiss(m, range(n))
-        assert linalg.determinant(m) == oracle_det == det
+        assert linalg.determinant(sparse(m)) == oracle_det == det
         if det == 0:
             with pytest.raises(linalg.SingularMatrixError):
-                linalg.adjugate_block(m, range(n))
+                linalg.adjugate_block(sparse(m), range(n))
             return
-        got_det, sigma, adj = linalg.adjugate_block(m, range(n))
+        got_det, sigma, adj = linalg.adjugate_block(sparse(m), range(n))
         assert got_det == det and sigma == sympy_signature(m)
         ref_adj = DomainMatrix.from_Matrix(ref).adjugate().to_Matrix().tolist() if n else []
         assert [list(row) for row in adj] == ref_adj
@@ -752,8 +758,8 @@ class TestKernelAgainstSympy:
     def test_row_swap_cases(self):
         # nonsingular, with an all-zero diagonal: the first pivot needs a congruence
         swap = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
-        assert linalg.determinant(swap) == sympy.Matrix(swap).det()
-        det, _, adj = linalg.adjugate_block(swap, range(3))
+        assert linalg.determinant(sparse(swap)) == sympy.Matrix(swap).det()
+        det, _, adj = linalg.adjugate_block(sparse(swap), range(3))
         ref = DomainMatrix.from_Matrix(sympy.Matrix(swap)).adjugate().to_Matrix()
         assert [list(row) for row in adj] == ref.tolist()
         assert not kernel_negative_definite(swap)
@@ -765,7 +771,7 @@ class TestCongruence:
     @settings(max_examples=300, deadline=None)
     @given(congruence_shapes())
     def test_matches_dense_oracle_and_sympy(self, m):
-        det, sigma, _ = linalg._eliminate(m)
+        det, sigma, _ = linalg._eliminate(sparse(m))
         if (sympy.Matrix(m).det() if m else 1) == 0:
             assert det == 0
             with pytest.raises(linalg.SingularMatrixError):
@@ -783,11 +789,11 @@ class TestCongruence:
         def forbidden(*args):
             raise AssertionError("shared helper called")
 
-        for name in ("char_poly", "_check_square", "is_symmetric"):
+        for name in ("char_poly",):
             monkeypatch.setattr(linalg, name, forbidden)
         for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
                   [[0, 2, 1], [2, 0, 1], [1, 1, 0]], [[0, 1, 0], [1, 2, 0], [0, 0, -1]]):
-            linalg._eliminate(m)
+            linalg._eliminate(sparse(m))
         assert made == []
         Fraction(1, 3)
         assert made == [(1, 3)]
@@ -801,18 +807,18 @@ class TestCongruence:
         monkeypatch.setattr(linalg, "_eliminate", forbidden)
         for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
                   chain_matrix(12), tbk_two_matrix(5, 1)):
-            assert linalg.descartes_signature(m) == sympy_signature(m)
-            assert linalg.char_poly(m) == sympy_char_poly(m)
-            assert linalg.determinant(m) == sympy.Matrix(m).det()
+            assert linalg.descartes_signature(sparse(m)) == sympy_signature(m)
+            assert linalg.char_poly(sparse(m)) == sympy_char_poly(m)
+            assert linalg.determinant(sparse(m)) == sympy.Matrix(m).det()
         for m in (chain_matrix_primed(7), [[1, 2], [3, 4]]):
-            assert linalg.char_poly(m) == sympy_char_poly(m)
-            assert linalg.determinant(m) == sympy.Matrix(m).det()
+            assert linalg.char_poly(sparse(m)) == sympy_char_poly(m)
+            assert linalg.determinant(sparse(m)) == sympy.Matrix(m).det()
 
     def test_rejects_non_square_and_asymmetric(self):
         with pytest.raises(ValueError, match="square"):
-            linalg._eliminate([[1, 2]])
+            linalg._eliminate(sparse([[1, 2]]))
         with pytest.raises(ValueError, match="symmetric"):
-            linalg._eliminate([[1, 2], [0, 1]])
+            linalg._eliminate(sparse([[1, 2], [0, 1]]))
 
     def test_large_surgery_forms(self):
         # `d3 --tb -1 --rot 0 --slope -1/1600` (a 1600-chain) and
@@ -821,6 +827,86 @@ class TestCongruence:
         for coeff, n, sig in ((Fraction(-1, 1600) + 1, 1600, -1598), (Fraction(1, 40), 40, 38)):
             rows = linking_matrix(convert(LegendrianData(-1, 0), coeff)[0]).Q
             assert len(rows) == n
-            assert linalg._eliminate(rows)[1] == congruence_signature_dense(rows) == sig
+            assert linalg._eliminate(sparse(rows))[1] == congruence_signature_dense(rows) == sig
             if n < 100:
-                assert linalg.descartes_signature(rows) == sig
+                assert linalg.descartes_signature(sparse(rows)) == sig
+
+
+def acceptance_forms():
+    """{Q: IntersectionForm} over the linking forms of the acceptance
+    ranges: every smooth slope p/q with -30 <= p < 12 and 1 <= q < 12 at
+    -6 <= tb <= -1, and verify's families, slopes +-1/n and +-2/n for
+    n <= 20 at -20 <= tb <= -3, wherever ``convert`` takes them."""
+    cases = {(tb, Fraction(p, q)) for tb in range(-6, 0) for p in range(-30, 12)
+             for q in range(1, 12)}
+    cases |= {(tb, Fraction(s, n)) for tb in range(-20, -2) for s in (1, -1, 2, -2)
+              for n in range(1, 21)}
+    forms = {}
+    for tb, smooth in cases:
+        try:
+            presentations = convert(LegendrianData(tb, tb + 1), smooth - tb)
+        except (SlopeError, ValueError):
+            continue
+        for pres in presentations:
+            form = linking_matrix(pres)
+            forms.setdefault(form.Q, form)
+    return forms
+
+
+def assert_sparse_matches_dense(m):
+    """adjugate_block and char_poly on sparse(m) against the dense
+    Bareiss and interpolation oracles on m."""
+    n = len(m)
+    det, adj = bareiss(m, range(n))
+    if det == 0:
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.adjugate_block(sparse(m), range(n))
+    else:
+        got_det, _, block = linalg.adjugate_block(sparse(m), range(n))
+        assert got_det == det
+        assert [list(row) for row in block] == [[adj[c][i] for c in range(n)] for i in range(n)]
+    assert linalg.char_poly(sparse(m)) == char_poly_interpolate(m)
+
+
+class TestSparseRows:
+    def test_linking_forms_match_the_dense_oracles(self):
+        forms = acceptance_forms()
+        assert len(forms) > 2000 and max(map(len, forms)) == 38
+        for m, form in forms.items():
+            assert list(form.rows) == sparse(m)
+            assert_sparse_matches_dense(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(congruence_shapes())
+    def test_random_shapes_match_the_dense_oracles(self, m):
+        assert_sparse_matches_dense(m)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([{-1: 1}, {1: 1}], "square"),  # would wrap around to the last row
+        ([{0: 1, 2: 1}, {1: 1}], "square"),  # a key of n
+        ([{0: 0}], "square"),  # a stored 0, which the kernel would take as a pivot
+        ([{0: 1, 1: 2}, {0: 3, 1: 1}], "symmetric"),
+        ([{1: 2}, {}], "symmetric"),
+    ])
+    def test_the_one_check(self, rows, message):
+        for check in (linalg.check_symmetric, linalg._eliminate,
+                      lambda rows: linalg.adjugate_block(rows, ())):
+            with pytest.raises(ValueError, match=f"^matrix must be {message}$"):
+                check(rows)
+        with pytest.raises(ValueError, match=f"^Q must be {message}$"):
+            IntersectionForm(rows, 0)
+
+    def test_long_chain_stays_sparse(self):
+        # a dense 6400 x 6400 build holds 328 MB in pointers alone
+        forms = closedforms.DEFAULT_FORMS
+        tracemalloc.start()
+        try:
+            records = d3_records(LegendrianData(-1, 0), Fraction(-1, 6400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records
+        for e, *_ in records:
+            assert e.sigma == forms["tb1_neg_sigma"](6400)
+            assert e.det == forms["tb1_neg_det"](6400)
+        assert peak < 64 * 2 ** 20, peak

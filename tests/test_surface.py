@@ -74,3 +74,12 @@ def test_no_floats():
                  and node.func.id == "float"
                  or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
         assert lines == [], f"{path.name}: float or true division on lines {lines}"
+
+
+def test_dense_view_is_read_by_reports_only():
+    # forms are sparse rows; the dense IntersectionForm.Q is built only
+    # for the d3 report and for mismatch provenance
+    readers = {f"{path.name}:{node.lineno}" for path, tree in _modules()
+               for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "Q"}
+    assert {where.split(":")[0] for where in readers} == {"cli.py", "closedforms.py"}
+    assert len(readers) == 2  # the report's matrix field and _Report._mismatch

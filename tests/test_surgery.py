@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactsurg.linalg import sparse
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import (
     ContactZeroError,
@@ -16,6 +17,7 @@ from contactsurg.surgery import (
 )
 from oracles import (
     enumerate_rotations,
+    linking_matrix_dense,
     neg_cf_value,
     smooth_recovery,
     tb1_negative_matrix,
@@ -79,7 +81,6 @@ class TestConvert:
                 comps = pres.components
                 assert len(comps) == 2
                 assert comps[0].sign == 1 and comps[1].sign == -1
-                assert comps[1].stabilizations == n
                 assert comps[1].framing == -2 - n
 
     def test_stabilization_rotations(self):
@@ -159,13 +160,29 @@ class TestLinkingMatrix:
         q = linking_matrix(pres).Q
         assert q[0][1] == q[0][2] == q[1][2] == -1
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-8, 2), st.integers(-40, 40), st.integers(1, 15))
+    def test_dense_view_matches_the_dense_build(self, tb, p, q):
+        # a framing 0, and at tb = 0 the links between push-offs, are
+        # entries sparse rows leave out and the dense view writes back
+        try:
+            presentations = convert(LegendrianData(tb, tb + 1), Fraction(p, q) - tb)
+        except (SlopeError, ValueError):
+            return
+        for pres in presentations:
+            form = linking_matrix(pres)
+            assert form.Q == linking_matrix_dense(pres)
+            assert form.Q is form.Q  # built once per form
+            assert list(form.rows) == sparse(form.Q)
+
     def test_rejects_ragged_non_square_and_asymmetric(self):
-        for q in (((1, 2), (3,)), ((1, 2),), ((1, 2), (2, 1, 0))):
+        # sparse rows: a key of n, a negative key and a stored 0 are not square
+        for q in (({0: 1, 1: 2},), ({-1: 2}, {1: 1}), ({0: 1, 1: 0}, {1: 4})):
             with pytest.raises(ValueError, match="^Q must be square$"):
                 IntersectionForm(q, 0)
         with pytest.raises(ValueError, match="^Q must be symmetric$"):
-            IntersectionForm(((1, 2), (3, 4)), 0)
-        assert IntersectionForm(((1, 2), (2, 4)), 0).n == 2
+            IntersectionForm(sparse(((1, 2), (3, 4))), 0)
+        assert IntersectionForm(sparse(((1, 2), (2, 4))), 0).n == 2
 
 
 class TestSmoothRecovery:
