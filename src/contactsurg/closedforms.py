@@ -7,8 +7,8 @@ for their determinants, signatures, inverse entries and c1^2, and checks
 the family forms on the d3 route itself: one plan per form
 (``invariants._plan``: ``convert``, ``linking_matrix`` and one
 elimination pass) gives det, sigma and the block of adj(Q) the inverse
-entries are read from, and ``invariants.d3_records`` at every admissible
-rotation number gives each c1^2, mostly at a nonzero rotation shift.
+entries are read from, and ``invariants.c1_numerators`` of that plan at
+every admissible rotation number gives each c1^2, mostly at a shift != 0.
 
 One displayed closed form for c1^2 of the positive 1/n family is
 inconsistent with its own inverse-entry table; the form used here is the
@@ -191,15 +191,15 @@ def _form(tb, smooth_slope):
 
 
 def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
-    """The ``d3_records`` of the form at (tb, smooth_slope) at every
-    rotation number of tb, descending, from one plan made at the first,
-    with the q-entry columns in its support, so most are read at a shift
-    d != 0.  Checks the per-form closed forms of ``tag`` on the first
-    record's entry, at the arguments context.values(): ``tag``_det and
-    the table ``tag``_q of Q^-1 if the family has them, negative
-    definiteness if ``negdef``, ``tag``_sigma, and the entry of Q^-1 at
-    (row, col) for each (name, row, col) of ``entries`` inside the form.
-    Returns the records, for ``_csq``.  A singular form is one mismatch,
+    """``invariants.c1_numerators`` at d = i - rots[0] for each rotation
+    number i of tb, descending from rots[0], of one plan of the form at
+    (tb, smooth_slope) made at rots[0] with the q-entry columns in its
+    support.  Checks the per-form closed forms of ``tag`` on the plan's
+    first entry, at the arguments context.values(): ``tag``_det and the
+    table ``tag``_q of Q^-1 if the family has them, negative definiteness
+    if ``negdef``, ``tag``_sigma, and the entry of Q^-1 at (row, col) for
+    each (name, row, col) of ``entries`` inside the form.  Returns the
+    (e, d, nums) records, for ``_csq``.  A singular form is one mismatch,
     ``tag``_invertible, and a form that fails the plan's slope check one
     ``tag``_slope; either gives none."""
     f = DEFAULT_FORMS
@@ -207,9 +207,8 @@ def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
     table = f[f"{tag}_q"](*args) if f"{tag}_q" in f else ()
     cols = {c for _, row, col in entries for c in (row, col)}.union(range(len(table)))
     rots = rot_range(tb)[::-1]
-    plans = {}
     try:
-        invariants._plan(LegendrianData(tb, rots[0]), smooth_slope, plans, extra=cols)
+        plan = invariants._plan(LegendrianData(tb, rots[0]), smooth_slope, {}, extra=cols)
     except invariants.NonTorsionEulerClassError:
         rep._mismatch(f"{tag}_invertible", context, "det != 0", "det = 0", _form(tb, smooth_slope))
         return []
@@ -217,10 +216,8 @@ def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
         rep._mismatch(f"{tag}_slope", context, f"a form of slope {smooth_slope}", exc,
                       _form(tb, smooth_slope))
         return []
-    records = [record for i in rots
-               for record in invariants.d3_records(LegendrianData(tb, i), smooth_slope, plans)]
-    e = records[0][0]
-    form = e.form
+    records = [record for i in rots for record in invariants.c1_numerators(plan, i - rots[0])]
+    e, form = plan[0], plan[0].form
     if f"{tag}_det" in f:
         rep.record(f"{tag}_det", context, f[f"{tag}_det"](*args), e.det, form)
     if negdef:
@@ -242,7 +239,7 @@ def _csq(rep, name, records, args, context):
     against DEFAULT_FORMS[name](*args(v)), by cross-multiplication;
     ``context(v)`` is built for a mismatch only."""
     form = DEFAULT_FORMS[name]
-    for e, d, nums, _ in records:
+    for e, d, nums in records:
         for v, num in zip(e.rotations(d), nums):
             if form(*args(v)) * e.det != num:
                 rep._mismatch(name, context(v), form(*args(v)), Fraction(num, e.det), e.form)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .surgery import (IntersectionForm, LegendrianData, SurgeryPresentation, convert,
@@ -45,7 +45,8 @@ class PlanEntry:
     tuple S = ``support``, which holds the support of u and the vectors,
     so (Q^-1)_{S[a], S[b]} = B[a][b] / det; c1^2 of v + d u is
     (N_v + 2 d W_v + d^2 U) / det for N_v = v^T B v (``quad``),
-    W_v = u^T B v (``cross``), U = u^T B u.
+    W_v = u^T B v (``cross``, both by ``_walk``), U = u^T B u; only
+    ``c1_numerators`` applies the shift.
     """
 
     pres: SurgeryPresentation
@@ -77,7 +78,8 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> l
     reads entries of Q^-1 off B (``extra`` acts only when the plan is
     made).  The form is checked against its slope p/q: |det Q| = |p| and
     U / det = q / p mod 1, the linking form on the knot's meridian.  A
-    singular Q raises; a raise keeps no plan.  ``plans`` is keyed by
+    singular Q raises, and so does a nonzero choice off S, whose part of
+    adj(Q) B lacks; a raise keeps no plan.  ``plans`` is keyed by
     (tb, p, q) for the smooth slope p/q."""
     p, q = smooth_slope.numerator, smooth_slope.denominator
     key = (L.tb, p, q)
@@ -102,33 +104,67 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> l
                                  f"meridian square {ratio_text(U, det)} disagree with the slope")
     plan = []
     for pres, choices in zip(presentations, chosen):
-        vectors = list(product(*choices))
+        if any(any(c) for i, c in enumerate(choices) if i not in support):
+            raise ValueError("vector has a nonzero entry outside the block's support")
+        quad, cross = _walk(block, bu, [choices[i] for i in support])
         plan.append(PlanEntry(pres, form, choices, pinned, det, sigma, support, block,
-                              [linalg.adjugate_quadratic(block, support, v) for v in vectors],
-                              [sum(map(mul, bu, map(v.__getitem__, support))) for v in vectors],
-                              U))
+                              quad, cross, U))
     plans[key] = plan
     return plan
 
 
+def _walk(block, bu, choices):
+    """(quad, cross): v^T B v and (Bu)^T v for B = ``block`` at each v of
+    ``product(*choices)``, in its order, by an odometer that keeps y = B v.
+    When coordinate a moves by t, v^T B v gains t (2 y_a + t B_aa), (Bu)^T v
+    gains t (Bu)_a and y gains t B[a]: O(len(v)) a move, not O(len(v)^2).
+    The last, fastest coordinate z is read off y_z for all its values."""
+    z = len(choices) - 1
+    v = [c[0] for c in choices]
+    y = [sum(map(mul, row, v)) for row in block]
+    N, W = sum(map(mul, y, v)), sum(map(mul, bu, v))
+    inner, b_zz, bu_z = [x - v[z] for x in choices[z]], block[z][z], bu[z]
+    quad, cross, pos = [], [], [0] * z
+    moving = [a for a in reversed(range(z)) if len(choices[a]) > 1]
+    while True:
+        quad += [N + t * (2 * y[z] + t * b_zz) for t in inner]
+        cross += [W + t * bu_z for t in inner]
+        for a in moving:
+            c, row = choices[a], block[a]
+            k = pos[a] = (pos[a] + 1) % len(c)
+            t = c[k] - c[k - 1]
+            N += t * (2 * y[a] + t * row[a])
+            W += t * bu[a]
+            y = list(map(add, y, map(t.__mul__, row)))
+            if k:
+                break
+        else:
+            return quad, cross
+
+
+def c1_numerators(plan, d) -> list:
+    """(e, d, nums) per PlanEntry e of ``plan`` at the shift d: nums[i] = N_v
+    + 2 d W_v + d^2 U = det c1^2 at the i-th vector v of e.rotations(d)."""
+    lin, sq = 2 * d, d * d * plan[0].U
+    return [(e, d, [N + lin * W + sq for N, W in zip(e.quad, e.cross)] if d else e.quad)
+            for e in plan]
+
+
 def d3_records(L: LegendrianData, smooth_slope, plans=None) -> list:
     """The d3 route, in integers: (e, d, nums, pairs) per PlanEntry e,
-    with d the shift to L.rot, nums[i] = det c1^2 of rotation vector i,
-    and pairs mapping each distinct num to d3 = (num - K det) / (4 det),
-    K = 3 sigma + 2 n - 4 l, reduced with denominator > 0 and checked by
-    the d3 identity 4 d3 + K = c1^2, cross-multiplied.  Requests on knots
-    of one tb may share the dict ``plans`` (see ``_plan``); without it,
-    the plan is made at L.rot and d is 0."""
+    with d the shift to L.rot, nums from ``c1_numerators`` and pairs
+    mapping each distinct num to d3 = (num - K det) / (4 det), K = 3 sigma
+    + 2 n - 4 l, reduced with denominator > 0 and checked by the d3
+    identity 4 d3 + K = c1^2, cross-multiplied.  Requests on knots of one
+    tb may share the dict ``plans`` (see ``_plan``); without it, the plan
+    is made at L.rot and d is 0."""
     smooth_slope = smooth_slope if isinstance(smooth_slope, Fraction) else Fraction(smooth_slope)
     plan = _plan(L, smooth_slope, {} if plans is None else plans)
     first = plan[0]  # the entries of a plan share base_rot, det, sigma, form and U
-    d, det = L.rot - first.pres.base_rot, first.det
-    k = 3 * first.sigma + 2 * first.form.n - 4 * first.form.l
+    det, k = first.det, 3 * first.sigma + 2 * first.form.n - 4 * first.form.l
     k_det, den, sign = k * det, 4 * det, 1 if det > 0 else -1
-    lin, sq = 2 * d, d * d * first.U
     out = []
-    for e in plan:
-        nums = [N + lin * W + sq for N, W in zip(e.quad, e.cross)] if d else e.quad
+    for e, d, nums in c1_numerators(plan, L.rot - first.pres.base_rot):
         pairs = {}
         for num in set(nums):
             top = num - k_det

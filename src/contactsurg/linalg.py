@@ -4,20 +4,19 @@ Everything in this module is exact.  One sparse, fraction-free
 elimination of a symmetric matrix (``_eliminate``) yields its
 determinant, its signature and, by integer back-substitution, a block
 of its adjugate; ``adjugate_block`` is its only caller.  Inverse entries
-and r^T A^-1 r are integers over the determinant, read from the block of
-the adjugate on r's support, and definiteness is read through
-``adjugate_block`` too: a matrix is negative definite when the signature
-it returns is -n.  Signatures are computed by two independent methods,
-which are required to agree: that elimination (a congruence
-diagonalization) and Descartes' rule of signs on the characteristic
-polynomial, which ``adjugate_block`` compares with the signature of its
-one pass on every matrix it is given, so no signature leaves this module
-unchecked.  The
-polynomial is built division-free and without elimination, by a
-continuant along the path of banded rows that ends the matrix (where
-``surgery.linking_matrix`` puts the meridian chain) and Berkowitz's
-algorithm on the head before it, so it shares nothing with the first
-method; determinants of any square matrix are its constant term.
+are integers over the determinant, read from that block, and
+definiteness is read through ``adjugate_block`` too: a matrix is
+negative definite when the signature it returns is -n.  Signatures are
+computed by two independent methods, which are required to agree: that
+elimination (a congruence diagonalization) and Descartes' rule of signs
+on the characteristic polynomial, which ``adjugate_block`` compares with
+the signature of its one pass on every matrix it is given, so no
+signature leaves this module unchecked.  The polynomial is built
+division-free and without elimination, by a continuant along the path
+of banded rows that ends the matrix (where ``surgery.linking_matrix``
+puts the meridian chain) and Berkowitz's algorithm on the head before
+it, so it shares nothing with the first method; determinants of any
+square matrix are its constant term.
 
 Matrices are sparse rows, row i the dict {j: x} of its nonzeros, so a
 pass costs O(nnz), not O(n^2); ``sparse`` makes them from dense rows.
@@ -25,7 +24,7 @@ pass costs O(nnz), not O(n^2); ``sparse`` makes them from dense rows.
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+from operator import add, sub
 
 
 class SingularMatrixError(ValueError):
@@ -44,10 +43,14 @@ def sparse(rows):
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
+class _Symmetric(tuple):
+    """Sparse rows that passed ``check_symmetric``, which ``_eliminate`` trusts."""
+
+
 def check_symmetric(rows, name="matrix"):
-    """Raise ValueError unless ``rows`` are the sparse rows of a symmetric
-    n x n matrix: a key outside 0..n-1 or a stored 0 is not square, and
-    an entry (i, j) without an equal (j, i) is not symmetric."""
+    """``rows`` as a ``_Symmetric`` tuple, if they are the sparse rows of a
+    symmetric n x n matrix; else ValueError: a key outside 0..n-1 or a stored
+    0 is not square, and an entry (i, j) without an equal (j, i) not symmetric."""
     n = len(rows)
     for i, row in enumerate(rows):
         for j, x in row.items():
@@ -55,6 +58,7 @@ def check_symmetric(rows, name="matrix"):
                 raise ValueError(f"{name} must be square")
             if rows[j].get(i) != x:
                 raise ValueError(f"{name} must be symmetric")
+    return _Symmetric(rows)
 
 
 def _eliminate(rows, cols=()):
@@ -88,9 +92,11 @@ def _eliminate(rows, cols=()):
     sum_j T_vj y_j) / p, is exact because y = det F^-T Q^-1 e_c is
     integral, and y_mix += y_v undoes each congruence, the last one
     first.  Without a congruence it stops at the first row of ``cols``:
-    B needs no earlier one.
+    B needs no earlier one.  Rows ``check_symmetric`` returned, such as an
+    ``IntersectionForm``'s, are not checked again.
     """
-    check_symmetric(rows)
+    if type(rows) is not _Symmetric:
+        check_symmetric(rows)
     n = len(rows)
     every = range(n)
     a = list(map(dict, rows))
@@ -208,23 +214,6 @@ def adjugate_block(rows, support):
         raise SignatureMismatchError(f"signature methods disagree: "
                                      f"diagonalization={sigma} descartes={check}")
     return det, sigma, block
-
-
-def adjugate_quadratic(block, support, r) -> int:
-    """The integer r^T adj(A) r = v^T B v from B = adj(A)[S, S], where v is r
-    on S; over det A it is r^T A^-1 r.
-
-    An entry of r off S would need a part of adj(A) that B does not hold,
-    so it raises ValueError.
-    """
-    v = list(map(r.__getitem__, support))
-    if len(r) - r.count(0) != len(v) - v.count(0):
-        raise ValueError("vector has a nonzero entry outside the block's support")
-    total = 0
-    for x, row in zip(v, block):
-        if x:
-            total += x * sum(map(mul, row, v))
-    return total
 
 
 def char_poly(rows):

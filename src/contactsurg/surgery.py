@@ -181,14 +181,14 @@ def rotation_choices(pres: SurgeryPresentation) -> list:
 @dataclass(frozen=True)
 class IntersectionForm:
     """Symmetric linking form of a presentation as sparse rows (row i the
-    dict {j: Q_ij} of its nonzeros), with the count l of (+1)-components;
-    ``Q`` is the dense view that reports read."""
+    dict {j: Q_ij} of its nonzeros, checked once, here), with the count l
+    of (+1)-components; ``Q`` is the dense view that reports read."""
 
     rows: tuple
     l: int
 
     def __post_init__(self):
-        check_symmetric(self.rows, "Q")
+        object.__setattr__(self, "rows", check_symmetric(self.rows, "Q"))
 
     @property
     def n(self) -> int:

@@ -7,7 +7,8 @@ with their own extended Euclid, their signs and shortening move, a
 dense Bareiss elimination for determinants and adjugates,
 characteristic polynomials from its determinants and by a continuant
 one vertex at a time, a dense Fraction
-congruence diagonalization, d3 one rotation vector at a time, the
+congruence diagonalization, r^T adj(A) r entry by entry, d3 one
+rotation vector at a time, the
 d3-equality equations with hand-derived coefficients, and the
 intersection-form families built by hand from their displayed shape,
 and linking matrices built dense, entry by entry.
@@ -701,6 +702,19 @@ def _assemble(chi, sigma, l, det, num):
     return D3Result(chi=chi, sigma=sigma, c_squared=Fraction(num, det), l=l, d3=d3)
 
 
+def adjugate_quadratic(block, support, r) -> int:
+    """The integer r^T adj(A) r = v^T B v from B = adj(A)[S, S], where v is r
+    on S; over det A it is r^T A^-1 r, summed entry by entry.
+
+    An entry of r off S would need a part of adj(A) that B does not hold,
+    so it raises ValueError.
+    """
+    v = list(map(r.__getitem__, support))
+    if len(r) - r.count(0) != len(v) - v.count(0):
+        raise ValueError("vector has a nonzero entry outside the block's support")
+    return sum(x * row[b] * v[b] for x, row in zip(v, block) for b in range(len(v)))
+
+
 def d3_values(form, vectors) -> list:
     """d3 of ``form`` for each rotation vector, as D3Results, one vector
     at a time: c1^2 of r is v^T B v / det Q for B = adj(Q)[S, S] on the
@@ -714,7 +728,7 @@ def d3_values(form, vectors) -> list:
     except SingularMatrixError:
         raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class") from None
     return [_assemble(form.n + 1, sigma, form.l, det,
-                      linalg.adjugate_quadratic(block, support, r)) for r in vectors]
+                      adjugate_quadratic(block, support, r)) for r in vectors]
 
 
 def d3_spectrum_detail_by_vector(L, smooth_slope) -> list:

@@ -108,6 +108,12 @@ class TestD3Digest:
          "1d7fe5a2a02909a586f73d622b1fa79ea4d23c9e38285ee5eddb9e744ff29177"),
         ("--tb -1 --rot 0 --slope -1000 --json",  # 999 presentations share one Q
          "738f920892ec733fc2d8928af6eb56d7e38a0af5fe4772214674f4c3610c8c26"),
+        ("--tb -1 --rot 0 --slope -2584/987 --json",  # [-3] x 8: 256 vectors, odometer carries
+         "851ed237705a6b14ec1b483b33805909e7dc51b490b0d24a2ff777f4aac0ea11"),
+        ("--tb -3 --rot 2 --slope -4221/1277 --json",  # radices 1,1,4,2,5,1,3: 120 vectors
+         "6b56cd288f241b8b6914d96e025c6f62afc0720b506caf836128a67eee8aa625"),
+        ("--tb -3 --rot 2 --slope -4221/1277",
+         "3bf30b96d32bcf5e7a39da515de4269dcd8fb7e364dc5866d7f400cb9453ae3d"),
     ])
     def test_report_bytes_are_unchanged(self, capsys, argv, digest):
         code, out, err = run(capsys, "d3", *argv.split())

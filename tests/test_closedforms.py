@@ -198,8 +198,9 @@ class TestVerifier:
         lambda e: replace(e, cross=[-w for w in e.cross]),  # flips the sign of W_v
     ], ids=["no_d2U", "flipped_W"])
     def test_route_mutants_fail_verify(self, monkeypatch, capsys, mutate):
-        # every c1^2 check reads d3_records at a shift d != 0 for most
-        # rotation numbers, so a broken shift formula fails verify itself
+        # every c1^2 check reads invariants.c1_numerators of its family's
+        # plan at a shift d != 0 for most rotation numbers, so a broken
+        # shift formula fails verify itself
         plan = invariants._plan
         monkeypatch.setattr(invariants, "_plan",
                             lambda *args, **kwargs: [mutate(e) for e in plan(*args, **kwargs)])
@@ -254,19 +255,32 @@ class TestVerifier:
         assert len(passes) <= 1207
 
     def test_c1_squares_read_off_plans(self, monkeypatch):
-        # N_v = v^T B v once per vector of a plan, made at one rotation
-        # number; the other rotation numbers shift it in integers.  One
-        # adjugate_quadratic per checked vector made 105,134
-        calls = []
-        quadratic = linalg.adjugate_quadratic
+        # N_v = v^T B v once per vector of a plan, by one odometer walk at
+        # the rotation number the plan is made at; every rotation number,
+        # that one too, reads its numerators through c1_numerators, once
+        # per (plan, rotation number).  One adjugate_quadratic per checked
+        # vector made 105,134
+        vectors, shifts, plans = [], [], {}
+        walk, shift, plan = invariants._walk, invariants.c1_numerators, invariants._plan
 
-        def counted(block, support, r):
-            calls.append(len(support))
-            return quadratic(block, support, r)
+        def walked(*args):
+            quad, cross = walk(*args)
+            vectors.append(len(quad))
+            return quad, cross
 
-        monkeypatch.setattr(linalg, "adjugate_quadratic", counted)
+        def planned(L, *args, **kwargs):
+            made = plan(L, *args, **kwargs)  # kept, so that no id is reused
+            plans[id(made)] = made, [i - L.rot for i in rot_range(L.tb)]
+            return made
+
+        monkeypatch.setattr(invariants, "_walk", walked)
+        monkeypatch.setattr(invariants, "_plan", planned)
+        monkeypatch.setattr(invariants, "c1_numerators",
+                            lambda made, d: shifts.append((id(made), d)) or shift(made, d))
         assert verify_closed_forms()["ok"]
-        assert len(calls) <= 9780
+        assert sum(vectors) == 9780
+        assert len(plans) == 835 and len(shifts) == 8813
+        assert sorted(shifts) == sorted((key, d) for key, (_, ds) in plans.items() for d in ds)
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):

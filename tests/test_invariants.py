@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactsurg import invariants
@@ -24,7 +25,8 @@ from contactsurg.surgery import (
     linking_matrix,
     rot_range,
 )
-from oracles import D3Result, d3_spectrum_detail_by_vector, d3_values, enumerate_rotations
+from oracles import (D3Result, adjugate_quadratic, d3_spectrum_detail_by_vector, d3_values,
+                     enumerate_rotations)
 
 
 def form(q, l):
@@ -193,6 +195,57 @@ class TestPlans:
                 texts.add(str(info.value))
                 assert plans == before
             assert len(texts) == 1
+
+
+def walk_cases():
+    """A symmetric block B, a 0/1 vector u and 1-5 distinct values per
+    coordinate, zeros and single-value coordinates included."""
+    def build(k):
+        return st.tuples(
+            st.lists(st.lists(st.integers(-20, 20), min_size=k, max_size=k),
+                     min_size=k, max_size=k),
+            st.lists(st.integers(0, 1), min_size=k, max_size=k),
+            st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True),
+                     min_size=k, max_size=k))
+
+    def shape(args):
+        m, u, choices = args
+        k = len(m)
+        return [[m[max(a, b)][min(a, b)] for b in range(k)] for a in range(k)], u, choices
+
+    return st.integers(1, 6).flatmap(build).map(shape)
+
+
+class TestWalk:
+    """The plan's odometer against v^T B v entry by entry and u^T B v, at
+    every vector of ``product`` in its order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_cases())
+    @example(([[2, -1, 0, 1], [-1, 3, 1, 0], [0, 1, -2, 4], [1, 0, 4, 5]], [1, 0, 1, 0],
+              [[1, -1], [0, 2, -2], [3, 1, -1, -3], [1, -1]]))  # carries through every digit
+    @example(([[-3, 1], [1, 4]], [1, 1], [[5], [0]]))  # single-value coordinates only
+    @example(([[0, 7, 1], [7, -1, 2], [1, 2, 3]], [0, 1, 0], [[0, 1], [4], [0, -2, 2]]))
+    def test_matches_the_oracle(self, case):
+        block, u, choices = case
+        bu = [sum(x * y for x, y in zip(row, u)) for row in block]
+        vectors = list(product(*choices))
+        quad, cross = invariants._walk(block, bu, choices)
+        assert quad == [adjugate_quadratic(block, range(len(block)), v) for v in vectors]
+        assert cross == [sum(x * y for x, y in zip(u, (sum(b * z for b, z in zip(row, v))
+                                                       for row in block))) for v in vectors]
+
+    def test_nonzero_choice_off_the_support_raises(self, monkeypatch):
+        # at tb -1, slope -5/2 the chain unknot (index 1) offers only 0, so
+        # the plan's support leaves it out; a later presentation offering
+        # a nonzero there would need a part of adj(Q) the block lacks
+        L, slope = LegendrianData(-1, 0), Fraction(-5, 2)
+        assert [e.support for e in invariants._plan(L, slope, {})] == [(0,), (0,)]
+        choices = invariants.rotation_choices
+        monkeypatch.setattr(invariants, "rotation_choices", lambda pres: (
+            choices(pres) if pres.components[0].rot > 0 else [choices(pres)[0], (1, -1)]))
+        with pytest.raises(ValueError, match="outside the block's support"):
+            invariants._plan(L, slope, {})
 
 
 def slope_grid():

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from contactsurg import closedforms, linalg
+from contactsurg import closedforms, linalg, surgery
 from contactsurg.closedforms import bordered_block_matrix, chain_matrix, chain_matrix_primed
 from contactsurg.invariants import d3_records, d3_spectrum
 from contactsurg.linalg import sparse
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import IntersectionForm, LegendrianData, convert, linking_matrix
 from oracles import (
+    adjugate_quadratic,
     bareiss,
     char_poly_interpolate,
     char_poly_minors,
@@ -197,7 +198,7 @@ class TestSolve:
             r = [rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
             support = [i for i, x in enumerate(r) if x]
             det, _, block = linalg.adjugate_block(sparse(m), support)
-            value = Fraction(linalg.adjugate_quadratic(block, support, r), det)
+            value = Fraction(adjugate_quadratic(block, support, r), det)
             expected = sum(r[i] * inverse_entry(m, i, j) * r[j]
                            for i in range(n) for j in range(n))
             assert value == expected
@@ -238,7 +239,7 @@ class TestAdjugateBlock:
         assert [list(row) for row in block] == [
             [inv[i, j] * det for j in support] for i in support]
         expected = (sympy.Matrix([r]) * inv * sympy.Matrix(r))[0, 0]
-        assert Fraction(linalg.adjugate_quadratic(block, support, r), det) == expected
+        assert Fraction(adjugate_quadratic(block, support, r), det) == expected
         n = len(m)
         assert expected == sum(r[i] * inverse_entry(m, i, j) * r[j]
                                for i in range(n) for j in range(n))
@@ -255,9 +256,9 @@ class TestAdjugateBlock:
         off = list(r)
         off[dropped] = data.draw(st.integers(1, 5))
         with pytest.raises(ValueError):
-            linalg.adjugate_quadratic(block, rest, off)
+            adjugate_quadratic(block, rest, off)
         with pytest.raises(ValueError):
-            linalg.adjugate_quadratic(block, rest, tuple(off))
+            adjugate_quadratic(block, rest, tuple(off))
 
 
 def square_matrices(max_n=7):
@@ -895,6 +896,25 @@ class TestSparseRows:
                 check(rows)
         with pytest.raises(ValueError, match=f"^Q must be {message}$"):
             IntersectionForm(rows, 0)
+
+    def test_a_pipeline_form_is_checked_once(self, monkeypatch):
+        # a form's rows are checked when it is built, and the kernel trusts
+        # the tuple that check returns; raw rows are still checked there
+        calls = []
+        check = linalg.check_symmetric
+
+        def counted(rows, name="matrix"):
+            calls.append(name)
+            return check(rows, name)
+
+        monkeypatch.setattr(linalg, "check_symmetric", counted)
+        monkeypatch.setattr(surgery, "check_symmetric", counted)
+        assert d3_records(LegendrianData(-1, 0), Fraction(-1, 40))
+        assert calls == ["Q"]
+        linalg.adjugate_block(sparse(chain_matrix(3)), ())
+        assert calls == ["Q", "matrix"]
+        rows = check(sparse(chain_matrix(3)))
+        assert check(rows) == rows == tuple(sparse(chain_matrix(3)))
 
     def test_long_chain_stays_sparse(self):
         # a dense 6400 x 6400 build holds 328 MB in pointers alone
