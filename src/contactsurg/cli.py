@@ -148,12 +148,11 @@ def emit(report: dict, as_json: bool, lines) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _d3_lines(records, results, spectrum):
+def _d3_lines(presentations, results, spectrum):
     """Text report of ``cmd_d3``, produced only when it is printed; the
     spectrum in numeric order."""
-    for (e, *_), res in zip(records, results):
-        yield (f"presentation: framings {[c.framing for c in e.pres.components]} "
-               f"(l = {e.pres.l})")
+    for pres, res in zip(presentations, results):
+        yield f"presentation: framings {[c.framing for c in pres.components]} (l = {pres.l})"
         for row in res["matrix"]:
             yield "  " + " ".join(f"{x:4d}" for x in row)
         for v in res["values"]:
@@ -173,30 +172,25 @@ def cmd_d3(args) -> int:
         smooth = _fraction(args.slope)
     else:
         smooth = args.tb + _fraction(args.coeff)
-    # a fresh plan is made at L.rot: e.pres is this knot's presentation
-    records = d3_records(L, smooth)
+    # a fresh plan is made at L.rot: its presentations are this knot's
+    plan, _, nums, pairs = d3_records(L, smooth)
+    head = {"chi": plan.form.n + 1, "sigma": plan.sigma, "l": plan.form.l}
+    value = {num: {**head, "c_squared": ratio_text(num, plan.det), "d3": ratio_text(a, b)}
+             for num, (a, b) in pairs.items()}
+    values = [{"rotations": list(r), **value[num]} for r, num in zip(plan.rotations(0), nums)]
     results = []
-    spectrum = set()
-    for e, _, nums, pairs in records:
-        head = {"chi": e.form.n + 1, "sigma": e.sigma, "l": e.form.l}
-        value = {num: {**head, "c_squared": ratio_text(num, e.det), "d3": ratio_text(a, b)}
-                 for num, (a, b) in pairs.items()}
-        spectrum.update(pairs.values())
-        pres = e.pres.to_json()
+    for pres, run in zip(plan.presentations, plan.runs(values)):
+        pres = pres.to_json()
         terms = pres["components"]
         for i in range(1, len(terms)):
             if terms[i] == terms[i - 1]:  # a chain's terms: json_text writes one once
                 terms[i] = terms[i - 1]
-        results.append({
-            "presentation": pres,
-            "matrix": e.form.Q,
-            "values": [{"rotations": list(r), **value[num]}
-                       for r, num in zip(e.rotations(0), nums)],
-        })
+        results.append({"presentation": pres, "matrix": plan.form.Q, "values": run})
+    spectrum = set(pairs.values())
     report = envelope("d3", {"tb": args.tb, "rot": args.rot, "smooth_slope": str(smooth)},
                       {"presentations": results,
                        "spectrum": sorted(ratio_text(a, b) for a, b in spectrum)})
-    emit(report, args.json, _d3_lines(records, results, spectrum))
+    emit(report, args.json, _d3_lines(plan.presentations, results, spectrum))
     return 0
 
 

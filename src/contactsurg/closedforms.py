@@ -5,10 +5,11 @@ are bordered chain matrices: a (-2)-chain with -1 links, bordered by a
 first row depending on tb = -k.  This module states the closed forms
 for their determinants, signatures, inverse entries and c1^2, and checks
 the family forms on the d3 route itself: one plan per form
-(``invariants._plan``: ``convert``, ``linking_matrix`` and one
-elimination pass) gives det, sigma and the block of adj(Q) the inverse
-entries are read from, and ``invariants.c1_numerators`` of that plan at
-every admissible rotation number gives each c1^2, mostly at a shift != 0.
+(``invariants._plan``: a ``convert`` call, one elimination pass and one
+odometer walk over every presentation) gives det, sigma and the block of
+adj(Q) the inverse entries are read from, and ``invariants.c1_numerators``
+of that plan at every admissible rotation number gives each c1^2, mostly
+at a shift != 0.
 
 One displayed closed form for c1^2 of the positive 1/n family is
 inconsistent with its own inverse-entry table; the form used here is the
@@ -192,14 +193,15 @@ def _form(tb, smooth_slope):
 
 def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
     """``invariants.c1_numerators`` at d = i - rots[0] for each rotation
-    number i of tb, descending from rots[0], of one plan of the form at
-    (tb, smooth_slope) made at rots[0] with the q-entry columns in its
-    support.  Checks the per-form closed forms of ``tag`` on the plan's
-    first entry, at the arguments context.values(): ``tag``_det and the
-    table ``tag``_q of Q^-1 if the family has them, negative definiteness
-    if ``negdef``, ``tag``_sigma, and the entry of Q^-1 at (row, col) for
-    each (name, row, col) of ``entries`` inside the form.  Returns the
-    (e, d, nums) records, for ``_csq``.  A singular form is one mismatch,
+    number i of tb, descending from rots[0], of the one plan of
+    (tb, smooth_slope), made at rots[0] with the q-entry columns in its
+    support; each covers every presentation of the plan's ``convert``
+    call.  Checks the per-form closed forms of ``tag`` on the plan, at the
+    arguments context.values(): ``tag``_det and the table ``tag``_q of
+    Q^-1 if the family has them, negative definiteness if ``negdef``,
+    ``tag``_sigma, and the entry of Q^-1 at (row, col) for each
+    (name, row, col) of ``entries`` inside the form.  Returns the
+    (plan, d, nums) records, for ``_csq``.  A singular form is one mismatch,
     ``tag``_invertible, and a form that fails the plan's slope check one
     ``tag``_slope; either gives none."""
     f = DEFAULT_FORMS
@@ -216,22 +218,21 @@ def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
         rep._mismatch(f"{tag}_slope", context, f"a form of slope {smooth_slope}", exc,
                       _form(tb, smooth_slope))
         return []
-    records = [record for i in rots for record in invariants.c1_numerators(plan, i - rots[0])]
-    e, form = plan[0], plan[0].form
+    form = plan.form
     if f"{tag}_det" in f:
-        rep.record(f"{tag}_det", context, f[f"{tag}_det"](*args), e.det, form)
+        rep.record(f"{tag}_det", context, f[f"{tag}_det"](*args), plan.det, form)
     if negdef:
-        rep.record(f"{tag}_negdef", context, True, e.sigma == -form.n, form)
-    rep.record(f"{tag}_sigma", context, f[f"{tag}_sigma"](*args), e.sigma, form)
+        rep.record(f"{tag}_negdef", context, True, plan.sigma == -form.n, form)
+    rep.record(f"{tag}_sigma", context, f[f"{tag}_sigma"](*args), plan.sigma, form)
     for name, row, col in entries:
         if max(row, col) < form.n:
             rep.ratio(f"{tag}_{name}", context, f[f"{tag}_{name}"](*args),
-                      _inverse(e, row, col), form)
+                      _inverse(plan, row, col), form)
     for row, line in enumerate(table):
         for col, value in enumerate(line):
             rep.ratio(f"{tag}_q", {**context, "entry": (row + 1, col + 1)}, value,
-                      _inverse(e, row, col), form)
-    return records
+                      _inverse(plan, row, col), form)
+    return [(plan, d, invariants.c1_numerators(plan, d)) for d in (i - rots[0] for i in rots)]
 
 
 def _csq(rep, name, records, args, context):
@@ -239,17 +240,17 @@ def _csq(rep, name, records, args, context):
     against DEFAULT_FORMS[name](*args(v)), by cross-multiplication;
     ``context(v)`` is built for a mismatch only."""
     form = DEFAULT_FORMS[name]
-    for e, d, nums in records:
-        for v, num in zip(e.rotations(d), nums):
-            if form(*args(v)) * e.det != num:
-                rep._mismatch(name, context(v), form(*args(v)), Fraction(num, e.det), e.form)
+    for plan, d, nums in records:
+        for v, num in zip(plan.rotations(d), nums):
+            if form(*args(v)) * plan.det != num:
+                rep._mismatch(name, context(v), form(*args(v)), Fraction(num, plan.det), plan.form)
         rep.checks += len(nums)
 
 
-def _inverse(e, row, col):
-    """Entry (row, col) of Q^-1 off the plan entry's block, as
+def _inverse(plan, row, col):
+    """Entry (row, col) of Q^-1 off the plan's block, as
     (numerator, denominator)."""
-    return e.block[e.support.index(row)][e.support.index(col)], e.det
+    return plan.block[plan.support.index(row)][plan.support.index(col)], plan.det
 
 
 _LEADING = (("q11", 0, 0), ("q12", 1, 0), ("q22", 1, 1))

@@ -214,18 +214,14 @@ def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
 def _provenance(L, slope, plans):
     """The framings (diag Q), l and d3 strings of each presentation of
     the plan at L.rot, and the scan spectrum: the set of d3 strings, each
-    the one ``str`` gives the Fraction (``ratio_text``)."""
-    records, spectrum = [], set()
-    for e, d, nums, pairs in d3_records(L, slope, plans):
-        text = {num: ratio_text(a, b) for num, (a, b) in pairs.items()}
-        spectrum.update(text.values())
-        records.append({
-            "framings": [row.get(i, 0) for i, row in enumerate(e.form.rows)],
-            "l": e.form.l,
-            "values": [{"rotations": r, "d3": text[num]}
-                       for r, num in zip(e.rotations(d), nums)],
-        })
-    return records, spectrum
+    the one ``str`` gives the Fraction (``ratio_text``).  The records of a
+    plan share one framings list."""
+    plan, d, nums, pairs = d3_records(L, slope, plans)
+    text = {num: ratio_text(a, b) for num, (a, b) in pairs.items()}
+    framings = [row.get(i, 0) for i, row in enumerate(plan.form.rows)]
+    values = [{"rotations": r, "d3": text[num]} for r, num in zip(plan.rotations(d), nums)]
+    return ([{"framings": framings, "l": plan.form.l, "values": run}
+             for run in plan.runs(values)], set(text.values()))
 
 
 # ---------------------------------------------------------------------------

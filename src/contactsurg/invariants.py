@@ -20,8 +20,7 @@ from math import gcd
 from operator import add, mul
 
 from . import linalg
-from .surgery import (IntersectionForm, LegendrianData, SurgeryPresentation, convert,
-                      linking_matrix, rotation_choices)
+from .surgery import IntersectionForm, LegendrianData, convert, linking_matrix, rotation_choices
 
 
 class NonTorsionEulerClassError(ValueError):
@@ -33,23 +32,24 @@ class PipelineCheckError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PlanEntry:
-    """One presentation of a plan, with the integers its d3 values need;
-    the presentations of a plan share ``form``, ``det``, ``sigma``,
-    ``support``, ``block`` and U.
-
-    ``choices`` are its ``rotation_choices`` at ``pres.base_rot`` and u =
-    ``pinned`` is 1 on the push-offs, whose rotation numbers follow the
-    knot's: at the shift d = rot - base_rot, each rotation vector v
-    becomes v + d u.  ``block`` is B = adj(Q)[S, S] on the ascending index
-    tuple S = ``support``, which holds the support of u and the vectors,
-    so (Q^-1)_{S[a], S[b]} = B[a][b] / det; c1^2 of v + d u is
-    (N_v + 2 d W_v + d^2 U) / det for N_v = v^T B v (``quad``),
-    W_v = u^T B v (``cross``, both by ``_walk``), U = u^T B u; only
-    ``c1_numerators`` applies the shift.
+class Plan:
+    """The presentations of one ``convert`` call and the integers their d3
+    values need.  They differ only in the stabilized push-off's rotation
+    number, so they share Q, det, sigma, S, B and U.  ``choices`` are
+    ``rotation_choices(presentations[0])``, except at the stabilized
+    push-off (role pushoff, sign -1): its rotation number in each
+    presentation, in ``convert``'s order.  Every coordinate before it has
+    one choice, so ``product(*choices)`` is presentation-major (``runs``).
+    u = ``pinned`` is 1 on the push-offs, whose rotation numbers follow the
+    knot's: at the shift d = rot - base_rot, each vector v becomes v + d u.
+    ``block`` is B = adj(Q)[S, S] on the ascending S = ``support``, which
+    holds the support of u and of the vectors, so (Q^-1)_{S[a], S[b]} =
+    B[a][b] / det; c1^2 of v + d u is (N_v + 2 d W_v + d^2 U) / det for
+    N_v = v^T B v (``quad``), W_v = u^T B v (``cross``, both by ``_walk``)
+    and U = u^T B u; only ``c1_numerators`` applies the shift.
     """
 
-    pres: SurgeryPresentation
+    presentations: list
     form: IntersectionForm
     choices: list
     pinned: tuple
@@ -63,23 +63,27 @@ class PlanEntry:
 
     def rotations(self, d):
         """The rotation vectors at shift d, as an iterator of tuples."""
-        return product(*[(c[0] + d,) if p else c for c, p in zip(self.choices, self.pinned)])
+        return product(*[[x + d for x in c] if p else c
+                         for c, p in zip(self.choices, self.pinned)])
+
+    def runs(self, items):
+        """``items``, one per vector, cut into a run per presentation."""
+        k = len(self.quad) // len(self.presentations)
+        return [items[i:i + k] for i in range(0, len(items), k)]
 
 
-def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> list:
+def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> Plan:
     """The plan of (L.tb, smooth_slope) in ``plans``, made at L.rot on
-    first request: a PlanEntry per presentation of one ``convert`` call.
-    These differ only in their pinned rotation numbers, so they share Q,
-    S and B, and one ``linking_matrix`` and one ``linalg.adjugate_block``
-    pass (its signature checked against Descartes') serve them all.  S
-    holds every pinned index, as a pinned entry that is 0 here is not at
-    other rotation numbers, every index a rotation vector can make
+    first request from one ``convert`` call, with one ``linking_matrix``,
+    one ``linalg.adjugate_block`` pass (its signature checked against
+    Descartes') and one ``_walk`` over the vectors of every presentation.
+    S holds every pinned index, as a pinned entry that is 0 here is not at
+    other rotation numbers, every index the plan's choices can make
     nonzero, and those indices in ``extra`` that Q has, for a caller that
     reads entries of Q^-1 off B (``extra`` acts only when the plan is
     made).  The form is checked against its slope p/q: |det Q| = |p| and
     U / det = q / p mod 1, the linking form on the knot's meridian.  A
-    singular Q raises, and so does a nonzero choice off S, whose part of
-    adj(Q) B lacks; a raise keeps no plan.  ``plans`` is keyed by
+    singular Q raises; a raise keeps no plan.  ``plans`` is keyed by
     (tb, p, q) for the smooth slope p/q."""
     p, q = smooth_slope.numerator, smooth_slope.denominator
     key = (L.tb, p, q)
@@ -90,8 +94,11 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> l
     first = presentations[0]
     form = linking_matrix(first)
     pinned = tuple(int(c.rot is not None) for c in first.components)
-    chosen = [rotation_choices(pres) for pres in presentations]
-    support = tuple(i for i, c in enumerate(chosen[0]) if pinned[i] or any(c) or i in extra)
+    choices = rotation_choices(first)
+    for i, c in enumerate(first.components):
+        if c.role == "pushoff" and c.sign == -1:  # the stabilized push-off
+            choices[i] = [pres.components[i].rot for pres in presentations]
+    support = tuple(i for i, c in enumerate(choices) if pinned[i] or any(c) or i in extra)
     try:
         det, sigma, block = linalg.adjugate_block(form.rows, support)
     except linalg.SingularMatrixError:
@@ -102,14 +109,9 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> l
     if abs(det) != abs(p) or (U * p - q * det) % (det * p):
         raise PipelineCheckError(f"tb={L.tb}, smooth slope {smooth_slope}: det Q = {det} and "
                                  f"meridian square {ratio_text(U, det)} disagree with the slope")
-    plan = []
-    for pres, choices in zip(presentations, chosen):
-        if any(any(c) for i, c in enumerate(choices) if i not in support):
-            raise ValueError("vector has a nonzero entry outside the block's support")
-        quad, cross = _walk(block, bu, [choices[i] for i in support])
-        plan.append(PlanEntry(pres, form, choices, pinned, det, sigma, support, block,
-                              quad, cross, U))
-    plans[key] = plan
+    quad, cross = _walk(block, bu, [choices[i] for i in support])
+    plan = plans[key] = Plan(presentations, form, choices, pinned, det, sigma, support, block,
+                             quad, cross, U)
     return plan
 
 
@@ -143,38 +145,35 @@ def _walk(block, bu, choices):
 
 
 def c1_numerators(plan, d) -> list:
-    """(e, d, nums) per PlanEntry e of ``plan`` at the shift d: nums[i] = N_v
-    + 2 d W_v + d^2 U = det c1^2 at the i-th vector v of e.rotations(d)."""
-    lin, sq = 2 * d, d * d * plan[0].U
-    return [(e, d, [N + lin * W + sq for N, W in zip(e.quad, e.cross)] if d else e.quad)
-            for e in plan]
+    """nums at the shift d: nums[i] = N_v + 2 d W_v + d^2 U = det c1^2 at the
+    i-th vector v of plan.rotations(d), over every presentation."""
+    lin, sq = 2 * d, d * d * plan.U
+    return [N + lin * W + sq for N, W in zip(plan.quad, plan.cross)] if d else plan.quad
 
 
-def d3_records(L: LegendrianData, smooth_slope, plans=None) -> list:
-    """The d3 route, in integers: (e, d, nums, pairs) per PlanEntry e,
-    with d the shift to L.rot, nums from ``c1_numerators`` and pairs
-    mapping each distinct num to d3 = (num - K det) / (4 det), K = 3 sigma
-    + 2 n - 4 l, reduced with denominator > 0 and checked by the d3
-    identity 4 d3 + K = c1^2, cross-multiplied.  Requests on knots of one
-    tb may share the dict ``plans`` (see ``_plan``); without it, the plan
-    is made at L.rot and d is 0."""
+def d3_records(L: LegendrianData, smooth_slope, plans=None) -> tuple:
+    """The d3 route, in integers: (plan, d, nums, pairs), with d the shift
+    to L.rot, nums from ``c1_numerators`` and pairs mapping each distinct
+    num to d3 = (num - K det) / (4 det), K = 3 sigma + 2 n - 4 l, reduced
+    with denominator > 0 and checked by the d3 identity 4 d3 + K = c1^2,
+    cross-multiplied, once per plan.  Requests on knots of one tb may
+    share the dict ``plans`` (see ``_plan``); without it, the plan is made
+    at L.rot and d is 0."""
     smooth_slope = smooth_slope if isinstance(smooth_slope, Fraction) else Fraction(smooth_slope)
     plan = _plan(L, smooth_slope, {} if plans is None else plans)
-    first = plan[0]  # the entries of a plan share base_rot, det, sigma, form and U
-    det, k = first.det, 3 * first.sigma + 2 * first.form.n - 4 * first.form.l
+    det, k = plan.det, 3 * plan.sigma + 2 * plan.form.n - 4 * plan.form.l
     k_det, den, sign = k * det, 4 * det, 1 if det > 0 else -1
-    out = []
-    for e, d, nums in c1_numerators(plan, L.rot - first.pres.base_rot):
-        pairs = {}
-        for num in set(nums):
-            top = num - k_det
-            g = gcd(top, den) * sign
-            a, b = top // g, den // g
-            if (4 * a + k * b) * det != num * b:
-                raise PipelineCheckError(f"inconsistent d3 data: {a}/{b} at c1^2 {num}/{det}")
-            pairs[num] = a, b
-        out.append((e, d, nums, pairs))
-    return out
+    d = L.rot - plan.presentations[0].base_rot
+    nums = c1_numerators(plan, d)
+    pairs = {}
+    for num in set(nums):
+        top = num - k_det
+        g = gcd(top, den) * sign
+        a, b = top // g, den // g
+        if (4 * a + k * b) * det != num * b:
+            raise PipelineCheckError(f"inconsistent d3 data: {a}/{b} at c1^2 {num}/{det}")
+        pairs[num] = a, b
+    return plan, d, nums, pairs
 
 
 def ratio_text(num: int, den: int) -> str:
@@ -187,5 +186,4 @@ def ratio_text(num: int, den: int) -> str:
 def d3_spectrum(L: LegendrianData, smooth_slope) -> set:
     """All d3 values of contact surgeries on L with the given smooth
     coefficient, over every presentation and rotation vector."""
-    pairs = {pair for *_, known in d3_records(L, smooth_slope) for pair in known.values()}
-    return {Fraction(a, b) for a, b in pairs}
+    return {Fraction(a, b) for a, b in set(d3_records(L, smooth_slope)[3].values())}

@@ -47,8 +47,8 @@ def _cells(n_bound: int):
 
 def _check_cell(cell, plans):
     tb, rot, slope, expected = cell
-    records = d3_records(LegendrianData(tb, rot), slope, plans)
-    actual = {Fraction(a, b) for *_, pairs in records for a, b in pairs.values()}
+    pairs = d3_records(LegendrianData(tb, rot), slope, plans)[3]
+    actual = {Fraction(a, b) for a, b in pairs.values()}
     ok = actual == expected
     return ok, {
         "tb": tb,

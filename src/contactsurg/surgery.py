@@ -19,6 +19,7 @@ forms of all the worked (tb, slope) cases.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -118,6 +119,10 @@ def _negative_chain(tb: int, rot: int, contact_coeff: Fraction):
             f"negative-coefficient conversion needs a negative contact "
             f"coefficient, got {contact_coeff}"
         )
+    for count, what in ((m + 1, "presentations"), (sum(k for _, k in runs) - 1, "chain unknots")):
+        if count > sys.maxsize:
+            raise SlopeError(f"tb={tb}, contact coefficient {contact_coeff}: {count} {what} "
+                             f"are more than a list holds ({sys.maxsize})")
     # the terms after the first, one shared (immutable) Component per run
     chain = []
     for c, k in runs:

@@ -114,6 +114,10 @@ class TestD3Digest:
          "6b56cd288f241b8b6914d96e025c6f62afc0720b506caf836128a67eee8aa625"),
         ("--tb -3 --rot 2 --slope -4221/1277",
          "3bf30b96d32bcf5e7a39da515de4269dcd8fb7e364dc5866d7f400cb9453ae3d"),
+        ("--tb -2 --rot -1 --slope -47/6 --json",  # 6 presentations of 5 vectors each
+         "be7d4cb87e264539e2d30011fc0d213370b366b30cc928d6994c4315ade7ae10"),
+        ("--tb -2 --rot -1 --slope -47/6",
+         "9744c4017152a996e394742c4e7e67e5afced3a09d1f518daceb5cdd3f807390"),
     ])
     def test_report_bytes_are_unchanged(self, capsys, argv, digest):
         code, out, err = run(capsys, "d3", *argv.split())
@@ -445,6 +449,10 @@ CLI_ARGS = st.one_of(
 
 @given(argv=CLI_ARGS, as_json=st.booleans())
 @example(argv=["d3", "--tb", "-1", "--rot", "0", "--slope", ""], as_json=False)
+@example(argv=["d3", "--tb", "-1", "--rot", "0", "--slope", "-99999999999999999999999"],
+         as_json=False)  # more presentations than a list holds
+@example(argv=["d3", "--tb", "-99999999999999999999", "--rot", "0", "--slope", "-1/2"],
+         as_json=False)  # more chain unknots than a list holds
 @settings(max_examples=200, deadline=None)
 def test_cli_fuzz_exit_codes_and_json(argv, as_json):
     """Exit 0 or 2 on any input, never a traceback; --json output

@@ -194,8 +194,8 @@ class TestVerifier:
         assert "d3 regressions: 24 checks, ok" in out
 
     @pytest.mark.parametrize("mutate", [
-        lambda e: replace(e, U=0),  # drops the d^2 U term of the shift
-        lambda e: replace(e, cross=[-w for w in e.cross]),  # flips the sign of W_v
+        lambda plan: replace(plan, U=0),  # drops the d^2 U term of the shift
+        lambda plan: replace(plan, cross=[-w for w in plan.cross]),  # flips the sign of W_v
     ], ids=["no_d2U", "flipped_W"])
     def test_route_mutants_fail_verify(self, monkeypatch, capsys, mutate):
         # every c1^2 check reads invariants.c1_numerators of its family's
@@ -203,7 +203,7 @@ class TestVerifier:
         # shift formula fails verify itself
         plan = invariants._plan
         monkeypatch.setattr(invariants, "_plan",
-                            lambda *args, **kwargs: [mutate(e) for e in plan(*args, **kwargs)])
+                            lambda *args, **kwargs: mutate(plan(*args, **kwargs)))
         rep = verify_closed_forms(k_max=4, n_max=3)
         assert not rep["ok"]
         assert all(m["check"].endswith("_csq") for m in rep["mismatches"])
@@ -255,11 +255,12 @@ class TestVerifier:
         assert len(passes) <= 1207
 
     def test_c1_squares_read_off_plans(self, monkeypatch):
-        # N_v = v^T B v once per vector of a plan, by one odometer walk at
-        # the rotation number the plan is made at; every rotation number,
-        # that one too, reads its numerators through c1_numerators, once
-        # per (plan, rotation number).  One adjugate_quadratic per checked
-        # vector made 105,134
+        # N_v = v^T B v once per vector of a plan, by one odometer walk per
+        # plan, over every presentation, at the rotation number the plan is
+        # made at; every rotation number, that one too, reads its
+        # numerators through c1_numerators, once per (plan, rotation
+        # number).  One adjugate_quadratic per checked vector made 105,134,
+        # and a walk per presentation made 1,876 walks
         vectors, shifts, plans = [], [], {}
         walk, shift, plan = invariants._walk, invariants.c1_numerators, invariants._plan
 
@@ -278,7 +279,7 @@ class TestVerifier:
         monkeypatch.setattr(invariants, "c1_numerators",
                             lambda made, d: shifts.append((id(made), d)) or shift(made, d))
         assert verify_closed_forms()["ok"]
-        assert sum(vectors) == 9780
+        assert sum(vectors) == 9780 and len(vectors) == 835
         assert len(plans) == 835 and len(shifts) == 8813
         assert sorted(shifts) == sorted((key, d) for key, (_, ds) in plans.items() for d in ds)
 

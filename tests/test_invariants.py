@@ -131,15 +131,15 @@ class TestSpectra:
 
 def outcome(L, slope, plans=None):
     """Per presentation of one d3_records request, its form and the
-    (rotations, c1^2, d3) of each rotation vector; or the type and text
-    of the domain error it raised."""
+    (rotations, c1^2, d3) of each rotation vector, cut from the plan's one
+    record; or the type and text of the domain error it raised."""
     try:
-        records = d3_records(L, slope, plans)
+        plan, d, nums, pairs = d3_records(L, slope, plans)
     except ValueError as err:
         return type(err), str(err)
-    return [(e.form, [(r, Fraction(num, e.det), Fraction(*pairs[num]))
-                      for r, num in zip(e.rotations(d), nums)])
-            for e, d, nums, pairs in records]
+    values = [(r, Fraction(num, plan.det), Fraction(*pairs[num]))
+              for r, num in zip(plan.rotations(d), nums)]
+    return [(plan.form, run) for run in plan.runs(values)]
 
 
 def oracle_outcome(L, slope):
@@ -235,18 +235,6 @@ class TestWalk:
         assert cross == [sum(x * y for x, y in zip(u, (sum(b * z for b, z in zip(row, v))
                                                        for row in block))) for v in vectors]
 
-    def test_nonzero_choice_off_the_support_raises(self, monkeypatch):
-        # at tb -1, slope -5/2 the chain unknot (index 1) offers only 0, so
-        # the plan's support leaves it out; a later presentation offering
-        # a nonzero there would need a part of adj(Q) the block lacks
-        L, slope = LegendrianData(-1, 0), Fraction(-5, 2)
-        assert [e.support for e in invariants._plan(L, slope, {})] == [(0,), (0,)]
-        choices = invariants.rotation_choices
-        monkeypatch.setattr(invariants, "rotation_choices", lambda pres: (
-            choices(pres) if pres.components[0].rot > 0 else [choices(pres)[0], (1, -1)]))
-        with pytest.raises(ValueError, match="outside the block's support"):
-            invariants._plan(L, slope, {})
-
 
 def slope_grid():
     """Knots with tb -12..2 and smooth slopes p/q, 0 < |p| <= 25, q <= 11."""
@@ -263,7 +251,7 @@ def grid_outcomes():
     counts = {"presentations": 0}
     for L, slope in slope_grid():
         try:
-            counts["presentations"] += len(d3_records(L, slope))
+            counts["presentations"] += len(d3_records(L, slope)[0].presentations)
         except (ValueError, PipelineCheckError) as err:
             counts[type(err)] = counts.get(type(err), 0) + 1
     return counts

@@ -586,12 +586,10 @@ class TestRunStep:
     def test_long_chain_signature(self):
         # the meridian chain of -1/1600 is one run of -2 framings
         forms = closedforms.DEFAULT_FORMS
-        records = d3_records(LegendrianData(-1, 0), Fraction(-1, 1600))
-        assert records
-        for e, *_ in records:
-            assert e.sigma == forms["tb1_neg_sigma"](1600) == -1598
-            rows = e.form.rows
-            assert linalg._eliminate(rows)[1] == linalg.descartes_signature(rows) == -1598
+        plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 1600))[0]
+        assert plan.sigma == forms["tb1_neg_sigma"](1600) == -1598
+        rows = plan.form.rows
+        assert linalg._eliminate(rows)[1] == linalg.descartes_signature(rows) == -1598
 
 
 class TestSignature:
@@ -921,12 +919,10 @@ class TestSparseRows:
         forms = closedforms.DEFAULT_FORMS
         tracemalloc.start()
         try:
-            records = d3_records(LegendrianData(-1, 0), Fraction(-1, 6400))
+            plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 6400))[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert records
-        for e, *_ in records:
-            assert e.sigma == forms["tb1_neg_sigma"](6400)
-            assert e.det == forms["tb1_neg_det"](6400)
+        assert plan.sigma == forms["tb1_neg_sigma"](6400)
+        assert plan.det == forms["tb1_neg_det"](6400)
         assert peak < 64 * 2 ** 20, peak
