@@ -44,15 +44,37 @@ def envelope(command: str, inputs: dict, results) -> dict:
 _ESCAPE = json.encoder.encode_basestring_ascii
 
 
+class _SparseRows(tuple):
+    """Checked sparse rows of an n x n matrix, row i the dict {j: x} of its
+    nonzeros with 0 <= j < n (``IntersectionForm.rows``)."""
+
+
+def _row(row, n, head, sep, tail, text=int.__repr__):
+    """head + the n entries of the sparse ``row`` joined by sep + tail: only
+    the nonzeros go through ``text``, and a run of zeros is one repeated string."""
+    zero, pieces, k = text(0) + sep, [head], 0
+    for j in sorted(row):
+        if type(row[j]) is not int:  # not isinstance: True is no matrix entry
+            raise TypeError(f"Object of type {type(row[j]).__name__} is not JSON serializable")
+        pieces += (zero * (j - k), text(row[j]), sep)
+        k = j + 1
+    if k == n:
+        pieces[-1] = tail
+    else:
+        pieces += (zero * (n - 1 - k), text(0), tail)
+    return "".join(pieces)
+
+
 def json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, where a
+    ``_SparseRows`` stands for its dense rows.
 
     The stdlib drops its C encoder when ``indent`` is set, and its Python
-    encoder then writes a dense matrix one token at a time.  Here a list
-    whose elements are all exactly ``int`` (a type test over every entry)
-    is written by one join, in which only the nonzeros go through ``str``;
-    a dict writes its str, int, bool and None values in place; an element
-    that is the same object as the element before it reuses that one's
+    encoder then writes a matrix one token at a time.  Here each row of a
+    ``_SparseRows`` is one ``_row`` string, and a list whose elements are
+    all exactly ``int`` is one join in which only the nonzeros go through
+    ``str``; a dict writes its str, int, bool and None values in place; an
+    element that is the same object as the one before it reuses that one's
     text; and any other list or tuple met again at the same indent, such
     as the matrix that a chain's presentations share, copies the pieces
     of its first text.  The ids that key those spans stay valid because
@@ -98,15 +120,21 @@ def _write(obj, newline, out, spans):
             return
         start = len(out)
         lead, last = "[" + inner, out  # no element is the output list
-        for x in obj:
-            out.append(lead)
-            if x is last:
-                out += out[mark:end]
-            else:
-                last, mark = x, len(out)
-                _write(x, inner, out, spans)
-                end = len(out)
-            lead = sep
+        if type(obj) is _SparseRows:  # one piece per row
+            entry = inner + "  "
+            for row in obj:
+                out.append(_row(row, len(obj), lead + "[" + entry, "," + entry, inner + "]"))
+                lead = sep
+        else:
+            for x in obj:
+                out.append(lead)
+                if x is last:
+                    out += out[mark:end]
+                else:
+                    last, mark = x, len(out)
+                    _write(x, inner, out, spans)
+                    end = len(out)
+                lead = sep
         out.append(newline + "]")
         spans[id(obj)] = newline, start, len(out)
     elif isinstance(obj, dict):
@@ -148,13 +176,13 @@ def emit(report: dict, as_json: bool, lines) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _d3_lines(presentations, results, spectrum):
+def _d3_lines(presentations, results, matrix, spectrum):
     """Text report of ``cmd_d3``, produced only when it is printed; the
-    spectrum in numeric order."""
+    shared matrix's rows made once, the spectrum in numeric order."""
+    rows = [_row(row, len(matrix), "  ", " ", "", "{:4d}".format) for row in matrix]
     for pres, res in zip(presentations, results):
         yield f"presentation: framings {[c.framing for c in pres.components]} (l = {pres.l})"
-        for row in res["matrix"]:
-            yield "  " + " ".join(f"{x:4d}" for x in row)
+        yield from rows
         for v in res["values"]:
             yield (f"  rot {v['rotations']}: chi={v['chi']} sigma={v['sigma']} "
                    f"c^2={v['c_squared']} l={v['l']}  d3 = {v['d3']}")
@@ -178,19 +206,19 @@ def cmd_d3(args) -> int:
     value = {num: {**head, "c_squared": ratio_text(num, plan.det), "d3": ratio_text(a, b)}
              for num, (a, b) in pairs.items()}
     values = [{"rotations": list(r), **value[num]} for r, num in zip(plan.rotations(0), nums)]
-    results = []
+    results, matrix = [], _SparseRows(plan.form.rows)  # one object: written once
     for pres, run in zip(plan.presentations, plan.runs(values)):
         pres = pres.to_json()
         terms = pres["components"]
         for i in range(1, len(terms)):
             if terms[i] == terms[i - 1]:  # a chain's terms: json_text writes one once
                 terms[i] = terms[i - 1]
-        results.append({"presentation": pres, "matrix": plan.form.Q, "values": run})
+        results.append({"presentation": pres, "matrix": matrix, "values": run})
     spectrum = set(pairs.values())
     report = envelope("d3", {"tb": args.tb, "rot": args.rot, "smooth_slope": str(smooth)},
                       {"presentations": results,
                        "spectrum": sorted(ratio_text(a, b) for a, b in spectrum)})
-    emit(report, args.json, _d3_lines(plan.presentations, results, spectrum))
+    emit(report, args.json, _d3_lines(plan.presentations, results, matrix, spectrum))
     return 0
 
 

@@ -173,7 +173,7 @@ class _Report:
             "actual": str(actual),
         }
         if form is not None:
-            entry["matrix"] = [list(r) for r in form.Q]
+            entry["matrix"] = linalg.dense(form.rows)
         self.mismatches.append(entry)
 
     def as_dict(self):

@@ -19,7 +19,8 @@ it, so it shares nothing with the first method; determinants of any
 square matrix are its constant term.
 
 Matrices are sparse rows, row i the dict {j: x} of its nonzeros, so a
-pass costs O(nnz), not O(n^2); ``sparse`` makes them from dense rows.
+pass costs O(nnz), not O(n^2); ``sparse`` makes them from dense rows and
+``dense`` turns them back.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ def sparse(rows):
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense(rows):
+    """The dense rows, as lists, of sparse ``rows``; the inverse of ``sparse``."""
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
 
 
 class _Symmetric(tuple):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .linalg import check_symmetric
 from .slopes import SlopeError, neg_cf_runs
@@ -160,8 +159,11 @@ def convert(L: LegendrianData, contact_coeff) -> list:
 
     p, q = contact_coeff.numerator, contact_coeff.denominator
     k = -(-q // p)  # smallest k with q - k p <= 0
+    if k > sys.maxsize:
+        raise SlopeError(f"tb={L.tb}, contact coefficient {contact_coeff}: {k} push-offs "
+                         f"are more than a list holds ({sys.maxsize})")
     rem = q - k * p
-    pushoffs = tuple(Component("pushoff", L.tb, 1, rot=L.rot) for _ in range(k))
+    pushoffs = (Component("pushoff", L.tb, 1, rot=L.rot),) * k  # one shared (immutable) Component
     if rem == 0:
         return [finish(pushoffs)]
     tail_coeff = Fraction(p, rem)
@@ -185,9 +187,10 @@ def rotation_choices(pres: SurgeryPresentation) -> list:
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Symmetric linking form of a presentation as sparse rows (row i the
-    dict {j: Q_ij} of its nonzeros, checked once, here), with the count l
-    of (+1)-components; ``Q`` is the dense view that reports read."""
+    """Symmetric linking form Q of a presentation as sparse rows (row i
+    the dict {j: Q_ij} of its nonzeros, checked once, here), with the
+    count l of (+1)-components.  No dense Q is held: reports write the
+    rows as they are, and ``linalg.dense`` makes dense rows at the edge."""
 
     rows: tuple
     l: int
@@ -198,15 +201,6 @@ class IntersectionForm:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def Q(self) -> tuple:
-        """The dense n x n tuple of rows, built once per form."""
-        dense = [[0] * self.n for _ in self.rows]
-        for line, row in zip(dense, self.rows):
-            for j, x in row.items():
-                line[j] = x
-        return tuple(map(tuple, dense))
 
 
 def linking_matrix(pres: SurgeryPresentation) -> IntersectionForm:

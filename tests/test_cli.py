@@ -238,14 +238,14 @@ _JSON_TREES = st.recursive(
 
 
 @st.composite
-def _shared_subtrees(draw):
+def _shared_subtrees(draw, trees=_JSON_TREES):
     """A list holding one drawn subtree at several positions and depths,
     beside other trees; sometimes twice over, reversed, under two keys."""
-    shared = draw(_JSON_TREES)
+    shared = draw(trees)
     items = []
     for _ in range(draw(st.integers(2, 6))):
         if draw(st.booleans()):
-            items.append(draw(_JSON_TREES))
+            items.append(draw(trees))
             continue
         x = shared
         for wrap in draw(st.lists(st.sampled_from("ldt"), max_size=3)):
@@ -257,6 +257,42 @@ def _shared_subtrees(draw):
 # one list of lists placed twice at one depth and once at another: a
 # shared list's text is copied only at the indent it was written at
 _SHARED = [[1, 2], [None, "x", [0, 3]], [], {"k": [True]}]
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """A ``_SparseRows`` of n <= 9 rows with nonzeros (and now and then a
+    stored 0) anywhere, big and negative ones among them; n = 0 and empty
+    rows included."""
+    n = draw(st.integers(0, 9))
+    entries = st.one_of(st.integers(-3, 3), st.sampled_from([10**40, -10**40, -2**63]))
+    return cli._SparseRows(draw(st.dictionaries(st.integers(0, n - 1), entries, max_size=n))
+                           for _ in range(n))
+
+
+def _dense(tree):
+    """``tree`` with each ``_SparseRows`` replaced by its dense rows."""
+    if isinstance(tree, cli._SparseRows):
+        return [[row.get(j, 0) for j in range(len(tree))] for row in tree]
+    if isinstance(tree, (list, tuple)):
+        return [_dense(x) for x in tree]
+    if isinstance(tree, dict):
+        return {key: _dense(value) for key, value in tree.items()}
+    return tree
+
+
+_MATRIX_TREES = st.recursive(
+    st.one_of(_sparse_matrices(), _JSON_TREES),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(_TEXT, children, max_size=3),
+                               st.lists(st.tuples(children, st.integers(1, 3)),
+                                        max_size=3).map(_runs)),
+    max_leaves=8)
+
+# a 5 x 5 matrix with an empty row and nonzeros in the first and last
+# columns, placed twice at one indent and once at another
+_MATRIX = cli._SparseRows([{0: -7, 4: 10**30}, {}, {2: 1}, {0: 1, 1: -1, 2: 2, 3: -3, 4: 4},
+                           {4: -10**40}])
 
 
 class TestJsonText:
@@ -298,6 +334,49 @@ class TestJsonText:
         tree = {"a": m, "b": m}
         assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
         assert len(calls) == once + 1
+
+    @given(_MATRIX_TREES)
+    @example(cli._SparseRows())
+    @example(cli._SparseRows([{}]))
+    @example(cli._SparseRows([{0: -5}]))
+    @example({"a": cli._SparseRows([{}, {}]), "b": [cli._SparseRows([{1: 10**40}, {0: -1}])]})
+    @example(_MATRIX)
+    @example({"a": _MATRIX, "b": _MATRIX, "c": [_MATRIX]})
+    @example([_MATRIX, [_MATRIX], {"k": _MATRIX}, _MATRIX])
+    @example([{"matrix": _MATRIX, "values": [1, 2]}, {"matrix": _MATRIX, "values": []}])
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_rows_equal_json_dumps_of_dense_rows(self, tree):
+        assert json_text(tree) == json.dumps(_dense(tree), sort_keys=True, indent=2)
+
+    @given(_shared_subtrees(_MATRIX_TREES))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_sparse_rows_equal_json_dumps_of_dense_rows(self, tree):
+        assert json_text(tree) == json.dumps(_dense(tree), sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(0), 0.5, 0.0, True, False])
+    def test_inexact_or_bool_sparse_entry_raises(self, value):
+        for rows in ([{0: value}], [{}, {1: 1, 2: value}, {}], [{0: 1}, {0: 2}, {2: value}]):
+            for tree in (cli._SparseRows(rows), {"k": [cli._SparseRows(rows)]}):
+                with pytest.raises(TypeError):
+                    json_text(tree)
+
+    def test_shared_report_matrix_is_written_once(self, capsys, monkeypatch):
+        # three presentations share one 40-row form: its rows are made
+        # once, in JSON and in text, and the JSON holds the matrix thrice
+        rows = []
+        write = cli._row
+        monkeypatch.setattr(cli, "_row", lambda row, *args: rows.append(row) or write(row, *args))
+        argv = ["d3", "--tb", "-2", "--rot", "1", "--slope", "-1/40"]
+        code, out, _ = run(capsys, *argv, "--json")
+        results = json.loads(out)["results"]["presentations"]
+        assert code == 0 and len(results) == 3 and out.count('"matrix"') == 3
+        n = len(results[0]["matrix"])
+        assert results[1]["matrix"] == results[2]["matrix"] == results[0]["matrix"] and n == 40
+        assert len(rows) == len({id(row) for row in rows}) == n
+        rows.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count("presentation:") == 3
+        assert len(rows) == len({id(row) for row in rows}) == n
 
     @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {1, 2}])
     def test_inexact_or_unknown_types_raise(self, value):
@@ -453,6 +532,8 @@ CLI_ARGS = st.one_of(
          as_json=False)  # more presentations than a list holds
 @example(argv=["d3", "--tb", "-99999999999999999999", "--rot", "0", "--slope", "-1/2"],
          as_json=False)  # more chain unknots than a list holds
+@example(argv=["d3", "--tb", "-1", "--rot", "0", "--coeff", "1/99999999999999999999999"],
+         as_json=False)  # more push-offs than a list holds
 @settings(max_examples=200, deadline=None)
 def test_cli_fuzz_exit_codes_and_json(argv, as_json):
     """Exit 0 or 2 on any input, never a traceback; --json output

@@ -81,8 +81,8 @@ class TestFamilies:
                           (tbk_positive_matrix(k, n), -k, Fraction(1, n))]
         for family, tb, slope in cases:
             knot = LegendrianData(tb, rot_range(tb)[0])
-            forms = [linking_matrix(pres).Q for pres in convert(knot, slope - tb)]
-            assert forms and all(q == tuple(map(tuple, family)) for q in forms), (tb, slope)
+            forms = [linalg.dense(linking_matrix(pres).rows) for pres in convert(knot, slope - tb)]
+            assert forms and all(q == [list(row) for row in family] for q in forms), (tb, slope)
 
 
 class TestHalvedForms:
@@ -139,7 +139,7 @@ class TestVerifier:
             if "chain" not in roles:
                 return form
             i = roles.index("chain")
-            q = [list(row) for row in form.Q]
+            q = linalg.dense(form.rows)
             q[i][i] += delta
             return IntersectionForm(sparse(q), form.l)
 

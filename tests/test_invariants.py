@@ -15,7 +15,7 @@ from contactsurg.invariants import (
     d3_spectrum,
     ratio_text,
 )
-from contactsurg.linalg import sparse
+from contactsurg.linalg import dense, sparse
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import (
     ContactZeroError,
@@ -261,7 +261,7 @@ def mutant(change):
     """linking_matrix with ``change(rows, components)`` applied to Q."""
     def build(pres):
         form = linking_matrix(pres)
-        rows = [list(row) for row in form.Q]
+        rows = dense(form.rows)
         change(rows, pres.components)
         return IntersectionForm(sparse(rows), form.l)
     return build

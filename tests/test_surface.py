@@ -76,10 +76,16 @@ def test_no_floats():
         assert lines == [], f"{path.name}: float or true division on lines {lines}"
 
 
-def test_dense_view_is_read_by_reports_only():
-    # forms are sparse rows; the dense IntersectionForm.Q is built only
-    # for the d3 report and for mismatch provenance
-    readers = {f"{path.name}:{node.lineno}" for path, tree in _modules()
-               for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "Q"}
-    assert {where.split(":")[0] for where in readers} == {"cli.py", "closedforms.py"}
-    assert len(readers) == 2  # the report's matrix field and _Report._mismatch
+def test_no_dense_view_and_dense_rows_only_for_mismatch_provenance():
+    # forms are sparse rows and reports write them as they are: no module
+    # reads a dense .Q, and linalg.dense is called only where a mismatch
+    # records its matrix
+    for path, tree in _modules():
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "Q"]
+        assert lines == [], f"{path.name}: .Q on lines {lines}"
+    callers = {f"{path.name}:{func.name}" for path, tree in _modules()
+               for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Call)
+               and _names(node.func, "dense")}
+    assert callers == {"closedforms.py:_mismatch"}

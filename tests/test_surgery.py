@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactsurg.linalg import sparse
+from contactsurg.linalg import dense, sparse
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import (
     ContactZeroError,
@@ -32,7 +32,7 @@ from oracles import (
 
 def matrix_of(tb, rot, smooth):
     pres = convert(LegendrianData(tb, rot), Fraction(smooth) - tb)[0]
-    return [list(r) for r in linking_matrix(pres).Q]
+    return dense(linking_matrix(pres).rows)
 
 
 class TestLegendrianData:
@@ -59,6 +59,18 @@ class TestConvert:
         comps = pres[0].components
         assert [c.sign for c in comps] == [1, 1]
         assert [c.role for c in comps] == ["pushoff", "pushoff"]
+
+    def test_pushoffs_are_one_shared_component(self):
+        comps = convert(LegendrianData(-1, 0), Fraction(1, 5))[0].components
+        assert len(comps) == 5 and all(c is comps[0] for c in comps)
+
+    def test_more_pushoffs_than_a_list_holds_is_a_slope_error(self):
+        # ceil(q/p) push-offs: refused by count before any is built
+        k = 10**23
+        with pytest.raises(SlopeError, match=f"{k} push-offs are more than a list holds"):
+            convert(LegendrianData(-1, 0), Fraction(1, k))
+        with pytest.raises(SlopeError, match=f"{k} push-offs"):
+            convert(LegendrianData(-1, 0), Fraction(2, 2 * k - 1))  # a tail after them
 
     def test_negative_chain_needs_negative_coefficient(self):
         # smooth -4 on tb = -5 would need -2 stabilizations
@@ -157,23 +169,23 @@ class TestLinkingMatrix:
 
     def test_pushoff_linking_is_base_tb(self):
         pres = convert(LegendrianData(-1, 0), Fraction(2, 5))[0]  # three pushoffs
-        q = linking_matrix(pres).Q
+        q = dense(linking_matrix(pres).rows)
         assert q[0][1] == q[0][2] == q[1][2] == -1
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-8, 2), st.integers(-40, 40), st.integers(1, 15))
-    def test_dense_view_matches_the_dense_build(self, tb, p, q):
+    def test_dense_rows_match_the_dense_build(self, tb, p, q):
         # a framing 0, and at tb = 0 the links between push-offs, are
-        # entries sparse rows leave out and the dense view writes back
+        # entries sparse rows leave out and linalg.dense writes back
         try:
             presentations = convert(LegendrianData(tb, tb + 1), Fraction(p, q) - tb)
         except (SlopeError, ValueError):
             return
         for pres in presentations:
             form = linking_matrix(pres)
-            assert form.Q == linking_matrix_dense(pres)
-            assert form.Q is form.Q  # built once per form
-            assert list(form.rows) == sparse(form.Q)
+            m = dense(form.rows)
+            assert tuple(map(tuple, m)) == linking_matrix_dense(pres)
+            assert tuple(sparse(m)) == form.rows  # dense is the inverse of sparse
 
     def test_rejects_ragged_non_square_and_asymmetric(self):
         # sparse rows: a key of n, a negative key and a stored 0 are not square
