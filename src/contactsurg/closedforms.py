@@ -29,46 +29,36 @@ from .surgery import LegendrianData, rot_range
 # lemma matrices
 
 def chain_matrix(n: int):
-    """Tridiagonal matrix with -2 on the diagonal and -1 off it."""
+    """Sparse rows of the tridiagonal matrix with -2 on the diagonal and
+    -1 off it."""
     if n < 0:
         raise ValueError("size must be nonnegative")
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = -2
-        if i + 1 < n:
-            m[i][i + 1] = m[i + 1][i] = -1
-    return m
+    return [{j: x for j, x in ((i - 1, -1), (i, -2), (i + 1, -1)) if 0 <= j < n}
+            for i in range(n)]
 
 
 def chain_matrix_primed(n: int):
-    """Variant with top-left -1 and an asymmetric -1 in position (1, 2)."""
+    """Sparse rows of the variant with top-left -1 and an asymmetric -1 in
+    position (1, 2)."""
     if n < 1:
         raise ValueError("size must be positive")
-    m = [[0] * n for _ in range(n)]
+    m = chain_matrix(n)
     m[0][0] = -1
     if n > 1:
-        m[0][1] = -1
-    for i in range(1, n):
-        m[i][i] = -2
-        if i + 1 < n:
-            m[i][i + 1] = m[i + 1][i] = -1
+        del m[1][0]
     return m
 
 
 def bordered_block_matrix(a: int, b: int, c: int, m: int):
-    """[[A, B], [B^T, chain(m)]] with A = [[a, b], [b, c]] and B carrying
-    a single -1 from the second row to the first chain vertex."""
+    """Sparse rows of [[A, B], [B^T, chain(m)]] with A = [[a, b], [b, c]]
+    and B carrying a single -1 from the second row to the first chain
+    vertex; a zero among a, b, c is not stored."""
     if m < 1:
         raise ValueError("chain part must be nonempty")
-    n = m + 2
-    q = [[0] * n for _ in range(n)]
-    q[0][0], q[0][1], q[1][0], q[1][1] = a, b, b, c
-    q[1][2] = q[2][1] = -1
-    chain = chain_matrix(m)
-    for i in range(m):
-        for j in range(m):
-            q[2 + i][2 + j] = chain[i][j]
-    return q
+    rows = [{0: a, 1: b}, {0: b, 1: c, 2: -1}]
+    rows += ({j + 2: x for j, x in row.items()} for row in chain_matrix(m))
+    rows[2] = {1: -1, **rows[2]}
+    return [{j: x for j, x in row.items() if x} for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +264,15 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
     rep = _Report()
 
     for n in range(1, max(50, n_max) + 1):
-        rep.record("chain_det", {"n": n}, f["chain_det"](n),
-                   linalg.determinant(linalg.sparse(chain_matrix(n))))
+        rep.record("chain_det", {"n": n}, f["chain_det"](n), linalg.determinant(chain_matrix(n)))
         rep.record("chain_primed_det", {"n": n}, f["chain_primed_det"](n),
-                   linalg.determinant(linalg.sparse(chain_matrix_primed(n))))
+                   linalg.determinant(chain_matrix_primed(n)))
 
     for a in range(-3, 4):
         for b in range(-3, 4):
             for c in range(-3, 4):
                 for m in range(1, 7):
-                    mat = linalg.sparse(bordered_block_matrix(a, b, c, m))
+                    mat = bordered_block_matrix(a, b, c, m)
                     det = linalg.determinant(mat)
                     rep.record("block_det", {"a": a, "b": b, "c": c, "m": m},
                                f["block_det"](a, b, c, m), det)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 
 from .closedforms import DEFAULT_FORMS
-from .farey import CLOCKWISE, minimal_path_blocks
+from .farey import CLOCKWISE, _classes, _edges, minimal_path_blocks
 from .invariants import d3_records, ratio_text
 from .slopes import Slope, SlopeError, canonical_slope, lens_parameters
 from .surgery import ContactZeroError, LegendrianData, rot_range
@@ -392,10 +392,8 @@ def equivalent_surgery_count(tb: int, rot: int, contact_coeff) -> int:
         tight *= choices
         fiber *= choices
 
-    kept, keys, offset = sum(alive), 1, 0
-    for block in minimal_path_blocks(Slope(smooth), Slope(0), CLOCKWISE):
-        keys *= max(0, min(offset + block.edges, kept) - max(offset, 1)) + 1
-        offset += block.edges
+    edges = _edges(Slope(smooth), Slope(0))
+    keys = _classes(edges, 1, sum(edges) - sum(alive))
     if tight != fiber * keys:
         raise RuntimeError(f"{tight} tight decorations at smooth slope {smooth}, but "
                            f"fibers of {fiber} over {keys} tight structures")

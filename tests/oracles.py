@@ -3,8 +3,9 @@
 Each is slow but plainly right, and shares no code with the route it
 checks: exhaustive search, breadth-first search, enumeration, negative
 continued fractions one term at a time, vertex by vertex Farey paths
-with their own extended Euclid, their signs and shortening move, a
-dense Bareiss elimination for determinants and adjugates,
+with their own extended Euclid, their signs, class count and shortening
+move, Honda's lens count from the regular continued fraction, a dense
+Bareiss elimination for determinants and adjugates,
 characteristic polynomials from its determinants and by a continuant
 one vertex at a time, a dense Fraction
 congruence diagonalization, r^T adj(A) r entry by entry, d3 one
@@ -23,7 +24,6 @@ from itertools import combinations, compress, product
 from contactsurg.farey import (
     ANTICLOCKWISE,
     CLOCKWISE,
-    _class_count,
     _det,
     is_edge,
     minimal_path_blocks,
@@ -262,9 +262,43 @@ def decorated_path_key(path: DecoratedFareyPath):
     return (path.vertices, tuple(multisets))
 
 
+def _class_count(edge_counts, unsigned_positions) -> int:
+    """Decorated paths up to block shuffles, from the number of edges in
+    each block and the set of unsigned edge positions: a block with s
+    signed edges contributes a factor s + 1."""
+    total, offset = 1, 0
+    for edges in edge_counts:
+        unsigned = sum(1 for i in unsigned_positions if offset <= i < offset + edges)
+        total *= edges - unsigned + 1
+        offset += edges
+    return total
+
+
 def sign_class_count(vertices, unsigned_positions) -> int:
     """Number of decorated paths on given vertices up to block shuffles."""
     return _class_count([len(block) for block in cf_blocks(vertices)], unsigned_positions)
+
+
+def honda_lens_count(p: int, q: int) -> int:
+    """Honda's |(r_0 + 1) ... (r_k + 1)| for L(p, q), over the negative
+    continued fraction -p/q = [r_0, ..., r_k], read off the regular one
+    p/q = [a_0; a_1, ..., a_n] (0 < q < p) by one divmod per term.
+
+    The -r_i are a_0 + 1, then a_1 - 1 twos, a_2 + 2, a_3 - 1 twos,
+    a_4 + 2, ..., except that an even n ends on a_n + 1 (on a_0 if
+    n = 0).  Twos give factors 1, so the product is that of a_i + 1 over
+    even i, less 1 at i = 0 and at i = n.
+    """
+    terms = []
+    while q:
+        a, r = divmod(p, q)
+        terms.append(a)
+        p, q = q, r
+    n = len(terms) - 1
+    count = 1
+    for i in range(0, n + 1, 2):
+        count *= terms[i] + 1 - (i == 0) - (i == n)
+    return count
 
 
 # ---------------------------------------------------------------------------

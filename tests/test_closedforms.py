@@ -12,6 +12,7 @@ from contactsurg.closedforms import (
     DEFAULT_FORMS,
     bordered_block_matrix,
     chain_matrix,
+    chain_matrix_primed,
     verify_closed_forms,
 )
 from contactsurg.surgery import (
@@ -40,12 +41,12 @@ class TestBlockDeterminant:
                 for c in range(-6, 7):
                     for m in range(1, 11):
                         expected = (-1) ** m * ((a * (c + 1) - b * b) * m + (a * c - b * b))
-                        block = sparse(bordered_block_matrix(a, b, c, m))
+                        block = bordered_block_matrix(a, b, c, m)
                         assert linalg.determinant(block) == expected
 
     def test_spot_value(self):
         # a=0, b=-1, c=0, m=1 gives determinant 2 (3x3 cofactor expansion)
-        assert linalg.determinant(sparse(bordered_block_matrix(0, -1, 0, 1))) == 2
+        assert linalg.determinant(bordered_block_matrix(0, -1, 0, 1)) == 2
 
 
 class TestFamilies:
@@ -61,7 +62,20 @@ class TestFamilies:
 
     def test_chain_caps(self):
         assert chain_matrix(0) == []
-        assert chain_matrix(1) == [[-2]]
+        assert chain_matrix(1) == [{0: -2}]
+
+    def test_lemma_matrices_store_no_zero(self):
+        # a, b, c may be 0, and check_symmetric rejects a stored 0
+        assert chain_matrix_primed(3) == [{0: -1, 1: -1}, {1: -2, 2: -1}, {1: -1, 2: -2}]
+        assert bordered_block_matrix(0, 0, 0, 1) == [{}, {2: -1}, {1: -1, 2: -2}]
+        mats = [chain_matrix(n) for n in range(8)] + [chain_matrix_primed(n) for n in range(1, 8)]
+        mats += [bordered_block_matrix(a, b, c, m)
+                 for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)
+                 for m in range(1, 5)]
+        for m in mats:
+            assert sparse(linalg.dense(m)) == m
+        for m in mats[:8] + mats[15:]:
+            assert linalg.check_symmetric(m) == tuple(m)
 
     def test_families_equal_the_pipeline_forms(self):
         # each family is the linking matrix of every presentation that

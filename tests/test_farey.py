@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from contactsurg.farey import (
     ANTICLOCKWISE,
     CLOCKWISE,
+    FareyBlock,
     _det,
+    _edges,
     count_tight_lens,
     count_tight_lens_pq,
     count_tight_solid_torus,
@@ -22,6 +24,7 @@ from oracles import (
     DecoratedFareyPath,
     cf_blocks,
     decorated_path_key,
+    honda_lens_count,
     in_clockwise_arc,
     minimal_path,
     minimal_path_bfs,
@@ -311,8 +314,9 @@ class TestCounts:
         assert count_tight_lens_pq(3, 2) == 1
 
     def test_lens_counts_match_continued_fraction_product(self):
-        # Honda's |(r_0 + 1) ... (r_k + 1)| over -p/q = [r_0, ..., r_k], and
-        # the count on the vertex-by-vertex path, on all 1085 pairs p < 60
+        # Honda's |(r_0 + 1) ... (r_k + 1)| over -p/q = [r_0, ..., r_k], the
+        # count on the vertex-by-vertex path and the regular-fraction oracle,
+        # on all 1085 pairs p < 60
         pairs = [(p, q) for p in range(2, 60) for q in range(1, p) if math.gcd(p, q) == 1]
         assert len(pairs) == 1085
         for p, q in pairs:
@@ -322,11 +326,92 @@ class TestCounts:
             path = minimal_path_vertexwise(Slope(-p, q), Slope(0))
             assert sign_class_count(path, {0, len(path) - 2}) == expected
             assert count_tight_lens_pq(p, q) == expected
+            assert honda_lens_count(p, q) == expected
 
     def test_lens_general_form(self):
         assert count_tight_lens(Slope(-3), Slope(0)) == 2
         with pytest.raises(ValueError):
             count_tight_lens(Slope(-3), Slope(-3))
+
+    def test_neighbours_give_the_three_sphere(self):
+        # |det| = 1 collapses to S^3, which has one tight structure: the
+        # path's single edge is both first and last, and stays unsigned
+        assert count_tight_lens(Slope(-1), Slope(0)) == 1
+        assert count_tight_lens(INFINITY, Slope(0)) == 1
+        assert count_tight_lens(Slope(-2), Slope(-1)) == 1
+        pairs = [(a, b) for a in SMALL_SLOPES for b in SMALL_SLOPES
+                 if a != b and is_edge(a, b)]
+        assert any(INFINITY in pair for pair in pairs)
+        for a, b in pairs:
+            path = minimal_path_vertexwise(a, b)
+            assert len(path) == 2
+            assert count_tight_lens(a, b) == sign_class_count(path, {0, len(path) - 2}) == 1
+
+    @given(a=st.sampled_from(SMALL_SLOPES), b=st.sampled_from(SMALL_SLOPES),
+           direction=st.sampled_from((CLOCKWISE, ANTICLOCKWISE)))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_match_vertexwise_paths(self, a, b, direction):
+        if a == b:
+            return
+        path = minimal_path_vertexwise(a, b, direction)
+        last = len(path) - 2
+        assert count_tight_solid_torus(a, b, direction) == sign_class_count(path, {0})
+        if direction == CLOCKWISE:
+            assert count_tight_thickened_torus(a, b) == sign_class_count(path, set())
+            assert count_tight_lens(a, b) == sign_class_count(path, {0, last})
+
+    @given(p=st.integers(10**99, 10**100), q=st.integers(1, 10**100))
+    @settings(max_examples=300, deadline=None)
+    def test_lens_counts_match_honda_at_hundred_digits(self, p, q):
+        q %= p
+        if math.gcd(p, q) != 1:
+            return
+        assert count_tight_lens_pq(p, q) == honda_lens_count(p, q)
+
+    def test_lens_pq_builds_no_slope_and_no_block(self, monkeypatch):
+        built = []
+        slope_init = Slope.__init__
+
+        def counted_slope(self, *args):
+            built.append("Slope")
+            slope_init(self, *args)
+
+        def counted_block(cls, *args):
+            built.append("FareyBlock")
+            return tuple.__new__(cls, args)
+
+        monkeypatch.setattr(Slope, "__init__", counted_slope)
+        monkeypatch.setattr(FareyBlock, "__new__", counted_block)
+        # the counters see what the general routes build
+        minimal_path_blocks(Slope(-7, 3), Slope(0))
+        assert "Slope" in built and "FareyBlock" in built
+        built.clear()
+        for p, q in ((2, 1), (7, 3), (200001, 1), (10**12, 10**12 - 1), (10**30 + 1, 10**15)):
+            assert count_tight_lens_pq(p, q) == honda_lens_count(p, q)
+        assert built == []
+
+
+HUGE_SLOPES = st.builds(lambda n, d: Slope(n, d) if d else INFINITY,
+                        st.integers(-10**100, 10**100), st.integers(0, 10**100))
+
+
+class TestEdgeReader:
+    @given(a=HUGE_SLOPES, b=HUGE_SLOPES, direction=st.sampled_from((CLOCKWISE, ANTICLOCKWISE)))
+    @settings(max_examples=300, deadline=None)
+    def test_edge_counts_are_the_blocks(self, a, b, direction):
+        if a == b:
+            return
+        for x, y in ((a, b), (b, a)):
+            blocks = minimal_path_blocks(x, y, direction)
+            assert _edges(x, y, direction) == [blk.edges for blk in blocks]
+
+    def test_infinity_ends(self):
+        for s in (Slope(-5, 2), Slope(0), Slope(10**100 + 1, 10**100)):
+            for direction in (CLOCKWISE, ANTICLOCKWISE):
+                assert _edges(INFINITY, s, direction) == \
+                    [blk.edges for blk in minimal_path_blocks(INFINITY, s, direction)]
+                assert _edges(s, INFINITY, direction) == \
+                    [blk.edges for blk in minimal_path_blocks(s, INFINITY, direction)]
 
 
 class TestSerialization:

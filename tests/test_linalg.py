@@ -72,11 +72,11 @@ class TestDeterminant:
 
     def test_chain_determinants(self):
         for n in range(1, 51):
-            assert linalg.determinant(sparse(chain_matrix(n))) == (-1) ** n * (n + 1)
+            assert linalg.determinant(chain_matrix(n)) == (-1) ** n * (n + 1)
         for n in range(2, 30):
-            assert linalg.determinant(sparse(chain_matrix_primed(n))) == \
-                -linalg.determinant(sparse(chain_matrix(n - 1)))
-        assert linalg.determinant(sparse(chain_matrix_primed(1))) == -1
+            assert linalg.determinant(chain_matrix_primed(n)) == \
+                -linalg.determinant(chain_matrix(n - 1))
+        assert linalg.determinant(chain_matrix_primed(1)) == -1
 
     def test_against_reference(self):
         rng = random.Random(99)
@@ -145,7 +145,7 @@ class TestInverseEntry:
             linalg.adjugate_block(sparse([[1, 1], [1, 1]]), range(2))
 
     def test_non_symmetric_rejected(self):
-        for m in ([[1, 2], [0, 1]], chain_matrix_primed(3)):
+        for m in ([[1, 2], [0, 1]], linalg.dense(chain_matrix_primed(3))):
             with pytest.raises(ValueError, match="^matrix must be symmetric$"):
                 linalg.adjugate_block(sparse(m), range(len(m)))
             with pytest.raises(ValueError, match="^matrix must be symmetric$"):
@@ -286,7 +286,7 @@ def kernel_negative_definite(m):
 class TestDefiniteness:
     def test_chain_matrices_negative_definite(self):
         for n in range(1, 11):
-            assert negative_definite(chain_matrix(n))
+            assert negative_definite(linalg.dense(chain_matrix(n)))
 
     def test_zero_diagonal_not_definite(self):
         assert not negative_definite([[0, -1], [-1, 0]])
@@ -296,7 +296,7 @@ class TestDefiniteness:
         for (a, b, c) in [(-1, -2, -5), (-2, 1, -1), (-3, 2, -2)]:
             if a * c - b * b > 0 and a * (c + 1) - b * b >= 0:
                 for m in range(1, 8):
-                    assert negative_definite(bordered_block_matrix(a, b, c, m))
+                    assert negative_definite(linalg.dense(bordered_block_matrix(a, b, c, m)))
 
     def test_sylvester_agrees_with_descartes_definiteness(self):
         rng = random.Random(2026)
@@ -319,8 +319,8 @@ class TestCharPoly:
 
     def test_chain_two(self):
         # E_1 = -4, E_2 = 3 for the 2 x 2 chain
-        assert char_poly_minors(chain_matrix(2)) == [1, 4, 3]
-        assert linalg.char_poly(sparse(chain_matrix(2))) == [1, 4, 3]
+        assert char_poly_minors(linalg.dense(chain_matrix(2))) == [1, 4, 3]
+        assert linalg.char_poly(chain_matrix(2)) == [1, 4, 3]
 
     def test_constant_term_is_signed_determinant(self):
         # not necessarily symmetric: the route works on any square matrix
@@ -502,10 +502,10 @@ class TestCharPolyRoute:
             assert max(sizes, default=0) <= pushoffs, (len(m), pushoffs, sizes)
         sizes.clear()
         for n in range(1, 51):
-            linalg.char_poly(sparse(chain_matrix(n)))
-            linalg.char_poly(sparse(chain_matrix_primed(n)))
+            linalg.char_poly(chain_matrix(n))
+            linalg.char_poly(chain_matrix_primed(n))
         for a, b, c, m in itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), range(1, 7)):
-            linalg.char_poly(sparse(bordered_block_matrix(a, b, c, m)))
+            linalg.char_poly(bordered_block_matrix(a, b, c, m))
         assert not any(sizes)
 
 
@@ -578,7 +578,7 @@ class TestRunStep:
         # F_r, and F_(r-1) when the path goes on, from seeds of 1-4 terms
         monkeypatch.setattr(linalg, "_RUN_MIN", 0)
         rng = random.Random(29)
-        chain = chain_matrix(82)
+        chain = linalg.dense(chain_matrix(82))
         for r in range(1, 81):
             size = rng.randint(1, 4)
             f = [rng.randint(-10**30, 10**30) for _ in range(size)] + [1]
@@ -600,7 +600,7 @@ class TestRunStep:
 class TestSignature:
     def test_examples(self):
         for n in range(1, 11):
-            assert linalg.adjugate_block(sparse(chain_matrix(n)), ())[1] == -n
+            assert linalg.adjugate_block(chain_matrix(n), ())[1] == -n
         assert linalg.adjugate_block(sparse([[0, -1], [-1, 0]]), ())[1] == 0
         assert linalg.adjugate_block(sparse(tbk_two_matrix(3, 1)), ())[1] == -3  # 5 x 5 case
 
@@ -810,11 +810,11 @@ class TestCongruence:
 
         monkeypatch.setattr(linalg, "_eliminate", forbidden)
         for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
-                  chain_matrix(12), tbk_two_matrix(5, 1)):
+                  linalg.dense(chain_matrix(12)), tbk_two_matrix(5, 1)):
             assert linalg.descartes_signature(sparse(m)) == sympy_signature(m)
             assert linalg.char_poly(sparse(m)) == sympy_char_poly(m)
             assert linalg.determinant(sparse(m)) == sympy.Matrix(m).det()
-        for m in (chain_matrix_primed(7), [[1, 2], [3, 4]]):
+        for m in (linalg.dense(chain_matrix_primed(7)), [[1, 2], [3, 4]]):
             assert linalg.char_poly(sparse(m)) == sympy_char_poly(m)
             assert linalg.determinant(sparse(m)) == sympy.Matrix(m).det()
 
@@ -914,10 +914,10 @@ class TestSparseRows:
         monkeypatch.setattr(surgery, "check_symmetric", counted)
         assert d3_records(LegendrianData(-1, 0), Fraction(-1, 40))
         assert calls == ["Q"]
-        linalg.adjugate_block(sparse(chain_matrix(3)), ())
+        linalg.adjugate_block(chain_matrix(3), ())
         assert calls == ["Q", "matrix"]
-        rows = check(sparse(chain_matrix(3)))
-        assert check(rows) == rows == tuple(sparse(chain_matrix(3)))
+        rows = check(chain_matrix(3))
+        assert check(rows) == rows == tuple(chain_matrix(3))
 
     def test_long_chain_stays_sparse(self):
         # a dense 6400 x 6400 build holds 328 MB in pointers alone
