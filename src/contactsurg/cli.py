@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 
 from . import __version__
 from .closedforms import verify_closed_forms
@@ -176,12 +176,14 @@ def emit(report: dict, as_json: bool, lines) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _d3_lines(presentations, results, matrix, spectrum):
+def _d3_lines(pres, results, matrix, spectrum):
     """Text report of ``cmd_d3``, produced only when it is printed; the
-    shared matrix's rows made once, the spectrum in numeric order."""
+    framings of ``pres`` and the shared matrix's rows made once, for
+    every entry of ``results``, the spectrum in numeric order."""
+    head = f"presentation: framings {[c.framing for c in pres.components]} (l = {pres.l})"
     rows = [_row(row, len(matrix), "  ", " ", "", "{:4d}".format) for row in matrix]
-    for pres, res in zip(presentations, results):
-        yield f"presentation: framings {[c.framing for c in pres.components]} (l = {pres.l})"
+    for res in results:
+        yield head
         yield from rows
         for v in res["values"]:
             yield (f"  rot {v['rotations']}: chi={v['chi']} sigma={v['sigma']} "
@@ -206,19 +208,22 @@ def cmd_d3(args) -> int:
     value = {num: {**head, "c_squared": ratio_text(num, plan.det), "d3": ratio_text(a, b)}
              for num, (a, b) in pairs.items()}
     values = [{"rotations": list(r), **value[num]} for r, num in zip(plan.rotations(0), nums)]
-    results, matrix = [], _SparseRows(plan.form.rows)  # one object: written once
-    for pres, run in zip(plan.presentations, plan.runs(values)):
-        pres = pres.to_json()
-        terms = pres["components"]
-        for i in range(1, len(terms)):
-            if terms[i] == terms[i - 1]:  # a chain's terms: json_text writes one once
-                terms[i] = terms[i - 1]
-        results.append({"presentation": pres, "matrix": matrix, "values": run})
+    pres, matrix = plan.presentation.to_json(), _SparseRows(plan.form.rows)  # matrix written once
+    terms = pres["components"]
+    for i in range(1, len(terms)):
+        if terms[i] == terms[i - 1]:  # a chain's terms: json_text writes one once
+            terms[i] = terms[i - 1]
+    # an entry per rotation number of the stabilized push-off, sharing every other term
+    terms = [[{**t, "rot": r} for r in t["rot"]] if type(t["rot"]) is range else [t]
+             for t in terms]
+    results = [{"presentation": {"components": list(comps), "l": pres["l"]},
+                "matrix": matrix, "values": run}
+               for comps, run in zip(product(*terms), plan.runs(values))]
     spectrum = set(pairs.values())
     report = envelope("d3", {"tb": args.tb, "rot": args.rot, "smooth_slope": str(smooth)},
                       {"presentations": results,
                        "spectrum": sorted(ratio_text(a, b) for a, b in spectrum)})
-    emit(report, args.json, _d3_lines(plan.presentations, results, matrix, spectrum))
+    emit(report, args.json, _d3_lines(plan.presentation, results, matrix, spectrum))
     return 0
 
 

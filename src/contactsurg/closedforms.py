@@ -5,8 +5,8 @@ are bordered chain matrices: a (-2)-chain with -1 links, bordered by a
 first row depending on tb = -k.  This module states the closed forms
 for their determinants, signatures, inverse entries and c1^2, and checks
 the family forms on the d3 route itself: one plan per form
-(``invariants._plan``: a ``convert`` call, one elimination pass and one
-odometer walk over every presentation) gives det, sigma and the block of
+(``invariants._plan``: one presentation, one elimination pass and one
+odometer walk over every presentation it stands for) gives det, sigma and the block of
 adj(Q) the inverse entries are read from, and ``invariants.c1_numerators``
 of that plan at every admissible rotation number gives each c1^2, mostly
 at a shift != 0.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import invariants, linalg
-from .surgery import LegendrianData, rot_range
+from .surgery import LegendrianData, _presentation, rot_range
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +175,18 @@ class _Report:
 
 
 def _form(tb, smooth_slope):
-    """The form of the first presentation ``convert`` gives at
-    (tb, smooth_slope), for the report of a form without a plan."""
+    """The form of the presentation of (tb, smooth_slope), for the report
+    of a form without a plan."""
     knot = LegendrianData(tb, rot_range(tb)[0])
-    return invariants.linking_matrix(invariants.convert(knot, smooth_slope - tb)[0])
+    return invariants.linking_matrix(_presentation(knot, smooth_slope - tb))
 
 
 def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
     """``invariants.c1_numerators`` at d = i - rots[0] for each rotation
     number i of tb, descending from rots[0], of the one plan of
     (tb, smooth_slope), made at rots[0] with the q-entry columns in its
-    support; each covers every presentation of the plan's ``convert``
-    call.  Checks the per-form closed forms of ``tag`` on the plan, at the
+    support; each covers every presentation the plan stands for.
+    Checks the per-form closed forms of ``tag`` on the plan, at the
     arguments context.values(): ``tag``_det and the table ``tag``_q of
     Q^-1 if the family has them, negative definiteness if ``negdef``,
     ``tag``_sigma, and the entry of Q^-1 at (row, col) for each

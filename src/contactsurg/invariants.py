@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import add, mul
 
 from . import linalg
-from .surgery import IntersectionForm, LegendrianData, convert, linking_matrix, rotation_choices
+from .surgery import (IntersectionForm, LegendrianData, SurgeryPresentation, _presentation,
+                      linking_matrix, rotation_choices)
 
 
 class NonTorsionEulerClassError(ValueError):
@@ -33,15 +34,14 @@ class PipelineCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class Plan:
-    """The presentations of one ``convert`` call and the integers their d3
-    values need.  They differ only in the stabilized push-off's rotation
-    number, so they share Q, det, sigma, S, B and U.  ``choices`` are
-    ``rotation_choices(presentations[0])``, except at the stabilized
-    push-off (role pushoff, sign -1): its rotation number in each
-    presentation, in ``convert``'s order.  Every coordinate before it has
-    one choice, so ``product(*choices)`` is presentation-major (``runs``).
-    u = ``pinned`` is 1 on the push-offs, whose rotation numbers follow the
-    knot's: at the shift d = rot - base_rot, each vector v becomes v + d u.
+    """The one presentation of a conversion, the number ``count`` of the
+    presentations it stands for, which differ only in pinned rotation
+    numbers, and the integers their d3 values need: they share Q, det,
+    sigma, S, B and U.  ``choices`` are ``rotation_choices(presentation)``;
+    the pinned coordinates come first, so ``product(*choices)`` is
+    presentation-major (``runs``), in ``convert``'s order.  u = ``pinned``
+    is 1 on the push-offs, whose rotation numbers follow the knot's: at
+    the shift d = rot - base_rot, each vector v becomes v + d u.
     ``block`` is B = adj(Q)[S, S] on the ascending S = ``support``, which
     holds the support of u and of the vectors, so (Q^-1)_{S[a], S[b]} =
     B[a][b] / det; c1^2 of v + d u is (N_v + 2 d W_v + d^2 U) / det for
@@ -49,7 +49,8 @@ class Plan:
     and U = u^T B u; only ``c1_numerators`` applies the shift.
     """
 
-    presentations: list
+    presentation: SurgeryPresentation
+    count: int
     form: IntersectionForm
     choices: list
     pinned: tuple
@@ -68,13 +69,13 @@ class Plan:
 
     def runs(self, items):
         """``items``, one per vector, cut into a run per presentation."""
-        k = len(self.quad) // len(self.presentations)
+        k = len(self.quad) // self.count
         return [items[i:i + k] for i in range(0, len(items), k)]
 
 
 def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> Plan:
     """The plan of (L.tb, smooth_slope) in ``plans``, made at L.rot on
-    first request from one ``convert`` call, with one ``linking_matrix``,
+    first request from one conversion, with one ``linking_matrix``,
     one ``linalg.adjugate_block`` pass (its signature checked against
     Descartes') and one ``_walk`` over the vectors of every presentation.
     S holds every pinned index, as a pinned entry that is 0 here is not at
@@ -90,14 +91,10 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> P
     plan = plans.get(key)
     if plan is not None:
         return plan
-    presentations = convert(L, smooth_slope - L.tb)
-    first = presentations[0]
-    form = linking_matrix(first)
-    pinned = tuple(int(c.rot is not None) for c in first.components)
-    choices = rotation_choices(first)
-    for i, c in enumerate(first.components):
-        if c.role == "pushoff" and c.sign == -1:  # the stabilized push-off
-            choices[i] = [pres.components[i].rot for pres in presentations]
+    pres = _presentation(L, smooth_slope - L.tb)
+    form = linking_matrix(pres)
+    pinned = tuple(int(c.rot is not None) for c in pres.components)
+    choices = rotation_choices(pres)
     support = tuple(i for i, c in enumerate(choices) if pinned[i] or any(c) or i in extra)
     try:
         det, sigma, block = linalg.adjugate_block(form.rows, support)
@@ -110,7 +107,8 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> P
         raise PipelineCheckError(f"tb={L.tb}, smooth slope {smooth_slope}: det Q = {det} and "
                                  f"meridian square {ratio_text(U, det)} disagree with the slope")
     quad, cross = _walk(block, bu, [choices[i] for i in support])
-    plan = plans[key] = Plan(presentations, form, choices, pinned, det, sigma, support, block,
+    count = prod(len(c) for c, pin in zip(choices, pinned) if pin)
+    plan = plans[key] = Plan(pres, count, form, choices, pinned, det, sigma, support, block,
                              quad, cross, U)
     return plan
 
@@ -163,7 +161,7 @@ def d3_records(L: LegendrianData, smooth_slope, plans=None) -> tuple:
     plan = _plan(L, smooth_slope, {} if plans is None else plans)
     det, k = plan.det, 3 * plan.sigma + 2 * plan.form.n - 4 * plan.form.l
     k_det, den, sign = k * det, 4 * det, 1 if det > 0 else -1
-    d = L.rot - plan.presentations[0].base_rot
+    d = L.rot - plan.presentation.base_rot
     nums = c1_numerators(plan, d)
     pairs = {}
     for num in set(nums):

@@ -9,7 +9,10 @@ stabilizations and the i-th chain unknot has tb = c_i + 1, all with
 contact -1.  For r = p/q > 0 there are k push-offs with contact +1,
 where k is minimal with q - kp <= 0; when q - kp < 0 the remaining
 coefficient p/(q - kp) < 0 is handled by the negative case on one more
-push-off, and when q - kp = 0 the k push-offs complete the surgery.
+push-off, and when q - kp = 0 the k push-offs complete the surgery.  The
+m + 1 presentations differ only in the stabilized push-off's rotation
+number, so the pipeline builds one (``_presentation``), whose push-off
+holds them all as a range; ``convert`` lists the ones that pin each.
 
 Orientations are fixed so that push-off pairs link with lk = tb(L) and
 consecutive meridian chain components contribute -1 off-diagonal
@@ -53,7 +56,8 @@ class Component:
 
     role is 'pushoff' (a copy of the base knot, possibly stabilized) or
     'chain' (a meridian unknot).  rot is None for components whose
-    rotation number is a free choice (chain unknots).
+    rotation number is a free choice (chain unknots), and the range of
+    them for the stabilized push-off of ``_presentation``.
     """
 
     role: str
@@ -99,90 +103,83 @@ def rot_range(tb: int) -> list:
     return list(range(tb + 1, -tb, 2))
 
 
-def _negative_chain(tb: int, rot: int, contact_coeff: Fraction):
-    """Stabilized-knot plus meridian-chain data for a negative contact
-    coefficient on a knot with invariants (tb, rot).
-
-    Returns one component tuple per stabilization outcome.
-    """
+def _negative_chain(tb: int, rot: int, contact_coeff: Fraction) -> tuple:
+    """The components, stabilized knot then meridian chain, for a negative
+    contact coefficient on a knot with invariants (tb, rot).  The m
+    stabilizations shift rot by one of m, m - 2, ..., -m: the knot's rot is
+    the range of those rotation numbers, in that order."""
     smooth = tb + contact_coeff
     if smooth >= -1:
-        raise SlopeError(
-            f"tb={tb}, contact coefficient {contact_coeff}: negative-coefficient "
-            f"conversion needs smooth slope < -1, got {smooth}"
-        )
+        raise SlopeError(f"tb={tb}, contact coefficient {contact_coeff}: negative-coefficient "
+                         f"conversion needs smooth slope < -1, got {smooth}")
     runs = neg_cf_runs(smooth.numerator, smooth.denominator)
     m = tb - runs[0][0] - 1
     if m < 0:
-        raise ValueError(
-            f"negative-coefficient conversion needs a negative contact "
-            f"coefficient, got {contact_coeff}"
-        )
+        raise ValueError(f"negative-coefficient conversion needs a negative contact "
+                         f"coefficient, got {contact_coeff}")
     for count, what in ((m + 1, "presentations"), (sum(k for _, k in runs) - 1, "chain unknots")):
         if count > sys.maxsize:
             raise SlopeError(f"tb={tb}, contact coefficient {contact_coeff}: {count} {what} "
                              f"are more than a list holds ({sys.maxsize})")
-    # the terms after the first, one shared (immutable) Component per run
-    chain = []
+    # the knot, then the chain terms after the first, one shared (immutable) Component per run
+    chain = [Component("pushoff", tb - m, -1, rot=range(rot + m, rot - m - 1, -2))]
     for c, k in runs:
         chain += [Component("chain", c + 1, -1)] * k
-    chain = tuple(chain[1:])
-    # m stabilizations shift rot by one of m, m - 2, ..., -m
-    return [(Component("pushoff", tb - m, -1, rot=rot + x),) + chain
-            for x in rot_range(-m - 1)[::-1]]
+    return tuple(chain[:1] + chain[2:])
 
 
-def convert(L: LegendrianData, contact_coeff) -> list:
-    """All (+1/-1)-surgery presentations of contact r-surgery on L.
-
-    One presentation is returned per stabilization outcome of the single
-    stabilized component (its rotation number is pinned); they differ only
-    in that rotation number.  The rotation numbers of chain unknots remain
-    free (``rotation_choices``).
-    """
+def _presentation(L: LegendrianData, contact_coeff) -> SurgeryPresentation:
+    """The one (+1/-1)-surgery presentation of contact r-surgery on L.  Its
+    stabilized push-off, if it has one, carries all the rotation numbers
+    its stabilizations allow, as a ``range``; ``convert`` pins each."""
     contact_coeff = Fraction(contact_coeff)
     if contact_coeff == 0:
         raise ContactZeroError("contact (0)-surgery is not well-defined")
     smooth = L.tb + contact_coeff
-
-    def finish(comps):
-        return SurgeryPresentation(
-            components=comps,
-            base_tb=L.tb,
-            base_rot=L.rot,
-            contact_coeff=contact_coeff,
-            smooth_slope=smooth,
-        )
-
     if contact_coeff < 0:
-        return [finish(v) for v in _negative_chain(L.tb, L.rot, contact_coeff)]
-
+        comps = _negative_chain(L.tb, L.rot, contact_coeff)
+        return SurgeryPresentation(comps, L.tb, L.rot, contact_coeff, smooth)
     p, q = contact_coeff.numerator, contact_coeff.denominator
     k = -(-q // p)  # smallest k with q - k p <= 0
     if k > sys.maxsize:
         raise SlopeError(f"tb={L.tb}, contact coefficient {contact_coeff}: {k} push-offs "
                          f"are more than a list holds ({sys.maxsize})")
     rem = q - k * p
-    pushoffs = (Component("pushoff", L.tb, 1, rot=L.rot),) * k  # one shared (immutable) Component
-    if rem == 0:
-        return [finish(pushoffs)]
-    tail_coeff = Fraction(p, rem)
-    if L.tb + tail_coeff >= -1:
-        plural = "s" if k > 1 else ""
-        raise SlopeError(
-            f"tb={L.tb}, contact coefficient {contact_coeff} (smooth slope {smooth}): "
-            f"after {k} push-off{plural} the remainder coefficient {tail_coeff} needs "
-            f"smooth slope < -1, got {L.tb + tail_coeff}"
-        )
-    return [finish(pushoffs + v) for v in _negative_chain(L.tb, L.rot, tail_coeff)]
+    comps = (Component("pushoff", L.tb, 1, rot=L.rot),) * k  # one shared (immutable) Component
+    if rem:
+        tail_coeff = Fraction(p, rem)
+        if L.tb + tail_coeff >= -1:
+            raise SlopeError(
+                f"tb={L.tb}, contact coefficient {contact_coeff} (smooth slope {smooth}): "
+                f"after {k} push-off{'s' if k > 1 else ''} the remainder coefficient "
+                f"{tail_coeff} needs smooth slope < -1, got {L.tb + tail_coeff}")
+        comps += _negative_chain(L.tb, L.rot, tail_coeff)
+    return SurgeryPresentation(comps, L.tb, L.rot, contact_coeff, smooth)
+
+
+def convert(L: LegendrianData, contact_coeff) -> list:
+    """All (+1/-1)-surgery presentations of contact r-surgery on L: the one
+    of ``_presentation`` with its stabilized push-off's rotation number
+    pinned to each of its values in turn, in that order.  The rotation
+    numbers of chain unknots remain free (``rotation_choices``)."""
+    pres = _presentation(L, contact_coeff)
+    comps = pres.components
+    for i, c in enumerate(comps):
+        if type(c.rot) is range:
+            return [SurgeryPresentation(comps[:i] + (Component(c.role, c.tb, c.sign, r),)
+                                        + comps[i + 1:], L.tb, L.rot, pres.contact_coeff,
+                                        pres.smooth_slope) for r in c.rot]
+    return [pres]
 
 
 def rotation_choices(pres: SurgeryPresentation) -> list:
     """The rotation numbers each component may take, in enumeration order:
-    a push-off keeps its pinned one, and a chain unknot with tb = -t
-    ranges over t-1, t-3, ..., -t+1 (``rot_range`` raises for t < 1)."""
-    return [(c.rot,) if c.rot is not None else tuple(range(-c.tb - 1, c.tb, -2))
-            if c.tb <= -1 else rot_range(c.tb) for c in pres.components]
+    a push-off keeps its pinned one (the stabilized push-off its range of
+    them), and a chain unknot with tb = -t ranges over t-1, t-3, ..., -t+1
+    (``rot_range`` raises for t < 1)."""
+    return [c.rot if type(c.rot) is range else (c.rot,) if c.rot is not None
+            else tuple(range(-c.tb - 1, c.tb, -2)) if c.tb <= -1 else rot_range(c.tb)
+            for c in pres.components]
 
 
 @dataclass(frozen=True)

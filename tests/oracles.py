@@ -10,12 +10,14 @@ characteristic polynomials from its determinants and by a continuant
 one vertex at a time, a dense Fraction
 congruence diagonalization, r^T adj(A) r entry by entry, d3 one
 rotation vector at a time, the
-d3-equality equations with hand-derived coefficients, and the
+d3-equality equations with hand-derived coefficients, the
 intersection-form families built by hand from their displayed shape,
-and linking matrices built dense, entry by entry.
+linking matrices built dense, entry by entry, and conversions that
+build one presentation per stabilization outcome.
 """
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,10 +33,12 @@ from contactsurg.farey import (
 from contactsurg import linalg
 from contactsurg.invariants import NonTorsionEulerClassError, d3_spectrum
 from contactsurg.linalg import SingularMatrixError
-from contactsurg.slopes import INFINITY, Slope, SlopeError, parse_slope
+from contactsurg.slopes import INFINITY, Slope, SlopeError, neg_cf_runs, parse_slope
 from contactsurg.surgery import (
+    Component,
+    ContactZeroError,
     LegendrianData,
-    convert,
+    SurgeryPresentation,
     linking_matrix,
     rot_range,
     rotation_choices,
@@ -120,6 +124,88 @@ def smooth_recovery(pres) -> Fraction:
     if total == 0:
         raise ZeroDivisionError("framed link reduces to infinity surgery")
     return t + 1 / total
+
+
+# ---------------------------------------------------------------------------
+# conversion as a list: one presentation built per stabilization outcome,
+# each with its rotation number pinned; ``surgery.convert`` gives this list
+
+def listed_negative_chain(tb: int, rot: int, contact_coeff: Fraction):
+    """Stabilized-knot plus meridian-chain data for a negative contact
+    coefficient on a knot with invariants (tb, rot).
+
+    Returns one component tuple per stabilization outcome.
+    """
+    smooth = tb + contact_coeff
+    if smooth >= -1:
+        raise SlopeError(
+            f"tb={tb}, contact coefficient {contact_coeff}: negative-coefficient "
+            f"conversion needs smooth slope < -1, got {smooth}"
+        )
+    runs = neg_cf_runs(smooth.numerator, smooth.denominator)
+    m = tb - runs[0][0] - 1
+    if m < 0:
+        raise ValueError(
+            f"negative-coefficient conversion needs a negative contact "
+            f"coefficient, got {contact_coeff}"
+        )
+    for count, what in ((m + 1, "presentations"), (sum(k for _, k in runs) - 1, "chain unknots")):
+        if count > sys.maxsize:
+            raise SlopeError(f"tb={tb}, contact coefficient {contact_coeff}: {count} {what} "
+                             f"are more than a list holds ({sys.maxsize})")
+    # the terms after the first, one shared (immutable) Component per run
+    chain = []
+    for c, k in runs:
+        chain += [Component("chain", c + 1, -1)] * k
+    chain = tuple(chain[1:])
+    # m stabilizations shift rot by one of m, m - 2, ..., -m
+    return [(Component("pushoff", tb - m, -1, rot=rot + x),) + chain
+            for x in rot_range(-m - 1)[::-1]]
+
+
+def listed_convert(L: LegendrianData, contact_coeff) -> list:
+    """All (+1/-1)-surgery presentations of contact r-surgery on L.
+
+    One presentation is returned per stabilization outcome of the single
+    stabilized component (its rotation number is pinned); they differ only
+    in that rotation number.  The rotation numbers of chain unknots remain
+    free (``rotation_choices``).
+    """
+    contact_coeff = Fraction(contact_coeff)
+    if contact_coeff == 0:
+        raise ContactZeroError("contact (0)-surgery is not well-defined")
+    smooth = L.tb + contact_coeff
+
+    def finish(comps):
+        return SurgeryPresentation(
+            components=comps,
+            base_tb=L.tb,
+            base_rot=L.rot,
+            contact_coeff=contact_coeff,
+            smooth_slope=smooth,
+        )
+
+    if contact_coeff < 0:
+        return [finish(v) for v in listed_negative_chain(L.tb, L.rot, contact_coeff)]
+
+    p, q = contact_coeff.numerator, contact_coeff.denominator
+    k = -(-q // p)  # smallest k with q - k p <= 0
+    if k > sys.maxsize:
+        raise SlopeError(f"tb={L.tb}, contact coefficient {contact_coeff}: {k} push-offs "
+                         f"are more than a list holds ({sys.maxsize})")
+    rem = q - k * p
+    pushoffs = (Component("pushoff", L.tb, 1, rot=L.rot),) * k  # one shared (immutable) Component
+    if rem == 0:
+        return [finish(pushoffs)]
+    tail_coeff = Fraction(p, rem)
+    if L.tb + tail_coeff >= -1:
+        plural = "s" if k > 1 else ""
+        raise SlopeError(
+            f"tb={L.tb}, contact coefficient {contact_coeff} (smooth slope {smooth}): "
+            f"after {k} push-off{plural} the remainder coefficient {tail_coeff} needs "
+            f"smooth slope < -1, got {L.tb + tail_coeff}"
+        )
+    return [finish(pushoffs + v) for v in listed_negative_chain(L.tb, L.rot, tail_coeff)]
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +852,11 @@ def d3_values(form, vectors) -> list:
 
 
 def d3_spectrum_detail_by_vector(L, smooth_slope) -> list:
-    """Per presentation of a fresh ``convert`` at L: the presentation, its
-    form and, from ``d3_values``, a D3Result per rotation vector."""
+    """Per presentation of a fresh ``listed_convert`` at L: the
+    presentation, its form and, from ``d3_values``, a D3Result per
+    rotation vector."""
     records = []
-    for pres in convert(L, Fraction(smooth_slope) - L.tb):
+    for pres in listed_convert(L, Fraction(smooth_slope) - L.tb):
         form, vectors = linking_matrix(pres), enumerate_rotations(pres)
         records.append({"presentation": pres, "form": form,
                         "values": [{"rotations": list(r), "d3": res}

@@ -118,6 +118,12 @@ class TestD3Digest:
          "be7d4cb87e264539e2d30011fc0d213370b366b30cc928d6994c4315ade7ae10"),
         ("--tb -2 --rot -1 --slope -47/6",
          "9744c4017152a996e394742c4e7e67e5afced3a09d1f518daceb5cdd3f807390"),
+        ("--tb -2 --rot 1 --coeff 50/99 --json",  # 50 presentations, stabilized push-off third
+         "1e3b75f5338cfafd12d8109c0780302dbdbde97fa06b88d7c02cf26c17e3035b"),
+        ("--tb -2 --rot 1 --coeff 50/99",
+         "0432f54ea26d73b7ac2bea1e66b62af937ade87c415f002ff1f5055396de45b3"),
+        ("--tb -1 --rot 0 --slope -10000",  # 9,999 presentations, one framings line
+         "671f9a73e03ed3c435b3a86d9097c50748a6c2759e46a2332e81e2eea3ea1c97"),
     ])
     def test_report_bytes_are_unchanged(self, capsys, argv, digest):
         code, out, err = run(capsys, "d3", *argv.split())

@@ -18,7 +18,7 @@ from contactsurg.cosmetic import (
 )
 from contactsurg.invariants import d3_spectrum
 from contactsurg.slopes import Slope, SlopeError
-from contactsurg.surgery import ContactZeroError, LegendrianData, rot_range
+from contactsurg.surgery import ContactZeroError, LegendrianData, SurgeryPresentation, rot_range
 from oracles import (
     brute_force_d3_matches,
     equivalent_count_enumerated,
@@ -263,20 +263,23 @@ class TestScanSharesMatrixWork:
 
     @pytest.fixture(scope="class")
     def counted(self):
-        calls = {"adjugate": 0, "convert": 0, "linking_matrix": 0, "eliminate": 0}
-        convert, linking_matrix = invariants.convert, invariants.linking_matrix
+        calls = {"adjugate": 0, "convert": 0, "linking_matrix": 0, "eliminate": 0,
+                 "presentation": 0}
+        presentation, linking_matrix = invariants._presentation, invariants.linking_matrix
 
         def counting(name, fn):
-            def call(*args):
+            def call(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return call
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "adjugate_block",
                        counting("adjugate", linalg.adjugate_block))
             mp.setattr(linalg, "_eliminate", counting("eliminate", linalg._eliminate))
-            mp.setattr(invariants, "convert", counting("convert", convert))
+            mp.setattr(invariants, "_presentation", counting("convert", presentation))
+            mp.setattr(SurgeryPresentation, "__init__",
+                       counting("presentation", SurgeryPresentation.__init__))
             mp.setattr(invariants, "linking_matrix",
                        counting("linking_matrix", linking_matrix))
             cosmetic.scan_cells(-12, -1, 12)
@@ -291,6 +294,11 @@ class TestScanSharesMatrixWork:
     def test_one_conversion_per_tb_and_slope(self, counted):
         # 308 distinct (tb, slope); converting per (tb, rot, slope) made 2,022
         assert counted["convert"] <= 308
+
+    def test_one_presentation_per_conversion(self, counted):
+        # a plan holds one presentation for the 689 it stands for; building
+        # each of them made 689
+        assert counted["presentation"] <= 308
 
     def test_one_form_per_planned_presentation(self, counted):
         # the presentations of a plan share Q, so one form serves the 689

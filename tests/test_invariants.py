@@ -21,6 +21,7 @@ from contactsurg.surgery import (
     ContactZeroError,
     IntersectionForm,
     LegendrianData,
+    _presentation,
     convert,
     linking_matrix,
     rot_range,
@@ -251,7 +252,7 @@ def grid_outcomes():
     counts = {"presentations": 0}
     for L, slope in slope_grid():
         try:
-            counts["presentations"] += len(d3_records(L, slope)[0].presentations)
+            counts["presentations"] += d3_records(L, slope)[0].count
         except (ValueError, PipelineCheckError) as err:
             counts[type(err)] = counts.get(type(err), 0) + 1
     return counts
@@ -281,11 +282,11 @@ def pushoff_link_up(rows, comps):
 
 
 def converted(change):
-    """convert with each presentation's components replaced by
+    """``_presentation`` with its components replaced by
     ``change(components)``; the rotation choices follow them."""
     def build(L, coeff):
-        return [replace(pres, components=change(pres.components))
-                for pres in convert(L, coeff)]
+        pres = _presentation(L, coeff)
+        return replace(pres, components=change(pres.components))
     return build
 
 
@@ -315,7 +316,7 @@ class TestFormMatchesSlope:
 
     @pytest.mark.parametrize("change", [one_pushoff_more, chain_dropped])
     def test_mutant_conversions_are_caught(self, monkeypatch, change):
-        monkeypatch.setattr(invariants, "convert", converted(change))
+        monkeypatch.setattr(invariants, "_presentation", converted(change))
         assert grid_outcomes().get(PipelineCheckError, 0) > 1000
         with pytest.raises(PipelineCheckError, match="disagree with the slope"):
             d3_spectrum(LegendrianData(-3, 0), 2)

@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactsurg.linalg import dense, sparse
@@ -13,11 +15,14 @@ from contactsurg.surgery import (
     convert,
     linking_matrix,
     _negative_chain,
+    _presentation,
     rot_range,
+    rotation_choices,
 )
 from oracles import (
     enumerate_rotations,
     linking_matrix_dense,
+    listed_convert,
     neg_cf_value,
     smooth_recovery,
     tb1_negative_matrix,
@@ -71,6 +76,34 @@ class TestConvert:
             convert(LegendrianData(-1, 0), Fraction(1, k))
         with pytest.raises(SlopeError, match=f"{k} push-offs"):
             convert(LegendrianData(-1, 0), Fraction(2, 2 * k - 1))  # a tail after them
+
+    def test_one_presentation_carries_the_rotation_range(self):
+        # contact 50/99 on tb = -2: two push-offs, then the remainder -50 on
+        # a push-off with 49 stabilizations, its 50 rotation numbers a range
+        pres = _presentation(LegendrianData(-2, 1), Fraction(50, 99))
+        assert [c.rot for c in pres.components] == [1, 1, range(50, -49, -2)]
+        assert [c.rot for c in _presentation(LegendrianData(-1, 0), Fraction(1, 3)).components] \
+            == [0, 0, 0]  # no remainder, so no stabilized push-off
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-8, 2), st.integers(-4, 4), st.integers(-60, 60), st.integers(1, 120))
+    @example(-2, 1, 50, 99)  # a positive tail: 50 presentations after two push-offs
+    @example(-1, 0, 1, 3)  # three push-offs and no remainder
+    @example(-3, 1, 1, 1)  # one push-off and no remainder
+    @example(-1, 0, 2, 5)  # three push-offs and a tail on one more
+    @example(-2, 0, -1, 40)  # a stabilized knot and a chain
+    def test_convert_expands_the_one_presentation_in_the_oracle_order(self, tb, j, p, q):
+        L, coeff = LegendrianData(tb, tb + 1 + 2 * j), Fraction(p, q)
+        try:
+            listed = listed_convert(L, coeff)
+        except ValueError as err:  # SlopeError and ContactZeroError too
+            for build in (convert, _presentation):
+                with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                    build(L, coeff)
+            return
+        assert convert(L, coeff) == listed
+        vectors = [v for pres in listed for v in product(*rotation_choices(pres))]
+        assert list(product(*rotation_choices(_presentation(L, coeff)))) == vectors
 
     def test_negative_chain_needs_negative_coefficient(self):
         # smooth -4 on tb = -5 would need -2 stabilizations
