@@ -5,7 +5,7 @@ are bordered chain matrices: a (-2)-chain with -1 links, bordered by a
 first row depending on tb = -k.  This module states the closed forms
 for their determinants, signatures, inverse entries and c1^2, and checks
 the family forms on the d3 route itself: one plan per form
-(``invariants._plan``: one presentation, one elimination pass and one
+(``invariants._plan``: one presentation, one path-kernel pass and one
 odometer walk over every presentation it stands for) gives det, sigma and the block of
 adj(Q) the inverse entries are read from, and ``invariants.c1_numerators``
 of that plan at every admissible rotation number gives each c1^2, mostly

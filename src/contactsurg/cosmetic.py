@@ -171,27 +171,26 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
     cell on a tb = -1 knot carries the exception flags.  Every other cell
     carries both spectra, as sorted d3 strings, and the matrix
     provenance; the cells left unobstructed are listed apart.  The cells
-    of one tb share one dict of plans (a plan per smooth slope), dropped
-    when tb moves on.
+    of one tb share one dict of plans (a plan per smooth slope) and their
+    framings and d3 strings, dropped when tb moves on.
     """
     if tb_max > -1:
         raise ValueError("scan covers tb <= -1")
-    cells = []
-    not_obstructed = []
+    cells, not_obstructed = [], []
+    slopes = [(v, -v, [str(-v), str(v)]) for v in candidate_slopes(2, n_max)]
     for tb in range(tb_min, tb_max + 1):
-        plans = {}
+        plans, seen = {}, {}
         for rot in rot_range(tb):
             L = LegendrianData(tb, rot)
-            for v in candidate_slopes(2, n_max):
-                pair = [str(-v), str(v)]
+            for v, minus_v, pair in slopes:
                 verdict = {"slope_pair": pair, "spectrum_neg": [], "spectrum_pos": [],
                            "outcome": "contact_zero", "exception_flags": []}
                 cell = {"tb": tb, "rot": rot, "pair": pair, "verdict": verdict}
                 cells.append(cell)
-                if -v == tb:
+                if minus_v == tb:
                     continue
-                neg_records, neg = _provenance(L, -v, plans)
-                pos_records, pos = _provenance(L, v, plans)
+                neg_records, neg = _provenance(L, minus_v, plans, seen)
+                pos_records, pos = _provenance(L, v, plans, seen)
                 verdict["spectrum_neg"], verdict["spectrum_pos"] = sorted(neg), sorted(pos)
                 cell["provenance"] = {"neg": neg_records, "pos": pos_records}
                 if neg.isdisjoint(pos):
@@ -211,17 +210,22 @@ def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
             "solver_solutions": solve_d3_equations(tb_min, tb_max, n_max)}
 
 
-def _provenance(L, slope, plans):
+def _provenance(L, slope, plans, seen):
     """The framings (diag Q), l and d3 strings of each presentation of
     the plan at L.rot, and the scan spectrum: the set of d3 strings, each
-    the one ``str`` gives the Fraction (``ratio_text``).  The records of a
-    plan share one framings list."""
+    the one ``str`` gives the Fraction.  ``seen`` maps each slope p/q of
+    L.tb, keyed (p, q), to the framings list its plan's records share and
+    the d3 strings made so far: each is made once per plan."""
     plan, d, nums, pairs = d3_records(L, slope, plans)
-    text = {num: ratio_text(a, b) for num, (a, b) in pairs.items()}
-    framings = [row.get(i, 0) for i, row in enumerate(plan.form.rows)]
+    key = slope.numerator, slope.denominator
+    framings, text = seen.get(key) or seen.setdefault(
+        key, ([row.get(i, 0) for i, row in enumerate(plan.form.rows)], {}))
+    for num in pairs.keys() - text.keys():
+        a, b = pairs[num]
+        text[num] = str(a) if b == 1 else f"{a}/{b}"
     values = [{"rotations": r, "d3": text[num]} for r, num in zip(plan.rotations(d), nums)]
     return ([{"framings": framings, "l": plan.form.l, "values": run}
-             for run in plan.runs(values)], set(text.values()))
+             for run in plan.runs(values)], set(map(text.__getitem__, pairs)))
 
 
 # ---------------------------------------------------------------------------

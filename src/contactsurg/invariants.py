@@ -13,7 +13,7 @@ an exact rational; no rounding occurs anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -46,7 +46,8 @@ class Plan:
     holds the support of u and of the vectors, so (Q^-1)_{S[a], S[b]} =
     B[a][b] / det; c1^2 of v + d u is (N_v + 2 d W_v + d^2 U) / det for
     N_v = v^T B v (``quad``), W_v = u^T B v (``cross``, both by ``_walk``)
-    and U = u^T B u; only ``c1_numerators`` applies the shift.
+    and U = u^T B u; only ``c1_numerators`` applies the shift.  ``table``
+    maps each numerator met at any shift to its reduced d3 (``d3_records``).
     """
 
     presentation: SurgeryPresentation
@@ -61,6 +62,7 @@ class Plan:
     quad: list
     cross: list
     U: int
+    table: dict = field(default_factory=dict)
 
     def rotations(self, d):
         """The rotation vectors at shift d, as an iterator of tuples."""
@@ -154,24 +156,24 @@ def d3_records(L: LegendrianData, smooth_slope, plans=None) -> tuple:
     to L.rot, nums from ``c1_numerators`` and pairs mapping each distinct
     num to d3 = (num - K det) / (4 det), K = 3 sigma + 2 n - 4 l, reduced
     with denominator > 0 and checked by the d3 identity 4 d3 + K = c1^2,
-    cross-multiplied, once per plan.  Requests on knots of one tb may
-    share the dict ``plans`` (see ``_plan``); without it, the plan is made
-    at L.rot and d is 0."""
+    cross-multiplied, once per plan: the plan's ``table`` keeps each.
+    Requests on knots of one tb may share the dict ``plans`` (see
+    ``_plan``); without it, the plan is made at L.rot and d is 0."""
     smooth_slope = smooth_slope if isinstance(smooth_slope, Fraction) else Fraction(smooth_slope)
     plan = _plan(L, smooth_slope, {} if plans is None else plans)
     det, k = plan.det, 3 * plan.sigma + 2 * plan.form.n - 4 * plan.form.l
     k_det, den, sign = k * det, 4 * det, 1 if det > 0 else -1
     d = L.rot - plan.presentation.base_rot
     nums = c1_numerators(plan, d)
-    pairs = {}
-    for num in set(nums):
+    table, distinct = plan.table, set(nums)
+    for num in distinct.difference(table):
         top = num - k_det
         g = gcd(top, den) * sign
         a, b = top // g, den // g
         if (4 * a + k * b) * det != num * b:
             raise PipelineCheckError(f"inconsistent d3 data: {a}/{b} at c1^2 {num}/{det}")
-        pairs[num] = a, b
-    return plan, d, nums, pairs
+        table[num] = a, b
+    return plan, d, nums, dict(zip(distinct, map(table.__getitem__, distinct)))
 
 
 def ratio_text(num: int, den: int) -> str:

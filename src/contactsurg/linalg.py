@@ -1,22 +1,22 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything in this module is exact.  One sparse, fraction-free
-elimination of a symmetric matrix (``_eliminate``) yields its
-determinant, its signature and, by integer back-substitution, a block
-of its adjugate; ``adjugate_block`` is its only caller.  Inverse entries
-are integers over the determinant, read from that block, and
-definiteness is read through ``adjugate_block`` too: a matrix is
-negative definite when the signature it returns is -n.  Signatures are
-computed by two independent methods, which are required to agree: that
-elimination (a congruence diagonalization) and Descartes' rule of signs
-on the characteristic polynomial, which ``adjugate_block`` compares with
-the signature of its one pass on every matrix it is given, so no
-signature leaves this module unchecked.  The polynomial is built
-division-free and without elimination, by a continuant along the path
-of banded rows that ends the matrix (where ``surgery.linking_matrix``
-puts the meridian chain) and Berkowitz's algorithm on the head before
-it, so it shares nothing with the first method; determinants of any
-square matrix are its constant term.
+Everything in this module is exact.  Every form the library meets is a
+path in index order (tridiagonal), or a clique of push-offs with one
+link value and a meridian path hung on its last row, which a unimodular
+change of basis E turns into a path.  On a path two continuants give the
+determinant, the signature and every adjugate entry (``_path_kernel``,
+whose one caller is ``adjugate_block``); any other shape raises
+ValueError.  Inverse entries are integers over the determinant, read
+from that block, and a matrix is negative definite when the signature
+``adjugate_block`` returns is -n.  That signature is checked against an
+independent one, Descartes' rule of signs on the characteristic
+polynomial of Q itself, whose constant term must also give the kernel's
+determinant, so no signature leaves this module unchecked.  The
+polynomial is built division-free and without elimination, by a
+continuant along the path of banded rows that ends the matrix (where
+``surgery.linking_matrix`` puts the meridian chain) and Berkowitz's
+algorithm on the head before it; determinants of any square matrix are
+its constant term.
 
 Matrices are sparse rows, row i the dict {j: x} of its nonzeros, so a
 pass costs O(nnz), not O(n^2); ``sparse`` makes them from dense rows and
@@ -25,7 +25,8 @@ pass costs O(nnz), not O(n^2); ``sparse`` makes them from dense rows and
 
 from __future__ import annotations
 
-from operator import add, sub
+from math import prod
+from operator import add, ne, sub
 
 
 class SingularMatrixError(ValueError):
@@ -34,6 +35,10 @@ class SingularMatrixError(ValueError):
 
 class SignatureMismatchError(RuntimeError):
     """The two independent signature methods disagreed; internal error."""
+
+
+class KernelCheckError(RuntimeError):
+    """A self-check of the path kernel failed; internal error."""
 
 
 def sparse(rows):
@@ -50,7 +55,7 @@ def dense(rows):
 
 
 class _Symmetric(tuple):
-    """Sparse rows that passed ``check_symmetric``, which ``_eliminate`` trusts."""
+    """Sparse rows that passed ``check_symmetric``, which ``_path_kernel`` trusts."""
 
 
 def check_symmetric(rows, name="matrix"):
@@ -67,132 +72,110 @@ def check_symmetric(rows, name="matrix"):
     return _Symmetric(rows)
 
 
-def _eliminate(rows, cols=()):
-    """One sparse, fraction-free symmetric elimination of Q = ``rows``.
+def _head(rows, a, b):
+    """The size h of the clique head E takes to a path, or 0 when the
+    symmetric ``rows``, of diagonal ``a`` and links ``b`` from i to i+1,
+    are a path already: when their nonzeros are those of the band.  A
+    clique head is rows 0..h-1, h >= 3, that all link each other with one
+    value c != 0; rows h..n-1 are a path, which by symmetry meets the head
+    only at (h-1, h).  Any other shape raises ValueError."""
+    if sum(map(len, rows)) == len(a) - a.count(0) + 2 * (len(b) - b.count(0)):
+        return 0
+    c, h = rows[0].get(1), 2
+    while h < len(rows) and rows[0].get(h) == c:
+        h += 1
+    full = dict.fromkeys(range(h + 1), c)
+    if not c or h < 3 or any({**row, i: c, h: c} != full for i, row in enumerate(rows[:h])) or any(
+            row and not i - 1 <= min(row) <= max(row) <= i + 1 for i, row in enumerate(rows[h:], h)):
+        raise ValueError("matrix is neither a path nor a clique head with a path on its last row")
+    return h
 
-    Returns (det, sigma, B): det Q, the signature of Q and the block
-    B = adj(Q)[cols, cols] as a tuple of rows, B[a][b] the entry
-    (cols[a], cols[b]), in integers.  A singular Q stops at the first
-    remaining row without a nonzero entry and returns (0, None, ()).
 
-    Symmetric elimination M -> E M E^T keeps the signature, and the k-th
-    diagonal entry it leaves is p_k / p_(k-1) for the leading principal
-    minors p_k of the pivot order, so the signs come from consecutive
-    pivots.  The trailing block is held as the integer bordered minors
-    T = p_(k-1) S of the Schur complement S (Bareiss 1968): pivot v with
-    value p updates T_ij <- (p T_ij - T_iv T_vj) / p_(k-1), an exact
-    division, on the rows of its neighbours i only; a row no pivot has
-    touched since step t is rescaled lazily by p_k / p_t.  Rows are dicts
-    of their nonzeros.  A zero pivot gives way to a later nonzero
-    diagonal entry; when every remaining diagonal entry vanishes, row and
-    column v gain a row and column holding a nonzero entry of row v, a
-    unimodular congruence F Q F^T that makes the diagonal entry nonzero.
+def _basis(h):
+    """The nonzeros (i, j, x) of E on a clique head of h rows: g_i = e_i -
+    e_(i+1) for i <= h - 3, then e_(h-2), e_(h-1), then the identity."""
+    return [(i, i, 1) for i in range(h)] + [(i, i + 1, -1) for i in range(h - 2)]
 
-    Each e_c is the extra key n + idx of row c, so the row updates carry
-    the right-hand sides.  The pivot order takes the other indices from
-    the last down, which peels a chain from its end, and the rows of
-    ``cols`` (distinct indices) last, so that no other row carries a
-    right-hand side unless a zero pivot moves one of them up.  The pivot
-    rows are kept, and the column step of a congruence reaches them too;
-    back-substitution in reverse pivot order, y_v = (det T_v,rhs -
-    sum_j T_vj y_j) / p, is exact because y = det F^-T Q^-1 e_c is
-    integral, and y_mix += y_v undoes each congruence, the last one
-    first.  Without a congruence it stops at the first row of ``cols``:
-    B needs no earlier one.  Rows ``check_symmetric`` returned, such as an
-    ``IntersectionForm``'s, are not checked again.
+
+def _path_kernel(rows, cols=()):
+    """det Q, the signature of Q and B = adj(Q)[cols, cols] (``cols``
+    distinct indices; B[a][b] the entry (cols[a], cols[b])) of a symmetric
+    Q = ``rows`` that is a path, or a clique head and a path (``_head``),
+    from two continuants.  A singular Q returns (0, None, ()).
+
+    A clique head with link c and diagonal d_i first goes through the
+    unimodular E of ``_basis``: Q' = E Q E^T is a path, with diagonal
+    d_i - 2c + d_(i+1) and link c - d_(i+1) from i to i+1 for i <= h - 3,
+    then d_(h-2), d_(h-1) linked by c, then Q unchanged; E Q E^T = Q' is
+    checked on the head rows.  On the path of diagonal a_i and links b_i,
+    the leading continuant is theta_0 = 1, theta_(i+1) = a_i theta_i -
+    b_(i-1)^2 theta_(i-1), and the trailing one phi_n = 1, phi_i =
+    a_i phi_(i+1) - b_i^2 phi_(i+2); det Q = det Q' = theta_n, which must
+    equal phi_0.  The negative index is the number of sign changes along
+    the nonzero thetas: on a nonsingular path a zero theta_i is isolated
+    and its neighbours have opposite signs (Frobenius), and E keeps the
+    signature (Sylvester).  adj(Q')_ij = (-1)^(i+j) b_i ... b_(j-1)
+    theta_i phi_(j+1) for i <= j (Usmani 1994), and
+    B = E[:, cols]^T adj(Q') E[:, cols], since det E = 1.  Rows
+    ``check_symmetric`` returned, such as an ``IntersectionForm``'s, are
+    not checked again.
     """
     if type(rows) is not _Symmetric:
         check_symmetric(rows)
     n = len(rows)
-    every = range(n)
-    a = list(map(dict, rows))
-    for idx, c in enumerate(cols):
-        a[c][n + idx] = 1
-    last = set(cols)
-    order = [i for i in reversed(every) if i not in last] + list(cols)
-    level = [0] * n  # row i holds the bordered minors of step level[i]
-    pivots = [1]  # pivots[k] = p_k, the leading minor after k steps
-    done = []  # (v, p, pivot row v) of each step, kept when cols are asked for
-    mixes = []  # (v, mix) of each congruence, in order
+    a = [row.get(i, 0) for i, row in enumerate(rows)]
+    b = [rows[i].get(i + 1, 0) for i in range(n - 1)]
+    h = _head(rows, a, b)
+    basis = _basis(h)
+    if h:
+        c = rows[0][1]
+        for i in range(h - 2):
+            a[i], b[i] = a[i] - 2 * c + a[i + 1], c - a[i + 1]
+        _check_basis(rows, h, basis, a, b)
+    w = [0] + [x * x for x in b] + [0]  # w[i] = b_(i-1)^2
+    theta, phi = [0, 1], [0, 1]  # each from a zero before its first term
+    for i, x in enumerate(a):
+        theta.append(x * theta[-1] - w[i] * theta[-2])
+    for i in reversed(range(n)):
+        phi.append(a[i] * phi[-1] - w[i + 1] * phi[-2])
+    theta, phi = theta[1:], phi[:0:-1]
+    det = theta[n]
+    if det != phi[0]:
+        raise KernelCheckError(f"continuants disagree: theta_n={det} phi_0={phi[0]}")
+    if det == 0:
+        return 0, None, ()
+    signs = [t > 0 for t in theta if t]
+    sigma = n - 2 * sum(map(ne, signs, signs[1:]))
+    # adj(Q') on the path indices that the columns of E on cols touch
+    ecol = [[(i, x) for i, j, x in basis if j == s] if s < h else [(s, 1)] for s in cols]
+    touched = sorted({i for col in ecol for i, _ in col})
+    links = [(-1) ** (j - i) * prod(b[i:j]) for i, j in zip(touched, touched[1:])] + [1]
+    adj = {}
+    for k, i in enumerate(touched):
+        p = theta[i]
+        for j, link in zip(touched[k:], links[k:]):
+            adj[i, j] = adj[j, i] = p * phi[j + 1]
+            p *= link
+    if not h:
+        return det, sigma, tuple(tuple(adj[i, j] for j in cols) for i in cols)
+    return det, sigma, tuple(tuple(sum(x * y * adj[i, j] for i, x in ei for j, y in ej)
+                                   for ej in ecol) for ei in ecol)
 
-    def current(u, k):
-        """Row u, rescaled to step k."""
-        t = level[u]
-        if t < k:
-            num, den = pivots[k], pivots[t]
-            a[u] = {j: x * num // den for j, x in a[u].items()}
-            level[u] = k
-        return a[u]
 
-    pos = 0
-    for k in range(n):
-        v = order[k]
-        if v not in a[v]:
-            swap = next((r for r in range(k + 1, n) if order[r] in a[order[r]]), None)
-            if swap is not None:
-                order[k], order[swap] = order[swap], order[k]
-                v = order[k]
-            else:
-                mix = next((j for j in a[v] if j < n), None)
-                if mix is None:
-                    return 0, None, ()
-                mixes.append((v, mix))
-                # row v += row mix, then column v += column mix; with both
-                # diagonal entries zero, T_vv becomes 2 T_v,mix
-                row_v, row_m = current(v, k), current(mix, k)
-                for j, x in row_m.items():
-                    row_v[j] = row_v.get(j, 0) + x
-                for i in [i for i in row_m if i < n]:
-                    row_i = a[i]
-                    row_i[v] = row_i.get(v, 0) + row_i.get(mix, 0)
-                for _, _, row_u in done:  # a zero left here adds nothing
-                    if mix in row_u:
-                        row_u[v] = row_u.get(v, 0) + row_u[mix]
-                for j in [j for j, x in row_v.items() if not x]:
-                    del row_v[j]
-                    if j < n:
-                        del a[j][v]
-        row_v = current(v, k)
-        a[v] = None
-        prev, p = pivots[k], row_v.pop(v)
-        pivots.append(p)
-        if (p > 0) == (prev > 0):
-            pos += 1
-        if cols:
-            done.append((v, p, row_v))
-        for i, f in row_v.items():
-            if i >= n:
-                continue
-            row_i = current(i, k)
-            del row_i[v]
-            new = {}
-            for j, x in row_i.items():
-                y = row_v.get(j)
-                x = (p * x - f * y) // prev if y is not None else x * p // prev
-                if x:
-                    new[j] = x
-            for j, y in row_v.items():
-                if j not in row_i:
-                    new[j] = -f * y // prev
-            a[i] = new
-            level[i] = k + 1
-    det, sigma = pivots[n], 2 * pos - n
-    if not cols:
-        return det, sigma, ()
-    # y[v] holds row v of adj(Q)[:, cols], all right-hand sides at once
-    start = 0 if mixes else min(k for k, v in enumerate(order) if v in last)
-    y = [None] * n
-    for v, p, row in reversed(done[start:]):
-        acc = [0] * len(cols)
-        for j, x in row.items():
-            if j < n:
-                acc = list(map(sub, acc, map(x.__mul__, y[j])))
-            else:
-                acc[j - n] += det * x
-        y[v] = [s // p for s in acc]
-    for v, mix in reversed(mixes):
-        y[mix] = list(map(add, y[mix], y[v]))
-    return det, sigma, tuple(tuple(y[c]) for c in cols)
+def _check_basis(rows, h, basis, a, b):
+    """Raises KernelCheckError unless row i of E Q E^T is row i of the
+    path (a, b) for each head row i < h; O(h^2), the head's nonzeros."""
+    e = [[(j, x) for k, j, x in basis if k == i] for i in range(h)]
+    for i in range(h):
+        r = {}
+        for k, x in e[i]:
+            for j, y in rows[k].items():
+                r[j] = r.get(j, 0) + x * y
+        got = [sum(x * r.get(k, 0) for k, x in e[j]) if j < h else r.get(j, 0)
+               for j in range(min(h + 1, len(rows)))]
+        want = [a[i] if j == i else b[min(i, j)] if abs(i - j) == 1 else 0 for j in range(len(got))]
+        if got != want:
+            raise KernelCheckError(f"E Q E^T is not the path on head row {i}: {got} against {want}")
 
 
 def determinant(rows) -> int:
@@ -203,19 +186,25 @@ def determinant(rows) -> int:
 
 def adjugate_block(rows, support):
     """det A, the signature of A and the block B = adj(A)[S, S] on the
-    index list S = ``support`` of a symmetric integer matrix A.
+    index list S = ``support`` of a symmetric integer matrix A of a shape
+    ``_path_kernel`` takes: any other raises ValueError.
 
     B[a][b] is entry (S[a], S[b]) of adj(A), so (A^-1)_{S[a], S[b]} is
-    B[a][b] / det; S = range(n) gives the whole adjugate.  One elimination
-    pass with the columns S gives all three, and its signature must equal
-    the Descartes signature of A; a disagreement raises
-    SignatureMismatchError (it would mean a bug, not a property of the
-    input).  Raises SingularMatrixError when det A = 0.
+    B[a][b] / det; S = range(n) gives the whole adjugate.  One pass of the
+    path kernel gives all three, and one characteristic polynomial of A
+    checks it: its constant term must give the kernel's det, and its
+    Descartes signature the kernel's signature.  A disagreement raises
+    KernelCheckError or SignatureMismatchError (it would mean a bug, not a
+    property of the input).  Raises SingularMatrixError when det A = 0.
     """
-    det, sigma, block = _eliminate(rows, support)
+    det, sigma, block = _path_kernel(rows, support)
+    coeffs = char_poly(rows)
+    chi_det = (-1) ** len(rows) * coeffs[-1]
+    if det != chi_det:
+        raise KernelCheckError(f"determinants disagree: kernel={det} char_poly={chi_det}")
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    check = descartes_signature(rows)
+    check = _descartes(coeffs)
     if sigma != check:
         raise SignatureMismatchError(f"signature methods disagree: "
                                      f"diagonalization={sigma} descartes={check}")
@@ -382,25 +371,22 @@ def _berkowitz(a, idx):
     return p
 
 
-def _sign_changes(coeffs):
-    signs = [c for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+def _descartes(coeffs) -> int:
+    """The signature of a symmetric matrix from its characteristic
+    polynomial ``coeffs`` (descending, nonzero constant term): a
+    symmetric matrix has an all-real spectrum, so the sign changes of
+    P(lambda) count its positive eigenvalues exactly, and those of
+    P(-lambda) its negative ones."""
+    degree = len(coeffs) - 1
+    negated = [c if (degree - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    signs = [[c > 0 for c in poly if c] for poly in (coeffs, negated)]
+    positive, negative = (sum(map(ne, s, s[1:])) for s in signs)
+    return positive - negative
 
 
 def descartes_signature(rows) -> int:
-    """Signature via Descartes' rule of signs on the char polynomial.
-
-    A symmetric matrix has an all-real spectrum, so the sign-change count
-    of P(lambda) equals the number of positive eigenvalues exactly, and
-    P(-lambda) counts the negative ones.  Requires det != 0, which rules
-    out zero eigenvalues.
-    """
+    """Signature by ``_descartes``; det != 0 rules out zero eigenvalues."""
     coeffs = char_poly(rows)
     if coeffs[-1] == 0:
         raise SingularMatrixError("matrix is singular")
-    positive = _sign_changes(coeffs)
-    degree = len(coeffs) - 1
-    negated = [c if (degree - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
-    negative = _sign_changes(negated)
-    return positive - negative
-
+    return _descartes(coeffs)

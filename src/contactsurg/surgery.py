@@ -209,13 +209,17 @@ def linking_matrix(pres: SurgeryPresentation) -> IntersectionForm:
     """
     comps = pres.components
     pushoff_idx = [i for i, c in enumerate(comps) if c.role == "pushoff"]
-    q = [dict.fromkeys(pushoff_idx if c.role == "pushoff" else (), pres.base_tb) for c in comps]
+    links = dict.fromkeys(pushoff_idx, pres.base_tb) if pres.base_tb else {}
     prev = pushoff_idx[-1] if pushoff_idx else None
+    rows = []
     for i, c in enumerate(comps):
-        q[i][i] = c.framing
+        row = {**links, i: c.framing} if c.role == "pushoff" else {i: c.framing}
+        if not c.framing:
+            del row[i]
         if c.role == "chain":
             if prev is None:
                 raise ValueError("chain component without a predecessor")
-            q[i][prev] = q[prev][i] = -1
+            row[prev] = rows[prev][i] = -1
             prev = i
-    return IntersectionForm(tuple({j: x for j, x in row.items() if x} for row in q), pres.l)
+        rows.append(row)
+    return IntersectionForm(tuple(rows), pres.l)

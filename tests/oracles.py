@@ -5,7 +5,8 @@ checks: exhaustive search, breadth-first search, enumeration, negative
 continued fractions one term at a time, vertex by vertex Farey paths
 with their own extended Euclid, their signs, class count and shortening
 move, Honda's lens count from the regular continued fraction, a dense
-Bareiss elimination for determinants and adjugates,
+Bareiss elimination for determinants and adjugates, a sparse symmetric
+one that gives signatures and adjugate blocks of any symmetric matrix,
 characteristic polynomials from its determinants and by a continuant
 one vertex at a time, a dense Fraction
 congruence diagonalization, r^T adj(A) r entry by entry, d3 one
@@ -22,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, product
+from operator import add, sub
 
 from contactsurg.farey import (
     ANTICLOCKWISE,
@@ -567,6 +569,136 @@ def bareiss(rows, cols=()):
     return det, adj
 
 
+def eliminate(rows, cols=()):
+    """One sparse, fraction-free symmetric elimination of Q = ``rows``.
+
+    Returns (det, sigma, B): det Q, the signature of Q and the block
+    B = adj(Q)[cols, cols] as a tuple of rows, B[a][b] the entry
+    (cols[a], cols[b]), in integers.  A singular Q stops at the first
+    remaining row without a nonzero entry and returns (0, None, ()).
+
+    Symmetric elimination M -> E M E^T keeps the signature, and the k-th
+    diagonal entry it leaves is p_k / p_(k-1) for the leading principal
+    minors p_k of the pivot order, so the signs come from consecutive
+    pivots.  The trailing block is held as the integer bordered minors
+    T = p_(k-1) S of the Schur complement S (Bareiss 1968): pivot v with
+    value p updates T_ij <- (p T_ij - T_iv T_vj) / p_(k-1), an exact
+    division, on the rows of its neighbours i only; a row no pivot has
+    touched since step t is rescaled lazily by p_k / p_t.  Rows are dicts
+    of their nonzeros.  A zero pivot gives way to a later nonzero
+    diagonal entry; when every remaining diagonal entry vanishes, row and
+    column v gain a row and column holding a nonzero entry of row v, a
+    unimodular congruence F Q F^T that makes the diagonal entry nonzero.
+
+    Each e_c is the extra key n + idx of row c, so the row updates carry
+    the right-hand sides.  The pivot order takes the other indices from
+    the last down, which peels a chain from its end, and the rows of
+    ``cols`` (distinct indices) last, so that no other row carries a
+    right-hand side unless a zero pivot moves one of them up.  The pivot
+    rows are kept, and the column step of a congruence reaches them too;
+    back-substitution in reverse pivot order, y_v = (det T_v,rhs -
+    sum_j T_vj y_j) / p, is exact because y = det F^-T Q^-1 e_c is
+    integral, and y_mix += y_v undoes each congruence, the last one
+    first.  Without a congruence it stops at the first row of ``cols``:
+    B needs no earlier one.  Rows ``check_symmetric`` returned, such as an
+    ``IntersectionForm``'s, are not checked again.  It takes a symmetric
+    matrix of any shape, so it is the oracle for the path kernel's det,
+    signature and adjugate blocks.
+    """
+    if type(rows) is not linalg._Symmetric:
+        linalg.check_symmetric(rows)
+    n = len(rows)
+    every = range(n)
+    a = list(map(dict, rows))
+    for idx, c in enumerate(cols):
+        a[c][n + idx] = 1
+    last = set(cols)
+    order = [i for i in reversed(every) if i not in last] + list(cols)
+    level = [0] * n  # row i holds the bordered minors of step level[i]
+    pivots = [1]  # pivots[k] = p_k, the leading minor after k steps
+    done = []  # (v, p, pivot row v) of each step, kept when cols are asked for
+    mixes = []  # (v, mix) of each congruence, in order
+
+    def current(u, k):
+        """Row u, rescaled to step k."""
+        t = level[u]
+        if t < k:
+            num, den = pivots[k], pivots[t]
+            a[u] = {j: x * num // den for j, x in a[u].items()}
+            level[u] = k
+        return a[u]
+
+    pos = 0
+    for k in range(n):
+        v = order[k]
+        if v not in a[v]:
+            swap = next((r for r in range(k + 1, n) if order[r] in a[order[r]]), None)
+            if swap is not None:
+                order[k], order[swap] = order[swap], order[k]
+                v = order[k]
+            else:
+                mix = next((j for j in a[v] if j < n), None)
+                if mix is None:
+                    return 0, None, ()
+                mixes.append((v, mix))
+                # row v += row mix, then column v += column mix; with both
+                # diagonal entries zero, T_vv becomes 2 T_v,mix
+                row_v, row_m = current(v, k), current(mix, k)
+                for j, x in row_m.items():
+                    row_v[j] = row_v.get(j, 0) + x
+                for i in [i for i in row_m if i < n]:
+                    row_i = a[i]
+                    row_i[v] = row_i.get(v, 0) + row_i.get(mix, 0)
+                for _, _, row_u in done:  # a zero left here adds nothing
+                    if mix in row_u:
+                        row_u[v] = row_u.get(v, 0) + row_u[mix]
+                for j in [j for j, x in row_v.items() if not x]:
+                    del row_v[j]
+                    if j < n:
+                        del a[j][v]
+        row_v = current(v, k)
+        a[v] = None
+        prev, p = pivots[k], row_v.pop(v)
+        pivots.append(p)
+        if (p > 0) == (prev > 0):
+            pos += 1
+        if cols:
+            done.append((v, p, row_v))
+        for i, f in row_v.items():
+            if i >= n:
+                continue
+            row_i = current(i, k)
+            del row_i[v]
+            new = {}
+            for j, x in row_i.items():
+                y = row_v.get(j)
+                x = (p * x - f * y) // prev if y is not None else x * p // prev
+                if x:
+                    new[j] = x
+            for j, y in row_v.items():
+                if j not in row_i:
+                    new[j] = -f * y // prev
+            a[i] = new
+            level[i] = k + 1
+    det, sigma = pivots[n], 2 * pos - n
+    if not cols:
+        return det, sigma, ()
+    # y[v] holds row v of adj(Q)[:, cols], all right-hand sides at once
+    start = 0 if mixes else min(k for k, v in enumerate(order) if v in last)
+    y = [None] * n
+    for v, p, row in reversed(done[start:]):
+        acc = [0] * len(cols)
+        for j, x in row.items():
+            if j < n:
+                acc = list(map(sub, acc, map(x.__mul__, y[j])))
+            else:
+                acc[j - n] += det * x
+        y[v] = [s // p for s in acc]
+    for v, mix in reversed(mixes):
+        y[mix] = list(map(add, y[mix], y[v]))
+    return det, sigma, tuple(tuple(y[c]) for c in cols)
+
+
 def char_poly_minors(rows):
     """Characteristic polynomial of A via principal-minor sums.
 
@@ -838,15 +970,15 @@ def adjugate_quadratic(block, support, r) -> int:
 def d3_values(form, vectors) -> list:
     """d3 of ``form`` for each rotation vector, as D3Results, one vector
     at a time: c1^2 of r is v^T B v / det Q for B = adj(Q)[S, S] on the
-    joint support S of the vectors and v = r on S, each assembled in
-    Fractions.  A singular Q raises NonTorsionEulerClassError."""
+    joint support S of the vectors and v = r on S, from ``eliminate``, so
+    a form of any shape is taken, each assembled in Fractions.  A
+    singular Q raises NonTorsionEulerClassError."""
     if any(len(v) != form.n for v in vectors):
         raise ValueError("rotation vector length must match Q")
     support = tuple(compress(range(form.n), map(any, zip(*vectors))))
-    try:
-        det, sigma, block = linalg.adjugate_block(form.rows, support)
-    except SingularMatrixError:
-        raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class") from None
+    det, sigma, block = eliminate(form.rows, support)
+    if det == 0:
+        raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class")
     return [_assemble(form.n + 1, sigma, form.l, det,
                       adjugate_quadratic(block, support, r)) for r in vectors]
 

@@ -35,6 +35,7 @@ from oracles import (
     DecoratedFareyPath,
     complement_signs,
     decorated_path_key,
+    eliminate,
     minimal_path,
     normalize_lens_bruteforce,
     shorten,
@@ -117,7 +118,7 @@ def test_criterion_5_signature_cross_validation():
         if linalg.determinant(sparse(m)) == 0:
             continue
         count += 1
-        assert linalg._eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m))
+        assert eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m))
     displayed = [
         [[0, -1], [-1, 0]],
         [[0, -1], [-1, -4]],
@@ -130,7 +131,8 @@ def test_criterion_5_signature_cross_validation():
         tbk_two_matrix(5, 1),
     ]
     for m in displayed:
-        assert linalg._eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m))
+        assert linalg._path_kernel(sparse(m))[1] == eliminate(sparse(m))[1] == \
+            linalg.descartes_signature(sparse(m))
     _report(5, "signature methods agree on 1000 seeded matrices and the "
                "displayed forms", t0)
 

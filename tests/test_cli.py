@@ -64,7 +64,7 @@ class TestD3Command:
         # the signature methods disagree: one error line, no traceback
         from contactsurg import linalg
 
-        monkeypatch.setattr(linalg, "descartes_signature", lambda rows: len(rows) + 1)
+        monkeypatch.setattr(linalg, "_descartes", lambda coeffs: len(coeffs))
         code, out, err = run(capsys, "d3", "--tb", "-1", "--rot", "0", "--slope", "-1/3")
         assert code == 1 and out == ""
         assert err.startswith("error: internal check failed: signature methods disagree")

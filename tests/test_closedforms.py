@@ -246,13 +246,13 @@ class TestVerifier:
         # 835 family forms, one pass each, and 150 block_negdef matrices;
         # separate negdef, signature and block passes made 2,218
         passes = []
-        eliminate = linalg._eliminate
+        kernel = linalg._path_kernel
 
         def counted(rows, cols=()):
             passes.append(len(rows))
-            return eliminate(rows, cols)
+            return kernel(rows, cols)
 
-        monkeypatch.setattr(linalg, "_eliminate", counted)
+        monkeypatch.setattr(linalg, "_path_kernel", counted)
         assert verify_closed_forms()["ok"]
         assert len(passes) <= 985
 
@@ -261,9 +261,9 @@ class TestVerifier:
         # where a plan per cell made 126) and the scan and solver stages';
         # a pass per regression cell made 1,251
         passes = []
-        eliminate = linalg._eliminate
-        monkeypatch.setattr(linalg, "_eliminate",
-                            lambda rows, cols=(): passes.append(len(rows)) or eliminate(rows, cols))
+        kernel = linalg._path_kernel
+        monkeypatch.setattr(linalg, "_path_kernel",
+                            lambda rows, cols=(): passes.append(len(rows)) or kernel(rows, cols))
         assert main(["verify", "--json"]) == 0
         capsys.readouterr()
         assert len(passes) <= 1207

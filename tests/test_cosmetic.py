@@ -102,7 +102,7 @@ class TestScanVerdicts:
         # cell at tb -1, and contact-zero cells ask for no spectrum
         asked = []
 
-        def overlapping(L, slope, plans):
+        def overlapping(L, slope, plans, seen):
             asked.append((L.tb, slope))
             return [], {"0", "1"} if slope < 0 else {"1", "2"}
 
@@ -116,7 +116,7 @@ class TestScanVerdicts:
         assert (-1, -1) not in asked and (-2, -2) not in asked
         assert len(asked) == 2 * len(live)
 
-        monkeypatch.setattr(cosmetic, "_provenance", lambda L, slope, plans: ([], {"1/4"}))
+        monkeypatch.setattr(cosmetic, "_provenance", lambda L, slope, plans, seen: ([], {"1/4"}))
         report = scan_cells(-3, -1, 3)
         flagged = {(c["tb"], c["rot"], c["pair"][1]) for c in report["cells"]
                    if c["verdict"]["exception_flags"]}
@@ -259,11 +259,11 @@ class TestScan:
 class TestScanSharesMatrixWork:
     """One d3 cache per tb: scan_cells(-12, -1, 12) plans each (tb, slope)
     once and reads the other rotation numbers off the plan in integers,
-    with one elimination pass, its signature included, per plan."""
+    with one path-kernel pass, its signature included, per plan."""
 
     @pytest.fixture(scope="class")
     def counted(self):
-        calls = {"adjugate": 0, "convert": 0, "linking_matrix": 0, "eliminate": 0,
+        calls = {"adjugate": 0, "convert": 0, "linking_matrix": 0, "kernel": 0,
                  "presentation": 0}
         presentation, linking_matrix = invariants._presentation, invariants.linking_matrix
 
@@ -276,7 +276,7 @@ class TestScanSharesMatrixWork:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "adjugate_block",
                        counting("adjugate", linalg.adjugate_block))
-            mp.setattr(linalg, "_eliminate", counting("eliminate", linalg._eliminate))
+            mp.setattr(linalg, "_path_kernel", counting("kernel", linalg._path_kernel))
             mp.setattr(invariants, "_presentation", counting("convert", presentation))
             mp.setattr(SurgeryPresentation, "__init__",
                        counting("presentation", SurgeryPresentation.__init__))
@@ -309,7 +309,17 @@ class TestScanSharesMatrixWork:
     def test_one_elimination_pass_per_form(self, counted):
         # the adjugate pass gives sigma too; a separate signature pass per
         # new Q made 893
-        assert counted["eliminate"] <= 308
+        assert counted["kernel"] <= 308
+
+    def test_one_reduction_per_numerator_per_plan(self, monkeypatch):
+        # the +-rot mirror repeats numerators across a tb's rotation
+        # numbers: 13,643 distinct per call, 6,962 per plan, and each
+        # reduction is one gcd; the d3 strings are read off the reduced pairs
+        calls = []
+        gcd = invariants.gcd
+        monkeypatch.setattr(invariants, "gcd", lambda a, b: calls.append(a) or gcd(a, b))
+        cosmetic.scan_cells(-12, -1, 12)
+        assert len(calls) <= 6962
 
     def test_fewer_fractions_than_d3_values(self):
         # d3 values are read off the plans as integer pairs and strings; a

@@ -22,6 +22,7 @@ from oracles import (
     char_poly_minors,
     congruence_signature_dense,
     continuant_steps,
+    eliminate,
     tb2_negative_matrix,
     tb2_positive_matrix,
     tbk_two_matrix,
@@ -97,10 +98,37 @@ class TestDeterminant:
             assert linalg.determinant(sparse(m)) == bareiss(m)[0] == det_reference(m)
 
 
-def inverse_entry(rows, i, j):
-    """(A^-1)_{ij} from the whole adjugate."""
-    det, _, adj = linalg.adjugate_block(sparse(rows), range(len(rows)))
+def inverse_entry(rows, i, j, adjugate=linalg.adjugate_block):
+    """(A^-1)_{ij} from the whole adjugate that ``adjugate`` gives."""
+    det, _, adj = adjugate(sparse(rows), range(len(rows)))
     return Fraction(adj[i][j], det)
+
+
+def oracle_block(rows, support):
+    """``adjugate_block``'s contract from the oracle's sparse Bareiss
+    elimination, for shapes the path kernel does not take: det, sigma and
+    adj[S, S], and SingularMatrixError at det 0."""
+    det, sigma, block = eliminate(rows, support)
+    if det == 0:
+        raise linalg.SingularMatrixError("matrix is singular")
+    return det, sigma, block
+
+
+def head(rows):
+    """``linalg._head`` of sparse ``rows``, with the diagonal and the links
+    from i to i+1 that it reads."""
+    return linalg._head(rows, [row.get(i, 0) for i, row in enumerate(rows)],
+                        [rows[i].get(i + 1, 0) for i in range(len(rows) - 1)])
+
+
+def kernel_shape(m):
+    """Whether the path kernel takes m: a path, or a clique head with a
+    path hung on its last row."""
+    try:
+        head(sparse(m))
+    except ValueError:
+        return False
+    return True
 
 
 class TestInverseEntry:
@@ -134,7 +162,7 @@ class TestInverseEntry:
             if linalg.determinant(sparse(m)) == 0:
                 continue
             done += 1
-            inv = [[inverse_entry(m, i, j) for j in range(n)] for i in range(n)]
+            inv = [[inverse_entry(m, i, j, oracle_block) for j in range(n)] for i in range(n)]
             for i in range(n):
                 for j in range(n):
                     s = sum(Fraction(m[i][k]) * inv[k][j] for k in range(n))
@@ -164,7 +192,7 @@ class TestSolve:
                 continue
             done += 1
             b = [rng.randint(-5, 5) for _ in range(n)]
-            det, _, adj = linalg.adjugate_block(sparse(m), range(n))
+            det, _, adj = oracle_block(sparse(m), range(n))
             x = [Fraction(sum(adj[i][c] * b[c] for c in range(n)), det) for i in range(n)]
             for i in range(n):
                 assert sum(Fraction(m[i][k]) * x[k] for k in range(n)) == b[i]
@@ -179,7 +207,7 @@ class TestSolve:
             if linalg.determinant(sparse(m)) == 0:
                 continue
             done += 1
-            det, _, adj = linalg.adjugate_block(sparse(m), range(n))
+            det, _, adj = oracle_block(sparse(m), range(n))
             assert det == linalg.determinant(sparse(m))
             for c in range(n):
                 for i in range(n):
@@ -197,9 +225,9 @@ class TestSolve:
             done += 1
             r = [rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
             support = [i for i, x in enumerate(r) if x]
-            det, _, block = linalg.adjugate_block(sparse(m), support)
+            det, _, block = oracle_block(sparse(m), support)
             value = Fraction(adjugate_quadratic(block, support, r), det)
-            expected = sum(r[i] * inverse_entry(m, i, j) * r[j]
+            expected = sum(r[i] * inverse_entry(m, i, j, oracle_block) * r[j]
                            for i in range(n) for j in range(n))
             assert value == expected
 
@@ -232,16 +260,16 @@ class TestAdjugateBlock:
         ref = sympy.Matrix(m)
         if ref.det() == 0:
             with pytest.raises(linalg.SingularMatrixError):
-                linalg.adjugate_block(sparse(m), support)
+                oracle_block(sparse(m), support)
             return
-        det, _, block = linalg.adjugate_block(sparse(m), support)
+        det, _, block = oracle_block(sparse(m), support)
         inv = ref.inv()
         assert [list(row) for row in block] == [
             [inv[i, j] * det for j in support] for i in support]
         expected = (sympy.Matrix([r]) * inv * sympy.Matrix(r))[0, 0]
         assert Fraction(adjugate_quadratic(block, support, r), det) == expected
         n = len(m)
-        assert expected == sum(r[i] * inverse_entry(m, i, j) * r[j]
+        assert expected == sum(r[i] * inverse_entry(m, i, j, oracle_block) * r[j]
                                for i in range(n) for j in range(n))
 
     @settings(max_examples=100, deadline=None)
@@ -252,7 +280,7 @@ class TestAdjugateBlock:
             return
         dropped = data.draw(st.sampled_from(support))
         rest = [i for i in support if i != dropped]
-        _, _, block = linalg.adjugate_block(sparse(m), rest)
+        _, _, block = oracle_block(sparse(m), rest)
         off = list(r)
         off[dropped] = data.draw(st.integers(1, 5))
         with pytest.raises(ValueError):
@@ -278,8 +306,8 @@ def negative_definite(m):
 
 
 def kernel_negative_definite(m):
-    """det != 0 and signature -n from the elimination kernel alone."""
-    det, sigma, _ = linalg._eliminate(sparse(m))
+    """det != 0 and signature -n from the oracle's elimination alone."""
+    det, sigma, _ = eliminate(sparse(m))
     return det != 0 and sigma == -len(m)
 
 
@@ -594,7 +622,7 @@ class TestRunStep:
         plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 1600))[0]
         assert plan.sigma == forms["tb1_neg_sigma"](1600) == -1598
         rows = plan.form.rows
-        assert linalg._eliminate(rows)[1] == linalg.descartes_signature(rows) == -1598
+        assert linalg._path_kernel(rows)[1] == linalg.descartes_signature(rows) == -1598
 
 
 class TestSignature:
@@ -625,7 +653,7 @@ class TestSignature:
     def test_disagreement_raises(self, monkeypatch):
         # a wrong Descartes half stops every caller of the one kernel pass
         rows = ((-7919, 1), (1, -3))
-        monkeypatch.setattr(linalg, "descartes_signature", lambda rows: 2)
+        monkeypatch.setattr(linalg, "_descartes", lambda coeffs: 2)
         with pytest.raises(linalg.SignatureMismatchError):
             linalg.adjugate_block(sparse(rows), (0,))
         with pytest.raises(linalg.SignatureMismatchError):
@@ -636,7 +664,7 @@ class TestSignature:
     def test_lemma_blocks_read_the_checked_signature(self, monkeypatch):
         # with no family plan run, only verify's block_negdef checks reach
         # a signature; the first is a 3 x 3 block (a, b, c, m = -3, -2, -3, 1)
-        monkeypatch.setattr(linalg, "descartes_signature", lambda rows: 0)
+        monkeypatch.setattr(linalg, "_descartes", lambda coeffs: 0)
         monkeypatch.setattr(closedforms, "_family", lambda *args, **kwargs: [])
         with pytest.raises(linalg.SignatureMismatchError, match="diagonalization=-3 descartes=0$"):
             closedforms.verify_closed_forms(3, 1)
@@ -651,7 +679,7 @@ class TestSignature:
             if linalg.determinant(sparse(m)) == 0:
                 continue
             count += 1
-            assert linalg._eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m))
+            assert eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m))
 
     def test_methods_agree_at_scale(self):
         # the chain forms behind `d3 --tb -1 --rot 0 --slope -1/400`
@@ -660,13 +688,15 @@ class TestSignature:
         for pres in forms:
             rows = linking_matrix(pres).rows
             assert len(rows) == 400
-            assert linalg._eliminate(rows)[1] == linalg.descartes_signature(rows)
+            assert linalg._path_kernel(rows)[1] == eliminate(rows)[1] == \
+                linalg.descartes_signature(rows)
 
     def test_zero_diagonal_handling(self):
         # congruence diagonalization must survive all-zero diagonals
         m = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         assert linalg.determinant(sparse(m)) == 2
-        assert linalg._eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m)) == -1
+        assert linalg._path_kernel(sparse(m))[1] == eliminate(sparse(m))[1] == \
+            linalg.descartes_signature(sparse(m)) == -1
 
 
 def zero_diagonal(m):
@@ -732,9 +762,9 @@ class TestKernelAgainstSympy:
         assert linalg.determinant(sparse(m)) == oracle_det == det
         if det == 0:
             with pytest.raises(linalg.SingularMatrixError):
-                linalg.adjugate_block(sparse(m), range(n))
+                oracle_block(sparse(m), range(n))
             return
-        got_det, sigma, adj = linalg.adjugate_block(sparse(m), range(n))
+        got_det, sigma, adj = oracle_block(sparse(m), range(n))
         assert got_det == det and sigma == sympy_signature(m)
         ref_adj = DomainMatrix.from_Matrix(ref).adjugate().to_Matrix().tolist() if n else []
         assert [list(row) for row in adj] == ref_adj
@@ -763,7 +793,7 @@ class TestKernelAgainstSympy:
         # nonsingular, with an all-zero diagonal: the first pivot needs a congruence
         swap = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
         assert linalg.determinant(sparse(swap)) == sympy.Matrix(swap).det()
-        det, _, adj = linalg.adjugate_block(sparse(swap), range(3))
+        det, _, adj = oracle_block(sparse(swap), range(3))
         ref = DomainMatrix.from_Matrix(sympy.Matrix(swap)).adjugate().to_Matrix()
         assert [list(row) for row in adj] == ref.tolist()
         assert not kernel_negative_definite(swap)
@@ -775,7 +805,7 @@ class TestCongruence:
     @settings(max_examples=300, deadline=None)
     @given(congruence_shapes())
     def test_matches_dense_oracle_and_sympy(self, m):
-        det, sigma, _ = linalg._eliminate(sparse(m))
+        det, sigma, _ = eliminate(sparse(m))
         if (sympy.Matrix(m).det() if m else 1) == 0:
             assert det == 0
             with pytest.raises(linalg.SingularMatrixError):
@@ -796,8 +826,10 @@ class TestCongruence:
         for name in ("char_poly",):
             monkeypatch.setattr(linalg, name, forbidden)
         for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
-                  [[0, 2, 1], [2, 0, 1], [1, 1, 0]], [[0, 1, 0], [1, 2, 0], [0, 0, -1]]):
-            linalg._eliminate(sparse(m))
+                  [[0, 1, 0], [1, 2, 0], [0, 0, -1]]):
+            linalg._path_kernel(sparse(m), range(len(m)))
+        with pytest.raises(ValueError, match="neither a path nor a clique head"):
+            linalg._path_kernel(sparse([[0, 2, 1], [2, 0, 1], [1, 1, 0]]))
         assert made == []
         Fraction(1, 3)
         assert made == [(1, 3)]
@@ -808,7 +840,7 @@ class TestCongruence:
         def forbidden(*args):
             raise AssertionError("elimination kernel called")
 
-        monkeypatch.setattr(linalg, "_eliminate", forbidden)
+        monkeypatch.setattr(linalg, "_path_kernel", forbidden)
         for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
                   linalg.dense(chain_matrix(12)), tbk_two_matrix(5, 1)):
             assert linalg.descartes_signature(sparse(m)) == sympy_signature(m)
@@ -820,9 +852,9 @@ class TestCongruence:
 
     def test_rejects_non_square_and_asymmetric(self):
         with pytest.raises(ValueError, match="square"):
-            linalg._eliminate(sparse([[1, 2]]))
+            linalg._path_kernel(sparse([[1, 2]]))
         with pytest.raises(ValueError, match="symmetric"):
-            linalg._eliminate(sparse([[1, 2], [0, 1]]))
+            linalg._path_kernel(sparse([[1, 2], [0, 1]]))
 
     def test_large_surgery_forms(self):
         # `d3 --tb -1 --rot 0 --slope -1/1600` (a 1600-chain) and
@@ -831,7 +863,7 @@ class TestCongruence:
         for coeff, n, sig in ((Fraction(-1, 1600) + 1, 1600, -1598), (Fraction(1, 40), 40, 38)):
             rows = linalg.dense(linking_matrix(convert(LegendrianData(-1, 0), coeff)[0]).rows)
             assert len(rows) == n
-            assert linalg._eliminate(sparse(rows))[1] == congruence_signature_dense(rows) == sig
+            assert linalg._path_kernel(sparse(rows))[1] == congruence_signature_dense(rows) == sig
             if n < 100:
                 assert linalg.descartes_signature(sparse(rows)) == sig
 
@@ -858,15 +890,21 @@ def acceptance_forms():
 
 
 def assert_sparse_matches_dense(m):
-    """adjugate_block and char_poly on sparse(m) against the dense
-    Bareiss and interpolation oracles on m."""
+    """adjugate_block, or on a shape the path kernel does not take (which
+    adjugate_block refuses) the oracle's sparse elimination, and char_poly
+    on sparse(m) against the dense Bareiss and interpolation oracles on m."""
     n = len(m)
     det, adj = bareiss(m, range(n))
+    block_of = linalg.adjugate_block
+    if not kernel_shape(m):
+        with pytest.raises(ValueError, match="neither a path nor a clique head"):
+            linalg.adjugate_block(sparse(m), range(n))
+        block_of = oracle_block
     if det == 0:
         with pytest.raises(linalg.SingularMatrixError):
-            linalg.adjugate_block(sparse(m), range(n))
+            block_of(sparse(m), range(n))
     else:
-        got_det, _, block = linalg.adjugate_block(sparse(m), range(n))
+        got_det, _, block = block_of(sparse(m), range(n))
         assert got_det == det
         assert [list(row) for row in block] == [[adj[c][i] for c in range(n)] for i in range(n)]
     assert linalg.char_poly(sparse(m)) == char_poly_interpolate(m)
@@ -893,7 +931,7 @@ class TestSparseRows:
         ([{1: 2}, {}], "symmetric"),
     ])
     def test_the_one_check(self, rows, message):
-        for check in (linalg.check_symmetric, linalg._eliminate,
+        for check in (linalg.check_symmetric, linalg._path_kernel, eliminate,
                       lambda rows: linalg.adjugate_block(rows, ())):
             with pytest.raises(ValueError, match=f"^matrix must be {message}$"):
                 check(rows)
@@ -931,3 +969,83 @@ class TestSparseRows:
         assert plan.sigma == forms["tb1_neg_sigma"](6400)
         assert plan.det == forms["tb1_neg_det"](6400)
         assert peak < 64 * 2 ** 20, peak
+
+
+def path_shape(m):
+    """Whether dense m is a shape the path kernel takes, read off its
+    entries without the library: tridiagonal, or rows 0..h-1 (h >= 3) all
+    linked with one value c != 0 and every entry more than one step off
+    the diagonal outside that head zero."""
+    n = len(m)
+    far = [(i, j) for i in range(n) for j in range(n) if abs(i - j) > 1 and m[i][j]]
+    if not far:
+        return True
+    return any(m[0][1] and all(m[i][j] == m[0][1] for i in range(h) for j in range(h) if i != j)
+               and all(i < h and j < h for i, j in far) for h in range(3, n + 1))
+
+
+@st.composite
+def kernel_shapes(draw):
+    """A path of 1..12 rows, or a clique head of 3..7 rows with one link c
+    and a path of 0..6 rows hung on its last row; zero diagonals, zero
+    leading minors, zero links (a split, as at tb = 0) and singular forms
+    are common.  With an index list S in random order."""
+    h = draw(st.sampled_from([0, 0, 3, 4, 5, 7]))
+    n = h + draw(st.integers(0 if h else 1, 6 if h else 12))
+    c = draw(st.integers(-4, 4).filter(bool))
+    m = [[c if i < h and j < h else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        m[i][i] = draw(st.one_of(st.just(0), st.just(-2), st.integers(-5, 5)))
+    for i in range(max(h, 1), n):
+        m[i][i - 1] = m[i - 1][i] = draw(st.one_of(st.just(0), st.sampled_from([1, -1]),
+                                                   st.integers(-3, 3)))
+    support = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    return m, support
+
+
+class TestPathKernel:
+    @settings(max_examples=250, deadline=None)
+    @given(kernel_shapes())
+    def test_matches_the_oracle(self, case):
+        # det, signature and adj(Q)[S, S] from two continuants, through E on
+        # a clique head, equal the oracle's sparse Bareiss elimination
+        m, support = case
+        assert path_shape(m) and kernel_shape(m)
+        want = eliminate(sparse(m), support)
+        assert linalg._path_kernel(sparse(m), support) == want
+        if want[0] == 0:
+            with pytest.raises(linalg.SingularMatrixError):
+                linalg.adjugate_block(sparse(m), support)
+        else:
+            assert linalg.adjugate_block(sparse(m), support) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_shapes())
+    def test_other_shapes_raise(self, m):
+        if path_shape(m):
+            assert kernel_shape(m)
+            return
+        for call in (linalg._path_kernel, lambda rows: linalg.adjugate_block(rows, ())):
+            with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
+                call(sparse(m))
+
+    @pytest.mark.parametrize("m", [
+        [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]],  # a 4-cycle
+        [[-2, 0, -1], [0, -2, -1], [-1, -1, -2]],  # a path out of index order
+        [[0, 1, 2], [1, 0, 1], [2, 1, 0]],  # a clique with two link values
+        [[0, -1, -1, 0], [-1, 0, -1, -1], [-1, -1, 0, 0], [0, -1, 0, -2]],  # a path on row 1
+        [[-1, -1, -1, -1], [-1, -1, -1, 0], [-1, -1, -1, 0], [-1, 0, 0, -2]],  # on row 0
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],  # link 0 in the head, a far entry
+    ])
+    def test_named_shapes_raise(self, m):
+        assert not path_shape(m) and not kernel_shape(m)
+        with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
+            linalg.adjugate_block(sparse(m), range(len(m)))
+
+    def test_pipeline_forms_take_the_kernel(self):
+        # every acceptance form, and clique heads of every push-off
+        for m in acceptance_forms():
+            assert path_shape(m) and kernel_shape(m)
+        for coeff, h in (("1/3", 3), ("1/40", 40), ("2/7", 5), ("3/2", 0)):
+            form = linking_matrix(convert(LegendrianData(-1, 0), Fraction(coeff))[0])
+            assert head(form.rows) == h

@@ -9,11 +9,11 @@ def test_regressions_clean():
 
 def test_cells_share_one_plan_per_slope(monkeypatch):
     # 126 cells over 82 (tb, slope) keys: tb = -2 is asked at rot 1 and -1,
-    # tb = -3 at rot 0, 2 and -2, and each key is one elimination pass
+    # tb = -3 at rot 0, 2 and -2, and each key is one path-kernel pass
     passes = []
-    eliminate = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate",
-                        lambda rows, cols=(): passes.append(len(rows)) or eliminate(rows, cols))
+    kernel = linalg._path_kernel
+    monkeypatch.setattr(linalg, "_path_kernel",
+                        lambda rows, cols=(): passes.append(len(rows)) or kernel(rows, cols))
     report = verify_d3_regressions(20)
     assert report["ok"] and report["checks"] == 126
     assert len(passes) <= 82

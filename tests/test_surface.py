@@ -41,20 +41,44 @@ def _names(node, name):
 
 
 def test_elimination_kernel_has_one_caller():
-    # adjugate_block checks the signature of every linalg._eliminate pass
-    # against Descartes' rule, so the kernel is named only at its
-    # definition and inside adjugate_block: no signature goes unchecked
+    # adjugate_block checks the det and signature of every
+    # linalg._path_kernel pass against the characteristic polynomial, so
+    # the kernel is named only at its definition and inside
+    # adjugate_block: no signature goes unchecked
     seen = {}
     for path, tree in _modules():
         door = set()
         if path.name == "linalg.py":
             top = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-            door = {id(top["_eliminate"]), *map(id, ast.walk(top["adjugate_block"]))}
+            door = {id(top["_path_kernel"]), *map(id, ast.walk(top["adjugate_block"]))}
         for node in ast.walk(tree):
-            if _names(node, "_eliminate"):
+            if _names(node, "_path_kernel"):
                 seen[f"{path.name}:{node.lineno}"] = id(node) in door
     assert [where for where, inside in seen.items() if not inside] == []
     assert len(seen) == 2  # the definition and the call in adjugate_block
+
+
+def _bareiss_steps(tree):
+    """The lines of ``tree`` that divide a difference of two products
+    exactly, (p x - f y) // prev: the Bareiss update."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+            and all(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                    for side in (node.left.left, node.left.right))]
+
+
+def test_bareiss_lives_only_in_the_oracles():
+    # det, signature and adjugate blocks come from the path kernel's
+    # continuants; fraction-free elimination is the tests' oracle only
+    for path, tree in _modules():
+        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not names & {"_eliminate", "eliminate", "bareiss"}, path.name
+        assert _bareiss_steps(tree) == [], path.name
+    oracles = SRC.parents[1] / "tests" / "oracles.py"
+    tree = ast.parse(oracles.read_text(), str(oracles))
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {"eliminate", "bareiss"} <= names and len(_bareiss_steps(tree)) >= 2
 
 
 def test_no_assert_statements():
