@@ -254,7 +254,10 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
     data (i, stabilization sign, chain rotations), and the bordered block
     determinants for |a|, |b|, |c| <= 3 and 1 <= m <= 6, with negative
     definiteness where the block lemma claims it, read as signature -n
-    from ``linalg.adjugate_block``, which checks it.  Mismatches are
+    from ``linalg.adjugate_block``, which checks it.  The chain, primed
+    chain and block determinants of every size are read off one
+    ``linalg.leading_determinants`` pass over the largest matrix of each
+    family, whose leading blocks they are.  Mismatches are
     collected, not raised; the returned report lists them with enough
     context to recompute by hand.
     """
@@ -263,22 +266,27 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
     f = DEFAULT_FORMS
     rep = _Report()
 
-    for n in range(1, max(50, n_max) + 1):
-        rep.record("chain_det", {"n": n}, f["chain_det"](n), linalg.determinant(chain_matrix(n)))
-        rep.record("chain_primed_det", {"n": n}, f["chain_primed_det"](n),
-                   linalg.determinant(chain_matrix_primed(n)))
+    # each lemma matrix is the leading block of the largest of its family
+    size = max(50, n_max)
+    chain = linalg.leading_determinants(chain_matrix(size))
+    primed = linalg.leading_determinants(chain_matrix_primed(size))
+    for n in range(1, size + 1):
+        rep.record("chain_det", {"n": n}, f["chain_det"](n), chain[n - 1])
+        rep.record("chain_primed_det", {"n": n}, f["chain_primed_det"](n), primed[n - 1])
 
     for a in range(-3, 4):
         for b in range(-3, 4):
             for c in range(-3, 4):
+                dets = linalg.leading_determinants(bordered_block_matrix(a, b, c, 6))
+                negdef = a < 0 and a * c - b * b > 0 and a * (c + 1) - b * b >= 0
                 for m in range(1, 7):
-                    mat = bordered_block_matrix(a, b, c, m)
-                    det = linalg.determinant(mat)
+                    det = dets[m + 1]  # the block of m chain vertices has m + 2 rows
                     rep.record("block_det", {"a": a, "b": b, "c": c, "m": m},
                                f["block_det"](a, b, c, m), det)
-                    if a < 0 and a * c - b * b > 0 and a * (c + 1) - b * b >= 0:
+                    if negdef:
                         rep.record("block_negdef", {"a": a, "b": b, "c": c, "m": m}, True,
-                                   det != 0 and linalg.adjugate_block(mat, ())[1] == -len(mat))
+                                   det != 0 and linalg.adjugate_block(
+                                       bordered_block_matrix(a, b, c, m), ())[1] == -(m + 2))
 
     for n in range(2, n_max + 1):
         _csq(rep, "tb1_neg_csq", _family(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n)),

@@ -64,10 +64,18 @@ class Plan:
     U: int
     table: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # the pinned coordinates, the only ones a shift moves
+        object.__setattr__(self, "_pins", [i for i, p in enumerate(self.pinned) if p])
+
     def rotations(self, d):
         """The rotation vectors at shift d, as an iterator of tuples."""
-        return product(*[[x + d for x in c] if p else c
-                         for c, p in zip(self.choices, self.pinned)])
+        if not d:
+            return product(*self.choices)
+        choices = self.choices.copy()
+        for i in self._pins:
+            choices[i] = [x + d for x in choices[i]]
+        return product(*choices)
 
     def runs(self, items):
         """``items``, one per vector, cut into a run per presentation."""

@@ -15,8 +15,9 @@ determinant, so no signature leaves this module unchecked.  The
 polynomial is built division-free and without elimination, by a
 continuant along the path of banded rows that ends the matrix (where
 ``surgery.linking_matrix`` puts the meridian chain) and Berkowitz's
-algorithm on the head before it; determinants of any square matrix are
-its constant term.
+algorithm on the head before it.  ``leading_determinants`` reads the
+determinant of every leading block of a banded matrix off one continuant
+pass: (-1)^i times the constant term of chi of the leading i rows.
 
 Matrices are sparse rows, row i the dict {j: x} of its nonzeros, so a
 pass costs O(nnz), not O(n^2); ``sparse`` makes them from dense rows and
@@ -178,10 +179,24 @@ def _check_basis(rows, h, basis, a, b):
             raise KernelCheckError(f"E Q E^T is not the path on head row {i}: {got} against {want}")
 
 
-def determinant(rows) -> int:
-    """Exact determinant of a square integer matrix, (-1)^n chi_A(0)."""
-    coeffs = char_poly(rows)
-    return (-1) ** (len(coeffs) - 1) * coeffs[-1]
+def leading_determinants(rows):
+    """[D_1, ..., D_n], D_i the determinant of the leading i x i block of
+    the n x n integer matrix ``rows``, which must be banded: row i nonzero
+    only at i-1..i+1, in 0..n-1; any other raises ValueError.  The rows
+    need not be symmetric.  One pass of the three-term continuant D_0 = 1,
+    D_(i+1) = a_ii D_i - a_(i,i-1) a_(i-1,i) D_(i-1) gives them all, in O(n)
+    integer operations.  D_i is (-1)^i times the constant term of the
+    continuant ``char_poly`` runs on the same i rows, which are all banded,
+    at x = 0."""
+    n = len(rows)
+    dets, d, prev = [], 1, 0
+    for i, row in enumerate(rows):
+        if any(x and not (0 <= j < n and i - 1 <= j <= i + 1) for j, x in row.items()):
+            raise ValueError(f"matrix is not banded: row {i} has a nonzero off i-1..i+1")
+        link = row.get(i - 1, 0) * rows[i - 1].get(i, 0) if i else 0
+        d, prev = row.get(i, 0) * d - link * prev, d
+        dets.append(d)
+    return dets
 
 
 def adjugate_block(rows, support):

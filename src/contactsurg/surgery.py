@@ -103,23 +103,25 @@ def rot_range(tb: int) -> list:
     return list(range(tb + 1, -tb, 2))
 
 
-def _negative_chain(tb: int, rot: int, contact_coeff: Fraction) -> tuple:
+def _negative_chain(tb: int, rot: int, p: int, q: int) -> tuple:
     """The components, stabilized knot then meridian chain, for a negative
-    contact coefficient on a knot with invariants (tb, rot).  The m
-    stabilizations shift rot by one of m, m - 2, ..., -m: the knot's rot is
-    the range of those rotation numbers, in that order."""
-    smooth = tb + contact_coeff
-    if smooth >= -1:
-        raise SlopeError(f"tb={tb}, contact coefficient {contact_coeff}: negative-coefficient "
-                         f"conversion needs smooth slope < -1, got {smooth}")
-    runs = neg_cf_runs(smooth.numerator, smooth.denominator)
+    contact coefficient p/q (q > 0, in lowest terms) on a knot with
+    invariants (tb, rot).  The m stabilizations shift rot by one of m,
+    m - 2, ..., -m: the knot's rot is the range of those rotation numbers,
+    in that order.  The smooth slope is s/q with s = tb q + p, in lowest
+    terms as p/q is."""
+    s = tb * q + p
+    if s >= -q:
+        raise SlopeError(f"tb={tb}, contact coefficient {Fraction(p, q)}: negative-coefficient "
+                         f"conversion needs smooth slope < -1, got {Fraction(s, q)}")
+    runs = neg_cf_runs(s, q)
     m = tb - runs[0][0] - 1
     if m < 0:
         raise ValueError(f"negative-coefficient conversion needs a negative contact "
-                         f"coefficient, got {contact_coeff}")
+                         f"coefficient, got {Fraction(p, q)}")
     for count, what in ((m + 1, "presentations"), (sum(k for _, k in runs) - 1, "chain unknots")):
         if count > sys.maxsize:
-            raise SlopeError(f"tb={tb}, contact coefficient {contact_coeff}: {count} {what} "
+            raise SlopeError(f"tb={tb}, contact coefficient {Fraction(p, q)}: {count} {what} "
                              f"are more than a list holds ({sys.maxsize})")
     # the knot, then the chain terms after the first, one shared (immutable) Component per run
     chain = [Component("pushoff", tb - m, -1, rot=range(rot + m, rot - m - 1, -2))]
@@ -131,15 +133,18 @@ def _negative_chain(tb: int, rot: int, contact_coeff: Fraction) -> tuple:
 def _presentation(L: LegendrianData, contact_coeff) -> SurgeryPresentation:
     """The one (+1/-1)-surgery presentation of contact r-surgery on L.  Its
     stabilized push-off, if it has one, carries all the rotation numbers
-    its stabilizations allow, as a ``range``; ``convert`` pins each."""
-    contact_coeff = Fraction(contact_coeff)
-    if contact_coeff == 0:
-        raise ContactZeroError("contact (0)-surgery is not well-defined")
-    smooth = L.tb + contact_coeff
-    if contact_coeff < 0:
-        comps = _negative_chain(L.tb, L.rot, contact_coeff)
-        return SurgeryPresentation(comps, L.tb, L.rot, contact_coeff, smooth)
+    its stabilizations allow, as a ``range``; ``convert`` pins each.  The
+    slope tests run on integers; Fractions are made only for the
+    presentation's fields and for error texts."""
+    if type(contact_coeff) is not Fraction:
+        contact_coeff = Fraction(contact_coeff)
     p, q = contact_coeff.numerator, contact_coeff.denominator
+    if not p:
+        raise ContactZeroError("contact (0)-surgery is not well-defined")
+    smooth = Fraction(L.tb * q + p, q)
+    if p < 0:
+        comps = _negative_chain(L.tb, L.rot, p, q)
+        return SurgeryPresentation(comps, L.tb, L.rot, contact_coeff, smooth)
     k = -(-q // p)  # smallest k with q - k p <= 0
     if k > sys.maxsize:
         raise SlopeError(f"tb={L.tb}, contact coefficient {contact_coeff}: {k} push-offs "
@@ -147,13 +152,15 @@ def _presentation(L: LegendrianData, contact_coeff) -> SurgeryPresentation:
     rem = q - k * p
     comps = (Component("pushoff", L.tb, 1, rot=L.rot),) * k  # one shared (immutable) Component
     if rem:
-        tail_coeff = Fraction(p, rem)
-        if L.tb + tail_coeff >= -1:
+        # the remainder coefficient is -p/-rem, in lowest terms as p/q is, and
+        # its smooth slope (tb (-rem) - p)/(-rem) must be < -1
+        if L.tb * -rem - p >= rem:
+            tail_coeff = Fraction(p, rem)
             raise SlopeError(
                 f"tb={L.tb}, contact coefficient {contact_coeff} (smooth slope {smooth}): "
                 f"after {k} push-off{'s' if k > 1 else ''} the remainder coefficient "
                 f"{tail_coeff} needs smooth slope < -1, got {L.tb + tail_coeff}")
-        comps += _negative_chain(L.tb, L.rot, tail_coeff)
+        comps += _negative_chain(L.tb, L.rot, -p, -rem)
     return SurgeryPresentation(comps, L.tb, L.rot, contact_coeff, smooth)
 
 

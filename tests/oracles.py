@@ -7,6 +7,7 @@ with their own extended Euclid, their signs, class count and shortening
 move, Honda's lens count from the regular continued fraction, a dense
 Bareiss elimination for determinants and adjugates, a sparse symmetric
 one that gives signatures and adjugate blocks of any symmetric matrix,
+the determinant as the constant term of ``linalg.char_poly``,
 characteristic polynomials from its determinants and by a continuant
 one vertex at a time, a dense Fraction
 congruence diagonalization, r^T adj(A) r entry by entry, d3 one
@@ -697,6 +698,14 @@ def eliminate(rows, cols=()):
     for v, mix in reversed(mixes):
         y[mix] = list(map(add, y[mix], y[v]))
     return det, sigma, tuple(tuple(y[c]) for c in cols)
+
+
+def determinant(rows) -> int:
+    """Exact determinant of a square integer matrix (sparse rows),
+    (-1)^n chi_A(0) from ``linalg.char_poly``: the constant term of the
+    continuant and Berkowitz route, with no elimination."""
+    coeffs = linalg.char_poly(rows)
+    return (-1) ** (len(coeffs) - 1) * coeffs[-1]
 
 
 def char_poly_minors(rows):

@@ -23,6 +23,7 @@ from contactsurg.surgery import (
     rot_range,
 )
 from oracles import (
+    determinant,
     tb1_negative_matrix,
     tb1_positive_matrix,
     tb2_negative_matrix,
@@ -42,11 +43,11 @@ class TestBlockDeterminant:
                     for m in range(1, 11):
                         expected = (-1) ** m * ((a * (c + 1) - b * b) * m + (a * c - b * b))
                         block = bordered_block_matrix(a, b, c, m)
-                        assert linalg.determinant(block) == expected
+                        assert determinant(block) == expected
 
     def test_spot_value(self):
         # a=0, b=-1, c=0, m=1 gives determinant 2 (3x3 cofactor expansion)
-        assert linalg.determinant(bordered_block_matrix(0, -1, 0, 1)) == 2
+        assert determinant(bordered_block_matrix(0, -1, 0, 1)) == 2
 
 
 class TestFamilies:
@@ -200,7 +201,7 @@ class TestVerifier:
         assert not rep["ok"]
         singular = [m for m in rep["mismatches"] if m["check"].endswith("_invertible")]
         assert singular and all(m["actual"] == "det = 0"
-                                and linalg.determinant(sparse(m["matrix"])) == 0 for m in singular)
+                                and determinant(sparse(m["matrix"])) == 0 for m in singular)
         monkeypatch.setattr(cli, "verify_closed_forms", sweep)
         assert main(["verify", "--k-max", "4", "--n-max", "3"]) == 1
         out = capsys.readouterr().out
@@ -255,6 +256,20 @@ class TestVerifier:
         monkeypatch.setattr(linalg, "_path_kernel", counted)
         assert verify_closed_forms()["ok"]
         assert len(passes) <= 985
+
+    def test_char_poly_calls(self, monkeypatch):
+        # one per adjugate_block pass: 835 family forms and 150 block_negdef
+        # matrices.  The lemma determinants are 345 leading_determinants
+        # passes, where one characteristic polynomial per lemma matrix made
+        # 3,143 calls in all
+        calls, lemma = [], []
+        char_poly, leading = linalg.char_poly, linalg.leading_determinants
+        monkeypatch.setattr(linalg, "char_poly", lambda rows: calls.append(len(rows)) or char_poly(rows))
+        monkeypatch.setattr(linalg, "leading_determinants",
+                            lambda rows: lemma.append(len(rows)) or leading(rows))
+        assert verify_closed_forms()["ok"]
+        assert len(calls) == 985
+        assert lemma == [50, 50] + [8] * 343
 
     def test_verify_elimination_passes(self, monkeypatch, capsys):
         # the closed forms' 985, the regressions' 82 (one per (tb, slope),

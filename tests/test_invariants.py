@@ -27,7 +27,7 @@ from contactsurg.surgery import (
     rot_range,
 )
 from oracles import (D3Result, adjugate_quadratic, d3_spectrum_detail_by_vector, d3_values,
-                     enumerate_rotations)
+                     determinant, enumerate_rotations)
 
 
 def form(q, l):
@@ -118,14 +118,12 @@ class TestSpectra:
             d3_spectrum(LegendrianData(-1, 0), 0)
 
     def test_csq_denominator_divides_det(self):
-        from contactsurg import linalg
-
         cases = [(-3, 2, Fraction(2)), (-4, 1, Fraction(-1, 3)),
                  (-2, 1, Fraction(1, 5)), (-1, 0, Fraction(-1, 4))]
         for tb, rot, slope in cases:
             for pres in convert(LegendrianData(tb, rot), slope - tb):
                 f = linking_matrix(pres)
-                det = abs(linalg.determinant(f.rows))
+                det = abs(determinant(f.rows))
                 for res in d3_values(f, enumerate_rotations(pres)):
                     assert det % res.c_squared.denominator == 0
 

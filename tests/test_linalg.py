@@ -22,6 +22,7 @@ from oracles import (
     char_poly_minors,
     congruence_signature_dense,
     continuant_steps,
+    determinant,
     eliminate,
     tb2_negative_matrix,
     tb2_positive_matrix,
@@ -67,24 +68,24 @@ def det_reference(rows):
 
 class TestDeterminant:
     def test_small_cases(self):
-        assert linalg.determinant(sparse([])) == 1
-        assert linalg.determinant(sparse([[7]])) == 7
-        assert linalg.determinant(sparse([[0, -1], [-1, 0]])) == -1
+        assert determinant(sparse([])) == 1
+        assert determinant(sparse([[7]])) == 7
+        assert determinant(sparse([[0, -1], [-1, 0]])) == -1
 
     def test_chain_determinants(self):
         for n in range(1, 51):
-            assert linalg.determinant(chain_matrix(n)) == (-1) ** n * (n + 1)
+            assert determinant(chain_matrix(n)) == (-1) ** n * (n + 1)
         for n in range(2, 30):
-            assert linalg.determinant(chain_matrix_primed(n)) == \
-                -linalg.determinant(chain_matrix(n - 1))
-        assert linalg.determinant(chain_matrix_primed(1)) == -1
+            assert determinant(chain_matrix_primed(n)) == \
+                -determinant(chain_matrix(n - 1))
+        assert determinant(chain_matrix_primed(1)) == -1
 
     def test_against_reference(self):
         rng = random.Random(99)
         for _ in range(500):
             n = rng.randint(1, 7)
             m = random_matrix(rng, n)
-            assert linalg.determinant(sparse(m)) == bareiss(m)[0] == det_reference(m)
+            assert determinant(sparse(m)) == bareiss(m)[0] == det_reference(m)
 
     def test_sparse_rows(self):
         rng = random.Random(4)
@@ -95,7 +96,69 @@ class TestDeterminant:
                 for j in range(n):
                     if rng.random() < 0.35:
                         m[i][j] = rng.randint(-5, 5)
-            assert linalg.determinant(sparse(m)) == bareiss(m)[0] == det_reference(m)
+            assert determinant(sparse(m)) == bareiss(m)[0] == det_reference(m)
+
+
+@st.composite
+def banded_matrices(draw):
+    """Dense banded n x n matrices, n <= 12, with independent upper and
+    lower links, so most are asymmetric; entries in -3..3 with extra
+    zeros make zero links, zero diagonals and singular leading blocks
+    common."""
+    entries = st.one_of(st.just(0), st.integers(-3, 3))
+    n = draw(st.integers(0, 12))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(entries)
+        if i:
+            m[i][i - 1], m[i - 1][i] = draw(entries), draw(entries)
+    return m
+
+
+def leading_block(rows, i):
+    """The sparse rows of the leading i x i block of sparse ``rows``."""
+    return [{j: x for j, x in row.items() if j < i} for row in rows[:i]]
+
+
+class TestLeadingDeterminants:
+    @settings(max_examples=300, deadline=None)
+    @given(banded_matrices())
+    def test_each_entry_is_the_oracle_determinant_of_its_block(self, m):
+        rows = sparse(m)
+        dets = linalg.leading_determinants(rows)
+        assert dets == [determinant(leading_block(rows, i)) for i in range(1, len(m) + 1)]
+        assert dets == [det_reference([row[:i] for row in m[:i]]) for i in range(1, len(m) + 1)]
+
+    def test_singular_prefix_and_one_way_links(self):
+        # D_2 = 1 - 1 * 1 = 0, then D_3 = 2 D_2 - (2 * 1) D_1 = -2
+        m = [[1, 1, 0], [1, 1, 1], [0, 2, 2]]
+        assert linalg.leading_determinants(sparse(m)) == [1, 0, -2]
+        # the link product is a_10 a_01 = 0 * 1, not a_01^2 = 1
+        assert linalg.leading_determinants(sparse([[1, 1], [0, 1]])) == [1, 1]
+        assert linalg.leading_determinants([]) == []
+
+    def test_lemma_families(self):
+        chain = linalg.leading_determinants(chain_matrix(50))
+        primed = linalg.leading_determinants(chain_matrix_primed(50))
+        for n in range(1, 51):
+            assert chain[n - 1] == determinant(chain_matrix(n)) == (-1) ** n * (n + 1)
+            assert primed[n - 1] == determinant(chain_matrix_primed(n)) == (-1) ** n * n
+        for a, b, c in itertools.product(range(-3, 4), repeat=3):
+            dets = linalg.leading_determinants(bordered_block_matrix(a, b, c, 6))
+            assert dets[2:] == [determinant(bordered_block_matrix(a, b, c, m)) for m in range(1, 7)]
+
+    @pytest.mark.parametrize("rows", [
+        sparse([[1, 0, 1], [0, 1, 0], [1, 0, 1]]),
+        sparse([[1, 0, 0], [0, 1, 0], [2, 0, 1]]),
+        [{0: 1, 1: 1}],
+        [{-1: 1, 0: 1}, {1: 1}],
+    ])
+    def test_not_banded_raises(self, rows):
+        with pytest.raises(ValueError, match="not banded"):
+            linalg.leading_determinants(rows)
+
+    def test_stored_zero_off_the_band_is_banded(self):
+        assert linalg.leading_determinants([{0: 2, 2: 0}, {1: 3}, {2: 1}]) == [2, 6, 6]
 
 
 def inverse_entry(rows, i, j, adjugate=linalg.adjugate_block):
@@ -159,7 +222,7 @@ class TestInverseEntry:
         while done < 40:
             n = rng.randint(1, 5)
             m = random_matrix(rng, n, -4, 4, symmetric=True)
-            if linalg.determinant(sparse(m)) == 0:
+            if determinant(sparse(m)) == 0:
                 continue
             done += 1
             inv = [[inverse_entry(m, i, j, oracle_block) for j in range(n)] for i in range(n)]
@@ -188,7 +251,7 @@ class TestSolve:
         while done < 60:
             n = rng.randint(1, 6)
             m = random_matrix(rng, n, -6, 6, symmetric=True)
-            if linalg.determinant(sparse(m)) == 0:
+            if determinant(sparse(m)) == 0:
                 continue
             done += 1
             b = [rng.randint(-5, 5) for _ in range(n)]
@@ -204,11 +267,11 @@ class TestSolve:
         while done < 60:
             n = rng.randint(1, 6)
             m = random_matrix(rng, n, -6, 6, symmetric=True)
-            if linalg.determinant(sparse(m)) == 0:
+            if determinant(sparse(m)) == 0:
                 continue
             done += 1
             det, _, adj = oracle_block(sparse(m), range(n))
-            assert det == linalg.determinant(sparse(m))
+            assert det == determinant(sparse(m))
             for c in range(n):
                 for i in range(n):
                     s = sum(m[i][k] * adj[k][c] for k in range(n))
@@ -220,7 +283,7 @@ class TestSolve:
         while done < 60:
             n = rng.randint(1, 6)
             m = random_matrix(rng, n, -6, 6, symmetric=True)
-            if linalg.determinant(sparse(m)) == 0:
+            if determinant(sparse(m)) == 0:
                 continue
             done += 1
             r = [rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
@@ -276,7 +339,7 @@ class TestAdjugateBlock:
     @given(symmetric_with_vector(), st.data())
     def test_vector_off_the_support_raises(self, case, data):
         m, r, support = case
-        if linalg.determinant(sparse(m)) == 0 or not support:
+        if determinant(sparse(m)) == 0 or not support:
             return
         dropped = data.draw(st.sampled_from(support))
         rest = [i for i in support if i != dropped]
@@ -302,7 +365,7 @@ def negative_definite(m):
     """Negative definiteness as verify's block lemma reads it: det != 0
     and the signature ``adjugate_block`` checks is -n."""
     rows = sparse(m)
-    return linalg.determinant(rows) != 0 and linalg.adjugate_block(rows, ())[1] == -len(m)
+    return determinant(rows) != 0 and linalg.adjugate_block(rows, ())[1] == -len(m)
 
 
 def kernel_negative_definite(m):
@@ -332,7 +395,7 @@ class TestDefiniteness:
         while done < 300:
             n = rng.randint(1, 6)
             m = random_matrix(rng, n, -9, 9, symmetric=True)
-            if linalg.determinant(sparse(m)) == 0:
+            if determinant(sparse(m)) == 0:
                 continue
             done += 1
             sylvester = kernel_negative_definite(m)
@@ -676,7 +739,7 @@ class TestSignature:
         while count < 1000:
             n = rng.randint(1, 8)
             m = random_matrix(rng, n, -9, 9, symmetric=True)
-            if linalg.determinant(sparse(m)) == 0:
+            if determinant(sparse(m)) == 0:
                 continue
             count += 1
             assert eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m))
@@ -694,7 +757,7 @@ class TestSignature:
     def test_zero_diagonal_handling(self):
         # congruence diagonalization must survive all-zero diagonals
         m = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-        assert linalg.determinant(sparse(m)) == 2
+        assert determinant(sparse(m)) == 2
         assert linalg._path_kernel(sparse(m))[1] == eliminate(sparse(m))[1] == \
             linalg.descartes_signature(sparse(m)) == -1
 
@@ -759,7 +822,7 @@ class TestKernelAgainstSympy:
         ref = sympy.Matrix(n, n, [x for row in m for x in row])
         det = ref.det()
         oracle_det, oracle_adj = bareiss(m, range(n))
-        assert linalg.determinant(sparse(m)) == oracle_det == det
+        assert determinant(sparse(m)) == oracle_det == det
         if det == 0:
             with pytest.raises(linalg.SingularMatrixError):
                 oracle_block(sparse(m), range(n))
@@ -792,7 +855,7 @@ class TestKernelAgainstSympy:
     def test_row_swap_cases(self):
         # nonsingular, with an all-zero diagonal: the first pivot needs a congruence
         swap = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
-        assert linalg.determinant(sparse(swap)) == sympy.Matrix(swap).det()
+        assert determinant(sparse(swap)) == sympy.Matrix(swap).det()
         det, _, adj = oracle_block(sparse(swap), range(3))
         ref = DomainMatrix.from_Matrix(sympy.Matrix(swap)).adjugate().to_Matrix()
         assert [list(row) for row in adj] == ref.tolist()
@@ -845,10 +908,10 @@ class TestCongruence:
                   linalg.dense(chain_matrix(12)), tbk_two_matrix(5, 1)):
             assert linalg.descartes_signature(sparse(m)) == sympy_signature(m)
             assert linalg.char_poly(sparse(m)) == sympy_char_poly(m)
-            assert linalg.determinant(sparse(m)) == sympy.Matrix(m).det()
+            assert determinant(sparse(m)) == sympy.Matrix(m).det()
         for m in (linalg.dense(chain_matrix_primed(7)), [[1, 2], [3, 4]]):
             assert linalg.char_poly(sparse(m)) == sympy_char_poly(m)
-            assert linalg.determinant(sparse(m)) == sympy.Matrix(m).det()
+            assert determinant(sparse(m)) == sympy.Matrix(m).det()
 
     def test_rejects_non_square_and_asymmetric(self):
         with pytest.raises(ValueError, match="square"):

@@ -108,7 +108,7 @@ class TestConvert:
     def test_negative_chain_needs_negative_coefficient(self):
         # smooth -4 on tb = -5 would need -2 stabilizations
         with pytest.raises(ValueError, match="negative contact coefficient"):
-            _negative_chain(-5, 0, Fraction(1))
+            _negative_chain(-5, 0, 1, 1)
 
     def test_single_negative_surgery(self):
         # smooth -1 on tb = -2 is contact (+1): one push-off
