@@ -10,8 +10,8 @@ from .slopes import (INFINITY, Slope, SlopeError, canonical_slope, cs_set,
 from .farey import (ANTICLOCKWISE, CLOCKWISE, count_tight_lens, count_tight_lens_pq,
                     count_tight_solid_torus, count_tight_thickened_torus, is_edge,
                     minimal_path_blocks)
-from .surgery import (ContactZeroError, IntersectionForm, LegendrianData, convert,
-                      linking_matrix, rot_range)
+from .surgery import (ContactZeroError, IntersectionForm, LegendrianData, linking_matrix,
+                      rot_range)
 from .invariants import d3_spectrum
 from .cosmetic import candidate_slopes, scan, solve_d3_equation, unknot_classify
 from .closedforms import verify_closed_forms
@@ -26,8 +26,8 @@ __all__ = [
     "count_tight_solid_torus", "count_tight_thickened_torus", "is_edge",
     "minimal_path_blocks",
     # surgery presentations
-    "ContactZeroError", "IntersectionForm", "LegendrianData", "convert",
-    "linking_matrix", "rot_range",
+    "ContactZeroError", "IntersectionForm", "LegendrianData", "linking_matrix",
+    "rot_range",
     # d3
     "d3_spectrum",
     # cosmetic obstructions and unknots

@@ -248,7 +248,7 @@ _LEADING = (("q11", 0, 0), ("q12", 1, 0), ("q22", 1, 1))
 
 def verify_closed_forms(k_max: int = 20, n_max: int = 20):
     """Check every closed form of DEFAULT_FORMS against the generic exact
-    routines, on the forms ``convert`` and ``linking_matrix`` build.
+    routines, on the forms ``_presentation`` and ``linking_matrix`` build.
 
     Sweeps 3 <= k <= k_max, 1 <= n <= n_max and all admissible rotation
     data (i, stabilization sign, chain rotations), and the bordered block

@@ -56,8 +56,8 @@ def candidate_slopes(genus: int, n_max: int = 10):
 def _shifted_d3(family, csq_args, sigma_args, size):
     """The integer 4 (d3 - 1) = c1^2 - 3 sigma - 2 size of a surgery trace,
     from the ``family`` csq and sigma forms of DEFAULT_FORMS; ``size`` is
-    the number of rows of its form, the linking matrix that ``convert``
-    gives at tb = -k and smooth slope -1/n, 1/n or +-2."""
+    the number of rows of its form, the linking matrix of the
+    ``_presentation`` at tb = -k and smooth slope -1/n, 1/n or +-2."""
     return (DEFAULT_FORMS[family + "_csq"](*csq_args)
             - (3 * DEFAULT_FORMS[family + "_sigma"](*sigma_args) + 2 * size))
 

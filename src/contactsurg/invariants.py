@@ -39,9 +39,9 @@ class Plan:
     numbers, and the integers their d3 values need: they share Q, det,
     sigma, S, B and U.  ``choices`` are ``rotation_choices(presentation)``;
     the pinned coordinates come first, so ``product(*choices)`` is
-    presentation-major (``runs``), in ``convert``'s order.  u = ``pinned``
-    is 1 on the push-offs, whose rotation numbers follow the knot's: at
-    the shift d = rot - base_rot, each vector v becomes v + d u.
+    presentation-major (``runs``), in the order of the pinned range.
+    u = ``pinned`` is 1 on the push-offs, whose rotation numbers follow the
+    knot's: at the shift d = rot - base_rot, each vector v becomes v + d u.
     ``block`` is B = adj(Q)[S, S] on the ascending S = ``support``, which
     holds the support of u and of the vectors, so (Q^-1)_{S[a], S[b]} =
     B[a][b] / det; c1^2 of v + d u is (N_v + 2 d W_v + d^2 U) / det for

@@ -14,10 +14,12 @@ polynomial of Q itself, whose constant term must also give the kernel's
 determinant, so no signature leaves this module unchecked.  The
 polynomial is built division-free and without elimination, by a
 continuant along the path of banded rows that ends the matrix (where
-``surgery.linking_matrix`` puts the meridian chain) and Berkowitz's
-algorithm on the head before it.  ``leading_determinants`` reads the
-determinant of every leading block of a banded matrix off one continuant
-pass: (-1)^i times the constant term of chi of the leading i rows.
+``surgery.linking_matrix`` puts the meridian chain), seeded on a clique
+head by the matrix determinant lemma in O(h^2) for h rows; ``char_poly``
+finds the head itself and takes the shapes the kernel takes, no others.
+``leading_determinants`` reads the determinant of every leading block of
+a banded matrix off one continuant pass: (-1)^i times the constant term
+of chi of the leading i rows.
 
 Matrices are sparse rows, row i the dict {j: x} of its nonzeros, so a
 pass costs O(nnz), not O(n^2); ``sparse`` makes them from dense rows and
@@ -227,22 +229,24 @@ def adjugate_block(rows, support):
 
 
 def char_poly(rows):
-    """Characteristic polynomial det(x*I - A) of a square integer matrix.
+    """Characteristic polynomial det(x*I - A) of a square integer matrix of
+    a shape ``_path_kernel`` takes, though the path rows need not be
+    symmetric; any other shape raises ValueError.
 
     Returns the integer coefficients in descending degree, leading 1,
     division-free and without elimination.  Row i is banded when row and
     column i are zero outside positions i-1..i+1.  The banded rows t..n-1
-    that end the matrix form a path, joined to the head 0..t-1 only by
-    entries (t-1, t) and (t, t-1): a continuant along it, seeded with chi
-    of the head and of the head without t-1 (both by Berkowitz), gives
-    chi.  ``linking_matrix`` puts the meridian chain last, hung on the
-    last push-off.  Reading the rows costs O(nnz) and Berkowitz O(k^4)
-    on a head of k rows; the continuant costs O(len f) integer operations
-    per vertex, and O(r len f) for a run of r framings -2 that it takes in
-    one step (see ``_run``).  So a slope -1/N, whose meridian chain is one
-    such run hung on k <= 3 push-offs, costs O(N k) reading and
-    arithmetic, not O(N^2) big-int steps; other matrices pay Berkowitz on
-    the head.
+    that end the matrix form a path; when t > 0 (then t >= 3), rows 0..t-1
+    must be a clique head, every entry between two of them one value
+    c != 0, which the path meets only at (t-1, t), as ``linking_matrix``
+    hangs the meridian chain on the last push-off.  The head is c J + D
+    with D = diag(d_i - c), so by the matrix determinant lemma its chi is
+    P - c P', P = prod (x - d_i + c), in O(t^2) integer operations; a
+    continuant along the path, seeded with chi of the head and of the head
+    without t-1, gives chi.  It costs O(len f) integer operations per
+    vertex, and O(r len f) for a run of r framings -2 that it takes in one
+    step (see ``_run``).  So a slope -1/N, one such run, costs O(N k) for
+    k push-offs, and a clique of N push-offs (``--coeff 1/N``) O(N^2).
     """
     n = len(rows)
     # nonzero off-diagonal entries of each row, then of each column too
@@ -254,14 +258,19 @@ def char_poly(rows):
     t = n
     while t and nbrs[t - 1] <= {t - 2, t}:
         t -= 1
-    if t == n:
-        coeffs = _berkowitz(rows, range(n))
-    elif t:
-        coeffs = _path_extend(rows, range(t, n), t - 1, _berkowitz(rows, range(t)),
-                              _berkowitz(rows, range(t - 1)))
-    else:
-        coeffs = _path_extend(rows, range(n), None, [1], None)
-    return coeffs[::-1]
+    if not t:
+        return _path_extend(rows, range(n), None, [1], None)[::-1]
+    c = rows[0].get(1)
+    if not c or any(rows[i].get(j) != c for i in range(t) for j in range(t) if j != i):
+        raise ValueError("matrix is neither a path nor a clique head with a path on its last row")
+    p = [1]  # P, ascending, over the head rows so far; q the P before the last
+    for i in range(t):
+        q, e = p, rows[i].get(i, 0) - c
+        p = list(map(sub, [0] + p, [e * x for x in p] + [0]))
+    # chi_k = P_k - c (k + 1) P_(k+1), for the head and the head less t-1
+    f, g = ([x - c * k * y for k, (x, y) in enumerate(zip(poly, poly[1:] + [0]), 1)]
+            for poly in (p, q))
+    return _path_extend(rows, range(t, n), t - 1, f, g)[::-1]
 
 
 def _path_extend(a, path, attach, f, g):
@@ -353,39 +362,6 @@ def _run_polys(r):
     return out
 
 
-def _berkowitz(a, idx):
-    """Ascending coefficients of det(x*I - A) on ``idx`` (Berkowitz 1984).
-
-    Grows the leading block A_k one vertex v at a time, with column c and
-    row r the entries joining v to A_k.  From p = chi(A_k) and
-    t_m = r A_k^m c, chi(A_(k+1)) = (x - a_vv) p - sum_j x^j
-    sum_(i>j) p_i t_(i-j-1), by the adjugate identity
-    adj(x*I - A_k) = sum_j x^j sum_(i>j) p_i A_k^(i-j-1).  Rows are kept
-    sparse, so a step costs k matrix-vector products over the nonzeros.
-    """
-    where = {w: pos for pos, w in enumerate(idx)}
-    off = [[(where[w], x) for w, x in a[u].items() if w != u and w in where] for u in idx]
-    diag = [a[u].get(u, 0) for u in idx]
-    p = [1]
-    for k, v in enumerate(idx):
-        col = [a[u].get(v, 0) for u in idx[:k]]
-        row = [(pos, x) for pos, x in off[k] if pos < k]
-        t = []
-        for m in range(k):
-            t.append(sum(x * col[pos] for pos, x in row))
-            if m + 1 < k:
-                col = [diag[i] * col[i] + sum(x * col[pos] for pos, x in off[i] if pos < k)
-                       for i in range(k)]
-        q = [0] + p
-        d = diag[k]
-        for i, x in enumerate(p):
-            q[i] -= d * x
-        for j in range(k):
-            q[j] -= sum(p[i] * t[i - j - 1] for i in range(j + 1, k + 1))
-        p = q
-    return p
-
-
 def _descartes(coeffs) -> int:
     """The signature of a symmetric matrix from its characteristic
     polynomial ``coeffs`` (descending, nonzero constant term): a
@@ -397,11 +373,3 @@ def _descartes(coeffs) -> int:
     signs = [[c > 0 for c in poly if c] for poly in (coeffs, negated)]
     positive, negative = (sum(map(ne, s, s[1:])) for s in signs)
     return positive - negative
-
-
-def descartes_signature(rows) -> int:
-    """Signature by ``_descartes``; det != 0 rules out zero eigenvalues."""
-    coeffs = char_poly(rows)
-    if coeffs[-1] == 0:
-        raise SingularMatrixError("matrix is singular")
-    return _descartes(coeffs)

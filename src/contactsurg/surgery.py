@@ -12,7 +12,7 @@ coefficient p/(q - kp) < 0 is handled by the negative case on one more
 push-off, and when q - kp = 0 the k push-offs complete the surgery.  The
 m + 1 presentations differ only in the stabilized push-off's rotation
 number, so the pipeline builds one (``_presentation``), whose push-off
-holds them all as a range; ``convert`` lists the ones that pin each.
+holds them all as a range.
 
 Orientations are fixed so that push-off pairs link with lk = tb(L) and
 consecutive meridian chain components contribute -1 off-diagonal
@@ -133,9 +133,10 @@ def _negative_chain(tb: int, rot: int, p: int, q: int) -> tuple:
 def _presentation(L: LegendrianData, contact_coeff) -> SurgeryPresentation:
     """The one (+1/-1)-surgery presentation of contact r-surgery on L.  Its
     stabilized push-off, if it has one, carries all the rotation numbers
-    its stabilizations allow, as a ``range``; ``convert`` pins each.  The
-    slope tests run on integers; Fractions are made only for the
-    presentation's fields and for error texts."""
+    its stabilizations allow, as a ``range`` (shifts m, m - 2, ..., -m);
+    the presentations differ only in which one it pins.  The slope tests
+    run on integers; Fractions are made only for the presentation's
+    fields and for error texts."""
     if type(contact_coeff) is not Fraction:
         contact_coeff = Fraction(contact_coeff)
     p, q = contact_coeff.numerator, contact_coeff.denominator
@@ -162,21 +163,6 @@ def _presentation(L: LegendrianData, contact_coeff) -> SurgeryPresentation:
                 f"{tail_coeff} needs smooth slope < -1, got {L.tb + tail_coeff}")
         comps += _negative_chain(L.tb, L.rot, -p, -rem)
     return SurgeryPresentation(comps, L.tb, L.rot, contact_coeff, smooth)
-
-
-def convert(L: LegendrianData, contact_coeff) -> list:
-    """All (+1/-1)-surgery presentations of contact r-surgery on L: the one
-    of ``_presentation`` with its stabilized push-off's rotation number
-    pinned to each of its values in turn, in that order.  The rotation
-    numbers of chain unknots remain free (``rotation_choices``)."""
-    pres = _presentation(L, contact_coeff)
-    comps = pres.components
-    for i, c in enumerate(comps):
-        if type(c.rot) is range:
-            return [SurgeryPresentation(comps[:i] + (Component(c.role, c.tb, c.sign, r),)
-                                        + comps[i + 1:], L.tb, L.rot, pres.contact_coeff,
-                                        pres.smooth_slope) for r in c.rot]
-    return [pres]
 
 
 def rotation_choices(pres: SurgeryPresentation) -> list:

@@ -7,9 +7,9 @@ with their own extended Euclid, their signs, class count and shortening
 move, Honda's lens count from the regular continued fraction, a dense
 Bareiss elimination for determinants and adjugates, a sparse symmetric
 one that gives signatures and adjugate blocks of any symmetric matrix,
-the determinant as the constant term of ``linalg.char_poly``,
-characteristic polynomials from its determinants and by a continuant
-one vertex at a time, a dense Fraction
+characteristic polynomials from its determinants, by Berkowitz and by a
+continuant one vertex at a time, the determinant and the Descartes
+signature from the last of these, a dense Fraction
 congruence diagonalization, r^T adj(A) r entry by entry, d3 one
 rotation vector at a time, the
 d3-equality equations with hand-derived coefficients, the
@@ -702,10 +702,85 @@ def eliminate(rows, cols=()):
 
 def determinant(rows) -> int:
     """Exact determinant of a square integer matrix (sparse rows),
-    (-1)^n chi_A(0) from ``linalg.char_poly``: the constant term of the
+    (-1)^n chi_A(0) from ``char_poly_berkowitz``: the constant term of the
     continuant and Berkowitz route, with no elimination."""
-    coeffs = linalg.char_poly(rows)
+    coeffs = char_poly_berkowitz(rows)
     return (-1) ** (len(coeffs) - 1) * coeffs[-1]
+
+
+def berkowitz(a, idx):
+    """Ascending coefficients of det(x*I - A) on ``idx`` (Berkowitz 1984),
+    for any square matrix A of sparse rows ``a``.
+
+    Grows the leading block A_k one vertex v at a time, with column c and
+    row r the entries joining v to A_k.  From p = chi(A_k) and
+    t_m = r A_k^m c, chi(A_(k+1)) = (x - a_vv) p - sum_j x^j
+    sum_(i>j) p_i t_(i-j-1), by the adjugate identity
+    adj(x*I - A_k) = sum_j x^j sum_(i>j) p_i A_k^(i-j-1).  Rows are kept
+    sparse, so a step costs k matrix-vector products over the nonzeros:
+    O(k^4) on a dense block of k rows.
+    """
+    where = {w: pos for pos, w in enumerate(idx)}
+    off = [[(where[w], x) for w, x in a[u].items() if w != u and w in where] for u in idx]
+    diag = [a[u].get(u, 0) for u in idx]
+    p = [1]
+    for k, v in enumerate(idx):
+        col = [a[u].get(v, 0) for u in idx[:k]]
+        row = [(pos, x) for pos, x in off[k] if pos < k]
+        t = []
+        for m in range(k):
+            t.append(sum(x * col[pos] for pos, x in row))
+            if m + 1 < k:
+                col = [diag[i] * col[i] + sum(x * col[pos] for pos, x in off[i] if pos < k)
+                       for i in range(k)]
+        q = [0] + p
+        d = diag[k]
+        for i, x in enumerate(p):
+            q[i] -= d * x
+        for j in range(k):
+            q[j] -= sum(p[i] * t[i - j - 1] for i in range(j + 1, k + 1))
+        p = q
+    return p
+
+
+def char_poly_berkowitz(rows):
+    """det(x*I - A), descending, of any square integer matrix (sparse
+    rows): Berkowitz on the head 0..t-1 and on the head less t-1 seed the
+    one-vertex continuant ``continuant_steps`` along the banded rows
+    t..n-1 that end the matrix (row i banded when row and column i are
+    zero outside i-1..i+1).  This is ``linalg.char_poly`` before a clique
+    head took the determinant lemma, for every shape: a head of k rows
+    costs O(k^4)."""
+    n = len(rows)
+    nbrs = [set(row) - {i} for i, row in enumerate(rows)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j != i:
+                nbrs[j].add(i)
+    t = n
+    while t and nbrs[t - 1] <= {t - 2, t}:
+        t -= 1
+    m = linalg.dense(rows)
+    if not t:
+        return continuant_steps(m, range(n), None, [1], None)[::-1]
+    return continuant_steps(m, range(t, n), t - 1, berkowitz(rows, range(t)),
+                            berkowitz(rows, range(t - 1)))[::-1]
+
+
+def descartes_signature(rows) -> int:
+    """Signature of a symmetric integer matrix (sparse rows) by Descartes'
+    rule of signs on ``char_poly_berkowitz``: its spectrum is real, so the
+    sign changes of chi(x) count the positive eigenvalues and those of
+    chi(-x) the negative ones.  Raises SingularMatrixError at det 0."""
+    coeffs = char_poly_berkowitz(rows)
+    if coeffs[-1] == 0:
+        raise SingularMatrixError("matrix is singular")
+    degree = len(coeffs) - 1
+    changes = []
+    for poly in (coeffs, [(-1) ** (degree - i) * x for i, x in enumerate(coeffs)]):
+        signs = [x > 0 for x in poly if x]
+        changes.append(sum(a != b for a, b in zip(signs, signs[1:])))
+    return changes[0] - changes[1]
 
 
 def char_poly_minors(rows):

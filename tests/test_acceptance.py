@@ -35,6 +35,7 @@ from oracles import (
     DecoratedFareyPath,
     complement_signs,
     decorated_path_key,
+    descartes_signature,
     determinant,
     eliminate,
     minimal_path,
@@ -119,7 +120,7 @@ def test_criterion_5_signature_cross_validation():
         if determinant(sparse(m)) == 0:
             continue
         count += 1
-        assert eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m))
+        assert eliminate(sparse(m))[1] == descartes_signature(sparse(m))
     displayed = [
         [[0, -1], [-1, 0]],
         [[0, -1], [-1, -4]],
@@ -133,7 +134,7 @@ def test_criterion_5_signature_cross_validation():
     ]
     for m in displayed:
         assert linalg._path_kernel(sparse(m))[1] == eliminate(sparse(m))[1] == \
-            linalg.descartes_signature(sparse(m))
+            descartes_signature(sparse(m))
     _report(5, "signature methods agree on 1000 seeded matrices and the "
                "displayed forms", t0)
 

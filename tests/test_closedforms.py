@@ -18,12 +18,12 @@ from contactsurg.closedforms import (
 from contactsurg.surgery import (
     IntersectionForm,
     LegendrianData,
-    convert,
     linking_matrix,
     rot_range,
 )
 from oracles import (
     determinant,
+    listed_convert,
     tb1_negative_matrix,
     tb1_positive_matrix,
     tb2_negative_matrix,
@@ -80,7 +80,7 @@ class TestFamilies:
 
     def test_families_equal_the_pipeline_forms(self):
         # each family is the linking matrix of every presentation that
-        # `convert` gives at its tb and smooth slope, so the verifier checks
+        # `listed_convert` gives at its tb and smooth slope, so the verifier checks
         # the forms the d3 pipeline uses
         cases = []
         for n in range(1, 21):
@@ -96,7 +96,8 @@ class TestFamilies:
                           (tbk_positive_matrix(k, n), -k, Fraction(1, n))]
         for family, tb, slope in cases:
             knot = LegendrianData(tb, rot_range(tb)[0])
-            forms = [linalg.dense(linking_matrix(pres).rows) for pres in convert(knot, slope - tb)]
+            forms = [linalg.dense(linking_matrix(pres).rows)
+                     for pres in listed_convert(knot, slope - tb)]
             assert forms and all(q == [list(row) for row in family] for q in forms), (tb, slope)
 
 

@@ -22,12 +22,11 @@ from contactsurg.surgery import (
     IntersectionForm,
     LegendrianData,
     _presentation,
-    convert,
     linking_matrix,
     rot_range,
 )
 from oracles import (D3Result, adjugate_quadratic, d3_spectrum_detail_by_vector, d3_values,
-                     determinant, enumerate_rotations)
+                     determinant, enumerate_rotations, listed_convert)
 
 
 def form(q, l):
@@ -117,11 +116,23 @@ class TestSpectra:
         with pytest.raises(NonTorsionEulerClassError):
             d3_spectrum(LegendrianData(-1, 0), 0)
 
+    @pytest.mark.parametrize("n", [5, 40, 400])
+    def test_push_off_clique_closed_form(self, n):
+        # contact 1/N on (tb, rot) = (-1, 0) is N push-offs of framing 0
+        # linked by -1: Q = I - J, of eigenvalues 1 - N and 1 (N - 1
+        # times), so det = 1 - N and sigma = N - 2; every c1 is 0, and
+        # d3 = (-3 sigma - 2 N + 4 l) / 4 = (6 - N) / 4
+        plan, _, nums, pairs = d3_records(LegendrianData(-1, 0), Fraction(1, n) - 1)
+        assert dense(plan.form.rows) == [[int(i == j) - 1 for j in range(n)] for i in range(n)]
+        assert (plan.det, plan.sigma) == (1 - n, n - 2)
+        assert set(nums) == set(pairs) and [Fraction(*ab) for ab in pairs.values()] == \
+            [Fraction(6 - n, 4)]
+
     def test_csq_denominator_divides_det(self):
         cases = [(-3, 2, Fraction(2)), (-4, 1, Fraction(-1, 3)),
                  (-2, 1, Fraction(1, 5)), (-1, 0, Fraction(-1, 4))]
         for tb, rot, slope in cases:
-            for pres in convert(LegendrianData(tb, rot), slope - tb):
+            for pres in listed_convert(LegendrianData(tb, rot), slope - tb):
                 f = linking_matrix(pres)
                 det = abs(determinant(f.rows))
                 for res in d3_values(f, enumerate_rotations(pres)):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -14,16 +14,20 @@ from contactsurg.closedforms import bordered_block_matrix, chain_matrix, chain_m
 from contactsurg.invariants import d3_records, d3_spectrum
 from contactsurg.linalg import sparse
 from contactsurg.slopes import SlopeError
-from contactsurg.surgery import IntersectionForm, LegendrianData, convert, linking_matrix
+from contactsurg.surgery import IntersectionForm, LegendrianData, _presentation, linking_matrix
 from oracles import (
     adjugate_quadratic,
     bareiss,
+    berkowitz,
+    char_poly_berkowitz,
     char_poly_interpolate,
     char_poly_minors,
     congruence_signature_dense,
     continuant_steps,
+    descartes_signature,
     determinant,
     eliminate,
+    listed_convert,
     tb2_negative_matrix,
     tb2_positive_matrix,
     tbk_two_matrix,
@@ -399,7 +403,7 @@ class TestDefiniteness:
                 continue
             done += 1
             sylvester = kernel_negative_definite(m)
-            all_negative = linalg.descartes_signature(sparse(m)) == -n
+            all_negative = descartes_signature(sparse(m)) == -n
             assert sylvester == all_negative
 
 
@@ -414,14 +418,16 @@ class TestCharPoly:
         assert linalg.char_poly(chain_matrix(2)) == [1, 4, 3]
 
     def test_constant_term_is_signed_determinant(self):
-        # not necessarily symmetric: the route works on any square matrix
+        # not necessarily symmetric: the oracle route works on any square
+        # matrix, and the library's on the shapes the path kernel takes
         rng = random.Random(6)
         for _ in range(100):
             n = rng.randint(1, 5)
             m = random_matrix(rng, n, -5, 5)
             coeffs = char_poly_minors(m)
             assert coeffs[-1] == (-1) ** n * bareiss(m)[0]
-            assert linalg.char_poly(sparse(m)) == coeffs
+            assert char_poly_berkowitz(sparse(m)) == coeffs
+            assert_char_poly(m, coeffs)
 
     def test_minors_equal_interpolation(self):
         rng = random.Random(7)
@@ -429,6 +435,17 @@ class TestCharPoly:
             n = rng.randint(1, 6)
             m = random_matrix(rng, n, -6, 6)
             assert char_poly_minors(m) == char_poly_interpolate(m)
+
+
+def assert_char_poly(m, want):
+    """``linalg.char_poly`` of sparse(m) is ``want`` on the shapes the path
+    kernel takes (``path_shape``, read off the entries of m), and raises
+    ValueError on every other shape."""
+    if path_shape(m):
+        assert linalg.char_poly(sparse(m)) == want
+    else:
+        with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
+            linalg.char_poly(sparse(m))
 
 
 def graph_matrix(n, edges):
@@ -488,7 +505,7 @@ def _relabel(m, order):
 
 
 def graph_shapes():
-    """Symmetric integer matrices of the shapes char_poly distinguishes:
+    """Symmetric integer matrices of the shapes char_poly tells apart:
     as built, where paths, pendant paths and the second part of a union
     come last, as the meridian chain does in a linking matrix, and
     relabelled at random so leaves and attachments sit anywhere."""
@@ -510,8 +527,8 @@ def linking_forms(cases):
     on (tb, rot) for each (tb, rot, r) of ``cases``."""
     forms = {}
     for tb, rot, contact in cases:
-        for pres in convert(LegendrianData(tb, rot), contact):
-            forms[_key(linking_matrix(pres))] = sum(c.role == "pushoff" for c in pres.components)
+        pres = _presentation(LegendrianData(tb, rot), contact)
+        forms[_key(linking_matrix(pres))] = sum(c.role == "pushoff" for c in pres.components)
     return forms
 
 
@@ -531,16 +548,17 @@ class TestCharPolyRoute:
     @settings(max_examples=400, deadline=None)
     @given(graph_shapes())
     def test_matches_oracles_and_sympy(self, m):
-        coeffs = linalg.char_poly(sparse(m))
+        coeffs = char_poly_berkowitz(sparse(m))
         assert coeffs == char_poly_minors(m)
         assert coeffs == char_poly_interpolate(m)
         assert coeffs == sympy_char_poly(m)
+        assert_char_poly(m, coeffs)
 
     @settings(max_examples=100, deadline=None)
     @given(graph_shapes())
     def test_berkowitz_alone(self, m):
         # Berkowitz on the whole matrix, with no continuant
-        assert linalg._berkowitz(sparse(m), range(len(m)))[::-1] == char_poly_interpolate(m)
+        assert berkowitz(sparse(m), range(len(m)))[::-1] == char_poly_interpolate(m)
 
     @settings(max_examples=200, deadline=None)
     @given(graph_shapes(), st.randoms(use_true_random=False))
@@ -553,13 +571,15 @@ class TestCharPolyRoute:
                         m[i][j] = 0
                     else:
                         m[j][i] = 0
-        coeffs = linalg.char_poly(sparse(m))
+        coeffs = char_poly_berkowitz(sparse(m))
         assert coeffs == char_poly_minors(m)
         assert coeffs == sympy_char_poly(m)
+        assert_char_poly(m, coeffs)
 
     def test_clique_with_a_leaf_on_every_vertex(self):
         # every leaf hangs on a clique vertex, so no row at the end is
-        # banded and Berkowitz takes the whole matrix
+        # banded: the oracle's Berkowitz takes the whole matrix, and the
+        # library, whose head must be a clique, refuses it
         k = 10
         m = [[0] * (2 * k) for _ in range(2 * k)]
         for i in range(k):
@@ -567,7 +587,9 @@ class TestCharPolyRoute:
             m[i][k + i] = m[k + i][i] = 1 + i % 3
             for j in range(i):
                 m[i][j] = m[j][i] = -1
-        assert linalg.char_poly(sparse(m)) == char_poly_interpolate(m)
+        assert char_poly_berkowitz(sparse(m)) == char_poly_interpolate(m)
+        assert not path_shape(m)
+        assert_char_poly(m, char_poly_interpolate(m))
 
     def test_linking_matrices(self):
         forms = linking_forms(CHAIN_CASES)
@@ -576,16 +598,17 @@ class TestCharPolyRoute:
             assert linalg.char_poly(sparse(m)) == char_poly_interpolate(m)
 
     def test_route_guard(self, monkeypatch):
-        # Berkowitz sees at most the push-offs of a linking matrix, and
-        # nothing of a lemma matrix: the continuant takes every chain row
+        # the determinant lemma sees at most the push-offs of a linking
+        # matrix, and nothing of a lemma matrix: the continuant takes every
+        # chain row, from a seed of the head's degree
         sizes = []
-        berkowitz = linalg._berkowitz
+        extend = linalg._path_extend
 
-        def recording(a, idx):
-            sizes.append(len(idx))
-            return berkowitz(a, idx)
+        def recording(a, path, attach, f, g):
+            sizes.append(len(f) - 1)
+            return extend(a, path, attach, f, g)
 
-        monkeypatch.setattr(linalg, "_berkowitz", recording)
+        monkeypatch.setattr(linalg, "_path_extend", recording)
         forms = linking_forms(CHAIN_CASES + [(-1, 0, Fraction(r)) for r in ("1/3", "3/4", "1/20")])
         for m, pushoffs in forms.items():
             sizes.clear()
@@ -629,12 +652,17 @@ def banded_tails(draw):
     return t, m
 
 
+def _seeds(m, t):
+    """(attach, F_0, F_-1) for the continuant along rows t..n-1 of m:
+    Berkowitz's chi of the head and of the head less t-1."""
+    if not t:
+        return None, [1], None
+    return t - 1, berkowitz(sparse(m), range(t)), berkowitz(sparse(m), range(t - 1))
+
+
 def _steps_oracle(m, t):
     """char_poly of m by the one-vertex continuant along rows t..n-1."""
-    if not t:
-        return continuant_steps(m, range(len(m)), None, [1], None)[::-1]
-    return continuant_steps(m, range(t, len(m)), t - 1, linalg._berkowitz(sparse(m), range(t)),
-                            linalg._berkowitz(sparse(m), range(t - 1)))[::-1]
+    return continuant_steps(m, range(t, len(m)), *_seeds(m, t))[::-1]
 
 
 def _p_polys(r_max):
@@ -652,13 +680,16 @@ class TestRunStep:
     @settings(max_examples=100, deadline=None)
     @given(banded_tails())
     def test_matches_steps_and_berkowitz(self, case):
+        # the library's continuant from the oracle's seeds on every head,
+        # and char_poly itself where the head is a path or a clique
         t, m = case
         want = _steps_oracle(m, t)
-        assert want == linalg._berkowitz(sparse(m), range(len(m)))[::-1]
-        assert linalg.char_poly(sparse(m)) == want
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "_RUN_MIN", 0)  # every run takes the closed form
-            assert linalg.char_poly(sparse(m)) == want
+        assert want == berkowitz(sparse(m), range(len(m)))[::-1]
+        for run_min in (linalg._RUN_MIN, 0):  # then every run takes the closed form
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "_RUN_MIN", run_min)
+                assert linalg._path_extend(sparse(m), range(t, len(m)), *_seeds(m, t))[::-1] == want
+                assert_char_poly(m, want)
 
     def test_run_polys_follow_the_recurrence(self):
         polys = _p_polys(80)
@@ -685,7 +716,7 @@ class TestRunStep:
         plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 1600))[0]
         assert plan.sigma == forms["tb1_neg_sigma"](1600) == -1598
         rows = plan.form.rows
-        assert linalg._path_kernel(rows)[1] == linalg.descartes_signature(rows) == -1598
+        assert linalg._path_kernel(rows)[1] == linalg._descartes(linalg.char_poly(rows)) == -1598
 
 
 class TestSignature:
@@ -742,24 +773,24 @@ class TestSignature:
             if determinant(sparse(m)) == 0:
                 continue
             count += 1
-            assert eliminate(sparse(m))[1] == linalg.descartes_signature(sparse(m))
+            assert eliminate(sparse(m))[1] == descartes_signature(sparse(m))
 
     def test_methods_agree_at_scale(self):
         # the chain forms behind `d3 --tb -1 --rot 0 --slope -1/400`
-        forms = convert(LegendrianData(-1, 0), Fraction(-1, 400) + 1)
+        forms = listed_convert(LegendrianData(-1, 0), Fraction(-1, 400) + 1)
         assert forms
         for pres in forms:
             rows = linking_matrix(pres).rows
             assert len(rows) == 400
             assert linalg._path_kernel(rows)[1] == eliminate(rows)[1] == \
-                linalg.descartes_signature(rows)
+                descartes_signature(rows)
 
     def test_zero_diagonal_handling(self):
         # congruence diagonalization must survive all-zero diagonals
         m = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         assert determinant(sparse(m)) == 2
         assert linalg._path_kernel(sparse(m))[1] == eliminate(sparse(m))[1] == \
-            linalg.descartes_signature(sparse(m)) == -1
+            descartes_signature(sparse(m)) == -1
 
 
 def zero_diagonal(m):
@@ -906,7 +937,7 @@ class TestCongruence:
         monkeypatch.setattr(linalg, "_path_kernel", forbidden)
         for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
                   linalg.dense(chain_matrix(12)), tbk_two_matrix(5, 1)):
-            assert linalg.descartes_signature(sparse(m)) == sympy_signature(m)
+            assert linalg._descartes(linalg.char_poly(sparse(m))) == sympy_signature(m)
             assert linalg.char_poly(sparse(m)) == sympy_char_poly(m)
             assert determinant(sparse(m)) == sympy.Matrix(m).det()
         for m in (linalg.dense(chain_matrix_primed(7)), [[1, 2], [3, 4]]):
@@ -924,18 +955,18 @@ class TestCongruence:
         # `d3 --tb -1 --rot 0 --coeff 1/40` (a 40-clique of push-offs);
         # Descartes on long chains is test_methods_agree_at_scale's
         for coeff, n, sig in ((Fraction(-1, 1600) + 1, 1600, -1598), (Fraction(1, 40), 40, 38)):
-            rows = linalg.dense(linking_matrix(convert(LegendrianData(-1, 0), coeff)[0]).rows)
+            rows = linalg.dense(linking_matrix(_presentation(LegendrianData(-1, 0), coeff)).rows)
             assert len(rows) == n
             assert linalg._path_kernel(sparse(rows))[1] == congruence_signature_dense(rows) == sig
             if n < 100:
-                assert linalg.descartes_signature(sparse(rows)) == sig
+                assert descartes_signature(sparse(rows)) == sig
 
 
 def acceptance_forms():
     """{Q: IntersectionForm} over the linking forms of the acceptance
     ranges: every smooth slope p/q with -30 <= p < 12 and 1 <= q < 12 at
     -6 <= tb <= -1, and verify's families, slopes +-1/n and +-2/n for
-    n <= 20 at -20 <= tb <= -3, wherever ``convert`` takes them."""
+    n <= 20 at -20 <= tb <= -3, wherever ``listed_convert`` takes them."""
     cases = {(tb, Fraction(p, q)) for tb in range(-6, 0) for p in range(-30, 12)
              for q in range(1, 12)}
     cases |= {(tb, Fraction(s, n)) for tb in range(-20, -2) for s in (1, -1, 2, -2)
@@ -943,7 +974,7 @@ def acceptance_forms():
     forms = {}
     for tb, smooth in cases:
         try:
-            presentations = convert(LegendrianData(tb, tb + 1), smooth - tb)
+            presentations = listed_convert(LegendrianData(tb, tb + 1), smooth - tb)
         except (SlopeError, ValueError):
             continue
         for pres in presentations:
@@ -954,8 +985,9 @@ def acceptance_forms():
 
 def assert_sparse_matches_dense(m):
     """adjugate_block, or on a shape the path kernel does not take (which
-    adjugate_block refuses) the oracle's sparse elimination, and char_poly
-    on sparse(m) against the dense Bareiss and interpolation oracles on m."""
+    adjugate_block and char_poly refuse) the oracle's sparse elimination
+    and Berkowitz route, on sparse(m) against the dense Bareiss and
+    interpolation oracles on m."""
     n = len(m)
     det, adj = bareiss(m, range(n))
     block_of = linalg.adjugate_block
@@ -970,7 +1002,9 @@ def assert_sparse_matches_dense(m):
         got_det, _, block = block_of(sparse(m), range(n))
         assert got_det == det
         assert [list(row) for row in block] == [[adj[c][i] for c in range(n)] for i in range(n)]
-    assert linalg.char_poly(sparse(m)) == char_poly_interpolate(m)
+    want = char_poly_interpolate(m)
+    assert char_poly_berkowitz(sparse(m)) == want
+    assert_char_poly(m, want)
 
 
 class TestSparseRows:
@@ -1110,5 +1144,59 @@ class TestPathKernel:
         for m in acceptance_forms():
             assert path_shape(m) and kernel_shape(m)
         for coeff, h in (("1/3", 3), ("1/40", 40), ("2/7", 5), ("3/2", 0)):
-            form = linking_matrix(convert(LegendrianData(-1, 0), Fraction(coeff))[0])
+            form = linking_matrix(_presentation(LegendrianData(-1, 0), Fraction(coeff)))
             assert head(form.rows) == h
+
+
+@st.composite
+def clique_paths(draw):
+    """A clique head of 3..12 rows with one link c (+-1, +-2 or any other
+    value) and any diagonal, and a path of 0..8 rows of any diagonal and
+    links hung on its last row, by a link that is often 0."""
+    h = draw(st.integers(3, 12))
+    c = draw(st.one_of(st.sampled_from([1, -1, 2, -2]), st.integers(-40, 40).filter(bool)))
+    n = h + draw(st.integers(0, 8))
+    m = [[c if i < h and j < h else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        m[i][i] = draw(st.one_of(st.integers(-6, 6), st.integers(-10**6, 10**6)))
+    for i in range(h, n):
+        m[i][i - 1] = m[i - 1][i] = draw(st.one_of(st.just(0), st.integers(-4, 4)))
+    return m
+
+
+def spoiled(m):
+    """Strategy: m with one pair of head entries (i, j), (j, i), i < j < 3,
+    set to another value, 0 included, so the head is no clique."""
+    return st.tuples(st.sampled_from([(0, 1), (0, 2), (1, 2)]), st.integers(-3, 3)).filter(
+        lambda t: t[1] != m[0][1]).map(lambda t: _set_pair(m, *t[0], t[1]))
+
+
+def _set_pair(m, i, j, x):
+    m = [row[:] for row in m]
+    m[i][j] = m[j][i] = x
+    return m
+
+
+class TestCliqueLemma:
+    """chi of a clique head c J + D by the matrix determinant lemma."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(clique_paths())
+    @example([[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]])  # link 0, then a zero row
+    def test_matches_berkowitz(self, m):
+        rows = sparse(m)
+        want = berkowitz(rows, range(len(m)))[::-1]
+        assert linalg.char_poly(rows) == want == char_poly_berkowitz(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(graph_shapes(), clique_paths(), clique_paths().flatmap(spoiled),
+                     kernel_shapes().map(lambda case: case[0])))
+    def test_refuses_exactly_where_the_kernel_does(self, m):
+        # on symmetric matrices the two routes take the same shapes
+        try:
+            linalg._path_kernel(sparse(m))
+        except ValueError:
+            with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
+                linalg.char_poly(sparse(m))
+        else:
+            assert linalg.char_poly(sparse(m)) == char_poly_berkowitz(sparse(m))

@@ -13,7 +13,7 @@ def _modules():
 
 
 def test_public_names_resolve_and_stay_few():
-    assert len(contactsurg.__all__) <= 30
+    assert len(contactsurg.__all__) <= 29
     assert len(set(contactsurg.__all__)) == len(contactsurg.__all__)
     for name in contactsurg.__all__:
         assert getattr(contactsurg, name) is not None
@@ -79,6 +79,23 @@ def test_bareiss_lives_only_in_the_oracles():
     tree = ast.parse(oracles.read_text(), str(oracles))
     names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert {"eliminate", "bareiss"} <= names and len(_bareiss_steps(tree)) >= 2
+
+
+def test_characteristic_polynomial_has_one_route():
+    # char_poly seeds its continuant by the determinant lemma on a clique
+    # head; Berkowitz's algorithm, which takes any head, and the Descartes
+    # signature read from it are the tests' oracles, and the list-building
+    # conversion is the oracle listed_convert
+    gone = ("_berkowitz", "berkowitz", "descartes_signature", "convert")
+    for path, tree in _modules():
+        for name in gone:
+            lines = [node.lineno for node in ast.walk(tree) if _names(node, name)]
+            assert lines == [], f"{path.name}: {name} on lines {lines}"
+    assert not set(gone) & set(contactsurg.__all__)
+    oracles = SRC.parents[1] / "tests" / "oracles.py"
+    tree = ast.parse(oracles.read_text(), str(oracles))
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {"berkowitz", "char_poly_berkowitz", "descartes_signature", "listed_convert"} <= names
 
 
 def test_no_assert_statements():

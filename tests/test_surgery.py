@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -12,7 +13,6 @@ from contactsurg.surgery import (
     ContactZeroError,
     IntersectionForm,
     LegendrianData,
-    convert,
     linking_matrix,
     _negative_chain,
     _presentation,
@@ -36,7 +36,7 @@ from oracles import (
 
 
 def matrix_of(tb, rot, smooth):
-    pres = convert(LegendrianData(tb, rot), Fraction(smooth) - tb)[0]
+    pres = _presentation(LegendrianData(tb, rot), Fraction(smooth) - tb)
     return dense(linking_matrix(pres).rows)
 
 
@@ -55,27 +55,27 @@ class TestLegendrianData:
 class TestConvert:
     def test_contact_zero_rejected(self):
         with pytest.raises(ContactZeroError):
-            convert(LegendrianData(-1, 0), 0)
+            _presentation(LegendrianData(-1, 0), 0)
 
     def test_half_surgery_is_two_pushoffs(self):
         # smooth -1/2 on tb = -1 is contact 1/2: two (+1) push-offs
-        pres = convert(LegendrianData(-1, 0), Fraction(1, 2))
+        pres = listed_convert(LegendrianData(-1, 0), Fraction(1, 2))
         assert len(pres) == 1
         comps = pres[0].components
         assert [c.sign for c in comps] == [1, 1]
         assert [c.role for c in comps] == ["pushoff", "pushoff"]
 
     def test_pushoffs_are_one_shared_component(self):
-        comps = convert(LegendrianData(-1, 0), Fraction(1, 5))[0].components
+        comps = _presentation(LegendrianData(-1, 0), Fraction(1, 5)).components
         assert len(comps) == 5 and all(c is comps[0] for c in comps)
 
     def test_more_pushoffs_than_a_list_holds_is_a_slope_error(self):
         # ceil(q/p) push-offs: refused by count before any is built
         k = 10**23
         with pytest.raises(SlopeError, match=f"{k} push-offs are more than a list holds"):
-            convert(LegendrianData(-1, 0), Fraction(1, k))
+            _presentation(LegendrianData(-1, 0), Fraction(1, k))
         with pytest.raises(SlopeError, match=f"{k} push-offs"):
-            convert(LegendrianData(-1, 0), Fraction(2, 2 * k - 1))  # a tail after them
+            _presentation(LegendrianData(-1, 0), Fraction(2, 2 * k - 1))  # a tail after them
 
     def test_one_presentation_carries_the_rotation_range(self):
         # contact 50/99 on tb = -2: two push-offs, then the remainder -50 on
@@ -93,17 +93,22 @@ class TestConvert:
     @example(-1, 0, 2, 5)  # three push-offs and a tail on one more
     @example(-2, 0, -1, 40)  # a stabilized knot and a chain
     def test_convert_expands_the_one_presentation_in_the_oracle_order(self, tb, j, p, q):
+        # the one presentation, its stabilized push-off pinned to each of its
+        # rotation numbers in turn, is the oracle's list, in its order; and
+        # both refuse the same data with the same error text
         L, coeff = LegendrianData(tb, tb + 1 + 2 * j), Fraction(p, q)
         try:
             listed = listed_convert(L, coeff)
         except ValueError as err:  # SlopeError and ContactZeroError too
-            for build in (convert, _presentation):
-                with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
-                    build(L, coeff)
+            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                _presentation(L, coeff)
             return
-        assert convert(L, coeff) == listed
-        vectors = [v for pres in listed for v in product(*rotation_choices(pres))]
-        assert list(product(*rotation_choices(_presentation(L, coeff)))) == vectors
+        pres = _presentation(L, coeff)
+        pinned = [[replace(c, rot=r) for r in c.rot] if type(c.rot) is range else [c]
+                  for c in pres.components]
+        assert [replace(pres, components=comps) for comps in product(*pinned)] == listed
+        vectors = [v for one in listed for v in product(*rotation_choices(one))]
+        assert list(product(*rotation_choices(pres))) == vectors
 
     def test_negative_chain_needs_negative_coefficient(self):
         # smooth -4 on tb = -5 would need -2 stabilizations
@@ -112,7 +117,7 @@ class TestConvert:
 
     def test_single_negative_surgery(self):
         # smooth -1 on tb = -2 is contact (+1): one push-off
-        pres = convert(LegendrianData(-2, 1), 1)
+        pres = listed_convert(LegendrianData(-2, 1), 1)
         assert len(pres) == 1
         assert [c.framing for c in pres[0].components] == [-1]
         assert pres[0].l == 1
@@ -120,7 +125,7 @@ class TestConvert:
     def test_positive_one_over_n_pushoff_pair(self):
         # smooth +1/n on tb = -1: push-off pair, second with n stabilizations
         for n in range(1, 7):
-            pres_list = convert(LegendrianData(-1, 0), Fraction(n + 1, n))
+            pres_list = listed_convert(LegendrianData(-1, 0), Fraction(n + 1, n))
             assert len(pres_list) == n + 1  # one per stabilization outcome
             for pres in pres_list:
                 comps = pres.components
@@ -129,18 +134,18 @@ class TestConvert:
                 assert comps[1].framing == -2 - n
 
     def test_stabilization_rotations(self):
-        pres_list = convert(LegendrianData(-1, 0), Fraction(3, 2))
+        pres_list = listed_convert(LegendrianData(-1, 0), Fraction(3, 2))
         rots = sorted(p.components[1].rot for p in pres_list)
         assert rots == [-2, 0, 2]
 
     def test_chain_tb_values(self):
         # smooth -1/n on tb = -2: framings -1, -5, then a -2 chain
-        pres = convert(LegendrianData(-2, 1), Fraction(-1, 4) + 2)[0]
+        pres = _presentation(LegendrianData(-2, 1), Fraction(-1, 4) + 2)
         assert [c.framing for c in pres.components] == [-1, -5, -2, -2]
         assert [c.tb for c in pres.components] == [-2, -4, -1, -1]
         # contact -1/10^6 on tb = -1: smooth -(10^6 + 1)/10^6 is one run of
         # 10^6 terms -2, so one push-off and 999,999 chain unknots, all framing -2
-        pres_list = convert(LegendrianData(-1, 0), Fraction(-1, 10 ** 6))
+        pres_list = listed_convert(LegendrianData(-1, 0), Fraction(-1, 10 ** 6))
         assert len(pres_list) == 1
         comps = pres_list[0].components
         assert [c.role for c in comps[:2]] == ["pushoff", "chain"]
@@ -164,7 +169,7 @@ class TestToJson:
             L = LegendrianData(tb, tb + 1)
             for coeff in [Fraction(1, 3), Fraction(3, 4)] + [s - tb for s in smooth]:
                 try:
-                    presentations = convert(L, coeff)
+                    presentations = listed_convert(L, coeff)
                 except SlopeError:
                     continue
                 for pres in presentations:
@@ -201,7 +206,7 @@ class TestLinkingMatrix:
             assert matrix_of(-k, rot, 2) == tbk_two_matrix(k, 1)
 
     def test_pushoff_linking_is_base_tb(self):
-        pres = convert(LegendrianData(-1, 0), Fraction(2, 5))[0]  # three pushoffs
+        pres = _presentation(LegendrianData(-1, 0), Fraction(2, 5))  # three pushoffs
         q = dense(linking_matrix(pres).rows)
         assert q[0][1] == q[0][2] == q[1][2] == -1
 
@@ -211,7 +216,7 @@ class TestLinkingMatrix:
         # a framing 0, and at tb = 0 the links between push-offs, are
         # entries sparse rows leave out and linalg.dense writes back
         try:
-            presentations = convert(LegendrianData(tb, tb + 1), Fraction(p, q) - tb)
+            presentations = listed_convert(LegendrianData(tb, tb + 1), Fraction(p, q) - tb)
         except (SlopeError, ValueError):
             return
         for pres in presentations:
@@ -241,7 +246,7 @@ class TestSmoothRecovery:
                         cc = Fraction(num, den)
                         if cc == 0:
                             continue
-                        for pres in convert(L, cc):
+                        for pres in listed_convert(L, cc):
                             assert smooth_recovery(pres) == tb + cc
                             count += 1
         assert count > 1000
@@ -256,20 +261,20 @@ class TestRotations:
             rot_range(0)
 
     def test_half_surgery_single_vector(self):
-        pres = convert(LegendrianData(-1, 0), Fraction(1, 2))[0]
+        pres = _presentation(LegendrianData(-1, 0), Fraction(1, 2))
         assert enumerate_rotations(pres) == [(0, 0)]
 
     def test_tb2_positive_vectors(self):
         # vectors (i, i +- 1, s): the middle entry 2i occurs only with
         # matching sign, automatically
-        for pres in convert(LegendrianData(-2, 1), Fraction(5, 2)):  # smooth 1/2
+        for pres in listed_convert(LegendrianData(-2, 1), Fraction(5, 2)):  # smooth 1/2
             for vec in enumerate_rotations(pres):
                 assert vec[0] == 1
                 assert vec[1] in (0, 2)
                 assert vec[2] in (1, -1)
 
     def test_vector_count_is_product_of_chain_choices(self):
-        pres_list = convert(LegendrianData(-3, 0), Fraction(1, 3) + 3)
+        pres_list = listed_convert(LegendrianData(-3, 0), Fraction(1, 3) + 3)
         for pres in pres_list:
             expected = 1
             for c in pres.components:
@@ -278,7 +283,7 @@ class TestRotations:
             assert len(enumerate_rotations(pres)) == expected
 
     def test_chain_rotation_bounds(self):
-        for pres in convert(LegendrianData(-4, 1), Fraction(1, 5) + 4):
+        for pres in listed_convert(LegendrianData(-4, 1), Fraction(1, 5) + 4):
             for vec in enumerate_rotations(pres):
                 for c, r in zip(pres.components, vec):
                     if c.role == "chain":
