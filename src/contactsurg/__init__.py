@@ -6,10 +6,8 @@ integer and rational arithmetic."""
 __version__ = "0.1.0"
 
 from .slopes import (INFINITY, Slope, SlopeError, canonical_slope, cs_set,
-                     lens_parameters, neg_cf_runs, parse_slope, same_lens_space)
-from .farey import (ANTICLOCKWISE, CLOCKWISE, count_tight_lens, count_tight_lens_pq,
-                    count_tight_solid_torus, count_tight_thickened_torus, is_edge,
-                    minimal_path_blocks)
+                     lens_parameters, neg_cf_runs, parse_slope)
+from .farey import count_tight_lens_pq, minimal_path_blocks
 from .surgery import (ContactZeroError, IntersectionForm, LegendrianData, linking_matrix,
                       rot_range)
 from .invariants import d3_spectrum
@@ -20,11 +18,9 @@ from .regressions import verify_d3_regressions
 __all__ = [
     # slopes
     "INFINITY", "Slope", "SlopeError", "canonical_slope", "cs_set",
-    "lens_parameters", "neg_cf_runs", "parse_slope", "same_lens_space",
-    # Farey counts
-    "ANTICLOCKWISE", "CLOCKWISE", "count_tight_lens", "count_tight_lens_pq",
-    "count_tight_solid_torus", "count_tight_thickened_torus", "is_edge",
-    "minimal_path_blocks",
+    "lens_parameters", "neg_cf_runs", "parse_slope",
+    # Farey paths and counts
+    "count_tight_lens_pq", "minimal_path_blocks",
     # surgery presentations
     "ContactZeroError", "IntersectionForm", "LegendrianData", "linking_matrix",
     "rot_range",

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 
 from .closedforms import DEFAULT_FORMS
-from .farey import CLOCKWISE, _classes, _edges, minimal_path_blocks
+from .farey import _classes, _edges, minimal_path_blocks
 from .invariants import d3_records, ratio_text
 from .slopes import Slope, SlopeError, canonical_slope, lens_parameters
 from .surgery import ContactZeroError, LegendrianData, rot_range
@@ -358,7 +358,7 @@ def equivalent_surgery_count(tb: int, rot: int, contact_coeff) -> int:
         raise SlopeError("zero smooth slope excluded")
     if tb < smooth < 0:
         raise ValueError("overtwisted regime; per-slope counts are tight-only")
-    blocks = minimal_path_blocks(Slope(smooth), Slope(tb), CLOCKWISE)
+    blocks = minimal_path_blocks(Slope(smooth), Slope(tb))
     k = -tb
     plus = (k - 1 + rot) // 2
     if not 0 <= plus <= k - 1:

@@ -1,10 +1,12 @@
-"""The Farey graph on slopes and tight contact structure counts.
+"""The Farey graph on slopes and the counts the library reads off it.
 
 Vertices are slopes (rationals together with infinity); p/q and p'/q'
 are joined by an edge when |p q' - p' q| = 1.  Tight contact structures
-on thickened tori, solid tori, and lens spaces are classified by minimal
-paths in this graph with signs on some of the edges, counted up to
-shuffles of the signs inside each continued-fraction block.
+on lens spaces, and the equivalent surgeries at one slope that
+``cosmetic.equivalent_surgery_count`` counts, are classified by minimal
+clockwise paths in this graph with signs on some of the edges, counted
+up to shuffles of the signs inside each continued-fraction block
+(``_classes``).
 
 A minimal path is built as its continued-fraction blocks, runs of
 vertices in arithmetic progression.  One loop, ``_runs``, reads each
@@ -12,7 +14,7 @@ block's edge count and turn off the Euclid of ``slopes.neg_cf_runs`` (a
 run of -2 terms is one entry) in the frame where the path starts at
 infinity: the work is logarithmic in the size of the endpoints, not
 linear in the number of vertices.  Blocks are placed from it and carried
-back; the structure counts read its edge counts only, and build no vertex.
+back; the counts read its edge counts only, and build no vertex.
 
 Convention: "clockwise" from a slope means moving in the direction of
 increasing slope, wrapping from large positive slopes through infinity
@@ -27,20 +29,6 @@ import math
 from typing import NamedTuple
 
 from .slopes import Slope, neg_cf_runs
-
-CLOCKWISE = "clockwise"
-ANTICLOCKWISE = "anticlockwise"
-
-
-def _det(a: Slope, b: Slope) -> int:
-    return a.num * b.den - b.num * a.den
-
-
-def is_edge(a: Slope, b: Slope) -> bool:
-    """Farey adjacency: |p q' - p' q| = 1.  Equal slopes are rejected."""
-    if a == b:
-        raise ValueError("is_edge needs two distinct slopes")
-    return abs(_det(a, b)) == 1
 
 
 def _mul(m, v):
@@ -73,23 +61,18 @@ class FareyBlock(NamedTuple):
     edges: int
 
 
-def _frame(a: Slope, b: Slope, direction: str):
-    """b's image (num, den), den > 0, in the frame where the minimal path
-    from a to b starts at infinity and runs clockwise, and the matrix
-    that carries the frame's vertices back: the reflection p -> -p for
-    an anticlockwise path, then ``_normalizing_matrix`` of a."""
+def _frame(a: Slope, b: Slope):
+    """b's image (num, den), den > 0, in the frame where the minimal
+    clockwise path from a to b starts at infinity, and the matrix that
+    carries the frame's vertices back: the inverse of
+    ``_normalizing_matrix`` of a."""
     if a == b:
         raise ValueError("minimal path needs distinct endpoints")
-    f = {CLOCKWISE: 1, ANTICLOCKWISE: -1}.get(direction)
-    if f is None:
-        raise ValueError(f"unknown direction {direction!r}")
-    # infinity stays (1, 0), which ``_normalizing_matrix`` expects
-    p, q = (f * a.num, a.den) if a.den else (1, 0)
-    ((x, y), (z, w)), ((r, s), back) = _normalizing_matrix(p, q)
-    num, den = x * f * b.num + y * b.den, z * f * b.num + w * b.den
+    ((x, y), (z, w)), back = _normalizing_matrix(a.num, a.den)
+    num, den = x * b.num + y * b.den, z * b.num + w * b.den
     if den < 0:
         num, den = -num, -den
-    return (num, den), ((f * r, f * s), back)
+    return (num, den), back
 
 
 def _runs(num: int, den: int):
@@ -116,15 +99,17 @@ def _runs(num: int, den: int):
     yield edges, 0
 
 
-def minimal_path_blocks(a: Slope, b: Slope, direction: str = CLOCKWISE) -> list:
-    """Continued-fraction blocks of the minimal Farey path from a to b
-    through the given rotational arc.
+def minimal_path_blocks(a: Slope, b: Slope) -> list:
+    """Continued-fraction blocks of the minimal Farey path from a
+    clockwise to b.
 
-    All intermediate vertices lie strictly inside the arc, and among such
-    paths this one has the fewest edges.  The blocks are placed from
-    ``_runs`` in the path's ``_frame`` and carried back by a determinant
-    +1 map, which keeps arithmetic progressions."""
-    (num, den), back = _frame(a, b, direction)
+    All intermediate vertices lie strictly inside the clockwise arc from
+    a to b, and among such paths this one has the fewest edges; the
+    anticlockwise path from a to b is the reflection p -> -p of the
+    clockwise one from -a to -b.  The blocks are placed from ``_runs`` in
+    the path's ``_frame`` and carried back by a determinant +1 map, which
+    keeps arithmetic progressions."""
+    (num, den), back = _frame(a, b)
     # infinity as (-1, 0), so that det(v_i, v_{i+1}) = -1 along the path
     start, step = (-1, 0), (num // den + 1, 1)
     blocks = []
@@ -136,9 +121,9 @@ def minimal_path_blocks(a: Slope, b: Slope, direction: str = CLOCKWISE) -> list:
     return blocks
 
 
-def _edges(a: Slope, b: Slope, direction: str = CLOCKWISE) -> list:
-    """The edge count of each block of the minimal path from a to b."""
-    return [edges for edges, _ in _runs(*_frame(a, b, direction)[0])]
+def _edges(a: Slope, b: Slope) -> list:
+    """The edge count of each block of the minimal clockwise path from a to b."""
+    return [edges for edges, _ in _runs(*_frame(a, b)[0])]
 
 
 def _classes(edges: list, first: int, last: int) -> int:
@@ -155,34 +140,6 @@ def _classes(edges: list, first: int, last: int) -> int:
         if end > start:
             total *= end - start + 1
     return total
-
-
-def count_tight_solid_torus(meridian: Slope, boundary: Slope,
-                            direction: str = CLOCKWISE) -> int:
-    """Tight structures on a solid torus with the given meridian and
-    boundary dividing slope: decorated minimal paths from the meridian
-    to the boundary slope, the first edge unsigned.  Lower-meridian tori
-    use the clockwise path (the default); upper-meridian tori use the
-    anticlockwise one."""
-    return _classes(_edges(meridian, boundary, direction), 1, 0)
-
-
-def count_tight_thickened_torus(s0: Slope, s1: Slope) -> int:
-    """Tight minimally twisting structures on T^2 x I with dividing
-    slopes s0 and s1: every edge of the minimal clockwise path from s0
-    to s1 carries a sign."""
-    return _classes(_edges(s0, s1), 0, 0)
-
-
-def count_tight_lens(s: Slope, r: Slope) -> int:
-    """Tight structures on the lens space obtained by collapsing slope s
-    at one end of T^2 x I and slope r at the other: signs on all edges
-    of the minimal clockwise path from s to r except the first and last
-    (Farey neighbours give S^3, one unsigned edge).  For L(p, q) this is
-    Honda's |(r_0 + 1) ... (r_k + 1)| over -p/q = [r_0, ..., r_k]."""
-    if s == r:
-        raise ValueError("degenerate lens parameters")
-    return _classes(_edges(s, r), 1, 1)
 
 
 def count_tight_lens_pq(p: int, q: int) -> int:

@@ -22,14 +22,14 @@ a banded matrix off one continuant pass: (-1)^i times the constant term
 of chi of the leading i rows.
 
 Matrices are sparse rows, row i the dict {j: x} of its nonzeros, so a
-pass costs O(nnz), not O(n^2); ``sparse`` makes them from dense rows and
-``dense`` turns them back.
+pass costs O(nnz), not O(n^2); ``dense`` turns them into dense rows.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from math import prod
-from operator import add, ne, sub
+from operator import add, mul, ne, sub
 
 
 class SingularMatrixError(ValueError):
@@ -44,16 +44,8 @@ class KernelCheckError(RuntimeError):
     """A self-check of the path kernel failed; internal error."""
 
 
-def sparse(rows):
-    """The sparse rows of a square matrix given as dense rows."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
-
-
 def dense(rows):
-    """The dense rows, as lists, of sparse ``rows``; the inverse of ``sparse``."""
+    """The dense rows, as lists, of sparse ``rows``."""
     return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
 
 
@@ -94,27 +86,22 @@ def _head(rows, a, b):
     return h
 
 
-def _basis(h):
-    """The nonzeros (i, j, x) of E on a clique head of h rows: g_i = e_i -
-    e_(i+1) for i <= h - 3, then e_(h-2), e_(h-1), then the identity."""
-    return [(i, i, 1) for i in range(h)] + [(i, i + 1, -1) for i in range(h - 2)]
-
-
 def _path_kernel(rows, cols=()):
     """det Q, the signature of Q and B = adj(Q)[cols, cols] (``cols``
     distinct indices; B[a][b] the entry (cols[a], cols[b])) of a symmetric
     Q = ``rows`` that is a path, or a clique head and a path (``_head``),
     from two continuants.  A singular Q returns (0, None, ()).
 
-    A clique head with link c and diagonal d_i first goes through the
-    unimodular E of ``_basis``: Q' = E Q E^T is a path, with diagonal
-    d_i - 2c + d_(i+1) and link c - d_(i+1) from i to i+1 for i <= h - 3,
-    then d_(h-2), d_(h-1) linked by c, then Q unchanged; E Q E^T = Q' is
-    checked on the head rows.  On the path of diagonal a_i and links b_i,
-    the leading continuant is theta_0 = 1, theta_(i+1) = a_i theta_i -
-    b_(i-1)^2 theta_(i-1), and the trailing one phi_n = 1, phi_i =
-    a_i phi_(i+1) - b_i^2 phi_(i+2); det Q = det Q' = theta_n, which must
-    equal phi_0.  The negative index is the number of sign changes along
+    A clique head of h rows with link c and diagonal d_i first goes
+    through the unimodular E with rows e_i - e_(i+1) for i <= h - 3, then
+    e_(h-2), e_(h-1), then the identity: Q' = E Q E^T is a path, with
+    diagonal d_i - 2c + d_(i+1) and link c - d_(i+1) from i to i+1 for
+    i <= h - 3, then d_(h-2), d_(h-1) linked by c, then Q unchanged;
+    E Q E^T = Q' is checked on the head rows.  On the path of diagonal
+    a_i and links b_i, the leading continuant is theta_0 = 1, theta_(i+1)
+    = a_i theta_i - b_(i-1)^2 theta_(i-1), and the trailing one phi_n = 1,
+    phi_i = a_i phi_(i+1) - b_i^2 phi_(i+2); det Q = det Q' = theta_n,
+    which must equal phi_0.  The negative index is the number of sign changes along
     the nonzero thetas: on a nonsingular path a zero theta_i is isolated
     and its neighbours have opposite signs (Frobenius), and E keeps the
     signature (Sylvester).  adj(Q')_ij = (-1)^(i+j) b_i ... b_(j-1)
@@ -129,12 +116,11 @@ def _path_kernel(rows, cols=()):
     a = [row.get(i, 0) for i, row in enumerate(rows)]
     b = [rows[i].get(i + 1, 0) for i in range(n - 1)]
     h = _head(rows, a, b)
-    basis = _basis(h)
     if h:
         c = rows[0][1]
         for i in range(h - 2):
             a[i], b[i] = a[i] - 2 * c + a[i + 1], c - a[i + 1]
-        _check_basis(rows, h, basis, a, b)
+        _check_basis(rows, h, a, b)
     w = [0] + [x * x for x in b] + [0]  # w[i] = b_(i-1)^2
     theta, phi = [0, 1], [0, 1]  # each from a zero before its first term
     for i, x in enumerate(a):
@@ -149,34 +135,41 @@ def _path_kernel(rows, cols=()):
         return 0, None, ()
     signs = [t > 0 for t in theta if t]
     sigma = n - 2 * sum(map(ne, signs, signs[1:]))
-    # adj(Q') on the path indices that the columns of E on cols touch
-    ecol = [[(i, x) for i, j, x in basis if j == s] if s < h else [(s, 1)] for s in cols]
-    touched = sorted({i for col in ecol for i, _ in col})
-    links = [(-1) ** (j - i) * prod(b[i:j]) for i, j in zip(touched, touched[1:])] + [1]
-    adj = {}
-    for k, i in enumerate(touched):
-        p = theta[i]
-        for j, link in zip(touched[k:], links[k:]):
-            adj[i, j] = adj[j, i] = p * phi[j + 1]
-            p *= link
-    if not h:
-        return det, sigma, tuple(tuple(adj[i, j] for j in cols) for i in cols)
-    return det, sigma, tuple(tuple(sum(x * y * adj[i, j] for i, x in ei for j, y in ej)
-                                   for ej in ecol) for ei in ecol)
+    # adj(Q') on the path indices that the columns of E on cols touch:
+    # column s of E is e_s - e_(s-1) for 0 < s < h - 1, else e_s
+    touched = sorted({*cols, *(s - 1 for s in cols if 0 < s < h - 1)})
+    links = [(-1) ** (j - i) * prod(b[i:j]) for i, j in zip(touched, touched[1:])]
+    ends = [phi[j + 1] for j in touched]
+    # row k from its diagonal on, then the entries before it read down column k
+    upper = [[0] * k + list(map(mul, accumulate(links[k:], mul, initial=theta[i]), ends[k:]))
+             for k, i in enumerate(touched)]
+    adj = [[*col[:k], *row[k:]] for k, (row, col) in enumerate(zip(upper, zip(*upper)))]
+    # B = E[:, cols]^T adj(Q') E[:, cols]: the row of each s in cols, less
+    # the row of s - 1 where E's column s has two entries, transposed, and
+    # the same again (B is symmetric)
+    at = {i: k for k, i in enumerate(touched)}
+    picks = [(at[s], at[s - 1] if 0 < s < h - 1 else None) for s in cols]
+    block = adj
+    for _ in range(2):
+        block = list(zip(*(block[k] if j is None else list(map(sub, block[k], block[j]))
+                           for k, j in picks)))
+    return det, sigma, tuple(block)
 
 
-def _check_basis(rows, h, basis, a, b):
+def _check_basis(rows, h, a, b):
     """Raises KernelCheckError unless row i of E Q E^T is row i of the
-    path (a, b) for each head row i < h; O(h^2), the head's nonzeros."""
-    e = [[(j, x) for k, j, x in basis if k == i] for i in range(h)]
-    for i in range(h):
-        r = {}
-        for k, x in e[i]:
-            for j, y in rows[k].items():
-                r[j] = r.get(j, 0) + x * y
-        got = [sum(x * r.get(k, 0) for k, x in e[j]) if j < h else r.get(j, 0)
-               for j in range(min(h + 1, len(rows)))]
-        want = [a[i] if j == i else b[min(i, j)] if abs(i - j) == 1 else 0 for j in range(len(got))]
+    path (a, b) for each head row i < h, on columns 0..h.  E Q E^T there
+    is Q's dense head rows, each row i <= h - 3 less the next, then each
+    column j <= h - 3 less the next: O(h^2), in list operations."""
+    m = min(h + 1, len(rows))
+    q = [list(map(row.get, range(m), repeat(0))) for row in rows[:h]]
+    for i, row in enumerate([list(map(sub, x, y)) for x, y in zip(q, q[1:h - 1])] + q[h - 2:]):
+        got = list(map(sub, row[:h - 2], row[1:h - 1])) + row[h - 2:]
+        want = [0] * m
+        want[i] = a[i]
+        for j in (i - 1, i + 1):
+            if 0 <= j < m:
+                want[j] = b[min(i, j)]
         if got != want:
             raise KernelCheckError(f"E Q E^T is not the path on head row {i}: {got} against {want}")
 

@@ -8,10 +8,10 @@ The module also provides negative continued fractions (all coefficients
 <= -2, the unique expansion of a rational < -1) by one Euclid,
 ``neg_cf_runs``, which codes a run of -2 terms as one entry: both the
 (+1/-1) presentations of ``surgery`` and the Farey paths of ``farey``
-read their terms from it.  It also provides modular inverses,
-canonical representatives of Rolfsen-twist orbits on the unknot, and
-the set of surgery coefficients on the unknot producing a fixed lens
-space.
+read their terms from it.  It also provides canonical representatives
+of Rolfsen-twist orbits on the unknot, the lens space L(p, q) of a
+surgery on the unknot, and the set of surgery coefficients on the
+unknot producing a fixed lens space.
 """
 
 from __future__ import annotations
@@ -150,19 +150,6 @@ def neg_cf_runs(p: int, q: int) -> list:
     return runs
 
 
-def mod_inverse(q: int, p: int):
-    """Inverse of q mod p in [1, p-1], or None when gcd(q, p) != 1.
-
-    For the degenerate modulus p = 1 the inverse is 0 (everything is
-    congruent mod 1), which keeps the double-inverse involution exact.
-    """
-    if p < 1:
-        raise ValueError("modulus must be positive")
-    if math.gcd(q, p) != 1:
-        return None
-    return pow(q, -1, p)
-
-
 def canonical_slope(r: Slope) -> Slope:
     """The unique member of r's Rolfsen-twist orbit that is <= -1.
 
@@ -201,25 +188,6 @@ def lens_parameters(r: Slope):
     return (p, q % p)
 
 
-def same_lens_space(a, b) -> bool:
-    """Orientation-preserving classification of lens spaces.
-
-    L(p, q) and L(p', q') are orientation-preserving diffeomorphic iff
-    p = p' and q' is congruent to q or to the inverse of q mod p.
-    """
-    p, q = a
-    p2, q2 = b
-    if p != p2:
-        return False
-    if p <= 1:
-        return True
-    q %= p
-    q2 %= p
-    if q == q2:
-        return True
-    return (q * q2) % p == 1
-
-
 def cs_set(p: int, q: int, den_bound: int):
     """Surgery coefficients on the unknot giving the lens space of -p/q.
 
@@ -234,7 +202,7 @@ def cs_set(p: int, q: int, den_bound: int):
     if den_bound < 1:
         raise ValueError("denominator bound must be positive")
     seen = set()
-    for start in {q, mod_inverse(q, p)}:
+    for start in {q, pow(q, -1, p)}:
         n0 = (-den_bound - start) // p
         qq = start + n0 * p
         while qq <= den_bound:

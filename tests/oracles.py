@@ -16,6 +16,10 @@ d3-equality equations with hand-derived coefficients, the
 intersection-form families built by hand from their displayed shape,
 linking matrices built dense, entry by entry, and conversions that
 build one presentation per stabilization outcome.
+
+Helpers the library does not need live here too: the Farey edge test,
+anticlockwise paths as reflections p -> -p of the library's clockwise
+ones, lens-space classification, and sparse rows from dense ones.
 """
 
 import math
@@ -26,13 +30,7 @@ from fractions import Fraction
 from itertools import combinations, compress, product
 from operator import add, sub
 
-from contactsurg.farey import (
-    ANTICLOCKWISE,
-    CLOCKWISE,
-    _det,
-    is_edge,
-    minimal_path_blocks,
-)
+from contactsurg.farey import minimal_path_blocks
 from contactsurg import linalg
 from contactsurg.invariants import NonTorsionEulerClassError, d3_spectrum
 from contactsurg.linalg import SingularMatrixError
@@ -97,6 +95,25 @@ def rolfsen_twist(r: Slope, n: int) -> Slope:
     if r.is_infinite or r.num == 0:
         raise SlopeError("Rolfsen twist needs a finite nonzero slope")
     return Slope(r.num, r.den + n * abs(r.num))
+
+
+def same_lens_space(a, b) -> bool:
+    """Orientation-preserving classification of lens spaces.
+
+    L(p, q) and L(p', q') are orientation-preserving diffeomorphic iff
+    p = p' and q' is congruent to q or to the inverse of q mod p.
+    """
+    p, q = a
+    p2, q2 = b
+    if p != p2:
+        return False
+    if p <= 1:
+        return True
+    q %= p
+    q2 %= p
+    if q == q2:
+        return True
+    return (q * q2) % p == 1
 
 
 def smooth_recovery(pres) -> Fraction:
@@ -214,6 +231,31 @@ def listed_convert(L: LegendrianData, contact_coeff) -> list:
 # ---------------------------------------------------------------------------
 # Farey paths vertex by vertex, with signs
 
+# "clockwise" from a slope is the direction of increasing slope, through
+# infinity; ``farey`` builds clockwise paths only, and an anticlockwise
+# path from a to b is the reflection p -> -p of the clockwise one from -a
+# to -b
+CLOCKWISE = "clockwise"
+ANTICLOCKWISE = "anticlockwise"
+
+
+def clockwise_ends(a: Slope, b: Slope, direction: str):
+    """The endpoints of the clockwise path whose reflection, for an
+    anticlockwise ``direction``, is the path from a to b."""
+    return (a, b) if direction == CLOCKWISE else (-a, -b)
+
+
+def _det(a: Slope, b: Slope) -> int:
+    return a.num * b.den - b.num * a.den
+
+
+def is_edge(a: Slope, b: Slope) -> bool:
+    """Farey adjacency: |p q' - p' q| = 1.  Equal slopes are rejected."""
+    if a == b:
+        raise ValueError("is_edge needs two distinct slopes")
+    return abs(_det(a, b)) == 1
+
+
 def in_clockwise_arc(x: Slope, a: Slope, b: Slope) -> bool:
     """True when x lies strictly inside the clockwise arc from a to b."""
     if a == b:
@@ -232,12 +274,13 @@ def in_clockwise_arc(x: Slope, a: Slope, b: Slope) -> bool:
 
 
 def minimal_path(a: Slope, b: Slope, direction: str = CLOCKWISE):
-    """The vertices of ``farey.minimal_path_blocks(a, b, direction)``."""
-    blocks = minimal_path_blocks(a, b, direction)
+    """The vertices of the minimal path from a to b in ``direction``, from
+    ``farey.minimal_path_blocks`` (reflected, for an anticlockwise path)."""
+    blocks = minimal_path_blocks(*clockwise_ends(a, b, direction))
     path = [Slope(*blocks[0].start)]
     for (sn, sd), (wn, wd), edges in blocks:
         path.extend(Slope(sn + j * wn, sd + j * wd) for j in range(1, edges + 1))
-    return path
+    return path if direction == CLOCKWISE else [-v for v in path]
 
 
 _SIGN_CHARS = {1: "+", -1: "-", None: "?"}
@@ -498,6 +541,15 @@ def linking_matrix_dense(pres):
 
 # ---------------------------------------------------------------------------
 # linear algebra, lens spaces, d3 and unknot counts
+
+def sparse(rows):
+    """The sparse rows of a square matrix given as dense rows; the inverse
+    of ``linalg.dense``."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
 
 def bareiss(rows, cols=()):
     """Dense fraction-free (Bareiss) elimination over [A | e_c for c in cols].
@@ -915,8 +967,8 @@ def congruence_signature_dense(rows) -> int:
 def normalize_lens_bruteforce(p: int, q: int):
     """Canonical representative of the lens class by exhaustive search.
 
-    Independent of mod_inverse: scans for the multiplicative inverse and
-    returns min(q, q^-1) mod p.  Used to cross-check same_lens_space.
+    Independent of ``pow(q, -1, p)``: scans for the multiplicative inverse
+    and returns min(q, q^-1) mod p.  Used to cross-check same_lens_space.
     """
     if p <= 1:
         return (p, 0)

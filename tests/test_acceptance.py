@@ -20,18 +20,16 @@ from contactsurg.cosmetic import (
     solve_d3_equation,
     unknot_classify,
 )
-from contactsurg.farey import CLOCKWISE
 from contactsurg.invariants import d3_spectrum
-from contactsurg.linalg import sparse
 from contactsurg.slopes import (
     Slope,
     canonical_slope,
     cs_set,
     lens_parameters,
-    same_lens_space,
 )
 from contactsurg.surgery import LegendrianData, rot_range
 from oracles import (
+    CLOCKWISE,
     DecoratedFareyPath,
     complement_signs,
     decorated_path_key,
@@ -40,7 +38,9 @@ from oracles import (
     eliminate,
     minimal_path,
     normalize_lens_bruteforce,
+    same_lens_space,
     shorten,
+    sparse,
     tb2_negative_matrix,
     tb2_positive_matrix,
     tbk_two_matrix,

@@ -7,7 +7,6 @@ import pytest
 
 from contactsurg import cli, invariants, linalg
 from contactsurg.cli import main
-from contactsurg.linalg import sparse
 from contactsurg.closedforms import (
     DEFAULT_FORMS,
     bordered_block_matrix,
@@ -24,6 +23,7 @@ from contactsurg.surgery import (
 from oracles import (
     determinant,
     listed_convert,
+    sparse,
     tb1_negative_matrix,
     tb1_positive_matrix,
     tb2_negative_matrix,

@@ -6,26 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactsurg.farey import (
-    ANTICLOCKWISE,
-    CLOCKWISE,
-    FareyBlock,
-    _det,
-    _edges,
-    count_tight_lens,
-    count_tight_lens_pq,
-    count_tight_solid_torus,
-    count_tight_thickened_torus,
-    is_edge,
-    minimal_path_blocks,
-)
+from contactsurg.farey import FareyBlock, _classes, _edges, count_tight_lens_pq, minimal_path_blocks
 from contactsurg.slopes import INFINITY, Slope
 from oracles import (
+    ANTICLOCKWISE,
+    CLOCKWISE,
     DecoratedFareyPath,
+    _det,
     cf_blocks,
+    clockwise_ends,
     decorated_path_key,
     honda_lens_count,
     in_clockwise_arc,
+    is_edge,
     minimal_path,
     minimal_path_bfs,
     minimal_path_vertexwise,
@@ -125,7 +118,7 @@ class TestBlockRoute:
         assert path == minimal_path_vertexwise(a, b, direction)
         assert path == minimal_path_bfs(a, b, direction)
         # the builder's blocks are the continued-fraction blocks of the path
-        blocks = minimal_path_blocks(a, b, direction)
+        blocks = minimal_path_blocks(*clockwise_ends(a, b, direction))
         assert [blk.edges for blk in blocks] == [len(bl) for bl in cf_blocks(path)]
 
     def test_huge_paths_cost_only_their_blocks(self):
@@ -137,7 +130,7 @@ class TestBlockRoute:
         assert count_tight_lens_pq(10**12, 1) == 10**12 - 1
         blocks = minimal_path_blocks(Slope(-(10**12)), Slope(0))
         assert [blk.edges for blk in blocks] == [10**12]
-        assert count_tight_thickened_torus(Slope(1, 10**9), Slope(-1)) == 10**9 + 2
+        assert _classes(_edges(Slope(1, 10**9), Slope(-1)), 0, 0) == 10**9 + 2
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -289,22 +282,26 @@ class TestBlocks:
 
 class TestCounts:
     def test_solid_torus_examples(self):
-        assert count_tight_solid_torus(INFINITY, Slope(-3)) == 1  # single edge
+        # solid tori: decorated minimal paths from the meridian to the
+        # boundary slope, the first edge unsigned
+        assert _classes(_edges(INFINITY, Slope(-3)), 1, 0) == 1  # single edge
         for m in range(1, 9):
             # -(m+1)/m and -1 span an edge: contact -1/m surgeries are unique
-            assert count_tight_solid_torus(Slope(-(m + 1), m), Slope(-1)) == 1
+            assert _classes(_edges(Slope(-(m + 1), m), Slope(-1)), 1, 0) == 1
             # the all -2 chain: standard torus with boundary slope -(m+1)/m
-            assert count_tight_solid_torus(INFINITY, Slope(-(m + 1), m)) == m
-        # complements of Legendrian unknots: m+1 structures at tb = -(m+1)
+            assert _classes(_edges(INFINITY, Slope(-(m + 1), m)), 1, 0) == m
+        # complements of Legendrian unknots, upper-meridian tori on the
+        # anticlockwise path: m+1 structures at tb = -(m+1)
         for m in range(0, 8):
-            assert count_tight_solid_torus(
-                Slope(0), Slope(-(m + 1)), direction=ANTICLOCKWISE) == m + 1
+            ends = clockwise_ends(Slope(0), Slope(-(m + 1)), ANTICLOCKWISE)
+            assert _classes(_edges(*ends), 1, 0) == m + 1
 
     def test_thickened_torus_counts(self):
-        # dividing slopes 1/(n-1) and -1: one n-edge block, n+1 structures
+        # minimally twisting T^2 x I, every edge signed: dividing slopes
+        # 1/(n-1) and -1 give one n-edge block, n+1 structures
         for n in range(1, 9):
             s0 = Slope(1, n - 1) if n > 1 else INFINITY
-            assert count_tight_thickened_torus(s0, Slope(-1)) == n + 1
+            assert _classes(_edges(s0, Slope(-1)), 0, 0) == n + 1
 
     def test_lens_examples(self):
         assert count_tight_lens_pq(2, 1) == 1
@@ -329,23 +326,25 @@ class TestCounts:
             assert honda_lens_count(p, q) == expected
 
     def test_lens_general_form(self):
-        assert count_tight_lens(Slope(-3), Slope(0)) == 2
+        # collapsing slope s at one end of T^2 x I and r at the other:
+        # every edge signed but the first and the last
+        assert _classes(_edges(Slope(-3), Slope(0)), 1, 1) == 2
         with pytest.raises(ValueError):
-            count_tight_lens(Slope(-3), Slope(-3))
+            _classes(_edges(Slope(-3), Slope(-3)), 1, 1)
 
     def test_neighbours_give_the_three_sphere(self):
         # |det| = 1 collapses to S^3, which has one tight structure: the
         # path's single edge is both first and last, and stays unsigned
-        assert count_tight_lens(Slope(-1), Slope(0)) == 1
-        assert count_tight_lens(INFINITY, Slope(0)) == 1
-        assert count_tight_lens(Slope(-2), Slope(-1)) == 1
+        assert _classes(_edges(Slope(-1), Slope(0)), 1, 1) == 1
+        assert _classes(_edges(INFINITY, Slope(0)), 1, 1) == 1
+        assert _classes(_edges(Slope(-2), Slope(-1)), 1, 1) == 1
         pairs = [(a, b) for a in SMALL_SLOPES for b in SMALL_SLOPES
                  if a != b and is_edge(a, b)]
         assert any(INFINITY in pair for pair in pairs)
         for a, b in pairs:
             path = minimal_path_vertexwise(a, b)
             assert len(path) == 2
-            assert count_tight_lens(a, b) == sign_class_count(path, {0, len(path) - 2}) == 1
+            assert _classes(_edges(a, b), 1, 1) == sign_class_count(path, {0, len(path) - 2}) == 1
 
     @given(a=st.sampled_from(SMALL_SLOPES), b=st.sampled_from(SMALL_SLOPES),
            direction=st.sampled_from((CLOCKWISE, ANTICLOCKWISE)))
@@ -355,10 +354,11 @@ class TestCounts:
             return
         path = minimal_path_vertexwise(a, b, direction)
         last = len(path) - 2
-        assert count_tight_solid_torus(a, b, direction) == sign_class_count(path, {0})
+        assert _classes(_edges(*clockwise_ends(a, b, direction)), 1, 0) == \
+            sign_class_count(path, {0})
         if direction == CLOCKWISE:
-            assert count_tight_thickened_torus(a, b) == sign_class_count(path, set())
-            assert count_tight_lens(a, b) == sign_class_count(path, {0, last})
+            assert _classes(_edges(a, b), 0, 0) == sign_class_count(path, set())
+            assert _classes(_edges(a, b), 1, 1) == sign_class_count(path, {0, last})
 
     @given(p=st.integers(10**99, 10**100), q=st.integers(1, 10**100))
     @settings(max_examples=300, deadline=None)
@@ -402,16 +402,15 @@ class TestEdgeReader:
         if a == b:
             return
         for x, y in ((a, b), (b, a)):
-            blocks = minimal_path_blocks(x, y, direction)
-            assert _edges(x, y, direction) == [blk.edges for blk in blocks]
+            ends = clockwise_ends(x, y, direction)
+            assert _edges(*ends) == [blk.edges for blk in minimal_path_blocks(*ends)]
 
     def test_infinity_ends(self):
         for s in (Slope(-5, 2), Slope(0), Slope(10**100 + 1, 10**100)):
             for direction in (CLOCKWISE, ANTICLOCKWISE):
-                assert _edges(INFINITY, s, direction) == \
-                    [blk.edges for blk in minimal_path_blocks(INFINITY, s, direction)]
-                assert _edges(s, INFINITY, direction) == \
-                    [blk.edges for blk in minimal_path_blocks(s, INFINITY, direction)]
+                for ends in (clockwise_ends(INFINITY, s, direction),
+                             clockwise_ends(s, INFINITY, direction)):
+                    assert _edges(*ends) == [blk.edges for blk in minimal_path_blocks(*ends)]
 
 
 class TestSerialization:

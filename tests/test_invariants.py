@@ -15,7 +15,7 @@ from contactsurg.invariants import (
     d3_spectrum,
     ratio_text,
 )
-from contactsurg.linalg import dense, sparse
+from contactsurg.linalg import dense
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import (
     ContactZeroError,
@@ -26,7 +26,7 @@ from contactsurg.surgery import (
     rot_range,
 )
 from oracles import (D3Result, adjugate_quadratic, d3_spectrum_detail_by_vector, d3_values,
-                     determinant, enumerate_rotations, listed_convert)
+                     determinant, enumerate_rotations, listed_convert, sparse)
 
 
 def form(q, l):

@@ -12,7 +12,6 @@ from sympy.polys.matrices import DomainMatrix
 from contactsurg import closedforms, linalg, surgery
 from contactsurg.closedforms import bordered_block_matrix, chain_matrix, chain_matrix_primed
 from contactsurg.invariants import d3_records, d3_spectrum
-from contactsurg.linalg import sparse
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import IntersectionForm, LegendrianData, _presentation, linking_matrix
 from oracles import (
@@ -28,6 +27,7 @@ from oracles import (
     determinant,
     eliminate,
     listed_convert,
+    sparse,
     tb2_negative_matrix,
     tb2_positive_matrix,
     tbk_two_matrix,

@@ -12,13 +12,11 @@ from contactsurg.slopes import (
     canonical_slope,
     cs_set,
     lens_parameters,
-    mod_inverse,
     neg_cf_runs,
     parse_slope,
-    same_lens_space,
 )
 from oracles import (expand_runs, neg_cf_terms, neg_cf_value, normalize_lens_bruteforce,
-                     rolfsen_twist)
+                     rolfsen_twist, same_lens_space)
 
 
 def runs_expanded(r) -> list:
@@ -115,26 +113,6 @@ class TestNegativeContinuedFractions:
                 runs_expanded(r)
 
 
-class TestModInverse:
-    def test_examples(self):
-        assert mod_inverse(2, 7) == 4
-        assert mod_inverse(1, 11) == 1
-        assert mod_inverse(2, 4) is None
-        # everything is congruent mod 1, so the inverse there is 0
-        assert all(mod_inverse(q, 1) == 0 for q in range(-5, 6))
-
-    @given(q=st.integers(-50, 50), p=st.integers(2, 200))
-    @settings(max_examples=200, deadline=None)
-    def test_exists_iff_coprime_and_involution(self, q, p):
-        inv = mod_inverse(q, p)
-        if math.gcd(q, p) != 1:
-            assert inv is None
-        else:
-            assert 1 <= inv <= p - 1
-            assert (q * inv) % p == 1
-            assert mod_inverse(inv, p) == q % p
-
-
 class TestRolfsenTwist:
     def test_examples(self):
         assert rolfsen_twist(Slope(-3, 1), 1) == Slope(-3, 4)
@@ -193,7 +171,7 @@ class TestCosmeticSlopeSet:
         assert all(abs(s.den) <= 30 for s in members)
 
     def test_members_canonicalize_into_the_two_branches(self):
-        qbar = mod_inverse(2, 7)
+        qbar = pow(2, -1, 7)
         for s in cs_set(7, 2, 40):
             assert canonical_slope(s) in (Slope(-7, 2), Slope(-7, qbar))
 

@@ -6,17 +6,52 @@ from pathlib import Path
 import contactsurg
 
 SRC = Path(contactsurg.__file__).parent
+ROOT = SRC.parents[1]
 
 
 def _modules():
     return [(path, ast.parse(path.read_text(), str(path))) for path in sorted(SRC.glob("*.py"))]
 
 
+def _library_example():
+    """The code of the README's "Library example" block."""
+    text = (ROOT / "README.md").read_text().split("## Library example\n", 1)[1]
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _loaded(tree):
+    """The names ``tree`` reads, as a Name or an Attribute: not where it
+    defines or imports them."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def test_public_names_resolve_and_stay_few():
-    assert len(contactsurg.__all__) <= 29
+    assert len(contactsurg.__all__) <= 22
     assert len(set(contactsurg.__all__)) == len(contactsurg.__all__)
     for name in contactsurg.__all__:
         assert getattr(contactsurg, name) is not None
+
+
+def test_every_public_name_is_reached():
+    # a public name is one a program reaches: the library itself (not
+    # its __init__), the benchmark's workloads or the README example;
+    # a name only the tests reach belongs in tests/oracles.py
+    reached = set().union(*(_loaded(tree) for path, tree in _modules() if path.name != "__init__.py"))
+    workloads = ROOT / "perfbench" / "workloads.py"
+    reached |= _loaded(ast.parse(workloads.read_text(), str(workloads)))
+    reached |= _loaded(ast.parse(_library_example()))
+    assert sorted(set(contactsurg.__all__) - reached) == []
+
+
+def test_library_example_runs_as_its_comments_say():
+    namespace, values = {}, []
+    for stmt in ast.parse(_library_example()).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert values == [{1, -3}, {0, 2, 4, 6}, 3]
 
 
 def test_library_does_not_import_the_oracles():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactsurg.linalg import dense, sparse
+from contactsurg.linalg import dense
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import (
     ContactZeroError,
@@ -25,6 +25,7 @@ from oracles import (
     listed_convert,
     neg_cf_value,
     smooth_recovery,
+    sparse,
     tb1_negative_matrix,
     tb1_positive_matrix,
     tb2_negative_matrix,
