@@ -225,15 +225,17 @@ def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
     return [(plan, d, invariants.c1_numerators(plan, d)) for d in (i - rots[0] for i in rots)]
 
 
-def _csq(rep, name, records, args, context):
+def _csq(rep, name, records, value, context):
     """Checks c1^2 = num / det at each rotation vector v of ``records``
-    against DEFAULT_FORMS[name](*args(v)), by cross-multiplication;
+    against value(DEFAULT_FORMS[name], v), by cross-multiplication;
     ``context(v)`` is built for a mismatch only."""
     form = DEFAULT_FORMS[name]
     for plan, d, nums in records:
+        det = plan.det
         for v, num in zip(plan.rotations(d), nums):
-            if form(*args(v)) * plan.det != num:
-                rep._mismatch(name, context(v), form(*args(v)), Fraction(num, plan.det), plan.form)
+            want = value(form, v)
+            if want * det != num:
+                rep._mismatch(name, context(v), want, Fraction(num, det), plan.form)
         rep.checks += len(nums)
 
 
@@ -290,28 +292,28 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
 
     for n in range(2, n_max + 1):
         _csq(rep, "tb1_neg_csq", _family(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n)),
-             lambda v: (n,), lambda v: {"n": n} if n == 2 else {"n": n, "stab": v[2]})
+             lambda form, v: form(n), lambda v: {"n": n} if n == 2 else {"n": n, "stab": v[2]})
 
     for n in range(1, n_max + 1):
         _csq(rep, "tb1_pos_csq", _family(rep, "tb1_pos", {"n": n}, -1, Fraction(1, n)),
-             lambda v: (n, v[1]), lambda v: {"n": n, "rho": v[1]})
+             lambda form, v: form(n, v[1]), lambda v: {"n": n, "rho": v[1]})
 
     for n in range(1, n_max + 1):
         records = _family(rep, "tb2_neg", {"n": n}, -2, Fraction(-1, n),
                           _LEADING if n >= 2 else (), negdef=True)
-        _csq(rep, "tb2_neg_csq", records, lambda v: (n, v[0], v[1] if n >= 2 else 0),
+        _csq(rep, "tb2_neg_csq", records, lambda form, v: form(n, v[0], v[1] if n >= 2 else 0),
              lambda v: {"n": n, "i": v[0], "j": v[1]} if n >= 2 else {"n": n, "i": v[0]})
 
     for n in range(1, n_max + 1):
         _csq(rep, "tb2_pos_csq", _family(rep, "tb2_pos", {"n": n}, -2, Fraction(1, n)),
-             lambda v: (n, *v), lambda v: {"n": n, "i": v[0], "rho2": v[1], "s": v[2]})
+             lambda form, v: form(n, *v), lambda v: {"n": n, "i": v[0], "rho2": v[1], "s": v[2]})
 
     for k in range(3, k_max + 1):
         for sign, tag in ((-1, "two_neg"), (1, "two_pos")):
             records = _family(rep, tag, {"k": k}, -k, Fraction(2 * sign), _LEADING,
                               negdef=sign == -1)
             _csq(rep, f"{tag}_csq", records,
-                 lambda v: (k, v[0], v[1] - v[0] if len(v) > 1 else 1),
+                 lambda form, v: form(k, v[0], v[1] - v[0] if len(v) > 1 else 1),
                  lambda v: {"k": k, "i": v[0], "e": v[1] - v[0]} if len(v) > 1
                  else {"k": k, "i": v[0]})
 
@@ -320,7 +322,7 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
             records = _family(rep, "one_neg", context, -k, Fraction(-1, n), _LEADING + (
                 ("q1k", k - 1, 0), ("q2k", k - 1, 1), ("qkk", k - 1, k - 1)), negdef=True)
             _csq(rep, "one_neg_csq", records,
-                 lambda v: (k, n, v[0], v[1] - v[0], v[k - 1] if n >= 2 else 0),
+                 lambda form, v: form(k, n, v[0], v[1] - v[0], v[k - 1] if n >= 2 else 0),
                  lambda v: {**context, "i": v[0], "e": v[1] - v[0], "j": v[k - 1]} if n >= 2
                  else {**context, "i": v[0], "e": v[1] - v[0]})
 
@@ -328,7 +330,8 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
             context = {"k": k, "n": n}
             records = _family(rep, "one_pos", context, -k, Fraction(1, n), _LEADING + (
                 ("q1last", k, 0), ("q2last", k, 1), ("qlastlast", k, k)))
-            _csq(rep, "one_pos_csq", records, lambda v: (k, n, v[0], v[1] - v[0], v[k]),
+            _csq(rep, "one_pos_csq", records,
+                 lambda form, v: form(k, n, v[0], v[1] - v[0], v[k]),
                  lambda v: {**context, "i": v[0], "e": v[1] - v[0], "s": v[k]})
 
     return rep.as_dict()

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .closedforms import DEFAULT_FORMS
 from .farey import _classes, _edges, minimal_path_blocks
@@ -81,10 +82,11 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
     +-1/n forms) and 'pm_two' compare the sides at every admissible
     rotation number i.  For 'pm_one_over_n' and fixed (i, e1, e2, j) the
     difference of the sides is affine in (n, s); its coefficients are
-    read at (n, s) = (0, 0), (1, 0) and (0, 1), n is solved exactly with
-    the constraints 2 <= n <= n_max, -n < s < n and the parity of s, and
-    each solution is checked against the forms at its own (n, s), which
-    guards the affine assumption.  Returns every admissible solution (the
+    read at (n, s) = (0, 0), (1, 0) and (0, 1), the line is solved
+    exactly with the constraints 2 <= n <= n_max, -n < s < n and the
+    parity of s (``_affine_solutions``), and each solution is checked
+    against the forms at its own (n, s), which guards the affine
+    assumption.  Returns every admissible solution (the
     cosmetic surgery statements amount to these lists being empty).
     """
     k = -tb
@@ -124,30 +126,60 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
             c_0 = pos_00 - neg_0
             a_n = pos_10 - neg_1 - c_0
             d_s = pos_01 - neg_0 - c_0
-            for s in range(-(n_max - 1), n_max):
-                if a_n == 0:
-                    if d_s * s + c_0 == 0:
-                        solutions.append(
-                            {"family": family, "i": i, "e1": e1, "e2": e2,
-                             "j": j, "s": s, "n": "all"}
-                        )
-                    continue
-                num = -(d_s * s + c_0)
-                if num % a_n != 0:
-                    continue
-                n = num // a_n
-                if not (2 <= n <= n_max):
-                    continue
-                if abs(s) >= n or (s - (n - 1)) % 2 != 0:
-                    continue
+            for s, n in _affine_solutions(a_n, d_s, c_0, n_max):
                 sol = {"family": family, "i": i, "e1": e1, "e2": e2, "j": j, "s": s, "n": n}
-                if _pos_one_over_n(k, n, i, e2, s) != _neg_one_over_n(k, n, i, e1, j):
+                if n != "all" and (_pos_one_over_n(k, n, i, e2, s)
+                                   != _neg_one_over_n(k, n, i, e1, j)):
                     raise RuntimeError(
                         f"solver and closed forms disagree at tb={tb}, {sol}: d3 "
                         f"{ratio_text(_neg_one_over_n(k, n, i, e1, j) + 4, 4)} at -1/n "
                         f"against {ratio_text(_pos_one_over_n(k, n, i, e2, s) + 4, 4)} at +1/n")
                 solutions.append(sol)
     return solutions
+
+
+def _affine_solutions(a_n, d_s, c_0, n_max):
+    """The (s, n) with a_n n + d_s s + c_0 = 0, 2 <= n <= n_max, |s| < n
+    and s = n - 1 (mod 2), in ascending s; for a_n = 0, (s, "all") for
+    each |s| < n_max with d_s s + c_0 = 0.
+
+    By extended Euclid (``pow``'s modular inverse), the integer solutions
+    are s = s0 + step t, n = n0 + dn t over all t, with g = gcd(a_n, d_s)
+    dividing c_0 and step = |a_n| / g.  Each bound is linear in t, so the
+    solutions are one interval of t, every t or every other one by the
+    parity of s - n + 1; the interval is bounded, by 2 <= n <= n_max when
+    dn != 0 and by |s| < n when dn = 0.  O(log) steps and one per
+    solution, where a walk over s takes O(n_max).
+    """
+    if a_n == 0:
+        if d_s == 0:
+            return [(s, "all") for s in range(-(n_max - 1), n_max)] if c_0 == 0 else []
+        s, rest = divmod(-c_0, d_s)
+        return [(s, "all")] if not rest and abs(s) < n_max else []
+    g = gcd(a_n, d_s)
+    if c_0 % g:
+        return []
+    a, d, c = a_n // g, d_s // g, c_0 // g
+    step = abs(a)
+    s0 = -c * pow(d, -1, step) % step
+    n0, dn = (-c - d * s0) // a, -d if a > 0 else d
+    lows, highs = [], []
+    # p t + q >= 0 for n >= 2, n <= n_max, n - s >= 1 and n + s >= 1
+    for p, q in ((dn, n0 - 2), (-dn, n_max - n0), (dn - step, n0 - s0 - 1),
+                 (dn + step, n0 + s0 - 1)):
+        if p > 0:
+            lows.append(-(q // p))
+        elif p < 0:
+            highs.append(q // -p)
+        elif q < 0:
+            return []
+    lo, parity = max(lows), s0 - n0 + 1
+    if (step - dn) % 2:  # s - n + 1 = parity + (step - dn) t is even for every other t
+        lo += (lo + parity) % 2
+    elif parity % 2:
+        return []
+    return [(s0 + step * t, n0 + dn * t)
+            for t in range(lo, min(highs) + 1, 1 + (step - dn) % 2)]
 
 
 def solve_d3_equations(tb_min: int, tb_max: int, n_max: int) -> list:

@@ -9,17 +9,16 @@ whose one caller is ``adjugate_block``); any other shape raises
 ValueError.  Inverse entries are integers over the determinant, read
 from that block, and a matrix is negative definite when the signature
 ``adjugate_block`` returns is -n.  That signature is checked against an
-independent one, Descartes' rule of signs on the characteristic
-polynomial of Q itself, whose constant term must also give the kernel's
-determinant, so no signature leaves this module unchecked.  The
-polynomial is built division-free and without elimination, by a
-continuant along the path of banded rows that ends the matrix (where
-``surgery.linking_matrix`` puts the meridian chain), seeded on a clique
-head by the matrix determinant lemma in O(h^2) for h rows; ``char_poly``
-finds the head itself and takes the shapes the kernel takes, no others.
-``leading_determinants`` reads the determinant of every leading block of
-a banded matrix off one continuant pass: (-1)^i times the constant term
-of chi of the leading i rows.
+independent one, so no signature leaves this module unchecked:
+``_reduce`` drops each maximal run of framings -2 by its Schur complement
+(Haynsworth's inertia additivity), and Descartes' rule of signs on the
+characteristic polynomial of the integer matrix left, less one for each
+row dropped (a run is negative definite), must give the kernel's
+signature, and its constant term the kernel's determinant.  That polynomial is a continuant along the kept
+path, seeded on a clique head by the matrix determinant lemma, in
+O(m^2) integer operations for the m rows left.  ``leading_determinants``
+reads the determinant of every leading block of a banded matrix off one
+continuant pass.
 
 Matrices are sparse rows, row i the dict {j: x} of its nonzeros, so a
 pass costs O(nnz), not O(n^2); ``dense`` turns them into dense rows.
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from itertools import accumulate, repeat
 from math import prod
-from operator import add, mul, ne, sub
+from operator import mul, ne, sub
 
 
 class SingularMatrixError(ValueError):
@@ -67,30 +66,40 @@ def check_symmetric(rows, name="matrix"):
     return _Symmetric(rows)
 
 
-def _head(rows, a, b):
-    """The size h of the clique head E takes to a path, or 0 when the
-    symmetric ``rows``, of diagonal ``a`` and links ``b`` from i to i+1,
-    are a path already: when their nonzeros are those of the band.  A
-    clique head is rows 0..h-1, h >= 3, that all link each other with one
-    value c != 0; rows h..n-1 are a path, which by symmetry meets the head
-    only at (h-1, h).  Any other shape raises ValueError."""
-    if sum(map(len, rows)) == len(a) - a.count(0) + 2 * (len(b) - b.count(0)):
-        return 0
+def _read(rows):
+    """(a, b, h) of a symmetric Q = ``rows``: its diagonal a, its links b
+    from i to i+1, and the size h of the clique head E takes to a path, or
+    0 when Q is a path already: when its nonzeros are those of the band.
+    A clique head is rows 0..h-1, h >= 3, that all link each other with
+    one value c != 0; rows h..n-1 are a path, which by symmetry meets the
+    head only at (h-1, h).  Any other shape raises ValueError.  Rows
+    ``check_symmetric`` returned, such as an ``IntersectionForm``'s, are
+    not checked again."""
+    if type(rows) is not _Symmetric:
+        check_symmetric(rows)
+    a = [row.get(i, 0) for i, row in enumerate(rows)]
+    b = [rows[i].get(i + 1, 0) for i in range(len(rows) - 1)]
+    # the nonzeros off the band, each counted twice, as Q is symmetric
+    off = sum(map(len, rows)) - (len(a) - a.count(0) + 2 * (len(b) - b.count(0)))
+    if not off:
+        return a, b, 0
     c, h = rows[0].get(1), 2
     while h < len(rows) and rows[0].get(h) == c:
         h += 1
     full = dict.fromkeys(range(h + 1), c)
-    if not c or h < 3 or any({**row, i: c, h: c} != full for i, row in enumerate(rows[:h])) or any(
-            row and not i - 1 <= min(row) <= max(row) <= i + 1 for i, row in enumerate(rows[h:], h)):
+    # a clique head's, then, are its (h-1)(h-2) links off the band
+    if not c or h < 3 or off != (h - 1) * (h - 2) or any(
+            {**row, i: c, h: c} != full for i, row in enumerate(rows[:h])):
         raise ValueError("matrix is neither a path nor a clique head with a path on its last row")
-    return h
+    return a, b, h
 
 
-def _path_kernel(rows, cols=()):
+def _path_kernel(rows, a, b, h, cols):
     """det Q, the signature of Q and B = adj(Q)[cols, cols] (``cols``
     distinct indices; B[a][b] the entry (cols[a], cols[b])) of a symmetric
-    Q = ``rows`` that is a path, or a clique head and a path (``_head``),
-    from two continuants.  A singular Q returns (0, None, ()).
+    Q = ``rows`` that is a path, or a clique head and a path, read by
+    ``_read`` as (a, b, h), from two continuants.  A singular Q returns
+    (0, None, ()).
 
     A clique head of h rows with link c and diagonal d_i first goes
     through the unimodular E with rows e_i - e_(i+1) for i <= h - 3, then
@@ -106,18 +115,11 @@ def _path_kernel(rows, cols=()):
     and its neighbours have opposite signs (Frobenius), and E keeps the
     signature (Sylvester).  adj(Q')_ij = (-1)^(i+j) b_i ... b_(j-1)
     theta_i phi_(j+1) for i <= j (Usmani 1994), and
-    B = E[:, cols]^T adj(Q') E[:, cols], since det E = 1.  Rows
-    ``check_symmetric`` returned, such as an ``IntersectionForm``'s, are
-    not checked again.
+    B = E[:, cols]^T adj(Q') E[:, cols], since det E = 1.
     """
-    if type(rows) is not _Symmetric:
-        check_symmetric(rows)
     n = len(rows)
-    a = [row.get(i, 0) for i, row in enumerate(rows)]
-    b = [rows[i].get(i + 1, 0) for i in range(n - 1)]
-    h = _head(rows, a, b)
     if h:
-        c = rows[0][1]
+        c, a, b = rows[0][1], a.copy(), b.copy()
         for i in range(h - 2):
             a[i], b[i] = a[i] - 2 * c + a[i + 1], c - a[i + 1]
         _check_basis(rows, h, a, b)
@@ -180,9 +182,8 @@ def leading_determinants(rows):
     only at i-1..i+1, in 0..n-1; any other raises ValueError.  The rows
     need not be symmetric.  One pass of the three-term continuant D_0 = 1,
     D_(i+1) = a_ii D_i - a_(i,i-1) a_(i-1,i) D_(i-1) gives them all, in O(n)
-    integer operations.  D_i is (-1)^i times the constant term of the
-    continuant ``char_poly`` runs on the same i rows, which are all banded,
-    at x = 0."""
+    integer operations: the continuant behind chi(x) of the leading i
+    rows, at x = 0, where chi(0) = (-1)^i D_i."""
     n = len(rows)
     dets, d, prev = [], 1, 0
     for i, row in enumerate(rows):
@@ -197,162 +198,110 @@ def leading_determinants(rows):
 def adjugate_block(rows, support):
     """det A, the signature of A and the block B = adj(A)[S, S] on the
     index list S = ``support`` of a symmetric integer matrix A of a shape
-    ``_path_kernel`` takes: any other raises ValueError.
+    ``_read`` takes: any other raises ValueError.
 
     B[a][b] is entry (S[a], S[b]) of adj(A), so (A^-1)_{S[a], S[b]} is
-    B[a][b] / det; S = range(n) gives the whole adjugate.  One pass of the
-    path kernel gives all three, and one characteristic polynomial of A
-    checks it: its constant term must give the kernel's det, and its
-    Descartes signature the kernel's signature.  A disagreement raises
+    B[a][b] / det; S = range(n) gives the whole adjugate.  A is read once,
+    and the lists read go to one pass of the path kernel, which gives all
+    three, and to ``_reduce``, which checks it: the reduced matrix's
+    determinant must give the kernel's det, and its Descartes signature,
+    less the runs dropped, the kernel's signature.  A disagreement raises
     KernelCheckError or SignatureMismatchError (it would mean a bug, not a
     property of the input).  Raises SingularMatrixError when det A = 0.
     """
-    det, sigma, block = _path_kernel(rows, support)
-    coeffs = char_poly(rows)
-    chi_det = (-1) ** len(rows) * coeffs[-1]
-    if det != chi_det:
-        raise KernelCheckError(f"determinants disagree: kernel={det} char_poly={chi_det}")
+    a, b, h = _read(rows)
+    det, sigma, block = _path_kernel(rows, a, b, h, support)
+    removed, num, den, coeffs = _reduce(a, b, h, rows[0][1] if h else 0)
+    if det * den != num:
+        raise KernelCheckError(f"determinants disagree: kernel={det} reduced={num}/{den}")
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    check = _descartes(coeffs)
+    check = _descartes(coeffs) - removed
     if sigma != check:
         raise SignatureMismatchError(f"signature methods disagree: "
                                      f"diagonalization={sigma} descartes={check}")
     return det, sigma, block
 
 
-def char_poly(rows):
-    """Characteristic polynomial det(x*I - A) of a square integer matrix of
-    a shape ``_path_kernel`` takes, though the path rows need not be
-    symmetric; any other shape raises ValueError.
+def _reduce(a, b, h, c):
+    """(r, num, den, chi) for a symmetric Q that ``_read`` read as
+    (a, b, h), with head link c: r the total length of the runs dropped,
+    det Q = num / den, and chi the characteristic polynomial (descending)
+    of the integer matrix M' left, so that the signature of Q is
+    Descartes' on chi less r.
 
-    Returns the integer coefficients in descending degree, leading 1,
-    division-free and without elimination.  Row i is banded when row and
-    column i are zero outside positions i-1..i+1.  The banded rows t..n-1
-    that end the matrix form a path; when t > 0 (then t >= 3), rows 0..t-1
-    must be a clique head, every entry between two of them one value
-    c != 0, which the path meets only at (t-1, t), as ``linking_matrix``
-    hangs the meridian chain on the last push-off.  The head is c J + D
-    with D = diag(d_i - c), so by the matrix determinant lemma its chi is
-    P - c P', P = prod (x - d_i + c), in O(t^2) integer operations; a
-    continuant along the path, seeded with chi of the head and of the head
-    without t-1, gives chi.  It costs O(len f) integer operations per
-    vertex, and O(r len f) for a run of r framings -2 that it takes in one
-    step (see ``_run``).  So a slope -1/N, one such run, costs O(N k) for
-    k push-offs, and a clique of N push-offs (``--coeff 1/N``) O(N^2).
+    A run is a maximal chain of path rows (h..n-1) of framing -2 joined by
+    links of square 1, with a kept row between two runs: a -2 joined to a
+    run by a link of another square is kept.  The block T of a run of r
+    rows has leading minors (-1)^i (i + 1), so it is negative definite
+    with det (-1)^r (r + 1), and T^-1 has diagonal corners -r/(r+1) and
+    off-diagonal corner -(prod s)/(r+1), s the run's links.  The runs'
+    blocks are apart, so the Schur complement M = Q / T adds
+    w_L^2 r/(r+1) to the diagonal of each run's kept left neighbour,
+    w_R^2 r/(r+1) to its right one, and joins the two by a link of square
+    (w_L w_R / (r+1))^2, w_L and w_R the run's outer links; by Haynsworth
+    (1968), In(Q) = In(T) + In(M) and det Q = det T det M.  M' = D M D is
+    integral for D = diag(d_v), d_v the product of the r + 1 of the runs
+    next to the kept row v (on a clique head, next to row h-1, for every
+    head row, so the head keeps one link): it has M's inertia (Sylvester)
+    and det M prod d_v^2, with entries as small as each run's r + 1, not
+    their product.  chi(M') is a continuant along the kept path, from chi
+    of the head by the matrix determinant lemma: c J + diag(d_i - c) has
+    chi P - c P', P = prod (x - d_i + c), in O(h^2) integer operations;
+    a path step F_v = (x - M'_vv) F_prev - w^2 F_prev2 costs O(m) for the
+    m kept rows.
     """
-    n = len(rows)
-    # nonzero off-diagonal entries of each row, then of each column too
-    nbrs = list(map(set, rows))
-    for i, row in enumerate(nbrs):
-        row.discard(i)
-        for j in row:
-            nbrs[j].add(i)
-    t = n
-    while t and nbrs[t - 1] <= {t - 2, t}:
-        t -= 1
-    if not t:
-        return _path_extend(rows, range(n), None, [1], None)[::-1]
-    c = rows[0].get(1)
-    if not c or any(rows[i].get(j) != c for i in range(t) for j in range(t) if j != i):
-        raise ValueError("matrix is neither a path nor a clique head with a path on its last row")
-    p = [1]  # P, ascending, over the head rows so far; q the P before the last
-    for i in range(t):
-        q, e = p, rows[i].get(i, 0) - c
-        p = list(map(sub, [0] + p, [e * x for x in p] + [0]))
-    # chi_k = P_k - c (k + 1) P_(k+1), for the head and the head less t-1
-    f, g = ([x - c * k * y for k, (x, y) in enumerate(zip(poly, poly[1:] + [0]), 1)]
-            for poly in (p, q))
-    return _path_extend(rows, range(t, n), t - 1, f, g)[::-1]
-
-
-def _path_extend(a, path, attach, f, g):
-    """Run the continuant F_v = (x - a_vv) F_prev - w^2 F_prev2 along
-    ``path`` from F_0 = f and F_-1 = g, with w^2 = a[v][prev] a[prev][v].
-
-    ``attach`` is the vertex the path hangs on; with None, the first step
-    has no w^2 term (the path starts the matrix and f = 1).  A vertex
-    with a_vv = -2 and w^2 = 1 is held back, and each maximal run of them,
-    such as the meridian chain of a slope -1/N, goes to ``_run`` at once.
-    Polynomials are ascending coefficient lists.
-    """
-    prev, r = attach, 0
-    for v in path:
-        d = a[v].get(v, 0)
-        w2 = 0 if prev is None else a[v].get(prev, 0) * a[prev].get(v, 0)
-        prev = v
-        if d == -2 and w2 == 1:
-            r += 1
-            continue
-        if r:
-            f, g = _run(f, g, r, True)
-            r = 0
-        nxt = [0] + f
-        for k, x in enumerate(f):
-            nxt[k] -= d * x
-        if w2:
-            for k, x in enumerate(g):
-                nxt[k] -= w2 * x
-        f, g = nxt, f
-    if r:
-        f = _run(f, g, r, False)[0]
-    return f
-
-
-# a run takes the closed form when r >= _RUN_MIN len f; below that, r
-# plain steps cost less than its products and the 2r steps of _run_polys
-_RUN_MIN = 8
-
-
-def _run(f, g, r, more):
-    """(F_r, F_(r-1)) after r steps F_v = (x + 2) F_prev - F_prev2 from
-    F_0 = f and F_-1 = g; the closed form leaves F_(r-1) None unless
-    ``more``.
-
-    The run's transfer matrix is [[P_r, -P_(r-1)], [P_(r-1), -P_(r-2)]]
-    with P_r = U_r(1 + x/2) (see ``_run_polys``), P_0 = 1 and P_-1 = 0,
-    so F_r = P_r f - P_(r-1) g costs O(r len f) integer operations where r
-    steps cost O(r (len f + r)).  F_(r-1) = P_(r-1) f - P_(r-2) g, with
-    P_(r-2) = (x + 2) P_(r-1) - P_r, is built only for ``more``.
-    """
-    if r < _RUN_MIN * len(f):
-        for _ in range(r):
+    n = len(a)
+    runs, first = [], None  # (first row, length) of each run
+    for v in range(h, n):
+        if a[v] == -2 and (first is None or b[v - 1] ** 2 == 1):
+            if first is None:
+                first = v
+        elif first is not None:
+            runs.append((first, v - first))
+            first = None
+    if first is not None:
+        runs.append((first, n - first))
+    d = [1] * n
+    for first, r in runs:
+        for v in (first - 1, first + r):
+            if 0 <= v < n:
+                d[v] *= r + 1
+    if h:
+        d[:h] = [d[h - 1]] * h
+    extra, bridge = {}, {}  # Schur terms on the diagonal, and squared links over runs
+    for first, r in runs:
+        left, right = first - 1, first + r
+        if left >= 0:
+            extra[left] = extra.get(left, 0) + b[left] ** 2 * r * d[left] ** 2 // (r + 1)
+        if right < n:
+            extra[right] = extra.get(right, 0) + b[right - 1] ** 2 * r * d[right] ** 2 // (r + 1)
+            link = b[left] * b[right - 1] * d[left] // (r + 1) * d[right] if left >= 0 else 0
+            bridge[right] = link * link
+    f, g = [1], []  # ascending chi of the kept rows so far, and without the last
+    if h:
+        p, cc = [1], c * d[0] ** 2
+        for i in range(h):
+            q, e = p, a[i] * d[i] ** 2 + extra.get(i, 0) - cc
+            p = list(map(sub, [0] + p, [e * x for x in p] + [0]))
+        # chi_k = P_k - c (k + 1) P_(k+1), for the head and the head less h-1
+        f, g = ([x - cc * k * y for k, (x, y) in enumerate(zip(poly, poly[1:] + [0]), 1)]
+                for poly in (p, q))
+    pos = h
+    for first, r in runs + [(n, 0)]:
+        for v in range(pos, first):
+            x = a[v] * d[v] ** 2 + extra.get(v, 0)
+            w2 = bridge[v] if v in bridge else (b[v - 1] * d[v - 1] * d[v]) ** 2 if v else 0
             nxt = [0] + f
-            for k, x in enumerate(f):
-                nxt[k] += 2 * x
-            for k, x in enumerate(g):
-                nxt[k] -= x
+            for k, y in enumerate(f):
+                nxt[k] -= x * y
+            for k, y in enumerate(g):
+                nxt[k] -= w2 * y
             f, g = nxt, f
-        return f, g
-    p, q = _run_polys(r)
-    pairs = [(p, q)]
-    if more:
-        pairs.append((q, [x + 2 * y - z for x, y, z in zip([0] + q, q, p[:r - 1])]))
-    out = []
-    for top, low in pairs:
-        h = [0] * (len(f) + len(top) - 1)
-        for poly, by, op in ((f, top, add), (g, low, sub)):
-            m = len(by)
-            for k, x in enumerate(poly):
-                if x:
-                    h[k:k + m] = map(op, h[k:k + m], map(x.__mul__, by))
-        out.append(h)
-    return out[0], out[1] if more else None
-
-
-def _run_polys(r):
-    """Ascending coefficients of P_r and P_(r-1), where
-    P_s = U_s(1 + x/2) = sum_j C(s+1+j, 2j+1) x^j; consecutive
-    coefficients differ by the exact factor
-    (s+2+j)(s-j) / ((2j+2)(2j+3))."""
-    out = []
-    for s in (r, r - 1):
-        c, poly = s + 1, []
-        for j in range(s + 1):
-            poly.append(c)
-            c = c * (s + 2 + j) * (s - j) // ((2 * j + 2) * (2 * j + 3))
-        out.append(poly)
-    return out
+        pos = first + r
+    removed = sum(r for _, r in runs)
+    num = (-1) ** (removed + len(f) - 1) * prod(r + 1 for _, r in runs) * f[0]
+    return removed, num, prod(d) ** 2, f[::-1]
 
 
 def _descartes(coeffs) -> int:

@@ -9,10 +9,13 @@ Bareiss elimination for determinants and adjugates, a sparse symmetric
 one that gives signatures and adjugate blocks of any symmetric matrix,
 characteristic polynomials from its determinants, by Berkowitz and by a
 continuant one vertex at a time, the determinant and the Descartes
-signature from the last of these, a dense Fraction
+signature from the last of these, chi(Q) of the whole form with runs of
+-2 framings in closed-form steps (the polynomial the library's signature
+check read before it dropped those runs), a dense Fraction
 congruence diagonalization, r^T adj(A) r entry by entry, d3 one
 rotation vector at a time, the
-d3-equality equations with hand-derived coefficients, the
+d3-equality equations with hand-derived coefficients and the +-1/n
+line solved by a walk over s, the
 intersection-form families built by hand from their displayed shape,
 linking matrices built dense, entry by entry, and conversions that
 build one presentation per stabilization outcome.
@@ -30,6 +33,7 @@ from fractions import Fraction
 from itertools import combinations, compress, product
 from operator import add, sub
 
+from contactsurg.cosmetic import _neg_one_over_n, _pos_one_over_n
 from contactsurg.farey import minimal_path_blocks
 from contactsurg import linalg
 from contactsurg.invariants import NonTorsionEulerClassError, d3_spectrum
@@ -551,6 +555,12 @@ def sparse(rows):
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
+def path_kernel(rows, cols=()):
+    """``linalg._path_kernel`` of sparse ``rows``, read by ``linalg._read``:
+    (det, signature, adj[cols, cols]), or (0, None, ()) at det 0."""
+    return linalg._path_kernel(rows, *linalg._read(rows), cols)
+
+
 def bareiss(rows, cols=()):
     """Dense fraction-free (Bareiss) elimination over [A | e_c for c in cols].
 
@@ -897,7 +907,7 @@ def continuant_steps(a, path, attach, f, g):
     """The continuant F_v = (x - a_vv) F_prev - a[v][prev] a[prev][v] F_prev2
     along ``path``, one vertex at a time, from F_0 = f and F_-1 = g
     (ascending coefficient lists); with ``attach`` None the first step has
-    no second term.  This is ``linalg._path_extend`` before runs of -2
+    no second term.  This is ``path_extend`` before runs of -2
     framings took one closed-form step."""
     prev = attach
     for v in path:
@@ -910,6 +920,143 @@ def continuant_steps(a, path, attach, f, g):
                 nxt[i] -= w2 * x
         f, g, prev = nxt, f, v
     return f
+
+
+def char_poly(rows):
+    """Characteristic polynomial det(x*I - A) of a square integer matrix of
+    a shape ``linalg._path_kernel`` takes, though the path rows need not be
+    symmetric; any other shape raises ValueError.  This is the chi(Q) that
+    ``linalg.adjugate_block`` read its Descartes signature off before
+    ``linalg._reduce`` dropped each run of -2 framings by its Schur
+    complement.
+
+    Returns the integer coefficients in descending degree, leading 1,
+    division-free and without elimination.  Row i is banded when row and
+    column i are zero outside positions i-1..i+1.  The banded rows t..n-1
+    that end the matrix form a path; when t > 0 (then t >= 3), rows 0..t-1
+    must be a clique head, every entry between two of them one value
+    c != 0, which the path meets only at (t-1, t), as ``linking_matrix``
+    hangs the meridian chain on the last push-off.  The head is c J + D
+    with D = diag(d_i - c), so by the matrix determinant lemma its chi is
+    P - c P', P = prod (x - d_i + c), in O(t^2) integer operations; a
+    continuant along the path, seeded with chi of the head and of the head
+    without t-1, gives chi.  It costs O(len f) integer operations per
+    vertex, and O(r len f) for a run of r framings -2 that it takes in one
+    step (see ``run_step``).  So a slope -1/N, one such run, costs O(N k)
+    for k push-offs, and a clique of N push-offs (``--coeff 1/N``) O(N^2).
+    """
+    n = len(rows)
+    # nonzero off-diagonal entries of each row, then of each column too
+    nbrs = list(map(set, rows))
+    for i, row in enumerate(nbrs):
+        row.discard(i)
+        for j in row:
+            nbrs[j].add(i)
+    t = n
+    while t and nbrs[t - 1] <= {t - 2, t}:
+        t -= 1
+    if not t:
+        return path_extend(rows, range(n), None, [1], None)[::-1]
+    c = rows[0].get(1)
+    if not c or any(rows[i].get(j) != c for i in range(t) for j in range(t) if j != i):
+        raise ValueError("matrix is neither a path nor a clique head with a path on its last row")
+    p = [1]  # P, ascending, over the head rows so far; q the P before the last
+    for i in range(t):
+        q, e = p, rows[i].get(i, 0) - c
+        p = list(map(sub, [0] + p, [e * x for x in p] + [0]))
+    # chi_k = P_k - c (k + 1) P_(k+1), for the head and the head less t-1
+    f, g = ([x - c * k * y for k, (x, y) in enumerate(zip(poly, poly[1:] + [0]), 1)]
+            for poly in (p, q))
+    return path_extend(rows, range(t, n), t - 1, f, g)[::-1]
+
+
+def path_extend(a, path, attach, f, g):
+    """Run the continuant F_v = (x - a_vv) F_prev - w^2 F_prev2 along
+    ``path`` from F_0 = f and F_-1 = g, with w^2 = a[v][prev] a[prev][v].
+
+    ``attach`` is the vertex the path hangs on; with None, the first step
+    has no w^2 term (the path starts the matrix and f = 1).  A vertex
+    with a_vv = -2 and w^2 = 1 is held back, and each maximal run of them,
+    such as the meridian chain of a slope -1/N, goes to ``run_step`` at once.
+    Polynomials are ascending coefficient lists.
+    """
+    prev, r = attach, 0
+    for v in path:
+        d = a[v].get(v, 0)
+        w2 = 0 if prev is None else a[v].get(prev, 0) * a[prev].get(v, 0)
+        prev = v
+        if d == -2 and w2 == 1:
+            r += 1
+            continue
+        if r:
+            f, g = run_step(f, g, r, True)
+            r = 0
+        nxt = [0] + f
+        for k, x in enumerate(f):
+            nxt[k] -= d * x
+        if w2:
+            for k, x in enumerate(g):
+                nxt[k] -= w2 * x
+        f, g = nxt, f
+    if r:
+        f = run_step(f, g, r, False)[0]
+    return f
+
+
+# a run takes the closed form when r >= RUN_MIN len f; below that, r
+# plain steps cost less than its products and the 2r steps of run_polys
+RUN_MIN = 8
+
+
+def run_step(f, g, r, more):
+    """(F_r, F_(r-1)) after r steps F_v = (x + 2) F_prev - F_prev2 from
+    F_0 = f and F_-1 = g; the closed form leaves F_(r-1) None unless
+    ``more``.
+
+    The run's transfer matrix is [[P_r, -P_(r-1)], [P_(r-1), -P_(r-2)]]
+    with P_r = U_r(1 + x/2) (see ``run_polys``), P_0 = 1 and P_-1 = 0,
+    so F_r = P_r f - P_(r-1) g costs O(r len f) integer operations where r
+    steps cost O(r (len f + r)).  F_(r-1) = P_(r-1) f - P_(r-2) g, with
+    P_(r-2) = (x + 2) P_(r-1) - P_r, is built only for ``more``.
+    """
+    if r < RUN_MIN * len(f):
+        for _ in range(r):
+            nxt = [0] + f
+            for k, x in enumerate(f):
+                nxt[k] += 2 * x
+            for k, x in enumerate(g):
+                nxt[k] -= x
+            f, g = nxt, f
+        return f, g
+    p, q = run_polys(r)
+    pairs = [(p, q)]
+    if more:
+        pairs.append((q, [x + 2 * y - z for x, y, z in zip([0] + q, q, p[:r - 1])]))
+    out = []
+    for top, low in pairs:
+        h = [0] * (len(f) + len(top) - 1)
+        for poly, by, op in ((f, top, add), (g, low, sub)):
+            m = len(by)
+            for k, x in enumerate(poly):
+                if x:
+                    h[k:k + m] = map(op, h[k:k + m], map(x.__mul__, by))
+        out.append(h)
+    return out[0], out[1] if more else None
+
+
+def run_polys(r):
+    """Ascending coefficients of P_r and P_(r-1), where
+    P_s = U_s(1 + x/2) = sum_j C(s+1+j, 2j+1) x^j; consecutive
+    coefficients differ by the exact factor
+    (s+2+j)(s-j) / ((2j+2)(2j+3))."""
+    out = []
+    for s in (r, r - 1):
+        c, poly = s + 1, []
+        for j in range(s + 1):
+            poly.append(c)
+            c = c * (s + 2 + j) * (s - j) // ((2 * j + 2) * (2 * j + 3))
+        out.append(poly)
+    return out
 
 
 def congruence_signature_dense(rows) -> int:
@@ -1198,6 +1345,39 @@ def solve_d3_equation_by_hand(tb: int, family: str, rots, n_max: int = 20):
                 if rest == 0 and 2 <= n <= n_max and abs(s) < n and (s - n + 1) % 2 == 0:
                     solutions.append({"family": family, "i": i, "e1": e1, "e2": e2,
                                       "j": j, "s": s, "n": n})
+    return solutions
+
+
+def affine_solutions_loop(a_n, d_s, c_0, n_max):
+    """``cosmetic._affine_solutions`` by a walk over s, -n_max < s < n_max,
+    solving for n at each: the solver's loop before extended Euclid."""
+    solutions = []
+    for s in range(-(n_max - 1), n_max):
+        if a_n == 0:
+            if d_s * s + c_0 == 0:
+                solutions.append((s, "all"))
+            continue
+        n, rest = divmod(-(d_s * s + c_0), a_n)
+        if rest == 0 and 2 <= n <= n_max and abs(s) < n and (s - n + 1) % 2 == 0:
+            solutions.append((s, n))
+    return solutions
+
+
+def solve_one_over_n_loop(tb: int, n_max: int, rots):
+    """``solve_d3_equation(tb, "pm_one_over_n", n_max)`` over the rotation
+    numbers ``rots``, with the affine coefficients read off the closed
+    forms the same way, and each line solved by ``affine_solutions_loop``."""
+    k, signs, solutions = -tb, (1, -1), []
+    for i in rots:
+        for e1, e2, j in product(signs, repeat=3):
+            neg_0, neg_1 = (_neg_one_over_n(k, n, i, e1, j) for n in (0, 1))
+            pos_00, pos_10, pos_01 = (_pos_one_over_n(k, n, i, e2, s)
+                                      for n, s in ((0, 0), (1, 0), (0, 1)))
+            c_0 = pos_00 - neg_0
+            a_n, d_s = pos_10 - neg_1 - c_0, pos_01 - neg_0 - c_0
+            solutions += [{"family": "pm_one_over_n", "i": i, "e1": e1, "e2": e2, "j": j,
+                           "s": s, "n": n}
+                          for s, n in affine_solutions_loop(a_n, d_s, c_0, n_max)]
     return solutions
 
 

@@ -11,7 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-from contactsurg import linalg
 from contactsurg.closedforms import verify_closed_forms
 from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
@@ -38,6 +37,7 @@ from oracles import (
     eliminate,
     minimal_path,
     normalize_lens_bruteforce,
+    path_kernel,
     same_lens_space,
     shorten,
     sparse,
@@ -133,7 +133,7 @@ def test_criterion_5_signature_cross_validation():
         tbk_two_matrix(5, 1),
     ]
     for m in displayed:
-        assert linalg._path_kernel(sparse(m))[1] == eliminate(sparse(m))[1] == \
+        assert path_kernel(sparse(m))[1] == eliminate(sparse(m))[1] == \
             descartes_signature(sparse(m))
     _report(5, "signature methods agree on 1000 seeded matrices and the "
                "displayed forms", t0)

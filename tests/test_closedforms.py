@@ -250,22 +250,24 @@ class TestVerifier:
         passes = []
         kernel = linalg._path_kernel
 
-        def counted(rows, cols=()):
+        def counted(rows, *read):
             passes.append(len(rows))
-            return kernel(rows, cols)
+            return kernel(rows, *read)
 
         monkeypatch.setattr(linalg, "_path_kernel", counted)
         assert verify_closed_forms()["ok"]
         assert len(passes) <= 985
 
     def test_char_poly_calls(self, monkeypatch):
-        # one per adjugate_block pass: 835 family forms and 150 block_negdef
-        # matrices.  The lemma determinants are 345 leading_determinants
-        # passes, where one characteristic polynomial per lemma matrix made
-        # 3,143 calls in all
+        # one run reduction per adjugate_block pass, where one characteristic
+        # polynomial of the whole form was built: 835 family forms and 150
+        # block_negdef matrices.  The lemma determinants are 345
+        # leading_determinants passes, where one characteristic polynomial
+        # per lemma matrix made 3,143 calls in all
         calls, lemma = [], []
-        char_poly, leading = linalg.char_poly, linalg.leading_determinants
-        monkeypatch.setattr(linalg, "char_poly", lambda rows: calls.append(len(rows)) or char_poly(rows))
+        reduce, leading = linalg._reduce, linalg.leading_determinants
+        monkeypatch.setattr(linalg, "_reduce",
+                            lambda a, *rest: calls.append(len(a)) or reduce(a, *rest))
         monkeypatch.setattr(linalg, "leading_determinants",
                             lambda rows: lemma.append(len(rows)) or leading(rows))
         assert verify_closed_forms()["ok"]
@@ -279,7 +281,7 @@ class TestVerifier:
         passes = []
         kernel = linalg._path_kernel
         monkeypatch.setattr(linalg, "_path_kernel",
-                            lambda rows, cols=(): passes.append(len(rows)) or kernel(rows, cols))
+                            lambda rows, *read: passes.append(len(rows)) or kernel(rows, *read))
         assert main(["verify", "--json"]) == 0
         capsys.readouterr()
         assert len(passes) <= 1207

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactsurg import cosmetic, invariants, linalg
 from contactsurg.closedforms import DEFAULT_FORMS
@@ -14,15 +16,18 @@ from contactsurg.cosmetic import (
     scan,
     scan_cells,
     solve_d3_equation,
+    solve_d3_equations,
     unknot_classify,
 )
 from contactsurg.invariants import d3_spectrum
 from contactsurg.slopes import Slope, SlopeError
 from contactsurg.surgery import ContactZeroError, LegendrianData, SurgeryPresentation, rot_range
 from oracles import (
+    affine_solutions_loop,
     brute_force_d3_matches,
     equivalent_count_enumerated,
     solve_d3_equation_by_hand,
+    solve_one_over_n_loop,
 )
 
 
@@ -229,6 +234,37 @@ class TestEquationSolver:
         with pytest.raises(RuntimeError) as caught:
             solve_d3_equation(-3, "pm_one_over_n")
         assert str(caught.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-200, 200),
+           st.integers(1, 60))
+    @example(0, 0, 0, 5)  # every s, n "all"
+    @example(0, 3, -6, 3)  # s = 2 is out of range at n_max = 3
+    @example(2, 0, -8, 10)  # n = 4 for every s of the right parity
+    @example(-3, 6, 30, 60)  # gcd 3; n and s move together
+    def test_line_by_extended_euclid_equals_the_walk(self, a_n, d_s, c_0, n_max):
+        assert cosmetic._affine_solutions(a_n, d_s, c_0, n_max) == \
+            affine_solutions_loop(a_n, d_s, c_0, n_max)
+
+    def test_solver_equals_the_walk(self, monkeypatch):
+        # every admissible rotation number has no solution, and with the
+        # parity lifted there are some, in the walk's ascending order of s
+        for tb in range(-30, -2):
+            for n_max in (1, 2, 3, 5, 8, 13, 21, 34, 55, 60):
+                assert solve_d3_equation(tb, "pm_one_over_n", n_max) == \
+                    solve_one_over_n_loop(tb, n_max, rot_range(tb)) == []
+        monkeypatch.setattr(cosmetic, "rot_range", lifted_rot_range)
+        found = 0
+        for tb in range(-12, -2):
+            for n_max in (2, 7, 20, 60):
+                solved = solve_d3_equation(tb, "pm_one_over_n", n_max)
+                assert solved == solve_one_over_n_loop(tb, n_max, lifted_rot_range(tb))
+                found += len(solved)
+        assert found > 20
+
+    def test_solver_at_a_huge_n_max(self):
+        # one interval of t per line, not a walk over 2 * 10^12 values of s
+        assert solve_d3_equations(-20, -3, 10**12) == solve_d3_equations(-20, -3, 20) == []
 
     def test_bad_family(self):
         with pytest.raises(ValueError):

@@ -14,10 +14,12 @@ from contactsurg.closedforms import bordered_block_matrix, chain_matrix, chain_m
 from contactsurg.invariants import d3_records, d3_spectrum
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import IntersectionForm, LegendrianData, _presentation, linking_matrix
+import oracles
 from oracles import (
     adjugate_quadratic,
     bareiss,
     berkowitz,
+    char_poly,
     char_poly_berkowitz,
     char_poly_interpolate,
     char_poly_minors,
@@ -27,6 +29,9 @@ from oracles import (
     determinant,
     eliminate,
     listed_convert,
+    path_kernel,
+    run_polys,
+    run_step,
     sparse,
     tb2_negative_matrix,
     tb2_positive_matrix,
@@ -182,10 +187,17 @@ def oracle_block(rows, support):
 
 
 def head(rows):
-    """``linalg._head`` of sparse ``rows``, with the diagonal and the links
-    from i to i+1 that it reads."""
-    return linalg._head(rows, [row.get(i, 0) for i, row in enumerate(rows)],
-                        [rows[i].get(i + 1, 0) for i in range(len(rows) - 1)])
+    """The head size h that ``linalg._read`` reads off sparse ``rows``."""
+    return linalg._read(rows)[2]
+
+
+def reduced(rows):
+    """(det, signature) of symmetric sparse ``rows`` from ``linalg._reduce``
+    alone: num / den, and Descartes on the reduced chi less the runs
+    dropped, or None at det 0."""
+    a, b, h = linalg._read(rows)
+    removed, num, den, coeffs = linalg._reduce(a, b, h, rows[0][1] if h else 0)
+    return Fraction(num, den), linalg._descartes(coeffs) - removed if num else None
 
 
 def kernel_shape(m):
@@ -410,12 +422,12 @@ class TestDefiniteness:
 class TestCharPoly:
     def test_identity(self):
         assert char_poly_minors([[1, 0], [0, 1]]) == [1, -2, 1]
-        assert linalg.char_poly(sparse([[1, 0], [0, 1]])) == [1, -2, 1]
+        assert char_poly(sparse([[1, 0], [0, 1]])) == [1, -2, 1]
 
     def test_chain_two(self):
         # E_1 = -4, E_2 = 3 for the 2 x 2 chain
         assert char_poly_minors(linalg.dense(chain_matrix(2))) == [1, 4, 3]
-        assert linalg.char_poly(chain_matrix(2)) == [1, 4, 3]
+        assert char_poly(chain_matrix(2)) == [1, 4, 3]
 
     def test_constant_term_is_signed_determinant(self):
         # not necessarily symmetric: the oracle route works on any square
@@ -442,10 +454,10 @@ def assert_char_poly(m, want):
     kernel takes (``path_shape``, read off the entries of m), and raises
     ValueError on every other shape."""
     if path_shape(m):
-        assert linalg.char_poly(sparse(m)) == want
+        assert char_poly(sparse(m)) == want
     else:
         with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
-            linalg.char_poly(sparse(m))
+            char_poly(sparse(m))
 
 
 def graph_matrix(n, edges):
@@ -595,31 +607,31 @@ class TestCharPolyRoute:
         forms = linking_forms(CHAIN_CASES)
         assert max(map(len, forms)) == 61
         for m in forms:
-            assert linalg.char_poly(sparse(m)) == char_poly_interpolate(m)
+            assert char_poly(sparse(m)) == char_poly_interpolate(m)
 
     def test_route_guard(self, monkeypatch):
         # the determinant lemma sees at most the push-offs of a linking
         # matrix, and nothing of a lemma matrix: the continuant takes every
         # chain row, from a seed of the head's degree
         sizes = []
-        extend = linalg._path_extend
+        extend = oracles.path_extend
 
         def recording(a, path, attach, f, g):
             sizes.append(len(f) - 1)
             return extend(a, path, attach, f, g)
 
-        monkeypatch.setattr(linalg, "_path_extend", recording)
+        monkeypatch.setattr(oracles, "path_extend", recording)
         forms = linking_forms(CHAIN_CASES + [(-1, 0, Fraction(r)) for r in ("1/3", "3/4", "1/20")])
         for m, pushoffs in forms.items():
             sizes.clear()
-            linalg.char_poly(sparse(m))
+            char_poly(sparse(m))
             assert max(sizes, default=0) <= pushoffs, (len(m), pushoffs, sizes)
         sizes.clear()
         for n in range(1, 51):
-            linalg.char_poly(chain_matrix(n))
-            linalg.char_poly(chain_matrix_primed(n))
+            char_poly(chain_matrix(n))
+            char_poly(chain_matrix_primed(n))
         for a, b, c, m in itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), range(1, 7)):
-            linalg.char_poly(bordered_block_matrix(a, b, c, m))
+            char_poly(bordered_block_matrix(a, b, c, m))
         assert not any(sizes)
 
 
@@ -685,20 +697,21 @@ class TestRunStep:
         t, m = case
         want = _steps_oracle(m, t)
         assert want == berkowitz(sparse(m), range(len(m)))[::-1]
-        for run_min in (linalg._RUN_MIN, 0):  # then every run takes the closed form
+        for run_min in (oracles.RUN_MIN, 0):  # then every run takes the closed form
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(linalg, "_RUN_MIN", run_min)
-                assert linalg._path_extend(sparse(m), range(t, len(m)), *_seeds(m, t))[::-1] == want
+                mp.setattr(oracles, "RUN_MIN", run_min)
+                extended = oracles.path_extend(sparse(m), range(t, len(m)), *_seeds(m, t))
+                assert extended[::-1] == want
                 assert_char_poly(m, want)
 
     def test_run_polys_follow_the_recurrence(self):
         polys = _p_polys(80)
         for r in range(1, 81):
-            assert linalg._run_polys(r) == [polys[r + 1], polys[r]]
+            assert run_polys(r) == [polys[r + 1], polys[r]]
 
     def test_run_against_steps(self, monkeypatch):
         # F_r, and F_(r-1) when the path goes on, from seeds of 1-4 terms
-        monkeypatch.setattr(linalg, "_RUN_MIN", 0)
+        monkeypatch.setattr(oracles, "RUN_MIN", 0)
         rng = random.Random(29)
         chain = linalg.dense(chain_matrix(82))
         for r in range(1, 81):
@@ -706,9 +719,9 @@ class TestRunStep:
             f = [rng.randint(-10**30, 10**30) for _ in range(size)] + [1]
             g = [rng.randint(-9, 9) for _ in range(size)]
             want = continuant_steps(chain, range(1, r + 1), 0, f, g)
-            assert linalg._run(f, g, r, False)[0] == want
+            assert run_step(f, g, r, False)[0] == want
             before = continuant_steps(chain, range(1, r), 0, f, g)
-            assert linalg._run(f, g, r, True) == (want, before)
+            assert run_step(f, g, r, True) == (want, before)
 
     def test_long_chain_signature(self):
         # the meridian chain of -1/1600 is one run of -2 framings
@@ -716,7 +729,8 @@ class TestRunStep:
         plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 1600))[0]
         assert plan.sigma == forms["tb1_neg_sigma"](1600) == -1598
         rows = plan.form.rows
-        assert linalg._path_kernel(rows)[1] == linalg._descartes(linalg.char_poly(rows)) == -1598
+        assert path_kernel(rows)[1] == linalg._descartes(char_poly(rows)) == -1598
+        assert reduced(rows) == (plan.det, -1598)
 
 
 class TestSignature:
@@ -760,7 +774,9 @@ class TestSignature:
         # a signature; the first is a 3 x 3 block (a, b, c, m = -3, -2, -3, 1)
         monkeypatch.setattr(linalg, "_descartes", lambda coeffs: 0)
         monkeypatch.setattr(closedforms, "_family", lambda *args, **kwargs: [])
-        with pytest.raises(linalg.SignatureMismatchError, match="diagonalization=-3 descartes=0$"):
+        # the block's -2 framing at the end is a run of 1, which the check subtracts
+        with pytest.raises(linalg.SignatureMismatchError,
+                           match="diagonalization=-3 descartes=-1$"):
             closedforms.verify_closed_forms(3, 1)
 
     def test_methods_agree_on_seeded_corpus(self):
@@ -782,14 +798,14 @@ class TestSignature:
         for pres in forms:
             rows = linking_matrix(pres).rows
             assert len(rows) == 400
-            assert linalg._path_kernel(rows)[1] == eliminate(rows)[1] == \
+            assert path_kernel(rows)[1] == eliminate(rows)[1] == \
                 descartes_signature(rows)
 
     def test_zero_diagonal_handling(self):
         # congruence diagonalization must survive all-zero diagonals
         m = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         assert determinant(sparse(m)) == 2
-        assert linalg._path_kernel(sparse(m))[1] == eliminate(sparse(m))[1] == \
+        assert path_kernel(sparse(m))[1] == eliminate(sparse(m))[1] == \
             descartes_signature(sparse(m)) == -1
 
 
@@ -843,6 +859,68 @@ def sympy_signature(m):
         neg += power * factor.count_roots(None, 0)
     assert pos + neg == len(m)
     return pos - neg
+
+
+@st.composite
+def run_shapes(draw):
+    """A path, or a clique head of 3..6 rows with one link c and a path
+    hung on its last row, where the path rows are runs of 0..6 framings
+    -2, each between rows of another diagonal (0 and -2 common).  Links in
+    a run are +-1 or, less often, 0 or 2, which splits it; other links are
+    often 0.  Runs at index 0, at the end and next to the head, and two -2
+    rows joined by a link whose square is not 1, are all common."""
+    h = draw(st.sampled_from([0, 0, 3, 4, 6]))
+    c = draw(st.sampled_from([1, -1, 2, -3]))
+    diag, links = [], []  # links[v]: the link from path row v to the row before
+    for run, other in draw(st.lists(st.tuples(
+            st.integers(0, 6), st.sampled_from([0, -2, -1, -3, 1, 2, 5])), min_size=1, max_size=5)):
+        diag += [-2] * run + [other]
+        links += [draw(st.sampled_from([1, -1, 1, -1, 0, 2])) for _ in range(run)]
+        links.append(draw(st.sampled_from([0, 1, -1, 2, -2, 3])))
+    if draw(st.booleans()):  # end on a run
+        diag, links = diag[:-1], links[:-1]
+    n = h + len(diag)
+    m = [[c if i < h and j < h and i != j else 0 for j in range(n)] for i in range(n)]
+    for i in range(h):
+        m[i][i] = draw(st.integers(-4, 4))
+    for v, (d, w) in enumerate(zip(diag, links), h):
+        m[v][v] = d
+        if v:
+            m[v][v - 1] = m[v - 1][v] = w
+    return m
+
+
+class TestRunReduction:
+    """The signature check on the form left when each run of -2 framings
+    is dropped by its Schur complement."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(run_shapes())
+    @example(linalg.dense(chain_matrix(6)))  # one run, nothing kept
+    @example([[-2, -1, 0, 0, 0], [-1, -2, -1, 0, 0], [0, -1, 3, 1, 0], [0, 0, 1, -2, 1],
+              [0, 0, 0, 1, -2]])  # runs at index 0 and at the end
+    @example(clique(-1, [0, 0, 0], [-2, -2, -2]))  # a run next to the head
+    @example([[-2, 2, 0], [2, -2, -1], [0, -1, -2]])  # -2s joined by a link of square 4
+    @example([[-2, 0, 0], [0, 0, 1], [0, 1, -2]])  # a zero link and a zero diagonal
+    @example([[-2, 2], [2, -2]])  # singular: det 0, and a run at index 0
+    def test_matches_char_poly_and_the_kernel(self, m):
+        rows = sparse(m)
+        coeffs = char_poly(rows)
+        det, sigma = reduced(rows)
+        assert det == (-1) ** len(m) * coeffs[-1] == path_kernel(rows)[0]
+        if det == 0:
+            assert sigma is None is path_kernel(rows)[1]
+            with pytest.raises(linalg.SingularMatrixError):
+                linalg.adjugate_block(rows, ())
+        else:
+            assert sigma == linalg._descartes(coeffs) == path_kernel(rows)[1]
+            assert linalg.adjugate_block(rows, ())[:2] == (det, sigma)
+
+    def test_long_chain_spectra(self):
+        # the meridian chain of -1/12800 is one run of 12,799 framings -2
+        assert d3_spectrum(LegendrianData(-1, 0), Fraction(-1, 12800)) == {1}
+        for rot in (1, -1):
+            assert d3_spectrum(LegendrianData(-2, rot), Fraction(-1, 12800)) == {1, -25597}
 
 
 class TestKernelAgainstSympy:
@@ -917,38 +995,39 @@ class TestCongruence:
         def forbidden(*args):
             raise AssertionError("shared helper called")
 
-        for name in ("char_poly",):
+        for name in ("_reduce", "_descartes"):
             monkeypatch.setattr(linalg, name, forbidden)
         for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
                   [[0, 1, 0], [1, 2, 0], [0, 0, -1]]):
-            linalg._path_kernel(sparse(m), range(len(m)))
+            path_kernel(sparse(m), range(len(m)))
         with pytest.raises(ValueError, match="neither a path nor a clique head"):
-            linalg._path_kernel(sparse([[0, 2, 1], [2, 0, 1], [1, 1, 0]]))
+            path_kernel(sparse([[0, 2, 1], [2, 0, 1], [1, 1, 0]]))
         assert made == []
         Fraction(1, 3)
         assert made == [(1, 3)]
 
     def test_characteristic_route_runs_without_the_kernel(self, monkeypatch):
-        # the other direction of independence: Descartes, char_poly and
-        # determinant never reach the elimination kernel
+        # the other direction of independence: the run reduction, Descartes,
+        # char_poly and determinant never reach the elimination kernel
         def forbidden(*args):
             raise AssertionError("elimination kernel called")
 
         monkeypatch.setattr(linalg, "_path_kernel", forbidden)
         for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
                   linalg.dense(chain_matrix(12)), tbk_two_matrix(5, 1)):
-            assert linalg._descartes(linalg.char_poly(sparse(m))) == sympy_signature(m)
-            assert linalg.char_poly(sparse(m)) == sympy_char_poly(m)
+            assert reduced(sparse(m)) == (sympy.Matrix(m).det(), sympy_signature(m))
+            assert linalg._descartes(char_poly(sparse(m))) == sympy_signature(m)
+            assert char_poly(sparse(m)) == sympy_char_poly(m)
             assert determinant(sparse(m)) == sympy.Matrix(m).det()
         for m in (linalg.dense(chain_matrix_primed(7)), [[1, 2], [3, 4]]):
-            assert linalg.char_poly(sparse(m)) == sympy_char_poly(m)
+            assert char_poly(sparse(m)) == sympy_char_poly(m)
             assert determinant(sparse(m)) == sympy.Matrix(m).det()
 
     def test_rejects_non_square_and_asymmetric(self):
         with pytest.raises(ValueError, match="square"):
-            linalg._path_kernel(sparse([[1, 2]]))
+            path_kernel(sparse([[1, 2]]))
         with pytest.raises(ValueError, match="symmetric"):
-            linalg._path_kernel(sparse([[1, 2], [0, 1]]))
+            path_kernel(sparse([[1, 2], [0, 1]]))
 
     def test_large_surgery_forms(self):
         # `d3 --tb -1 --rot 0 --slope -1/1600` (a 1600-chain) and
@@ -957,7 +1036,7 @@ class TestCongruence:
         for coeff, n, sig in ((Fraction(-1, 1600) + 1, 1600, -1598), (Fraction(1, 40), 40, 38)):
             rows = linalg.dense(linking_matrix(_presentation(LegendrianData(-1, 0), coeff)).rows)
             assert len(rows) == n
-            assert linalg._path_kernel(sparse(rows))[1] == congruence_signature_dense(rows) == sig
+            assert path_kernel(sparse(rows))[1] == congruence_signature_dense(rows) == sig
             if n < 100:
                 assert descartes_signature(sparse(rows)) == sig
 
@@ -1028,7 +1107,7 @@ class TestSparseRows:
         ([{1: 2}, {}], "symmetric"),
     ])
     def test_the_one_check(self, rows, message):
-        for check in (linalg.check_symmetric, linalg._path_kernel, eliminate,
+        for check in (linalg.check_symmetric, linalg._read, eliminate,
                       lambda rows: linalg.adjugate_block(rows, ())):
             with pytest.raises(ValueError, match=f"^matrix must be {message}$"):
                 check(rows)
@@ -1109,7 +1188,7 @@ class TestPathKernel:
         m, support = case
         assert path_shape(m) and kernel_shape(m)
         want = eliminate(sparse(m), support)
-        assert linalg._path_kernel(sparse(m), support) == want
+        assert path_kernel(sparse(m), support) == want
         if want[0] == 0:
             with pytest.raises(linalg.SingularMatrixError):
                 linalg.adjugate_block(sparse(m), support)
@@ -1122,7 +1201,7 @@ class TestPathKernel:
         if path_shape(m):
             assert kernel_shape(m)
             return
-        for call in (linalg._path_kernel, lambda rows: linalg.adjugate_block(rows, ())):
+        for call in (linalg._read, lambda rows: linalg.adjugate_block(rows, ())):
             with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
                 call(sparse(m))
 
@@ -1186,7 +1265,7 @@ class TestCliqueLemma:
     def test_matches_berkowitz(self, m):
         rows = sparse(m)
         want = berkowitz(rows, range(len(m)))[::-1]
-        assert linalg.char_poly(rows) == want == char_poly_berkowitz(rows)
+        assert char_poly(rows) == want == char_poly_berkowitz(rows)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(graph_shapes(), clique_paths(), clique_paths().flatmap(spoiled),
@@ -1194,9 +1273,9 @@ class TestCliqueLemma:
     def test_refuses_exactly_where_the_kernel_does(self, m):
         # on symmetric matrices the two routes take the same shapes
         try:
-            linalg._path_kernel(sparse(m))
+            path_kernel(sparse(m))
         except ValueError:
             with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
-                linalg.char_poly(sparse(m))
+                char_poly(sparse(m))
         else:
-            assert linalg.char_poly(sparse(m)) == char_poly_berkowitz(sparse(m))
+            assert char_poly(sparse(m)) == char_poly_berkowitz(sparse(m))

@@ -117,11 +117,13 @@ def test_bareiss_lives_only_in_the_oracles():
 
 
 def test_characteristic_polynomial_has_one_route():
-    # char_poly seeds its continuant by the determinant lemma on a clique
-    # head; Berkowitz's algorithm, which takes any head, and the Descartes
-    # signature read from it are the tests' oracles, and the list-building
-    # conversion is the oracle listed_convert
-    gone = ("_berkowitz", "berkowitz", "descartes_signature", "convert")
+    # the signature check reads chi of the run-reduced form, seeded by the
+    # determinant lemma on a clique head; chi of the whole form with its
+    # closed-form run steps, Berkowitz's algorithm, which takes any head,
+    # and the Descartes signature read from it are the tests' oracles, and
+    # the list-building conversion is the oracle listed_convert
+    gone = ("_berkowitz", "berkowitz", "descartes_signature", "convert", "char_poly",
+            "_path_extend", "_run", "_run_polys", "_RUN_MIN")
     for path, tree in _modules():
         for name in gone:
             lines = [node.lineno for node in ast.walk(tree) if _names(node, name)]
@@ -130,7 +132,8 @@ def test_characteristic_polynomial_has_one_route():
     oracles = SRC.parents[1] / "tests" / "oracles.py"
     tree = ast.parse(oracles.read_text(), str(oracles))
     names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert {"berkowitz", "char_poly_berkowitz", "descartes_signature", "listed_convert"} <= names
+    assert {"berkowitz", "char_poly_berkowitz", "descartes_signature", "listed_convert",
+            "char_poly", "path_extend", "run_step", "run_polys"} <= names
 
 
 def test_no_assert_statements():
