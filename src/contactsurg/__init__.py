@@ -5,8 +5,8 @@ integer and rational arithmetic."""
 
 __version__ = "0.1.0"
 
-from .slopes import (INFINITY, Slope, SlopeError, canonical_slope, cs_set,
-                     lens_parameters, neg_cf_runs, parse_slope)
+from .slopes import (SlopeError, canonical_slope, cs_set, lens_parameters, neg_cf_runs,
+                     parse_slope)
 from .farey import count_tight_lens_pq, minimal_path_blocks
 from .surgery import (ContactZeroError, IntersectionForm, LegendrianData, linking_matrix,
                       rot_range)
@@ -17,8 +17,8 @@ from .regressions import verify_d3_regressions
 
 __all__ = [
     # slopes
-    "INFINITY", "Slope", "SlopeError", "canonical_slope", "cs_set",
-    "lens_parameters", "neg_cf_runs", "parse_slope",
+    "SlopeError", "canonical_slope", "cs_set", "lens_parameters", "neg_cf_runs",
+    "parse_slope",
     # Farey paths and counts
     "count_tight_lens_pq", "minimal_path_blocks",
     # surgery presentations

@@ -28,10 +28,6 @@ from .slopes import SlopeError, cs_set, parse_slope
 from .surgery import LegendrianData
 
 
-def _fraction(text: str) -> Fraction:
-    return parse_slope(text).as_fraction()
-
-
 def envelope(command: str, inputs: dict, results) -> dict:
     return {
         "command": command,
@@ -199,9 +195,9 @@ def cmd_d3(args) -> int:
         return 2
     L = LegendrianData(args.tb, args.rot)
     if args.slope is not None:
-        smooth = _fraction(args.slope)
+        smooth = parse_slope(args.slope)
     else:
-        smooth = args.tb + _fraction(args.coeff)
+        smooth = args.tb + parse_slope(args.coeff)
     # a fresh plan is made at L.rot: its presentations are this knot's
     plan, _, nums, pairs = d3_records(L, smooth)
     head = {"chi": plan.form.n + 1, "sigma": plan.sigma, "l": plan.form.l}
@@ -237,7 +233,7 @@ def cmd_cs_set(args) -> int:
 
 def cmd_unknot(args) -> int:
     L = LegendrianData(args.tb, args.rot)
-    result = unknot_classify(L, _fraction(args.coeff))
+    result = unknot_classify(L, parse_slope(args.coeff))
     data = result.to_json()
     lines = [
         f"contact ({result.contact_coeff})-surgery on the tb={args.tb}, "

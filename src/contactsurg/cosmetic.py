@@ -25,7 +25,7 @@ from math import gcd
 from .closedforms import DEFAULT_FORMS
 from .farey import _classes, _edges, minimal_path_blocks
 from .invariants import d3_records, ratio_text
-from .slopes import Slope, SlopeError, canonical_slope, lens_parameters
+from .slopes import SlopeError, canonical_slope, lens_parameters
 from .surgery import ContactZeroError, LegendrianData, rot_range
 
 EXCEPTIONAL_FLAGS = (
@@ -270,7 +270,7 @@ class UnknotSurgeryClass:
     contact_coeff: Fraction
     smooth_slope: Fraction
     tightness: str  # tight | overtwisted
-    canonical: Slope
+    canonical: Fraction
     lens: tuple
     equivalence: str  # unique | infinite
     count_at_slope: int | None
@@ -390,7 +390,7 @@ def equivalent_surgery_count(tb: int, rot: int, contact_coeff) -> int:
         raise SlopeError("zero smooth slope excluded")
     if tb < smooth < 0:
         raise ValueError("overtwisted regime; per-slope counts are tight-only")
-    blocks = minimal_path_blocks(Slope(smooth), Slope(tb))
+    blocks = minimal_path_blocks((smooth.numerator, smooth.denominator), (tb, 1))
     k = -tb
     plus = (k - 1 + rot) // 2
     if not 0 <= plus <= k - 1:
@@ -428,7 +428,7 @@ def equivalent_surgery_count(tb: int, rot: int, contact_coeff) -> int:
         tight *= choices
         fiber *= choices
 
-    edges = _edges(Slope(smooth), Slope(0))
+    edges = _edges((smooth.numerator, smooth.denominator), (0, 1))
     keys = _classes(edges, 1, sum(edges) - sum(alive))
     if tight != fiber * keys:
         raise RuntimeError(f"{tight} tight decorations at smooth slope {smooth}, but "
@@ -459,20 +459,15 @@ def unknot_classify(L: LegendrianData, contact_coeff) -> UnknotSurgeryClass:
     smooth = tb + contact_coeff
     if smooth == 0:
         raise SlopeError("zero smooth surgery excluded")
-    canonical = canonical_slope(Slope(smooth))
-    lens = lens_parameters(Slope(smooth))
     boundary_rotation = abs(rot) == abs(tb + 1)
-    in_overtwisted_interval = tb < smooth < 0
-    if not boundary_rotation and smooth < tb:
-        return UnknotSurgeryClass(tb, rot, contact_coeff, smooth, "tight",
-                                  canonical, lens, "unique", None)
-    if not boundary_rotation:
-        # slope not less than tb forces mixed signs against the complement
-        return UnknotSurgeryClass(tb, rot, contact_coeff, smooth, "overtwisted",
-                                  canonical, lens, "infinite", None)
-    if in_overtwisted_interval:
-        return UnknotSurgeryClass(tb, rot, contact_coeff, smooth, "overtwisted",
-                                  canonical, lens, "infinite", None)
-    count = equivalent_surgery_count(tb, rot, contact_coeff)
-    return UnknotSurgeryClass(tb, rot, contact_coeff, smooth, "tight",
-                              canonical, lens, "infinite", count)
+    if boundary_rotation:
+        tight = not tb < smooth < 0
+    else:
+        # below tb a chain of Legendrian surgeries; a slope not less than
+        # tb forces mixed signs against the complement
+        tight = smooth < tb
+    count = equivalent_surgery_count(tb, rot, contact_coeff) if boundary_rotation and tight else None
+    return UnknotSurgeryClass(tb, rot, contact_coeff, smooth,
+                              "tight" if tight else "overtwisted",
+                              canonical_slope(smooth), lens_parameters(smooth),
+                              "infinite" if boundary_rotation or not tight else "unique", count)

@@ -1,7 +1,9 @@
 """The Farey graph on slopes and the counts the library reads off it.
 
-Vertices are slopes (rationals together with infinity); p/q and p'/q'
-are joined by an edge when |p q' - p' q| = 1.  Tight contact structures
+Vertices are slopes, taken as integer vectors (p, q) with gcd(p, q) = 1,
+and p/q and p'/q' are joined by an edge when |p q' - p' q| = 1.  A
+path's endpoints are reduced: q > 0, or (1, 0) for infinity; the
+vertices of its blocks may carry either sign.  Tight contact structures
 on lens spaces, and the equivalent surgeries at one slope that
 ``cosmetic.equivalent_surgery_count`` counts, are classified by minimal
 clockwise paths in this graph with signs on some of the edges, counted
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .slopes import Slope, neg_cf_runs
+from .slopes import neg_cf_runs
 
 
 def _mul(m, v):
@@ -61,15 +63,23 @@ class FareyBlock(NamedTuple):
     edges: int
 
 
-def _frame(a: Slope, b: Slope):
+def _frame(a: tuple, b: tuple):
     """b's image (num, den), den > 0, in the frame where the minimal
     clockwise path from a to b starts at infinity, and the matrix that
     carries the frame's vertices back: the inverse of
-    ``_normalizing_matrix`` of a."""
+    ``_normalizing_matrix`` of a.
+
+    The endpoints are reduced vectors (num, den), den > 0, or (1, 0) for
+    infinity; any other pair raises ValueError, since the frame of an
+    unreduced vector is not the frame of its slope."""
+    for num, den in (a, b):
+        if not (den > 0 and math.gcd(num, den) == 1 or (num, den) == (1, 0)):
+            raise ValueError(f"slope vector ({num}, {den}) is not reduced: needs "
+                             "den > 0 and gcd(num, den) = 1, or (1, 0) for infinity")
     if a == b:
         raise ValueError("minimal path needs distinct endpoints")
-    ((x, y), (z, w)), back = _normalizing_matrix(a.num, a.den)
-    num, den = x * b.num + y * b.den, z * b.num + w * b.den
+    m, back = _normalizing_matrix(*a)
+    num, den = _mul(m, b)
     if den < 0:
         num, den = -num, -den
     return (num, den), back
@@ -99,9 +109,10 @@ def _runs(num: int, den: int):
     yield edges, 0
 
 
-def minimal_path_blocks(a: Slope, b: Slope) -> list:
+def minimal_path_blocks(a: tuple, b: tuple) -> list:
     """Continued-fraction blocks of the minimal Farey path from a
-    clockwise to b.
+    clockwise to b.  Each endpoint is a reduced vector (num, den):
+    den > 0, or (1, 0) for infinity.
 
     All intermediate vertices lie strictly inside the clockwise arc from
     a to b, and among such paths this one has the fewest edges; the
@@ -121,8 +132,9 @@ def minimal_path_blocks(a: Slope, b: Slope) -> list:
     return blocks
 
 
-def _edges(a: Slope, b: Slope) -> list:
-    """The edge count of each block of the minimal clockwise path from a to b."""
+def _edges(a: tuple, b: tuple) -> list:
+    """The edge count of each block of the minimal clockwise path from a
+    to b, reduced vectors as ``minimal_path_blocks`` takes them."""
     return [edges for edges, _ in _runs(*_frame(a, b)[0])]
 
 

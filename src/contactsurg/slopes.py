@@ -1,8 +1,8 @@
 """Exact slope arithmetic for surgery coefficients.
 
-Slopes are reduced rationals p/q together with the point at infinity,
-which is represented as (1, 0).  Negative denominators are normalized by
-moving the sign to the numerator, so 3/2 and -3/-2 are the same value.
+Finite slopes are ``Fraction``s.  The slope at infinity has no rational
+value: ``parse_slope`` rejects it, and only ``farey`` meets it, as the
+vector (1, 0).
 
 The module also provides negative continued fractions (all coefficients
 <= -2, the unique expansion of a rational < -1) by one Euclid,
@@ -25,96 +25,27 @@ class SlopeError(ValueError):
     """Domain error in slope arithmetic (zero or infinite slope, etc.)."""
 
 
-class Slope:
-    """A reduced rational slope p/q, or infinity as (1, 0)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        if isinstance(num, Slope):
-            num, den = num.num, num.den * den
-        if isinstance(num, Fraction):
-            num, den = num.numerator, num.denominator * den
-        num = int(num)
-        den = int(den)
-        if den == 0:
-            if num == 0:
-                raise SlopeError("0/0 is not a slope")
-            num = 1
-        else:
-            g = math.gcd(num, den)
-            num //= g
-            den //= g
-            if den < 0:
-                num, den = -num, -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Slope is immutable")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.den == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise SlopeError("infinite slope has no rational value")
-        return Fraction(self.num, self.den)
-
-    def __eq__(self, other):
-        if isinstance(other, Slope):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return not self.is_infinite and self.as_fraction() == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def _cmp_key(self):
-        if self.is_infinite:
-            raise SlopeError("infinite slope is not ordered")
-        return self.as_fraction()
-
-    def __lt__(self, other):
-        other = other.as_fraction() if isinstance(other, Slope) else Fraction(other)
-        return self._cmp_key() < other
-
-    def __le__(self, other):
-        other = other.as_fraction() if isinstance(other, Slope) else Fraction(other)
-        return self._cmp_key() <= other
-
-    def __neg__(self):
-        return Slope(-self.num, self.den) if not self.is_infinite else self
-
-    def __str__(self):
-        if self.is_infinite:
-            return "inf"
-        if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
-
-    def __repr__(self):
-        return f"Slope({self})"
-
-
-INFINITY = Slope(1, 0)
-
-
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def parse_slope(text: str) -> Slope:
-    """Parse 'p/q', 'p', or 'inf' into a Slope; other text raises SlopeError."""
+def parse_slope(text: str) -> Fraction:
+    """Parse 'p/q' or 'p' into a Fraction.
+
+    'inf', 'oo', 'infinity' and p/0 name the slope at infinity, which
+    has no rational value: they raise SlopeError, as do 0/0 and any
+    other text.
+    """
     text = text.strip()
     if text in ("inf", "oo", "infinity"):
-        return INFINITY
+        raise SlopeError("infinite slope has no rational value")
     parts = text.split("/")
     # plain ASCII digits only: int() would also take "1_0" or " 3"
     if len(parts) > 2 or not all(_INTEGER.fullmatch(x) for x in parts):
         raise SlopeError(f"malformed slope {text!r}: expected p/q, p or inf")
-    return Slope(*(int(x) for x in parts))
+    num, den = (int(x) for x in parts) if len(parts) == 2 else (int(text), 1)
+    if den == 0:
+        raise SlopeError("infinite slope has no rational value" if num else "0/0 is not a slope")
+    return Fraction(num, den)
 
 
 def neg_cf_runs(p: int, q: int) -> list:
@@ -150,42 +81,32 @@ def neg_cf_runs(p: int, q: int) -> list:
     return runs
 
 
-def canonical_slope(r: Slope) -> Slope:
+def canonical_slope(r: Fraction) -> Fraction:
     """The unique member of r's Rolfsen-twist orbit that is <= -1.
 
-    Every finite nonzero surgery coefficient on the unknot is equivalent
-    to exactly one -p/q with 0 < q <= p.
+    Every nonzero surgery coefficient r (a Fraction) on the unknot is
+    equivalent to exactly one -p/q with 0 < q <= p, returned as a
+    Fraction.
     """
-    r = r if isinstance(r, Slope) else Slope(r)
-    if r.is_infinite or r.num == 0:
+    if r == 0:
         raise SlopeError("canonical form needs a finite nonzero slope")
-    a, b = r.num, r.den
-    p = abs(a)
-    if a < 0:
-        q = (b - 1) % p + 1
-        return Slope(-p, q)
-    q = b % p - p
-    return Slope(p, q)
+    # twisting p/q gives p/(q + n|p|): the denominator moves mod p
+    p, b = abs(r.numerator), r.denominator
+    return Fraction(-p, (b - 1) % p + 1 if r < 0 else p - b % p)
 
 
-def lens_parameters(r: Slope):
-    """Lens space L(p, q) produced by r-surgery on the unknot.
+def lens_parameters(r: Fraction):
+    """Lens space L(p, q) produced by r-surgery on the unknot, for a
+    Fraction r.
 
     Writes r = -p/q with p >= 0 and returns (p, q mod p); p = 1 gives the
     three-sphere and p = 0 the S1 x S2 case, reported as (1, 0) and
     (0, 1).
     """
-    r = r if isinstance(r, Slope) else Slope(r)
-    if r.is_infinite:
-        raise SlopeError("infinity surgery gives back the three-sphere")
-    a, b = r.num, r.den
+    a, b = r.numerator, r.denominator
     if a == 0:
         return (0, 1)
-    if a < 0:
-        p, q = -a, b
-    else:
-        p, q = a, -b
-    return (p, q % p)
+    return (abs(a), (b if a < 0 else -b) % abs(a))
 
 
 def cs_set(p: int, q: int, den_bound: int):
@@ -193,8 +114,8 @@ def cs_set(p: int, q: int, den_bound: int):
 
     For canonical -p/q the set consists of -p/(q + np) and -p/(qbar + np)
     over all integers n, where qbar inverts q mod p.  The set is
-    infinite; returns its members -p/q' with 0 < |q'| <= den_bound,
-    sorted.
+    infinite; returns its members -p/q' with 0 < |q'| <= den_bound, as
+    Fractions sorted by value.
     """
     if p < 1 or not (0 < q <= p) or math.gcd(p, q) != 1:
         raise SlopeError(f"p={p}, q={q}: -p/q is not a canonical surgery "
@@ -207,6 +128,6 @@ def cs_set(p: int, q: int, den_bound: int):
         qq = start + n0 * p
         while qq <= den_bound:
             if qq != 0 and qq >= -den_bound:
-                seen.add(Slope(-p, qq))
+                seen.add(Fraction(-p, qq))
             qq += p
-    return sorted(seen, key=lambda s: s.as_fraction())
+    return sorted(seen)

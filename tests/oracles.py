@@ -20,9 +20,10 @@ intersection-form families built by hand from their displayed shape,
 linking matrices built dense, entry by entry, and conversions that
 build one presentation per stabilization outcome.
 
-Helpers the library does not need live here too: the Farey edge test,
-anticlockwise paths as reflections p -> -p of the library's clockwise
-ones, lens-space classification, and sparse rows from dense ones.
+Helpers the library does not need live here too: slopes as reduced
+vectors, the Farey edge test, anticlockwise paths as reflections p -> -p
+of the library's clockwise ones, lens-space classification, and sparse
+rows from dense ones.
 """
 
 import math
@@ -38,7 +39,7 @@ from contactsurg.farey import minimal_path_blocks
 from contactsurg import linalg
 from contactsurg.invariants import NonTorsionEulerClassError, d3_spectrum
 from contactsurg.linalg import SingularMatrixError
-from contactsurg.slopes import INFINITY, Slope, SlopeError, neg_cf_runs, parse_slope
+from contactsurg.slopes import SlopeError, neg_cf_runs, parse_slope
 from contactsurg.surgery import (
     Component,
     ContactZeroError,
@@ -52,6 +53,30 @@ from contactsurg.surgery import (
 
 # ---------------------------------------------------------------------------
 # slope calculus
+
+# Farey vertices are the reduced vectors ``farey`` takes: (p, q) with
+# q > 0 for p/q, and (1, 0) for infinity
+INF = (1, 0)
+
+
+def vec(num, den=1) -> tuple:
+    """The reduced vector of num/den; num may be a Fraction."""
+    if isinstance(num, Fraction):
+        num, den = num.numerator, num.denominator * den
+    g = math.gcd(num, den) * (-1 if den < 0 or den == 0 and num < 0 else 1)
+    if not g:
+        raise SlopeError("0/0 is not a slope")
+    return (num // g, den // g)
+
+
+def neg(v: tuple) -> tuple:
+    """The reflection p -> -p of a slope vector."""
+    return vec(-v[0], v[1])
+
+
+def slope_text(v: tuple) -> str:
+    return str(Fraction(*v)) if v[1] else "inf"
+
 
 def neg_cf_terms(r) -> list:
     """Negative continued fraction [c1, ..., cn] of a rational r < -1, one
@@ -88,7 +113,7 @@ def neg_cf_value(coeffs) -> Fraction:
     return value
 
 
-def rolfsen_twist(r: Slope, n: int) -> Slope:
+def rolfsen_twist(r: tuple, n: int) -> tuple:
     """Twist p/q surgery on the unknot into p/(q + n|p|) surgery.
 
     Twisting changes the surgery description, not the manifold.  The
@@ -96,9 +121,10 @@ def rolfsen_twist(r: Slope, n: int) -> Slope:
     infinite slopes are rejected: 0- and infinity-surgery sit outside
     the slope calculus used here.
     """
-    if r.is_infinite or r.num == 0:
+    num, den = r
+    if not (num and den):
         raise SlopeError("Rolfsen twist needs a finite nonzero slope")
-    return Slope(r.num, r.den + n * abs(r.num))
+    return vec(num, den + n * abs(num))
 
 
 def same_lens_space(a, b) -> bool:
@@ -243,48 +269,49 @@ CLOCKWISE = "clockwise"
 ANTICLOCKWISE = "anticlockwise"
 
 
-def clockwise_ends(a: Slope, b: Slope, direction: str):
+def clockwise_ends(a: tuple, b: tuple, direction: str):
     """The endpoints of the clockwise path whose reflection, for an
     anticlockwise ``direction``, is the path from a to b."""
-    return (a, b) if direction == CLOCKWISE else (-a, -b)
+    return (a, b) if direction == CLOCKWISE else (neg(a), neg(b))
 
 
-def _det(a: Slope, b: Slope) -> int:
-    return a.num * b.den - b.num * a.den
+def _det(a: tuple, b: tuple) -> int:
+    return a[0] * b[1] - b[0] * a[1]
 
 
-def is_edge(a: Slope, b: Slope) -> bool:
+def is_edge(a: tuple, b: tuple) -> bool:
     """Farey adjacency: |p q' - p' q| = 1.  Equal slopes are rejected."""
     if a == b:
         raise ValueError("is_edge needs two distinct slopes")
     return abs(_det(a, b)) == 1
 
 
-def in_clockwise_arc(x: Slope, a: Slope, b: Slope) -> bool:
+def in_clockwise_arc(x: tuple, a: tuple, b: tuple) -> bool:
     """True when x lies strictly inside the clockwise arc from a to b."""
     if a == b:
         raise ValueError("empty arc")
     if x == a or x == b:
         return False
-    if a.is_infinite:
-        return not x.is_infinite and x < b
-    if b.is_infinite:
-        return not x.is_infinite and x > a
-    if x.is_infinite:
+    x, a, b = (Fraction(*v) if v[1] else None for v in (x, a, b))
+    if a is None:
+        return x is not None and x < b
+    if b is None:
+        return x is not None and x > a
+    if x is None:
         return a > b
     if a < b:
         return a < x < b
     return x > a or x < b
 
 
-def minimal_path(a: Slope, b: Slope, direction: str = CLOCKWISE):
+def minimal_path(a: tuple, b: tuple, direction: str = CLOCKWISE):
     """The vertices of the minimal path from a to b in ``direction``, from
     ``farey.minimal_path_blocks`` (reflected, for an anticlockwise path)."""
     blocks = minimal_path_blocks(*clockwise_ends(a, b, direction))
-    path = [Slope(*blocks[0].start)]
+    path = [vec(*blocks[0].start)]
     for (sn, sd), (wn, wd), edges in blocks:
-        path.extend(Slope(sn + j * wn, sd + j * wd) for j in range(1, edges + 1))
-    return path if direction == CLOCKWISE else [-v for v in path]
+        path.extend(vec(sn + j * wn, sd + j * wd) for j in range(1, edges + 1))
+    return path if direction == CLOCKWISE else [neg(v) for v in path]
 
 
 _SIGN_CHARS = {1: "+", -1: "-", None: "?"}
@@ -305,21 +332,21 @@ class DecoratedFareyPath:
             raise ValueError("one sign per edge required")
         for u, v in zip(self.vertices, self.vertices[1:]):
             if not is_edge(u, v):
-                raise ValueError(f"{u} and {v} are not Farey neighbours")
+                raise ValueError(f"{slope_text(u)} and {slope_text(v)} are not Farey neighbours")
         for s in self.signs:
             if s not in (1, -1, None):
                 raise ValueError("signs must be +1, -1, or None")
 
     def to_json(self):
         return {
-            "vertices": [str(v) for v in self.vertices],
+            "vertices": [slope_text(v) for v in self.vertices],
             "signs": "".join(_SIGN_CHARS[s] for s in self.signs),
         }
 
     @classmethod
     def from_json(cls, data):
         return cls(
-            tuple(parse_slope(t) for t in data["vertices"]),
+            tuple(INF if t == "inf" else vec(parse_slope(t)) for t in data["vertices"]),
             tuple(_CHAR_SIGNS[c] for c in data["signs"]),
         )
 
@@ -1130,7 +1157,7 @@ def normalize_lens_bruteforce(p: int, q: int):
     return (p, min(q, inverse))
 
 
-def minimal_path_bfs(a: Slope, b: Slope, direction: str = CLOCKWISE,
+def minimal_path_bfs(a: tuple, b: tuple, direction: str = CLOCKWISE,
                      num_bound=None, den_bound=None, count_paths=False):
     """Breadth-first-search oracle for minimal paths.
 
@@ -1142,14 +1169,14 @@ def minimal_path_bfs(a: Slope, b: Slope, direction: str = CLOCKWISE,
     if a == b:
         raise ValueError("minimal path needs distinct endpoints")
     if direction == ANTICLOCKWISE:
-        res = minimal_path_bfs(-a, -b, CLOCKWISE, num_bound, den_bound, count_paths)
+        res = minimal_path_bfs(neg(a), neg(b), CLOCKWISE, num_bound, den_bound, count_paths)
         if count_paths:
-            return [-v for v in res[0]], res[1]
-        return [-v for v in res]
+            return [neg(v) for v in res[0]], res[1]
+        return [neg(v) for v in res]
     if num_bound is None:
-        num_bound = 2 * (abs(a.num) + abs(b.num)) + 3
+        num_bound = 2 * (abs(a[0]) + abs(b[0])) + 3
     if den_bound is None:
-        den_bound = 2 * (a.den + b.den) + 3
+        den_bound = 2 * (a[1] + b[1]) + 3
     vertices = {a, b}
     for q in range(0, den_bound + 1):
         for p in range(-num_bound, num_bound + 1):
@@ -1157,7 +1184,7 @@ def minimal_path_bfs(a: Slope, b: Slope, direction: str = CLOCKWISE,
                 continue
             if math.gcd(abs(p), q) != 1:
                 continue
-            s = Slope(p, q)
+            s = (p, q)
             if in_clockwise_arc(s, a, b):
                 vertices.add(s)
     verts = list(vertices)
@@ -1398,38 +1425,35 @@ def path_from_infinity(target: Fraction):
     step always jumps to the largest admissible neighbour, which is the
     classical continued-fraction pivot construction.
     """
-    path = [INFINITY]
-    c = math.floor(target)
-    path.append(Slope(c))
-    while Fraction(path[-1].num, path[-1].den) != target:
-        v = path[-1]
-        gap = target - Fraction(v.num, v.den)
-        if abs(v.num * target.denominator - target.numerator * v.den) == 1:
-            path.append(Slope(target.numerator, target.denominator))
+    path = [INF, (math.floor(target), 1)]
+    while Fraction(*path[-1]) != target:
+        p, q = path[-1]
+        gap = target - Fraction(p, q)
+        if abs(p * target.denominator - target.numerator * q) == 1:
+            path.append(vec(target))
             continue
-        p, q = v.num, v.den
         x, y = _bezout(q, p)
         # r*q - s*p = 1 gives the family of neighbours above v
         r, s = x, -y
         # smallest s + k q > 0 with v + 1/(q (s + k q)) <= target
         need = Fraction(1, q) / gap
         k = math.ceil((need - s) / q)
-        path.append(Slope(r + k * p, s + k * q))
+        path.append(vec(r + k * p, s + k * q))
     return path
 
 
-def minimal_path_vertexwise(a: Slope, b: Slope, direction: str = CLOCKWISE):
+def minimal_path_vertexwise(a: tuple, b: tuple, direction: str = CLOCKWISE):
     """``farey.minimal_path`` built vertex by vertex: move a to infinity,
     take the greedy path there, and move it back."""
     if direction == ANTICLOCKWISE:
-        return [-v for v in minimal_path_vertexwise(-a, -b, CLOCKWISE)]
-    p, q = a.num, a.den
+        return [neg(v) for v in minimal_path_vertexwise(neg(a), neg(b), CLOCKWISE)]
+    p, q = a
     x, y = _bezout(p, q)
     # rows (x, y) and (-q, p) have determinant x p + y q = 1 and send a to
     # infinity; their adjugate ((p, -y), (q, x)) moves the path back
-    target = Fraction(x * b.num + y * b.den, p * b.den - q * b.num)
-    return [Slope(p * v.num - y * v.den, q * v.num + x * v.den)
-            for v in path_from_infinity(target)]
+    target = Fraction(x * b[0] + y * b[1], p * b[1] - q * b[0])
+    return [vec(p * vn - y * vd, q * vn + x * vd)
+            for vn, vd in path_from_infinity(target)]
 
 
 def shorten_restart(path: DecoratedFareyPath):
@@ -1491,8 +1515,8 @@ def equivalent_count_enumerated(tb: int, rot: int, contact_coeff):
     (tight decorations, {lens key: fiber size}); the unknot count is the
     common fiber size."""
     smooth = tb + Fraction(contact_coeff)
-    surgery_path = minimal_path_vertexwise(Slope(smooth), Slope(tb), CLOCKWISE)
-    vertices = tuple(surgery_path) + tuple(Slope(t) for t in range(tb + 1, 1))
+    surgery_path = minimal_path_vertexwise(vec(smooth), (tb, 1), CLOCKWISE)
+    vertices = tuple(surgery_path) + tuple((t, 1) for t in range(tb + 1, 1))
     comp = tuple(complement_signs(tb, rot)) + (None,)
     fibers = {}
     tight = 0

@@ -21,7 +21,6 @@ from contactsurg.cosmetic import (
 )
 from contactsurg.invariants import d3_spectrum
 from contactsurg.slopes import (
-    Slope,
     canonical_slope,
     cs_set,
     lens_parameters,
@@ -44,6 +43,7 @@ from oracles import (
     tb2_negative_matrix,
     tb2_positive_matrix,
     tbk_two_matrix,
+    vec,
 )
 
 
@@ -171,8 +171,8 @@ def _oracle_equivalent_count(tb, rot, contact_coeff):
     tight structure, and returns the common fiber size.
     """
     smooth = tb + Fraction(contact_coeff)
-    spath = minimal_path(Slope(smooth), Slope(tb), CLOCKWISE)
-    comp_vertices = [Slope(t) for t in range(tb, 1)]
+    spath = minimal_path(vec(smooth), (tb, 1), CLOCKWISE)
+    comp_vertices = [(t, 1) for t in range(tb, 1)]
     comp_signs = complement_signs(tb, rot) + [None]
     vertices = tuple(spath) + tuple(comp_vertices[1:])
     n_edges = len(spath) - 1
@@ -206,7 +206,7 @@ def test_criterion_8_unknot_equivalence_counts():
         # right endpoint 1/k: the only slope-set members of the form 1/k
         # (canonical class of -1); exactly k+1 equivalent surgeries
         r = Fraction(1, k)
-        assert canonical_slope(Slope(r)) == Slope(-1, 1)
+        assert canonical_slope(r) == -1
         res = unknot_classify(L1, r + 1)
         assert res.tightness == "tight"
         assert res.count_at_slope == k + 1
@@ -237,7 +237,7 @@ def test_criterion_9_cs_set_lens_consistency():
                 continue
             if q == p and p != 1:
                 continue
-            base = lens_parameters(Slope(-p, q))
+            base = lens_parameters(Fraction(-p, q))
             for s in cs_set(p, q, 2 * p + 5):
                 lp = lens_parameters(s)
                 assert same_lens_space(lp, base)

@@ -48,6 +48,18 @@ class TestD3Command:
             assert code == 2 and out == ""
             assert err == f"error: malformed slope {text!r}: expected p/q, p or inf\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        *((["d3", "--tb", "-1", "--rot", "0", "--slope", text],
+          "infinite slope has no rational value")
+          for text in ("inf", "oo", "infinity", "1/0", "-3/0")),
+        (["unknot", "--tb", "-1", "--rot", "0", "--coeff", "inf"],
+         "infinite slope has no rational value"),
+        (["d3", "--tb", "-1", "--rot", "0", "--slope", "0/0"], "0/0 is not a slope"),
+    ])
+    def test_unrepresentable_slope_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_remainder_error_names_the_inputs(self, capsys):
         code, out, err = run(capsys, "d3", "--tb", "1", "--rot", "0", "--slope", "5")
         assert code == 2 and out == ""

@@ -20,7 +20,7 @@ from contactsurg.cosmetic import (
     unknot_classify,
 )
 from contactsurg.invariants import d3_spectrum
-from contactsurg.slopes import Slope, SlopeError
+from contactsurg.slopes import SlopeError
 from contactsurg.surgery import ContactZeroError, LegendrianData, SurgeryPresentation, rot_range
 from oracles import (
     affine_solutions_loop,
@@ -421,7 +421,7 @@ class TestUnknotClassification:
         pos = unknot_classify(L, 3)   # smooth +2
         assert neg.tightness == pos.tightness == "tight"
         assert neg.lens == pos.lens == (2, 1)
-        assert neg.canonical == pos.canonical == Slope(-2, 1)
+        assert neg.canonical == pos.canonical == -2
         assert pos.count_at_slope == 2
 
     def test_count_closed_form(self):

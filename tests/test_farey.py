@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactsurg.farey import FareyBlock, _classes, _edges, count_tight_lens_pq, minimal_path_blocks
-from contactsurg.slopes import INFINITY, Slope
+from contactsurg.slopes import canonical_slope
 from oracles import (
     ANTICLOCKWISE,
     CLOCKWISE,
+    INF,
     DecoratedFareyPath,
     _det,
     cf_blocks,
@@ -27,27 +28,28 @@ from oracles import (
     shorten,
     shorten_restart,
     sign_class_count,
+    vec,
 )
 
 
 def small_slopes(num_bound, den_bound):
-    out = [INFINITY]
+    out = [INF]
     for q in range(1, den_bound + 1):
         for p in range(-num_bound, num_bound + 1):
             if math.gcd(abs(p), q) == 1:
-                out.append(Slope(p, q))
+                out.append(vec(p, q))
     return out
 
 
 class TestEdges:
     def test_examples(self):
-        assert is_edge(Slope(0), INFINITY)
-        assert is_edge(Slope(-3, 2), Slope(-1))
-        assert not is_edge(Slope(-5, 2), Slope(-1))
+        assert is_edge(vec(0), INF)
+        assert is_edge(vec(-3, 2), vec(-1))
+        assert not is_edge(vec(-5, 2), vec(-1))
 
     def test_equal_slopes_rejected(self):
         with pytest.raises(ValueError):
-            is_edge(Slope(1, 2), Slope(1, 2))
+            is_edge(vec(1, 2), vec(1, 2))
 
     @given(p1=st.integers(-20, 20), q1=st.integers(0, 12),
            p2=st.integers(-20, 20), q2=st.integers(0, 12))
@@ -55,7 +57,7 @@ class TestEdges:
     def test_symmetry(self, p1, q1, p2, q2):
         if (p1, q1) == (0, 0) or (p2, q2) == (0, 0):
             return
-        a, b = Slope(p1, q1), Slope(p2, q2)
+        a, b = vec(p1, q1), vec(p2, q2)
         if a == b:
             return
         assert is_edge(a, b) == is_edge(b, a)
@@ -63,15 +65,15 @@ class TestEdges:
 
 class TestMinimalPaths:
     def test_examples(self):
-        assert minimal_path(Slope(-5, 2), Slope(-1)) == [Slope(-5, 2), Slope(-2), Slope(-1)]
-        assert minimal_path(INFINITY, Slope(-1)) == [INFINITY, Slope(-1)]
-        assert minimal_path(Slope(0), INFINITY) == [Slope(0), INFINITY]
+        assert minimal_path(vec(-5, 2), vec(-1)) == [vec(-5, 2), vec(-2), vec(-1)]
+        assert minimal_path(INF, vec(-1)) == [INF, vec(-1)]
+        assert minimal_path(vec(0), INF) == [vec(0), INF]
 
     def test_direction_matters(self):
         # from 1/2 clockwise to -1 wraps through infinity
-        path = minimal_path(Slope(1, 2), Slope(-1), CLOCKWISE)
-        assert path == [Slope(1, 2), Slope(1), INFINITY, Slope(-1)]
-        back = minimal_path(Slope(-1), Slope(1, 2), ANTICLOCKWISE)
+        path = minimal_path(vec(1, 2), vec(-1), CLOCKWISE)
+        assert path == [vec(1, 2), vec(1), INF, vec(-1)]
+        back = minimal_path(vec(-1), vec(1, 2), ANTICLOCKWISE)
         assert back == list(reversed(path))
 
     def test_intermediates_stay_in_arc(self):
@@ -100,8 +102,8 @@ class TestMinimalPaths:
                 assert ways == 1
 
     def test_bfs_denominator_bound_example(self):
-        path = minimal_path_bfs(Slope(-5, 2), Slope(-1), den_bound=8)
-        assert path == [Slope(-5, 2), Slope(-2), Slope(-1)]
+        path = minimal_path_bfs(vec(-5, 2), vec(-1), den_bound=8)
+        assert path == [vec(-5, 2), vec(-2), vec(-1)]
 
 
 SMALL_SLOPES = small_slopes(6, 5)
@@ -128,9 +130,9 @@ class TestBlockRoute:
         assert count_tight_lens_pq(200001, 1) == 200000
         assert count_tight_lens_pq(10**12, 10**12 - 1) == 1
         assert count_tight_lens_pq(10**12, 1) == 10**12 - 1
-        blocks = minimal_path_blocks(Slope(-(10**12)), Slope(0))
+        blocks = minimal_path_blocks(vec(-(10**12)), vec(0))
         assert [blk.edges for blk in blocks] == [10**12]
-        assert _classes(_edges(Slope(1, 10**9), Slope(-1)), 0, 0) == 10**9 + 2
+        assert _classes(_edges(vec(1, 10**9), vec(-1)), 0, 0) == 10**9 + 2
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -162,31 +164,31 @@ class TestBlockRoute:
 
 class TestShorten:
     def test_already_minimal(self):
-        p = DecoratedFareyPath((Slope(-5, 2), Slope(-2), Slope(-1)), (None, 1))
+        p = DecoratedFareyPath((vec(-5, 2), vec(-2), vec(-1)), (None, 1))
         sp, verdict = shorten(p)
         assert sp == p and verdict == "tight"
 
     def test_opposite_signs_overtwist(self):
-        p = DecoratedFareyPath((INFINITY, Slope(-2), Slope(-1)), (1, -1))
+        p = DecoratedFareyPath((INF, vec(-2), vec(-1)), (1, -1))
         sp, verdict = shorten(p)
-        assert [str(v) for v in sp.vertices] == ["inf", "-1"]
+        assert sp.to_json()["vertices"] == ["inf", "-1"]
         assert verdict == "overtwisted"
 
     def test_same_signs_stay_tight(self):
-        p = DecoratedFareyPath((INFINITY, Slope(-2), Slope(-1)), (1, 1))
+        p = DecoratedFareyPath((INF, vec(-2), vec(-1)), (1, 1))
         sp, verdict = shorten(p)
-        assert sp.vertices == (INFINITY, Slope(-1))
+        assert sp.vertices == (INF, vec(-1))
         assert sp.signs == (1,)
         assert verdict == "tight"
 
     def test_unsigned_edge_absorbs(self):
-        p = DecoratedFareyPath((INFINITY, Slope(-2), Slope(-1)), (None, -1))
+        p = DecoratedFareyPath((INF, vec(-2), vec(-1)), (None, -1))
         sp, verdict = shorten(p)
         assert verdict == "tight"
         assert sp.signs == (None,)
 
     def test_backtracking_rejected(self):
-        p = DecoratedFareyPath((Slope(-1), Slope(-2), Slope(-1)), (1, 1))
+        p = DecoratedFareyPath((vec(-1), vec(-2), vec(-1)), (1, 1))
         with pytest.raises(ValueError):
             shorten(p)
 
@@ -217,9 +219,9 @@ class TestShorten:
         rng = random.Random(0)
         tried = 0
         while tried < 250:
-            a = Slope(rng.randint(-5, -1), rng.randint(1, 3))
-            mid = Slope(rng.randint(-3, 3), rng.randint(1, 3))
-            b = Slope(rng.randint(1, 5), rng.randint(1, 3))
+            a = vec(rng.randint(-5, -1), rng.randint(1, 3))
+            mid = vec(rng.randint(-3, 3), rng.randint(1, 3))
+            b = vec(rng.randint(1, 5), rng.randint(1, 3))
             if len({a, mid, b}) < 3 or not in_clockwise_arc(mid, a, b):
                 continue  # gluings concatenate monotone clockwise paths
             verts = tuple(minimal_path(a, mid)) + tuple(minimal_path(mid, b)[1:])
@@ -234,22 +236,22 @@ class TestShorten:
 
 class TestBlocks:
     def test_single_edge(self):
-        assert cf_blocks([INFINITY, Slope(-1)]) == [[0]]
+        assert cf_blocks([INF, vec(-1)]) == [[0]]
 
     def test_all_twos_chain_is_one_block(self):
         # the n-edge path from 1/(n-1) back to -1 forms one block
         for n in range(2, 9):
-            path = minimal_path(Slope(1, n - 1), Slope(-1))
+            path = minimal_path(vec(1, n - 1), vec(-1))
             assert len(path) - 1 == n
             assert cf_blocks(path) == [list(range(n))]
 
     def test_example_path_splits(self):
-        blocks = cf_blocks([Slope(-5, 2), Slope(-2), Slope(-1)])
+        blocks = cf_blocks([vec(-5, 2), vec(-2), vec(-1)])
         assert blocks == [[0], [1]]
 
     def test_non_minimal_rejected(self):
         with pytest.raises(ValueError):
-            cf_blocks([INFINITY, Slope(-2), Slope(-1)])
+            cf_blocks([INF, vec(-2), vec(-1)])
 
     def test_quotient_count_vs_raw_enumeration(self):
         # brute force: enumerate all raw sign assignments, quotient by the
@@ -284,24 +286,24 @@ class TestCounts:
     def test_solid_torus_examples(self):
         # solid tori: decorated minimal paths from the meridian to the
         # boundary slope, the first edge unsigned
-        assert _classes(_edges(INFINITY, Slope(-3)), 1, 0) == 1  # single edge
+        assert _classes(_edges(INF, vec(-3)), 1, 0) == 1  # single edge
         for m in range(1, 9):
             # -(m+1)/m and -1 span an edge: contact -1/m surgeries are unique
-            assert _classes(_edges(Slope(-(m + 1), m), Slope(-1)), 1, 0) == 1
+            assert _classes(_edges(vec(-(m + 1), m), vec(-1)), 1, 0) == 1
             # the all -2 chain: standard torus with boundary slope -(m+1)/m
-            assert _classes(_edges(INFINITY, Slope(-(m + 1), m)), 1, 0) == m
+            assert _classes(_edges(INF, vec(-(m + 1), m)), 1, 0) == m
         # complements of Legendrian unknots, upper-meridian tori on the
         # anticlockwise path: m+1 structures at tb = -(m+1)
         for m in range(0, 8):
-            ends = clockwise_ends(Slope(0), Slope(-(m + 1)), ANTICLOCKWISE)
+            ends = clockwise_ends(vec(0), vec(-(m + 1)), ANTICLOCKWISE)
             assert _classes(_edges(*ends), 1, 0) == m + 1
 
     def test_thickened_torus_counts(self):
         # minimally twisting T^2 x I, every edge signed: dividing slopes
         # 1/(n-1) and -1 give one n-edge block, n+1 structures
         for n in range(1, 9):
-            s0 = Slope(1, n - 1) if n > 1 else INFINITY
-            assert _classes(_edges(s0, Slope(-1)), 0, 0) == n + 1
+            s0 = vec(1, n - 1) if n > 1 else INF
+            assert _classes(_edges(s0, vec(-1)), 0, 0) == n + 1
 
     def test_lens_examples(self):
         assert count_tight_lens_pq(2, 1) == 1
@@ -320,7 +322,7 @@ class TestCounts:
             expected = 1
             for c in neg_cf_terms(Fraction(-p, q)):
                 expected *= abs(c + 1)
-            path = minimal_path_vertexwise(Slope(-p, q), Slope(0))
+            path = minimal_path_vertexwise(vec(-p, q), vec(0))
             assert sign_class_count(path, {0, len(path) - 2}) == expected
             assert count_tight_lens_pq(p, q) == expected
             assert honda_lens_count(p, q) == expected
@@ -328,19 +330,19 @@ class TestCounts:
     def test_lens_general_form(self):
         # collapsing slope s at one end of T^2 x I and r at the other:
         # every edge signed but the first and the last
-        assert _classes(_edges(Slope(-3), Slope(0)), 1, 1) == 2
+        assert _classes(_edges(vec(-3), vec(0)), 1, 1) == 2
         with pytest.raises(ValueError):
-            _classes(_edges(Slope(-3), Slope(-3)), 1, 1)
+            _classes(_edges(vec(-3), vec(-3)), 1, 1)
 
     def test_neighbours_give_the_three_sphere(self):
         # |det| = 1 collapses to S^3, which has one tight structure: the
         # path's single edge is both first and last, and stays unsigned
-        assert _classes(_edges(Slope(-1), Slope(0)), 1, 1) == 1
-        assert _classes(_edges(INFINITY, Slope(0)), 1, 1) == 1
-        assert _classes(_edges(Slope(-2), Slope(-1)), 1, 1) == 1
+        assert _classes(_edges(vec(-1), vec(0)), 1, 1) == 1
+        assert _classes(_edges(INF, vec(0)), 1, 1) == 1
+        assert _classes(_edges(vec(-2), vec(-1)), 1, 1) == 1
         pairs = [(a, b) for a in SMALL_SLOPES for b in SMALL_SLOPES
                  if a != b and is_edge(a, b)]
-        assert any(INFINITY in pair for pair in pairs)
+        assert any(INF in pair for pair in pairs)
         for a, b in pairs:
             path = minimal_path_vertexwise(a, b)
             assert len(path) == 2
@@ -369,30 +371,50 @@ class TestCounts:
         assert count_tight_lens_pq(p, q) == honda_lens_count(p, q)
 
     def test_lens_pq_builds_no_slope_and_no_block(self, monkeypatch):
+        # no rational slope (a Fraction) and no FareyBlock
         built = []
-        slope_init = Slope.__init__
+        fraction_new = Fraction.__new__
 
-        def counted_slope(self, *args):
-            built.append("Slope")
-            slope_init(self, *args)
+        def counted_fraction(cls, *args, **kwargs):
+            built.append("Fraction")
+            return fraction_new(cls, *args, **kwargs)
 
         def counted_block(cls, *args):
             built.append("FareyBlock")
             return tuple.__new__(cls, args)
 
-        monkeypatch.setattr(Slope, "__init__", counted_slope)
+        monkeypatch.setattr(Fraction, "__new__", counted_fraction)
         monkeypatch.setattr(FareyBlock, "__new__", counted_block)
         # the counters see what the general routes build
-        minimal_path_blocks(Slope(-7, 3), Slope(0))
-        assert "Slope" in built and "FareyBlock" in built
+        canonical_slope(Fraction(-7, 3))
+        minimal_path_blocks((-7, 3), (0, 1))
+        assert "Fraction" in built and "FareyBlock" in built
         built.clear()
         for p, q in ((2, 1), (7, 3), (200001, 1), (10**12, 10**12 - 1), (10**30 + 1, 10**15)):
             assert count_tight_lens_pq(p, q) == honda_lens_count(p, q)
         assert built == []
 
 
-HUGE_SLOPES = st.builds(lambda n, d: Slope(n, d) if d else INFINITY,
+HUGE_SLOPES = st.builds(lambda n, d: vec(n, d) if d else INF,
                         st.integers(-10**100, 10**100), st.integers(0, 10**100))
+
+
+class TestEndpoints:
+    @pytest.mark.parametrize("bad", [(2, 4), (-1, 0), (5, 0), (3, -2), (0, 0)])
+    def test_unreduced_vectors_rejected(self, bad):
+        # an unreduced vector has another frame than its slope: (-1, 0)
+        # and (5, 0) to (-7, 3) would read [1, 1] and [2, 1], not [3]
+        assert _edges(INF, (-7, 3)) == [3]
+        for route in (minimal_path_blocks, _edges):
+            for ends in ((bad, (-7, 3)), ((-7, 3), bad), (bad, INF)):
+                with pytest.raises(ValueError, match="is not reduced"):
+                    route(*ends)
+
+    def test_equal_endpoints_rejected(self):
+        for route in (minimal_path_blocks, _edges):
+            for a in (INF, (0, 1), (-7, 3)):
+                with pytest.raises(ValueError, match="distinct endpoints"):
+                    route(a, a)
 
 
 class TestEdgeReader:
@@ -406,16 +428,16 @@ class TestEdgeReader:
             assert _edges(*ends) == [blk.edges for blk in minimal_path_blocks(*ends)]
 
     def test_infinity_ends(self):
-        for s in (Slope(-5, 2), Slope(0), Slope(10**100 + 1, 10**100)):
+        for s in (vec(-5, 2), vec(0), vec(10**100 + 1, 10**100)):
             for direction in (CLOCKWISE, ANTICLOCKWISE):
-                for ends in (clockwise_ends(INFINITY, s, direction),
-                             clockwise_ends(s, INFINITY, direction)):
+                for ends in (clockwise_ends(INF, s, direction),
+                             clockwise_ends(s, INF, direction)):
                     assert _edges(*ends) == [blk.edges for blk in minimal_path_blocks(*ends)]
 
 
 class TestSerialization:
     def test_round_trip(self):
-        p = DecoratedFareyPath((Slope(-5, 2), Slope(-2), Slope(-1), Slope(0)),
+        p = DecoratedFareyPath((vec(-5, 2), vec(-2), vec(-1), vec(0)),
                                (None, 1, -1))
         data = p.to_json()
         assert data["signs"] == "?+-"

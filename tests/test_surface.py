@@ -27,7 +27,7 @@ def _loaded(tree):
 
 
 def test_public_names_resolve_and_stay_few():
-    assert len(contactsurg.__all__) <= 22
+    assert len(contactsurg.__all__) <= 20
     assert len(set(contactsurg.__all__)) == len(contactsurg.__all__)
     for name in contactsurg.__all__:
         assert getattr(contactsurg, name) is not None
