@@ -19,11 +19,9 @@ import sys
 from fractions import Fraction
 from itertools import compress, product
 
-from . import __version__
-from .closedforms import verify_closed_forms
-from .cosmetic import scan_cells, solve_d3_equations, unknot_classify
+from . import __version__, closedforms, cosmetic, regressions
+from .cosmetic import solve_d3_equations, unknot_classify
 from .invariants import d3_records, ratio_text
-from .regressions import verify_d3_regressions
 from .slopes import SlopeError, cs_set, parse_slope
 from .surgery import LegendrianData
 
@@ -249,28 +247,41 @@ def cmd_unknot(args) -> int:
     return 0
 
 
-def _scan_summary(args):
-    """The obstruction scan over tb in [-8, -1], with the solutions of
-    the d3-equality equations for -k_max <= tb <= -3 (none expected)."""
-    report = scan_cells(-8, -1, min(args.n_max, 8))
-    solutions = solve_d3_equations(-args.k_max, -3, args.n_max)
-    ok = report["not_obstructed"] == [{"tb": -1, "rot": 0, "v": "2"}] and not solutions
-    return {"ok": ok,
-            "checks": len(report["cells"]),
+def _verify_stages(k_max, n_max):
+    """The reports of verify's three stages.  They walk tb = -1, -2, ...,
+    -max(k_max, 8) once, and at each tb share one dict of plans, made in
+    it and dropped when tb moves on: the closed-form families of tb
+    (``closedforms._families``, the lemma matrices checked first), its
+    d3 regression cells, and for tb >= -8 its obstruction-scan cells with
+    n <= min(n_max, 8), of which the count and the unobstructed cells are
+    kept; the scan's summary adds the d3-equality solutions for
+    -k_max <= tb <= -3 (none expected)."""
+    closed = closedforms._lemmas(k_max, n_max)
+    results, scanned, not_obstructed = [], 0, {}
+    for tb in range(-1, -max(k_max, 8) - 1, -1):
+        plans = {}
+        closedforms._families(closed, tb, k_max, n_max, plans)
+        results += regressions._check_cells(tb, n_max, plans)
+        if tb >= -8:
+            cells, not_obstructed[tb] = cosmetic._scan_tb(tb, min(n_max, 8), plans)
+            scanned += len(cells)
+    # the unobstructed cells in ascending tb, as scan_cells lists them
+    not_obstructed = [cell for tb in sorted(not_obstructed) for cell in not_obstructed[tb]]
+    solutions = solve_d3_equations(-k_max, -3, n_max)
+    ok = not_obstructed == [{"tb": -1, "rot": 0, "v": "2"}] and not solutions
+    scan = {"ok": ok,
+            "checks": scanned,
             "mismatches": [] if ok else [{"check": "scan",
-                                          "not_obstructed": report["not_obstructed"],
+                                          "not_obstructed": not_obstructed,
                                           "solver_solutions": solutions}]}
+    return (("closed forms", closed.as_dict()), ("d3 regressions", regressions._report(results)),
+            ("obstruction scan", scan))
 
 
 def cmd_verify(args) -> int:
     summaries = []
     lines = []
-    for name, job in (
-        ("closed forms", lambda: verify_closed_forms(args.k_max, args.n_max)),
-        ("d3 regressions", lambda: verify_d3_regressions(args.n_max)),
-        ("obstruction scan", lambda: _scan_summary(args)),
-    ):
-        rep = job()
+    for name, rep in _verify_stages(args.k_max, args.n_max):
         summaries.append({"name": name, "ok": rep["ok"], "checks": rep["checks"],
                           "mismatches": rep["mismatches"]})
         status = "ok" if rep["ok"] else "MISMATCH"

@@ -5,11 +5,14 @@ are bordered chain matrices: a (-2)-chain with -1 links, bordered by a
 first row depending on tb = -k.  This module states the closed forms
 for their determinants, signatures, inverse entries and c1^2, and checks
 the family forms on the d3 route itself: one plan per form
-(``invariants._plan``: one presentation, one path-kernel pass and one
-odometer walk over every presentation it stands for) gives det, sigma and the block of
-adj(Q) the inverse entries are read from, and ``invariants.c1_numerators``
-of that plan at every admissible rotation number gives each c1^2, mostly
-at a shift != 0.
+(``invariants._plan``: one presentation, its form read as a path, one
+path-kernel pass and one odometer walk over every presentation it
+stands for) gives det, sigma and the block of adj(Q) the inverse
+entries are read from, and ``invariants.c1_numerators`` of that plan at
+every admissible rotation number gives each c1^2, mostly at a shift
+!= 0.  The sweep runs one tb at a time (``_families``), the plans of a
+tb made in one dict dropped when it moves on; ``verify`` hands that dict
+on to its regression and scan cells of the same tb.
 
 One displayed closed form for c1^2 of the positive 1/n family is
 inconsistent with its own inverse-entry table; the form used here is the
@@ -181,11 +184,12 @@ def _form(tb, smooth_slope):
     return invariants.linking_matrix(_presentation(knot, smooth_slope - tb))
 
 
-def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
+def _family(rep, tag, context, tb, smooth_slope, plans, entries=(), negdef=False):
     """``invariants.c1_numerators`` at d = i - rots[0] for each rotation
     number i of tb, descending from rots[0], of the one plan of
-    (tb, smooth_slope), made at rots[0] with the q-entry columns in its
-    support; each covers every presentation the plan stands for.
+    (tb, smooth_slope) in ``plans``, made at rots[0] with the q-entry
+    columns in its support; each covers every presentation the plan
+    stands for.
     Checks the per-form closed forms of ``tag`` on the plan, at the
     arguments context.values(): ``tag``_det and the table ``tag``_q of
     Q^-1 if the family has them, negative definiteness if ``negdef``,
@@ -200,7 +204,7 @@ def _family(rep, tag, context, tb, smooth_slope, entries=(), negdef=False):
     cols = {c for _, row, col in entries for c in (row, col)}.union(range(len(table)))
     rots = rot_range(tb)[::-1]
     try:
-        plan = invariants._plan(LegendrianData(tb, rots[0]), smooth_slope, {}, extra=cols)
+        plan = invariants._plan(LegendrianData(tb, rots[0]), smooth_slope, plans, extra=cols)
     except invariants.NonTorsionEulerClassError:
         rep._mismatch(f"{tag}_invertible", context, "det != 0", "det = 0", _form(tb, smooth_slope))
         return []
@@ -263,6 +267,15 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
     collected, not raised; the returned report lists them with enough
     context to recompute by hand.
     """
+    rep = _lemmas(k_max, n_max)
+    for tb in range(-1, -k_max - 1, -1):
+        _families(rep, tb, k_max, n_max, {})
+    return rep.as_dict()
+
+
+def _lemmas(k_max, n_max):
+    """A report of the lemma matrices' checks, for ``_families`` to add
+    the family forms to; ValueError unless k_max >= 3 and n_max >= 1."""
     if k_max < 3 or n_max < 1:
         raise ValueError("needs k_max >= 3 and n_max >= 1")
     f = DEFAULT_FORMS
@@ -289,28 +302,41 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
                         rep.record("block_negdef", {"a": a, "b": b, "c": c, "m": m}, True,
                                    det != 0 and linalg.adjugate_block(
                                        bordered_block_matrix(a, b, c, m), ())[1] == -(m + 2))
+    return rep
 
-    for n in range(2, n_max + 1):
-        _csq(rep, "tb1_neg_csq", _family(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n)),
-             lambda form, v: form(n), lambda v: {"n": n} if n == 2 else {"n": n, "stab": v[2]})
 
-    for n in range(1, n_max + 1):
-        _csq(rep, "tb1_pos_csq", _family(rep, "tb1_pos", {"n": n}, -1, Fraction(1, n)),
-             lambda form, v: form(n, v[1]), lambda v: {"n": n, "rho": v[1]})
+def _families(rep, tb, k_max, n_max, plans):
+    """Adds to ``rep`` the checks of the family forms at tb, for n <= n_max
+    and, at tb = -k <= -3, for k <= k_max, their plans made in ``plans``:
+    a caller that reads more of tb's plans passes the dict on, so each
+    plan is made with its q-entry columns."""
+    if tb == -1:
+        for n in range(2, n_max + 1):
+            _csq(rep, "tb1_neg_csq", _family(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n), plans),
+                 lambda form, v: form(n),
+                 lambda v: {"n": n} if n == 2 else {"n": n, "stab": v[2]})
 
-    for n in range(1, n_max + 1):
-        records = _family(rep, "tb2_neg", {"n": n}, -2, Fraction(-1, n),
-                          _LEADING if n >= 2 else (), negdef=True)
-        _csq(rep, "tb2_neg_csq", records, lambda form, v: form(n, v[0], v[1] if n >= 2 else 0),
-             lambda v: {"n": n, "i": v[0], "j": v[1]} if n >= 2 else {"n": n, "i": v[0]})
+        for n in range(1, n_max + 1):
+            _csq(rep, "tb1_pos_csq", _family(rep, "tb1_pos", {"n": n}, -1, Fraction(1, n), plans),
+                 lambda form, v: form(n, v[1]), lambda v: {"n": n, "rho": v[1]})
 
-    for n in range(1, n_max + 1):
-        _csq(rep, "tb2_pos_csq", _family(rep, "tb2_pos", {"n": n}, -2, Fraction(1, n)),
-             lambda form, v: form(n, *v), lambda v: {"n": n, "i": v[0], "rho2": v[1], "s": v[2]})
+    elif tb == -2:
+        for n in range(1, n_max + 1):
+            records = _family(rep, "tb2_neg", {"n": n}, -2, Fraction(-1, n), plans,
+                              _LEADING if n >= 2 else (), negdef=True)
+            _csq(rep, "tb2_neg_csq", records,
+                 lambda form, v: form(n, v[0], v[1] if n >= 2 else 0),
+                 lambda v: {"n": n, "i": v[0], "j": v[1]} if n >= 2 else {"n": n, "i": v[0]})
 
-    for k in range(3, k_max + 1):
+        for n in range(1, n_max + 1):
+            _csq(rep, "tb2_pos_csq", _family(rep, "tb2_pos", {"n": n}, -2, Fraction(1, n), plans),
+                 lambda form, v: form(n, *v),
+                 lambda v: {"n": n, "i": v[0], "rho2": v[1], "s": v[2]})
+
+    elif 3 <= -tb <= k_max:
+        k = -tb
         for sign, tag in ((-1, "two_neg"), (1, "two_pos")):
-            records = _family(rep, tag, {"k": k}, -k, Fraction(2 * sign), _LEADING,
+            records = _family(rep, tag, {"k": k}, -k, Fraction(2 * sign), plans, _LEADING,
                               negdef=sign == -1)
             _csq(rep, f"{tag}_csq", records,
                  lambda form, v: form(k, v[0], v[1] - v[0] if len(v) > 1 else 1),
@@ -319,7 +345,7 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
 
         for n in range(1, n_max + 1):
             context = {"k": k, "n": n}
-            records = _family(rep, "one_neg", context, -k, Fraction(-1, n), _LEADING + (
+            records = _family(rep, "one_neg", context, -k, Fraction(-1, n), plans, _LEADING + (
                 ("q1k", k - 1, 0), ("q2k", k - 1, 1), ("qkk", k - 1, k - 1)), negdef=True)
             _csq(rep, "one_neg_csq", records,
                  lambda form, v: form(k, n, v[0], v[1] - v[0], v[k - 1] if n >= 2 else 0),
@@ -328,10 +354,8 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
 
         for n in range(1, n_max + 1):
             context = {"k": k, "n": n}
-            records = _family(rep, "one_pos", context, -k, Fraction(1, n), _LEADING + (
+            records = _family(rep, "one_pos", context, -k, Fraction(1, n), plans, _LEADING + (
                 ("q1last", k, 0), ("q2last", k, 1), ("qlastlast", k, k)))
             _csq(rep, "one_pos_csq", records,
                  lambda form, v: form(k, n, v[0], v[1] - v[0], v[k]),
                  lambda v: {**context, "i": v[0], "e": v[1] - v[0], "s": v[k]})
-
-    return rep.as_dict()

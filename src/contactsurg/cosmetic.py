@@ -209,30 +209,39 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
     if tb_max > -1:
         raise ValueError("scan covers tb <= -1")
     cells, not_obstructed = [], []
-    slopes = [(v, -v, [str(-v), str(v)]) for v in candidate_slopes(2, n_max)]
     for tb in range(tb_min, tb_max + 1):
-        plans, seen = {}, {}
-        for rot in rot_range(tb):
-            L = LegendrianData(tb, rot)
-            for v, minus_v, pair in slopes:
-                verdict = {"slope_pair": pair, "spectrum_neg": [], "spectrum_pos": [],
-                           "outcome": "contact_zero", "exception_flags": []}
-                cell = {"tb": tb, "rot": rot, "pair": pair, "verdict": verdict}
-                cells.append(cell)
-                if minus_v == tb:
-                    continue
-                neg_records, neg = _provenance(L, minus_v, plans, seen)
-                pos_records, pos = _provenance(L, v, plans, seen)
-                verdict["spectrum_neg"], verdict["spectrum_pos"] = sorted(neg), sorted(pos)
-                cell["provenance"] = {"neg": neg_records, "pos": pos_records}
-                if neg.isdisjoint(pos):
-                    verdict["outcome"] = "obstructed"
-                    continue
-                verdict["outcome"] = "not_obstructed"
-                if (tb, v) == (-1, 2):
-                    verdict["exception_flags"] = list(EXCEPTIONAL_FLAGS)
-                not_obstructed.append({"tb": tb, "rot": rot, "v": str(v)})
+        tb_cells, tb_open = _scan_tb(tb, n_max, {})
+        cells += tb_cells
+        not_obstructed += tb_open
     return {"cells": cells, "not_obstructed": not_obstructed}
+
+
+def _scan_tb(tb, n_max, plans):
+    """The cells of tb, and those left unobstructed, their plans made in
+    ``plans``."""
+    cells, not_obstructed, seen = [], [], {}
+    slopes = [(v, -v, [str(-v), str(v)]) for v in candidate_slopes(2, n_max)]
+    for rot in rot_range(tb):
+        L = LegendrianData(tb, rot)
+        for v, minus_v, pair in slopes:
+            verdict = {"slope_pair": pair, "spectrum_neg": [], "spectrum_pos": [],
+                       "outcome": "contact_zero", "exception_flags": []}
+            cell = {"tb": tb, "rot": rot, "pair": pair, "verdict": verdict}
+            cells.append(cell)
+            if minus_v == tb:
+                continue
+            neg_records, neg = _provenance(L, minus_v, plans, seen)
+            pos_records, pos = _provenance(L, v, plans, seen)
+            verdict["spectrum_neg"], verdict["spectrum_pos"] = sorted(neg), sorted(pos)
+            cell["provenance"] = {"neg": neg_records, "pos": pos_records}
+            if neg.isdisjoint(pos):
+                verdict["outcome"] = "obstructed"
+                continue
+            verdict["outcome"] = "not_obstructed"
+            if (tb, v) == (-1, 2):
+                verdict["exception_flags"] = list(EXCEPTIONAL_FLAGS)
+            not_obstructed.append({"tb": tb, "rot": rot, "v": str(v)})
+    return cells, not_obstructed
 
 
 def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
@@ -251,7 +260,7 @@ def _provenance(L, slope, plans, seen):
     plan, d, nums, pairs = d3_records(L, slope, plans)
     key = slope.numerator, slope.denominator
     framings, text = seen.get(key) or seen.setdefault(
-        key, ([row.get(i, 0) for i, row in enumerate(plan.form.rows)], {}))
+        key, (plan.form.path.a, {}))
     for num in pairs.keys() - text.keys():
         a, b = pairs[num]
         text[num] = str(a) if b == 1 else f"{a}/{b}"

@@ -85,9 +85,11 @@ class Plan:
 
 def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> Plan:
     """The plan of (L.tb, smooth_slope) in ``plans``, made at L.rot on
-    first request from one conversion, with one ``linking_matrix``,
-    one ``linalg.adjugate_block`` pass (its signature checked against
-    Descartes') and one ``_walk`` over the vectors of every presentation.
+    first request from one conversion, with one ``linking_matrix`` (the
+    form's path, read off the presentation: no rows are built), one
+    ``linalg.adjugate_block`` pass on that path (its signature checked
+    against Descartes') and one ``_walk`` over the vectors of every
+    presentation.
     S holds every pinned index, as a pinned entry that is 0 here is not at
     other rotation numbers, every index the plan's choices can make
     nonzero, and those indices in ``extra`` that Q has, for a caller that
@@ -95,7 +97,9 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> P
     made).  The form is checked against its slope p/q: |det Q| = |p| and
     U / det = q / p mod 1, the linking form on the knot's meridian.  A
     singular Q raises; a raise keeps no plan.  ``plans`` is keyed by
-    (tb, p, q) for the smooth slope p/q."""
+    (tb, p, q) for the smooth slope p/q; a caller keeps one dict for one
+    call and one tb, so no plan outlives either (``verify``'s three
+    stages share each tb's dict, and no dict is kept across calls)."""
     p, q = smooth_slope.numerator, smooth_slope.denominator
     key = (L.tb, p, q)
     plan = plans.get(key)
@@ -107,7 +111,7 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> P
     choices = rotation_choices(pres)
     support = tuple(i for i, c in enumerate(choices) if pinned[i] or any(c) or i in extra)
     try:
-        det, sigma, block = linalg.adjugate_block(form.rows, support)
+        det, sigma, block = linalg.adjugate_block(form.path, support)
     except linalg.SingularMatrixError:
         raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class") from None
     u = [pinned[i] for i in support]

@@ -20,15 +20,20 @@ O(m^2) integer operations for the m rows left.  ``leading_determinants``
 reads the determinant of every leading block of a banded matrix off one
 continuant pass.
 
-Matrices are sparse rows, row i the dict {j: x} of its nonzeros, so a
-pass costs O(nnz), not O(n^2); ``dense`` turns them into dense rows.
+The kernel takes a form as its ``_Path``: lists of its diagonal and
+links, with the head's size and link.  ``surgery.linking_matrix`` builds
+that straight from a presentation; any other matrix is sparse rows, row
+i the dict {j: x} of its nonzeros, checked and read once by ``_read``, so
+a pass costs O(nnz), not O(n^2).  ``_rows`` turns a path back into
+sparse rows and ``dense`` sparse rows into dense ones, for reports.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import prod
 from operator import mul, ne, sub
+from typing import NamedTuple
 
 
 class SingularMatrixError(ValueError):
@@ -48,14 +53,10 @@ def dense(rows):
     return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
 
 
-class _Symmetric(tuple):
-    """Sparse rows that passed ``check_symmetric``, which ``_path_kernel`` trusts."""
-
-
 def check_symmetric(rows, name="matrix"):
-    """``rows`` as a ``_Symmetric`` tuple, if they are the sparse rows of a
-    symmetric n x n matrix; else ValueError: a key outside 0..n-1 or a stored
-    0 is not square, and an entry (i, j) without an equal (j, i) not symmetric."""
+    """``rows`` as a tuple, if they are the sparse rows of a symmetric n x n
+    matrix; else ValueError: a key outside 0..n-1 or a stored 0 is not
+    square, and an entry (i, j) without an equal (j, i) not symmetric."""
     n = len(rows)
     for i, row in enumerate(rows):
         for j, x in row.items():
@@ -63,26 +64,34 @@ def check_symmetric(rows, name="matrix"):
                 raise ValueError(f"{name} must be square")
             if rows[j].get(i) != x:
                 raise ValueError(f"{name} must be symmetric")
-    return _Symmetric(rows)
+    return tuple(rows)
 
 
-def _read(rows):
-    """(a, b, h) of a symmetric Q = ``rows``: its diagonal a, its links b
-    from i to i+1, and the size h of the clique head E takes to a path, or
-    0 when Q is a path already: when its nonzeros are those of the band.
-    A clique head is rows 0..h-1, h >= 3, that all link each other with
-    one value c != 0; rows h..n-1 are a path, which by symmetry meets the
-    head only at (h-1, h).  Any other shape raises ValueError.  Rows
-    ``check_symmetric`` returned, such as an ``IntersectionForm``'s, are
-    not checked again."""
-    if type(rows) is not _Symmetric:
-        check_symmetric(rows)
+class _Path(NamedTuple):
+    """A symmetric Q of the one shape the kernel takes, as lists: its
+    diagonal a, its links b from i to i+1, the size h of the clique head E
+    takes to a path (0 when Q is a path already) and the head's one link
+    c (0 when h is).  A clique head is rows 0..h-1, h >= 3, that all link
+    each other with c != 0, so b_i = c for i < h - 1; rows h..n-1 are a
+    path, which meets the head only at (h-1, h)."""
+
+    a: list
+    b: list
+    h: int
+    c: int
+
+
+def _read(rows, name="matrix"):
+    """The ``_Path`` of sparse ``rows``, checked by ``check_symmetric``
+    (``name`` names the matrix in its errors): h is 0 when the nonzeros
+    are those of the band.  Any other shape raises ValueError."""
+    check_symmetric(rows, name)
     a = [row.get(i, 0) for i, row in enumerate(rows)]
     b = [rows[i].get(i + 1, 0) for i in range(len(rows) - 1)]
     # the nonzeros off the band, each counted twice, as Q is symmetric
     off = sum(map(len, rows)) - (len(a) - a.count(0) + 2 * (len(b) - b.count(0)))
     if not off:
-        return a, b, 0
+        return _Path(a, b, 0, 0)
     c, h = rows[0].get(1), 2
     while h < len(rows) and rows[0].get(h) == c:
         h += 1
@@ -91,15 +100,30 @@ def _read(rows):
     if not c or h < 3 or off != (h - 1) * (h - 2) or any(
             {**row, i: c, h: c} != full for i, row in enumerate(rows[:h])):
         raise ValueError("matrix is neither a path nor a clique head with a path on its last row")
-    return a, b, h
+    return _Path(a, b, h, c)
 
 
-def _path_kernel(rows, a, b, h, cols):
+def _rows(path):
+    """The sparse rows of the ``_Path`` ``path``, the inverse of ``_read``:
+    the head's rows, then the band's links after it, with no stored 0."""
+    a, b, h, c = path
+    rows = [dict.fromkeys(range(h), c) for _ in range(h)] + [{} for _ in range(len(a) - h)]
+    for i, (row, x) in enumerate(zip(rows, a)):
+        if x:
+            row[i] = x
+        elif i < h:
+            del row[i]
+    for i in range(max(h - 1, 0), len(b)):
+        if b[i]:
+            rows[i][i + 1] = rows[i + 1][i] = b[i]
+    return tuple(rows)
+
+
+def _path_kernel(path, cols):
     """det Q, the signature of Q and B = adj(Q)[cols, cols] (``cols``
-    distinct indices; B[a][b] the entry (cols[a], cols[b])) of a symmetric
-    Q = ``rows`` that is a path, or a clique head and a path, read by
-    ``_read`` as (a, b, h), from two continuants.  A singular Q returns
-    (0, None, ()).
+    distinct indices; B[a][b] the entry (cols[a], cols[b])) of the symmetric
+    Q of the ``_Path`` ``path``, a path or a clique head and a path, from
+    two continuants.  A singular Q returns (0, None, ()).
 
     A clique head of h rows with link c and diagonal d_i first goes
     through the unimodular E with rows e_i - e_(i+1) for i <= h - 3, then
@@ -117,12 +141,13 @@ def _path_kernel(rows, a, b, h, cols):
     theta_i phi_(j+1) for i <= j (Usmani 1994), and
     B = E[:, cols]^T adj(Q') E[:, cols], since det E = 1.
     """
-    n = len(rows)
+    a, b, h, c = path
+    n = len(a)
     if h:
-        c, a, b = rows[0][1], a.copy(), b.copy()
+        a, b = a.copy(), b.copy()
         for i in range(h - 2):
             a[i], b[i] = a[i] - 2 * c + a[i + 1], c - a[i + 1]
-        _check_basis(rows, h, a, b)
+        _check_basis(path, a, b)
     w = [0] + [x * x for x in b] + [0]  # w[i] = b_(i-1)^2
     theta, phi = [0, 1], [0, 1]  # each from a zero before its first term
     for i, x in enumerate(a):
@@ -158,13 +183,19 @@ def _path_kernel(rows, a, b, h, cols):
     return det, sigma, tuple(block)
 
 
-def _check_basis(rows, h, a, b):
+def _check_basis(path, a, b):
     """Raises KernelCheckError unless row i of E Q E^T is row i of the
-    path (a, b) for each head row i < h, on columns 0..h.  E Q E^T there
-    is Q's dense head rows, each row i <= h - 3 less the next, then each
-    column j <= h - 3 less the next: O(h^2), in list operations."""
-    m = min(h + 1, len(rows))
-    q = [list(map(row.get, range(m), repeat(0))) for row in rows[:h]]
+    path (a, b) for each head row i < h of the Q of ``path``, on columns
+    0..h.  E Q E^T there is Q's dense head rows, each row i <= h - 3 less
+    the next, then each column j <= h - 3 less the next: O(h^2), in list
+    operations."""
+    d, link, h, c = path
+    m = min(h + 1, len(d))
+    q = [[c] * h + [0] * (m - h) for _ in range(h)]
+    for i in range(h):
+        q[i][i] = d[i]
+    if m > h:
+        q[h - 1][h] = link[h - 1]
     for i, row in enumerate([list(map(sub, x, y)) for x, y in zip(q, q[1:h - 1])] + q[h - 2:]):
         got = list(map(sub, row[:h - 2], row[1:h - 1])) + row[h - 2:]
         want = [0] * m
@@ -195,23 +226,24 @@ def leading_determinants(rows):
     return dets
 
 
-def adjugate_block(rows, support):
+def adjugate_block(matrix, support):
     """det A, the signature of A and the block B = adj(A)[S, S] on the
-    index list S = ``support`` of a symmetric integer matrix A of a shape
+    index list S = ``support`` of a symmetric integer matrix A, given as
+    a ``_Path`` (an ``IntersectionForm``'s) or as sparse rows of a shape
     ``_read`` takes: any other raises ValueError.
 
     B[a][b] is entry (S[a], S[b]) of adj(A), so (A^-1)_{S[a], S[b]} is
-    B[a][b] / det; S = range(n) gives the whole adjugate.  A is read once,
-    and the lists read go to one pass of the path kernel, which gives all
+    B[a][b] / det; S = range(n) gives the whole adjugate.  Rows are read
+    once, and the path goes to one pass of the path kernel, which gives all
     three, and to ``_reduce``, which checks it: the reduced matrix's
     determinant must give the kernel's det, and its Descartes signature,
     less the runs dropped, the kernel's signature.  A disagreement raises
     KernelCheckError or SignatureMismatchError (it would mean a bug, not a
     property of the input).  Raises SingularMatrixError when det A = 0.
     """
-    a, b, h = _read(rows)
-    det, sigma, block = _path_kernel(rows, a, b, h, support)
-    removed, num, den, coeffs = _reduce(a, b, h, rows[0][1] if h else 0)
+    path = matrix if type(matrix) is _Path else _read(matrix)
+    det, sigma, block = _path_kernel(path, support)
+    removed, num, den, coeffs = _reduce(*path)
     if det * den != num:
         raise KernelCheckError(f"determinants disagree: kernel={det} reduced={num}/{den}")
     if det == 0:
@@ -224,8 +256,8 @@ def adjugate_block(rows, support):
 
 
 def _reduce(a, b, h, c):
-    """(r, num, den, chi) for a symmetric Q that ``_read`` read as
-    (a, b, h), with head link c: r the total length of the runs dropped,
+    """(r, num, den, chi) for the symmetric Q of the ``_Path`` (a, b, h,
+    c): r the total length of the runs dropped,
     det Q = num / den, and chi the characteristic polynomial (descending)
     of the integer matrix M' left, so that the signature of Q is
     Descartes' on chi less r.

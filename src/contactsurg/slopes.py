@@ -41,7 +41,7 @@ def parse_slope(text: str) -> Fraction:
     parts = text.split("/")
     # plain ASCII digits only: int() would also take "1_0" or " 3"
     if len(parts) > 2 or not all(_INTEGER.fullmatch(x) for x in parts):
-        raise SlopeError(f"malformed slope {text!r}: expected p/q, p or inf")
+        raise SlopeError(f"malformed slope {text!r}: expected p/q or p")
     num, den = (int(x) for x in parts) if len(parts) == 2 else (int(text), 1)
     if den == 0:
         raise SlopeError("infinite slope has no rational value" if num else "0/0 is not a slope")

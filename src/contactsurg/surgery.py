@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .linalg import check_symmetric
+from .linalg import _Path, _read, _rows
 from .slopes import SlopeError, neg_cf_runs
 
 
@@ -175,44 +176,53 @@ def rotation_choices(pres: SurgeryPresentation) -> list:
             for c in pres.components]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntersectionForm:
-    """Symmetric linking form Q of a presentation as sparse rows (row i
-    the dict {j: Q_ij} of its nonzeros, checked once, here), with the
-    count l of (+1)-components.  No dense Q is held: reports write the
-    rows as they are, and ``linalg.dense`` makes dense rows at the edge."""
+    """Symmetric linking form Q of a presentation, with the count l of
+    (+1)-components.  Q is held as its ``path``, the ``linalg._Path`` of
+    its diagonal, links, head size and head link, which ``linking_matrix``
+    reads straight off the components.  Q may be given as sparse rows
+    instead (row i the dict {j: Q_ij} of its nonzeros), which are checked
+    and read into the path once, here.  ``rows`` are built from the path
+    on first use: only reports that write the matrix ask for them, and
+    ``linalg.dense`` makes dense rows at the edge."""
 
-    rows: tuple
+    path: _Path
     l: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", check_symmetric(self.rows, "Q"))
+    def __init__(self, q, l: int):
+        if type(q) is not _Path:
+            object.__setattr__(self, "rows", tuple(q))
+            q = _read(self.rows, "Q")
+        object.__setattr__(self, "path", q)
+        object.__setattr__(self, "l", l)
+
+    @cached_property
+    def rows(self) -> tuple:
+        return _rows(self.path)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.path.a)
 
 
 def linking_matrix(pres: SurgeryPresentation) -> IntersectionForm:
-    """Intersection form of the trace of the surgeries.
+    """Intersection form of the trace of the surgeries, read as a path.
 
-    Diagonal entries are the smooth framings tb_i + sign_i; push-off
-    pairs link with the base tb; each chain component links only its
-    predecessor, with -1.
+    Diagonal entries are the smooth framings tb_i + sign_i.  The p
+    push-offs come first and link each other with the base tb: a clique
+    head of link tb when p >= 3 and tb != 0, else a path (of zero links at
+    tb = 0).  Each chain component links only its predecessor, with -1.
     """
     comps = pres.components
-    pushoff_idx = [i for i, c in enumerate(comps) if c.role == "pushoff"]
-    links = dict.fromkeys(pushoff_idx, pres.base_tb) if pres.base_tb else {}
-    prev = pushoff_idx[-1] if pushoff_idx else None
-    rows = []
-    for i, c in enumerate(comps):
-        row = {**links, i: c.framing} if c.role == "pushoff" else {i: c.framing}
-        if not c.framing:
-            del row[i]
-        if c.role == "chain":
-            if prev is None:
-                raise ValueError("chain component without a predecessor")
-            row[prev] = rows[prev][i] = -1
-            prev = i
-        rows.append(row)
-    return IntersectionForm(tuple(rows), pres.l)
+    p = 0
+    while p < len(comps) and comps[p].role == "pushoff":
+        p += 1
+    if any(c.role != "chain" for c in comps[p:]):
+        raise ValueError("push-offs must come before the chain")
+    if comps and not p:
+        raise ValueError("chain component without a predecessor")
+    tb = pres.base_tb
+    path = _Path([c.framing for c in comps], [tb] * (p - 1) + [-1] * (len(comps) - p),
+                 *((p, tb) if p >= 3 and tb else (0, 0)))
+    return IntersectionForm(path, pres.l)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, product
 from operator import add, sub
+from typing import NamedTuple
 
 from contactsurg.cosmetic import _neg_one_over_n, _pos_one_over_n
 from contactsurg.farey import minimal_path_blocks
@@ -573,6 +574,19 @@ def linking_matrix_dense(pres):
 # ---------------------------------------------------------------------------
 # linear algebra, lens spaces, d3 and unknot counts
 
+class Form(NamedTuple):
+    """Q as the sparse rows of a symmetric matrix of any shape, with the
+    count l of (+1)-components: a form for ``d3_values``, where
+    ``IntersectionForm`` holds only the shapes the path kernel takes."""
+
+    rows: list
+    l: int
+
+    @property
+    def n(self):
+        return len(self.rows)
+
+
 def sparse(rows):
     """The sparse rows of a square matrix given as dense rows; the inverse
     of ``linalg.dense``."""
@@ -585,7 +599,7 @@ def sparse(rows):
 def path_kernel(rows, cols=()):
     """``linalg._path_kernel`` of sparse ``rows``, read by ``linalg._read``:
     (det, signature, adj[cols, cols]), or (0, None, ()) at det 0."""
-    return linalg._path_kernel(rows, *linalg._read(rows), cols)
+    return linalg._path_kernel(linalg._read(rows), cols)
 
 
 def bareiss(rows, cols=()):
@@ -690,13 +704,11 @@ def eliminate(rows, cols=()):
     sum_j T_vj y_j) / p, is exact because y = det F^-T Q^-1 e_c is
     integral, and y_mix += y_v undoes each congruence, the last one
     first.  Without a congruence it stops at the first row of ``cols``:
-    B needs no earlier one.  Rows ``check_symmetric`` returned, such as an
-    ``IntersectionForm``'s, are not checked again.  It takes a symmetric
-    matrix of any shape, so it is the oracle for the path kernel's det,
-    signature and adjugate blocks.
+    B needs no earlier one.  It takes a symmetric matrix of any shape, so
+    it is the oracle for the path kernel's det, signature and adjugate
+    blocks.
     """
-    if type(rows) is not linalg._Symmetric:
-        linalg.check_symmetric(rows)
+    linalg.check_symmetric(rows)
     n = len(rows)
     every = range(n)
     a = list(map(dict, rows))

@@ -46,7 +46,7 @@ class TestD3Command:
                            ("--coeff", "1/"), ("--coeff", "/2")):
             code, out, err = run(capsys, "d3", "--tb", "-1", "--rot", "0", flag, text)
             assert code == 2 and out == ""
-            assert err == f"error: malformed slope {text!r}: expected p/q, p or inf\n"
+            assert err == f"error: malformed slope {text!r}: expected p/q or p\n"
 
     @pytest.mark.parametrize("argv, message", [
         *((["d3", "--tb", "-1", "--rot", "0", "--slope", text],
@@ -418,7 +418,7 @@ class TestUnknotCommand:
             code, out, err = run(capsys, "unknot", "--tb", "-1", "--rot", "0",
                                  "--coeff", text)
             assert code == 2 and out == ""
-            assert err == f"error: malformed slope {text!r}: expected p/q, p or inf\n"
+            assert err == f"error: malformed slope {text!r}: expected p/q or p\n"
 
     def test_boundary_case(self, capsys):
         code, out, _ = run(capsys, "unknot", "--tb", "-1", "--rot", "0",

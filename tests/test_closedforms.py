@@ -1,11 +1,12 @@
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from contactsurg import cli, invariants, linalg
+from contactsurg import closedforms, invariants, linalg
 from contactsurg.cli import main
 from contactsurg.closedforms import (
     DEFAULT_FORMS,
@@ -191,23 +192,29 @@ class TestVerifier:
     def test_singular_form_is_a_mismatch(self, monkeypatch, capsys):
         # the first chain framing raised by one makes some forms singular;
         # each is one mismatch with its matrix, and the CLI exits 1.  The
-        # shift is held to the closed-form stage: the later stages read the
-        # same route and would stop at its slope check
-        def sweep(k_max, n_max):
+        # shift is held to the closed-form families of each tb; verify's
+        # later stages read the plans those families made at their tb, so
+        # the shifted tb = -2 forms that pass the slope check (+1/n) fail
+        # the regressions and open scan cells too, where a plan dict per
+        # stage left both ok
+        families = closedforms._families
+
+        def shifted(*args):
             with pytest.MonkeyPatch.context() as mp:
                 self._chain_framing_shifted(mp, 1)
-                return verify_closed_forms(k_max, n_max)
+                families(*args)
 
-        rep = sweep(4, 3)
+        monkeypatch.setattr(closedforms, "_families", shifted)
+        rep = verify_closed_forms(4, 3)
         assert not rep["ok"]
         singular = [m for m in rep["mismatches"] if m["check"].endswith("_invertible")]
         assert singular and all(m["actual"] == "det = 0"
                                 and determinant(sparse(m["matrix"])) == 0 for m in singular)
-        monkeypatch.setattr(cli, "verify_closed_forms", sweep)
         assert main(["verify", "--k-max", "4", "--n-max", "3"]) == 1
         out = capsys.readouterr().out
         assert f"closed forms: {rep['checks']} checks, MISMATCH" in out
-        assert "d3 regressions: 24 checks, ok" in out
+        assert "d3 regressions: 24 checks, MISMATCH" in out
+        assert "obstruction scan: 144 checks, MISMATCH" in out
 
     @pytest.mark.parametrize("mutate", [
         lambda plan: replace(plan, U=0),  # drops the d^2 U term of the shift
@@ -250,9 +257,9 @@ class TestVerifier:
         passes = []
         kernel = linalg._path_kernel
 
-        def counted(rows, *read):
-            passes.append(len(rows))
-            return kernel(rows, *read)
+        def counted(path, cols):
+            passes.append(len(path.a))
+            return kernel(path, cols)
 
         monkeypatch.setattr(linalg, "_path_kernel", counted)
         assert verify_closed_forms()["ok"]
@@ -275,16 +282,41 @@ class TestVerifier:
         assert lemma == [50, 50] + [8] * 343
 
     def test_verify_elimination_passes(self, monkeypatch, capsys):
-        # the closed forms' 985, the regressions' 82 (one per (tb, slope),
-        # where a plan per cell made 126) and the scan and solver stages';
-        # a pass per regression cell made 1,251
+        # the closed forms' 985 and the (tb -1, +-2) plans the regressions
+        # and the scan share: the three stages share each tb's plans, and
+        # 222 of the 224 plans the last two made repeated a closed-form
+        # plan.  A plan dict per stage made 1,207, and a pass per
+        # regression cell 1,251
         passes = []
         kernel = linalg._path_kernel
         monkeypatch.setattr(linalg, "_path_kernel",
-                            lambda rows, *read: passes.append(len(rows)) or kernel(rows, *read))
+                            lambda path, cols: passes.append(len(path.a)) or kernel(path, cols))
         assert main(["verify", "--json"]) == 0
         capsys.readouterr()
-        assert len(passes) <= 1207
+        assert len(passes) == 987
+
+    def test_no_plan_outlives_its_tb(self, monkeypatch, capsys):
+        # verify's three stages share each tb's plans in one dict, dropped
+        # when tb moves on: when a plan is made every live plan is of its
+        # tb, and none is alive once verify returns.  A dict shared by the
+        # stages for the whole run read +25% peak RSS
+        made = []
+        plan_type = invariants.Plan
+
+        def recorded(*args):
+            plan = plan_type(*args)
+            tb = plan.presentation.base_tb
+            assert [other for ref, other in made if ref() is not None and other != tb] == []
+            made.append((weakref.ref(plan), tb))
+            return plan
+
+        monkeypatch.setattr(invariants, "Plan", recorded)
+        assert main(["verify", "--json"]) == 0
+        capsys.readouterr()
+        # the 987 kernel passes less the 150 block_negdef matrices
+        assert len(made) == 837
+        assert sorted({tb for _, tb in made}) == list(range(-20, 0))
+        assert [tb for ref, tb in made if ref() is not None] == []
 
     def test_c1_squares_read_off_plans(self, monkeypatch):
         # N_v = v^T B v once per vector of a plan, by one odometer walk per

@@ -25,12 +25,13 @@ from contactsurg.surgery import (
     linking_matrix,
     rot_range,
 )
-from oracles import (D3Result, adjugate_quadratic, d3_spectrum_detail_by_vector, d3_values,
+from oracles import (D3Result, Form, adjugate_quadratic, d3_spectrum_detail_by_vector, d3_values,
                      determinant, enumerate_rotations, listed_convert, sparse)
 
 
 def form(q, l):
-    return IntersectionForm(sparse(q), l)
+    """Q = q of any shape with l, for the per-vector oracle."""
+    return Form(sparse(q), l)
 
 
 def d3(q, l, r):

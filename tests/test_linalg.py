@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from contactsurg import closedforms, linalg, surgery
+from contactsurg import closedforms, linalg
 from contactsurg.closedforms import bordered_block_matrix, chain_matrix, chain_matrix_primed
 from contactsurg.invariants import d3_records, d3_spectrum
 from contactsurg.slopes import SlopeError
@@ -195,8 +195,7 @@ def reduced(rows):
     """(det, signature) of symmetric sparse ``rows`` from ``linalg._reduce``
     alone: num / den, and Descartes on the reduced chi less the runs
     dropped, or None at det 0."""
-    a, b, h = linalg._read(rows)
-    removed, num, den, coeffs = linalg._reduce(a, b, h, rows[0][1] if h else 0)
+    removed, num, den, coeffs = linalg._reduce(*linalg._read(rows))
     return Fraction(num, den), linalg._descartes(coeffs) - removed if num else None
 
 
@@ -1115,8 +1114,9 @@ class TestSparseRows:
             IntersectionForm(rows, 0)
 
     def test_a_pipeline_form_is_checked_once(self, monkeypatch):
-        # a form's rows are checked when it is built, and the kernel trusts
-        # the tuple that check returns; raw rows are still checked there
+        # a pipeline form is read off its presentation as a path, so the d3
+        # route builds, checks and reads no rows; rows given to a form, or
+        # to adjugate_block, are checked once, as linalg._read reads them
         calls = []
         check = linalg.check_symmetric
 
@@ -1125,13 +1125,14 @@ class TestSparseRows:
             return check(rows, name)
 
         monkeypatch.setattr(linalg, "check_symmetric", counted)
-        monkeypatch.setattr(surgery, "check_symmetric", counted)
-        assert d3_records(LegendrianData(-1, 0), Fraction(-1, 40))
+        plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 40))[0]
+        assert calls == [] and "rows" not in vars(plan.form)
+        form = IntersectionForm(chain_matrix(3), 0)
         assert calls == ["Q"]
-        linalg.adjugate_block(chain_matrix(3), ())
+        assert linalg.adjugate_block(form.path, ()) == linalg.adjugate_block(chain_matrix(3), ())
         assert calls == ["Q", "matrix"]
         rows = check(chain_matrix(3))
-        assert check(rows) == rows == tuple(chain_matrix(3))
+        assert check(rows) == rows == tuple(chain_matrix(3)) == form.rows
 
     def test_long_chain_stays_sparse(self):
         # a dense 6400 x 6400 build holds 328 MB in pointers alone

@@ -13,7 +13,7 @@ def test_cells_share_one_plan_per_slope(monkeypatch):
     passes = []
     kernel = linalg._path_kernel
     monkeypatch.setattr(linalg, "_path_kernel",
-                        lambda rows, *read: passes.append(len(rows)) or kernel(rows, *read))
+                        lambda path, cols: passes.append(len(path.a)) or kernel(path, cols))
     report = verify_d3_regressions(20)
     assert report["ok"] and report["checks"] == 126
     assert len(passes) <= 82

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contactsurg import linalg
 from contactsurg.linalg import dense
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import (
@@ -225,6 +226,35 @@ class TestLinkingMatrix:
             m = dense(form.rows)
             assert tuple(map(tuple, m)) == linking_matrix_dense(pres)
             assert tuple(sparse(m)) == form.rows  # dense is the inverse of sparse
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-6, 0), st.integers(0, 3), st.one_of(
+        # contact 1/k: a clique head of k push-offs
+        st.integers(3, 16).map(lambda k: ("contact", Fraction(1, k))),
+        # smooth -1/n: one push-off and a chain of -2 framings
+        st.integers(1, 30).map(lambda n: ("smooth", Fraction(-1, n))),
+        # any contact slope: push-offs, then runs of several framings
+        st.tuples(st.integers(-60, 60).filter(bool), st.integers(1, 20)).map(
+            lambda pq: ("contact", Fraction(*pq)))))
+    @example(0, 0, ("contact", Fraction(1, 3)))  # tb = 0: three push-offs, no links
+    @example(-1, 0, ("contact", Fraction(2, 7)))  # framings 0, a head of four, a chain
+    @example(-3, 0, ("smooth", Fraction(-27, 5)))  # runs of -2 and of -3
+    def test_path_matches_the_oracle_rows(self, tb, j, slope):
+        # the path is read straight off the components; the oracle builds
+        # Q entry by entry, its rows read by linalg._read must give the
+        # same path, and the rows built from the path must be its rows
+        kind, value = slope
+        try:
+            pres = _presentation(LegendrianData(tb, tb + 1 - 2 * j),
+                                 value - tb if kind == "smooth" else value)
+        except (SlopeError, ValueError):
+            return
+        form = linking_matrix(pres)
+        want = sparse(linking_matrix_dense(pres))
+        assert form.path == linalg._read(want)
+        assert "rows" not in vars(form)  # built on first use only
+        assert form.rows == tuple(want)
+        assert form.n == len(want) and form.l == pres.l
 
     def test_rejects_ragged_non_square_and_asymmetric(self):
         # sparse rows: a key of n, a negative key and a stored 0 are not square
