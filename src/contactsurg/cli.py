@@ -39,8 +39,9 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 
 
 class _SparseRows(tuple):
-    """Checked sparse rows of an n x n matrix, row i the dict {j: x} of its
-    nonzeros with 0 <= j < n (``IntersectionForm.rows``)."""
+    """Sparse rows of an n x n matrix, row i the dict {j: x} of its
+    nonzeros with 0 <= j < n (``IntersectionForm.rows``, built from its
+    path)."""
 
 
 def _row(row, n, head, sep, tail, text=int.__repr__):

@@ -23,45 +23,10 @@ confirms (see the q-entry checks in verify_closed_forms).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from . import invariants, linalg
 from .surgery import LegendrianData, _presentation, rot_range
-
-
-# ---------------------------------------------------------------------------
-# lemma matrices
-
-def chain_matrix(n: int):
-    """Sparse rows of the tridiagonal matrix with -2 on the diagonal and
-    -1 off it."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    return [{j: x for j, x in ((i - 1, -1), (i, -2), (i + 1, -1)) if 0 <= j < n}
-            for i in range(n)]
-
-
-def chain_matrix_primed(n: int):
-    """Sparse rows of the variant with top-left -1 and an asymmetric -1 in
-    position (1, 2)."""
-    if n < 1:
-        raise ValueError("size must be positive")
-    m = chain_matrix(n)
-    m[0][0] = -1
-    if n > 1:
-        del m[1][0]
-    return m
-
-
-def bordered_block_matrix(a: int, b: int, c: int, m: int):
-    """Sparse rows of [[A, B], [B^T, chain(m)]] with A = [[a, b], [b, c]]
-    and B carrying a single -1 from the second row to the first chain
-    vertex; a zero among a, b, c is not stored."""
-    if m < 1:
-        raise ValueError("chain part must be nonempty")
-    rows = [{0: a, 1: b}, {0: b, 1: c, 2: -1}]
-    rows += ({j + 2: x for j, x in row.items()} for row in chain_matrix(m))
-    rows[2] = {1: -1, **rows[2]}
-    return [{j: x for j, x in row.items() if x} for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +227,8 @@ def verify_closed_forms(k_max: int = 20, n_max: int = 20):
     definiteness where the block lemma claims it, read as signature -n
     from ``linalg.adjugate_block``, which checks it.  The chain, primed
     chain and block determinants of every size are read off one
-    ``linalg.leading_determinants`` pass over the largest matrix of each
-    family, whose leading blocks they are.  Mismatches are
+    ``linalg.leading_determinants`` pass over the path of the largest
+    matrix of each family, whose leading blocks they are.  Mismatches are
     collected, not raised; the returned report lists them with enough
     context to recompute by hand.
     """
@@ -281,27 +246,33 @@ def _lemmas(k_max, n_max):
     f = DEFAULT_FORMS
     rep = _Report()
 
-    # each lemma matrix is the leading block of the largest of its family
-    size = max(50, n_max)
-    chain = linalg.leading_determinants(chain_matrix(size))
-    primed = linalg.leading_determinants(chain_matrix_primed(size))
-    for n in range(1, size + 1):
-        rep.record("chain_det", {"n": n}, f["chain_det"](n), chain[n - 1])
-        rep.record("chain_primed_det", {"n": n}, f["chain_primed_det"](n), primed[n - 1])
+    # each lemma matrix is the leading block of the largest of its family,
+    # built as its path (diagonal, links); the primed chain's one-way link,
+    # -1 at (0, 1) and 0 at (1, 0), is a link 0, as the leading minors
+    # read only the link products a_(i,i+1) a_(i+1,i)
+    def minors(diag, links):
+        return linalg.leading_determinants(diag, [x * x for x in links])
 
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            for c in range(-3, 4):
-                dets = linalg.leading_determinants(bordered_block_matrix(a, b, c, 6))
-                negdef = a < 0 and a * c - b * b > 0 and a * (c + 1) - b * b >= 0
-                for m in range(1, 7):
-                    det = dets[m + 1]  # the block of m chain vertices has m + 2 rows
-                    rep.record("block_det", {"a": a, "b": b, "c": c, "m": m},
-                               f["block_det"](a, b, c, m), det)
-                    if negdef:
-                        rep.record("block_negdef", {"a": a, "b": b, "c": c, "m": m}, True,
-                                   det != 0 and linalg.adjugate_block(
-                                       bordered_block_matrix(a, b, c, m), ())[1] == -(m + 2))
+    size = max(50, n_max)
+    chain = minors([-2] * size, [-1] * (size - 1))
+    primed = minors([-1] + [-2] * (size - 1), [0] + [-1] * (size - 2))
+    for n in range(1, size + 1):
+        rep.record("chain_det", {"n": n}, f["chain_det"](n), chain[n])
+        rep.record("chain_primed_det", {"n": n}, f["chain_primed_det"](n), primed[n])
+
+    for a, b, c in product(range(-3, 4), repeat=3):
+        # [[a, b], [b, c]] with the chain hung on its second row
+        diag, links = [a, c] + [-2] * 6, [b] + [-1] * 6
+        dets = minors(diag, links)
+        negdef = a < 0 and a * c - b * b > 0 and a * (c + 1) - b * b >= 0
+        for m in range(1, 7):
+            det = dets[m + 2]  # the block of m chain vertices has m + 2 rows
+            context = {"a": a, "b": b, "c": c, "m": m}
+            rep.record("block_det", context, f["block_det"](a, b, c, m), det)
+            if negdef:
+                path = linalg._Path(diag[:m + 2], links[:m + 1], 0, 0)
+                rep.record("block_negdef", context, True,
+                           det != 0 and linalg.adjugate_block(path, ())[1] == -(m + 2))
     return rep
 
 

@@ -1,31 +1,30 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything in this module is exact.  Every form the library meets is a
-path in index order (tridiagonal), or a clique of push-offs with one
-link value and a meridian path hung on its last row, which a unimodular
-change of basis E turns into a path.  On a path two continuants give the
+Everything in this module is exact, and every matrix it takes is a
+``_Path``: lists of the diagonal and the links of a path in index order
+(tridiagonal), with the size and link of a clique head, push-offs that
+all link each other with one value and have a meridian path hung on
+their last row, which a unimodular change of basis E turns into a path.
+``surgery.linking_matrix`` builds a form's path straight from its
+presentation, and ``closedforms`` builds the lemma matrices as paths.
+On a path two continuants, both from ``leading_determinants``, give the
 determinant, the signature and every adjugate entry (``_path_kernel``,
-whose one caller is ``adjugate_block``); any other shape raises
-ValueError.  Inverse entries are integers over the determinant, read
-from that block, and a matrix is negative definite when the signature
-``adjugate_block`` returns is -n.  That signature is checked against an
-independent one, so no signature leaves this module unchecked:
-``_reduce`` drops each maximal run of framings -2 by its Schur complement
-(Haynsworth's inertia additivity), and Descartes' rule of signs on the
-characteristic polynomial of the integer matrix left, less one for each
-row dropped (a run is negative definite), must give the kernel's
-signature, and its constant term the kernel's determinant.  That polynomial is a continuant along the kept
+whose one caller is ``adjugate_block``).  Inverse entries are integers
+over the determinant, read from that block, and a matrix is negative
+definite when the signature ``adjugate_block`` returns is -n.  That
+signature is checked against an independent one, so no signature
+leaves this module unchecked: ``_reduce`` drops each maximal run of
+framings -2 by its Schur complement (Haynsworth's inertia additivity),
+and Descartes' rule of signs on the characteristic polynomial of the
+integer matrix left, less one for each row dropped (a run is negative
+definite), must give the kernel's signature, and its constant term the
+kernel's determinant.  That polynomial is a continuant along the kept
 path, seeded on a clique head by the matrix determinant lemma, in
-O(m^2) integer operations for the m rows left.  ``leading_determinants``
-reads the determinant of every leading block of a banded matrix off one
-continuant pass.
+O(m^2) integer operations for the m rows left.
 
-The kernel takes a form as its ``_Path``: lists of its diagonal and
-links, with the head's size and link.  ``surgery.linking_matrix`` builds
-that straight from a presentation; any other matrix is sparse rows, row
-i the dict {j: x} of its nonzeros, checked and read once by ``_read``, so
-a pass costs O(nnz), not O(n^2).  ``_rows`` turns a path back into
-sparse rows and ``dense`` sparse rows into dense ones, for reports.
+Sparse rows, row i the dict {j: x} of its nonzeros, exist only for
+reports: ``_rows`` builds them from a path, and ``dense`` dense rows
+from them.
 """
 
 from __future__ import annotations
@@ -53,20 +52,6 @@ def dense(rows):
     return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
 
 
-def check_symmetric(rows, name="matrix"):
-    """``rows`` as a tuple, if they are the sparse rows of a symmetric n x n
-    matrix; else ValueError: a key outside 0..n-1 or a stored 0 is not
-    square, and an entry (i, j) without an equal (j, i) not symmetric."""
-    n = len(rows)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            if not 0 <= j < n or not x:
-                raise ValueError(f"{name} must be square")
-            if rows[j].get(i) != x:
-                raise ValueError(f"{name} must be symmetric")
-    return tuple(rows)
-
-
 class _Path(NamedTuple):
     """A symmetric Q of the one shape the kernel takes, as lists: its
     diagonal a, its links b from i to i+1, the size h of the clique head E
@@ -81,31 +66,9 @@ class _Path(NamedTuple):
     c: int
 
 
-def _read(rows, name="matrix"):
-    """The ``_Path`` of sparse ``rows``, checked by ``check_symmetric``
-    (``name`` names the matrix in its errors): h is 0 when the nonzeros
-    are those of the band.  Any other shape raises ValueError."""
-    check_symmetric(rows, name)
-    a = [row.get(i, 0) for i, row in enumerate(rows)]
-    b = [rows[i].get(i + 1, 0) for i in range(len(rows) - 1)]
-    # the nonzeros off the band, each counted twice, as Q is symmetric
-    off = sum(map(len, rows)) - (len(a) - a.count(0) + 2 * (len(b) - b.count(0)))
-    if not off:
-        return _Path(a, b, 0, 0)
-    c, h = rows[0].get(1), 2
-    while h < len(rows) and rows[0].get(h) == c:
-        h += 1
-    full = dict.fromkeys(range(h + 1), c)
-    # a clique head's, then, are its (h-1)(h-2) links off the band
-    if not c or h < 3 or off != (h - 1) * (h - 2) or any(
-            {**row, i: c, h: c} != full for i, row in enumerate(rows[:h])):
-        raise ValueError("matrix is neither a path nor a clique head with a path on its last row")
-    return _Path(a, b, h, c)
-
-
 def _rows(path):
-    """The sparse rows of the ``_Path`` ``path``, the inverse of ``_read``:
-    the head's rows, then the band's links after it, with no stored 0."""
+    """The sparse rows of the ``_Path`` ``path``, for reports: the head's
+    rows, then the band's links after it, with no stored 0."""
     a, b, h, c = path
     rows = [dict.fromkeys(range(h), c) for _ in range(h)] + [{} for _ in range(len(a) - h)]
     for i, (row, x) in enumerate(zip(rows, a)):
@@ -117,6 +80,19 @@ def _rows(path):
         if b[i]:
             rows[i][i + 1] = rows[i + 1][i] = b[i]
     return tuple(rows)
+
+
+def leading_determinants(a, w):
+    """[D_0, ..., D_n], D_i the determinant of the leading i x i block of
+    the n x n tridiagonal matrix of diagonal ``a`` and link products
+    ``w``, w_i = A_(i,i+1) A_(i+1,i) (b_i^2 on a symmetric path), which
+    need not be symmetric: the continuant D_0 = 1, D_(i+1) = a_i D_i -
+    w_(i-1) D_(i-1), in O(n) integer operations."""
+    dets, d, prev = [1], 1, 0
+    for x, y in zip(a, [0, *w]):
+        d, prev = x * d - y * prev, d
+        dets.append(d)
+    return dets
 
 
 def _path_kernel(path, cols):
@@ -131,15 +107,16 @@ def _path_kernel(path, cols):
     diagonal d_i - 2c + d_(i+1) and link c - d_(i+1) from i to i+1 for
     i <= h - 3, then d_(h-2), d_(h-1) linked by c, then Q unchanged;
     E Q E^T = Q' is checked on the head rows.  On the path of diagonal
-    a_i and links b_i, the leading continuant is theta_0 = 1, theta_(i+1)
-    = a_i theta_i - b_(i-1)^2 theta_(i-1), and the trailing one phi_n = 1,
-    phi_i = a_i phi_(i+1) - b_i^2 phi_(i+2); det Q = det Q' = theta_n,
-    which must equal phi_0.  The negative index is the number of sign changes along
-    the nonzero thetas: on a nonsingular path a zero theta_i is isolated
-    and its neighbours have opposite signs (Frobenius), and E keeps the
-    signature (Sylvester).  adj(Q')_ij = (-1)^(i+j) b_i ... b_(j-1)
-    theta_i phi_(j+1) for i <= j (Usmani 1994), and
-    B = E[:, cols]^T adj(Q') E[:, cols], since det E = 1.
+    a_i and links b_i, theta_i is the leading i x i minor and phi_i the
+    trailing minor from row i on (phi_n = 1), the continuant
+    ``leading_determinants`` of the path and of the path reversed;
+    det Q = det Q' = theta_n, which must equal phi_0.  The negative index
+    is the number of sign changes along the nonzero thetas: on a
+    nonsingular path a zero theta_i is isolated and its neighbours have
+    opposite signs (Frobenius), and E keeps the signature (Sylvester).
+    adj(Q')_ij = (-1)^(i+j) b_i ... b_(j-1) theta_i phi_(j+1) for i <= j
+    (Usmani 1994), and B = E[:, cols]^T adj(Q') E[:, cols], since
+    det E = 1.
     """
     a, b, h, c = path
     n = len(a)
@@ -148,13 +125,9 @@ def _path_kernel(path, cols):
         for i in range(h - 2):
             a[i], b[i] = a[i] - 2 * c + a[i + 1], c - a[i + 1]
         _check_basis(path, a, b)
-    w = [0] + [x * x for x in b] + [0]  # w[i] = b_(i-1)^2
-    theta, phi = [0, 1], [0, 1]  # each from a zero before its first term
-    for i, x in enumerate(a):
-        theta.append(x * theta[-1] - w[i] * theta[-2])
-    for i in reversed(range(n)):
-        phi.append(a[i] * phi[-1] - w[i + 1] * phi[-2])
-    theta, phi = theta[1:], phi[:0:-1]
+    w = [x * x for x in b]
+    theta = leading_determinants(a, w)
+    phi = leading_determinants(a[::-1], w[::-1])[::-1]
     det = theta[n]
     if det != phi[0]:
         raise KernelCheckError(f"continuants disagree: theta_n={det} phi_0={phi[0]}")
@@ -207,41 +180,20 @@ def _check_basis(path, a, b):
             raise KernelCheckError(f"E Q E^T is not the path on head row {i}: {got} against {want}")
 
 
-def leading_determinants(rows):
-    """[D_1, ..., D_n], D_i the determinant of the leading i x i block of
-    the n x n integer matrix ``rows``, which must be banded: row i nonzero
-    only at i-1..i+1, in 0..n-1; any other raises ValueError.  The rows
-    need not be symmetric.  One pass of the three-term continuant D_0 = 1,
-    D_(i+1) = a_ii D_i - a_(i,i-1) a_(i-1,i) D_(i-1) gives them all, in O(n)
-    integer operations: the continuant behind chi(x) of the leading i
-    rows, at x = 0, where chi(0) = (-1)^i D_i."""
-    n = len(rows)
-    dets, d, prev = [], 1, 0
-    for i, row in enumerate(rows):
-        if any(x and not (0 <= j < n and i - 1 <= j <= i + 1) for j, x in row.items()):
-            raise ValueError(f"matrix is not banded: row {i} has a nonzero off i-1..i+1")
-        link = row.get(i - 1, 0) * rows[i - 1].get(i, 0) if i else 0
-        d, prev = row.get(i, 0) * d - link * prev, d
-        dets.append(d)
-    return dets
-
-
-def adjugate_block(matrix, support):
+def adjugate_block(path, support):
     """det A, the signature of A and the block B = adj(A)[S, S] on the
-    index list S = ``support`` of a symmetric integer matrix A, given as
-    a ``_Path`` (an ``IntersectionForm``'s) or as sparse rows of a shape
-    ``_read`` takes: any other raises ValueError.
+    index list S = ``support`` of the symmetric integer matrix A of the
+    ``_Path`` ``path``.
 
     B[a][b] is entry (S[a], S[b]) of adj(A), so (A^-1)_{S[a], S[b]} is
-    B[a][b] / det; S = range(n) gives the whole adjugate.  Rows are read
-    once, and the path goes to one pass of the path kernel, which gives all
-    three, and to ``_reduce``, which checks it: the reduced matrix's
-    determinant must give the kernel's det, and its Descartes signature,
-    less the runs dropped, the kernel's signature.  A disagreement raises
+    B[a][b] / det; S = range(n) gives the whole adjugate.  The path goes
+    to one pass of the path kernel, which gives all three, and to
+    ``_reduce``, which checks it: the reduced matrix's determinant must
+    give the kernel's det, and its Descartes signature, less the runs
+    dropped, the kernel's signature.  A disagreement raises
     KernelCheckError or SignatureMismatchError (it would mean a bug, not a
     property of the input).  Raises SingularMatrixError when det A = 0.
     """
-    path = matrix if type(matrix) is _Path else _read(matrix)
     det, sigma, block = _path_kernel(path, support)
     removed, num, den, coeffs = _reduce(*path)
     if det * den != num:

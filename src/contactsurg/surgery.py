@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .linalg import _Path, _read, _rows
+from .linalg import _Path, _rows
 from .slopes import SlopeError, neg_cf_runs
 
 
@@ -176,26 +176,22 @@ def rotation_choices(pres: SurgeryPresentation) -> list:
             for c in pres.components]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class IntersectionForm:
     """Symmetric linking form Q of a presentation, with the count l of
     (+1)-components.  Q is held as its ``path``, the ``linalg._Path`` of
     its diagonal, links, head size and head link, which ``linking_matrix``
-    reads straight off the components.  Q may be given as sparse rows
-    instead (row i the dict {j: Q_ij} of its nonzeros), which are checked
-    and read into the path once, here.  ``rows`` are built from the path
-    on first use: only reports that write the matrix ask for them, and
-    ``linalg.dense`` makes dense rows at the edge."""
+    reads straight off the components; anything else raises TypeError.
+    ``rows`` are built from the path on first use: only reports that
+    write the matrix ask for them, and ``linalg.dense`` makes dense rows
+    at the edge."""
 
     path: _Path
     l: int
 
-    def __init__(self, q, l: int):
-        if type(q) is not _Path:
-            object.__setattr__(self, "rows", tuple(q))
-            q = _read(self.rows, "Q")
-        object.__setattr__(self, "path", q)
-        object.__setattr__(self, "l", l)
+    def __post_init__(self):
+        if type(self.path) is not _Path:
+            raise TypeError(f"Q must be a linalg._Path, not {type(self.path).__name__}")
 
     @cached_property
     def rows(self) -> tuple:

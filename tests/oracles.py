@@ -22,8 +22,10 @@ build one presentation per stabilization outcome.
 
 Helpers the library does not need live here too: slopes as reduced
 vectors, the Farey edge test, anticlockwise paths as reflections p -> -p
-of the library's clockwise ones, lens-space classification, and sparse
-rows from dense ones.
+of the library's clockwise ones, lens-space classification, sparse rows
+from dense ones, their symmetry check and their reading into a path,
+and the lemma matrices (chain, primed chain, bordered block) as sparse
+rows, which the library builds as paths.
 """
 
 import math
@@ -596,10 +598,89 @@ def sparse(rows):
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
+def check_symmetric(rows, name="matrix"):
+    """``rows`` as a tuple, if they are the sparse rows of a symmetric n x n
+    matrix; else ValueError: a key outside 0..n-1 or a stored 0 is not
+    square, and an entry (i, j) without an equal (j, i) not symmetric."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if not 0 <= j < n or not x:
+                raise ValueError(f"{name} must be square")
+            if rows[j].get(i) != x:
+                raise ValueError(f"{name} must be symmetric")
+    return tuple(rows)
+
+
+def read(rows, name="matrix"):
+    """The ``linalg._Path`` of sparse ``rows``, checked by
+    ``check_symmetric`` (``name`` names the matrix in its errors): h is 0
+    when the nonzeros are those of the band.  Any other shape raises
+    ValueError.  ``linalg._rows`` is its inverse."""
+    check_symmetric(rows, name)
+    a = [row.get(i, 0) for i, row in enumerate(rows)]
+    b = [rows[i].get(i + 1, 0) for i in range(len(rows) - 1)]
+    # the nonzeros off the band, each counted twice, as Q is symmetric
+    off = sum(map(len, rows)) - (len(a) - a.count(0) + 2 * (len(b) - b.count(0)))
+    if not off:
+        return linalg._Path(a, b, 0, 0)
+    c, h = rows[0].get(1), 2
+    while h < len(rows) and rows[0].get(h) == c:
+        h += 1
+    full = dict.fromkeys(range(h + 1), c)
+    # a clique head's, then, are its (h-1)(h-2) links off the band
+    if not c or h < 3 or off != (h - 1) * (h - 2) or any(
+            {**row, i: c, h: c} != full for i, row in enumerate(rows[:h])):
+        raise ValueError("matrix is neither a path nor a clique head with a path on its last row")
+    return linalg._Path(a, b, h, c)
+
+
+def band(rows):
+    """(a, w) of banded sparse ``rows``, which need not be symmetric: the
+    diagonal a_ii and the link products a_(i,i+1) a_(i+1,i), the
+    arguments of ``linalg.leading_determinants``."""
+    a = [row.get(i, 0) for i, row in enumerate(rows)]
+    w = [rows[i].get(i + 1, 0) * rows[i + 1].get(i, 0) for i in range(len(rows) - 1)]
+    return a, w
+
+
+def chain_matrix(n: int):
+    """Sparse rows of the tridiagonal matrix with -2 on the diagonal and
+    -1 off it."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    return [{j: x for j, x in ((i - 1, -1), (i, -2), (i + 1, -1)) if 0 <= j < n}
+            for i in range(n)]
+
+
+def chain_matrix_primed(n: int):
+    """Sparse rows of the variant with top-left -1 and a one-way link:
+    (0, 1) is -1 and (1, 0) is 0."""
+    if n < 1:
+        raise ValueError("size must be positive")
+    m = chain_matrix(n)
+    m[0][0] = -1
+    if n > 1:
+        del m[1][0]
+    return m
+
+
+def bordered_block_matrix(a: int, b: int, c: int, m: int):
+    """Sparse rows of [[A, B], [B^T, chain(m)]] with A = [[a, b], [b, c]]
+    and B carrying a single -1 from the second row to the first chain
+    vertex; a zero among a, b, c is not stored."""
+    if m < 1:
+        raise ValueError("chain part must be nonempty")
+    rows = [{0: a, 1: b}, {0: b, 1: c, 2: -1}]
+    rows += ({j + 2: x for j, x in row.items()} for row in chain_matrix(m))
+    rows[2] = {1: -1, **rows[2]}
+    return [{j: x for j, x in row.items() if x} for row in rows]
+
+
 def path_kernel(rows, cols=()):
-    """``linalg._path_kernel`` of sparse ``rows``, read by ``linalg._read``:
+    """``linalg._path_kernel`` of sparse ``rows``, read by ``read``:
     (det, signature, adj[cols, cols]), or (0, None, ()) at det 0."""
-    return linalg._path_kernel(linalg._read(rows), cols)
+    return linalg._path_kernel(read(rows), cols)
 
 
 def bareiss(rows, cols=()):
@@ -708,7 +789,7 @@ def eliminate(rows, cols=()):
     it is the oracle for the path kernel's det, signature and adjugate
     blocks.
     """
-    linalg.check_symmetric(rows)
+    check_symmetric(rows)
     n = len(rows)
     every = range(n)
     a = list(map(dict, rows))

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import sys
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -8,13 +10,7 @@ import pytest
 
 from contactsurg import closedforms, invariants, linalg
 from contactsurg.cli import main
-from contactsurg.closedforms import (
-    DEFAULT_FORMS,
-    bordered_block_matrix,
-    chain_matrix,
-    chain_matrix_primed,
-    verify_closed_forms,
-)
+from contactsurg.closedforms import DEFAULT_FORMS, verify_closed_forms
 from contactsurg.surgery import (
     IntersectionForm,
     LegendrianData,
@@ -22,8 +18,14 @@ from contactsurg.surgery import (
     rot_range,
 )
 from oracles import (
+    band,
+    bordered_block_matrix,
+    chain_matrix,
+    chain_matrix_primed,
+    check_symmetric,
     determinant,
     listed_convert,
+    read,
     sparse,
     tb1_negative_matrix,
     tb1_positive_matrix,
@@ -49,6 +51,36 @@ class TestBlockDeterminant:
     def test_spot_value(self):
         # a=0, b=-1, c=0, m=1 gives determinant 2 (3x3 cofactor expansion)
         assert determinant(bordered_block_matrix(0, -1, 0, 1)) == 2
+
+
+class TestLemmaPaths:
+    def test_lemma_paths_are_the_oracle_rows(self, monkeypatch):
+        # _lemmas builds each lemma matrix as its path: the diagonals and
+        # link products it hands leading_determinants are the oracle rows'
+        # a_ii and a_(i,i+1) a_(i+1,i) at every chain size up to 50 and every
+        # (a, b, c) in -3..3 with m <= 6, zeros among a, b and c included,
+        # and each path it hands adjugate_block is the oracle rows' path
+        seen, paths = [], []
+        monkeypatch.setattr(linalg, "leading_determinants",
+                            lambda a, w: seen.append((a, w)) or [1] * (len(a) + 1))
+        monkeypatch.setattr(linalg, "adjugate_block",
+                            lambda path, support: paths.append(path) or (1, 0, ()))
+        closedforms._lemmas(3, 1)
+        (chain, chain_w), (primed, primed_w), *blocks = seen
+        for n in range(1, 51):
+            assert band(chain_matrix(n)) == (chain[:n], chain_w[:n - 1])
+            assert band(chain_matrix_primed(n)) == (primed[:n], primed_w[:n - 1])
+        assert (len(chain), len(primed)) == (50, 50) and primed_w[0] == 0
+        cube = list(itertools.product(range(-3, 4), repeat=3))
+        assert len(blocks) == len(cube)
+        negdef = []
+        for (a, b, c), (diag, w) in zip(cube, blocks):
+            assert len(diag) == 8
+            for m in range(1, 7):
+                assert band(bordered_block_matrix(a, b, c, m)) == (diag[:m + 2], w[:m + 1])
+            if a < 0 and a * c - b * b > 0 and a * (c + 1) - b * b >= 0:
+                negdef += [read(bordered_block_matrix(a, b, c, m)) for m in range(1, 7)]
+        assert paths == negdef and len(paths) == 150
 
 
 class TestFamilies:
@@ -77,7 +109,7 @@ class TestFamilies:
         for m in mats:
             assert sparse(linalg.dense(m)) == m
         for m in mats[:8] + mats[15:]:
-            assert linalg.check_symmetric(m) == tuple(m)
+            assert check_symmetric(m) == tuple(m)
 
     def test_families_equal_the_pipeline_forms(self):
         # each family is the linking matrix of every presentation that
@@ -158,7 +190,7 @@ class TestVerifier:
             i = roles.index("chain")
             q = linalg.dense(form.rows)
             q[i][i] += delta
-            return IntersectionForm(sparse(q), form.l)
+            return IntersectionForm(read(sparse(q)), form.l)
 
         monkeypatch.setattr(invariants, "linking_matrix", shifted)
 
@@ -270,16 +302,22 @@ class TestVerifier:
         # polynomial of the whole form was built: 835 family forms and 150
         # block_negdef matrices.  The lemma determinants are 345
         # leading_determinants passes, where one characteristic polynomial
-        # per lemma matrix made 3,143 calls in all
+        # per lemma matrix made 3,143 calls in all; the kernel's thetas and
+        # phis are two more per pass
         calls, lemma = [], []
         reduce, leading = linalg._reduce, linalg.leading_determinants
+
+        def recorded(a, w):
+            lemma.append((sys._getframe(1).f_code.co_name, len(a)))
+            return leading(a, w)
+
         monkeypatch.setattr(linalg, "_reduce",
                             lambda a, *rest: calls.append(len(a)) or reduce(a, *rest))
-        monkeypatch.setattr(linalg, "leading_determinants",
-                            lambda rows: lemma.append(len(rows)) or leading(rows))
+        monkeypatch.setattr(linalg, "leading_determinants", recorded)
         assert verify_closed_forms()["ok"]
         assert len(calls) == 985
-        assert lemma == [50, 50] + [8] * 343
+        assert [n for caller, n in lemma if caller != "_path_kernel"] == [50, 50] + [8] * 343
+        assert [caller for caller, _ in lemma].count("_path_kernel") == 2 * 985
 
     def test_verify_elimination_passes(self, monkeypatch, capsys):
         # the closed forms' 985 and the (tb -1, +-2) plans the regressions

@@ -26,7 +26,7 @@ from contactsurg.surgery import (
     rot_range,
 )
 from oracles import (D3Result, Form, adjugate_quadratic, d3_spectrum_detail_by_vector, d3_values,
-                     determinant, enumerate_rotations, listed_convert, sparse)
+                     determinant, enumerate_rotations, listed_convert, read, sparse)
 
 
 def form(q, l):
@@ -274,7 +274,7 @@ def mutant(change):
         form = linking_matrix(pres)
         rows = dense(form.rows)
         change(rows, pres.components)
-        return IntersectionForm(sparse(rows), form.l)
+        return IntersectionForm(read(sparse(rows)), form.l)
     return build
 
 

@@ -10,19 +10,23 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from contactsurg import closedforms, linalg
-from contactsurg.closedforms import bordered_block_matrix, chain_matrix, chain_matrix_primed
 from contactsurg.invariants import d3_records, d3_spectrum
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import IntersectionForm, LegendrianData, _presentation, linking_matrix
 import oracles
 from oracles import (
     adjugate_quadratic,
+    band,
     bareiss,
     berkowitz,
+    bordered_block_matrix,
+    chain_matrix,
+    chain_matrix_primed,
     char_poly,
     char_poly_berkowitz,
     char_poly_interpolate,
     char_poly_minors,
+    check_symmetric,
     congruence_signature_dense,
     continuant_steps,
     descartes_signature,
@@ -30,6 +34,7 @@ from oracles import (
     eliminate,
     listed_convert,
     path_kernel,
+    read,
     run_polys,
     run_step,
     sparse,
@@ -134,43 +139,37 @@ class TestLeadingDeterminants:
     @given(banded_matrices())
     def test_each_entry_is_the_oracle_determinant_of_its_block(self, m):
         rows = sparse(m)
-        dets = linalg.leading_determinants(rows)
-        assert dets == [determinant(leading_block(rows, i)) for i in range(1, len(m) + 1)]
-        assert dets == [det_reference([row[:i] for row in m[:i]]) for i in range(1, len(m) + 1)]
+        dets = linalg.leading_determinants(*band(rows))
+        assert dets == [determinant(leading_block(rows, i)) for i in range(len(m) + 1)]
+        assert dets == [det_reference([row[:i] for row in m[:i]]) for i in range(len(m) + 1)]
 
     def test_singular_prefix_and_one_way_links(self):
         # D_2 = 1 - 1 * 1 = 0, then D_3 = 2 D_2 - (2 * 1) D_1 = -2
         m = [[1, 1, 0], [1, 1, 1], [0, 2, 2]]
-        assert linalg.leading_determinants(sparse(m)) == [1, 0, -2]
+        assert linalg.leading_determinants(*band(sparse(m))) == [1, 1, 0, -2]
         # the link product is a_10 a_01 = 0 * 1, not a_01^2 = 1
-        assert linalg.leading_determinants(sparse([[1, 1], [0, 1]])) == [1, 1]
-        assert linalg.leading_determinants([]) == []
+        assert band(sparse([[1, 1], [0, 1]])) == ([1, 1], [0])
+        assert linalg.leading_determinants([1, 1], [0]) == [1, 1, 1]
+        assert linalg.leading_determinants([], []) == [1]
 
     def test_lemma_families(self):
-        chain = linalg.leading_determinants(chain_matrix(50))
-        primed = linalg.leading_determinants(chain_matrix_primed(50))
+        chain = linalg.leading_determinants(*band(chain_matrix(50)))
+        primed = linalg.leading_determinants(*band(chain_matrix_primed(50)))
         for n in range(1, 51):
-            assert chain[n - 1] == determinant(chain_matrix(n)) == (-1) ** n * (n + 1)
-            assert primed[n - 1] == determinant(chain_matrix_primed(n)) == (-1) ** n * n
+            assert chain[n] == determinant(chain_matrix(n)) == (-1) ** n * (n + 1)
+            assert primed[n] == determinant(chain_matrix_primed(n)) == (-1) ** n * n
         for a, b, c in itertools.product(range(-3, 4), repeat=3):
-            dets = linalg.leading_determinants(bordered_block_matrix(a, b, c, 6))
-            assert dets[2:] == [determinant(bordered_block_matrix(a, b, c, m)) for m in range(1, 7)]
-
-    @pytest.mark.parametrize("rows", [
-        sparse([[1, 0, 1], [0, 1, 0], [1, 0, 1]]),
-        sparse([[1, 0, 0], [0, 1, 0], [2, 0, 1]]),
-        [{0: 1, 1: 1}],
-        [{-1: 1, 0: 1}, {1: 1}],
-    ])
-    def test_not_banded_raises(self, rows):
-        with pytest.raises(ValueError, match="not banded"):
-            linalg.leading_determinants(rows)
-
-    def test_stored_zero_off_the_band_is_banded(self):
-        assert linalg.leading_determinants([{0: 2, 2: 0}, {1: 3}, {2: 1}]) == [2, 6, 6]
+            dets = linalg.leading_determinants(*band(bordered_block_matrix(a, b, c, 6)))
+            assert dets[3:] == [determinant(bordered_block_matrix(a, b, c, m)) for m in range(1, 7)]
 
 
-def inverse_entry(rows, i, j, adjugate=linalg.adjugate_block):
+def adjugate_rows(rows, support):
+    """``linalg.adjugate_block`` of sparse ``rows``, read into a path by
+    ``read``."""
+    return linalg.adjugate_block(read(rows), support)
+
+
+def inverse_entry(rows, i, j, adjugate=adjugate_rows):
     """(A^-1)_{ij} from the whole adjugate that ``adjugate`` gives."""
     det, _, adj = adjugate(sparse(rows), range(len(rows)))
     return Fraction(adj[i][j], det)
@@ -187,15 +186,15 @@ def oracle_block(rows, support):
 
 
 def head(rows):
-    """The head size h that ``linalg._read`` reads off sparse ``rows``."""
-    return linalg._read(rows)[2]
+    """The head size h that ``read`` reads off sparse ``rows``."""
+    return read(rows)[2]
 
 
 def reduced(rows):
     """(det, signature) of symmetric sparse ``rows`` from ``linalg._reduce``
     alone: num / den, and Descartes on the reduced chi less the runs
     dropped, or None at det 0."""
-    removed, num, den, coeffs = linalg._reduce(*linalg._read(rows))
+    removed, num, den, coeffs = linalg._reduce(*read(rows))
     return Fraction(num, den), linalg._descartes(coeffs) - removed if num else None
 
 
@@ -248,14 +247,14 @@ class TestInverseEntry:
 
     def test_singular_rejected(self):
         with pytest.raises(linalg.SingularMatrixError):
-            linalg.adjugate_block(sparse([[1, 1], [1, 1]]), range(2))
+            linalg.adjugate_block(read(sparse([[1, 1], [1, 1]])), range(2))
 
     def test_non_symmetric_rejected(self):
         for m in ([[1, 2], [0, 1]], linalg.dense(chain_matrix_primed(3))):
             with pytest.raises(ValueError, match="^matrix must be symmetric$"):
-                linalg.adjugate_block(sparse(m), range(len(m)))
+                linalg.adjugate_block(read(sparse(m)), range(len(m)))
             with pytest.raises(ValueError, match="^matrix must be symmetric$"):
-                linalg.adjugate_block(sparse(m), ())
+                linalg.adjugate_block(read(sparse(m)), ())
 
 
 class TestSolve:
@@ -380,7 +379,7 @@ def negative_definite(m):
     """Negative definiteness as verify's block lemma reads it: det != 0
     and the signature ``adjugate_block`` checks is -n."""
     rows = sparse(m)
-    return determinant(rows) != 0 and linalg.adjugate_block(rows, ())[1] == -len(m)
+    return determinant(rows) != 0 and linalg.adjugate_block(read(rows), ())[1] == -len(m)
 
 
 def kernel_negative_definite(m):
@@ -735,36 +734,36 @@ class TestRunStep:
 class TestSignature:
     def test_examples(self):
         for n in range(1, 11):
-            assert linalg.adjugate_block(chain_matrix(n), ())[1] == -n
-        assert linalg.adjugate_block(sparse([[0, -1], [-1, 0]]), ())[1] == 0
-        assert linalg.adjugate_block(sparse(tbk_two_matrix(3, 1)), ())[1] == -3  # 5 x 5 case
+            assert linalg.adjugate_block(read(chain_matrix(n)), ())[1] == -n
+        assert linalg.adjugate_block(read(sparse([[0, -1], [-1, 0]])), ())[1] == 0
+        assert linalg.adjugate_block(read(sparse(tbk_two_matrix(3, 1))), ())[1] == -3  # 5 x 5 case
 
     def test_singular_rejected(self):
         with pytest.raises(linalg.SingularMatrixError):
-            linalg.adjugate_block(sparse([[1, 1], [1, 1]]), ())
+            linalg.adjugate_block(read(sparse([[1, 1], [1, 1]])), ())
 
     def test_rejects_ragged_non_square_and_asymmetric(self):
         # dense rows are checked square as they become sparse rows
         for m in ([[1, 2], [3]], [[1, 2]], [[1, 2], [2, 1, 0]]):
             with pytest.raises(ValueError, match="square"):
-                linalg.check_symmetric(sparse(m))
+                check_symmetric(sparse(m))
             with pytest.raises(ValueError, match="square"):
-                linalg.adjugate_block(sparse(m), ())
+                linalg.adjugate_block(read(sparse(m)), ())
         with pytest.raises(ValueError, match="symmetric"):
-            linalg.check_symmetric(sparse([[1, 2], [3, 4]]))
+            check_symmetric(sparse([[1, 2], [3, 4]]))
         with pytest.raises(ValueError, match="symmetric"):
-            linalg.adjugate_block(sparse([[1, 2], [3, 4]]), ())
-        linalg.check_symmetric(sparse([]))
-        linalg.check_symmetric(sparse([[1, 2], [2, 4]]))
+            linalg.adjugate_block(read(sparse([[1, 2], [3, 4]])), ())
+        check_symmetric(sparse([]))
+        check_symmetric(sparse([[1, 2], [2, 4]]))
 
     def test_disagreement_raises(self, monkeypatch):
         # a wrong Descartes half stops every caller of the one kernel pass
         rows = ((-7919, 1), (1, -3))
         monkeypatch.setattr(linalg, "_descartes", lambda coeffs: 2)
         with pytest.raises(linalg.SignatureMismatchError):
-            linalg.adjugate_block(sparse(rows), (0,))
+            linalg.adjugate_block(read(sparse(rows)), (0,))
         with pytest.raises(linalg.SignatureMismatchError):
-            linalg.adjugate_block(sparse(rows), ())
+            linalg.adjugate_block(read(sparse(rows)), ())
         with pytest.raises(linalg.SignatureMismatchError):
             d3_spectrum(LegendrianData(-2, 1), Fraction(-1, 3))
 
@@ -910,10 +909,10 @@ class TestRunReduction:
         if det == 0:
             assert sigma is None is path_kernel(rows)[1]
             with pytest.raises(linalg.SingularMatrixError):
-                linalg.adjugate_block(rows, ())
+                linalg.adjugate_block(read(rows), ())
         else:
             assert sigma == linalg._descartes(coeffs) == path_kernel(rows)[1]
-            assert linalg.adjugate_block(rows, ())[:2] == (det, sigma)
+            assert linalg.adjugate_block(read(rows), ())[:2] == (det, sigma)
 
     def test_long_chain_spectra(self):
         # the meridian chain of -1/12800 is one run of 12,799 framings -2
@@ -1068,10 +1067,10 @@ def assert_sparse_matches_dense(m):
     interpolation oracles on m."""
     n = len(m)
     det, adj = bareiss(m, range(n))
-    block_of = linalg.adjugate_block
+    block_of = adjugate_rows
     if not kernel_shape(m):
         with pytest.raises(ValueError, match="neither a path nor a clique head"):
-            linalg.adjugate_block(sparse(m), range(n))
+            adjugate_rows(sparse(m), range(n))
         block_of = oracle_block
     if det == 0:
         with pytest.raises(linalg.SingularMatrixError):
@@ -1106,33 +1105,20 @@ class TestSparseRows:
         ([{1: 2}, {}], "symmetric"),
     ])
     def test_the_one_check(self, rows, message):
-        for check in (linalg.check_symmetric, linalg._read, eliminate,
-                      lambda rows: linalg.adjugate_block(rows, ())):
+        for check in (check_symmetric, read, eliminate):
             with pytest.raises(ValueError, match=f"^matrix must be {message}$"):
                 check(rows)
-        with pytest.raises(ValueError, match=f"^Q must be {message}$"):
-            IntersectionForm(rows, 0)
 
-    def test_a_pipeline_form_is_checked_once(self, monkeypatch):
+    def test_a_pipeline_form_is_checked_once(self):
         # a pipeline form is read off its presentation as a path, so the d3
-        # route builds, checks and reads no rows; rows given to a form, or
-        # to adjugate_block, are checked once, as linalg._read reads them
-        calls = []
-        check = linalg.check_symmetric
-
-        def counted(rows, name="matrix"):
-            calls.append(name)
-            return check(rows, name)
-
-        monkeypatch.setattr(linalg, "check_symmetric", counted)
+        # route builds no rows; rows read into a form's path by the oracle
+        # come back from it unchanged
         plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 40))[0]
-        assert calls == [] and "rows" not in vars(plan.form)
-        form = IntersectionForm(chain_matrix(3), 0)
-        assert calls == ["Q"]
-        assert linalg.adjugate_block(form.path, ()) == linalg.adjugate_block(chain_matrix(3), ())
-        assert calls == ["Q", "matrix"]
-        rows = check(chain_matrix(3))
-        assert check(rows) == rows == tuple(chain_matrix(3)) == form.rows
+        assert "rows" not in vars(plan.form)
+        form = IntersectionForm(read(chain_matrix(3)), 0)
+        assert linalg.adjugate_block(form.path, ()) == adjugate_rows(chain_matrix(3), ())
+        rows = check_symmetric(chain_matrix(3))
+        assert check_symmetric(rows) == rows == tuple(chain_matrix(3)) == form.rows
 
     def test_long_chain_stays_sparse(self):
         # a dense 6400 x 6400 build holds 328 MB in pointers alone
@@ -1192,9 +1178,9 @@ class TestPathKernel:
         assert path_kernel(sparse(m), support) == want
         if want[0] == 0:
             with pytest.raises(linalg.SingularMatrixError):
-                linalg.adjugate_block(sparse(m), support)
+                linalg.adjugate_block(read(sparse(m)), support)
         else:
-            assert linalg.adjugate_block(sparse(m), support) == want
+            assert linalg.adjugate_block(read(sparse(m)), support) == want
 
     @settings(max_examples=150, deadline=None)
     @given(graph_shapes())
@@ -1202,9 +1188,8 @@ class TestPathKernel:
         if path_shape(m):
             assert kernel_shape(m)
             return
-        for call in (linalg._read, lambda rows: linalg.adjugate_block(rows, ())):
-            with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
-                call(sparse(m))
+        with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
+            read(sparse(m))
 
     @pytest.mark.parametrize("m", [
         [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]],  # a 4-cycle
@@ -1217,7 +1202,7 @@ class TestPathKernel:
     def test_named_shapes_raise(self, m):
         assert not path_shape(m) and not kernel_shape(m)
         with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
-            linalg.adjugate_block(sparse(m), range(len(m)))
+            linalg.adjugate_block(read(sparse(m)), range(len(m)))
 
     def test_pipeline_forms_take_the_kernel(self):
         # every acceptance form, and clique heads of every push-off

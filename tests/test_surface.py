@@ -136,6 +136,23 @@ def test_characteristic_polynomial_has_one_route():
             "char_poly", "path_extend", "run_step", "run_polys"} <= names
 
 
+def test_one_matrix_type_in_the_library():
+    # every matrix src/ takes is a linalg._Path: the symmetry check of
+    # sparse rows, their reading into a path and the lemma matrices as
+    # sparse rows are the tests' oracles
+    gone = ("check_symmetric", "_read", "chain_matrix", "chain_matrix_primed",
+            "bordered_block_matrix")
+    for path, tree in _modules():
+        for name in gone:
+            lines = [node.lineno for node in ast.walk(tree) if _names(node, name)]
+            assert lines == [], f"{path.name}: {name} on lines {lines}"
+    oracles = SRC.parents[1] / "tests" / "oracles.py"
+    tree = ast.parse(oracles.read_text(), str(oracles))
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {"check_symmetric", "read", "chain_matrix", "chain_matrix_primed",
+            "bordered_block_matrix"} <= names
+
+
 def test_no_assert_statements():
     # python -O strips assert, so a check written as one never runs there
     for path, tree in _modules():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactsurg import linalg
 from contactsurg.linalg import dense
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import (
@@ -25,6 +24,7 @@ from oracles import (
     linking_matrix_dense,
     listed_convert,
     neg_cf_value,
+    read,
     smooth_recovery,
     sparse,
     tb1_negative_matrix,
@@ -241,7 +241,7 @@ class TestLinkingMatrix:
     @example(-3, 0, ("smooth", Fraction(-27, 5)))  # runs of -2 and of -3
     def test_path_matches_the_oracle_rows(self, tb, j, slope):
         # the path is read straight off the components; the oracle builds
-        # Q entry by entry, its rows read by linalg._read must give the
+        # Q entry by entry, its rows read by the oracle read must give the
         # same path, and the rows built from the path must be its rows
         kind, value = slope
         try:
@@ -251,19 +251,22 @@ class TestLinkingMatrix:
             return
         form = linking_matrix(pres)
         want = sparse(linking_matrix_dense(pres))
-        assert form.path == linalg._read(want)
+        assert form.path == read(want)
         assert "rows" not in vars(form)  # built on first use only
         assert form.rows == tuple(want)
         assert form.n == len(want) and form.l == pres.l
 
     def test_rejects_ragged_non_square_and_asymmetric(self):
-        # sparse rows: a key of n, a negative key and a stored 0 are not square
-        for q in (({0: 1, 1: 2},), ({-1: 2}, {1: 1}), ({0: 1, 1: 0}, {1: 4})):
-            with pytest.raises(ValueError, match="^Q must be square$"):
+        # a form takes only a path: sparse rows, ragged, non-square,
+        # asymmetric or fine, and a path's fields as a plain tuple, are a
+        # TypeError; the rows read into a path make the form
+        path = read(sparse(((1, 2), (2, 4))))
+        for q in (({0: 1, 1: 2},), ({-1: 2}, {1: 1}), ({0: 1, 1: 0}, {1: 4}),
+                  sparse(((1, 2), (3, 4))), sparse(((1, 2), (2, 4))), tuple(path)):
+            with pytest.raises(TypeError, match=r"^Q must be a linalg\._Path, not "):
                 IntersectionForm(q, 0)
-        with pytest.raises(ValueError, match="^Q must be symmetric$"):
-            IntersectionForm(sparse(((1, 2), (3, 4))), 0)
-        assert IntersectionForm(sparse(((1, 2), (2, 4))), 0).n == 2
+        form = IntersectionForm(path, 0)
+        assert form.n == 2 and form.rows == ({0: 1, 1: 2}, {0: 2, 1: 4})
 
 
 class TestSmoothRecovery:
