@@ -12,8 +12,7 @@ from .surgery import (ContactZeroError, IntersectionForm, LegendrianData, linkin
                       rot_range)
 from .invariants import d3_spectrum
 from .cosmetic import candidate_slopes, scan, solve_d3_equation, unknot_classify
-from .closedforms import verify_closed_forms
-from .regressions import verify_d3_regressions
+from .regressions import verify
 
 __all__ = [
     # slopes
@@ -29,5 +28,5 @@ __all__ = [
     # cosmetic obstructions and unknots
     "candidate_slopes", "scan", "solve_d3_equation", "unknot_classify",
     # verification
-    "verify_closed_forms", "verify_d3_regressions",
+    "verify",
 ]

@@ -2,7 +2,8 @@
 
 Subcommands: d3 (single surgery computation), cs-set (cosmetic slope
 set), unknot (classification of a contact surgery on a Legendrian
-unknot), verify (closed-form sweep, d3 regressions, obstruction scan).
+unknot), verify (closed-form sweep, d3 regressions, obstruction scan:
+the reports of ``regressions.verify``, formatted).
 
 All numbers in reports are exact integers or "p/q" strings; exit code 0
 means success, 1 a verification mismatch or a failed internal check, 2 a
@@ -19,8 +20,8 @@ import sys
 from fractions import Fraction
 from itertools import compress, product
 
-from . import __version__, closedforms, cosmetic, regressions
-from .cosmetic import solve_d3_equations, unknot_classify
+from . import __version__, regressions
+from .cosmetic import unknot_classify
 from .invariants import d3_records, ratio_text
 from .slopes import SlopeError, cs_set, parse_slope
 from .surgery import LegendrianData
@@ -233,56 +234,25 @@ def cmd_cs_set(args) -> int:
 def cmd_unknot(args) -> int:
     L = LegendrianData(args.tb, args.rot)
     result = unknot_classify(L, parse_slope(args.coeff))
-    data = result.to_json()
+    data, count = result.to_json(), result.count_at_slope
     lines = [
         f"contact ({result.contact_coeff})-surgery on the tb={args.tb}, "
         f"rot={args.rot} unknot: smooth slope {result.smooth_slope}",
         f"tightness: {result.tightness}",
         f"canonical slope: {result.canonical}  lens space: L{result.lens}",
         f"equivalence class: {result.equivalence}"
-        + (f", {result.count_at_slope} equivalent surgeries at this slope"
-           if result.count_at_slope is not None else ""),
+        + ("" if count is None else
+           f", {count} equivalent {'surgery' if count == 1 else 'surgeries'} at this slope"),
     ]
     emit(envelope("unknot", {"tb": args.tb, "rot": args.rot, "coeff": args.coeff},
                   data), args.json, lines)
     return 0
 
 
-def _verify_stages(k_max, n_max):
-    """The reports of verify's three stages.  They walk tb = -1, -2, ...,
-    -max(k_max, 8) once, and at each tb share one dict of plans, made in
-    it and dropped when tb moves on: the closed-form families of tb
-    (``closedforms._families``, the lemma matrices checked first), its
-    d3 regression cells, and for tb >= -8 its obstruction-scan cells with
-    n <= min(n_max, 8), of which the count and the unobstructed cells are
-    kept; the scan's summary adds the d3-equality solutions for
-    -k_max <= tb <= -3 (none expected)."""
-    closed = closedforms._lemmas(k_max, n_max)
-    results, scanned, not_obstructed = [], 0, {}
-    for tb in range(-1, -max(k_max, 8) - 1, -1):
-        plans = {}
-        closedforms._families(closed, tb, k_max, n_max, plans)
-        results += regressions._check_cells(tb, n_max, plans)
-        if tb >= -8:
-            cells, not_obstructed[tb] = cosmetic._scan_tb(tb, min(n_max, 8), plans)
-            scanned += len(cells)
-    # the unobstructed cells in ascending tb, as scan_cells lists them
-    not_obstructed = [cell for tb in sorted(not_obstructed) for cell in not_obstructed[tb]]
-    solutions = solve_d3_equations(-k_max, -3, n_max)
-    ok = not_obstructed == [{"tb": -1, "rot": 0, "v": "2"}] and not solutions
-    scan = {"ok": ok,
-            "checks": scanned,
-            "mismatches": [] if ok else [{"check": "scan",
-                                          "not_obstructed": not_obstructed,
-                                          "solver_solutions": solutions}]}
-    return (("closed forms", closed.as_dict()), ("d3 regressions", regressions._report(results)),
-            ("obstruction scan", scan))
-
-
 def cmd_verify(args) -> int:
     summaries = []
     lines = []
-    for name, rep in _verify_stages(args.k_max, args.n_max):
+    for name, rep in regressions.verify(args.k_max, args.n_max).items():
         summaries.append({"name": name, "ok": rep["ok"], "checks": rep["checks"],
                           "mismatches": rep["mismatches"]})
         status = "ok" if rep["ok"] else "MISMATCH"

@@ -10,14 +10,14 @@ path-kernel pass and one odometer walk over every presentation it
 stands for) gives det, sigma and the block of adj(Q) the inverse
 entries are read from, and ``invariants.c1_numerators`` of that plan at
 every admissible rotation number gives each c1^2, mostly at a shift
-!= 0.  The sweep runs one tb at a time (``_families``), the plans of a
-tb made in one dict dropped when it moves on; ``verify`` hands that dict
-on to its regression and scan cells of the same tb.
+!= 0.  ``regressions.verify`` runs the sweep one tb at a time
+(``_families``), the plans of a tb made in one dict dropped when it
+moves on, which its regression and scan cells of that tb read too.
 
 One displayed closed form for c1^2 of the positive 1/n family is
 inconsistent with its own inverse-entry table; the form used here is the
 one implied by the inverse entries, which the generic computation
-confirms (see the q-entry checks in verify_closed_forms).
+confirms (see the q-entry checks in ``_families``).
 """
 
 from __future__ import annotations
@@ -217,30 +217,11 @@ def _inverse(plan, row, col):
 _LEADING = (("q11", 0, 0), ("q12", 1, 0), ("q22", 1, 1))
 
 
-def verify_closed_forms(k_max: int = 20, n_max: int = 20):
-    """Check every closed form of DEFAULT_FORMS against the generic exact
-    routines, on the forms ``_presentation`` and ``linking_matrix`` build.
-
-    Sweeps 3 <= k <= k_max, 1 <= n <= n_max and all admissible rotation
-    data (i, stabilization sign, chain rotations), and the bordered block
-    determinants for |a|, |b|, |c| <= 3 and 1 <= m <= 6, with negative
-    definiteness where the block lemma claims it, read as signature -n
-    from ``linalg.adjugate_block``, which checks it.  The chain, primed
-    chain and block determinants of every size are read off one
-    ``linalg.leading_determinants`` pass over the path of the largest
-    matrix of each family, whose leading blocks they are.  Mismatches are
-    collected, not raised; the returned report lists them with enough
-    context to recompute by hand.
-    """
-    rep = _lemmas(k_max, n_max)
-    for tb in range(-1, -k_max - 1, -1):
-        _families(rep, tb, k_max, n_max, {})
-    return rep.as_dict()
-
-
 def _lemmas(k_max, n_max):
     """A report of the lemma matrices' checks, for ``_families`` to add
-    the family forms to; ValueError unless k_max >= 3 and n_max >= 1."""
+    the family forms to; ValueError unless k_max >= 3 and n_max >= 1.
+    Negative definiteness, where the block lemma claims it, is read as
+    signature -n from ``linalg.adjugate_block``, which checks it."""
     if k_max < 3 or n_max < 1:
         raise ValueError("needs k_max >= 3 and n_max >= 1")
     f = DEFAULT_FORMS

@@ -1,9 +1,9 @@
-"""Regression suite for the worked d3 spectra.
+"""The worked d3 spectra, and ``verify``: the one walk over tb behind
+``contactsurg verify``, whose three stages share each tb's plans.
 
 Every (tb, slope) pair with a known exact d3 spectrum is recomputed
 through the full pipeline (conversion, linking matrix, signature, c1^2)
-and compared against the closed expectation; the cells of one tb share
-one plan dict, so each (tb, slope) is planned once.  These are the values
+and compared against the closed expectation.  These are the values
 behind the cosmetic-surgery obstructions for tb = -1, -2, -3:
 
   tb=-1: smooth -1/n gives {1}, +1/n gives {0} (n >= 2), both +-2 give 1/4;
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import closedforms, cosmetic
 from .invariants import d3_records
 from .surgery import LegendrianData
 
@@ -65,11 +66,32 @@ def _check_cells(tb, n_bound, plans):
     return results
 
 
-def _report(results) -> dict:
+def verify(k_max: int = 20, n_max: int = 20) -> dict:
+    """The reports of verify's three stages, in print order.  They walk
+    tb = -1, -2, ..., -max(k_max, 8) once, and at each tb share one dict
+    of plans, made in it and dropped when tb moves on: the closed-form
+    families of tb (``closedforms._families``, the lemma matrices checked
+    first), its d3 regression cells, and for tb >= -8 its obstruction-scan
+    cells with n <= min(n_max, 8), of which the count and the unobstructed
+    cells are kept; the scan's report adds the d3-equality solutions for
+    -k_max <= tb <= -3 (none expected).  Mismatches are collected, not
+    raised; ValueError unless k_max >= 3 and n_max >= 1."""
+    closed = closedforms._lemmas(k_max, n_max)
+    results, scanned, not_obstructed = [], 0, []
+    for tb in range(-1, -max(k_max, 8) - 1, -1):
+        plans = {}
+        closedforms._families(closed, tb, k_max, n_max, plans)
+        results += _check_cells(tb, n_max, plans)
+        if tb >= -8:
+            cells, tb_open = cosmetic._scan_tb(tb, min(n_max, 8), plans)
+            scanned += len(cells)
+            not_obstructed[:0] = tb_open  # ascending tb, as scan_cells lists them
     mismatches = [ctx for ok, ctx in results if not ok]
-    return {"checks": len(results), "mismatches": mismatches, "ok": not mismatches}
-
-
-def verify_d3_regressions(n_bound: int = 50) -> dict:
-    """Recompute all worked d3 spectra and report mismatches."""
-    return _report([result for tb in (-1, -2, -3) for result in _check_cells(tb, n_bound, {})])
+    solutions = cosmetic.solve_d3_equations(-k_max, -3, n_max)
+    ok = not_obstructed == [{"tb": -1, "rot": 0, "v": "2"}] and not solutions
+    scan = {"ok": ok, "checks": scanned, "mismatches": [] if ok else [
+        {"check": "scan", "not_obstructed": not_obstructed, "solver_solutions": solutions}]}
+    return {"closed forms": closed.as_dict(),
+            "d3 regressions": {"checks": len(results), "mismatches": mismatches,
+                               "ok": not mismatches},
+            "obstruction scan": scan}

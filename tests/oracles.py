@@ -24,8 +24,10 @@ Helpers the library does not need live here too: slopes as reduced
 vectors, the Farey edge test, anticlockwise paths as reflections p -> -p
 of the library's clockwise ones, lens-space classification, sparse rows
 from dense ones, their symmetry check and their reading into a path,
-and the lemma matrices (chain, primed chain, bordered block) as sparse
-rows, which the library builds as paths.
+the lemma matrices (chain, primed chain, bordered block) as sparse
+rows, which the library builds as paths, and verify's closed-form and
+d3 regression stages each run alone, for counting the calls one stage
+makes.
 """
 
 import math
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 from contactsurg.cosmetic import _neg_one_over_n, _pos_one_over_n
 from contactsurg.farey import minimal_path_blocks
-from contactsurg import linalg
+from contactsurg import closedforms, linalg, regressions
 from contactsurg.invariants import NonTorsionEulerClassError, d3_spectrum
 from contactsurg.linalg import SingularMatrixError
 from contactsurg.slopes import SlopeError, neg_cf_runs, parse_slope
@@ -1620,3 +1622,22 @@ def equivalent_count_enumerated(tb: int, rot: int, contact_coeff):
             key = decorated_path_key(shortened)
             fibers[key] = fibers.get(key, 0) + 1
     return tight, fibers
+
+
+# ---------------------------------------------------------------------------
+# verify's stages one at a time
+
+def closed_form_stage(k_max: int = 20, n_max: int = 20) -> dict:
+    """The report of ``regressions.verify``'s closed-form stage with no
+    other stage run: the lemma matrices, then the families of each tb,
+    their plans made in a dict of that tb's own."""
+    rep = closedforms._lemmas(k_max, n_max)
+    for tb in range(-1, -k_max - 1, -1):
+        closedforms._families(rep, tb, k_max, n_max, {})
+    return rep.as_dict()
+
+
+def regression_stage(n_max: int) -> list:
+    """The (ok, context) of each d3 regression cell with no other stage
+    run, the cells of each tb planned in a dict of their own."""
+    return [result for tb in (-1, -2, -3) for result in regressions._check_cells(tb, n_max, {})]

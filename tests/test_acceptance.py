@@ -11,7 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-from contactsurg.closedforms import verify_closed_forms
 from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
     equivalent_surgery_count,
@@ -20,6 +19,7 @@ from contactsurg.cosmetic import (
     unknot_classify,
 )
 from contactsurg.invariants import d3_spectrum
+from contactsurg.regressions import verify
 from contactsurg.slopes import (
     canonical_slope,
     cs_set,
@@ -100,7 +100,7 @@ def test_criterion_3_d3_regression_tb_minus_three():
 
 def test_criterion_4_closed_form_sweep():
     t0 = time.time()
-    report = verify_closed_forms(k_max=20, n_max=20)
+    report = verify(k_max=20, n_max=20)["closed forms"]
     assert report["mismatches"] == []
     assert report["checks"] > 100000
     _report(4, f"closed-form sweep k<=20, n<=20: {report['checks']} checks, "

@@ -426,6 +426,11 @@ class TestUnknotCommand:
         assert code == 0
         assert "3 equivalent surgeries" in out
 
+    def test_one_equivalent_surgery_is_singular(self, capsys):
+        code, out, _ = run(capsys, "unknot", "--tb", "-2", "--rot", "1", "--coeff", "-1/2")
+        assert code == 0
+        assert out.endswith("equivalence class: infinite, 1 equivalent surgery at this slope\n")
+
     def test_unique_case(self, capsys):
         code, out, _ = run(capsys, "unknot", "--tb", "-3", "--rot", "0",
                            "--coeff", "-1", "--json")

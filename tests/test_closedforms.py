@@ -10,7 +10,8 @@ import pytest
 
 from contactsurg import closedforms, invariants, linalg
 from contactsurg.cli import main
-from contactsurg.closedforms import DEFAULT_FORMS, verify_closed_forms
+from contactsurg.closedforms import DEFAULT_FORMS
+from contactsurg.regressions import verify
 from contactsurg.surgery import (
     IntersectionForm,
     LegendrianData,
@@ -23,6 +24,7 @@ from oracles import (
     chain_matrix,
     chain_matrix_primed,
     check_symmetric,
+    closed_form_stage,
     determinant,
     listed_convert,
     read,
@@ -154,19 +156,19 @@ class TestHalvedForms:
 
 class TestVerifier:
     def test_small_sweep_clean(self):
-        rep = verify_closed_forms(k_max=6, n_max=6)
+        rep = verify(k_max=6, n_max=6)["closed forms"]
         assert rep["ok"] and rep["mismatches"] == []
         assert rep["checks"] > 3000
 
     def test_corrupted_form_detected(self, monkeypatch):
         monkeypatch.setitem(DEFAULT_FORMS, "one_neg_sigma", lambda k, n: -k - n + 3)
-        rep = verify_closed_forms(k_max=4, n_max=3)
+        rep = verify(k_max=4, n_max=3)["closed forms"]
         assert not rep["ok"]
         assert all(m["check"] == "one_neg_sigma" for m in rep["mismatches"])
 
     def test_corrupted_csq_detected(self, monkeypatch):
         monkeypatch.setitem(DEFAULT_FORMS, "tb1_neg_csq", lambda n: 3 - n)
-        rep = verify_closed_forms(k_max=4, n_max=2)
+        rep = verify(k_max=4, n_max=2)["closed forms"]
         assert not rep["ok"]
 
     def test_tb2_neg_csq_checked_at_n_one(self, monkeypatch):
@@ -174,15 +176,17 @@ class TestVerifier:
         original = DEFAULT_FORMS["tb2_neg_csq"]
         monkeypatch.setitem(DEFAULT_FORMS, "tb2_neg_csq",
                             lambda n, i, j: original(n, i, j) + (n == 1))
-        rep = verify_closed_forms(k_max=3, n_max=2)
+        rep = verify(k_max=3, n_max=2)["closed forms"]
         assert [(m["check"], m["context"]) for m in rep["mismatches"]] == [
             ("tb2_neg_csq", {"n": 1, "i": 1}), ("tb2_neg_csq", {"n": 1, "i": -1})]
 
     @staticmethod
     def _chain_framing_shifted(monkeypatch, delta):
-        # the linking matrices the d3 route builds, with the first chain
-        # framing moved by delta
-        def shifted(pres):
+        # the linking matrices the closed-form families of each tb build on
+        # the d3 route, with the first chain framing moved by delta; the
+        # shift is held to the families, and verify's later stages read
+        # the plans those families made at their tb
+        def shifted_form(pres):
             form = linking_matrix(pres)
             roles = [c.role for c in pres.components]
             if "chain" not in roles:
@@ -192,7 +196,14 @@ class TestVerifier:
             q[i][i] += delta
             return IntersectionForm(read(sparse(q)), form.l)
 
-        monkeypatch.setattr(invariants, "linking_matrix", shifted)
+        families = closedforms._families
+
+        def shifted(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(invariants, "linking_matrix", shifted_form)
+                families(*args)
+
+        monkeypatch.setattr(closedforms, "_families", shifted)
 
     def test_reads_the_pipeline_forms(self, monkeypatch):
         # a linking matrix with its first chain framing lowered by one must
@@ -200,7 +211,7 @@ class TestVerifier:
         # Most such forms fail the plan's form/slope check first; each is
         # one mismatch with its matrix, and that form gets no other check
         self._chain_framing_shifted(monkeypatch, -1)
-        rep = verify_closed_forms(k_max=4, n_max=3)
+        rep = verify(k_max=4, n_max=3)["closed forms"]
         assert not rep["ok"]
         slope = [m for m in rep["mismatches"] if m["check"].endswith("_slope")]
         assert {"tb2_neg_slope", "one_neg_slope", "one_pos_slope"} <= {m["check"] for m in slope}
@@ -214,7 +225,7 @@ class TestVerifier:
         # the meridian square U / det prints in lowest terms with a positive
         # denominator: "-5/2", not "5/-2"
         self._chain_framing_shifted(monkeypatch, -1)
-        rep = verify_closed_forms(k_max=4, n_max=3)
+        rep = verify(k_max=4, n_max=3)["closed forms"]
         texts = {(m["check"], tuple(m["context"].values())): m["actual"]
                  for m in rep["mismatches"] if m["check"].endswith("_slope")}
         assert "meridian square -5/2 disagree" in texts["tb2_neg_slope", (3,)]
@@ -224,20 +235,11 @@ class TestVerifier:
     def test_singular_form_is_a_mismatch(self, monkeypatch, capsys):
         # the first chain framing raised by one makes some forms singular;
         # each is one mismatch with its matrix, and the CLI exits 1.  The
-        # shift is held to the closed-form families of each tb; verify's
-        # later stages read the plans those families made at their tb, so
-        # the shifted tb = -2 forms that pass the slope check (+1/n) fail
-        # the regressions and open scan cells too, where a plan dict per
-        # stage left both ok
-        families = closedforms._families
-
-        def shifted(*args):
-            with pytest.MonkeyPatch.context() as mp:
-                self._chain_framing_shifted(mp, 1)
-                families(*args)
-
-        monkeypatch.setattr(closedforms, "_families", shifted)
-        rep = verify_closed_forms(4, 3)
+        # shifted tb = -2 forms that pass the slope check (+1/n) fail the
+        # regressions and open scan cells too, which read the plans the
+        # families made at their tb, where a plan dict per stage left both ok
+        self._chain_framing_shifted(monkeypatch, 1)
+        rep = verify(4, 3)["closed forms"]
         assert not rep["ok"]
         singular = [m for m in rep["mismatches"] if m["check"].endswith("_invertible")]
         assert singular and all(m["actual"] == "det = 0"
@@ -259,7 +261,7 @@ class TestVerifier:
         plan = invariants._plan
         monkeypatch.setattr(invariants, "_plan",
                             lambda *args, **kwargs: mutate(plan(*args, **kwargs)))
-        rep = verify_closed_forms(k_max=4, n_max=3)
+        rep = verify(k_max=4, n_max=3)["closed forms"]
         assert not rep["ok"]
         assert all(m["check"].endswith("_csq") for m in rep["mismatches"])
         assert main(["verify", "--k-max", "4", "--n-max", "3"]) == 1
@@ -277,7 +279,7 @@ class TestVerifier:
             forms["tb2_neg_csq"](n, i, j) - (n == 3 and j > 0)))
         monkeypatch.setitem(DEFAULT_FORMS, "two_neg_sigma", lambda k: (
             forms["two_neg_sigma"](k) + (k == 4)))
-        rep = verify_closed_forms(4, 3)
+        rep = verify(4, 3)["closed forms"]
         assert [m["check"] for m in rep["mismatches"]] == [
             "tb2_neg_csq"] * 3 + ["two_neg_sigma"] + ["one_pos_csq"] * 2
         digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
@@ -294,7 +296,7 @@ class TestVerifier:
             return kernel(path, cols)
 
         monkeypatch.setattr(linalg, "_path_kernel", counted)
-        assert verify_closed_forms()["ok"]
+        assert closed_form_stage()["ok"]
         assert len(passes) <= 985
 
     def test_char_poly_calls(self, monkeypatch):
@@ -314,7 +316,7 @@ class TestVerifier:
         monkeypatch.setattr(linalg, "_reduce",
                             lambda a, *rest: calls.append(len(a)) or reduce(a, *rest))
         monkeypatch.setattr(linalg, "leading_determinants", recorded)
-        assert verify_closed_forms()["ok"]
+        assert closed_form_stage()["ok"]
         assert len(calls) == 985
         assert [n for caller, n in lemma if caller != "_path_kernel"] == [50, 50] + [8] * 343
         assert [caller for caller, _ in lemma].count("_path_kernel") == 2 * 985
@@ -380,11 +382,11 @@ class TestVerifier:
         monkeypatch.setattr(invariants, "_plan", planned)
         monkeypatch.setattr(invariants, "c1_numerators",
                             lambda made, d: shifts.append((id(made), d)) or shift(made, d))
-        assert verify_closed_forms()["ok"]
+        assert closed_form_stage()["ok"]
         assert sum(vectors) == 9780 and len(vectors) == 835
         assert len(plans) == 835 and len(shifts) == 8813
         assert sorted(shifts) == sorted((key, d) for key, (_, ds) in plans.items() for d in ds)
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
-            verify_closed_forms(k_max=2, n_max=5)
+            verify(k_max=2, n_max=5)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from contactsurg import closedforms, linalg
+from contactsurg import closedforms, linalg, regressions
 from contactsurg.invariants import d3_records, d3_spectrum
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import IntersectionForm, LegendrianData, _presentation, linking_matrix
@@ -248,13 +248,6 @@ class TestInverseEntry:
     def test_singular_rejected(self):
         with pytest.raises(linalg.SingularMatrixError):
             linalg.adjugate_block(read(sparse([[1, 1], [1, 1]])), range(2))
-
-    def test_non_symmetric_rejected(self):
-        for m in ([[1, 2], [0, 1]], linalg.dense(chain_matrix_primed(3))):
-            with pytest.raises(ValueError, match="^matrix must be symmetric$"):
-                linalg.adjugate_block(read(sparse(m)), range(len(m)))
-            with pytest.raises(ValueError, match="^matrix must be symmetric$"):
-                linalg.adjugate_block(read(sparse(m)), ())
 
 
 class TestSolve:
@@ -742,20 +735,6 @@ class TestSignature:
         with pytest.raises(linalg.SingularMatrixError):
             linalg.adjugate_block(read(sparse([[1, 1], [1, 1]])), ())
 
-    def test_rejects_ragged_non_square_and_asymmetric(self):
-        # dense rows are checked square as they become sparse rows
-        for m in ([[1, 2], [3]], [[1, 2]], [[1, 2], [2, 1, 0]]):
-            with pytest.raises(ValueError, match="square"):
-                check_symmetric(sparse(m))
-            with pytest.raises(ValueError, match="square"):
-                linalg.adjugate_block(read(sparse(m)), ())
-        with pytest.raises(ValueError, match="symmetric"):
-            check_symmetric(sparse([[1, 2], [3, 4]]))
-        with pytest.raises(ValueError, match="symmetric"):
-            linalg.adjugate_block(read(sparse([[1, 2], [3, 4]])), ())
-        check_symmetric(sparse([]))
-        check_symmetric(sparse([[1, 2], [2, 4]]))
-
     def test_disagreement_raises(self, monkeypatch):
         # a wrong Descartes half stops every caller of the one kernel pass
         rows = ((-7919, 1), (1, -3))
@@ -775,7 +754,7 @@ class TestSignature:
         # the block's -2 framing at the end is a run of 1, which the check subtracts
         with pytest.raises(linalg.SignatureMismatchError,
                            match="diagonalization=-3 descartes=-1$"):
-            closedforms.verify_closed_forms(3, 1)
+            regressions.verify(3, 1)
 
     def test_methods_agree_on_seeded_corpus(self):
         # criterion corpus: 1000 seeded random symmetric nonsingular matrices
@@ -1062,16 +1041,12 @@ def acceptance_forms():
 
 def assert_sparse_matches_dense(m):
     """adjugate_block, or on a shape the path kernel does not take (which
-    adjugate_block and char_poly refuse) the oracle's sparse elimination
-    and Berkowitz route, on sparse(m) against the dense Bareiss and
+    ``read`` refuses, see test_other_shapes_raise) the oracle's sparse
+    elimination and Berkowitz route, on sparse(m) against the dense Bareiss and
     interpolation oracles on m."""
     n = len(m)
     det, adj = bareiss(m, range(n))
-    block_of = adjugate_rows
-    if not kernel_shape(m):
-        with pytest.raises(ValueError, match="neither a path nor a clique head"):
-            adjugate_rows(sparse(m), range(n))
-        block_of = oracle_block
+    block_of = adjugate_rows if kernel_shape(m) else oracle_block
     if det == 0:
         with pytest.raises(linalg.SingularMatrixError):
             block_of(sparse(m), range(n))
@@ -1103,6 +1078,14 @@ class TestSparseRows:
         ([{0: 0}], "square"),  # a stored 0, which the kernel would take as a pivot
         ([{0: 1, 1: 2}, {0: 3, 1: 1}], "symmetric"),
         ([{1: 2}, {}], "symmetric"),
+        ([{0: 1, 1: 2}, {1: 1}], "symmetric"),  # [[1, 2], [0, 1]]
+        (chain_matrix_primed(3), "symmetric"),  # its one-way link at (0, 1)
+        ([{0: 1, 1: 2}, {0: 3, 1: 4}], "symmetric"),
+        # the sparse rows of ragged dense rows: [[1, 2]], [[1, 2], [3]] and
+        # [[1, 2], [2, 1, 0]]
+        ([{0: 1, 1: 2}], "square"),
+        ([{0: 1, 1: 2}, {0: 3}], "symmetric"),
+        ([{0: 1, 1: 2}, {0: 2, 1: 1, 2: 0}], "square"),
     ])
     def test_the_one_check(self, rows, message):
         for check in (check_symmetric, read, eliminate):
@@ -1119,6 +1102,8 @@ class TestSparseRows:
         assert linalg.adjugate_block(form.path, ()) == adjugate_rows(chain_matrix(3), ())
         rows = check_symmetric(chain_matrix(3))
         assert check_symmetric(rows) == rows == tuple(chain_matrix(3)) == form.rows
+        for rows in ([], [{0: 1, 1: 2}, {0: 2, 1: 4}]):
+            assert check_symmetric(rows) == tuple(rows)
 
     def test_long_chain_stays_sparse(self):
         # a dense 6400 x 6400 build holds 328 MB in pointers alone
@@ -1184,25 +1169,20 @@ class TestPathKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(graph_shapes())
+    @example([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])  # a 4-cycle
+    @example([[-2, 0, -1], [0, -2, -1], [-1, -1, -2]])  # a path out of index order
+    @example([[0, 1, 2], [1, 0, 1], [2, 1, 0]])  # a clique with two link values
+    @example([[0, -1, -1, 0], [-1, 0, -1, -1], [-1, -1, 0, 0], [0, -1, 0, -2]])  # path on row 1
+    @example([[-1, -1, -1, -1], [-1, -1, -1, 0], [-1, -1, -1, 0], [-1, 0, 0, -2]])  # on row 0
+    @example([[0, 0, 1], [0, 0, 0], [1, 0, 0]])  # link 0 in the head, a far entry
+    @example([[1, 2, 3], [2, 4, 6], [3, 6, 9]])  # dense and singular
+    @example([[0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 1], [1, 0, 1, 0]])  # zero diagonal
     def test_other_shapes_raise(self, m):
         if path_shape(m):
             assert kernel_shape(m)
             return
         with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
             read(sparse(m))
-
-    @pytest.mark.parametrize("m", [
-        [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]],  # a 4-cycle
-        [[-2, 0, -1], [0, -2, -1], [-1, -1, -2]],  # a path out of index order
-        [[0, 1, 2], [1, 0, 1], [2, 1, 0]],  # a clique with two link values
-        [[0, -1, -1, 0], [-1, 0, -1, -1], [-1, -1, 0, 0], [0, -1, 0, -2]],  # a path on row 1
-        [[-1, -1, -1, -1], [-1, -1, -1, 0], [-1, -1, -1, 0], [-1, 0, 0, -2]],  # on row 0
-        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],  # link 0 in the head, a far entry
-    ])
-    def test_named_shapes_raise(self, m):
-        assert not path_shape(m) and not kernel_shape(m)
-        with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
-            linalg.adjugate_block(read(sparse(m)), range(len(m)))
 
     def test_pipeline_forms_take_the_kernel(self):
         # every acceptance form, and clique heads of every push-off

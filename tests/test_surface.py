@@ -27,7 +27,7 @@ def _loaded(tree):
 
 
 def test_public_names_resolve_and_stay_few():
-    assert len(contactsurg.__all__) <= 20
+    assert len(contactsurg.__all__) <= 19
     assert len(set(contactsurg.__all__)) == len(contactsurg.__all__)
     for name in contactsurg.__all__:
         assert getattr(contactsurg, name) is not None
@@ -51,7 +51,8 @@ def test_library_example_runs_as_its_comments_say():
             values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
-    assert values == [{1, -3}, {0, 2, 4, 6}, 3]
+    assert values == [{1, -3}, {0, 2, 4, 6}, 3,
+                      {"closed forms": 2686, "d3 regressions": 24, "obstruction scan": 144}]
 
 
 def test_library_does_not_import_the_oracles():
@@ -91,6 +92,42 @@ def test_elimination_kernel_has_one_caller():
                 seen[f"{path.name}:{node.lineno}"] = id(node) in door
     assert [where for where, inside in seen.items() if not inside] == []
     assert len(seen) == 2  # the definition and the call in adjugate_block
+
+
+def test_verify_has_one_walk():
+    # regressions.verify is the one walk over tb behind verify: the
+    # per-tb stage helpers are named only at their definitions and inside
+    # it (and _scan_tb inside scan_cells, its own walk), and the command
+    # line reaches no private name of another module
+    allowed = {"_families": {"closedforms.py:_families", "regressions.py:verify"},
+               "_check_cells": {"regressions.py:_check_cells", "regressions.py:verify"},
+               "_scan_tb": {"cosmetic.py:_scan_tb", "cosmetic.py:scan_cells",
+                            "regressions.py:verify"}}
+    seen = {name: set() for name in allowed}
+    for path, tree in _modules():
+        inside = {}
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef):
+                inside.update(dict.fromkeys(map(id, ast.walk(func)), f"{path.name}:{func.name}"))
+        for node in ast.walk(tree):
+            for name in allowed:
+                if _names(node, name):
+                    seen[name].add(inside.get(id(node), f"{path.name}:{node.lineno}"))
+    assert seen == allowed
+    tree = ast.parse((SRC / "cli.py").read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for alias in node.names}
+
+    def private(name):  # __version__ is the package's, not a private name
+        return name.startswith("_") and not name.endswith("__")
+
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             and any(private(alias.name) for alias in node.names)
+             or isinstance(node, ast.Attribute) and private(node.attr)
+             and isinstance(node.value, ast.Name) and node.value.id in modules]
+    assert "regressions" in modules and lines == []
 
 
 def _bareiss_steps(tree):
