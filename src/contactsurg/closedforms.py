@@ -10,7 +10,10 @@ path-kernel pass and one odometer walk over every presentation it
 stands for) gives det, sigma and the block of adj(Q) the inverse
 entries are read from, and ``invariants.c1_numerators`` of that plan at
 every admissible rotation number gives each c1^2, mostly at a shift
-!= 0.  ``regressions.verify`` runs the sweep one tb at a time
+d != 0.  The c1^2 check makes one pass per plan (``_csq``): the plan's
+vectors are built once, at d = 0, each family's value adds d on the
+push-off coordinates it reads, and one list comparison per shift checks
+every vector.  ``regressions.verify`` runs the sweep one tb at a time
 (``_families``), the plans of a tb made in one dict dropped when it
 moves on, which its regression and scan cells of that tb read too.
 
@@ -150,19 +153,18 @@ def _form(tb, smooth_slope):
 
 
 def _family(rep, tag, context, tb, smooth_slope, plans, entries=(), negdef=False):
-    """``invariants.c1_numerators`` at d = i - rots[0] for each rotation
-    number i of tb, descending from rots[0], of the one plan of
-    (tb, smooth_slope) in ``plans``, made at rots[0] with the q-entry
-    columns in its support; each covers every presentation the plan
-    stands for.
+    """The one plan of (tb, smooth_slope) in ``plans``, made at rots[0],
+    the top rotation number of tb, with the q-entry columns in its
+    support, and its shifts d = i - rots[0] for each rotation number i of
+    tb, descending from rots[0]: (plan, shifts), for ``_csq``.  The plan
+    covers every presentation it stands for.
     Checks the per-form closed forms of ``tag`` on the plan, at the
     arguments context.values(): ``tag``_det and the table ``tag``_q of
     Q^-1 if the family has them, negative definiteness if ``negdef``,
     ``tag``_sigma, and the entry of Q^-1 at (row, col) for each
-    (name, row, col) of ``entries`` inside the form.  Returns the
-    (plan, d, nums) records, for ``_csq``.  A singular form is one mismatch,
-    ``tag``_invertible, and a form that fails the plan's slope check one
-    ``tag``_slope; either gives none."""
+    (name, row, col) of ``entries`` inside the form.  A singular form is
+    one mismatch, ``tag``_invertible, and a form that fails the plan's
+    slope check one ``tag``_slope; either gives None."""
     f = DEFAULT_FORMS
     args = tuple(context.values())
     table = f[f"{tag}_q"](*args) if f"{tag}_q" in f else ()
@@ -172,11 +174,11 @@ def _family(rep, tag, context, tb, smooth_slope, plans, entries=(), negdef=False
         plan = invariants._plan(LegendrianData(tb, rots[0]), smooth_slope, plans, extra=cols)
     except invariants.NonTorsionEulerClassError:
         rep._mismatch(f"{tag}_invertible", context, "det != 0", "det = 0", _form(tb, smooth_slope))
-        return []
+        return None
     except invariants.PipelineCheckError as exc:
         rep._mismatch(f"{tag}_slope", context, f"a form of slope {smooth_slope}", exc,
                       _form(tb, smooth_slope))
-        return []
+        return None
     form = plan.form
     if f"{tag}_det" in f:
         rep.record(f"{tag}_det", context, f[f"{tag}_det"](*args), plan.det, form)
@@ -191,20 +193,30 @@ def _family(rep, tag, context, tb, smooth_slope, plans, entries=(), negdef=False
         for col, value in enumerate(line):
             rep.ratio(f"{tag}_q", {**context, "entry": (row + 1, col + 1)}, value,
                       _inverse(plan, row, col), form)
-    return [(plan, d, invariants.c1_numerators(plan, d)) for d in (i - rots[0] for i in rots)]
+    return plan, [i - rots[0] for i in rots]
 
 
-def _csq(rep, name, records, value, context):
-    """Checks c1^2 = num / det at each rotation vector v of ``records``
-    against value(DEFAULT_FORMS[name], v), by cross-multiplication;
-    ``context(v)`` is built for a mismatch only."""
-    form = DEFAULT_FORMS[name]
-    for plan, d, nums in records:
-        det = plan.det
-        for v, num in zip(plan.rotations(d), nums):
-            want = value(form, v)
-            if want * det != num:
-                rep._mismatch(name, context(v), want, Fraction(num, det), plan.form)
+def _csq(rep, name, family, value, context):
+    """Checks c1^2 = num / det against value(DEFAULT_FORMS[name], v, d), by
+    cross-multiplication, at each shift d of ``family`` = (plan, shifts)
+    and each vector v of plan.rotations(0), built once: ``value`` adds d
+    on the push-off (pinned) coordinates it reads, and one list comparison
+    per shift checks every vector against ``invariants.c1_numerators``.
+    Only a shift that fails walks plan.rotations(d), for each mismatch's
+    ``context`` in order.  A family of None, a form without a plan, has
+    none."""
+    if family is None:
+        return
+    plan, shifts = family
+    form, det = DEFAULT_FORMS[name], plan.det
+    vectors = list(plan.rotations(0))
+    for d in shifts:
+        nums = invariants.c1_numerators(plan, d)
+        if [value(form, v, d) * det for v in vectors] != nums:
+            for v, shifted, num in zip(vectors, plan.rotations(d), nums):
+                want = value(form, v, d)
+                if want * det != num:
+                    rep._mismatch(name, context(shifted), want, Fraction(num, det), plan.form)
         rep.checks += len(nums)
 
 
@@ -265,49 +277,49 @@ def _families(rep, tb, k_max, n_max, plans):
     if tb == -1:
         for n in range(2, n_max + 1):
             _csq(rep, "tb1_neg_csq", _family(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n), plans),
-                 lambda form, v: form(n),
+                 lambda form, v, d: form(n),
                  lambda v: {"n": n} if n == 2 else {"n": n, "stab": v[2]})
 
         for n in range(1, n_max + 1):
             _csq(rep, "tb1_pos_csq", _family(rep, "tb1_pos", {"n": n}, -1, Fraction(1, n), plans),
-                 lambda form, v: form(n, v[1]), lambda v: {"n": n, "rho": v[1]})
+                 lambda form, v, d: form(n, v[1] + d), lambda v: {"n": n, "rho": v[1]})
 
     elif tb == -2:
         for n in range(1, n_max + 1):
-            records = _family(rep, "tb2_neg", {"n": n}, -2, Fraction(-1, n), plans,
-                              _LEADING if n >= 2 else (), negdef=True)
-            _csq(rep, "tb2_neg_csq", records,
-                 lambda form, v: form(n, v[0], v[1] if n >= 2 else 0),
+            family = _family(rep, "tb2_neg", {"n": n}, -2, Fraction(-1, n), plans,
+                             _LEADING if n >= 2 else (), negdef=True)
+            _csq(rep, "tb2_neg_csq", family,
+                 lambda form, v, d: form(n, v[0] + d, v[1] + d if n >= 2 else 0),
                  lambda v: {"n": n, "i": v[0], "j": v[1]} if n >= 2 else {"n": n, "i": v[0]})
 
         for n in range(1, n_max + 1):
             _csq(rep, "tb2_pos_csq", _family(rep, "tb2_pos", {"n": n}, -2, Fraction(1, n), plans),
-                 lambda form, v: form(n, *v),
+                 lambda form, v, d: form(n, v[0] + d, v[1] + d, v[2]),
                  lambda v: {"n": n, "i": v[0], "rho2": v[1], "s": v[2]})
 
     elif 3 <= -tb <= k_max:
         k = -tb
         for sign, tag in ((-1, "two_neg"), (1, "two_pos")):
-            records = _family(rep, tag, {"k": k}, -k, Fraction(2 * sign), plans, _LEADING,
-                              negdef=sign == -1)
-            _csq(rep, f"{tag}_csq", records,
-                 lambda form, v: form(k, v[0], v[1] - v[0] if len(v) > 1 else 1),
+            family = _family(rep, tag, {"k": k}, -k, Fraction(2 * sign), plans, _LEADING,
+                             negdef=sign == -1)
+            _csq(rep, f"{tag}_csq", family,
+                 lambda form, v, d: form(k, v[0] + d, v[1] - v[0] if len(v) > 1 else 1),
                  lambda v: {"k": k, "i": v[0], "e": v[1] - v[0]} if len(v) > 1
                  else {"k": k, "i": v[0]})
 
         for n in range(1, n_max + 1):
             context = {"k": k, "n": n}
-            records = _family(rep, "one_neg", context, -k, Fraction(-1, n), plans, _LEADING + (
+            family = _family(rep, "one_neg", context, -k, Fraction(-1, n), plans, _LEADING + (
                 ("q1k", k - 1, 0), ("q2k", k - 1, 1), ("qkk", k - 1, k - 1)), negdef=True)
-            _csq(rep, "one_neg_csq", records,
-                 lambda form, v: form(k, n, v[0], v[1] - v[0], v[k - 1] if n >= 2 else 0),
+            _csq(rep, "one_neg_csq", family,
+                 lambda form, v, d: form(k, n, v[0] + d, v[1] - v[0], v[k - 1] if n >= 2 else 0),
                  lambda v: {**context, "i": v[0], "e": v[1] - v[0], "j": v[k - 1]} if n >= 2
                  else {**context, "i": v[0], "e": v[1] - v[0]})
 
         for n in range(1, n_max + 1):
             context = {"k": k, "n": n}
-            records = _family(rep, "one_pos", context, -k, Fraction(1, n), plans, _LEADING + (
+            family = _family(rep, "one_pos", context, -k, Fraction(1, n), plans, _LEADING + (
                 ("q1last", k, 0), ("q2last", k, 1), ("qlastlast", k, k)))
-            _csq(rep, "one_pos_csq", records,
-                 lambda form, v: form(k, n, v[0], v[1] - v[0], v[k]),
+            _csq(rep, "one_pos_csq", family,
+                 lambda form, v, d: form(k, n, v[0] + d, v[1] - v[0], v[k]),
                  lambda v: {**context, "i": v[0], "e": v[1] - v[0], "s": v[k]})

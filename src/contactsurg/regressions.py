@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import closedforms, cosmetic
-from .invariants import d3_records
+from .invariants import NonTorsionEulerClassError, PipelineCheckError, d3_records
 from .surgery import LegendrianData
 
 
@@ -50,19 +50,26 @@ def _cells(tb: int, n_bound: int):
     return cells
 
 
+# a pipeline error on a cell: verify records it as a mismatch of the
+# stage it hit, as ``closedforms._family`` does, and goes on
+_ERRORS = (PipelineCheckError, NonTorsionEulerClassError)
+
+
 def _check_cells(tb, n_bound, plans):
-    """(ok, context) of each cell of tb, their plans made in ``plans``."""
+    """(ok, context) of each cell of tb, their plans made in ``plans``; a
+    cell whose d3 route raises one of ``_ERRORS`` is not ok, with the
+    error's text in place of its actual spectrum."""
     results = []
     for _, rot, slope, expected in _cells(tb, n_bound):
-        pairs = d3_records(LegendrianData(tb, rot), slope, plans)[3]
+        context = {"tb": tb, "rot": rot, "smooth_slope": str(slope),
+                   "expected": sorted(str(v) for v in expected)}
+        try:
+            pairs = d3_records(LegendrianData(tb, rot), slope, plans)[3]
+        except _ERRORS as exc:
+            results.append((False, {**context, "error": str(exc)}))
+            continue
         actual = {Fraction(a, b) for a, b in pairs.values()}
-        results.append((actual == expected, {
-            "tb": tb,
-            "rot": rot,
-            "smooth_slope": str(slope),
-            "expected": sorted(str(v) for v in expected),
-            "actual": sorted(str(v) for v in actual),
-        }))
+        results.append((actual == expected, {**context, "actual": sorted(str(v) for v in actual)}))
     return results
 
 
@@ -75,21 +82,28 @@ def verify(k_max: int = 20, n_max: int = 20) -> dict:
     cells with n <= min(n_max, 8), of which the count and the unobstructed
     cells are kept; the scan's report adds the d3-equality solutions for
     -k_max <= tb <= -3 (none expected).  Mismatches are collected, not
-    raised; ValueError unless k_max >= 3 and n_max >= 1."""
+    raised: a pipeline error (``_ERRORS``) on a regression cell fails that
+    cell, and one in a tb's scan cells is one scan mismatch of that tb,
+    whose cells are then not counted.  ValueError unless k_max >= 3 and
+    n_max >= 1."""
     closed = closedforms._lemmas(k_max, n_max)
-    results, scanned, not_obstructed = [], 0, []
+    results, scanned, not_obstructed, errors = [], 0, [], []
     for tb in range(-1, -max(k_max, 8) - 1, -1):
         plans = {}
         closedforms._families(closed, tb, k_max, n_max, plans)
         results += _check_cells(tb, n_max, plans)
         if tb >= -8:
-            cells, tb_open = cosmetic._scan_tb(tb, min(n_max, 8), plans)
+            try:
+                cells, tb_open = cosmetic._scan_tb(tb, min(n_max, 8), plans)
+            except _ERRORS as exc:
+                errors.append({"check": "scan", "tb": tb, "error": str(exc)})
+                continue
             scanned += len(cells)
             not_obstructed[:0] = tb_open  # ascending tb, as scan_cells lists them
     mismatches = [ctx for ok, ctx in results if not ok]
     solutions = cosmetic.solve_d3_equations(-k_max, -3, n_max)
-    ok = not_obstructed == [{"tb": -1, "rot": 0, "v": "2"}] and not solutions
-    scan = {"ok": ok, "checks": scanned, "mismatches": [] if ok else [
+    ok = not_obstructed == [{"tb": -1, "rot": 0, "v": "2"}] and not solutions and not errors
+    scan = {"ok": ok, "checks": scanned, "mismatches": [] if ok else errors + [
         {"check": "scan", "not_obstructed": not_obstructed, "solver_solutions": solutions}]}
     return {"closed forms": closed.as_dict(),
             "d3 regressions": {"checks": len(results), "mismatches": mismatches,

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from contactsurg import closedforms, invariants, linalg
+from contactsurg import closedforms, cosmetic, invariants, linalg
 from contactsurg.cli import main
 from contactsurg.closedforms import DEFAULT_FORMS
 from contactsurg.regressions import verify
@@ -28,6 +28,7 @@ from oracles import (
     determinant,
     listed_convert,
     read,
+    rotation_choices,
     sparse,
     tb1_negative_matrix,
     tb1_positive_matrix,
@@ -181,36 +182,27 @@ class TestVerifier:
             ("tb2_neg_csq", {"n": 1, "i": 1}), ("tb2_neg_csq", {"n": 1, "i": -1})]
 
     @staticmethod
-    def _chain_framing_shifted(monkeypatch, delta):
-        # the linking matrices the closed-form families of each tb build on
-        # the d3 route, with the first chain framing moved by delta; the
-        # shift is held to the families, and verify's later stages read
-        # the plans those families made at their tb
-        def shifted_form(pres):
+    def _shifted_form(delta, tbs=None):
+        # the linking matrix the d3 route builds, with its first chain
+        # framing moved by delta, on the knots of every tb or of those in tbs
+        def shifted(pres):
             form = linking_matrix(pres)
             roles = [c.role for c in pres.components]
-            if "chain" not in roles:
+            if "chain" not in roles or tbs is not None and pres.base_tb not in tbs:
                 return form
             i = roles.index("chain")
             q = linalg.dense(form.rows)
             q[i][i] += delta
             return IntersectionForm(read(sparse(q)), form.l)
 
-        families = closedforms._families
-
-        def shifted(*args):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(invariants, "linking_matrix", shifted_form)
-                families(*args)
-
-        monkeypatch.setattr(closedforms, "_families", shifted)
+        return shifted
 
     def test_reads_the_pipeline_forms(self, monkeypatch):
         # a linking matrix with its first chain framing lowered by one must
         # fail the sweep: the verifier checks the forms the d3 route builds.
         # Most such forms fail the plan's form/slope check first; each is
         # one mismatch with its matrix, and that form gets no other check
-        self._chain_framing_shifted(monkeypatch, -1)
+        monkeypatch.setattr(invariants, "linking_matrix", self._shifted_form(-1))
         rep = verify(k_max=4, n_max=3)["closed forms"]
         assert not rep["ok"]
         slope = [m for m in rep["mismatches"] if m["check"].endswith("_slope")]
@@ -224,7 +216,7 @@ class TestVerifier:
     def test_slope_error_reduces_the_meridian_square(self, monkeypatch):
         # the meridian square U / det prints in lowest terms with a positive
         # denominator: "-5/2", not "5/-2"
-        self._chain_framing_shifted(monkeypatch, -1)
+        monkeypatch.setattr(invariants, "linking_matrix", self._shifted_form(-1))
         rep = verify(k_max=4, n_max=3)["closed forms"]
         texts = {(m["check"], tuple(m["context"].values())): m["actual"]
                  for m in rep["mismatches"] if m["check"].endswith("_slope")}
@@ -232,13 +224,60 @@ class TestVerifier:
         assert "meridian square -4 disagree" in texts["two_pos_slope", (3,)]
         assert not [text for text in texts.values() if "/-" in text]
 
+    def test_pipeline_errors_of_later_stages_are_mismatches(self, monkeypatch, capsys):
+        # with every linking matrix's first chain framing lowered by one,
+        # regression and scan cells fail the plan's slope check too; verify
+        # records each error as a mismatch of its stage, as the closed-form
+        # families do, and returns all three reports, where the error ended
+        # verify with no report.  The library's scan_cells still raises
+        monkeypatch.setattr(invariants, "linking_matrix", self._shifted_form(-1))
+        reports = verify(4, 3)
+        assert list(reports) == ["closed forms", "d3 regressions", "obstruction scan"]
+        assert not any(rep["ok"] for rep in reports.values())
+        cells = reports["d3 regressions"]
+        errors = [m for m in cells["mismatches"] if "error" in m]
+        assert cells["checks"] == 24 and errors
+        assert errors[0] == {"tb": -1, "rot": 0, "smooth_slope": "2", "expected": ["1/4"],
+                             "error": "tb=-1, smooth slope 2: det Q = 3 and meridian square "
+                                      "2/3 disagree with the slope"}
+        scan = [m for m in reports["obstruction scan"]["mismatches"] if "error" in m]
+        assert scan and all(m["check"] == "scan" and "disagree with the slope" in m["error"]
+                            for m in scan)
+        with pytest.raises(invariants.PipelineCheckError):
+            cosmetic.scan_cells(-1, -1, 3)
+        assert main(["verify", "--k-max", "4", "--n-max", "3"]) == 1
+        captured = capsys.readouterr()
+        lines = [line for line in captured.out.splitlines() if not line.startswith(" ")]
+        assert [line.split(":")[0] for line in lines] == list(reports)
+        assert all(line.endswith("checks, MISMATCH") for line in lines)
+        assert "internal check failed" not in captured.err
+
+    def test_a_scan_error_at_one_tb_fails_the_scan(self, monkeypatch):
+        # with the shift held to tb = -3, the scan's unobstructed cells are
+        # still the one expected; its report fails on the error of tb = -3
+        # alone, whose 12 cells are not counted
+        monkeypatch.setattr(invariants, "linking_matrix", self._shifted_form(-1, (-3,)))
+        assert verify(4, 3)["obstruction scan"] == {"ok": False, "checks": 132, "mismatches": [
+            {"check": "scan", "tb": -3, "error": "tb=-3, smooth slope 2: det Q = -1 and "
+                                                 "meridian square -4 disagree with the slope"},
+            {"check": "scan", "not_obstructed": [{"tb": -1, "rot": 0, "v": "2"}],
+             "solver_solutions": []}]}
+
     def test_singular_form_is_a_mismatch(self, monkeypatch, capsys):
         # the first chain framing raised by one makes some forms singular;
         # each is one mismatch with its matrix, and the CLI exits 1.  The
-        # shifted tb = -2 forms that pass the slope check (+1/n) fail the
+        # shift is held to the closed-form families of each tb: the shifted
+        # tb = -2 forms that pass the slope check (+1/n) fail the
         # regressions and open scan cells too, which read the plans the
         # families made at their tb, where a plan dict per stage left both ok
-        self._chain_framing_shifted(monkeypatch, 1)
+        families = closedforms._families
+
+        def shifted(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(invariants, "linking_matrix", self._shifted_form(1))
+                families(*args)
+
+        monkeypatch.setattr(closedforms, "_families", shifted)
         rep = verify(4, 3)["closed forms"]
         assert not rep["ok"]
         singular = [m for m in rep["mismatches"] if m["check"].endswith("_invertible")]
@@ -266,6 +305,60 @@ class TestVerifier:
         assert all(m["check"].endswith("_csq") for m in rep["mismatches"])
         assert main(["verify", "--k-max", "4", "--n-max", "3"]) == 1
         assert "closed forms: 2686 checks, MISMATCH" in capsys.readouterr().out
+
+    def test_value_without_the_shift_fails_verify(self, monkeypatch):
+        # _csq reads each plan's vectors once, at d = 0, and each family's
+        # value lambda adds d on the push-off coordinates it reads; with d
+        # dropped every family whose c1^2 moves with the knot's rotation
+        # number fails
+        csq = closedforms._csq
+        monkeypatch.setattr(closedforms, "_csq", lambda rep, name, family, value, context: csq(
+            rep, name, family, lambda form, v, d: value(form, v, 0), context))
+        rep = verify(4, 3)["closed forms"]
+        assert not rep["ok"]
+        assert {m["check"] for m in rep["mismatches"]} == {
+            "tb2_neg_csq", "tb2_pos_csq", "two_neg_csq", "two_pos_csq", "one_neg_csq",
+            "one_pos_csq"}
+
+    def test_shifted_rotations_add_d_on_the_pinned_coordinates(self, monkeypatch):
+        # the sweep reads each plan's vectors at d = 0 and adds d itself, so
+        # this holds for every plan verify makes and every rotation number
+        # of its tb: Plan.rotations(d) is rotations(0) with d added on
+        # plan.pinned.  At
+        # d = 0 the vectors, read once per run of one shared component, are
+        # those of the oracle's choices one component at a time, and
+        # pinned marks the push-offs
+        made = {}
+        plan = invariants._plan
+
+        def planned(*args, **kwargs):
+            one = plan(*args, **kwargs)
+            made[id(one)] = one  # kept, so that no id is reused
+            return one
+
+        monkeypatch.setattr(invariants, "_plan", planned)
+        assert all(rep["ok"] for rep in verify(4, 3).values())
+        assert len(made) == 61
+        for one in made.values():
+            pres = one.presentation
+            vectors = list(one.rotations(0))
+            assert vectors == list(itertools.product(*rotation_choices(pres)))
+            assert one.pinned == tuple(int(c.rot is not None) for c in pres.components)
+            for d in (i - pres.base_rot for i in rot_range(pres.base_tb)):
+                assert list(one.rotations(d)) == [
+                    tuple(x + d * pin for x, pin in zip(v, one.pinned)) for v in vectors]
+
+    def test_one_vector_list_per_plan(self, monkeypatch):
+        # _csq builds each family plan's vectors once, at d = 0, and checks
+        # every shift against that one list; a clean sweep walks no shifted
+        # vector.  A walk per (plan, shift) made 8,813
+        calls = []
+        rotations = invariants.Plan.rotations
+        monkeypatch.setattr(invariants.Plan, "rotations",
+                            lambda one, d: calls.append((one, d)) or rotations(one, d))
+        assert closed_form_stage()["ok"]
+        assert len(calls) == 835 and len({id(one) for one, _ in calls}) == 835
+        assert {d for _, d in calls} == {0}
 
     def test_mismatch_provenance_digest(self, monkeypatch):
         # closed forms off by one at a few points: sha256 of the report

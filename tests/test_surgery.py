@@ -17,7 +17,6 @@ from contactsurg.surgery import (
     _negative_chain,
     _presentation,
     rot_range,
-    rotation_choices,
 )
 from oracles import (
     enumerate_rotations,
@@ -25,6 +24,7 @@ from oracles import (
     listed_convert,
     neg_cf_value,
     read,
+    rotation_choices,
     smooth_recovery,
     sparse,
     tb1_negative_matrix,
