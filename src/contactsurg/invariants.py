@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import add, mul
 
 from . import linalg
 from .surgery import (IntersectionForm, LegendrianData, SurgeryPresentation, _presentation,
-                      linking_matrix, rot_range)
+                      linking_matrix, rotation_choices)
 
 
 class NonTorsionEulerClassError(ValueError):
@@ -37,11 +37,9 @@ class Plan:
     """The one presentation of a conversion, the number ``count`` of the
     presentations it stands for, which differ only in pinned rotation
     numbers, and the integers their d3 values need: they share Q, det,
-    sigma, S, B and U.  ``choices`` are the rotation numbers each component
-    may take: a push-off keeps its pinned one (the stabilized push-off its
-    range of them), and a chain unknot of tb = -t ranges over t-1, t-3,
-    ..., 1-t.  The pinned coordinates come first, so ``product(*choices)``
-    is presentation-major (``runs``), in the order of the pinned range.
+    sigma, S, B and U.  ``choices`` are ``rotation_choices(presentation)``;
+    the pinned coordinates come first, so ``product(*choices)`` is
+    presentation-major (``runs``), in the order of the pinned range.
     u = ``pinned`` is 1 on the push-offs, whose rotation numbers follow the
     knot's: at the shift d = rot - base_rot, each vector v becomes v + d u.
     ``block`` is B = adj(Q)[S, S] on the ascending S = ``support``, which
@@ -88,8 +86,7 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> P
     form's path, read off the presentation: no rows are built), one
     ``linalg.adjugate_block`` pass on that path (its signature checked
     against Descartes') and one ``_walk`` over the vectors of every
-    presentation.  Pinned coordinates, choices and support are read once
-    per run of one shared component, not per row.
+    presentation.
     S holds every pinned index, as a pinned entry that is 0 here is not at
     other rotation numbers, every index the plan's choices can make
     nonzero, and those indices in ``extra`` that Q has, for a caller that
@@ -107,19 +104,9 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> P
         return plan
     pres = _presentation(L, smooth_slope - L.tb)
     form = linking_matrix(pres)
-    pinned, choices, support, count = [], [], [], 1
-    for c, k in pres._runs:  # a run shares its pin, choices and support
-        i = len(choices)
-        if c.rot is None:  # a chain unknot of tb = -t: t-1, t-3, ..., 1-t
-            rots = tuple(rot_range(c.tb)[::-1])
-            support += range(i, i + k) if any(rots) else sorted(j for j in extra if i <= j < i + k)
-        else:  # a push-off: its pinned rotation number, or the stabilized one's range
-            rots = c.rot if type(c.rot) is range else (c.rot,)
-            count *= len(rots) ** k
-            support += range(i, i + k)
-        pinned += [int(c.rot is not None)] * k
-        choices += [rots] * k
-    support = tuple(support)
+    pinned = tuple(int(c.rot is not None) for c in pres.components)
+    choices = rotation_choices(pres)
+    support = tuple(i for i, c in enumerate(choices) if pinned[i] or any(c) or i in extra)
     try:
         det, sigma, block = linalg.adjugate_block(form.path, support)
     except linalg.SingularMatrixError:
@@ -131,8 +118,9 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> P
         raise PipelineCheckError(f"tb={L.tb}, smooth slope {smooth_slope}: det Q = {det} and "
                                  f"meridian square {ratio_text(U, det)} disagree with the slope")
     quad, cross = _walk(block, bu, [choices[i] for i in support])
-    plan = plans[key] = Plan(pres, count, form, choices, tuple(pinned), det, sigma, support,
-                             block, quad, cross, U)
+    count = prod(len(c) for c, pin in zip(choices, pinned) if pin)
+    plan = plans[key] = Plan(pres, count, form, choices, pinned, det, sigma, support, block,
+                             quad, cross, U)
     return plan
 
 

@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import groupby
 
 from .linalg import _Path, _rows
 from .slopes import SlopeError, neg_cf_runs
@@ -80,17 +79,10 @@ class SurgeryPresentation:
     contact_coeff: Fraction
     smooth_slope: Fraction
 
-    def __post_init__(self):
-        # (component, count) for each run of one shared Component object, as
-        # _presentation shares them: linking_matrix and invariants._plan read
-        # a presentation once per run, not once per row
-        object.__setattr__(self, "_runs", [(run[0], len(run)) for run in (
-            list(g) for _, g in groupby(self.components, id))])
-
     @property
     def l(self) -> int:
         """Number of contact (+1)-surgery components."""
-        return sum(k for c, k in self._runs if c.sign == 1)
+        return sum(1 for c in self.components if c.sign == 1)
 
     def to_json(self):
         return {
@@ -174,6 +166,16 @@ def _presentation(L: LegendrianData, contact_coeff) -> SurgeryPresentation:
     return SurgeryPresentation(comps, L.tb, L.rot, contact_coeff, smooth)
 
 
+def rotation_choices(pres: SurgeryPresentation) -> list:
+    """The rotation numbers each component may take, in enumeration order:
+    a push-off keeps its pinned one (the stabilized push-off its range of
+    them), and a chain unknot with tb = -t ranges over t-1, t-3, ..., -t+1
+    (``rot_range`` raises for t < 1)."""
+    return [c.rot if type(c.rot) is range else (c.rot,) if c.rot is not None
+            else tuple(range(-c.tb - 1, c.tb, -2)) if c.tb <= -1 else rot_range(c.tb)
+            for c in pres.components]
+
+
 @dataclass(frozen=True)
 class IntersectionForm:
     """Symmetric linking form Q of a presentation, with the count l of
@@ -207,18 +209,16 @@ def linking_matrix(pres: SurgeryPresentation) -> IntersectionForm:
     push-offs come first and link each other with the base tb: a clique
     head of link tb when p >= 3 and tb != 0, else a path (of zero links at
     tb = 0).  Each chain component links only its predecessor, with -1.
-    Roles and framings are read once per run of one shared component.
     """
-    runs = pres._runs
-    h = 0
-    while h < len(runs) and runs[h][0].role == "pushoff":
-        h += 1
-    if any(c.role != "chain" for c, _ in runs[h:]):
+    comps = pres.components
+    p = 0
+    while p < len(comps) and comps[p].role == "pushoff":
+        p += 1
+    if any(c.role != "chain" for c in comps[p:]):
         raise ValueError("push-offs must come before the chain")
-    if runs and not h:
+    if comps and not p:
         raise ValueError("chain component without a predecessor")
-    a, p, tb = [], sum(k for _, k in runs[:h]), pres.base_tb
-    for c, k in runs:
-        a += [c.framing] * k
-    path = _Path(a, [tb] * (p - 1) + [-1] * (len(a) - p), *((p, tb) if p >= 3 and tb else (0, 0)))
+    tb = pres.base_tb
+    path = _Path([c.framing for c in comps], [tb] * (p - 1) + [-1] * (len(comps) - p),
+                 *((p, tb) if p >= 3 and tb else (0, 0)))
     return IntersectionForm(path, pres.l)

@@ -52,6 +52,7 @@ from contactsurg.surgery import (
     SurgeryPresentation,
     linking_matrix,
     rot_range,
+    rotation_choices,
 )
 
 
@@ -1343,17 +1344,6 @@ class D3Result:
     def to_json(self):
         return {"chi": self.chi, "sigma": self.sigma, "c_squared": str(self.c_squared),
                 "l": self.l, "d3": str(self.d3)}
-
-
-def rotation_choices(pres: SurgeryPresentation) -> list:
-    """The rotation numbers each component may take, in enumeration order,
-    one component at a time: a push-off keeps its pinned one (the
-    stabilized push-off its range of them), and a chain unknot with
-    tb = -t ranges over t-1, t-3, ..., -t+1 (``rot_range`` raises for
-    t < 1)."""
-    return [c.rot if type(c.rot) is range else (c.rot,) if c.rot is not None
-            else tuple(range(-c.tb - 1, c.tb, -2)) if c.tb <= -1 else rot_range(c.tb)
-            for c in pres.components]
 
 
 def enumerate_rotations(pres):

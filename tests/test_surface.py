@@ -176,11 +176,9 @@ def test_characteristic_polynomial_has_one_route():
 def test_one_matrix_type_in_the_library():
     # every matrix src/ takes is a linalg._Path: the symmetry check of
     # sparse rows, their reading into a path and the lemma matrices as
-    # sparse rows are the tests' oracles; and the library reads a
-    # presentation once per run of one shared component, so the rotation
-    # choices read one component at a time are the tests' oracle too
+    # sparse rows are the tests' oracles
     gone = ("check_symmetric", "_read", "chain_matrix", "chain_matrix_primed",
-            "bordered_block_matrix", "rotation_choices")
+            "bordered_block_matrix")
     for path, tree in _modules():
         for name in gone:
             lines = [node.lineno for node in ast.walk(tree) if _names(node, name)]
@@ -189,7 +187,7 @@ def test_one_matrix_type_in_the_library():
     tree = ast.parse(oracles.read_text(), str(oracles))
     names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert {"check_symmetric", "read", "chain_matrix", "chain_matrix_primed",
-            "bordered_block_matrix", "rotation_choices"} <= names
+            "bordered_block_matrix"} <= names
 
 
 def test_no_assert_statements():

@@ -17,6 +17,7 @@ from contactsurg.surgery import (
     _negative_chain,
     _presentation,
     rot_range,
+    rotation_choices,
 )
 from oracles import (
     enumerate_rotations,
@@ -24,7 +25,6 @@ from oracles import (
     listed_convert,
     neg_cf_value,
     read,
-    rotation_choices,
     smooth_recovery,
     sparse,
     tb1_negative_matrix,
