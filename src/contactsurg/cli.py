@@ -176,7 +176,7 @@ def _d3_lines(pres, results, matrix, spectrum):
     """Text report of ``cmd_d3``, produced only when it is printed; the
     framings of ``pres`` and the shared matrix's rows made once, for
     every entry of ``results``, the spectrum in numeric order."""
-    head = f"presentation: framings {[c.framing for c in pres.components]} (l = {pres.l})"
+    head = f"presentation: framings {pres.path.a} (l = {pres.l})"
     rows = [_row(row, len(matrix), "  ", " ", "", "{:4d}".format) for row in matrix]
     for res in results:
         yield head

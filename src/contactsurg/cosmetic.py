@@ -204,13 +204,16 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
     carries both spectra, as sorted d3 strings, and the matrix
     provenance; the cells left unobstructed are listed apart.  The cells
     of one tb share one dict of plans (a plan per smooth slope) and their
-    framings and d3 strings, dropped when tb moves on.
+    d3 strings, dropped when tb moves on.
     """
     if tb_max > -1:
         raise ValueError("scan covers tb <= -1")
     cells, not_obstructed = [], []
     for tb in range(tb_min, tb_max + 1):
         tb_cells, tb_open = _scan_tb(tb, n_max, {})
+        for cell in tb_cells:
+            if "provenance" in cell:
+                cell["provenance"] = {k: _provenance(*v) for k, v in cell["provenance"].items()}
         cells += tb_cells
         not_obstructed += tb_open
     return {"cells": cells, "not_obstructed": not_obstructed}
@@ -218,7 +221,7 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
 
 def _scan_tb(tb, n_max, plans):
     """The cells of tb, and those left unobstructed, their plans made in
-    ``plans``."""
+    ``plans``; a cell's provenance holds each side as ``_spectrum`` gives it."""
     cells, not_obstructed, seen = [], [], {}
     slopes = [(v, -v, [str(-v), str(v)]) for v in candidate_slopes(2, n_max)]
     for rot in rot_range(tb):
@@ -230,10 +233,10 @@ def _scan_tb(tb, n_max, plans):
             cells.append(cell)
             if minus_v == tb:
                 continue
-            neg_records, neg = _provenance(L, minus_v, plans, seen)
-            pos_records, pos = _provenance(L, v, plans, seen)
+            neg_side, neg = _spectrum(L, minus_v, plans, seen)
+            pos_side, pos = _spectrum(L, v, plans, seen)
             verdict["spectrum_neg"], verdict["spectrum_pos"] = sorted(neg), sorted(pos)
-            cell["provenance"] = {"neg": neg_records, "pos": pos_records}
+            cell["provenance"] = {"neg": neg_side, "pos": pos_side}
             if neg.isdisjoint(pos):
                 verdict["outcome"] = "obstructed"
                 continue
@@ -251,22 +254,24 @@ def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
             "solver_solutions": solve_d3_equations(tb_min, tb_max, n_max)}
 
 
-def _provenance(L, slope, plans, seen):
-    """The framings (diag Q), l and d3 strings of each presentation of
-    the plan at L.rot, and the scan spectrum: the set of d3 strings, each
-    the one ``str`` gives the Fraction.  ``seen`` maps each slope p/q of
-    L.tb, keyed (p, q), to the framings list its plan's records share and
-    the d3 strings made so far: each is made once per plan."""
+def _spectrum(L, slope, plans, seen):
+    """(side, spectrum): side = (plan, d, nums, text) of ``d3_records`` at L,
+    text the d3 string ``str`` gives each num's Fraction, and the spectrum
+    the set of those; ``seen`` maps each slope p/q of L.tb to its text."""
     plan, d, nums, pairs = d3_records(L, slope, plans)
     key = slope.numerator, slope.denominator
-    framings, text = seen.get(key) or seen.setdefault(
-        key, (plan.form.path.a, {}))
+    text = seen.get(key) or seen.setdefault(key, {})
     for num in pairs.keys() - text.keys():
         a, b = pairs[num]
         text[num] = str(a) if b == 1 else f"{a}/{b}"
+    return (plan, d, nums, text), set(map(text.__getitem__, pairs))
+
+
+def _provenance(plan, d, nums, text):
+    """The framings (diag Q), l and d3 strings of each presentation of a side."""
     values = [{"rotations": r, "d3": text[num]} for r, num in zip(plan.rotations(d), nums)]
-    return ([{"framings": framings, "l": plan.form.l, "values": run}
-             for run in plan.runs(values)], set(map(text.__getitem__, pairs)))
+    return [{"framings": plan.form.path.a, "l": plan.form.l, "values": run}
+            for run in plan.runs(values)]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ class Plan:
     """The one presentation of a conversion, the number ``count`` of the
     presentations it stands for, which differ only in pinned rotation
     numbers, and the integers their d3 values need: they share Q, det,
-    sigma, S, B and U.  ``choices`` are ``rotation_choices(presentation)``;
+    sigma, S, B and U.  ``choices`` and ``pinned`` are the presentation's;
     the pinned coordinates come first, so ``product(*choices)`` is
     presentation-major (``runs``), in the order of the pinned range.
     u = ``pinned`` is 1 on the push-offs, whose rotation numbers follow the
@@ -83,7 +83,7 @@ class Plan:
 def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> Plan:
     """The plan of (L.tb, smooth_slope) in ``plans``, made at L.rot on
     first request from one conversion, with one ``linking_matrix`` (the
-    form's path, read off the presentation: no rows are built), one
+    presentation's path: no rows are built), one
     ``linalg.adjugate_block`` pass on that path (its signature checked
     against Descartes') and one ``_walk`` over the vectors of every
     presentation.
@@ -104,8 +104,7 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> P
         return plan
     pres = _presentation(L, smooth_slope - L.tb)
     form = linking_matrix(pres)
-    pinned = tuple(int(c.rot is not None) for c in pres.components)
-    choices = rotation_choices(pres)
+    pinned, choices = pres.pinned, rotation_choices(pres)
     support = tuple(i for i, c in enumerate(choices) if pinned[i] or any(c) or i in extra)
     try:
         det, sigma, block = linalg.adjugate_block(form.path, support)

@@ -29,9 +29,8 @@ from them.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import prod
-from operator import mul, ne, sub
+from operator import ne, sub
 from typing import NamedTuple
 
 
@@ -116,7 +115,9 @@ def _path_kernel(path, cols):
     opposite signs (Frobenius), and E keeps the signature (Sylvester).
     adj(Q')_ij = (-1)^(i+j) b_i ... b_(j-1) theta_i phi_(j+1) for i <= j
     (Usmani 1994), and B = E[:, cols]^T adj(Q') E[:, cols], since
-    det E = 1.
+    det E = 1: adj(Q') on cols and the s - 1 of E's two-entry columns s in
+    one pass over pairs, by a running link product, then those columns'
+    differences, then cols picked if they are not those indices in order.
     """
     a, b, h, c = path
     n = len(a)
@@ -135,25 +136,26 @@ def _path_kernel(path, cols):
         return 0, None, ()
     signs = [t > 0 for t in theta if t]
     sigma = n - 2 * sum(map(ne, signs, signs[1:]))
-    # adj(Q') on the path indices that the columns of E on cols touch:
-    # column s of E is e_s - e_(s-1) for 0 < s < h - 1, else e_s
-    touched = sorted({*cols, *(s - 1 for s in cols if 0 < s < h - 1)})
-    links = [(-1) ** (j - i) * prod(b[i:j]) for i, j in zip(touched, touched[1:])]
+    two = sorted(s for s in cols if 0 < s < h - 1)
+    touched = sorted({*cols, *(s - 1 for s in two)})
+    # signed link products between neighbours, and a 0 the last run steps onto
+    links = [(-1) ** (j - i) * prod(b[i:j]) for i, j in zip(touched, touched[1:])] + [0]
     ends = [phi[j + 1] for j in touched]
-    # row k from its diagonal on, then the entries before it read down column k
-    upper = [[0] * k + list(map(mul, accumulate(links[k:], mul, initial=theta[i]), ends[k:]))
-             for k, i in enumerate(touched)]
-    adj = [[*col[:k], *row[k:]] for k, (row, col) in enumerate(zip(upper, zip(*upper)))]
-    # B = E[:, cols]^T adj(Q') E[:, cols]: the row of each s in cols, less
-    # the row of s - 1 where E's column s has two entries, transposed, and
-    # the same again (B is symmetric)
-    at = {i: k for k, i in enumerate(touched)}
-    picks = [(at[s], at[s - 1] if 0 < s < h - 1 else None) for s in cols]
-    block = adj
-    for _ in range(2):
-        block = list(zip(*(block[k] if j is None else list(map(sub, block[k], block[j]))
-                           for k, j in picks)))
-    return det, sigma, tuple(block)
+    block = [[0] * len(touched) for _ in touched]
+    for x, i in enumerate(touched):
+        row, run = block[x], theta[i]
+        for y in range(x, len(touched)):
+            row[y] = block[y][x] = run * ends[y]
+            run *= links[y]
+    # E's columns e_s - e_(s-1), from the last, so row and column s - 1 are adj's
+    for x in map(touched.index, reversed(two)):
+        block[x] = list(map(sub, block[x], block[x - 1]))
+        for row in block:
+            row[x] -= row[x - 1]
+    if touched != list(cols):
+        picks = list(map(touched.index, cols))
+        block = [[block[x][y] for y in picks] for x in picks]
+    return det, sigma, tuple(map(tuple, block))
 
 
 def _check_basis(path, a, b):

@@ -100,6 +100,7 @@ def verify(k_max: int = 20, n_max: int = 20) -> dict:
                 continue
             scanned += len(cells)
             not_obstructed[:0] = tb_open  # ascending tb, as scan_cells lists them
+            del cells  # their sides hold the plans of tb
     mismatches = [ctx for ok, ctx in results if not ok]
     solutions = cosmetic.solve_d3_equations(-k_max, -3, n_max)
     ok = not_obstructed == [{"tb": -1, "rot": 0, "v": "2"}] and not solutions and not errors

@@ -12,7 +12,8 @@ coefficient p/(q - kp) < 0 is handled by the negative case on one more
 push-off, and when q - kp = 0 the k push-offs complete the surgery.  The
 m + 1 presentations differ only in the stabilized push-off's rotation
 number, so the pipeline builds one (``_presentation``), whose push-off
-holds them all as a range.
+holds them all as a range.  It is built as integers, one list
+multiplication per run of the continued fraction (``neg_cf_runs``).
 
 Orientations are fixed so that push-off pairs link with lk = tb(L) and
 consecutive meridian chain components contribute -1 off-diagonal
@@ -53,7 +54,7 @@ class LegendrianData:
 
 @dataclass(frozen=True)
 class Component:
-    """One link component of a (+1/-1)-surgery presentation.
+    """One link component of a (+1/-1)-surgery presentation, for reports.
 
     role is 'pushoff' (a copy of the base knot, possibly stabilized) or
     'chain' (a meridian unknot).  rot is None for components whose
@@ -66,23 +67,29 @@ class Component:
     sign: int
     rot: int | None = None
 
-    @property
-    def framing(self) -> int:
-        return self.tb + self.sign
 
-
-@dataclass(frozen=True)
+@dataclass
 class SurgeryPresentation:
-    components: tuple
+    """A presentation as the ``linalg._Path`` of its linking form, the
+    rotation numbers each row may take, 1 on the push-offs (the first
+    rows) and the count l of contact (+1) components (the first l)."""
+
+    path: _Path
+    choices: list
+    pinned: tuple
+    l: int
     base_tb: int
     base_rot: int
-    contact_coeff: Fraction
-    smooth_slope: Fraction
 
-    @property
-    def l(self) -> int:
-        """Number of contact (+1)-surgery components."""
-        return sum(1 for c in self.components if c.sign == 1)
+    @cached_property
+    def components(self) -> tuple:
+        """The rows as Components, for reports; a chain framing's rows share one."""
+        a, p, l = self.path.a, self.pinned.count(1), self.l
+        comps = (Component("pushoff", self.base_tb, 1, rot=self.base_rot),) * l
+        if p > l:  # the stabilized push-off
+            comps += (Component("pushoff", a[l] + 1, -1, rot=self.choices[l]),)
+        chain = {x: Component("chain", x + 1, -1) for x in set(a[p:])}
+        return comps + tuple(map(chain.__getitem__, a[p:]))
 
     def to_json(self):
         return {
@@ -105,12 +112,12 @@ def rot_range(tb: int) -> list:
 
 
 def _negative_chain(tb: int, rot: int, p: int, q: int) -> tuple:
-    """The components, stabilized knot then meridian chain, for a negative
-    contact coefficient p/q (q > 0, in lowest terms) on a knot with
-    invariants (tb, rot).  The m stabilizations shift rot by one of m,
-    m - 2, ..., -m: the knot's rot is the range of those rotation numbers,
-    in that order.  The smooth slope is s/q with s = tb q + p, in lowest
-    terms as p/q is."""
+    """(framings, choices) of the knot, stabilized m = tb - c1 - 1 times,
+    then the meridian chain, for a negative contact coefficient p/q (q > 0,
+    in lowest terms) on a knot (tb, rot): the terms c1, c2, ... of the
+    smooth slope (tb q + p)/q, c1 the knot's.  Its rotation numbers are
+    the range rot + m, rot + m - 2, ..., rot - m, and a chain unknot of
+    framing c (tb c + 1) takes -c - 2, -c - 4, ..., c + 2."""
     s = tb * q + p
     if s >= -q:
         raise SlopeError(f"tb={tb}, contact coefficient {Fraction(p, q)}: negative-coefficient "
@@ -124,64 +131,65 @@ def _negative_chain(tb: int, rot: int, p: int, q: int) -> tuple:
         if count > sys.maxsize:
             raise SlopeError(f"tb={tb}, contact coefficient {Fraction(p, q)}: {count} {what} "
                              f"are more than a list holds ({sys.maxsize})")
-    # the knot, then the chain terms after the first, one shared (immutable) Component per run
-    chain = [Component("pushoff", tb - m, -1, rot=range(rot + m, rot - m - 1, -2))]
+    framings, choices = [], []
     for c, k in runs:
-        chain += [Component("chain", c + 1, -1)] * k
-    return tuple(chain[:1] + chain[2:])
+        framings += [c] * k
+        choices += [tuple(range(-c - 2, c + 1, -2))] * k
+    choices[0] = range(rot + m, rot - m - 1, -2)
+    return framings, choices
 
 
 def _presentation(L: LegendrianData, contact_coeff) -> SurgeryPresentation:
     """The one (+1/-1)-surgery presentation of contact r-surgery on L.  Its
     stabilized push-off, if it has one, carries all the rotation numbers
-    its stabilizations allow, as a ``range`` (shifts m, m - 2, ..., -m);
-    the presentations differ only in which one it pins.  The slope tests
-    run on integers; Fractions are made only for the presentation's
-    fields and for error texts."""
+    its stabilizations allow, as a ``range``; the presentations differ only
+    in which one it pins.  The push-offs come first and link each other
+    with tb: a clique head when there are three or more and tb != 0, else
+    a path.  Each chain component links only its predecessor, with -1.
+    Fractions are made only for error texts."""
     if type(contact_coeff) is not Fraction:
         contact_coeff = Fraction(contact_coeff)
     p, q = contact_coeff.numerator, contact_coeff.denominator
     if not p:
         raise ContactZeroError("contact (0)-surgery is not well-defined")
-    smooth = Fraction(L.tb * q + p, q)
+    tb = L.tb
     if p < 0:
-        comps = _negative_chain(L.tb, L.rot, p, q)
-        return SurgeryPresentation(comps, L.tb, L.rot, contact_coeff, smooth)
-    k = -(-q // p)  # smallest k with q - k p <= 0
-    if k > sys.maxsize:
-        raise SlopeError(f"tb={L.tb}, contact coefficient {contact_coeff}: {k} push-offs "
-                         f"are more than a list holds ({sys.maxsize})")
-    rem = q - k * p
-    comps = (Component("pushoff", L.tb, 1, rot=L.rot),) * k  # one shared (immutable) Component
-    if rem:
+        k, (framings, choices) = 0, _negative_chain(tb, L.rot, p, q)
+    else:
+        k = -(-q // p)  # smallest k with q - k p <= 0
+        if k > sys.maxsize:
+            raise SlopeError(f"tb={tb}, contact coefficient {contact_coeff}: {k} push-offs "
+                             f"are more than a list holds ({sys.maxsize})")
+        rem = q - k * p
         # the remainder coefficient is -p/-rem, in lowest terms as p/q is, and
         # its smooth slope (tb (-rem) - p)/(-rem) must be < -1
-        if L.tb * -rem - p >= rem:
+        if rem and tb * -rem - p >= rem:
             tail_coeff = Fraction(p, rem)
             raise SlopeError(
-                f"tb={L.tb}, contact coefficient {contact_coeff} (smooth slope {smooth}): "
-                f"after {k} push-off{'s' if k > 1 else ''} the remainder coefficient "
-                f"{tail_coeff} needs smooth slope < -1, got {L.tb + tail_coeff}")
-        comps += _negative_chain(L.tb, L.rot, -p, -rem)
-    return SurgeryPresentation(comps, L.tb, L.rot, contact_coeff, smooth)
+                f"tb={tb}, contact coefficient {contact_coeff} (smooth slope "
+                f"{Fraction(tb * q + p, q)}): after {k} push-off{'s' if k > 1 else ''} the "
+                f"remainder coefficient {tail_coeff} needs smooth slope < -1, "
+                f"got {tb + tail_coeff}")
+        framings, choices = _negative_chain(tb, L.rot, -p, -rem) if rem else ([], [])
+        framings[:0], choices[:0] = [tb + 1] * k, [(L.rot,)] * k
+    n, pushoffs = len(framings), k + (len(framings) > k)
+    head = (pushoffs, tb) if pushoffs >= 3 and tb else (0, 0)
+    path = _Path(framings, [tb] * (pushoffs - 1) + [-1] * (n - pushoffs), *head)
+    return SurgeryPresentation(path, choices, (1,) * pushoffs + (0,) * (n - pushoffs), k,
+                               tb, L.rot)
 
 
 def rotation_choices(pres: SurgeryPresentation) -> list:
-    """The rotation numbers each component may take, in enumeration order:
-    a push-off keeps its pinned one (the stabilized push-off its range of
-    them), and a chain unknot with tb = -t ranges over t-1, t-3, ..., -t+1
-    (``rot_range`` raises for t < 1)."""
-    return [c.rot if type(c.rot) is range else (c.rot,) if c.rot is not None
-            else tuple(range(-c.tb - 1, c.tb, -2)) if c.tb <= -1 else rot_range(c.tb)
-            for c in pres.components]
+    """The rotation numbers each row may take, in enumeration order."""
+    return pres.choices
 
 
 @dataclass(frozen=True)
 class IntersectionForm:
     """Symmetric linking form Q of a presentation, with the count l of
     (+1)-components.  Q is held as its ``path``, the ``linalg._Path`` of
-    its diagonal, links, head size and head link, which ``linking_matrix``
-    reads straight off the components; anything else raises TypeError.
+    its diagonal, links, head size and head link, the presentation's own
+    (``linking_matrix``); anything else raises TypeError.
     ``rows`` are built from the path on first use: only reports that
     write the matrix ask for them, and ``linalg.dense`` makes dense rows
     at the edge."""
@@ -203,22 +211,6 @@ class IntersectionForm:
 
 
 def linking_matrix(pres: SurgeryPresentation) -> IntersectionForm:
-    """Intersection form of the trace of the surgeries, read as a path.
-
-    Diagonal entries are the smooth framings tb_i + sign_i.  The p
-    push-offs come first and link each other with the base tb: a clique
-    head of link tb when p >= 3 and tb != 0, else a path (of zero links at
-    tb = 0).  Each chain component links only its predecessor, with -1.
-    """
-    comps = pres.components
-    p = 0
-    while p < len(comps) and comps[p].role == "pushoff":
-        p += 1
-    if any(c.role != "chain" for c in comps[p:]):
-        raise ValueError("push-offs must come before the chain")
-    if comps and not p:
-        raise ValueError("chain component without a predecessor")
-    tb = pres.base_tb
-    path = _Path([c.framing for c in comps], [tb] * (p - 1) + [-1] * (len(comps) - p),
-                 *((p, tb) if p >= 3 and tb else (0, 0)))
-    return IntersectionForm(path, pres.l)
+    """Intersection form of the trace of the surgeries: the presentation's
+    path, with its count l of (+1)-components."""
+    return IntersectionForm(pres.path, pres.l)

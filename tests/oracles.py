@@ -35,8 +35,8 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, product
-from operator import add, sub
+from itertools import accumulate, combinations, compress, product
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from contactsurg.cosmetic import _neg_one_over_n, _pos_one_over_n
@@ -48,11 +48,9 @@ from contactsurg.slopes import SlopeError, neg_cf_runs, parse_slope
 from contactsurg.surgery import (
     Component,
     ContactZeroError,
+    IntersectionForm,
     LegendrianData,
-    SurgeryPresentation,
-    linking_matrix,
     rot_range,
-    rotation_choices,
 )
 
 
@@ -165,9 +163,9 @@ def smooth_recovery(pres) -> Fraction:
         raise ValueError("presentation has no push-off of the base knot")
     eff = None
     for c in reversed(chain):
-        f = Fraction(c.framing)
+        f = Fraction(framing(c))
         eff = f if eff is None else f - 1 / eff
-    coeffs = [Fraction(c.framing) for c in pushoffs]
+    coeffs = [Fraction(framing(c)) for c in pushoffs]
     if eff is not None:
         coeffs[-1] = coeffs[-1] - 1 / eff
     t = Fraction(pres.base_tb)
@@ -179,6 +177,71 @@ def smooth_recovery(pres) -> Fraction:
     if total == 0:
         raise ZeroDivisionError("framed link reduces to infinity surgery")
     return t + 1 / total
+
+
+# ---------------------------------------------------------------------------
+# conversion as a list: one presentation built per stabilization outcome,
+# each with its rotation number pinned and held as a tuple of Components,
+# read one component at a time
+
+@dataclass(frozen=True)
+class ListedPresentation:
+    """A presentation as its tuple of Components, one per row."""
+
+    components: tuple
+    base_tb: int
+    base_rot: int
+    contact_coeff: Fraction
+    smooth_slope: Fraction
+
+    @property
+    def l(self) -> int:
+        """Number of contact (+1)-surgery components."""
+        return sum(1 for c in self.components if c.sign == 1)
+
+    def to_json(self):
+        return {
+            "components": [
+                {"role": c.role, "tb": c.tb, "rot": c.rot, "sign": c.sign}
+                for c in self.components
+            ],
+            "l": self.l,
+        }
+
+
+def framing(c) -> int:
+    """The smooth framing tb + sign of a Component."""
+    return c.tb + c.sign
+
+
+def component_choices(pres) -> list:
+    """The rotation numbers each component may take, in enumeration order,
+    read one component at a time: a push-off keeps its pinned one (a
+    stabilized push-off its range of them), and a chain unknot with
+    tb = -t ranges over t-1, t-3, ..., -t+1 (``rot_range`` raises for
+    t < 1)."""
+    return [c.rot if type(c.rot) is range else (c.rot,) if c.rot is not None
+            else tuple(range(-c.tb - 1, c.tb, -2)) if c.tb <= -1 else rot_range(c.tb)
+            for c in pres.components]
+
+
+def listed_linking_matrix(pres) -> IntersectionForm:
+    """The form of a presentation's components, read one row at a time:
+    the framings on the diagonal, the p push-offs first, linked by the
+    base tb (a clique head when p >= 3 and tb != 0, else a path), then
+    each chain component linked to its predecessor by -1."""
+    comps = pres.components
+    p = 0
+    while p < len(comps) and comps[p].role == "pushoff":
+        p += 1
+    if any(c.role != "chain" for c in comps[p:]):
+        raise ValueError("push-offs must come before the chain")
+    if comps and not p:
+        raise ValueError("chain component without a predecessor")
+    tb = pres.base_tb
+    path = linalg._Path([framing(c) for c in comps], [tb] * (p - 1) + [-1] * (len(comps) - p),
+                        *((p, tb) if p >= 3 and tb else (0, 0)))
+    return IntersectionForm(path, pres.l)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +284,10 @@ def listed_negative_chain(tb: int, rot: int, contact_coeff: Fraction):
 def listed_convert(L: LegendrianData, contact_coeff) -> list:
     """All (+1/-1)-surgery presentations of contact r-surgery on L.
 
-    One presentation is returned per stabilization outcome of the single
-    stabilized component (its rotation number is pinned); they differ only
-    in that rotation number.  The rotation numbers of chain unknots remain
-    free (``rotation_choices``).
+    One ``ListedPresentation`` is returned per stabilization outcome of
+    the single stabilized component (its rotation number is pinned); they
+    differ only in that rotation number.  The rotation numbers of chain
+    unknots remain free (``component_choices``).
     """
     contact_coeff = Fraction(contact_coeff)
     if contact_coeff == 0:
@@ -232,7 +295,7 @@ def listed_convert(L: LegendrianData, contact_coeff) -> list:
     smooth = L.tb + contact_coeff
 
     def finish(comps):
-        return SurgeryPresentation(
+        return ListedPresentation(
             components=comps,
             base_tb=L.tb,
             base_rot=L.rot,
@@ -561,7 +624,7 @@ def linking_matrix_dense(pres):
     q = [[0] * n for _ in range(n)]
     pushoff_idx = [i for i, c in enumerate(comps) if c.role == "pushoff"]
     for i, c in enumerate(comps):
-        q[i][i] = c.framing
+        q[i][i] = framing(c)
     for a_i, i in enumerate(pushoff_idx):
         for j in pushoff_idx[a_i + 1:]:
             q[i][j] = q[j][i] = pres.base_tb
@@ -683,6 +746,45 @@ def path_kernel(rows, cols=()):
     """``linalg._path_kernel`` of sparse ``rows``, read by ``read``:
     (det, signature, adj[cols, cols]), or (0, None, ()) at det 0."""
     return linalg._path_kernel(read(rows), cols)
+
+
+def path_kernel_by_transposes(path, cols):
+    """(det, sigma, B) of the ``linalg._Path`` ``path`` as ``linalg._path_kernel``
+    gives them, B = adj(Q)[cols, cols], built as that kernel once built
+    it: the same continuants and E, then adj(Q') on the touched indices as
+    an upper triangle, one ``accumulate`` of link products per row, its
+    lower half read down the columns of a transpose, and B = E[:, cols]^T
+    adj(Q') E[:, cols] as row differences, a transpose, the same
+    differences and a transpose again.  A singular Q gives (0, None, ())."""
+    a, b, h, c = path
+    n = len(a)
+    if h:
+        a, b = a.copy(), b.copy()
+        for i in range(h - 2):
+            a[i], b[i] = a[i] - 2 * c + a[i + 1], c - a[i + 1]
+    w = [x * x for x in b]
+    theta = linalg.leading_determinants(a, w)
+    phi = linalg.leading_determinants(a[::-1], w[::-1])[::-1]
+    det = theta[n]
+    if det != phi[0]:
+        raise linalg.KernelCheckError(f"continuants disagree: theta_n={det} phi_0={phi[0]}")
+    if det == 0:
+        return 0, None, ()
+    signs = [t > 0 for t in theta if t]
+    sigma = n - 2 * sum(x != y for x, y in zip(signs, signs[1:]))
+    touched = sorted({*cols, *(s - 1 for s in cols if 0 < s < h - 1)})
+    links = [(-1) ** (j - i) * math.prod(b[i:j]) for i, j in zip(touched, touched[1:])]
+    ends = [phi[j + 1] for j in touched]
+    upper = [[0] * k + list(map(mul, accumulate(links[k:], mul, initial=theta[i]), ends[k:]))
+             for k, i in enumerate(touched)]
+    adj = [[*col[:k], *row[k:]] for k, (row, col) in enumerate(zip(upper, zip(*upper)))]
+    at = {i: k for k, i in enumerate(touched)}
+    picks = [(at[s], at[s - 1] if 0 < s < h - 1 else None) for s in cols]
+    block = adj
+    for _ in range(2):
+        block = list(zip(*(block[k] if j is None else list(map(sub, block[k], block[j]))
+                           for k, j in picks)))
+    return det, sigma, tuple(block)
 
 
 def bareiss(rows, cols=()):
@@ -1348,8 +1450,8 @@ class D3Result:
 
 def enumerate_rotations(pres):
     """All rotation vectors consistent with the presentation: the product
-    of its ``rotation_choices``."""
-    return list(product(*rotation_choices(pres)))
+    of its ``component_choices``."""
+    return list(product(*component_choices(pres)))
 
 
 def _assemble(chi, sigma, l, det, num):
@@ -1394,7 +1496,7 @@ def d3_spectrum_detail_by_vector(L, smooth_slope) -> list:
     rotation vector."""
     records = []
     for pres in listed_convert(L, Fraction(smooth_slope) - L.tb):
-        form, vectors = linking_matrix(pres), enumerate_rotations(pres)
+        form, vectors = listed_linking_matrix(pres), enumerate_rotations(pres)
         records.append({"presentation": pres, "form": form,
                         "values": [{"rotations": list(r), "d3": res}
                                    for r, res in zip(vectors, d3_values(form, vectors))]})

@@ -27,6 +27,7 @@ from oracles import (
     closed_form_stage,
     determinant,
     listed_convert,
+    listed_linking_matrix,
     read,
     sparse,
     tb1_negative_matrix,
@@ -131,8 +132,10 @@ class TestFamilies:
                           (tbk_positive_matrix(k, n), -k, Fraction(1, n))]
         for family, tb, slope in cases:
             knot = LegendrianData(tb, rot_range(tb)[0])
-            forms = [linalg.dense(linking_matrix(pres).rows)
+            forms = [linalg.dense(listed_linking_matrix(pres).rows)
                      for pres in listed_convert(knot, slope - tb)]
+            forms.append(linalg.dense(invariants.linking_matrix(
+                invariants._presentation(knot, slope - tb)).rows))
             assert forms and all(q == [list(row) for row in family] for q in forms), (tb, slope)
 
 

@@ -21,7 +21,8 @@ from contactsurg.cosmetic import (
 )
 from contactsurg.invariants import d3_spectrum
 from contactsurg.slopes import SlopeError
-from contactsurg.surgery import ContactZeroError, LegendrianData, SurgeryPresentation, rot_range
+from contactsurg.surgery import (Component, ContactZeroError, LegendrianData,
+                                SurgeryPresentation, rot_range)
 from oracles import (
     affine_solutions_loop,
     brute_force_d3_matches,
@@ -109,9 +110,10 @@ class TestScanVerdicts:
 
         def overlapping(L, slope, plans, seen):
             asked.append((L.tb, slope))
-            return [], {"0", "1"} if slope < 0 else {"1", "2"}
+            return (), {"0", "1"} if slope < 0 else {"1", "2"}
 
-        monkeypatch.setattr(cosmetic, "_provenance", overlapping)
+        monkeypatch.setattr(cosmetic, "_spectrum", overlapping)
+        monkeypatch.setattr(cosmetic, "_provenance", lambda *side: [])
         report = scan_cells(-3, -1, 3)
         live = [c for c in report["cells"] if c["verdict"]["outcome"] != "contact_zero"]
         assert live and all(c["verdict"]["outcome"] == "not_obstructed" for c in live)
@@ -121,7 +123,7 @@ class TestScanVerdicts:
         assert (-1, -1) not in asked and (-2, -2) not in asked
         assert len(asked) == 2 * len(live)
 
-        monkeypatch.setattr(cosmetic, "_provenance", lambda L, slope, plans, seen: ([], {"1/4"}))
+        monkeypatch.setattr(cosmetic, "_spectrum", lambda L, slope, plans, seen: ((), {"1/4"}))
         report = scan_cells(-3, -1, 3)
         flagged = {(c["tb"], c["rot"], c["pair"][1]) for c in report["cells"]
                    if c["verdict"]["exception_flags"]}
@@ -300,7 +302,7 @@ class TestScanSharesMatrixWork:
     @pytest.fixture(scope="class")
     def counted(self):
         calls = {"adjugate": 0, "convert": 0, "linking_matrix": 0, "kernel": 0,
-                 "presentation": 0}
+                 "presentation": 0, "component": 0}
         presentation, linking_matrix = invariants._presentation, invariants.linking_matrix
 
         def counting(name, fn):
@@ -316,6 +318,7 @@ class TestScanSharesMatrixWork:
             mp.setattr(invariants, "_presentation", counting("convert", presentation))
             mp.setattr(SurgeryPresentation, "__init__",
                        counting("presentation", SurgeryPresentation.__init__))
+            mp.setattr(Component, "__init__", counting("component", Component.__init__))
             mp.setattr(invariants, "linking_matrix",
                        counting("linking_matrix", linking_matrix))
             cosmetic.scan_cells(-12, -1, 12)
@@ -346,6 +349,12 @@ class TestScanSharesMatrixWork:
         # the adjugate pass gives sigma too; a separate signature pass per
         # new Q made 893
         assert counted["kernel"] <= 308
+
+    def test_no_component_per_row(self, counted):
+        # a presentation is built from the runs of its continued fraction
+        # as integers, and the records read its framings off the form: no
+        # row becomes a Component, where one per run of rows made 1,515
+        assert counted["component"] == 0
 
     def test_one_reduction_per_numerator_per_plan(self, monkeypatch):
         # the +-rot mirror repeats numerators across a tb's rotation

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactsurg import invariants
+from contactsurg import invariants, linalg
 from contactsurg.invariants import (
     NonTorsionEulerClassError,
     PipelineCheckError,
@@ -26,7 +26,8 @@ from contactsurg.surgery import (
     rot_range,
 )
 from oracles import (D3Result, Form, adjugate_quadratic, d3_spectrum_detail_by_vector, d3_values,
-                     determinant, enumerate_rotations, listed_convert, read, sparse)
+                     determinant, enumerate_rotations, listed_convert, listed_linking_matrix,
+                     read, sparse)
 
 
 def form(q, l):
@@ -134,7 +135,7 @@ class TestSpectra:
                  (-2, 1, Fraction(1, 5)), (-1, 0, Fraction(-1, 4))]
         for tb, rot, slope in cases:
             for pres in listed_convert(LegendrianData(tb, rot), slope - tb):
-                f = linking_matrix(pres)
+                f = listed_linking_matrix(pres)
                 det = abs(determinant(f.rows))
                 for res in d3_values(f, enumerate_rotations(pres)):
                     assert det % res.c_squared.denominator == 0
@@ -292,21 +293,29 @@ def pushoff_link_up(rows, comps):
 
 
 def converted(change):
-    """``_presentation`` with its components replaced by
-    ``change(components)``; the rotation choices follow them."""
+    """``_presentation`` with ``change`` applied to its shape: the form,
+    the pinned rows and the rotation choices follow it."""
     def build(L, coeff):
-        pres = _presentation(L, coeff)
-        return replace(pres, components=change(pres.components))
+        return change(_presentation(L, coeff))
     return build
 
 
-def one_pushoff_more(comps):
-    return comps[:1] + comps
+def one_pushoff_more(pres):
+    # the first row again, a push-off linked to the others by tb
+    a, b, _, _ = pres.path
+    p, tb = pres.pinned.count(1) + 1, pres.base_tb
+    path = linalg._Path(a[:1] + a, [tb] + b, *((p, tb) if p >= 3 and tb else (0, 0)))
+    return replace(pres, path=path, choices=pres.choices[:1] + pres.choices,
+                   pinned=(1,) + pres.pinned, l=pres.l + (pres.l > 0))
 
 
-def chain_dropped(comps):
-    chain = [i for i, c in enumerate(comps) if c.role == "chain"]
-    return comps if not chain else comps[:chain[-1]] + comps[chain[-1] + 1:]
+def chain_dropped(pres):
+    # the last chain row left out
+    if pres.pinned[-1]:
+        return pres
+    a, b, h, c = pres.path
+    return replace(pres, path=linalg._Path(a[:-1], b[:-1], h, c), choices=pres.choices[:-1],
+                   pinned=pres.pinned[:-1])
 
 
 class TestFormMatchesSlope:

@@ -33,7 +33,9 @@ from oracles import (
     determinant,
     eliminate,
     listed_convert,
+    listed_linking_matrix,
     path_kernel,
+    path_kernel_by_transposes,
     read,
     run_polys,
     run_step,
@@ -773,7 +775,7 @@ class TestSignature:
         forms = listed_convert(LegendrianData(-1, 0), Fraction(-1, 400) + 1)
         assert forms
         for pres in forms:
-            rows = linking_matrix(pres).rows
+            rows = listed_linking_matrix(pres).rows
             assert len(rows) == 400
             assert path_kernel(rows)[1] == eliminate(rows)[1] == \
                 descartes_signature(rows)
@@ -1022,7 +1024,7 @@ def acceptance_forms():
     """{Q: IntersectionForm} over the linking forms of the acceptance
     ranges: every smooth slope p/q with -30 <= p < 12 and 1 <= q < 12 at
     -6 <= tb <= -1, and verify's families, slopes +-1/n and +-2/n for
-    n <= 20 at -20 <= tb <= -3, wherever ``listed_convert`` takes them."""
+    n <= 20 at -20 <= tb <= -3, wherever the conversion takes them."""
     cases = {(tb, Fraction(p, q)) for tb in range(-6, 0) for p in range(-30, 12)
              for q in range(1, 12)}
     cases |= {(tb, Fraction(s, n)) for tb in range(-20, -2) for s in (1, -1, 2, -2)
@@ -1030,12 +1032,10 @@ def acceptance_forms():
     forms = {}
     for tb, smooth in cases:
         try:
-            presentations = listed_convert(LegendrianData(tb, tb + 1), smooth - tb)
+            form = linking_matrix(_presentation(LegendrianData(tb, tb + 1), smooth - tb))
         except (SlopeError, ValueError):
             continue
-        for pres in presentations:
-            form = linking_matrix(pres)
-            forms.setdefault(_key(form), form)
+        forms.setdefault(_key(form), form)
     return forms
 
 
@@ -1151,7 +1151,43 @@ def kernel_shapes(draw):
     return m, support
 
 
+@st.composite
+def kernel_paths(draw):
+    """A ``linalg._Path`` and an ascending index list: a path of 1..16 rows,
+    or a clique head of 3..9 rows with one link c != 0 and a path of 0..8
+    rows hung on its last row, its diagonal, links and c often large;
+    zero diagonals, zero links and singular forms are common."""
+    h = draw(st.sampled_from([0, 0, 3, 4, 5, 9]))
+    n = h + draw(st.integers(0 if h else 1, 8 if h else 16))
+    c = draw(st.one_of(st.integers(-4, 4), st.integers(-10**6, 10**6)).filter(bool)) if h else 0
+    entry = st.one_of(st.just(0), st.just(-2), st.integers(-5, 5), st.integers(-10**6, 10**6))
+    a = draw(st.lists(entry, min_size=n, max_size=n))
+    b = [c] * max(h - 1, 0) + draw(st.lists(entry, min_size=n - max(h, 1),
+                                            max_size=n - max(h, 1)))
+    support = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return linalg._Path(a, b, h, c), support
+
+
 class TestPathKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(kernel_paths())
+    @example((linalg._Path([0], [], 0, 0), [0]))  # singular
+    @example((linalg._Path([1, 1, 1, -2], [1, 1, -1], 3, 1), [0, 1, 2, 3]))  # J: singular head
+    @example((linalg._Path([0, -3, 2, 5, -2, 1], [2, 2, 2, 0, -1], 4, 2), [0, 1, 2, 3, 5]))
+    @example((linalg._Path([-2] * 9, [-1] * 8, 0, 0), [0, 8]))  # far corners of a chain
+    def test_one_pass_block_is_the_transposed_block(self, case):
+        # B built in one pass over pairs of indices, with E's differences on
+        # the head's two-entry columns only, is the block the kernel built
+        # with transposes; det and sigma are unchanged, and a singular form
+        # gives (0, None, ())
+        path, support = case
+        got = linalg._path_kernel(path, support)
+        assert got == path_kernel_by_transposes(path, support)
+        if got[0] == 0:
+            assert got == (0, None, ())
+        else:
+            assert len(got[2]) == len(support)
+
     @settings(max_examples=250, deadline=None)
     @given(kernel_shapes())
     def test_matches_the_oracle(self, case):

@@ -222,3 +222,14 @@ def test_no_dense_view_and_dense_rows_only_for_mismatch_provenance():
                for node in ast.walk(func) if isinstance(node, ast.Call)
                and _names(node.func, "dense")}
     assert callers == {"closedforms.py:_mismatch"}
+
+def test_components_are_expanded_only_for_reports():
+    # a presentation is its integer shape, built a run of its continued
+    # fraction at a time; its rows become Components only when a report
+    # expands them, so the report's to_json is the one reader of
+    # .components in the library
+    readers = {f"{path.name}:{func.name}" for path, tree in _modules()
+               for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Attribute)
+               and node.attr == "components" and isinstance(node.ctx, ast.Load)}
+    assert readers == {"surgery.py:to_json"}

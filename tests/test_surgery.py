@@ -1,10 +1,9 @@
-import re
-from dataclasses import replace
+import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactsurg.linalg import dense
@@ -20,9 +19,12 @@ from contactsurg.surgery import (
     rotation_choices,
 )
 from oracles import (
+    component_choices,
     enumerate_rotations,
+    framing,
     linking_matrix_dense,
     listed_convert,
+    listed_linking_matrix,
     neg_cf_value,
     read,
     smooth_recovery,
@@ -88,29 +90,58 @@ class TestConvert:
             == [0, 0, 0]  # no remainder, so no stabilized push-off
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(-8, 2), st.integers(-4, 4), st.integers(-60, 60), st.integers(1, 120))
+    @given(st.integers(-30, 3), st.integers(-4, 4),
+           st.one_of(st.integers(-60, 60), st.integers(-10**4, 10**4)),
+           st.one_of(st.integers(1, 120), st.integers(1, 10**4)))
     @example(-2, 1, 50, 99)  # a positive tail: 50 presentations after two push-offs
     @example(-1, 0, 1, 3)  # three push-offs and no remainder
     @example(-3, 1, 1, 1)  # one push-off and no remainder
     @example(-1, 0, 2, 5)  # three push-offs and a tail on one more
     @example(-2, 0, -1, 40)  # a stabilized knot and a chain
+    @example(-1, 0, 0, 1)  # contact 0
+    @example(0, 0, 1, 3)  # tb = 0: three push-offs with zero links
+    @example(0, 0, 2, 7)  # tb = 0: four push-offs with zero links and a tail
+    @example(3, 0, 2, 7)  # no tail of smooth slope < -1 after the push-offs
+    @example(3, 0, -1, 7)  # a negative coefficient of smooth slope > -1
+    @example(-30, 0, -10**4, 3)  # 3,334 presentations of a stabilized knot
+    @example(-1, 0, -1, 10**4)  # one run of 10^4 terms -2
+    @example(-1, 0, 1, 10**23)  # more push-offs than a list holds
+    @example(-1, 0, 2, 2 * 10**23 - 1)  # the same, with a tail after them
+    @example(-1, 0, -10**23, 1)  # more presentations than a list holds
+    @example(-1, 0, -1, 10**23)  # more chain unknots than a list holds
     def test_convert_expands_the_one_presentation_in_the_oracle_order(self, tb, j, p, q):
-        # the one presentation, its stabilized push-off pinned to each of its
-        # rotation numbers in turn, is the oracle's list, in its order; and
-        # both refuse the same data with the same error text
+        # the presentation built a run of the continued fraction at a time
+        # is the oracle's list, built one component at a time: its path,
+        # pinned rows, l and knot are every listed one's, its rotation
+        # vectors theirs in their order, and its report, the stabilized
+        # push-off's range pinned to each value in turn, theirs.  A rejected
+        # input raises the same error type with the same text in both
         L, coeff = LegendrianData(tb, tb + 1 + 2 * j), Fraction(p, q)
         try:
-            listed = listed_convert(L, coeff)
+            pres = _presentation(L, coeff)
         except ValueError as err:  # SlopeError and ContactZeroError too
-            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
-                _presentation(L, coeff)
+            with pytest.raises(ValueError) as listed_err:
+                listed_convert(L, coeff)
+            assert (type(listed_err.value), str(listed_err.value)) == (type(err), str(err))
             return
-        pres = _presentation(L, coeff)
-        pinned = [[replace(c, rot=r) for r in c.rot] if type(c.rot) is range else [c]
-                  for c in pres.components]
-        assert [replace(pres, components=comps) for comps in product(*pinned)] == listed
-        vectors = [v for one in listed for v in product(*rotation_choices(one))]
-        assert list(product(*rotation_choices(pres))) == vectors
+        n, count = len(pres.path.a), math.prod(len(c) for c, pin in
+                                               zip(pres.choices, pres.pinned) if pin)
+        assume(count * n <= 10**5 and math.prod(map(len, pres.choices)) <= 10**5)
+        listed = listed_convert(L, coeff)
+        assert len(listed) == count
+        if n <= 40:
+            assert pres.path == read(sparse(linking_matrix_dense(listed[0])))
+        for one in listed:
+            assert listed_linking_matrix(one).path == pres.path
+            assert tuple(int(c.rot is not None) for c in one.components) == pres.pinned
+            assert (one.l, one.base_tb, one.base_rot) == (pres.l, pres.base_tb, pres.base_rot)
+        assert list(product(*rotation_choices(pres))) == [
+            v for one in listed for v in product(*component_choices(one))]
+        report = pres.to_json()
+        expanded = [[{**t, "rot": r} for r in t["rot"]] if type(t["rot"]) is range else [t]
+                    for t in report["components"]]
+        assert [{"components": list(comps), "l": report["l"]} for comps in product(*expanded)] \
+            == [one.to_json() for one in listed]
 
     def test_negative_chain_needs_negative_coefficient(self):
         # smooth -4 on tb = -5 would need -2 stabilizations
@@ -121,7 +152,7 @@ class TestConvert:
         # smooth -1 on tb = -2 is contact (+1): one push-off
         pres = listed_convert(LegendrianData(-2, 1), 1)
         assert len(pres) == 1
-        assert [c.framing for c in pres[0].components] == [-1]
+        assert list(map(framing, pres[0].components)) == [-1]
         assert pres[0].l == 1
 
     def test_positive_one_over_n_pushoff_pair(self):
@@ -133,7 +164,7 @@ class TestConvert:
                 comps = pres.components
                 assert len(comps) == 2
                 assert comps[0].sign == 1 and comps[1].sign == -1
-                assert comps[1].framing == -2 - n
+                assert framing(comps[1]) == -2 - n
 
     def test_stabilization_rotations(self):
         pres_list = listed_convert(LegendrianData(-1, 0), Fraction(3, 2))
@@ -143,7 +174,7 @@ class TestConvert:
     def test_chain_tb_values(self):
         # smooth -1/n on tb = -2: framings -1, -5, then a -2 chain
         pres = _presentation(LegendrianData(-2, 1), Fraction(-1, 4) + 2)
-        assert [c.framing for c in pres.components] == [-1, -5, -2, -2]
+        assert list(map(framing, pres.components)) == [-1, -5, -2, -2]
         assert [c.tb for c in pres.components] == [-2, -4, -1, -1]
         # contact -1/10^6 on tb = -1: smooth -(10^6 + 1)/10^6 is one run of
         # 10^6 terms -2, so one push-off and 999,999 chain unknots, all framing -2
@@ -152,7 +183,7 @@ class TestConvert:
         comps = pres_list[0].components
         assert [c.role for c in comps[:2]] == ["pushoff", "chain"]
         assert sum(c.role == "chain" for c in comps) == 999_999
-        assert {c.framing for c in comps} == {-2}
+        assert set(map(framing, comps)) == {-2}
 
 
 class TestToJson:
@@ -217,15 +248,16 @@ class TestLinkingMatrix:
     def test_dense_rows_match_the_dense_build(self, tb, p, q):
         # a framing 0, and at tb = 0 the links between push-offs, are
         # entries sparse rows leave out and linalg.dense writes back
+        L, coeff = LegendrianData(tb, tb + 1), Fraction(p, q) - tb
         try:
-            presentations = listed_convert(LegendrianData(tb, tb + 1), Fraction(p, q) - tb)
+            presentations = listed_convert(L, coeff)
         except (SlopeError, ValueError):
             return
+        form = linking_matrix(_presentation(L, coeff))
+        m = dense(form.rows)
         for pres in presentations:
-            form = linking_matrix(pres)
-            m = dense(form.rows)
             assert tuple(map(tuple, m)) == linking_matrix_dense(pres)
-            assert tuple(sparse(m)) == form.rows  # dense is the inverse of sparse
+        assert tuple(sparse(m)) == form.rows  # dense is the inverse of sparse
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-6, 0), st.integers(0, 3), st.one_of(
