@@ -69,19 +69,65 @@ def json_text(obj) -> str:
     encoder then writes a matrix one token at a time.  Here each row of a
     ``_SparseRows`` is one ``_row`` string, and a list whose elements are
     all exactly ``int`` is one join in which only the nonzeros go through
-    ``str``; a dict writes its str, int, bool and None values in place; an
-    element that is the same object as the one before it reuses that one's
-    text; and any other list or tuple met again at the same indent, such
-    as the matrix that a chain's presentations share, copies the pieces
-    of its first text.  The ids that key those spans stay valid because
-    every node belongs to the caller's tree for the whole call.  The tree
-    may hold dicts with str keys, lists, tuples, str, int, bool and None;
-    anything else, floats and Fractions included, raises TypeError,
-    because reports are exact.
+    ``str`` (``_ints``); a dict writes its str, int, bool and None values
+    and its int lists in place (``_fields``), and a list of dicts writes
+    each in one pass, with the sorted keys of each key set made once; an
+    element that is the same object as the one before it reuses that
+    one's text; and any other list or tuple met again at the same indent,
+    such as the matrix that a chain's presentations share, copies the
+    pieces of its first text.  The ids that key those spans stay valid
+    because every node belongs to the caller's tree for the whole call.
+    The tree may hold dicts with str keys, lists, tuples, str, int, bool
+    and None; anything else, floats and Fractions included, raises
+    TypeError, because reports are exact.
     """
     out = []
     _write(obj, "\n", out, {})
     return "".join(out)
+
+
+def _ints(obj, newline):
+    """The JSON text of the nonempty list or tuple ``obj`` of exact ints
+    (a caller checks the types: True prints as true)."""
+    texts = ["0"] * len(obj)  # only the nonzeros go through str
+    for i in compress(range(len(obj)), obj):
+        texts[i] = str(obj[i])
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _heads(keys, inner):
+    """(key, head) for the str ``keys`` in sorted order, head the text
+    that starts the key's line in a dict whose lines begin with ``inner``."""
+    sep, heads = "{" + inner, []
+    for key in sorted(keys):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        heads.append((key, sep + _ESCAPE(key) + ": "))
+        sep = "," + inner
+    return heads
+
+
+def _fields(obj, heads, newline, out, spans):
+    """Append the JSON text of the nonempty dict ``obj``, its keys and
+    their heads ``heads`` (``_heads``): scalars and int lists in place,
+    not by a call each."""
+    inner = newline + "  "
+    for key, head in heads:
+        value = obj[key]
+        kind = type(value)
+        if kind is str:
+            out.append(head + _ESCAPE(value))
+        elif kind is int:
+            out.append(head + int.__repr__(value))
+        elif kind is bool or value is None:
+            out.append(head + ("null" if value is None else "true" if value else "false"))
+        elif (kind is list or kind is tuple) and value and set(map(type, value)) == {int}:
+            out.append(head + _ints(value, inner))
+        else:
+            out.append(head)
+            _write(value, inner, out, spans)
+    out.append(newline + "}")
 
 
 def _write(obj, newline, out, spans):
@@ -102,24 +148,38 @@ def _write(obj, newline, out, spans):
         if not obj:
             out.append("[]")
             return
-        inner = newline + "  "
-        sep = "," + inner
-        if set(map(type, obj)) == {int}:  # not isinstance: True prints as true
-            texts = ["0"] * len(obj)  # only the nonzeros go through str
-            for i in compress(range(len(obj)), obj):
-                texts[i] = str(obj[i])
-            out.append("[" + inner + sep.join(texts) + newline + "]")
+        kinds = set(map(type, obj))
+        if kinds == {int}:  # not isinstance: True prints as true
+            out.append(_ints(obj, newline))
             return
         span = spans.get(id(obj))
         if span is not None and span[0] == newline:
             out += out[span[1]:span[2]]
             return
-        start = len(out)
+        inner = newline + "  "
+        start, sep = len(out), "," + inner
         lead, last = "[" + inner, out  # no element is the output list
         if type(obj) is _SparseRows:  # one piece per row
             entry = inner + "  "
             for row in obj:
                 out.append(_row(row, len(obj), lead + "[" + entry, "," + entry, inner + "]"))
+                lead = sep
+        elif kinds == {dict}:  # one pass; the sorted keys once per key set
+            order = {}
+            for x in obj:
+                out.append(lead)
+                if x is last:
+                    out += out[mark:end]
+                elif not x:
+                    last, mark = x, len(out)
+                    out.append("{}")
+                    end = len(out)
+                else:
+                    keys = tuple(x)
+                    heads = order.get(keys) or order.setdefault(keys, _heads(keys, inner + "  "))
+                    last, mark = x, len(out)
+                    _fields(x, heads, inner, out, spans)
+                    end = len(out)
                 lead = sep
         else:
             for x in obj:
@@ -137,23 +197,7 @@ def _write(obj, newline, out, spans):
         if not obj:
             out.append("{}")
             return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head, kind = sep + _ESCAPE(key) + ": ", type(value)
-            if kind is str:  # scalars in place, not by a call each
-                out.append(head + _ESCAPE(value))
-            elif kind is int:
-                out.append(head + int.__repr__(value))
-            elif kind is bool or value is None:
-                out.append(head + ("null" if value is None else "true" if value else "false"))
-            else:
-                out.append(head)
-                _write(value, inner, out, spans)
-            sep = "," + inner
-        out.append(newline + "}")
+        _fields(obj, _heads(obj, newline + "  "), newline, out, spans)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

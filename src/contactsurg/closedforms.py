@@ -11,11 +11,14 @@ stands for) gives det, sigma and the block of adj(Q) the inverse
 entries are read from, and ``invariants.c1_numerators`` of that plan at
 every admissible rotation number gives each c1^2, mostly at a shift
 d != 0.  The c1^2 check makes one pass per plan (``_csq``): the plan's
-vectors are built once, at d = 0, each family's value adds d on the
-push-off coordinates it reads, and one list comparison per shift checks
-every vector.  ``regressions.verify`` runs the sweep one tb at a time
-(``_families``), the plans of a tb made in one dict dropped when it
-moves on, which its regression and scan cells of that tb read too.
+vectors are read once, at d = 0 and over its support, each family makes
+its form's arguments from them once, one comprehension calls the form
+as DEFAULT_FORMS holds it at every shift and vector, d added on the
+push-off arguments, and one list comparison checks them all against the
+numerators of every shift.  ``regressions.verify`` runs the sweep one tb
+at a time (``_families``), the plans of a tb made in one dict dropped
+when it moves on, which its regression and scan cells of that tb read
+too.
 
 One displayed closed form for c1^2 of the positive 1/n family is
 inconsistent with its own inverse-entry table; the form used here is the
@@ -26,7 +29,8 @@ confirms (see the q-entry checks in ``_families``).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from operator import sub
 
 from . import invariants, linalg
 from .surgery import LegendrianData, _presentation, rot_range
@@ -118,12 +122,15 @@ class _Report:
         if expected != actual:
             self._mismatch(name, context, expected, actual, form)
 
-    def ratio(self, name, context, expected, actual, form=None):
+    def ratio(self, name, context, expected, actual, form=None, entry=None):
         """Check a rational ``expected`` (int or Fraction) against the
-        exact quotient ``actual`` = (num, den), by cross-multiplication."""
+        exact quotient ``actual`` = (num, den), by cross-multiplication; a
+        mismatch's context gains the table ``entry`` if one is given."""
         self.checks += 1
         num, den = actual
         if expected.numerator * den != num * expected.denominator:
+            if entry is not None:
+                context = {**context, "entry": entry}
             self._mismatch(name, context, expected, Fraction(num, den), form)
 
     def _mismatch(self, name, context, expected, actual, form):
@@ -149,75 +156,90 @@ def _form(tb, smooth_slope):
     """The form of the presentation of (tb, smooth_slope), for the report
     of a form without a plan."""
     knot = LegendrianData(tb, rot_range(tb)[0])
-    return invariants.linking_matrix(_presentation(knot, smooth_slope - tb))
+    p, q = smooth_slope.numerator, smooth_slope.denominator
+    return invariants.linking_matrix(_presentation(knot, p - tb * q, q))
 
 
-def _family(rep, tag, context, tb, smooth_slope, plans, entries=(), negdef=False):
-    """The one plan of (tb, smooth_slope) in ``plans``, made at rots[0],
-    the top rotation number of tb, with the q-entry columns in its
-    support, and its shifts d = i - rots[0] for each rotation number i of
-    tb, descending from rots[0]: (plan, shifts), for ``_csq``.  The plan
-    covers every presentation it stands for.
-    Checks the per-form closed forms of ``tag`` on the plan, at the
-    arguments context.values(): ``tag``_det and the table ``tag``_q of
-    Q^-1 if the family has them, negative definiteness if ``negdef``,
-    ``tag``_sigma, and the entry of Q^-1 at (row, col) for each
+def _names(tag):
+    """The check names of the family ``tag``, by kind, made once per tb."""
+    return {kind: f"{tag}_{kind}" for kind in ("det", "negdef", "sigma", "q", "invertible",
+                                               "slope", "csq")}
+
+
+def _family(rep, names, context, top, smooth_slope, plans, entries=(), negdef=False):
+    """The one plan of (tb, smooth_slope) in ``plans``, made at the knot of
+    ``top`` = (knot, shifts), the knot of tb at its top rotation number, with
+    the q-entry columns in its support, and the shifts d = i - knot.rot
+    for each rotation number i of tb, descending from knot.rot: (plan,
+    shifts), for ``_csq``.  The plan covers every presentation it stands
+    for.
+    Checks the per-form closed forms of the family on the plan, named by
+    ``names`` (``_names``), at the arguments context.values(): its det and
+    its table q of Q^-1 if the family has them, negative definiteness if
+    ``negdef``, its sigma, and the entry of Q^-1 at (row, col) for each
     (name, row, col) of ``entries`` inside the form.  A singular form is
-    one mismatch, ``tag``_invertible, and a form that fails the plan's
-    slope check one ``tag``_slope; either gives None."""
+    one mismatch, names["invertible"], and a form that fails the plan's
+    slope check one names["slope"]; either gives None."""
     f = DEFAULT_FORMS
     args = tuple(context.values())
-    table = f[f"{tag}_q"](*args) if f"{tag}_q" in f else ()
+    table = f[names["q"]](*args) if names["q"] in f else ()
     cols = {c for _, row, col in entries for c in (row, col)}.union(range(len(table)))
-    rots = rot_range(tb)[::-1]
+    knot, shifts = top
     try:
-        plan = invariants._plan(LegendrianData(tb, rots[0]), smooth_slope, plans, extra=cols)
+        plan = invariants._plan(knot, smooth_slope, plans, extra=cols)
     except invariants.NonTorsionEulerClassError:
-        rep._mismatch(f"{tag}_invertible", context, "det != 0", "det = 0", _form(tb, smooth_slope))
+        rep._mismatch(names["invertible"], context, "det != 0", "det = 0",
+                      _form(knot.tb, smooth_slope))
         return None
     except invariants.PipelineCheckError as exc:
-        rep._mismatch(f"{tag}_slope", context, f"a form of slope {smooth_slope}", exc,
-                      _form(tb, smooth_slope))
+        rep._mismatch(names["slope"], context, f"a form of slope {smooth_slope}", exc,
+                      _form(knot.tb, smooth_slope))
         return None
     form = plan.form
-    if f"{tag}_det" in f:
-        rep.record(f"{tag}_det", context, f[f"{tag}_det"](*args), plan.det, form)
+    n = form.n
+    if names["det"] in f:
+        rep.record(names["det"], context, f[names["det"]](*args), plan.det, form)
     if negdef:
-        rep.record(f"{tag}_negdef", context, True, plan.sigma == -form.n, form)
-    rep.record(f"{tag}_sigma", context, f[f"{tag}_sigma"](*args), plan.sigma, form)
+        rep.record(names["negdef"], context, True, plan.sigma == -n, form)
+    rep.record(names["sigma"], context, f[names["sigma"]](*args), plan.sigma, form)
     for name, row, col in entries:
-        if max(row, col) < form.n:
-            rep.ratio(f"{tag}_{name}", context, f[f"{tag}_{name}"](*args),
-                      _inverse(plan, row, col), form)
+        if max(row, col) < n:
+            rep.ratio(name, context, f[name](*args), _inverse(plan, row, col), form)
     for row, line in enumerate(table):
         for col, value in enumerate(line):
-            rep.ratio(f"{tag}_q", {**context, "entry": (row + 1, col + 1)}, value,
-                      _inverse(plan, row, col), form)
-    return plan, [i - rots[0] for i in rots]
+            rep.ratio(names["q"], context, value, _inverse(plan, row, col), form,
+                      entry=(row + 1, col + 1))
+    return plan, shifts
 
 
-def _csq(rep, name, family, value, context):
-    """Checks c1^2 = num / det against value(DEFAULT_FORMS[name], v, d), by
-    cross-multiplication, at each shift d of ``family`` = (plan, shifts)
-    and each vector v of plan.rotations(0), built once: ``value`` adds d
-    on the push-off (pinned) coordinates it reads, and one list comparison
-    per shift checks every vector against ``invariants.c1_numerators``.
-    Only a shift that fails walks plan.rotations(d), for each mismatch's
-    ``context`` in order.  A family of None, a form without a plan, has
-    none."""
+def _csq(rep, name, family, read, check, context):
+    """Checks c1^2 = num / det against the form DEFAULT_FORMS[``name``], as
+    it is when called, at each shift d of ``family`` = (plan, shifts) and
+    each rotation vector of the plan, by cross-multiplication.  The vectors
+    are read once per plan, at d = 0 and over the plan's support, as the
+    dict {row: that row's coordinate at each vector}: ``read`` makes the
+    form's arguments at each vector from it, and ``check(form, args,
+    shifts, det)`` is one comprehension that calls the form at each, shift
+    by shift, with d added on its push-off arguments, times det.  One list
+    comparison checks them against ``invariants.c1_numerators`` at every
+    shift, the one place of the shift formula.  Only a plan that fails
+    walks plan.rotations(d) at each shift, for each mismatch's ``context``
+    in order.  A family of None, a form without a plan, has none."""
     if family is None:
         return
     plan, shifts = family
-    form, det = DEFAULT_FORMS[name], plan.det
-    vectors = list(plan.rotations(0))
+    support = plan.support
+    args = list(read(dict(zip(support, zip(*product(*map(plan.choices.__getitem__, support)))))))
+    form, det, nums = DEFAULT_FORMS[name], plan.det, []
     for d in shifts:
-        nums = invariants.c1_numerators(plan, d)
-        if [value(form, v, d) * det for v in vectors] != nums:
-            for v, shifted, num in zip(vectors, plan.rotations(d), nums):
-                want = value(form, v, d)
+        nums += invariants.c1_numerators(plan, d)
+    if check(form, args, shifts, det) != nums:
+        for at, d in enumerate(shifts):
+            shifted = nums[at * len(args):(at + 1) * len(args)]
+            for v, want, num in zip(plan.rotations(d), check(form, args, (d,), 1), shifted):
                 if want * det != num:
-                    rep._mismatch(name, context(shifted), want, Fraction(num, det), plan.form)
-        rep.checks += len(nums)
+                    rep._mismatch(name, context(v), want, Fraction(num, det), plan.form)
+    rep.checks += len(nums)
 
 
 def _inverse(plan, row, col):
@@ -227,6 +249,11 @@ def _inverse(plan, row, col):
 
 
 _LEADING = (("q11", 0, 0), ("q12", 1, 0), ("q22", 1, 1))
+
+
+def _entries(tag, entries):
+    """``entries`` (name, row, col) with each name the check name of ``tag``."""
+    return tuple((f"{tag}_{name}", row, col) for name, row, col in entries)
 
 
 def _lemmas(k_max, n_max):
@@ -273,53 +300,91 @@ def _families(rep, tb, k_max, n_max, plans):
     """Adds to ``rep`` the checks of the family forms at tb, for n <= n_max
     and, at tb = -k <= -3, for k <= k_max, their plans made in ``plans``:
     a caller that reads more of tb's plans passes the dict on, so each
-    plan is made with its q-entry columns."""
+    plan is made with its q-entry columns.  Each family's c1^2 form reads
+    the rotation numbers i of the knot's push-off (row 0), of the
+    stabilized push-off (row 1: j, rho, rho2 or i + e) and of one more row
+    (s, j or the stabilization in ``context``); only the push-offs move
+    with the shift."""
+    rots = rot_range(tb)[::-1]
+    top = LegendrianData(tb, rots[0]), [i - rots[0] for i in rots]
     if tb == -1:
+        names = _names("tb1_neg")
         for n in range(2, n_max + 1):
-            _csq(rep, "tb1_neg_csq", _family(rep, "tb1_neg", {"n": n}, -1, Fraction(-1, n), plans),
-                 lambda form, v, d: form(n),
+            _csq(rep, names["csq"], _family(rep, names, {"n": n}, top, Fraction(-1, n), plans),
+                 lambda col: col[0],
+                 lambda form, args, shifts, det: [form(n) * det for d in shifts for _ in args],
                  lambda v: {"n": n} if n == 2 else {"n": n, "stab": v[2]})
 
+        names = _names("tb1_pos")
         for n in range(1, n_max + 1):
-            _csq(rep, "tb1_pos_csq", _family(rep, "tb1_pos", {"n": n}, -1, Fraction(1, n), plans),
-                 lambda form, v, d: form(n, v[1] + d), lambda v: {"n": n, "rho": v[1]})
+            _csq(rep, names["csq"], _family(rep, names, {"n": n}, top, Fraction(1, n), plans),
+                 lambda col: col[1],
+                 lambda form, args, shifts, det: [form(n, rho + d) * det
+                                                  for d in shifts for rho in args],
+                 lambda v: {"n": n, "rho": v[1]})
 
     elif tb == -2:
+        names = _names("tb2_neg")
         for n in range(1, n_max + 1):
-            family = _family(rep, "tb2_neg", {"n": n}, -2, Fraction(-1, n), plans,
-                             _LEADING if n >= 2 else (), negdef=True)
-            _csq(rep, "tb2_neg_csq", family,
-                 lambda form, v, d: form(n, v[0] + d, v[1] + d if n >= 2 else 0),
-                 lambda v: {"n": n, "i": v[0], "j": v[1]} if n >= 2 else {"n": n, "i": v[0]})
+            family = _family(rep, names, {"n": n}, top, Fraction(-1, n), plans,
+                             _entries("tb2_neg", _LEADING) if n >= 2 else (), negdef=True)
+            if n >= 2:
+                _csq(rep, names["csq"], family, lambda col: zip(col[0], col[1]),
+                     lambda form, args, shifts, det: [form(n, i + d, j + d) * det
+                                                      for d in shifts for i, j in args],
+                     lambda v: {"n": n, "i": v[0], "j": v[1]})
+            else:
+                _csq(rep, names["csq"], family, lambda col: col[0],
+                     lambda form, args, shifts, det: [form(n, i + d, 0) * det
+                                                      for d in shifts for i in args],
+                     lambda v: {"n": n, "i": v[0]})
 
+        names = _names("tb2_pos")
         for n in range(1, n_max + 1):
-            _csq(rep, "tb2_pos_csq", _family(rep, "tb2_pos", {"n": n}, -2, Fraction(1, n), plans),
-                 lambda form, v, d: form(n, v[0] + d, v[1] + d, v[2]),
+            _csq(rep, names["csq"], _family(rep, names, {"n": n}, top, Fraction(1, n), plans),
+                 lambda col: zip(col[0], col[1], col[2]),
+                 lambda form, args, shifts, det: [form(n, i + d, rho2 + d, s) * det
+                                                  for d in shifts for i, rho2, s in args],
                  lambda v: {"n": n, "i": v[0], "rho2": v[1], "s": v[2]})
 
     elif 3 <= -tb <= k_max:
         k = -tb
         for sign, tag in ((-1, "two_neg"), (1, "two_pos")):
-            family = _family(rep, tag, {"k": k}, -k, Fraction(2 * sign), plans, _LEADING,
-                             negdef=sign == -1)
-            _csq(rep, f"{tag}_csq", family,
-                 lambda form, v, d: form(k, v[0] + d, v[1] - v[0] if len(v) > 1 else 1),
+            names = _names(tag)
+            family = _family(rep, names, {"k": k}, top, Fraction(2 * sign), plans,
+                             _entries(tag, _LEADING), negdef=sign == -1)
+            # at k = 3 the form is the push-off alone, and e is 1
+            _csq(rep, names["csq"], family,
+                 lambda col: zip(col[0], map(sub, col[1], col[0]) if 1 in col else repeat(1)),
+                 lambda form, args, shifts, det: [form(k, i + d, e) * det
+                                                  for d in shifts for i, e in args],
                  lambda v: {"k": k, "i": v[0], "e": v[1] - v[0]} if len(v) > 1
                  else {"k": k, "i": v[0]})
 
+        names = _names("one_neg")
+        entries = _entries("one_neg", _LEADING + (("q1k", k - 1, 0), ("q2k", k - 1, 1),
+                                                   ("qkk", k - 1, k - 1)))
         for n in range(1, n_max + 1):
             context = {"k": k, "n": n}
-            family = _family(rep, "one_neg", context, -k, Fraction(-1, n), plans, _LEADING + (
-                ("q1k", k - 1, 0), ("q2k", k - 1, 1), ("qkk", k - 1, k - 1)), negdef=True)
-            _csq(rep, "one_neg_csq", family,
-                 lambda form, v, d: form(k, n, v[0] + d, v[1] - v[0], v[k - 1] if n >= 2 else 0),
+            family = _family(rep, names, context, top, Fraction(-1, n), plans, entries,
+                             negdef=True)
+            # at n = 1 the form has k - 1 rows, and j is 0
+            _csq(rep, names["csq"], family,
+                 lambda col: zip(col[0], map(sub, col[1], col[0]),
+                                 col[k - 1] if n >= 2 else repeat(0)),
+                 lambda form, args, shifts, det: [form(k, n, i + d, e, j) * det
+                                                  for d in shifts for i, e, j in args],
                  lambda v: {**context, "i": v[0], "e": v[1] - v[0], "j": v[k - 1]} if n >= 2
                  else {**context, "i": v[0], "e": v[1] - v[0]})
 
+        names = _names("one_pos")
+        entries = _entries("one_pos", _LEADING + (("q1last", k, 0), ("q2last", k, 1),
+                                                   ("qlastlast", k, k)))
         for n in range(1, n_max + 1):
             context = {"k": k, "n": n}
-            family = _family(rep, "one_pos", context, -k, Fraction(1, n), plans, _LEADING + (
-                ("q1last", k, 0), ("q2last", k, 1), ("qlastlast", k, k)))
-            _csq(rep, "one_pos_csq", family,
-                 lambda form, v, d: form(k, n, v[0] + d, v[1] - v[0], v[k]),
+            family = _family(rep, names, context, top, Fraction(1, n), plans, entries)
+            _csq(rep, names["csq"], family,
+                 lambda col: zip(col[0], map(sub, col[1], col[0]), col[k]),
+                 lambda form, args, shifts, det: [form(k, n, i + d, e, s) * det
+                                                  for d in shifts for i, e, s in args],
                  lambda v: {**context, "i": v[0], "e": v[1] - v[0], "s": v[k]})

@@ -54,23 +54,23 @@ def candidate_slopes(genus: int, n_max: int = 10):
 # ---------------------------------------------------------------------------
 # integer-solution searches for the d3-equality equations, tb = -k <= -3
 
-def _shifted_d3(family, csq_args, sigma_args, size):
-    """The integer 4 (d3 - 1) = c1^2 - 3 sigma - 2 size of a surgery trace,
-    from the ``family`` csq and sigma forms of DEFAULT_FORMS; ``size`` is
-    the number of rows of its form, the linking matrix of the
-    ``_presentation`` at tb = -k and smooth slope -1/n, 1/n or +-2."""
-    return (DEFAULT_FORMS[family + "_csq"](*csq_args)
-            - (3 * DEFAULT_FORMS[family + "_sigma"](*sigma_args) + 2 * size))
-
-
-def _neg_one_over_n(k, n, i, e, j):
-    """4 (d3 - 1) of the -1/n surgery trace on a tb = -k knot."""
-    return _shifted_d3("one_neg", (k, n, i, e, j), (k, n), k + n - 2)
-
-
-def _pos_one_over_n(k, n, i, e, s):
-    """4 (d3 - 1) of the +1/n surgery trace on a tb = -k knot."""
-    return _shifted_d3("one_pos", (k, n, i, e, s), (k, n), k + 1)
+def _shifted_d3(k):
+    """The integer 4 (d3 - 1) = c1^2 - 3 sigma - 2 size of each surgery
+    trace on a tb = -k knot that the d3-equality families compare, from the
+    csq and sigma forms of DEFAULT_FORMS, read once a call: the -1/n and
+    +1/n traces as functions of (n, i, e, j) and (n, i, e, s), then the -2
+    and +2 traces as functions of (i, e).  size is the number of rows of
+    the trace's form, the linking matrix of the ``_presentation`` at tb = -k
+    and that smooth slope."""
+    f = DEFAULT_FORMS
+    neg, neg_sigma, pos, pos_sigma = (f["one_neg_csq"], f["one_neg_sigma"], f["one_pos_csq"],
+                                      f["one_pos_sigma"])
+    two_neg, two_neg_sigma, two_pos, two_pos_sigma = (f["two_neg_csq"], f["two_neg_sigma"],
+                                                      f["two_pos_csq"], f["two_pos_sigma"])
+    return (lambda n, i, e, j: neg(k, n, i, e, j) - (3 * neg_sigma(k, n) + 2 * (k + n - 2)),
+            lambda n, i, e, s: pos(k, n, i, e, s) - (3 * pos_sigma(k, n) + 2 * (k + 1)),
+            lambda i, e: two_neg(k, i, e) - (3 * two_neg_sigma(k) + 2 * (k - 2)),
+            lambda i, e: two_pos(k, i, e) - (3 * two_pos_sigma(k) + 2 * (k + 2)))
 
 
 def solve_d3_equation(tb: int, family: str, n_max: int = 20):
@@ -94,18 +94,17 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
         raise ValueError("the equation families cover tb <= -3")
     rots = rot_range(tb)
     signs = (1, -1)
+    neg_n, pos_n, neg_2, pos_2 = _shifted_d3(k)
 
     if family in ("pm_one", "pm_two"):
         if family == "pm_two" and k < 4:
             raise ValueError("the +-2 equation family needs tb <= -4")
         if family == "pm_one":
-            neg = {(i, e): _neg_one_over_n(k, 1, i, e, 0) for i in rots for e in signs}
-            pos = {(i, e): _pos_one_over_n(k, 1, i, e, 0) for i in rots for e in signs}
+            neg = {(i, e): neg_n(1, i, e, 0) for i in rots for e in signs}
+            pos = {(i, e): pos_n(1, i, e, 0) for i in rots for e in signs}
         else:
-            neg = {(i, e): _shifted_d3("two_neg", (k, i, e), (k,), k - 2)
-                   for i in rots for e in signs}
-            pos = {(i, e): _shifted_d3("two_pos", (k, i, e), (k,), k + 2)
-                   for i in rots for e in signs}
+            neg = {(i, e): neg_2(i, e) for i in rots for e in signs}
+            pos = {(i, e): pos_2(i, e) for i in rots for e in signs}
         return [{"family": family, "i": i, "e1": e1, "e2": e2}
                 for e1, e2 in product(signs, repeat=2) for i in rots
                 if neg[i, e1] == pos[i, e2]]
@@ -116,10 +115,8 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
     solutions = []
     for i in rots:
         # each side at the (n, s) that the coefficients are read from
-        neg = {(e, j): (_neg_one_over_n(k, 0, i, e, j), _neg_one_over_n(k, 1, i, e, j))
-               for e, j in product(signs, repeat=2)}
-        pos = {e: (_pos_one_over_n(k, 0, i, e, 0), _pos_one_over_n(k, 1, i, e, 0),
-                   _pos_one_over_n(k, 0, i, e, 1)) for e in signs}
+        neg = {(e, j): (neg_n(0, i, e, j), neg_n(1, i, e, j)) for e, j in product(signs, repeat=2)}
+        pos = {e: (pos_n(0, i, e, 0), pos_n(1, i, e, 0), pos_n(0, i, e, 1)) for e in signs}
         for e1, e2, j in product(signs, repeat=3):
             # 4 (d3 at +1/n - d3 at -1/n) = a_n n + d_s s + c_0
             (neg_0, neg_1), (pos_00, pos_10, pos_01) = neg[e1, j], pos[e2]
@@ -128,12 +125,11 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
             d_s = pos_01 - neg_0 - c_0
             for s, n in _affine_solutions(a_n, d_s, c_0, n_max):
                 sol = {"family": family, "i": i, "e1": e1, "e2": e2, "j": j, "s": s, "n": n}
-                if n != "all" and (_pos_one_over_n(k, n, i, e2, s)
-                                   != _neg_one_over_n(k, n, i, e1, j)):
+                if n != "all" and pos_n(n, i, e2, s) != neg_n(n, i, e1, j):
                     raise RuntimeError(
                         f"solver and closed forms disagree at tb={tb}, {sol}: d3 "
-                        f"{ratio_text(_neg_one_over_n(k, n, i, e1, j) + 4, 4)} at -1/n "
-                        f"against {ratio_text(_pos_one_over_n(k, n, i, e2, s) + 4, 4)} at +1/n")
+                        f"{ratio_text(neg_n(n, i, e1, j) + 4, 4)} at -1/n "
+                        f"against {ratio_text(pos_n(n, i, e2, s) + 4, 4)} at +1/n")
                 solutions.append(sol)
     return solutions
 
@@ -221,20 +217,25 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
 
 def _scan_tb(tb, n_max, plans):
     """The cells of tb, and those left unobstructed, their plans made in
-    ``plans``; a cell's provenance holds each side as ``_spectrum`` gives it."""
-    cells, not_obstructed, seen = [], [], {}
+    ``plans``; a cell's provenance holds each side as ``_spectra`` gives it.
+    Each slope's spectra are read at every rotation number of tb in one
+    pass, the slopes in cell order, so each plan is made at the first
+    rotation number, as a walk cell by cell makes it."""
+    cells, not_obstructed, rots = [], [], rot_range(tb)
+    knots = [LegendrianData(tb, rot) for rot in rots]
     slopes = [(v, -v, [str(-v), str(v)]) for v in candidate_slopes(2, n_max)]
-    for rot in rot_range(tb):
-        L = LegendrianData(tb, rot)
-        for v, minus_v, pair in slopes:
+    sides = [None if minus_v == tb else
+             (_spectra(knots, minus_v, plans), _spectra(knots, v, plans))
+             for v, minus_v, _ in slopes]
+    for r, rot in enumerate(rots):
+        for (v, minus_v, pair), spectra in zip(slopes, sides):
             verdict = {"slope_pair": pair, "spectrum_neg": [], "spectrum_pos": [],
                        "outcome": "contact_zero", "exception_flags": []}
             cell = {"tb": tb, "rot": rot, "pair": pair, "verdict": verdict}
             cells.append(cell)
-            if minus_v == tb:
+            if spectra is None:
                 continue
-            neg_side, neg = _spectrum(L, minus_v, plans, seen)
-            pos_side, pos = _spectrum(L, v, plans, seen)
+            (neg_side, neg), (pos_side, pos) = spectra[0][r], spectra[1][r]
             verdict["spectrum_neg"], verdict["spectrum_pos"] = sorted(neg), sorted(pos)
             cell["provenance"] = {"neg": neg_side, "pos": pos_side}
             if neg.isdisjoint(pos):
@@ -254,17 +255,19 @@ def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
             "solver_solutions": solve_d3_equations(tb_min, tb_max, n_max)}
 
 
-def _spectrum(L, slope, plans, seen):
-    """(side, spectrum): side = (plan, d, nums, text) of ``d3_records`` at L,
-    text the d3 string ``str`` gives each num's Fraction, and the spectrum
-    the set of those; ``seen`` maps each slope p/q of L.tb to its text."""
-    plan, d, nums, pairs = d3_records(L, slope, plans)
-    key = slope.numerator, slope.denominator
-    text = seen.get(key) or seen.setdefault(key, {})
-    for num in pairs.keys() - text.keys():
-        a, b = pairs[num]
-        text[num] = str(a) if b == 1 else f"{a}/{b}"
-    return (plan, d, nums, text), set(map(text.__getitem__, pairs))
+def _spectra(knots, slope, plans):
+    """(side, spectrum) at each knot of ``knots``, all of one tb: side =
+    (plan, d, nums, text) of ``d3_records`` at the knot, text the d3
+    string ``str`` gives each num's Fraction, one dict for every knot, and
+    the spectrum the set of those."""
+    text, spectra = {}, []
+    for L in knots:
+        plan, d, nums, pairs = d3_records(L, slope, plans)
+        for num in pairs.keys() - text.keys():
+            a, b = pairs[num]
+            text[num] = str(a) if b == 1 else f"{a}/{b}"
+        spectra.append(((plan, d, nums, text), set(map(text.__getitem__, pairs))))
+    return spectra
 
 
 def _provenance(plan, d, nums, text):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import gcd, prod
 from operator import add, mul
 
@@ -32,7 +32,7 @@ class PipelineCheckError(RuntimeError):
     """A self-check of the d3 route failed; internal error."""
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Plan:
     """The one presentation of a conversion, the number ``count`` of the
     presentations it stands for, which differ only in pinned rotation
@@ -46,10 +46,12 @@ class Plan:
     holds the support of u and of the vectors, so (Q^-1)_{S[a], S[b]} =
     B[a][b] / det; c1^2 of v + d u is (N_v + 2 d W_v + d^2 U) / det for
     N_v = v^T B v (``quad``), W_v = u^T B v (``cross``, both by ``_walk``)
-    and U = u^T B u; only ``c1_numerators`` applies the shift, and a
-    caller that checks every shift reads the vectors once, at d = 0
+    and U = u^T B u; only ``c1_numerators`` applies the shift.  A caller
+    that checks every shift reads the vectors once, at d = 0, over S
     (``closedforms._csq``).  ``table`` maps each numerator met at any
-    shift to its reduced d3 (``d3_records``).
+    shift to its reduced d3 (``d3_records``).  Plans are made once, by
+    ``_plan``, and read, never written, but for ``table``; a plain
+    dataclass, as a frozen one pays a guarded store per field.
     """
 
     presentation: SurgeryPresentation
@@ -102,24 +104,24 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> P
     plan = plans.get(key)
     if plan is not None:
         return plan
-    pres = _presentation(L, smooth_slope - L.tb)
+    pres = _presentation(L, p - L.tb * q, q)
     form = linking_matrix(pres)
     pinned, choices = pres.pinned, rotation_choices(pres)
-    support = tuple(i for i, c in enumerate(choices) if pinned[i] or any(c) or i in extra)
+    pins, n = pinned.count(1), len(choices)  # the pinned rows come first
+    support = tuple(sorted({*range(pins), *compress(range(pins, n), map(any, choices[pins:])),
+                            *(i for i in extra if i < n)}))
     try:
         det, sigma, block = linalg.adjugate_block(form.path, support)
     except linalg.SingularMatrixError:
         raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class") from None
-    u = [pinned[i] for i in support]
-    bu = [sum(map(mul, row, u)) for row in block]
-    U = sum(map(mul, bu, u))
+    bu = [sum(row[:pins]) for row in block]  # B u, u the first pins entries of S
+    U = sum(bu[:pins])
     if abs(det) != abs(p) or (U * p - q * det) % (det * p):
         raise PipelineCheckError(f"tb={L.tb}, smooth slope {smooth_slope}: det Q = {det} and "
                                  f"meridian square {ratio_text(U, det)} disagree with the slope")
     quad, cross = _walk(block, bu, [choices[i] for i in support])
-    count = prod(len(c) for c, pin in zip(choices, pinned) if pin)
-    plan = plans[key] = Plan(pres, count, form, choices, pinned, det, sigma, support, block,
-                             quad, cross, U)
+    plan = plans[key] = Plan(pres, prod(map(len, choices[:pins])), form, choices, pinned, det,
+                             sigma, support, block, quad, cross, U)
     return plan
 
 

@@ -30,7 +30,7 @@ from them.
 from __future__ import annotations
 
 from math import prod
-from operator import ne, sub
+from operator import ne, neg, sub
 from typing import NamedTuple
 
 
@@ -128,7 +128,8 @@ def _path_kernel(path, cols):
         _check_basis(path, a, b)
     w = [x * x for x in b]
     theta = leading_determinants(a, w)
-    phi = leading_determinants(a[::-1], w[::-1])[::-1]
+    phi = leading_determinants(reversed(a), reversed(w))
+    phi.reverse()
     det = theta[n]
     if det != phi[0]:
         raise KernelCheckError(f"continuants disagree: theta_n={det} phi_0={phi[0]}")
@@ -296,8 +297,7 @@ def _descartes(coeffs) -> int:
     symmetric matrix has an all-real spectrum, so the sign changes of
     P(lambda) count its positive eigenvalues exactly, and those of
     P(-lambda) its negative ones."""
-    degree = len(coeffs) - 1
-    negated = [c if (degree - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
-    signs = [[c > 0 for c in poly if c] for poly in (coeffs, negated)]
-    positive, negative = (sum(map(ne, s, s[1:])) for s in signs)
-    return positive - negative
+    negated = coeffs[:]  # the odd powers change sign
+    negated[-2::-2] = map(neg, coeffs[-2::-2])
+    up, down = [c > 0 for c in coeffs if c], [c > 0 for c in negated if c]
+    return sum(map(ne, up, up[1:])) - sum(map(ne, down, down[1:]))

@@ -139,17 +139,15 @@ def _negative_chain(tb: int, rot: int, p: int, q: int) -> tuple:
     return framings, choices
 
 
-def _presentation(L: LegendrianData, contact_coeff) -> SurgeryPresentation:
-    """The one (+1/-1)-surgery presentation of contact r-surgery on L.  Its
-    stabilized push-off, if it has one, carries all the rotation numbers
-    its stabilizations allow, as a ``range``; the presentations differ only
-    in which one it pins.  The push-offs come first and link each other
-    with tb: a clique head when there are three or more and tb != 0, else
-    a path.  Each chain component links only its predecessor, with -1.
-    Fractions are made only for error texts."""
-    if type(contact_coeff) is not Fraction:
-        contact_coeff = Fraction(contact_coeff)
-    p, q = contact_coeff.numerator, contact_coeff.denominator
+def _presentation(L: LegendrianData, p: int, q: int) -> SurgeryPresentation:
+    """The one (+1/-1)-surgery presentation of contact r-surgery on L, for
+    r = p/q in lowest terms with q > 0.  Its stabilized push-off, if it has
+    one, carries all the rotation numbers its stabilizations allow, as a
+    ``range``; the presentations differ only in which one it pins.  The
+    push-offs come first and link each other with tb: a clique head when
+    there are three or more and tb != 0, else a path.  Each chain component
+    links only its predecessor, with -1.  Fractions are made only for error
+    texts."""
     if not p:
         raise ContactZeroError("contact (0)-surgery is not well-defined")
     tb = L.tb
@@ -158,7 +156,7 @@ def _presentation(L: LegendrianData, contact_coeff) -> SurgeryPresentation:
     else:
         k = -(-q // p)  # smallest k with q - k p <= 0
         if k > sys.maxsize:
-            raise SlopeError(f"tb={tb}, contact coefficient {contact_coeff}: {k} push-offs "
+            raise SlopeError(f"tb={tb}, contact coefficient {Fraction(p, q)}: {k} push-offs "
                              f"are more than a list holds ({sys.maxsize})")
         rem = q - k * p
         # the remainder coefficient is -p/-rem, in lowest terms as p/q is, and
@@ -166,7 +164,7 @@ def _presentation(L: LegendrianData, contact_coeff) -> SurgeryPresentation:
         if rem and tb * -rem - p >= rem:
             tail_coeff = Fraction(p, rem)
             raise SlopeError(
-                f"tb={tb}, contact coefficient {contact_coeff} (smooth slope "
+                f"tb={tb}, contact coefficient {Fraction(p, q)} (smooth slope "
                 f"{Fraction(tb * q + p, q)}): after {k} push-off{'s' if k > 1 else ''} the "
                 f"remainder coefficient {tail_coeff} needs smooth slope < -1, "
                 f"got {tb + tail_coeff}")

@@ -39,9 +39,9 @@ from itertools import accumulate, combinations, compress, product
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from contactsurg.cosmetic import _neg_one_over_n, _pos_one_over_n
+from contactsurg.cosmetic import _shifted_d3
 from contactsurg.farey import minimal_path_blocks
-from contactsurg import closedforms, linalg, regressions
+from contactsurg import closedforms, invariants, linalg, regressions
 from contactsurg.invariants import NonTorsionEulerClassError, d3_spectrum
 from contactsurg.linalg import SingularMatrixError
 from contactsurg.slopes import SlopeError, neg_cf_runs, parse_slope
@@ -1592,11 +1592,11 @@ def solve_one_over_n_loop(tb: int, n_max: int, rots):
     numbers ``rots``, with the affine coefficients read off the closed
     forms the same way, and each line solved by ``affine_solutions_loop``."""
     k, signs, solutions = -tb, (1, -1), []
+    neg_n, pos_n, _, _ = _shifted_d3(k)
     for i in rots:
         for e1, e2, j in product(signs, repeat=3):
-            neg_0, neg_1 = (_neg_one_over_n(k, n, i, e1, j) for n in (0, 1))
-            pos_00, pos_10, pos_01 = (_pos_one_over_n(k, n, i, e2, s)
-                                      for n, s in ((0, 0), (1, 0), (0, 1)))
+            neg_0, neg_1 = (neg_n(n, i, e1, j) for n in (0, 1))
+            pos_00, pos_10, pos_01 = (pos_n(n, i, e2, s) for n, s in ((0, 0), (1, 0), (0, 1)))
             c_0 = pos_00 - neg_0
             a_n, d_s = pos_10 - neg_1 - c_0, pos_01 - neg_0 - c_0
             solutions += [{"family": "pm_one_over_n", "i": i, "e1": e1, "e2": e2, "j": j,
@@ -1736,6 +1736,97 @@ def closed_form_stage(k_max: int = 20, n_max: int = 20) -> dict:
     rep = closedforms._lemmas(k_max, n_max)
     for tb in range(-1, -k_max - 1, -1):
         closedforms._families(rep, tb, k_max, n_max, {})
+    return rep.as_dict()
+
+
+def csq_by_vector(rep, name, family, value, context):
+    """The c1^2 check of ``closedforms._csq`` one full rotation vector at a
+    time, as it ran before the check read each plan's arguments over its
+    support: c1^2 = num / det against value(DEFAULT_FORMS[name], v, d) by
+    cross-multiplication, at each shift d of ``family`` = (plan, shifts)
+    and each vector v of plan.rotations(0), ``value`` adding d on the
+    push-off coordinates it reads; a mismatch's ``context`` is read off
+    the shifted vector.  A family of None has no check."""
+    if family is None:
+        return
+    plan, shifts = family
+    form, det = closedforms.DEFAULT_FORMS[name], plan.det
+    vectors = list(plan.rotations(0))
+    for d in shifts:
+        nums = invariants.c1_numerators(plan, d)
+        for v, shifted, num in zip(vectors, plan.rotations(d), nums):
+            want = value(form, v, d)
+            if want * det != num:
+                rep._mismatch(name, context(shifted), want, Fraction(num, det), plan.form)
+        rep.checks += len(nums)
+
+
+def closed_form_sweep(k_max: int = 20, n_max: int = 20) -> dict:
+    """The report of ``regressions.verify``'s closed-form stage with each
+    c1^2 checked by ``csq_by_vector``, through a value function per family
+    that reads the full vector: the lemma matrices and each family's
+    per-form checks are the library's (``closedforms._family``)."""
+    cf = closedforms
+    rep = cf._lemmas(k_max, n_max)
+
+    def family(tag, context, tb, slope, plans, entries=(), negdef=False):
+        rots = rot_range(tb)[::-1]
+        top = LegendrianData(tb, rots[0]), [i - rots[0] for i in rots]
+        return cf._family(rep, cf._names(tag), context, top, slope, plans,
+                          cf._entries(tag, entries), negdef)
+
+    for tb in range(-1, -k_max - 1, -1):
+        plans, k = {}, -tb
+        if tb == -1:
+            for n in range(2, n_max + 1):
+                csq_by_vector(rep, "tb1_neg_csq", family("tb1_neg", {"n": n}, -1, Fraction(-1, n),
+                                                         plans),
+                              lambda form, v, d: form(n),
+                              lambda v: {"n": n} if n == 2 else {"n": n, "stab": v[2]})
+            for n in range(1, n_max + 1):
+                csq_by_vector(rep, "tb1_pos_csq", family("tb1_pos", {"n": n}, -1, Fraction(1, n),
+                                                         plans),
+                              lambda form, v, d: form(n, v[1] + d), lambda v: {"n": n, "rho": v[1]})
+        elif tb == -2:
+            for n in range(1, n_max + 1):
+                csq_by_vector(rep, "tb2_neg_csq",
+                              family("tb2_neg", {"n": n}, -2, Fraction(-1, n), plans,
+                                     cf._LEADING if n >= 2 else (), negdef=True),
+                              lambda form, v, d: form(n, v[0] + d, v[1] + d if n >= 2 else 0),
+                              lambda v: {"n": n, "i": v[0], "j": v[1]} if n >= 2
+                              else {"n": n, "i": v[0]})
+            for n in range(1, n_max + 1):
+                csq_by_vector(rep, "tb2_pos_csq", family("tb2_pos", {"n": n}, -2, Fraction(1, n),
+                                                         plans),
+                              lambda form, v, d: form(n, v[0] + d, v[1] + d, v[2]),
+                              lambda v: {"n": n, "i": v[0], "rho2": v[1], "s": v[2]})
+        else:
+            for sign, tag in ((-1, "two_neg"), (1, "two_pos")):
+                csq_by_vector(rep, f"{tag}_csq",
+                              family(tag, {"k": k}, -k, Fraction(2 * sign), plans, cf._LEADING,
+                                     negdef=sign == -1),
+                              lambda form, v, d: form(k, v[0] + d, v[1] - v[0] if len(v) > 1
+                                                      else 1),
+                              lambda v: {"k": k, "i": v[0], "e": v[1] - v[0]} if len(v) > 1
+                              else {"k": k, "i": v[0]})
+            for n in range(1, n_max + 1):
+                context = {"k": k, "n": n}
+                csq_by_vector(rep, "one_neg_csq",
+                              family("one_neg", context, -k, Fraction(-1, n), plans,
+                                     cf._LEADING + (("q1k", k - 1, 0), ("q2k", k - 1, 1),
+                                                    ("qkk", k - 1, k - 1)), negdef=True),
+                              lambda form, v, d: form(k, n, v[0] + d, v[1] - v[0],
+                                                      v[k - 1] if n >= 2 else 0),
+                              lambda v: {**context, "i": v[0], "e": v[1] - v[0], "j": v[k - 1]}
+                              if n >= 2 else {**context, "i": v[0], "e": v[1] - v[0]})
+            for n in range(1, n_max + 1):
+                context = {"k": k, "n": n}
+                csq_by_vector(rep, "one_pos_csq",
+                              family("one_pos", context, -k, Fraction(1, n), plans,
+                                     cf._LEADING + (("q1last", k, 0), ("q2last", k, 1),
+                                                    ("qlastlast", k, k))),
+                              lambda form, v, d: form(k, n, v[0] + d, v[1] - v[0], v[k]),
+                              lambda v: {**context, "i": v[0], "e": v[1] - v[0], "s": v[k]})
     return rep.as_dict()
 
 

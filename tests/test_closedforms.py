@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from contactsurg import closedforms, cosmetic, invariants, linalg
 from contactsurg.cli import main
@@ -25,6 +26,7 @@ from oracles import (
     chain_matrix_primed,
     check_symmetric,
     closed_form_stage,
+    closed_form_sweep,
     determinant,
     listed_convert,
     listed_linking_matrix,
@@ -135,7 +137,7 @@ class TestFamilies:
             forms = [linalg.dense(listed_linking_matrix(pres).rows)
                      for pres in listed_convert(knot, slope - tb)]
             forms.append(linalg.dense(invariants.linking_matrix(
-                invariants._presentation(knot, slope - tb)).rows))
+                invariants._presentation(knot, *(slope - tb).as_integer_ratio())).rows))
             assert forms and all(q == [list(row) for row in family] for q in forms), (tb, slope)
 
 
@@ -173,6 +175,21 @@ class TestVerifier:
         monkeypatch.setitem(DEFAULT_FORMS, "tb1_neg_csq", lambda n: 3 - n)
         rep = verify(k_max=4, n_max=2)["closed forms"]
         assert not rep["ok"]
+
+    def test_table_mismatch_names_its_entry(self, monkeypatch):
+        # a q table off at one entry is one mismatch, its context the
+        # family's arguments and that entry, 1-indexed (row 2, column 1)
+        table = DEFAULT_FORMS["tb2_pos_q"]
+
+        def corrupted(n):
+            q = table(n)
+            q[1][0] += n == 2
+            return q
+
+        monkeypatch.setitem(DEFAULT_FORMS, "tb2_pos_q", corrupted)
+        rep = verify(k_max=3, n_max=3)["closed forms"]
+        assert [(m["check"], m["context"], m["expected"], m["actual"])
+                for m in rep["mismatches"]] == [("tb2_pos_q", {"n": 2, "entry": (2, 1)}, "-5", "-6")]
 
     def test_tb2_neg_csq_checked_at_n_one(self, monkeypatch):
         # at n = 1 the form is the 1x1 matrix [-1] and c1^2 is -1
@@ -310,12 +327,14 @@ class TestVerifier:
 
     def test_value_without_the_shift_fails_verify(self, monkeypatch):
         # _csq reads each plan's vectors once, at d = 0, and each family's
-        # value lambda adds d on the push-off coordinates it reads; with d
-        # dropped every family whose c1^2 moves with the knot's rotation
-        # number fails
+        # check adds each shift d on the push-off arguments of its one
+        # comprehension; with every d dropped each family whose c1^2 moves
+        # with the knot's rotation number fails
         csq = closedforms._csq
-        monkeypatch.setattr(closedforms, "_csq", lambda rep, name, family, value, context: csq(
-            rep, name, family, lambda form, v, d: value(form, v, 0), context))
+        monkeypatch.setattr(closedforms, "_csq", lambda rep, name, family, read, check, context: (
+            csq(rep, name, family, read,
+                lambda form, args, shifts, det: check(form, args, [0] * len(shifts), det),
+                context)))
         rep = verify(4, 3)["closed forms"]
         assert not rep["ok"]
         assert {m["check"] for m in rep["mismatches"]} == {
@@ -347,16 +366,49 @@ class TestVerifier:
                     tuple(x + d * pin for x, pin in zip(v, one.pinned)) for v in vectors]
 
     def test_one_vector_list_per_plan(self, monkeypatch):
-        # _csq builds each family plan's vectors once, at d = 0, and checks
-        # every shift against that one list; a clean sweep walks no shifted
-        # vector.  A walk per (plan, shift) made 8,813
-        calls = []
-        rotations = invariants.Plan.rotations
+        # _csq reads each family plan's vectors once, at d = 0 and over its
+        # support, and checks every shift against the arguments read from
+        # them: 835 reads of 9,780 vectors in all, and a clean sweep walks
+        # no full rotation vector.  A walk per (plan, shift) made 8,813
+        reads, walks = [], []
+        csq, rotations = closedforms._csq, invariants.Plan.rotations
+
+        def counted(rep, name, family, read, check, context):
+            def recorded(cols):
+                reads.append((family[0], {len(col) for col in cols.values()}))
+                return read(cols)
+            return csq(rep, name, family, recorded, check, context)
+
+        monkeypatch.setattr(closedforms, "_csq", counted)
         monkeypatch.setattr(invariants.Plan, "rotations",
-                            lambda one, d: calls.append((one, d)) or rotations(one, d))
+                            lambda one, d: walks.append(d) or rotations(one, d))
         assert closed_form_stage()["ok"]
-        assert len(calls) == 835 and len({id(one) for one, _ in calls}) == 835
-        assert {d for _, d in calls} == {0}
+        assert len(reads) == 835 and len({id(one) for one, _ in reads}) == 835
+        assert all(len(sizes) == 1 for _, sizes in reads)
+        assert sum(len(one.quad) for one, _ in reads) == sum(
+            size for _, (size,) in reads) == 9780
+        assert walks == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 6), st.integers(1, 5),
+           st.sampled_from(sorted(name for name in DEFAULT_FORMS if name.endswith("_csq"))),
+           st.data())
+    def test_a_corrupted_point_reads_as_the_vector_sweep(self, k_max, n_max, name, data):
+        # one c1^2 form off by one at one point the sweep checks it at: the
+        # report of the one comprehension per (plan, shift) is the oracle's,
+        # checked one full vector at a time (checks, mismatch order,
+        # contexts, expected and actual)
+        original, points = DEFAULT_FORMS[name], set()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(DEFAULT_FORMS, name, lambda *args: points.add(args) or original(*args))
+            assert closed_form_sweep(k_max, n_max)["ok"]
+        assume(points)  # tb1_neg_csq starts at n = 2
+        point = data.draw(st.sampled_from(sorted(points)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(DEFAULT_FORMS, name, lambda *args: original(*args) + (args == point))
+            rep = verify(k_max, n_max)["closed forms"]
+            assert rep == closed_form_sweep(k_max, n_max)
+        assert rep["mismatches"] and {m["check"] for m in rep["mismatches"]} == {name}
 
     def test_mismatch_provenance_digest(self, monkeypatch):
         # closed forms off by one at a few points: sha256 of the report
@@ -401,7 +453,9 @@ class TestVerifier:
         reduce, leading = linalg._reduce, linalg.leading_determinants
 
         def recorded(a, w):
-            lemma.append((sys._getframe(1).f_code.co_name, len(a)))
+            # the kernel's phi reads the path reversed, as iterators
+            caller = sys._getframe(1).f_code.co_name
+            lemma.append((caller, None if caller == "_path_kernel" else len(a)))
             return leading(a, w)
 
         monkeypatch.setattr(linalg, "_reduce",

@@ -108,11 +108,11 @@ class TestScanVerdicts:
         # cell at tb -1, and contact-zero cells ask for no spectrum
         asked = []
 
-        def overlapping(L, slope, plans, seen):
-            asked.append((L.tb, slope))
-            return (), {"0", "1"} if slope < 0 else {"1", "2"}
+        def overlapping(knots, slope, plans):
+            asked.extend((L.tb, slope) for L in knots)
+            return [((), {"0", "1"} if slope < 0 else {"1", "2"})] * len(knots)
 
-        monkeypatch.setattr(cosmetic, "_spectrum", overlapping)
+        monkeypatch.setattr(cosmetic, "_spectra", overlapping)
         monkeypatch.setattr(cosmetic, "_provenance", lambda *side: [])
         report = scan_cells(-3, -1, 3)
         live = [c for c in report["cells"] if c["verdict"]["outcome"] != "contact_zero"]
@@ -123,7 +123,8 @@ class TestScanVerdicts:
         assert (-1, -1) not in asked and (-2, -2) not in asked
         assert len(asked) == 2 * len(live)
 
-        monkeypatch.setattr(cosmetic, "_spectrum", lambda L, slope, plans, seen: ((), {"1/4"}))
+        monkeypatch.setattr(cosmetic, "_spectra",
+                            lambda knots, slope, plans: [((), {"1/4"})] * len(knots))
         report = scan_cells(-3, -1, 3)
         flagged = {(c["tb"], c["rot"], c["pair"][1]) for c in report["cells"]
                    if c["verdict"]["exception_flags"]}
@@ -160,18 +161,19 @@ class TestEquationSolver:
         # the polynomial d3 expressions used by the solver agree with the
         # full pipeline on the admissible data
         for k in (3, 4, 5):
+            neg_n, pos_n, _, _ = cosmetic._shifted_d3(k)
             for n in (2, 3):
                 for i in rot_range(-k):
                     L = LegendrianData(-k, i)
                     neg = d3_spectrum(L, Fraction(-1, n))
                     closed_neg = {
-                        Fraction(cosmetic._neg_one_over_n(k, n, i, e, j) + 4, 4)
+                        Fraction(neg_n(n, i, e, j) + 4, 4)
                         for e in (1, -1) for j in (1, -1)
                     }
                     assert neg == closed_neg
                     pos = d3_spectrum(L, Fraction(1, n))
                     closed_pos = {
-                        Fraction(cosmetic._pos_one_over_n(k, n, i, e, s) + 4, 4)
+                        Fraction(pos_n(n, i, e, s) + 4, 4)
                         for e in (1, -1) for s in range(n - 1, -n, -2)
                     }
                     assert pos == closed_pos

@@ -295,8 +295,8 @@ def pushoff_link_up(rows, comps):
 def converted(change):
     """``_presentation`` with ``change`` applied to its shape: the form,
     the pinned rows and the rotation choices follow it."""
-    def build(L, coeff):
-        return change(_presentation(L, coeff))
+    def build(L, p, q):
+        return change(_presentation(L, p, q))
     return build
 
 

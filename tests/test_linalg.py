@@ -532,7 +532,7 @@ def linking_forms(cases):
     on (tb, rot) for each (tb, rot, r) of ``cases``."""
     forms = {}
     for tb, rot, contact in cases:
-        pres = _presentation(LegendrianData(tb, rot), contact)
+        pres = _presentation(LegendrianData(tb, rot), *Fraction(contact).as_integer_ratio())
         forms[_key(linking_matrix(pres))] = sum(c.role == "pushoff" for c in pres.components)
     return forms
 
@@ -1013,7 +1013,7 @@ class TestCongruence:
         # `d3 --tb -1 --rot 0 --coeff 1/40` (a 40-clique of push-offs);
         # Descartes on long chains is test_methods_agree_at_scale's
         for coeff, n, sig in ((Fraction(-1, 1600) + 1, 1600, -1598), (Fraction(1, 40), 40, 38)):
-            rows = linalg.dense(linking_matrix(_presentation(LegendrianData(-1, 0), coeff)).rows)
+            rows = linalg.dense(linking_matrix(_presentation(LegendrianData(-1, 0), *coeff.as_integer_ratio())).rows)
             assert len(rows) == n
             assert path_kernel(sparse(rows))[1] == congruence_signature_dense(rows) == sig
             if n < 100:
@@ -1032,7 +1032,8 @@ def acceptance_forms():
     forms = {}
     for tb, smooth in cases:
         try:
-            form = linking_matrix(_presentation(LegendrianData(tb, tb + 1), smooth - tb))
+            form = linking_matrix(_presentation(LegendrianData(tb, tb + 1),
+                                                          *(smooth - tb).as_integer_ratio()))
         except (SlopeError, ValueError):
             continue
         forms.setdefault(_key(form), form)
@@ -1225,7 +1226,8 @@ class TestPathKernel:
         for m in acceptance_forms():
             assert path_shape(m) and kernel_shape(m)
         for coeff, h in (("1/3", 3), ("1/40", 40), ("2/7", 5), ("3/2", 0)):
-            form = linking_matrix(_presentation(LegendrianData(-1, 0), Fraction(coeff)))
+            form = linking_matrix(
+                _presentation(LegendrianData(-1, 0), *Fraction(coeff).as_integer_ratio()))
             assert head(form.rows) == h
 
 

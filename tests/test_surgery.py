@@ -40,7 +40,7 @@ from oracles import (
 
 
 def matrix_of(tb, rot, smooth):
-    pres = _presentation(LegendrianData(tb, rot), Fraction(smooth) - tb)
+    pres = _presentation(LegendrianData(tb, rot), *(Fraction(smooth) - tb).as_integer_ratio())
     return dense(linking_matrix(pres).rows)
 
 
@@ -59,7 +59,7 @@ class TestLegendrianData:
 class TestConvert:
     def test_contact_zero_rejected(self):
         with pytest.raises(ContactZeroError):
-            _presentation(LegendrianData(-1, 0), 0)
+            _presentation(LegendrianData(-1, 0), 0, 1)
 
     def test_half_surgery_is_two_pushoffs(self):
         # smooth -1/2 on tb = -1 is contact 1/2: two (+1) push-offs
@@ -70,23 +70,23 @@ class TestConvert:
         assert [c.role for c in comps] == ["pushoff", "pushoff"]
 
     def test_pushoffs_are_one_shared_component(self):
-        comps = _presentation(LegendrianData(-1, 0), Fraction(1, 5)).components
+        comps = _presentation(LegendrianData(-1, 0), 1, 5).components
         assert len(comps) == 5 and all(c is comps[0] for c in comps)
 
     def test_more_pushoffs_than_a_list_holds_is_a_slope_error(self):
         # ceil(q/p) push-offs: refused by count before any is built
         k = 10**23
         with pytest.raises(SlopeError, match=f"{k} push-offs are more than a list holds"):
-            _presentation(LegendrianData(-1, 0), Fraction(1, k))
+            _presentation(LegendrianData(-1, 0), 1, k)
         with pytest.raises(SlopeError, match=f"{k} push-offs"):
-            _presentation(LegendrianData(-1, 0), Fraction(2, 2 * k - 1))  # a tail after them
+            _presentation(LegendrianData(-1, 0), 2, 2 * k - 1)  # a tail after them
 
     def test_one_presentation_carries_the_rotation_range(self):
         # contact 50/99 on tb = -2: two push-offs, then the remainder -50 on
         # a push-off with 49 stabilizations, its 50 rotation numbers a range
-        pres = _presentation(LegendrianData(-2, 1), Fraction(50, 99))
+        pres = _presentation(LegendrianData(-2, 1), 50, 99)
         assert [c.rot for c in pres.components] == [1, 1, range(50, -49, -2)]
-        assert [c.rot for c in _presentation(LegendrianData(-1, 0), Fraction(1, 3)).components] \
+        assert [c.rot for c in _presentation(LegendrianData(-1, 0), 1, 3).components] \
             == [0, 0, 0]  # no remainder, so no stabilized push-off
 
     @settings(max_examples=300, deadline=None)
@@ -118,7 +118,7 @@ class TestConvert:
         # input raises the same error type with the same text in both
         L, coeff = LegendrianData(tb, tb + 1 + 2 * j), Fraction(p, q)
         try:
-            pres = _presentation(L, coeff)
+            pres = _presentation(L, *coeff.as_integer_ratio())
         except ValueError as err:  # SlopeError and ContactZeroError too
             with pytest.raises(ValueError) as listed_err:
                 listed_convert(L, coeff)
@@ -173,7 +173,7 @@ class TestConvert:
 
     def test_chain_tb_values(self):
         # smooth -1/n on tb = -2: framings -1, -5, then a -2 chain
-        pres = _presentation(LegendrianData(-2, 1), Fraction(-1, 4) + 2)
+        pres = _presentation(LegendrianData(-2, 1), 7, 4)
         assert list(map(framing, pres.components)) == [-1, -5, -2, -2]
         assert [c.tb for c in pres.components] == [-2, -4, -1, -1]
         # contact -1/10^6 on tb = -1: smooth -(10^6 + 1)/10^6 is one run of
@@ -239,7 +239,7 @@ class TestLinkingMatrix:
             assert matrix_of(-k, rot, 2) == tbk_two_matrix(k, 1)
 
     def test_pushoff_linking_is_base_tb(self):
-        pres = _presentation(LegendrianData(-1, 0), Fraction(2, 5))  # three pushoffs
+        pres = _presentation(LegendrianData(-1, 0), 2, 5)  # three pushoffs
         q = dense(linking_matrix(pres).rows)
         assert q[0][1] == q[0][2] == q[1][2] == -1
 
@@ -253,7 +253,7 @@ class TestLinkingMatrix:
             presentations = listed_convert(L, coeff)
         except (SlopeError, ValueError):
             return
-        form = linking_matrix(_presentation(L, coeff))
+        form = linking_matrix(_presentation(L, *coeff.as_integer_ratio()))
         m = dense(form.rows)
         for pres in presentations:
             assert tuple(map(tuple, m)) == linking_matrix_dense(pres)
@@ -277,8 +277,8 @@ class TestLinkingMatrix:
         # same path, and the rows built from the path must be its rows
         kind, value = slope
         try:
-            pres = _presentation(LegendrianData(tb, tb + 1 - 2 * j),
-                                 value - tb if kind == "smooth" else value)
+            pres = _presentation(LegendrianData(tb, tb + 1 - 2 * j), *(
+                value - tb if kind == "smooth" else value).as_integer_ratio())
         except (SlopeError, ValueError):
             return
         form = linking_matrix(pres)
@@ -327,7 +327,7 @@ class TestRotations:
             rot_range(0)
 
     def test_half_surgery_single_vector(self):
-        pres = _presentation(LegendrianData(-1, 0), Fraction(1, 2))
+        pres = _presentation(LegendrianData(-1, 0), 1, 2)
         assert enumerate_rotations(pres) == [(0, 0)]
 
     def test_tb2_positive_vectors(self):
