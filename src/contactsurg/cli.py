@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 
 from . import __version__, regressions
 from .cosmetic import unknot_classify
@@ -37,6 +37,7 @@ def envelope(command: str, inputs: dict, results) -> dict:
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
+_INT_TEXTS = {i: str(i) for i in range(-256, 257)}  # the texts of small ints, made once
 
 
 class _SparseRows(tuple):
@@ -68,7 +69,7 @@ def json_text(obj) -> str:
     The stdlib drops its C encoder when ``indent`` is set, and its Python
     encoder then writes a matrix one token at a time.  Here each row of a
     ``_SparseRows`` is one ``_row`` string, and a list whose elements are
-    all exactly ``int`` is one join in which only the nonzeros go through
+    all exactly ``int`` is one join in which only large ints go through
     ``str`` (``_ints``); a dict writes its str, int, bool and None values
     and its int lists in place (``_fields``), and a list of dicts writes
     each in one pass, with the sorted keys of each key set made once; an
@@ -88,10 +89,9 @@ def json_text(obj) -> str:
 
 def _ints(obj, newline):
     """The JSON text of the nonempty list or tuple ``obj`` of exact ints
-    (a caller checks the types: True prints as true)."""
-    texts = ["0"] * len(obj)  # only the nonzeros go through str
-    for i in compress(range(len(obj)), obj):
-        texts[i] = str(obj[i])
+    (a caller checks the types: True prints as true); an int outside
+    ``_INT_TEXTS`` goes through str."""
+    texts = [_INT_TEXTS.get(x) or str(x) for x in obj]
     inner = newline + "  "
     return "[" + inner + ("," + inner).join(texts) + newline + "]"
 

@@ -22,9 +22,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from . import invariants
 from .closedforms import DEFAULT_FORMS
 from .farey import _classes, _edges, minimal_path_blocks
-from .invariants import d3_records, ratio_text
 from .slopes import SlopeError, canonical_slope, lens_parameters
 from .surgery import ContactZeroError, LegendrianData, rot_range
 
@@ -128,8 +128,8 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
                 if n != "all" and pos_n(n, i, e2, s) != neg_n(n, i, e1, j):
                     raise RuntimeError(
                         f"solver and closed forms disagree at tb={tb}, {sol}: d3 "
-                        f"{ratio_text(neg_n(n, i, e1, j) + 4, 4)} at -1/n "
-                        f"against {ratio_text(pos_n(n, i, e2, s) + 4, 4)} at +1/n")
+                        f"{invariants.ratio_text(neg_n(n, i, e1, j) + 4, 4)} at -1/n "
+                        f"against {invariants.ratio_text(pos_n(n, i, e2, s) + 4, 4)} at +1/n")
                 solutions.append(sol)
     return solutions
 
@@ -199,8 +199,8 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
     cell on a tb = -1 knot carries the exception flags.  Every other cell
     carries both spectra, as sorted d3 strings, and the matrix
     provenance; the cells left unobstructed are listed apart.  The cells
-    of one tb share one dict of plans (a plan per smooth slope) and their
-    d3 strings, dropped when tb moves on.
+    of one tb share one dict of plans (a plan per smooth slope), each read
+    once for every rotation number of tb, dropped when tb moves on.
     """
     if tb_max > -1:
         raise ValueError("scan covers tb <= -1")
@@ -218,14 +218,13 @@ def scan_cells(tb_min: int, tb_max: int, n_max: int) -> dict:
 def _scan_tb(tb, n_max, plans):
     """The cells of tb, and those left unobstructed, their plans made in
     ``plans``; a cell's provenance holds each side as ``_spectra`` gives it.
-    Each slope's spectra are read at every rotation number of tb in one
-    pass, the slopes in cell order, so each plan is made at the first
+    Each (tb, slope) plan is read once for every rotation number of tb, in
+    one pass, the slopes in cell order, so each plan is made at the first
     rotation number, as a walk cell by cell makes it."""
     cells, not_obstructed, rots = [], [], rot_range(tb)
-    knots = [LegendrianData(tb, rot) for rot in rots]
     slopes = [(v, -v, [str(-v), str(v)]) for v in candidate_slopes(2, n_max)]
     sides = [None if minus_v == tb else
-             (_spectra(knots, minus_v, plans), _spectra(knots, v, plans))
+             (_spectra(tb, rots, minus_v, plans), _spectra(tb, rots, v, plans))
              for v, minus_v, _ in slopes]
     for r, rot in enumerate(rots):
         for (v, minus_v, pair), spectra in zip(slopes, sides):
@@ -255,19 +254,17 @@ def scan(tb_min: int, tb_max: int, n_max: int) -> dict:
             "solver_solutions": solve_d3_equations(tb_min, tb_max, n_max)}
 
 
-def _spectra(knots, slope, plans):
-    """(side, spectrum) at each knot of ``knots``, all of one tb: side =
-    (plan, d, nums, text) of ``d3_records`` at the knot, text the d3
-    string ``str`` gives each num's Fraction, one dict for every knot, and
-    the spectrum the set of those."""
-    text, spectra = {}, []
-    for L in knots:
-        plan, d, nums, pairs = d3_records(L, slope, plans)
-        for num in pairs.keys() - text.keys():
-            a, b = pairs[num]
-            text[num] = str(a) if b == 1 else f"{a}/{b}"
-        spectra.append(((plan, d, nums, text), set(map(text.__getitem__, pairs))))
-    return spectra
+def _spectra(tb, rots, slope, plans):
+    """(side, spectrum) at each rotation number of ``rots``, from one
+    ``_d3_pass`` of the plan of (tb, slope), made at rots[0] if ``plans``
+    lacks it: side = (plan, d, nums, text), d the shift and text the d3
+    string each num's Fraction has, written once a plan, for every side."""
+    plan = invariants._plan(LegendrianData(tb, rots[0]), slope, plans)
+    shifts = [rot - plan.presentation.base_rot for rot in rots]
+    runs, table = invariants._d3_pass(plan, shifts)
+    text = {num: str(a) if b == 1 else f"{a}/{b}" for num, (a, b) in table.items()}
+    return [((plan, d, nums, text), set(map(text.__getitem__, set(nums))))
+            for d, nums in zip(shifts, runs)]
 
 
 def _provenance(plan, d, nums, text):

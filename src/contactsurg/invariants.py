@@ -13,7 +13,7 @@ an exact rational; no rounding occurs anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
 from math import gcd, prod
@@ -48,10 +48,10 @@ class Plan:
     N_v = v^T B v (``quad``), W_v = u^T B v (``cross``, both by ``_walk``)
     and U = u^T B u; only ``c1_numerators`` applies the shift.  A caller
     that checks every shift reads the vectors once, at d = 0, over S
-    (``closedforms._csq``).  ``table`` maps each numerator met at any
-    shift to its reduced d3 (``d3_records``).  Plans are made once, by
-    ``_plan``, and read, never written, but for ``table``; a plain
-    dataclass, as a frozen one pays a guarded store per field.
+    (``closedforms._csq``), and one that needs d3 at every rotation number
+    reads the plan once for all of them (``_d3_pass``).  Plans are made
+    once, by ``_plan``, and read, never written; a plain dataclass, as a
+    frozen one pays a guarded store per field.
     """
 
     presentation: SurgeryPresentation
@@ -66,7 +66,6 @@ class Plan:
     quad: list
     cross: list
     U: int
-    table: dict = field(default_factory=dict)
 
     def rotations(self, d):
         """The rotation vectors at shift d, as an iterator of tuples: those
@@ -161,29 +160,33 @@ def c1_numerators(plan, d) -> list:
     return [N + lin * W + sq for N, W in zip(plan.quad, plan.cross)] if d else plan.quad
 
 
-def d3_records(L: LegendrianData, smooth_slope, plans=None) -> tuple:
-    """The d3 route, in integers: (plan, d, nums, pairs), with d the shift
-    to L.rot, nums from ``c1_numerators`` and pairs mapping each distinct
-    num to d3 = (num - K det) / (4 det), K = 3 sigma + 2 n - 4 l, reduced
-    with denominator > 0 and checked by the d3 identity 4 d3 + K = c1^2,
-    cross-multiplied, once per plan: the plan's ``table`` keeps each.
-    Requests on knots of one tb may share the dict ``plans`` (see
-    ``_plan``); without it, the plan is made at L.rot and d is 0."""
-    smooth_slope = smooth_slope if isinstance(smooth_slope, Fraction) else Fraction(smooth_slope)
-    plan = _plan(L, smooth_slope, {} if plans is None else plans)
+def _d3_pass(plan, shifts) -> tuple:
+    """(runs, table): runs[i] = ``c1_numerators`` at shifts[i], and table
+    mapping each distinct num of every run, reduced once, to (a, b), b > 0,
+    for d3 = (num - K det) / (4 det), K = 3 sigma + 2 n - 4 l, checked by
+    the d3 identity 4 d3 + K = c1^2, cross-multiplied: the one check."""
     det, k = plan.det, 3 * plan.sigma + 2 * plan.form.n - 4 * plan.form.l
     k_det, den, sign = k * det, 4 * det, 1 if det > 0 else -1
-    d = L.rot - plan.presentation.base_rot
-    nums = c1_numerators(plan, d)
-    table, distinct = plan.table, set(nums)
-    for num in distinct.difference(table):
+    runs, table = [c1_numerators(plan, d) for d in shifts], {}
+    for num in set().union(*runs):
         top = num - k_det
         g = gcd(top, den) * sign
         a, b = top // g, den // g
         if (4 * a + k * b) * det != num * b:
             raise PipelineCheckError(f"inconsistent d3 data: {a}/{b} at c1^2 {num}/{det}")
         table[num] = a, b
-    return plan, d, nums, dict(zip(distinct, map(table.__getitem__, distinct)))
+    return runs, table
+
+
+def d3_records(L: LegendrianData, smooth_slope, plans=None) -> tuple:
+    """(plan, d, nums, pairs) at L, the one-shift case of ``_d3_pass``: d =
+    L.rot - base_rot, nums at d and pairs their table.  Knots of one tb
+    may share the dict ``plans`` (see ``_plan``); without it, d is 0."""
+    smooth_slope = smooth_slope if isinstance(smooth_slope, Fraction) else Fraction(smooth_slope)
+    plan = _plan(L, smooth_slope, {} if plans is None else plans)
+    d = L.rot - plan.presentation.base_rot
+    (nums,), pairs = _d3_pass(plan, (d,))
+    return plan, d, nums, pairs
 
 
 def ratio_text(num: int, den: int) -> str:

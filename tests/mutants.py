@@ -32,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 _SWEEP = "tests/test_closedforms.py::TestVerifier::test_small_sweep_clean"
 _POINT = "tests/test_closedforms.py::TestVerifier::test_a_corrupted_point_reads_as_the_vector_sweep"
 _JSON = "tests/test_cli.py::TestJsonText::test_equals_json_dumps"
+_SCAN_DIGEST = "tests/test_cosmetic.py::TestScanDigest::test_scan_json_is_unchanged"
+_SCAN_PASS = "tests/test_cosmetic.py::TestScanPass::test_every_cell_of_the_scan_range"
 
 # (name, file under src/contactsurg, snippet, replacement, test ids that must fail)
 MUTANTS = [
@@ -66,7 +68,19 @@ MUTANTS = [
     ("scan_sides_swapped", "cosmetic.py",
      "(neg_side, neg), (pos_side, pos) = spectra[0][r], spectra[1][r]",
      "(neg_side, neg), (pos_side, pos) = spectra[1][r], spectra[0][r]",
-     ("tests/test_cosmetic.py::TestScanDigest::test_scan_json_is_unchanged",)),
+     (_SCAN_DIGEST,)),
+    ("scan_shifts_from_the_last_rot", "cosmetic.py",
+     "shifts = [rot - plan.presentation.base_rot for rot in rots]",
+     "shifts = [rot - rots[-1] for rot in rots]",
+     (_SCAN_PASS, _SCAN_DIGEST)),
+    ("scan_d3_text_integer_branch_flipped", "cosmetic.py",
+     'str(a) if b == 1 else f"{a}/{b}"',
+     'str(a) if b != 1 else f"{a}/{b}"',
+     (_SCAN_PASS, _SCAN_DIGEST)),
+    ("d3_pass_every_shift_reads_shift_zero", "invariants.py",
+     "runs, table = [c1_numerators(plan, d) for d in shifts], {}",
+     "runs, table = [c1_numerators(plan, shifts[0]) for d in shifts], {}",
+     (_SCAN_PASS, _SCAN_DIGEST)),
     ("plan_contact_coefficient_sign", "invariants.py",
      "pres = _presentation(L, p - L.tb * q, q)",
      "pres = _presentation(L, p + L.tb * q, q)",

@@ -25,9 +25,9 @@ vectors, the Farey edge test, anticlockwise paths as reflections p -> -p
 of the library's clockwise ones, lens-space classification, sparse rows
 from dense ones, their symmetry check and their reading into a path,
 the lemma matrices (chain, primed chain, bordered block) as sparse
-rows, which the library builds as paths, and verify's closed-form and
-d3 regression stages each run alone, for counting the calls one stage
-makes.
+rows, which the library builds as paths, verify's closed-form and d3
+regression stages each run alone, for counting the calls one stage
+makes, and scan's spectra one knot at a time, one ``d3_records`` each.
 """
 
 import math
@@ -1834,3 +1834,20 @@ def regression_stage(n_max: int) -> list:
     """The (ok, context) of each d3 regression cell with no other stage
     run, the cells of each tb planned in a dict of their own."""
     return [result for tb in (-1, -2, -3) for result in regressions._check_cells(tb, n_max, {})]
+
+
+def spectra_by_knot(knots, slope, plans):
+    """``cosmetic._spectra`` one knot at a time, as scan read it before one
+    pass read each plan for every rotation number: (side, spectrum) at
+    each knot of ``knots``, all of one tb, side = (plan, d, nums, text) of
+    ``d3_records`` at the knot, text the d3 string ``str`` gives each
+    num's Fraction, one dict for every knot, and the spectrum the set of
+    those."""
+    text, spectra = {}, []
+    for L in knots:
+        plan, d, nums, pairs = invariants.d3_records(L, slope, plans)
+        for num in pairs.keys() - text.keys():
+            a, b = pairs[num]
+            text[num] = str(a) if b == 1 else f"{a}/{b}"
+        spectra.append(((plan, d, nums, text), set(map(text.__getitem__, pairs))))
+    return spectra

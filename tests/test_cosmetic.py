@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactsurg import cosmetic, invariants, linalg
+from contactsurg import closedforms, cosmetic, invariants, linalg, regressions
 from contactsurg.closedforms import DEFAULT_FORMS
 from contactsurg.cosmetic import (
     EXCEPTIONAL_FLAGS,
@@ -29,6 +29,7 @@ from oracles import (
     equivalent_count_enumerated,
     solve_d3_equation_by_hand,
     solve_one_over_n_loop,
+    spectra_by_knot,
 )
 
 
@@ -108,9 +109,9 @@ class TestScanVerdicts:
         # cell at tb -1, and contact-zero cells ask for no spectrum
         asked = []
 
-        def overlapping(knots, slope, plans):
-            asked.extend((L.tb, slope) for L in knots)
-            return [((), {"0", "1"} if slope < 0 else {"1", "2"})] * len(knots)
+        def overlapping(tb, rots, slope, plans):
+            asked.extend((tb, slope) for _ in rots)  # one (tb, slope) per shift
+            return [((), {"0", "1"} if slope < 0 else {"1", "2"})] * len(rots)
 
         monkeypatch.setattr(cosmetic, "_spectra", overlapping)
         monkeypatch.setattr(cosmetic, "_provenance", lambda *side: [])
@@ -124,7 +125,7 @@ class TestScanVerdicts:
         assert len(asked) == 2 * len(live)
 
         monkeypatch.setattr(cosmetic, "_spectra",
-                            lambda knots, slope, plans: [((), {"1/4"})] * len(knots))
+                            lambda tb, rots, slope, plans: [((), {"1/4"})] * len(rots))
         report = scan_cells(-3, -1, 3)
         flagged = {(c["tb"], c["rot"], c["pair"][1]) for c in report["cells"]
                    if c["verdict"]["exception_flags"]}
@@ -385,6 +386,59 @@ class TestScanSharesMatrixWork:
                      for side in cell.get("provenance", {}).values() for rec in side)
         assert values == 15939
         assert calls[0] < values
+
+
+class TestScanPass:
+    """``_spectra`` reads a plan once for every rotation number of tb; the
+    oracle reads it knot by knot through ``d3_records``."""
+
+    @staticmethod
+    def same_as_the_knot_loop(tb, slope, plans, oracle_plans):
+        rots = rot_range(tb)
+        knots = [LegendrianData(tb, rot) for rot in rots]
+        fast = cosmetic._spectra(tb, rots, slope, plans)
+        slow = spectra_by_knot(knots, slope, oracle_plans)
+        assert len(fast) == len(slow) == len(rots)
+        for ((plan, d, nums, text), spectrum), ((plan0, d0, nums0, text0), spectrum0) in zip(
+                fast, slow):
+            assert (d, nums, spectrum) == (d0, nums0, spectrum0)
+            assert [text[num] for num in nums] == [text0[num] for num in nums0]
+            assert (plan is plan0) == (plans is oracle_plans)
+
+    @staticmethod
+    def slopes(tb, n_max):
+        return [s for v in candidate_slopes(2, n_max) for s in (-v, v) if s != tb]
+
+    def test_every_cell_of_the_scan_range(self):
+        # plans made apart, both at rots[0], as scan_cells makes them
+        for tb in range(-12, 0):
+            plans, oracle_plans = {}, {}
+            for slope in self.slopes(tb, 12):
+                self.same_as_the_knot_loop(tb, slope, plans, oracle_plans)
+
+    def test_verify_scan_stage_on_shared_plans(self):
+        # in verify the scan stage reads plans that the closed-form families
+        # made at the top rotation number and the regression cells read
+        # first, so its shifts start away from 0
+        closed = closedforms._lemmas(8, 8)
+        for tb in range(-1, -9, -1):
+            plans = {}
+            closedforms._families(closed, tb, 8, 8, plans)
+            regressions._check_cells(tb, 8, plans)
+            for slope in self.slopes(tb, 8):
+                self.same_as_the_knot_loop(tb, slope, plans, plans)
+
+
+class TestRotationReversal:
+    def test_scan_cells_at_rot_and_minus_rot(self):
+        # reversing the knot's orientation negates rot; no cell of the
+        # scan range tells the two apart
+        cells = scan_cells(-12, -1, 12)["cells"]
+        spectra = {(c["tb"], c["rot"], tuple(c["pair"])):
+                   (c["verdict"]["spectrum_neg"], c["verdict"]["spectrum_pos"]) for c in cells}
+        assert len(spectra) == len(cells)
+        for (tb, rot, pair), sides in spectra.items():
+            assert spectra[tb, -rot, pair] == sides
 
 
 class TestScanDigest:

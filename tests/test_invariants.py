@@ -165,6 +165,27 @@ def oracle_outcome(L, slope):
             for rec in records]
 
 
+class TestRotationReversal:
+    def test_spectrum_at_rot_equals_it_at_minus_rot(self):
+        # reversing the knot's orientation negates rot; its d3 spectra do
+        # not change on 2,415 cases, and where one side raises, so does
+        # the other (contact-zero slopes and slope 0)
+        slopes = [Fraction(p, q) for q in range(1, 7) for p in range(-15, 16)
+                  if math.gcd(p, q) == 1]
+        cases = 0
+        for tb, slope in product(range(-6, 0), slopes):
+            for rot in rot_range(tb):
+                try:
+                    spectrum = d3_spectrum(LegendrianData(tb, rot), slope)
+                except (ContactZeroError, NonTorsionEulerClassError) as exc:
+                    with pytest.raises(type(exc)):
+                        d3_spectrum(LegendrianData(tb, -rot), slope)
+                    continue
+                assert d3_spectrum(LegendrianData(tb, -rot), slope) == spectrum
+                cases += 1
+        assert cases == 2415
+
+
 class TestPlans:
     """A plan dict shared by d3_records requests in any order of
     (rot, slope) gives what unshared requests give, and what the

@@ -130,6 +130,18 @@ def test_verify_has_one_walk():
     assert "regressions" in modules and lines == []
 
 
+def test_one_place_reduces_and_checks_a_d3_value():
+    # invariants._d3_pass reduces and checks every d3 value the library
+    # makes: d3_records is its one-shift case and scan reads each plan once
+    # through it for every rotation number; the per-knot loop is the oracle
+    raised = {f"{path.name}:{func.name}" for path, tree in _modules()
+              for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+              for node in ast.walk(func) if isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and "inconsistent d3 data" in node.value}
+    assert raised == {"invariants.py:_d3_pass"}
+    assert sum(path.read_text().count("inconsistent d3 data") for path, _ in _modules()) == 1
+
+
 def _bareiss_steps(tree):
     """The lines of ``tree`` that divide a difference of two products
     exactly, (p x - f y) // prev: the Bareiss update."""
