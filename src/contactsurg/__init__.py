@@ -8,8 +8,7 @@ __version__ = "0.1.0"
 from .slopes import (SlopeError, canonical_slope, cs_set, lens_parameters, neg_cf_runs,
                      parse_slope)
 from .farey import count_tight_lens_pq, minimal_path_blocks
-from .surgery import (ContactZeroError, IntersectionForm, LegendrianData, linking_matrix,
-                      rot_range)
+from .surgery import ContactZeroError, LegendrianData, rot_range
 from .invariants import d3_spectrum
 from .cosmetic import candidate_slopes, scan, solve_d3_equation, unknot_classify
 from .regressions import verify
@@ -21,8 +20,7 @@ __all__ = [
     # Farey paths and counts
     "count_tight_lens_pq", "minimal_path_blocks",
     # surgery presentations
-    "ContactZeroError", "IntersectionForm", "LegendrianData", "linking_matrix",
-    "rot_range",
+    "ContactZeroError", "LegendrianData", "rot_range",
     # d3
     "d3_spectrum",
     # cosmetic obstructions and unknots

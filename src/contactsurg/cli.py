@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import product
 
 from . import __version__, regressions
 from .cosmetic import unknot_classify
@@ -42,8 +41,8 @@ _INT_TEXTS = {i: str(i) for i in range(-256, 257)}  # the texts of small ints, m
 
 class _SparseRows(tuple):
     """Sparse rows of an n x n matrix, row i the dict {j: x} of its
-    nonzeros with 0 <= j < n (``IntersectionForm.rows``, built from its
-    path)."""
+    nonzeros with 0 <= j < n (``SurgeryPresentation.rows``, built from
+    its path)."""
 
 
 def _row(row, n, head, sep, tail, text=int.__repr__):
@@ -244,26 +243,29 @@ def cmd_d3(args) -> int:
         smooth = args.tb + parse_slope(args.coeff)
     # a fresh plan is made at L.rot: its presentations are this knot's
     plan, _, nums, pairs = d3_records(L, smooth)
-    head = {"chi": plan.form.n + 1, "sigma": plan.sigma, "l": plan.form.l}
+    pres = plan.presentation
+    framings, l, pins = pres.path.a, pres.l, pres.pinned.count(1)
+    head = {"chi": len(framings) + 1, "sigma": plan.sigma, "l": l}
     value = {num: {**head, "c_squared": ratio_text(num, plan.det), "d3": ratio_text(a, b)}
              for num, (a, b) in pairs.items()}
     values = [{"rotations": list(r), **value[num]} for r, num in zip(plan.rotations(0), nums)]
-    pres, matrix = plan.presentation.to_json(), _SparseRows(plan.form.rows)  # matrix written once
-    terms = pres["components"]
-    for i in range(1, len(terms)):
-        if terms[i] == terms[i - 1]:  # a chain's terms: json_text writes one once
-            terms[i] = terms[i - 1]
-    # an entry per rotation number of the stabilized push-off, sharing every other term
-    terms = [[{**t, "rot": r} for r in t["rot"]] if type(t["rot"]) is range else [t]
-             for t in terms]
-    results = [{"presentation": {"components": list(comps), "l": pres["l"]},
+    matrix = _SparseRows(pres.rows)  # written once
+    # the l push-offs share one dict, the chain rows of one framing one, and
+    # the stabilized push-off, if there is one, has a dict per rotation number
+    pushoffs = [{"role": "pushoff", "tb": pres.base_tb, "rot": pres.base_rot, "sign": 1}] * l
+    chain = framings[pins:]
+    links = {x: {"role": "chain", "tb": x + 1, "rot": None, "sign": -1} for x in set(chain)}
+    tail = list(map(links.__getitem__, chain))
+    stabilized = ([[{"role": "pushoff", "tb": framings[l] + 1, "rot": r, "sign": -1}]
+                   for r in pres.choices[l]] if pins > l else [[]])
+    results = [{"presentation": {"components": pushoffs + one + tail, "l": l},
                 "matrix": matrix, "values": run}
-               for comps, run in zip(product(*terms), plan.runs(values))]
+               for one, run in zip(stabilized, plan.runs(values))]
     spectrum = set(pairs.values())
     report = envelope("d3", {"tb": args.tb, "rot": args.rot, "smooth_slope": str(smooth)},
                       {"presentations": results,
                        "spectrum": sorted(ratio_text(a, b) for a, b in spectrum)})
-    emit(report, args.json, _d3_lines(plan.presentation, results, matrix, spectrum))
+    emit(report, args.json, _d3_lines(pres, results, matrix, spectrum))
     return 0
 
 

@@ -33,7 +33,7 @@ from itertools import product, repeat
 from operator import sub
 
 from . import invariants, linalg
-from .surgery import LegendrianData, _presentation, rot_range
+from .surgery import LegendrianData, rot_range
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +117,12 @@ class _Report:
         self.checks = 0
         self.mismatches = []
 
-    def record(self, name, context, expected, actual, form=None):
+    def record(self, name, context, expected, actual, pres=None):
         self.checks += 1
         if expected != actual:
-            self._mismatch(name, context, expected, actual, form)
+            self._mismatch(name, context, expected, actual, pres)
 
-    def ratio(self, name, context, expected, actual, form=None, entry=None):
+    def ratio(self, name, context, expected, actual, pres=None, entry=None):
         """Check a rational ``expected`` (int or Fraction) against the
         exact quotient ``actual`` = (num, den), by cross-multiplication; a
         mismatch's context gains the table ``entry`` if one is given."""
@@ -131,17 +131,17 @@ class _Report:
         if expected.numerator * den != num * expected.denominator:
             if entry is not None:
                 context = {**context, "entry": entry}
-            self._mismatch(name, context, expected, Fraction(num, den), form)
+            self._mismatch(name, context, expected, Fraction(num, den), pres)
 
-    def _mismatch(self, name, context, expected, actual, form):
+    def _mismatch(self, name, context, expected, actual, pres):
         entry = {
             "check": name,
             "context": context,
             "expected": str(expected),
             "actual": str(actual),
         }
-        if form is not None:
-            entry["matrix"] = linalg.dense(form.rows)
+        if pres is not None:
+            entry["matrix"] = linalg.dense(pres.rows)
         self.mismatches.append(entry)
 
     def as_dict(self):
@@ -153,11 +153,12 @@ class _Report:
 
 
 def _form(tb, smooth_slope):
-    """The form of the presentation of (tb, smooth_slope), for the report
-    of a form without a plan."""
+    """The presentation of (tb, smooth_slope), for the report of a form
+    without a plan, built as the plans build theirs
+    (``invariants._presentation``)."""
     knot = LegendrianData(tb, rot_range(tb)[0])
     p, q = smooth_slope.numerator, smooth_slope.denominator
-    return invariants.linking_matrix(_presentation(knot, p - tb * q, q))
+    return invariants._presentation(knot, p - tb * q, q)
 
 
 def _names(tag):
@@ -195,19 +196,19 @@ def _family(rep, names, context, top, smooth_slope, plans, entries=(), negdef=Fa
         rep._mismatch(names["slope"], context, f"a form of slope {smooth_slope}", exc,
                       _form(knot.tb, smooth_slope))
         return None
-    form = plan.form
-    n = form.n
+    pres = plan.presentation
+    n = len(pres.path.a)
     if names["det"] in f:
-        rep.record(names["det"], context, f[names["det"]](*args), plan.det, form)
+        rep.record(names["det"], context, f[names["det"]](*args), plan.det, pres)
     if negdef:
-        rep.record(names["negdef"], context, True, plan.sigma == -n, form)
-    rep.record(names["sigma"], context, f[names["sigma"]](*args), plan.sigma, form)
+        rep.record(names["negdef"], context, True, plan.sigma == -n, pres)
+    rep.record(names["sigma"], context, f[names["sigma"]](*args), plan.sigma, pres)
     for name, row, col in entries:
         if max(row, col) < n:
-            rep.ratio(name, context, f[name](*args), _inverse(plan, row, col), form)
+            rep.ratio(name, context, f[name](*args), _inverse(plan, row, col), pres)
     for row, line in enumerate(table):
         for col, value in enumerate(line):
-            rep.ratio(names["q"], context, value, _inverse(plan, row, col), form,
+            rep.ratio(names["q"], context, value, _inverse(plan, row, col), pres,
                       entry=(row + 1, col + 1))
     return plan, shifts
 
@@ -228,8 +229,8 @@ def _csq(rep, name, family, read, check, context):
     if family is None:
         return
     plan, shifts = family
-    support = plan.support
-    args = list(read(dict(zip(support, zip(*product(*map(plan.choices.__getitem__, support)))))))
+    support, choices = plan.support, plan.presentation.choices
+    args = list(read(dict(zip(support, zip(*product(*map(choices.__getitem__, support)))))))
     form, det, nums = DEFAULT_FORMS[name], plan.det, []
     for d in shifts:
         nums += invariants.c1_numerators(plan, d)
@@ -238,7 +239,8 @@ def _csq(rep, name, family, read, check, context):
             shifted = nums[at * len(args):(at + 1) * len(args)]
             for v, want, num in zip(plan.rotations(d), check(form, args, (d,), 1), shifted):
                 if want * det != num:
-                    rep._mismatch(name, context(v), want, Fraction(num, det), plan.form)
+                    rep._mismatch(name, context(v), want, Fraction(num, det),
+                                  plan.presentation)
     rep.checks += len(nums)
 
 

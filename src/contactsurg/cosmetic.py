@@ -270,7 +270,7 @@ def _spectra(tb, rots, slope, plans):
 def _provenance(plan, d, nums, text):
     """The framings (diag Q), l and d3 strings of each presentation of a side."""
     values = [{"rotations": r, "d3": text[num]} for r, num in zip(plan.rotations(d), nums)]
-    return [{"framings": plan.form.path.a, "l": plan.form.l, "values": run}
+    return [{"framings": plan.presentation.path.a, "l": plan.presentation.l, "values": run}
             for run in plan.runs(values)]
 
 

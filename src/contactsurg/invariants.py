@@ -20,8 +20,7 @@ from math import gcd, prod
 from operator import add, mul
 
 from . import linalg
-from .surgery import (IntersectionForm, LegendrianData, SurgeryPresentation, _presentation,
-                      linking_matrix, rotation_choices)
+from .surgery import LegendrianData, SurgeryPresentation, _presentation
 
 
 class NonTorsionEulerClassError(ValueError):
@@ -37,9 +36,10 @@ class Plan:
     """The one presentation of a conversion, the number ``count`` of the
     presentations it stands for, which differ only in pinned rotation
     numbers, and the integers their d3 values need: they share Q, det,
-    sigma, S, B and U.  ``choices`` and ``pinned`` are the presentation's;
-    the pinned coordinates come first, so ``product(*choices)`` is
-    presentation-major (``runs``), in the order of the pinned range.
+    sigma, S, B and U.  The plan reads the presentation's ``choices`` and
+    ``pinned``, and holds no copy of them: the pinned coordinates come
+    first, so ``product(*choices)`` is presentation-major (``runs``), in
+    the order of the pinned range.
     u = ``pinned`` is 1 on the push-offs, whose rotation numbers follow the
     knot's: at the shift d = rot - base_rot, each vector v becomes v + d u.
     ``block`` is B = adj(Q)[S, S] on the ascending S = ``support``, which
@@ -56,9 +56,6 @@ class Plan:
 
     presentation: SurgeryPresentation
     count: int
-    form: IntersectionForm
-    choices: list
-    pinned: tuple
     det: int
     sigma: int
     support: tuple
@@ -70,10 +67,11 @@ class Plan:
     def rotations(self, d):
         """The rotation vectors at shift d, as an iterator of tuples: those
         at 0 with d added on ``pinned``."""
+        pres = self.presentation
         if not d:
-            return product(*self.choices)
+            return product(*pres.choices)
         return product(*[[x + d for x in c] if pin else c
-                         for c, pin in zip(self.choices, self.pinned)])
+                         for c, pin in zip(pres.choices, pres.pinned)])
 
     def runs(self, items):
         """``items``, one per vector, cut into a run per presentation."""
@@ -83,11 +81,10 @@ class Plan:
 
 def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> Plan:
     """The plan of (L.tb, smooth_slope) in ``plans``, made at L.rot on
-    first request from one conversion, with one ``linking_matrix`` (the
-    presentation's path: no rows are built), one
-    ``linalg.adjugate_block`` pass on that path (its signature checked
-    against Descartes') and one ``_walk`` over the vectors of every
-    presentation.
+    first request from one conversion (``_presentation``: its path is the
+    form, and no rows are built), one ``linalg.adjugate_block`` pass on
+    that path (its signature checked against Descartes') and one
+    ``_walk`` over the vectors of every presentation.
     S holds every pinned index, as a pinned entry that is 0 here is not at
     other rotation numbers, every index the plan's choices can make
     nonzero, and those indices in ``extra`` that Q has, for a caller that
@@ -104,13 +101,12 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> P
     if plan is not None:
         return plan
     pres = _presentation(L, p - L.tb * q, q)
-    form = linking_matrix(pres)
-    pinned, choices = pres.pinned, rotation_choices(pres)
+    pinned, choices = pres.pinned, pres.choices
     pins, n = pinned.count(1), len(choices)  # the pinned rows come first
     support = tuple(sorted({*range(pins), *compress(range(pins, n), map(any, choices[pins:])),
                             *(i for i in extra if i < n)}))
     try:
-        det, sigma, block = linalg.adjugate_block(form.path, support)
+        det, sigma, block = linalg.adjugate_block(pres.path, support)
     except linalg.SingularMatrixError:
         raise NonTorsionEulerClassError("c1^2 undefined: non-torsion Euler class") from None
     bu = [sum(row[:pins]) for row in block]  # B u, u the first pins entries of S
@@ -119,8 +115,8 @@ def _plan(L: LegendrianData, smooth_slope: Fraction, plans: dict, extra=()) -> P
         raise PipelineCheckError(f"tb={L.tb}, smooth slope {smooth_slope}: det Q = {det} and "
                                  f"meridian square {ratio_text(U, det)} disagree with the slope")
     quad, cross = _walk(block, bu, [choices[i] for i in support])
-    plan = plans[key] = Plan(pres, prod(map(len, choices[:pins])), form, choices, pinned, det,
-                             sigma, support, block, quad, cross, U)
+    plan = plans[key] = Plan(pres, prod(map(len, choices[:pins])), det, sigma, support, block,
+                             quad, cross, U)
     return plan
 
 
@@ -165,7 +161,8 @@ def _d3_pass(plan, shifts) -> tuple:
     mapping each distinct num of every run, reduced once, to (a, b), b > 0,
     for d3 = (num - K det) / (4 det), K = 3 sigma + 2 n - 4 l, checked by
     the d3 identity 4 d3 + K = c1^2, cross-multiplied: the one check."""
-    det, k = plan.det, 3 * plan.sigma + 2 * plan.form.n - 4 * plan.form.l
+    pres = plan.presentation
+    det, k = plan.det, 3 * plan.sigma + 2 * len(pres.path.a) - 4 * pres.l
     k_det, den, sign = k * det, 4 * det, 1 if det > 0 else -1
     runs, table = [c1_numerators(plan, d) for d in shifts], {}
     for num in set().union(*runs):

@@ -5,8 +5,9 @@ Everything in this module is exact, and every matrix it takes is a
 (tridiagonal), with the size and link of a clique head, push-offs that
 all link each other with one value and have a meridian path hung on
 their last row, which a unimodular change of basis E turns into a path.
-``surgery.linking_matrix`` builds a form's path straight from its
-presentation, and ``closedforms`` builds the lemma matrices as paths.
+A presentation holds its form as a path (``surgery._presentation``
+builds it straight from the conversion), and ``closedforms`` builds the
+lemma matrices as paths.
 On a path two continuants, both from ``leading_determinants``, give the
 determinant, the signature and every adjugate entry (``_path_kernel``,
 whose one caller is ``adjugate_block``).  Inverse entries are integers
@@ -23,8 +24,8 @@ path, seeded on a clique head by the matrix determinant lemma, in
 O(m^2) integer operations for the m rows left.
 
 Sparse rows, row i the dict {j: x} of its nonzeros, exist only for
-reports: ``_rows`` builds them from a path, and ``dense`` dense rows
-from them.
+reports: ``_rows`` builds them from a path, once per presentation
+(``SurgeryPresentation.rows``), and ``dense`` dense rows from them.
 """
 
 from __future__ import annotations

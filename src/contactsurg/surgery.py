@@ -52,27 +52,15 @@ class LegendrianData:
             raise ValueError("tb + |rot| exceeds the 2 tau - 1 bound")
 
 
-@dataclass(frozen=True)
-class Component:
-    """One link component of a (+1/-1)-surgery presentation, for reports.
-
-    role is 'pushoff' (a copy of the base knot, possibly stabilized) or
-    'chain' (a meridian unknot).  rot is None for components whose
-    rotation number is a free choice (chain unknots), and the range of
-    them for the stabilized push-off of ``_presentation``.
-    """
-
-    role: str
-    tb: int
-    sign: int
-    rot: int | None = None
-
-
 @dataclass
 class SurgeryPresentation:
-    """A presentation as the ``linalg._Path`` of its linking form, the
-    rotation numbers each row may take, 1 on the push-offs (the first
-    rows) and the count l of contact (+1) components (the first l)."""
+    """The one record of a presentation: the ``linalg._Path`` of its
+    linking form, the rotation numbers each row may take, ``pinned`` 1 on
+    the push-offs (the first rows) and 0 on the chain, the count l of
+    contact (+1) components (the first l) and the knot's tb and rot.
+    ``rows`` are built from the path on first use: only reports that
+    write the matrix ask for them, and ``linalg.dense`` makes dense rows
+    at the edge."""
 
     path: _Path
     choices: list
@@ -82,23 +70,8 @@ class SurgeryPresentation:
     base_rot: int
 
     @cached_property
-    def components(self) -> tuple:
-        """The rows as Components, for reports; a chain framing's rows share one."""
-        a, p, l = self.path.a, self.pinned.count(1), self.l
-        comps = (Component("pushoff", self.base_tb, 1, rot=self.base_rot),) * l
-        if p > l:  # the stabilized push-off
-            comps += (Component("pushoff", a[l] + 1, -1, rot=self.choices[l]),)
-        chain = {x: Component("chain", x + 1, -1) for x in set(a[p:])}
-        return comps + tuple(map(chain.__getitem__, a[p:]))
-
-    def to_json(self):
-        return {
-            "components": [
-                {"role": c.role, "tb": c.tb, "rot": c.rot, "sign": c.sign}
-                for c in self.components
-            ],
-            "l": self.l,
-        }
+    def rows(self) -> tuple:
+        return _rows(self.path)
 
 
 def rot_range(tb: int) -> list:
@@ -175,40 +148,3 @@ def _presentation(L: LegendrianData, p: int, q: int) -> SurgeryPresentation:
     path = _Path(framings, [tb] * (pushoffs - 1) + [-1] * (n - pushoffs), *head)
     return SurgeryPresentation(path, choices, (1,) * pushoffs + (0,) * (n - pushoffs), k,
                                tb, L.rot)
-
-
-def rotation_choices(pres: SurgeryPresentation) -> list:
-    """The rotation numbers each row may take, in enumeration order."""
-    return pres.choices
-
-
-@dataclass(frozen=True)
-class IntersectionForm:
-    """Symmetric linking form Q of a presentation, with the count l of
-    (+1)-components.  Q is held as its ``path``, the ``linalg._Path`` of
-    its diagonal, links, head size and head link, the presentation's own
-    (``linking_matrix``); anything else raises TypeError.
-    ``rows`` are built from the path on first use: only reports that
-    write the matrix ask for them, and ``linalg.dense`` makes dense rows
-    at the edge."""
-
-    path: _Path
-    l: int
-
-    def __post_init__(self):
-        if type(self.path) is not _Path:
-            raise TypeError(f"Q must be a linalg._Path, not {type(self.path).__name__}")
-
-    @cached_property
-    def rows(self) -> tuple:
-        return _rows(self.path)
-
-    @property
-    def n(self) -> int:
-        return len(self.path.a)
-
-
-def linking_matrix(pres: SurgeryPresentation) -> IntersectionForm:
-    """Intersection form of the trace of the surgeries: the presentation's
-    path, with its count l of (+1)-components."""
-    return IntersectionForm(pres.path, pres.l)

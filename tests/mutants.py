@@ -34,6 +34,8 @@ _POINT = "tests/test_closedforms.py::TestVerifier::test_a_corrupted_point_reads_
 _JSON = "tests/test_cli.py::TestJsonText::test_equals_json_dumps"
 _SCAN_DIGEST = "tests/test_cosmetic.py::TestScanDigest::test_scan_json_is_unchanged"
 _SCAN_PASS = "tests/test_cosmetic.py::TestScanPass::test_every_cell_of_the_scan_range"
+_D3_DIGEST = "tests/test_cli.py::TestD3Digest"
+_SPLIT = "tests/test_invariants.py::TestSplitPairCancellation::test_split_pair_leaves_the_spectrum"
 
 # (name, file under src/contactsurg, snippet, replacement, test ids that must fail)
 MUTANTS = [
@@ -89,6 +91,14 @@ MUTANTS = [
      "*(i for i in extra if i < n)}))",
      "*(i for i in extra if i < n - 1)}))",
      (_SWEEP,)),
+    ("d3_size_term_tripled", "invariants.py",
+     "2 * len(pres.path.a)",
+     "3 * len(pres.path.a)",
+     (_D3_DIGEST, _SCAN_DIGEST, _SPLIT)),
+    ("d3_contact_plus_term_three_per_component", "invariants.py",
+     "4 * pres.l",
+     "3 * pres.l",
+     (_D3_DIGEST, _SCAN_DIGEST, _SPLIT)),
     ("meridian_reads_one_pin", "invariants.py",
      "bu = [sum(row[:pins]) for row in block]",
      "bu = [sum(row[:1]) for row in block]",
@@ -101,6 +111,10 @@ MUTANTS = [
      "    phi.reverse()\n",
      "",
      ("tests/test_linalg.py::TestPathKernel::test_one_pass_block_is_the_transposed_block",)),
+    ("report_stabilized_push_off_tb_unstabilized", "cli.py",
+     '"tb": framings[l] + 1,',
+     '"tb": framings[l],',
+     (_D3_DIGEST, "tests/test_cli.py::TestD3Report::test_components_are_the_listed_presentations")),
     ("json_keys_unsorted", "cli.py",
      "for key in sorted(keys):",
      "for key in keys:",
@@ -108,7 +122,7 @@ MUTANTS = [
     ("json_dict_list_indent", "cli.py",
      'order.setdefault(keys, _heads(keys, inner + "  "))',
      "order.setdefault(keys, _heads(keys, inner))",
-     ("tests/test_cli.py::TestD3Digest",)),
+     (_D3_DIGEST,)),
 ]
 
 

@@ -45,13 +45,7 @@ from contactsurg import closedforms, invariants, linalg, regressions
 from contactsurg.invariants import NonTorsionEulerClassError, d3_spectrum
 from contactsurg.linalg import SingularMatrixError
 from contactsurg.slopes import SlopeError, neg_cf_runs, parse_slope
-from contactsurg.surgery import (
-    Component,
-    ContactZeroError,
-    IntersectionForm,
-    LegendrianData,
-    rot_range,
-)
+from contactsurg.surgery import ContactZeroError, LegendrianData, rot_range
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +179,35 @@ def smooth_recovery(pres) -> Fraction:
 # read one component at a time
 
 @dataclass(frozen=True)
+class Component:
+    """One link component of a listed presentation: role 'pushoff' (a
+    copy of the base knot, possibly stabilized) or 'chain' (a meridian
+    unknot), its tb, its contact sign and its rotation number, None for a
+    chain unknot, whose rotation number is a free choice."""
+
+    role: str
+    tb: int
+    sign: int
+    rot: int | None = None
+
+
+class ListedForm(NamedTuple):
+    """The linking form of a listed presentation, as its path and l, with
+    its sparse rows (``linalg._rows``) and size n for ``d3_values``."""
+
+    path: linalg._Path
+    l: int
+
+    @property
+    def rows(self):
+        return linalg._rows(self.path)
+
+    @property
+    def n(self):
+        return len(self.path.a)
+
+
+@dataclass(frozen=True)
 class ListedPresentation:
     """A presentation as its tuple of Components, one per row."""
 
@@ -225,7 +248,7 @@ def component_choices(pres) -> list:
             for c in pres.components]
 
 
-def listed_linking_matrix(pres) -> IntersectionForm:
+def listed_linking_matrix(pres) -> ListedForm:
     """The form of a presentation's components, read one row at a time:
     the framings on the diagonal, the p push-offs first, linked by the
     base tb (a clique head when p >= 3 and tb != 0, else a path), then
@@ -241,12 +264,13 @@ def listed_linking_matrix(pres) -> IntersectionForm:
     tb = pres.base_tb
     path = linalg._Path([framing(c) for c in comps], [tb] * (p - 1) + [-1] * (len(comps) - p),
                         *((p, tb) if p >= 3 and tb else (0, 0)))
-    return IntersectionForm(path, pres.l)
+    return ListedForm(path, pres.l)
 
 
 # ---------------------------------------------------------------------------
 # conversion as a list: one presentation built per stabilization outcome,
-# each with its rotation number pinned; ``surgery.convert`` gives this list
+# each with its rotation number pinned; ``surgery._presentation`` builds
+# them as one
 
 def listed_negative_chain(tb: int, rot: int, contact_coeff: Fraction):
     """Stabilized-knot plus meridian-chain data for a negative contact
@@ -534,7 +558,7 @@ def honda_lens_count(p: int, q: int) -> int:
 
 # ---------------------------------------------------------------------------
 # intersection-form families, derived by hand: the reference for the forms
-# that ``convert`` and ``linking_matrix`` build
+# that ``surgery._presentation`` builds
 
 def bordered_chain(a0: int, a1: int, b: int, size: int):
     """Chain matrix bordered by diag (a0, a1, -2, ...) and link b."""
@@ -616,9 +640,9 @@ def tbk_two_matrix(k: int, sign: int):
 
 
 def linking_matrix_dense(pres):
-    """Q of ``surgery.linking_matrix`` as a dense tuple of rows, built
-    entry by entry as that function once built it: framings on the
-    diagonal, the base tb between push-offs, -1 along the chain."""
+    """Q of a listed presentation as a dense tuple of rows, built entry by
+    entry as the library once built it: framings on the diagonal, the
+    base tb between push-offs, -1 along the chain."""
     comps = pres.components
     n = len(comps)
     q = [[0] * n for _ in range(n)]
@@ -643,8 +667,8 @@ def linking_matrix_dense(pres):
 
 class Form(NamedTuple):
     """Q as the sparse rows of a symmetric matrix of any shape, with the
-    count l of (+1)-components: a form for ``d3_values``, where
-    ``IntersectionForm`` holds only the shapes the path kernel takes."""
+    count l of (+1)-components: a form for ``d3_values``, where a
+    presentation holds only the shapes the path kernel takes."""
 
     rows: list
     l: int
@@ -1159,7 +1183,7 @@ def char_poly(rows):
     column i are zero outside positions i-1..i+1.  The banded rows t..n-1
     that end the matrix form a path; when t > 0 (then t >= 3), rows 0..t-1
     must be a clique head, every entry between two of them one value
-    c != 0, which the path meets only at (t-1, t), as ``linking_matrix``
+    c != 0, which the path meets only at (t-1, t), as a presentation
     hangs the meridian chain on the last push-off.  The head is c J + D
     with D = diag(d_i - c), so by the matrix determinant lemma its chi is
     P - c P', P = prod (x - d_i + c), in O(t^2) integer operations; a
@@ -1757,7 +1781,8 @@ def csq_by_vector(rep, name, family, value, context):
         for v, shifted, num in zip(vectors, plan.rotations(d), nums):
             want = value(form, v, d)
             if want * det != num:
-                rep._mismatch(name, context(shifted), want, Fraction(num, det), plan.form)
+                rep._mismatch(name, context(shifted), want, Fraction(num, det),
+                              plan.presentation)
         rep.checks += len(nums)
 
 

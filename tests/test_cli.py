@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from contactsurg import cli
 from contactsurg.cli import json_text, main
+from contactsurg.surgery import LegendrianData
+from oracles import listed_convert
 
 
 def run(capsys, *argv):
@@ -81,6 +83,33 @@ class TestD3Command:
         assert code == 1 and out == ""
         assert err.startswith("error: internal check failed: signature methods disagree")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestD3Report:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-6, 0), st.integers(0, 6), st.integers(-30, 30), st.integers(1, 12))
+    @example(-2, 1, 50, 99)  # two push-offs, then a stabilized one at 50 rotation numbers
+    @example(-1, 0, 1, 3)  # three push-offs and no remainder
+    @example(-1, 0, 2, 7)  # framings 0, a head of four, a chain
+    @example(-3, 0, -12, 5)  # a stabilized knot, then runs of -2 and of -3
+    def test_components_are_the_listed_presentations(self, tb, j, p, q):
+        # the report writes each presentation's components straight from the
+        # one presentation: one entry per presentation of the listed
+        # conversion, in its order, each its one dict per component
+        rot = tb + 1 + 2 * j
+        try:
+            listed = listed_convert(LegendrianData(tb, rot), Fraction(p, q))
+        except ValueError:
+            return
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["d3", "--tb", str(tb), "--rot", str(rot), "--coeff", f"{p}/{q}",
+                         "--json"])
+        if code == 2:  # a singular form
+            return
+        results = json.loads(out.getvalue())["results"]["presentations"]
+        assert code == 0
+        assert [r["presentation"] for r in results] == [one.to_json() for one in listed]
 
 
 class TestD3Digest:

@@ -13,12 +13,7 @@ from contactsurg import closedforms, cosmetic, invariants, linalg
 from contactsurg.cli import main
 from contactsurg.closedforms import DEFAULT_FORMS
 from contactsurg.regressions import verify
-from contactsurg.surgery import (
-    IntersectionForm,
-    LegendrianData,
-    linking_matrix,
-    rot_range,
-)
+from contactsurg.surgery import LegendrianData, _presentation, rot_range
 from oracles import (
     band,
     bordered_block_matrix,
@@ -136,8 +131,8 @@ class TestFamilies:
             knot = LegendrianData(tb, rot_range(tb)[0])
             forms = [linalg.dense(listed_linking_matrix(pres).rows)
                      for pres in listed_convert(knot, slope - tb)]
-            forms.append(linalg.dense(invariants.linking_matrix(
-                invariants._presentation(knot, *(slope - tb).as_integer_ratio())).rows))
+            forms.append(linalg.dense(
+                invariants._presentation(knot, *(slope - tb).as_integer_ratio()).rows))
             assert forms and all(q == [list(row) for row in family] for q in forms), (tb, slope)
 
 
@@ -202,17 +197,17 @@ class TestVerifier:
 
     @staticmethod
     def _shifted_form(delta, tbs=None):
-        # the linking matrix the d3 route builds, with its first chain
-        # framing moved by delta, on the knots of every tb or of those in tbs
-        def shifted(pres):
-            form = linking_matrix(pres)
-            roles = [c.role for c in pres.components]
-            if "chain" not in roles or tbs is not None and pres.base_tb not in tbs:
-                return form
-            i = roles.index("chain")
-            q = linalg.dense(form.rows)
-            q[i][i] += delta
-            return IntersectionForm(read(sparse(q)), form.l)
+        # the presentation the d3 route builds, with its first chain
+        # framing (the first row not pinned) moved by delta, on the knots of
+        # every tb or of those in tbs
+        def shifted(L, p, q):
+            pres = _presentation(L, p, q)
+            if 0 not in pres.pinned or tbs is not None and pres.base_tb not in tbs:
+                return pres
+            rows = linalg.dense(pres.rows)
+            i = pres.pinned.index(0)
+            rows[i][i] += delta
+            return replace(pres, path=read(sparse(rows)))
 
         return shifted
 
@@ -221,7 +216,7 @@ class TestVerifier:
         # fail the sweep: the verifier checks the forms the d3 route builds.
         # Most such forms fail the plan's form/slope check first; each is
         # one mismatch with its matrix, and that form gets no other check
-        monkeypatch.setattr(invariants, "linking_matrix", self._shifted_form(-1))
+        monkeypatch.setattr(invariants, "_presentation", self._shifted_form(-1))
         rep = verify(k_max=4, n_max=3)["closed forms"]
         assert not rep["ok"]
         slope = [m for m in rep["mismatches"] if m["check"].endswith("_slope")]
@@ -235,7 +230,7 @@ class TestVerifier:
     def test_slope_error_reduces_the_meridian_square(self, monkeypatch):
         # the meridian square U / det prints in lowest terms with a positive
         # denominator: "-5/2", not "5/-2"
-        monkeypatch.setattr(invariants, "linking_matrix", self._shifted_form(-1))
+        monkeypatch.setattr(invariants, "_presentation", self._shifted_form(-1))
         rep = verify(k_max=4, n_max=3)["closed forms"]
         texts = {(m["check"], tuple(m["context"].values())): m["actual"]
                  for m in rep["mismatches"] if m["check"].endswith("_slope")}
@@ -249,7 +244,7 @@ class TestVerifier:
         # records each error as a mismatch of its stage, as the closed-form
         # families do, and returns all three reports, where the error ended
         # verify with no report.  The library's scan_cells still raises
-        monkeypatch.setattr(invariants, "linking_matrix", self._shifted_form(-1))
+        monkeypatch.setattr(invariants, "_presentation", self._shifted_form(-1))
         reports = verify(4, 3)
         assert list(reports) == ["closed forms", "d3 regressions", "obstruction scan"]
         assert not any(rep["ok"] for rep in reports.values())
@@ -275,7 +270,7 @@ class TestVerifier:
         # with the shift held to tb = -3, the scan's unobstructed cells are
         # still the one expected; its report fails on the error of tb = -3
         # alone, whose 12 cells are not counted
-        monkeypatch.setattr(invariants, "linking_matrix", self._shifted_form(-1, (-3,)))
+        monkeypatch.setattr(invariants, "_presentation", self._shifted_form(-1, (-3,)))
         assert verify(4, 3)["obstruction scan"] == {"ok": False, "checks": 132, "mismatches": [
             {"check": "scan", "tb": -3, "error": "tb=-3, smooth slope 2: det Q = -1 and "
                                                  "meridian square -4 disagree with the slope"},
@@ -293,7 +288,7 @@ class TestVerifier:
 
         def shifted(*args):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(invariants, "linking_matrix", self._shifted_form(1))
+                mp.setattr(invariants, "_presentation", self._shifted_form(1))
                 families(*args)
 
         monkeypatch.setattr(closedforms, "_families", shifted)
@@ -344,26 +339,27 @@ class TestVerifier:
     def test_shifted_rotations_add_d_on_the_pinned_coordinates(self, monkeypatch):
         # the sweep reads each plan's vectors at d = 0 and adds d itself, so
         # this holds for every plan verify makes and every rotation number
-        # of its tb: Plan.rotations(d) is rotations(0) with d added on
-        # plan.pinned, and pinned marks the push-offs
+        # of its tb: Plan.rotations(d) is rotations(0) with d added on the
+        # presentation's pinned rows, which are the listed push-offs
         made = {}
         plan = invariants._plan
 
-        def planned(*args, **kwargs):
-            one = plan(*args, **kwargs)
-            made[id(one)] = one  # kept, so that no id is reused
+        def planned(knot, slope, *args, **kwargs):
+            one = plan(knot, slope, *args, **kwargs)
+            made[id(one)] = one, knot, slope  # kept, so that no id is reused
             return one
 
         monkeypatch.setattr(invariants, "_plan", planned)
         assert all(rep["ok"] for rep in verify(4, 3).values())
         assert len(made) == 61
-        for one in made.values():
+        for one, knot, slope in made.values():
             pres = one.presentation
             vectors = list(one.rotations(0))
-            assert one.pinned == tuple(int(c.rot is not None) for c in pres.components)
+            listed = listed_convert(knot, slope - knot.tb)[0]
+            assert pres.pinned == tuple(int(c.rot is not None) for c in listed.components)
             for d in (i - pres.base_rot for i in rot_range(pres.base_tb)):
                 assert list(one.rotations(d)) == [
-                    tuple(x + d * pin for x, pin in zip(v, one.pinned)) for v in vectors]
+                    tuple(x + d * pin for x, pin in zip(v, pres.pinned)) for v in vectors]
 
     def test_one_vector_list_per_plan(self, monkeypatch):
         # _csq reads each family plan's vectors once, at d = 0 and over its

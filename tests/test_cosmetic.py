@@ -21,8 +21,7 @@ from contactsurg.cosmetic import (
 )
 from contactsurg.invariants import d3_spectrum
 from contactsurg.slopes import SlopeError
-from contactsurg.surgery import (Component, ContactZeroError, LegendrianData,
-                                SurgeryPresentation, rot_range)
+from contactsurg.surgery import ContactZeroError, LegendrianData, SurgeryPresentation, rot_range
 from oracles import (
     affine_solutions_loop,
     brute_force_d3_matches,
@@ -304,9 +303,8 @@ class TestScanSharesMatrixWork:
 
     @pytest.fixture(scope="class")
     def counted(self):
-        calls = {"adjugate": 0, "convert": 0, "linking_matrix": 0, "kernel": 0,
-                 "presentation": 0, "component": 0}
-        presentation, linking_matrix = invariants._presentation, invariants.linking_matrix
+        calls = {"adjugate": 0, "convert": 0, "kernel": 0, "presentation": 0}
+        presentation = invariants._presentation
 
         def counting(name, fn):
             def call(*args, **kwargs):
@@ -321,9 +319,6 @@ class TestScanSharesMatrixWork:
             mp.setattr(invariants, "_presentation", counting("convert", presentation))
             mp.setattr(SurgeryPresentation, "__init__",
                        counting("presentation", SurgeryPresentation.__init__))
-            mp.setattr(Component, "__init__", counting("component", Component.__init__))
-            mp.setattr(invariants, "linking_matrix",
-                       counting("linking_matrix", linking_matrix))
             cosmetic.scan_cells(-12, -1, 12)
         return calls
 
@@ -338,26 +333,15 @@ class TestScanSharesMatrixWork:
         assert counted["convert"] <= 308
 
     def test_one_presentation_per_conversion(self, counted):
-        # a plan holds one presentation for the 689 it stands for; building
-        # each of them made 689
+        # a plan holds one presentation, its form included, for the 689 it
+        # stands for; building each of them made 689, and a form per
+        # presentation 689 more
         assert counted["presentation"] <= 308
-
-    def test_one_form_per_planned_presentation(self, counted):
-        # the presentations of a plan share Q, so one form serves the 689
-        # presentations of the 308 plans; a form per presentation made 689,
-        # and per (tb, rot, slope) 4,125
-        assert counted["linking_matrix"] <= 308
 
     def test_one_elimination_pass_per_form(self, counted):
         # the adjugate pass gives sigma too; a separate signature pass per
         # new Q made 893
         assert counted["kernel"] <= 308
-
-    def test_no_component_per_row(self, counted):
-        # a presentation is built from the runs of its continued fraction
-        # as integers, and the records read its framings off the form: no
-        # row becomes a Component, where one per run of rows made 1,515
-        assert counted["component"] == 0
 
     def test_one_reduction_per_numerator_per_plan(self, monkeypatch):
         # the +-rot mirror repeats numerators across a tb's rotation

@@ -17,14 +17,7 @@ from contactsurg.invariants import (
 )
 from contactsurg.linalg import dense
 from contactsurg.slopes import SlopeError
-from contactsurg.surgery import (
-    ContactZeroError,
-    IntersectionForm,
-    LegendrianData,
-    _presentation,
-    linking_matrix,
-    rot_range,
-)
+from contactsurg.surgery import ContactZeroError, LegendrianData, _presentation, rot_range
 from oracles import (D3Result, Form, adjugate_quadratic, d3_spectrum_detail_by_vector, d3_values,
                      determinant, enumerate_rotations, listed_convert, listed_linking_matrix,
                      read, sparse)
@@ -125,7 +118,8 @@ class TestSpectra:
         # times), so det = 1 - N and sigma = N - 2; every c1 is 0, and
         # d3 = (-3 sigma - 2 N + 4 l) / 4 = (6 - N) / 4
         plan, _, nums, pairs = d3_records(LegendrianData(-1, 0), Fraction(1, n) - 1)
-        assert dense(plan.form.rows) == [[int(i == j) - 1 for j in range(n)] for i in range(n)]
+        assert dense(plan.presentation.rows) == [[int(i == j) - 1 for j in range(n)]
+                                                 for i in range(n)]
         assert (plan.det, plan.sigma) == (1 - n, n - 2)
         assert set(nums) == set(pairs) and [Fraction(*ab) for ab in pairs.values()] == \
             [Fraction(6 - n, 4)]
@@ -151,7 +145,8 @@ def outcome(L, slope, plans=None):
         return type(err), str(err)
     values = [(r, Fraction(num, plan.det), Fraction(*pairs[num]))
               for r, num in zip(plan.rotations(d), nums)]
-    return [(plan.form, run) for run in plan.runs(values)]
+    shape = plan.presentation.path, plan.presentation.l  # equal to the oracle's ListedForm
+    return [(shape, run) for run in plan.runs(values)]
 
 
 def oracle_outcome(L, slope):
@@ -184,6 +179,70 @@ class TestRotationReversal:
                 assert d3_spectrum(LegendrianData(tb, -rot), slope) == spectrum
                 cases += 1
         assert cases == 2415
+
+
+def with_split_pair(tb_u, rot_u):
+    """``_presentation`` with a split pair on an unknot U of (tb_u, rot_u)
+    appended: a contact (+1) copy of U and a (-1) push-off of it, framings
+    tb_u + 1 and tb_u - 1, linked with tb_u and by a zero link to the
+    rest, so the form stays a path; both rows at rot_u, pinned 0, and l
+    one more."""
+    def build(L, p, q):
+        pres = _presentation(L, p, q)
+        a, b, h, c = pres.path
+        path = linalg._Path(a + [tb_u + 1, tb_u - 1], b + [0, tb_u], h, c)
+        return replace(pres, path=path, choices=pres.choices + [(rot_u,)] * 2,
+                       pinned=pres.pinned + (0, 0), l=pres.l + 1)
+    return build
+
+
+def oracle_spectrum(L, slope, pair=None):
+    """The d3 spectrum of every listed presentation through ``d3_values``,
+    with the split pair ``pair`` = (tb_u, rot_u) added to each form and
+    vector if one is given; or the type of the domain error the
+    conversion or the form raised."""
+    try:
+        spectrum = set()
+        for pres in listed_convert(L, slope - L.tb):
+            rows, l = dense(listed_linking_matrix(pres).rows), pres.l
+            vectors = enumerate_rotations(pres)
+            if pair:
+                tb_u, rot_u = pair
+                rows = [row + [0, 0] for row in rows]
+                rows += [[0] * len(rows) + [tb_u + 1, tb_u], [0] * len(rows) + [tb_u, tb_u - 1]]
+                l, vectors = l + 1, [v + (rot_u, rot_u) for v in vectors]
+            spectrum |= {res.d3 for res in d3_values(form(rows, l), vectors)}
+        return spectrum
+    except (SlopeError, NonTorsionEulerClassError) as err:
+        return type(err)
+
+
+class TestSplitPairCancellation:
+    """A contact (+1)-surgery on an unknot U and a (-1)-surgery on its
+    push-off cancel (Ding and Geiges 2004), so a split pair added to a
+    presentation leaves the contact structure, and its d3, as they were:
+    the pair adds 2 to n and 1 to l and leaves sigma and c1^2 alone."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-8, -1), st.integers(-4, -1), st.data())
+    @example(-1, -1, None)  # a chain of -2 framings, then the pair's 0 and -2
+    def test_split_pair_leaves_the_spectrum(self, tb, tb_u, data):
+        if data is None:
+            rot, rot_u, slope = 0, 0, Fraction(-1, 3)
+        else:
+            rot = data.draw(st.sampled_from(rot_range(tb)))
+            rot_u = data.draw(st.sampled_from(rot_range(tb_u)))
+            slope = data.draw(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)))
+        L = LegendrianData(tb, rot)
+        want = oracle_spectrum(L, slope)
+        assert oracle_spectrum(L, slope, (tb_u, rot_u)) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "_presentation", with_split_pair(tb_u, rot_u))
+            try:
+                got = d3_spectrum(L, slope)
+            except (SlopeError, NonTorsionEulerClassError) as err:
+                got = type(err)
+        assert got == want
 
 
 class TestPlans:
@@ -291,23 +350,23 @@ def grid_outcomes():
 
 
 def mutant(change):
-    """linking_matrix with ``change(rows, components)`` applied to Q."""
-    def build(pres):
-        form = linking_matrix(pres)
-        rows = dense(form.rows)
-        change(rows, pres.components)
-        return IntersectionForm(read(sparse(rows)), form.l)
+    """``_presentation`` with ``change(rows, pinned)`` applied to Q."""
+    def build(L, p, q):
+        pres = _presentation(L, p, q)
+        rows = dense(pres.rows)
+        change(rows, pres.pinned)
+        return replace(pres, path=read(sparse(rows)))
     return build
 
 
-def chain_framing_up(rows, comps):
-    i = next((i for i, c in enumerate(comps) if c.role == "chain"), None)
-    if i is not None:
+def chain_framing_up(rows, pinned):
+    if 0 in pinned:  # the first chain row
+        i = pinned.index(0)
         rows[i][i] += 1
 
 
-def pushoff_link_up(rows, comps):
-    pushoffs = [i for i, c in enumerate(comps) if c.role == "pushoff"]
+def pushoff_link_up(rows, pinned):
+    pushoffs = [i for i, pin in enumerate(pinned) if pin]
     for i in pushoffs:
         for j in pushoffs:
             rows[i][j] += i != j
@@ -349,7 +408,7 @@ class TestFormMatchesSlope:
 
     @pytest.mark.parametrize("change", [chain_framing_up, pushoff_link_up])
     def test_mutant_forms_are_caught(self, monkeypatch, change):
-        monkeypatch.setattr(invariants, "linking_matrix", mutant(change))
+        monkeypatch.setattr(invariants, "_presentation", mutant(change))
         assert grid_outcomes().get(PipelineCheckError, 0) > 1000
         with pytest.raises(PipelineCheckError, match="disagree with the slope"):
             d3_spectrum(LegendrianData(-3, 0), 2)

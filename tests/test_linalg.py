@@ -12,7 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 from contactsurg import closedforms, linalg, regressions
 from contactsurg.invariants import d3_records, d3_spectrum
 from contactsurg.slopes import SlopeError
-from contactsurg.surgery import IntersectionForm, LegendrianData, _presentation, linking_matrix
+from contactsurg.surgery import LegendrianData, _presentation
 import oracles
 from oracles import (
     adjugate_quadratic,
@@ -522,9 +522,10 @@ def graph_shapes():
         lambda order: _relabel(m, order))))
 
 
-def _key(form):
-    """The dense rows of ``form`` as a tuple of tuples, a dict key."""
-    return tuple(map(tuple, linalg.dense(form.rows)))
+def _key(pres):
+    """The dense rows of the presentation ``pres`` as a tuple of tuples, a
+    dict key."""
+    return tuple(map(tuple, linalg.dense(pres.rows)))
 
 
 def linking_forms(cases):
@@ -533,7 +534,7 @@ def linking_forms(cases):
     forms = {}
     for tb, rot, contact in cases:
         pres = _presentation(LegendrianData(tb, rot), *Fraction(contact).as_integer_ratio())
-        forms[_key(linking_matrix(pres))] = sum(c.role == "pushoff" for c in pres.components)
+        forms[_key(pres)] = pres.pinned.count(1)
     return forms
 
 
@@ -721,7 +722,7 @@ class TestRunStep:
         forms = closedforms.DEFAULT_FORMS
         plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 1600))[0]
         assert plan.sigma == forms["tb1_neg_sigma"](1600) == -1598
-        rows = plan.form.rows
+        rows = plan.presentation.rows
         assert path_kernel(rows)[1] == linalg._descartes(char_poly(rows)) == -1598
         assert reduced(rows) == (plan.det, -1598)
 
@@ -1013,7 +1014,8 @@ class TestCongruence:
         # `d3 --tb -1 --rot 0 --coeff 1/40` (a 40-clique of push-offs);
         # Descartes on long chains is test_methods_agree_at_scale's
         for coeff, n, sig in ((Fraction(-1, 1600) + 1, 1600, -1598), (Fraction(1, 40), 40, 38)):
-            rows = linalg.dense(linking_matrix(_presentation(LegendrianData(-1, 0), *coeff.as_integer_ratio())).rows)
+            rows = linalg.dense(
+                _presentation(LegendrianData(-1, 0), *coeff.as_integer_ratio()).rows)
             assert len(rows) == n
             assert path_kernel(sparse(rows))[1] == congruence_signature_dense(rows) == sig
             if n < 100:
@@ -1021,7 +1023,7 @@ class TestCongruence:
 
 
 def acceptance_forms():
-    """{Q: IntersectionForm} over the linking forms of the acceptance
+    """{Q: presentation} over the linking forms of the acceptance
     ranges: every smooth slope p/q with -30 <= p < 12 and 1 <= q < 12 at
     -6 <= tb <= -1, and verify's families, slopes +-1/n and +-2/n for
     n <= 20 at -20 <= tb <= -3, wherever the conversion takes them."""
@@ -1032,11 +1034,10 @@ def acceptance_forms():
     forms = {}
     for tb, smooth in cases:
         try:
-            form = linking_matrix(_presentation(LegendrianData(tb, tb + 1),
-                                                          *(smooth - tb).as_integer_ratio()))
+            pres = _presentation(LegendrianData(tb, tb + 1), *(smooth - tb).as_integer_ratio())
         except (SlopeError, ValueError):
             continue
-        forms.setdefault(_key(form), form)
+        forms.setdefault(_key(pres), pres)
     return forms
 
 
@@ -1064,8 +1065,8 @@ class TestSparseRows:
     def test_linking_forms_match_the_dense_oracles(self):
         forms = acceptance_forms()
         assert len(forms) > 2000 and max(map(len, forms)) == 38
-        for m, form in forms.items():
-            assert list(form.rows) == sparse(m)
+        for m, pres in forms.items():
+            assert list(pres.rows) == sparse(m)
             assert_sparse_matches_dense(m)
 
     @settings(max_examples=200, deadline=None)
@@ -1098,11 +1099,11 @@ class TestSparseRows:
         # route builds no rows; rows read into a form's path by the oracle
         # come back from it unchanged
         plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 40))[0]
-        assert "rows" not in vars(plan.form)
-        form = IntersectionForm(read(chain_matrix(3)), 0)
-        assert linalg.adjugate_block(form.path, ()) == adjugate_rows(chain_matrix(3), ())
+        assert "rows" not in vars(plan.presentation)
+        path = read(chain_matrix(3))
+        assert linalg.adjugate_block(path, ()) == adjugate_rows(chain_matrix(3), ())
         rows = check_symmetric(chain_matrix(3))
-        assert check_symmetric(rows) == rows == tuple(chain_matrix(3)) == form.rows
+        assert check_symmetric(rows) == rows == tuple(chain_matrix(3)) == linalg._rows(path)
         for rows in ([], [{0: 1, 1: 2}, {0: 2, 1: 4}]):
             assert check_symmetric(rows) == tuple(rows)
 
@@ -1226,9 +1227,8 @@ class TestPathKernel:
         for m in acceptance_forms():
             assert path_shape(m) and kernel_shape(m)
         for coeff, h in (("1/3", 3), ("1/40", 40), ("2/7", 5), ("3/2", 0)):
-            form = linking_matrix(
-                _presentation(LegendrianData(-1, 0), *Fraction(coeff).as_integer_ratio()))
-            assert head(form.rows) == h
+            pres = _presentation(LegendrianData(-1, 0), *Fraction(coeff).as_integer_ratio())
+            assert head(pres.rows) == h
 
 
 @st.composite

@@ -27,7 +27,7 @@ def _loaded(tree):
 
 
 def test_public_names_resolve_and_stay_few():
-    assert len(contactsurg.__all__) <= 19
+    assert len(contactsurg.__all__) <= 17
     assert len(set(contactsurg.__all__)) == len(contactsurg.__all__)
     for name in contactsurg.__all__:
         assert getattr(contactsurg, name) is not None
@@ -235,13 +235,11 @@ def test_no_dense_view_and_dense_rows_only_for_mismatch_provenance():
                and _names(node.func, "dense")}
     assert callers == {"closedforms.py:_mismatch"}
 
-def test_components_are_expanded_only_for_reports():
-    # a presentation is its integer shape, built a run of its continued
-    # fraction at a time; its rows become Components only when a report
-    # expands them, so the report's to_json is the one reader of
-    # .components in the library
-    readers = {f"{path.name}:{func.name}" for path, tree in _modules()
-               for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
-               for node in ast.walk(func) if isinstance(node, ast.Attribute)
-               and node.attr == "components" and isinstance(node.ctx, ast.Load)}
-    assert readers == {"surgery.py:to_json"}
+
+def test_component_roles_are_named_only_by_the_d3_report():
+    # a presentation is its integer shape, one record from the conversion
+    # to the report: its rows are push-offs or chain unknots only in the
+    # component dicts that cmd_d3 writes, so no other module names a role
+    where = {f"{path.name}:{node.lineno}" for path, tree in _modules() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in ("pushoff", "chain")}
+    assert where and {place.split(":")[0] for place in where} == {"cli.py"}

@@ -10,13 +10,10 @@ from contactsurg.linalg import dense
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import (
     ContactZeroError,
-    IntersectionForm,
     LegendrianData,
-    linking_matrix,
     _negative_chain,
     _presentation,
     rot_range,
-    rotation_choices,
 )
 from oracles import (
     component_choices,
@@ -41,7 +38,7 @@ from oracles import (
 
 def matrix_of(tb, rot, smooth):
     pres = _presentation(LegendrianData(tb, rot), *(Fraction(smooth) - tb).as_integer_ratio())
-    return dense(linking_matrix(pres).rows)
+    return dense(pres.rows)
 
 
 class TestLegendrianData:
@@ -70,8 +67,10 @@ class TestConvert:
         assert [c.role for c in comps] == ["pushoff", "pushoff"]
 
     def test_pushoffs_are_one_shared_component(self):
-        comps = _presentation(LegendrianData(-1, 0), 1, 5).components
-        assert len(comps) == 5 and all(c is comps[0] for c in comps)
+        # five push-off rows, which share one tuple of rotation choices
+        pres = _presentation(LegendrianData(-1, 0), 1, 5)
+        assert (pres.l, pres.pinned, pres.path.a) == (5, (1,) * 5, [0] * 5)
+        assert all(c is pres.choices[0] for c in pres.choices) and pres.choices[0] == (0,)
 
     def test_more_pushoffs_than_a_list_holds_is_a_slope_error(self):
         # ceil(q/p) push-offs: refused by count before any is built
@@ -85,9 +84,11 @@ class TestConvert:
         # contact 50/99 on tb = -2: two push-offs, then the remainder -50 on
         # a push-off with 49 stabilizations, its 50 rotation numbers a range
         pres = _presentation(LegendrianData(-2, 1), 50, 99)
-        assert [c.rot for c in pres.components] == [1, 1, range(50, -49, -2)]
-        assert [c.rot for c in _presentation(LegendrianData(-1, 0), 1, 3).components] \
-            == [0, 0, 0]  # no remainder, so no stabilized push-off
+        assert pres.choices == [(1,), (1,), range(50, -49, -2)]
+        assert (pres.l, pres.pinned) == (2, (1, 1, 1))
+        pres = _presentation(LegendrianData(-1, 0), 1, 3)
+        assert pres.choices == [(0,)] * 3  # no remainder, so no stabilized push-off
+        assert (pres.l, pres.pinned) == (3, (1, 1, 1))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-30, 3), st.integers(-4, 4),
@@ -112,10 +113,10 @@ class TestConvert:
     def test_convert_expands_the_one_presentation_in_the_oracle_order(self, tb, j, p, q):
         # the presentation built a run of the continued fraction at a time
         # is the oracle's list, built one component at a time: its path,
-        # pinned rows, l and knot are every listed one's, its rotation
-        # vectors theirs in their order, and its report, the stabilized
-        # push-off's range pinned to each value in turn, theirs.  A rejected
-        # input raises the same error type with the same text in both
+        # pinned rows, l and knot are every listed one's, and its rotation
+        # vectors theirs in their order (the d3 report's components are
+        # TestD3Report's).  A rejected input raises the same error type
+        # with the same text in both
         L, coeff = LegendrianData(tb, tb + 1 + 2 * j), Fraction(p, q)
         try:
             pres = _presentation(L, *coeff.as_integer_ratio())
@@ -135,13 +136,8 @@ class TestConvert:
             assert listed_linking_matrix(one).path == pres.path
             assert tuple(int(c.rot is not None) for c in one.components) == pres.pinned
             assert (one.l, one.base_tb, one.base_rot) == (pres.l, pres.base_tb, pres.base_rot)
-        assert list(product(*rotation_choices(pres))) == [
+        assert list(product(*pres.choices)) == [
             v for one in listed for v in product(*component_choices(one))]
-        report = pres.to_json()
-        expanded = [[{**t, "rot": r} for r in t["rot"]] if type(t["rot"]) is range else [t]
-                    for t in report["components"]]
-        assert [{"components": list(comps), "l": report["l"]} for comps in product(*expanded)] \
-            == [one.to_json() for one in listed]
 
     def test_negative_chain_needs_negative_coefficient(self):
         # smooth -4 on tb = -5 would need -2 stabilizations
@@ -174,8 +170,10 @@ class TestConvert:
     def test_chain_tb_values(self):
         # smooth -1/n on tb = -2: framings -1, -5, then a -2 chain
         pres = _presentation(LegendrianData(-2, 1), 7, 4)
-        assert list(map(framing, pres.components)) == [-1, -5, -2, -2]
-        assert [c.tb for c in pres.components] == [-2, -4, -1, -1]
+        assert pres.path.a == [-1, -5, -2, -2]
+        assert (pres.l, pres.pinned) == (1, (1, 1, 0, 0))
+        # tb is the knot's on the l (+1) push-offs and framing + 1 on the rest
+        assert [pres.base_tb] * pres.l + [x + 1 for x in pres.path.a[pres.l:]] == [-2, -4, -1, -1]
         # contact -1/10^6 on tb = -1: smooth -(10^6 + 1)/10^6 is one run of
         # 10^6 terms -2, so one push-off and 999,999 chain unknots, all framing -2
         pres_list = listed_convert(LegendrianData(-1, 0), Fraction(-1, 10 ** 6))
@@ -240,7 +238,7 @@ class TestLinkingMatrix:
 
     def test_pushoff_linking_is_base_tb(self):
         pres = _presentation(LegendrianData(-1, 0), 2, 5)  # three pushoffs
-        q = dense(linking_matrix(pres).rows)
+        q = dense(pres.rows)
         assert q[0][1] == q[0][2] == q[1][2] == -1
 
     @settings(max_examples=300, deadline=None)
@@ -253,11 +251,11 @@ class TestLinkingMatrix:
             presentations = listed_convert(L, coeff)
         except (SlopeError, ValueError):
             return
-        form = linking_matrix(_presentation(L, *coeff.as_integer_ratio()))
-        m = dense(form.rows)
+        rows = _presentation(L, *coeff.as_integer_ratio()).rows
+        m = dense(rows)
         for pres in presentations:
             assert tuple(map(tuple, m)) == linking_matrix_dense(pres)
-        assert tuple(sparse(m)) == form.rows  # dense is the inverse of sparse
+        assert tuple(sparse(m)) == rows  # dense is the inverse of sparse
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-6, 0), st.integers(0, 3), st.one_of(
@@ -272,33 +270,23 @@ class TestLinkingMatrix:
     @example(-1, 0, ("contact", Fraction(2, 7)))  # framings 0, a head of four, a chain
     @example(-3, 0, ("smooth", Fraction(-27, 5)))  # runs of -2 and of -3
     def test_path_matches_the_oracle_rows(self, tb, j, slope):
-        # the path is read straight off the components; the oracle builds
-        # Q entry by entry, its rows read by the oracle read must give the
-        # same path, and the rows built from the path must be its rows
+        # the path is built from the runs of the continued fraction; the
+        # oracle builds Q entry by entry from the listed components, its
+        # rows read by the oracle read must give the same path, and the
+        # rows built from the path must be its rows
         kind, value = slope
+        L = LegendrianData(tb, tb + 1 - 2 * j)
+        coeff = value - tb if kind == "smooth" else value
         try:
-            pres = _presentation(LegendrianData(tb, tb + 1 - 2 * j), *(
-                value - tb if kind == "smooth" else value).as_integer_ratio())
+            pres = _presentation(L, *coeff.as_integer_ratio())
         except (SlopeError, ValueError):
             return
-        form = linking_matrix(pres)
-        want = sparse(linking_matrix_dense(pres))
-        assert form.path == read(want)
-        assert "rows" not in vars(form)  # built on first use only
-        assert form.rows == tuple(want)
-        assert form.n == len(want) and form.l == pres.l
-
-    def test_rejects_ragged_non_square_and_asymmetric(self):
-        # a form takes only a path: sparse rows, ragged, non-square,
-        # asymmetric or fine, and a path's fields as a plain tuple, are a
-        # TypeError; the rows read into a path make the form
-        path = read(sparse(((1, 2), (2, 4))))
-        for q in (({0: 1, 1: 2},), ({-1: 2}, {1: 1}), ({0: 1, 1: 0}, {1: 4}),
-                  sparse(((1, 2), (3, 4))), sparse(((1, 2), (2, 4))), tuple(path)):
-            with pytest.raises(TypeError, match=r"^Q must be a linalg\._Path, not "):
-                IntersectionForm(q, 0)
-        form = IntersectionForm(path, 0)
-        assert form.n == 2 and form.rows == ({0: 1, 1: 2}, {0: 2, 1: 4})
+        listed = listed_convert(L, coeff)[0]
+        want = sparse(linking_matrix_dense(listed))
+        assert pres.path == read(want)
+        assert "rows" not in vars(pres)  # built on first use only
+        assert pres.rows == tuple(want)
+        assert len(pres.path.a) == len(want) and pres.l == listed.l
 
 
 class TestSmoothRecovery:
@@ -328,7 +316,7 @@ class TestRotations:
 
     def test_half_surgery_single_vector(self):
         pres = _presentation(LegendrianData(-1, 0), 1, 2)
-        assert enumerate_rotations(pres) == [(0, 0)]
+        assert list(product(*pres.choices)) == [(0, 0)]
 
     def test_tb2_positive_vectors(self):
         # vectors (i, i +- 1, s): the middle entry 2i occurs only with
