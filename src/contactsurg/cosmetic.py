@@ -12,7 +12,9 @@ knot-type predicates any exceptional knot would have to satisfy.
 
 The module also classifies contact surgeries on Legendrian unknots:
 which are unique, which admit infinitely many cosmetic companions, and
-how many equivalent contact surgeries live at a given companion slope.
+how many equivalent contact surgeries live at a given companion slope,
+in closed form: 1 below tb, and ceil(q/p), plus 1 at tb = -1, at a
+smooth slope p/q > 0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from math import gcd
 
 from . import invariants
 from .closedforms import DEFAULT_FORMS
-from .farey import _classes, _edges, minimal_path_blocks
 from .slopes import SlopeError, canonical_slope, lens_parameters
 from .surgery import ContactZeroError, LegendrianData, rot_range
 
@@ -86,7 +87,7 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
     exactly with the constraints 2 <= n <= n_max, -n < s < n and the
     parity of s (``_affine_solutions``), and each solution is checked
     against the forms at its own (n, s), which guards the affine
-    assumption.  Returns every admissible solution (the
+    assumption (``invariants.PipelineCheckError`` if they differ).  Returns every admissible solution (the
     cosmetic surgery statements amount to these lists being empty).
     """
     k = -tb
@@ -126,7 +127,7 @@ def solve_d3_equation(tb: int, family: str, n_max: int = 20):
             for s, n in _affine_solutions(a_n, d_s, c_0, n_max):
                 sol = {"family": family, "i": i, "e1": e1, "e2": e2, "j": j, "s": s, "n": n}
                 if n != "all" and pos_n(n, i, e2, s) != neg_n(n, i, e1, j):
-                    raise RuntimeError(
+                    raise invariants.PipelineCheckError(
                         f"solver and closed forms disagree at tb={tb}, {sol}: d3 "
                         f"{invariants.ratio_text(neg_n(n, i, e1, j) + 4, 4)} at -1/n "
                         f"against {invariants.ratio_text(pos_n(n, i, e2, s) + 4, 4)} at +1/n")
@@ -303,151 +304,47 @@ class UnknotSurgeryClass:
         }
 
 
-def _junction_cascade(blocks, tb: int):
-    """Merges made when the complement path tb, tb + 1, ..., 0 is glued
-    after a minimal path with these blocks ending at tb, and shortened.
-
-    Follows the stack pass of the shortening move (merges at the top of a
-    stack of path vertices, leftmost first) a block at a time.
-    Pushing c_i = tb + i merges the junction edge into c_i when the last
-    surviving path vertex x neighbours c_i; then the path loses its last
-    vertex for as long as the vertex before it neighbours c_i too.  Along
-    a block det(start + j step, c_i) is linear in j, so a block costs
-    O(1): its whole tail goes when the step is parallel to c_i, at most
-    two vertices otherwise.  Once two complement vertices stand side by
-    side (|det| = 2) nothing merges again.  When x is infinity, every
-    c_i neighbours it, and the pushes merge straight through to the
-    first c_i that the vertex before x neighbours (solving det = +-1).
-
-    Returns the surviving edges of each block and the merged edges in
-    merge order, as runs ("path", block, n, edges left in the block) and
-    ("complement", i, j) for the edges into c_i, ..., c_j.
-    """
-    k = -tb
-    alive = [block.edges for block in blocks]
-    merged = []
-    # The last path edge, into tb, is the junction edge until it merges.
-    alive[-1] -= 1
-    top = len(blocks) - 1 if alive[-1] else len(blocks) - 2
-
-    def vertex(back):
-        """The surviving path vertex ``back`` places before the last one."""
-        if top < 0:
-            return blocks[0].start
-        (sn, sd), (wn, wd), _ = blocks[top]
-        j = alive[top] - back
-        return (sn + j * wn, sd + j * wd)
-
-    def eat(t):
-        nonlocal top
-        while top >= 0:
-            (sn, sd), (wn, wd), _ = blocks[top]
-            d0, dw = sn - t * sd, wn - t * wd  # det(vertex j, c) = d0 + j dw
-            j = alive[top]
-            n = j if dw == 0 and abs(d0) == 1 else 0
-            while dw and n < j and abs(d0 + (j - 1 - n) * dw) == 1:
-                n += 1
-            if n:
-                alive[top] -= n
-                merged.append(("path", top, n, alive[top]))
-            if alive[top]:
-                return
-            top -= 1
-
-    i = 1
-    while i <= k:
-        xn, xd = vertex(0)
-        if abs(xn - (tb + i) * xd) != 1:
-            break
-        if not merged:
-            merged.append(("path", len(blocks) - 1, 1, alive[-1]))
-        stop = i
-        if xd == 0:  # x is infinity, never the path's first (finite) vertex
-            stop = k + 1
-            pn, pd = vertex(1)
-            for s in (1, -1):
-                if (pn - s) % pd == 0 and i <= (pn - s) // pd - tb < stop:
-                    stop = (pn - s) // pd - tb
-        if stop > i:
-            merged.append(("complement", i, stop - 1))
-            i = stop
-            continue
-        merged.append(("complement", i, i))
-        eat(tb + i)
-        i += 1
-    if not merged:
-        alive[-1] += 1
-    return alive, merged
-
-
 def equivalent_surgery_count(tb: int, rot: int, contact_coeff) -> int:
     """Number of contact surgeries at this slope giving one and the same
-    tight result, computed by the block-quotient fiber argument.
+    tight result: 1 at a smooth slope s below tb, and ceil(q/p), plus 1
+    at tb = -1, at s = p/q > 0.
 
-    A decorated surgery torus is a choice of plus signs per block of the
-    minimal path from the smooth slope to tb (first edge unsigned).  It
-    is glued to the complement of the Legendrian unknot, the path tb,
-    tb + 1, ..., 0 whose last edge is unsigned and whose other -tb - 1
-    edges carry the stabilization signs, plus first, summing to rot.
-    Blocks the merge cascade leaves alone keep their signs, so distinct
-    choices there give distinct tight structures.  Eaten blocks fold
-    into the junction edge: signed edges merged before the first
-    unsigned one must share one sign (a clash is overtwisted), and after
-    it every choice gives the same result.  The fiber size is the
-    product over eaten blocks of their tight choices.  As a check, the
-    tight decorations must number fiber size x the decorations that the
-    surviving edges carry on the lens space's own minimal path.
+    A decorated surgery torus is a choice of signs on the minimal path
+    from s clockwise to tb (first edge unsigned).  It is glued to the
+    unknot complement, the path tb, tb + 1, ..., 0 whose last edge is
+    unsigned and whose other -tb - 1 edges carry the stabilization
+    signs, plus first, summing to rot; the glued path is then shortened.
+    - s < tb: nothing merges, since the only common Farey neighbours of
+      tb and tb + 1 are infinity and tb + 1/2.  Each decoration is its
+      own tight structure.
+    - s > 0: the path passes through infinity, because no Farey edge
+      joins two finite slopes of opposite sign.  It ends in the run
+      1/floor(q/p), ..., 1/1, infinity of neighbours of 0.  The
+      complement's end 0 eats that run whole, and the run's sign
+      choices are the fiber, ceil(q/p) of them.  At tb = -1, -1
+      continues the run by one more edge.  The merged edges must share
+      the complement's one sign, so only a boundary rotation number
+      (all signs equal) is tight.
+    - tb < s < 0: every decoration is overtwisted.
+    The merge cascade these cases sum up is the test oracle
+    ``equivalent_count_by_cascade``.
     """
     contact_coeff = Fraction(contact_coeff)
     smooth = tb + contact_coeff
     if smooth == 0:
         raise SlopeError("zero smooth slope excluded")
+    if contact_coeff == 0:
+        raise ContactZeroError("contact (0)-surgery is not well-defined")
     if tb < smooth < 0:
         raise ValueError("overtwisted regime; per-slope counts are tight-only")
-    blocks = minimal_path_blocks((smooth.numerator, smooth.denominator), (tb, 1))
-    k = -tb
-    plus = (k - 1 + rot) // 2
-    if not 0 <= plus <= k - 1:
+    plus = (-tb - 1 + rot) // 2
+    if not 0 <= plus <= -tb - 1:
         raise ValueError("rotation number out of range for an unknot")
-    alive, merged = _junction_cascade(blocks, tb)
-
-    # signed edges merged before the first unsigned one: per block, and
-    # the complement's edges into tb + 1, ..., tb + h
-    held, h = {}, 0
-    for kind, *run in merged:
-        if kind == "path":
-            b, n, left = run
-            unsigned = b == 0 and left == 0
-            held[b] = held.get(b, 0) + n - unsigned
-        else:
-            h = min(run[1], k - 1)
-            unsigned = run[1] == k
-        if unsigned:
-            break
-    # The first merge takes the complement edge into tb + 1, so when two
-    # or more edges are held they include a complement sign to match.
-    constrained = sum(held.values()) + h > 1
-    if constrained and 0 < plus < h:
-        raise RuntimeError("no tight decoration found in the tight regime")
-
-    tight = fiber = 1
-    for b, block in enumerate(blocks):
-        signed = block.edges - (b == 0)
-        if alive[b] == block.edges:
-            tight *= signed + 1
-            continue
-        if alive[b] or (constrained and 0 < held.get(b, 0) < signed):
-            raise RuntimeError("the merge cascade splits a continued-fraction block")
-        choices = 1 if constrained and held.get(b, 0) else signed + 1
-        tight *= choices
-        fiber *= choices
-
-    edges = _edges((smooth.numerator, smooth.denominator), (0, 1))
-    keys = _classes(edges, 1, sum(edges) - sum(alive))
-    if tight != fiber * keys:
-        raise RuntimeError(f"{tight} tight decorations at smooth slope {smooth}, but "
-                           f"fibers of {fiber} over {keys} tight structures")
-    return fiber
+    if smooth < tb:
+        return 1
+    if 0 < plus < -tb - 1:
+        raise ValueError("overtwisted regime: above 0 only the boundary rotations are tight")
+    return -(-smooth.denominator // smooth.numerator) + (tb == -1)
 
 
 def unknot_classify(L: LegendrianData, contact_coeff) -> UnknotSurgeryClass:
@@ -460,7 +357,7 @@ def unknot_classify(L: LegendrianData, contact_coeff) -> UnknotSurgeryClass:
     space; boundary-rotation unknots (|rot| = |tb + 1|) give tight
     results exactly when the smooth slope avoids the interval (tb, 0),
     and then the number of equivalent surgeries at the slope itself is
-    computed by the Farey block count.
+    given by the closed form of ``equivalent_surgery_count``.
     """
     tb, rot = L.tb, L.rot
     if tb > -1:

@@ -1,14 +1,10 @@
-"""The Farey graph on slopes and the counts the library reads off it.
+"""The Farey graph on slopes: minimal paths as continued-fraction blocks,
+and the tight lens count.
 
 Vertices are slopes, taken as integer vectors (p, q) with gcd(p, q) = 1,
 and p/q and p'/q' are joined by an edge when |p q' - p' q| = 1.  A
 path's endpoints are reduced: q > 0, or (1, 0) for infinity; the
-vertices of its blocks may carry either sign.  Tight contact structures
-on lens spaces, and the equivalent surgeries at one slope that
-``cosmetic.equivalent_surgery_count`` counts, are classified by minimal
-clockwise paths in this graph with signs on some of the edges, counted
-up to shuffles of the signs inside each continued-fraction block
-(``_classes``).
+vertices of its blocks may carry either sign.
 
 A minimal path is built as its continued-fraction blocks, runs of
 vertices in arithmetic progression.  One loop, ``_runs``, reads each
@@ -16,7 +12,11 @@ block's edge count and turn off the Euclid of ``slopes.neg_cf_runs`` (a
 run of -2 terms is one entry) in the frame where the path starts at
 infinity: the work is logarithmic in the size of the endpoints, not
 linear in the number of vertices.  Blocks are placed from it and carried
-back; the counts read its edge counts only, and build no vertex.
+back.  Tight contact structures on L(p, q) are counted by Honda's
+closed form ("On the classification of tight contact structures I",
+2000), one product over ``neg_cf_runs`` of -p/q
+(``count_tight_lens_pq``); the count of decorated minimal paths up to
+sign shuffles inside each block, which it equals, is a test oracle.
 
 Convention: "clockwise" from a slope means moving in the direction of
 increasing slope, wrapping from large positive slopes through infinity
@@ -132,31 +132,11 @@ def minimal_path_blocks(a: tuple, b: tuple) -> list:
     return blocks
 
 
-def _edges(a: tuple, b: tuple) -> list:
-    """The edge count of each block of the minimal clockwise path from a
-    to b, reduced vectors as ``minimal_path_blocks`` takes them."""
-    return [edges for edges, _ in _runs(*_frame(a, b)[0])]
-
-
-def _classes(edges: list, first: int, last: int) -> int:
-    """Decorated paths up to shuffles of the signs inside each block,
-    from the edge count of each block, when the first ``first`` and the
-    last ``last`` edges are unsigned: a block with s signed edges
-    contributes a factor s + 1."""
-    hi, total, offset = sum(edges) - last, 1, 0
-    for n in edges:
-        # the block's signed edges are start, ..., end - 1
-        start = offset if offset > first else first
-        offset += n
-        end = offset if offset < hi else hi
-        if end > start:
-            total *= end - start + 1
-    return total
-
-
 def count_tight_lens_pq(p: int, q: int) -> int:
-    """Tight structures on L(p, q), presented as -p/q surgery data: the
-    lens count of the minimal clockwise path from -p/q to 0."""
+    """Tight structures on L(p, q), presented as -p/q surgery data:
+    Honda's product |(r_0 + 1) ... (r_k + 1)| over the negative continued
+    fraction -p/q = [r_0, ..., r_k].  A run of -2 terms gives factors 1,
+    so the product is one pass over ``neg_cf_runs``, O(log p) entries."""
     if p < 1:
         raise ValueError("lens space needs p >= 1")
     q %= p
@@ -164,6 +144,4 @@ def count_tight_lens_pq(p: int, q: int) -> int:
         return 1
     if q == 0 or math.gcd(p, q) != 1:
         raise ValueError(f"L({p},{q}) is not a lens space")
-    # sending -p/q to infinity sends 0 = (0, 1) to (y, -p), that is -y/p
-    ((_, y), _), _ = _normalizing_matrix(-p, q)
-    return _classes([n for n, _ in _runs(-y, p)], 1, 1)
+    return math.prod(-c - 1 for c, _ in neg_cf_runs(-p, q) if c != -2)

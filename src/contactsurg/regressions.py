@@ -83,9 +83,10 @@ def verify(k_max: int = 20, n_max: int = 20) -> dict:
     cells are kept; the scan's report adds the d3-equality solutions for
     -k_max <= tb <= -3 (none expected).  Mismatches are collected, not
     raised: a pipeline error (``_ERRORS``) on a regression cell fails that
-    cell, and one in a tb's scan cells is one scan mismatch of that tb,
-    whose cells are then not counted.  ValueError unless k_max >= 3 and
-    n_max >= 1."""
+    cell, one in a tb's scan cells is one scan mismatch of that tb, whose
+    cells are then not counted, and one in the d3-equality solver (its
+    check of a solution against the closed forms) is one scan mismatch.
+    ValueError unless k_max >= 3 and n_max >= 1."""
     closed = closedforms._lemmas(k_max, n_max)
     results, scanned, not_obstructed, errors = [], 0, [], []
     for tb in range(-1, -max(k_max, 8) - 1, -1):
@@ -102,7 +103,11 @@ def verify(k_max: int = 20, n_max: int = 20) -> dict:
             not_obstructed[:0] = tb_open  # ascending tb, as scan_cells lists them
             del cells  # their sides hold the plans of tb
     mismatches = [ctx for ok, ctx in results if not ok]
-    solutions = cosmetic.solve_d3_equations(-k_max, -3, n_max)
+    try:
+        solutions = cosmetic.solve_d3_equations(-k_max, -3, n_max)
+    except _ERRORS as exc:
+        solutions = []
+        errors.append({"check": "scan", "error": str(exc)})
     ok = not_obstructed == [{"tb": -1, "rot": 0, "v": "2"}] and not solutions and not errors
     scan = {"ok": ok, "checks": scanned, "mismatches": [] if ok else errors + [
         {"check": "scan", "not_obstructed": not_obstructed, "solver_solutions": solutions}]}

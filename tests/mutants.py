@@ -11,11 +11,14 @@ the c1^2 check, a continuant read one index off.
 It copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory once and runs every named test there unmutated, which must
 pass.  Then, one row at a time, it applies the patch to the copy, runs
-the row's tests in one child process and restores the file.  A mutant is
-killed when pytest reports a failed test (exit code 1); it survives when
-the tests pass, and any other exit code (tests not collected, a usage
-error) is an error of the table.  The run prints one line per mutant and
-exits 1 if any mutant survives or errs.  ``tests/test_mutants.py`` checks
+all of the row's tests in one child process and restores the file.  A
+mutant is killed when pytest exits 1 and every named test id has a
+failed test among pytest's summary lines: a killer that stops catching
+its mutant shows, even while another still does.  A mutant survives when
+some named id has no failure (the row's line names them), and any other
+exit code (tests not collected, a usage error) is an error of the table.
+The run prints one line per mutant and exits 1 if any mutant survives
+or errs.  ``tests/test_mutants.py`` checks
 the table itself in tier-1: each snippet occurs exactly once in its file
 and each test id names a test that exists.
 """
@@ -36,6 +39,9 @@ _SCAN_DIGEST = "tests/test_cosmetic.py::TestScanDigest::test_scan_json_is_unchan
 _SCAN_PASS = "tests/test_cosmetic.py::TestScanPass::test_every_cell_of_the_scan_range"
 _D3_DIGEST = "tests/test_cli.py::TestD3Digest"
 _SPLIT = "tests/test_invariants.py::TestSplitPairCancellation::test_split_pair_leaves_the_spectrum"
+_CASCADE = "tests/test_cosmetic.py::TestUnknotClassification::test_closed_form_is_the_merge_cascade"
+_ENUMERATED = "tests/test_cosmetic.py::TestUnknotClassification::test_count_matches_enumeration"
+_SOLVER_CHECK = "tests/test_regressions.py::test_a_solver_check_failure_is_one_scan_mismatch"
 
 # (name, file under src/contactsurg, snippet, replacement, test ids that must fail)
 MUTANTS = [
@@ -123,16 +129,46 @@ MUTANTS = [
      'order.setdefault(keys, _heads(keys, inner + "  "))',
      "order.setdefault(keys, _heads(keys, inner))",
      (_D3_DIGEST,)),
+    ("unknot_count_without_the_tb_minus_one_edge", "cosmetic.py",
+     "return -(-smooth.denominator // smooth.numerator) + (tb == -1)",
+     "return -(-smooth.denominator // smooth.numerator)",
+     (_CASCADE, _ENUMERATED)),
+    ("unknot_count_ceiling_read_as_floor", "cosmetic.py",
+     "return -(-smooth.denominator // smooth.numerator) + (tb == -1)",
+     "return smooth.denominator // smooth.numerator + (tb == -1)",
+     (_CASCADE, _ENUMERATED)),
+    ("honda_factor_read_as_minus_c", "farey.py",
+     "math.prod(-c - 1 for c, _",
+     "math.prod(-c for c, _",
+     ("tests/test_farey.py::TestCounts::test_lens_counts_match_continued_fraction_product",
+      "tests/test_farey.py::TestCounts::test_honda_product_is_the_sign_shuffle_count")),
+    ("verify_lets_the_solver_check_escape", "regressions.py",
+     "    except _ERRORS as exc:\n        solutions = []\n",
+     "    except ZeroDivisionError as exc:\n        solutions = []\n",
+     (_SOLVER_CHECK,)),
+    ("solver_check_raises_a_bare_runtime_error", "cosmetic.py",
+     "raise invariants.PipelineCheckError(",
+     "raise RuntimeError(",
+     (_SOLVER_CHECK,)),
+    ("unknot_off_boundary_rotation_an_internal_error", "cosmetic.py",
+     'raise ValueError("overtwisted regime: above 0',
+     'raise RuntimeError("overtwisted regime: above 0',
+     ("tests/test_cosmetic.py::TestUnknotClassification::"
+      "test_off_boundary_rotations_above_zero_are_a_domain_error",)),
 ]
 
 
 def _pytest(workdir, ids):
-    """The exit code of one pytest child on ``ids`` in ``workdir``."""
+    """The exit code of one pytest child on ``ids`` in ``workdir``, and
+    the named ids with no failed test in its summary."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                           *ids], cwd=workdir, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                          *ids], cwd=workdir, env=env, stdout=subprocess.PIPE,
+                         stderr=subprocess.DEVNULL, text=True)
+    failed = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAILED ")]
+    return run.returncode, [test for test in ids if not any(
+        f == test or f.startswith((test + "::", test + "[")) for f in failed)]
 
 
 def main():
@@ -143,7 +179,7 @@ def main():
         shutil.copytree(ROOT / "tests", work / "tests", ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", work)
         every = sorted({test for *_, ids in MUTANTS for test in ids})
-        code = _pytest(work, every)
+        code, _ = _pytest(work, every)
         if code:
             print(f"the unmutated tree fails its mutants' tests (pytest exit {code})")
             return 1
@@ -157,11 +193,14 @@ def main():
                 continue
             path.write_text(source.replace(snippet, replacement))
             try:
-                code = _pytest(work, ids)
+                code, missed = _pytest(work, ids)
             finally:
                 path.write_text(source)
             status = {1: "killed", 0: "SURVIVED"}.get(code, f"ERROR (pytest exit {code})")
-            bad += code != 1
+            if code == 1 and missed:
+                status = "SURVIVED"
+                name += f" (no failed test in {', '.join(missed)})"
+            bad += status != "killed"
             print(f"{status:8} {name}")
         print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
         return 1 if bad else 0

@@ -4,7 +4,9 @@ Each is slow but plainly right, and shares no code with the route it
 checks: exhaustive search, breadth-first search, enumeration, negative
 continued fractions one term at a time, vertex by vertex Farey paths
 with their own extended Euclid, their signs, class count and shortening
-move, Honda's lens count from the regular continued fraction, a dense
+move, Honda's lens count from the regular continued fraction and the
+lens count as sign-shuffle classes of the block edge counts, the unknot
+count by the merge cascade of the glued path, a dense
 Bareiss elimination for determinants and adjugates, a sparse symmetric
 one that gives signatures and adjugate blocks of any symmetric matrix,
 characteristic polynomials from its determinants, by Berkowitz and by a
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 from contactsurg.cosmetic import _shifted_d3
 from contactsurg.farey import minimal_path_blocks
-from contactsurg import closedforms, invariants, linalg, regressions
+from contactsurg import closedforms, farey, invariants, linalg, regressions
 from contactsurg.invariants import NonTorsionEulerClassError, d3_spectrum
 from contactsurg.linalg import SingularMatrixError
 from contactsurg.slopes import SlopeError, neg_cf_runs, parse_slope
@@ -554,6 +556,31 @@ def honda_lens_count(p: int, q: int) -> int:
     for i in range(0, n + 1, 2):
         count *= terms[i] + 1 - (i == 0) - (i == n)
     return count
+
+
+def _edges(a: tuple, b: tuple) -> list:
+    """The edge count of each block of the minimal clockwise path from a
+    to b, reduced vectors as ``farey.minimal_path_blocks`` takes them,
+    read off ``farey._runs`` in the path's frame with no vertex built."""
+    return [edges for edges, _ in farey._runs(*farey._frame(a, b)[0])]
+
+
+def _classes(edges: list, first: int, last: int) -> int:
+    """Decorated paths up to shuffles of the signs inside each block,
+    from the edge count of each block, when the first ``first`` and the
+    last ``last`` edges are unsigned: a block with s signed edges
+    contributes a factor s + 1.  ``_classes(_edges((-p, q), (0, 1)), 1,
+    1)`` is the Farey-side tight count on L(p, q), which Honda's product
+    in ``count_tight_lens_pq`` equals."""
+    hi, total, offset = sum(edges) - last, 1, 0
+    for n in edges:
+        # the block's signed edges are start, ..., end - 1
+        start = offset if offset > first else first
+        offset += n
+        end = offset if offset < hi else hi
+        if end > start:
+            total *= end - start + 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -1748,6 +1775,154 @@ def equivalent_count_enumerated(tb: int, rot: int, contact_coeff):
             key = decorated_path_key(shortened)
             fibers[key] = fibers.get(key, 0) + 1
     return tight, fibers
+
+
+def _junction_cascade(blocks, tb: int):
+    """Merges made when the complement path tb, tb + 1, ..., 0 is glued
+    after a minimal path with these blocks ending at tb, and shortened.
+
+    Follows the stack pass of the shortening move (merges at the top of a
+    stack of path vertices, leftmost first) a block at a time.
+    Pushing c_i = tb + i merges the junction edge into c_i when the last
+    surviving path vertex x neighbours c_i; then the path loses its last
+    vertex for as long as the vertex before it neighbours c_i too.  Along
+    a block det(start + j step, c_i) is linear in j, so a block costs
+    O(1): its whole tail goes when the step is parallel to c_i, at most
+    two vertices otherwise.  Once two complement vertices stand side by
+    side (|det| = 2) nothing merges again.  When x is infinity, every
+    c_i neighbours it, and the pushes merge straight through to the
+    first c_i that the vertex before x neighbours (solving det = +-1).
+
+    Returns the surviving edges of each block and the merged edges in
+    merge order, as runs ("path", block, n, edges left in the block) and
+    ("complement", i, j) for the edges into c_i, ..., c_j.
+    """
+    k = -tb
+    alive = [block.edges for block in blocks]
+    merged = []
+    # The last path edge, into tb, is the junction edge until it merges.
+    alive[-1] -= 1
+    top = len(blocks) - 1 if alive[-1] else len(blocks) - 2
+
+    def vertex(back):
+        """The surviving path vertex ``back`` places before the last one."""
+        if top < 0:
+            return blocks[0].start
+        (sn, sd), (wn, wd), _ = blocks[top]
+        j = alive[top] - back
+        return (sn + j * wn, sd + j * wd)
+
+    def eat(t):
+        nonlocal top
+        while top >= 0:
+            (sn, sd), (wn, wd), _ = blocks[top]
+            d0, dw = sn - t * sd, wn - t * wd  # det(vertex j, c) = d0 + j dw
+            j = alive[top]
+            n = j if dw == 0 and abs(d0) == 1 else 0
+            while dw and n < j and abs(d0 + (j - 1 - n) * dw) == 1:
+                n += 1
+            if n:
+                alive[top] -= n
+                merged.append(("path", top, n, alive[top]))
+            if alive[top]:
+                return
+            top -= 1
+
+    i = 1
+    while i <= k:
+        xn, xd = vertex(0)
+        if abs(xn - (tb + i) * xd) != 1:
+            break
+        if not merged:
+            merged.append(("path", len(blocks) - 1, 1, alive[-1]))
+        stop = i
+        if xd == 0:  # x is infinity, never the path's first (finite) vertex
+            stop = k + 1
+            pn, pd = vertex(1)
+            for s in (1, -1):
+                if (pn - s) % pd == 0 and i <= (pn - s) // pd - tb < stop:
+                    stop = (pn - s) // pd - tb
+        if stop > i:
+            merged.append(("complement", i, stop - 1))
+            i = stop
+            continue
+        merged.append(("complement", i, i))
+        eat(tb + i)
+        i += 1
+    if not merged:
+        alive[-1] += 1
+    return alive, merged
+
+
+def equivalent_count_by_cascade(tb: int, rot: int, contact_coeff) -> int:
+    """``cosmetic.equivalent_surgery_count`` by the block-quotient fiber
+    argument over the merge cascade (``_junction_cascade``), which the
+    closed form sums up.
+
+    A decorated surgery torus is a choice of plus signs per block of the
+    minimal path from the smooth slope to tb (first edge unsigned).  It
+    is glued to the complement of the Legendrian unknot, the path tb,
+    tb + 1, ..., 0 whose last edge is unsigned and whose other -tb - 1
+    edges carry the stabilization signs, plus first, summing to rot.
+    Blocks the merge cascade leaves alone keep their signs, so distinct
+    choices there give distinct tight structures.  Eaten blocks fold
+    into the junction edge: signed edges merged before the first
+    unsigned one must share one sign (a clash is overtwisted), and after
+    it every choice gives the same result.  The fiber size is the
+    product over eaten blocks of their tight choices.  As a check, the
+    tight decorations must number fiber size x the decorations that the
+    surviving edges carry on the lens space's own minimal path.
+    """
+    contact_coeff = Fraction(contact_coeff)
+    smooth = tb + contact_coeff
+    if smooth == 0:
+        raise SlopeError("zero smooth slope excluded")
+    if tb < smooth < 0:
+        raise ValueError("overtwisted regime; per-slope counts are tight-only")
+    blocks = minimal_path_blocks((smooth.numerator, smooth.denominator), (tb, 1))
+    k = -tb
+    plus = (k - 1 + rot) // 2
+    if not 0 <= plus <= k - 1:
+        raise ValueError("rotation number out of range for an unknot")
+    alive, merged = _junction_cascade(blocks, tb)
+
+    # signed edges merged before the first unsigned one: per block, and
+    # the complement's edges into tb + 1, ..., tb + h
+    held, h = {}, 0
+    for kind, *run in merged:
+        if kind == "path":
+            b, n, left = run
+            unsigned = b == 0 and left == 0
+            held[b] = held.get(b, 0) + n - unsigned
+        else:
+            h = min(run[1], k - 1)
+            unsigned = run[1] == k
+        if unsigned:
+            break
+    # The first merge takes the complement edge into tb + 1, so when two
+    # or more edges are held they include a complement sign to match.
+    constrained = sum(held.values()) + h > 1
+    if constrained and 0 < plus < h:
+        raise RuntimeError("no tight decoration found in the tight regime")
+
+    tight = fiber = 1
+    for b, block in enumerate(blocks):
+        signed = block.edges - (b == 0)
+        if alive[b] == block.edges:
+            tight *= signed + 1
+            continue
+        if alive[b] or (constrained and 0 < held.get(b, 0) < signed):
+            raise RuntimeError("the merge cascade splits a continued-fraction block")
+        choices = 1 if constrained and held.get(b, 0) else signed + 1
+        tight *= choices
+        fiber *= choices
+
+    edges = _edges((smooth.numerator, smooth.denominator), (0, 1))
+    keys = _classes(edges, 1, sum(edges) - sum(alive))
+    if tight != fiber * keys:
+        raise RuntimeError(f"{tight} tight decorations at smooth slope {smooth}, but "
+                           f"fibers of {fiber} over {keys} tight structures")
+    return fiber
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from contactsurg.surgery import ContactZeroError, LegendrianData, SurgeryPresent
 from oracles import (
     affine_solutions_loop,
     brute_force_d3_matches,
+    equivalent_count_by_cascade,
     equivalent_count_enumerated,
     solve_d3_equation_by_hand,
     solve_one_over_n_loop,
@@ -513,7 +514,41 @@ class TestUnknotClassification:
         for rot in (10**6 - 1, 1 - 10**6):
             assert equivalent_surgery_count(-(10**6), rot, Fraction(1, 3) + 10**6) == 3
 
+    @given(tb=st.integers(-(10**6), -1), sign=st.sampled_from((1, -1)),
+           num=st.integers(1, 10**12), den=st.integers(1, 10**12), above=st.booleans())
+    @example(tb=-1, sign=1, num=10**12 + 1, den=10**12, above=True)
+    @example(tb=-(10**6), sign=-1, num=1, den=3, above=True)
+    @example(tb=-(10**6), sign=1, num=10**12, den=10**12 - 1, above=False)
+    @settings(max_examples=500, deadline=None)
+    def test_closed_form_is_the_merge_cascade(self, tb, sign, num, den, above):
+        # at both boundary rotations, smooth p/q > 0 or below tb: the
+        # closed form against the merge cascade, which also checks tight
+        # decorations = fiber x tight structures
+        smooth = Fraction(num, den) if above else tb - Fraction(num, den)
+        rot = sign * (tb + 1)
+        count = equivalent_surgery_count(tb, rot, smooth - tb)
+        assert count == equivalent_count_by_cascade(tb, rot, smooth - tb)
+        assert count == (1 if smooth < tb else math.ceil(1 / smooth) + (tb == -1))
+
+    def test_off_boundary_rotations_above_zero_are_a_domain_error(self):
+        # above 0 a rotation off the boundary forces a sign clash with
+        # the complement: overtwisted, as tb < s < 0 is, so a ValueError,
+        # where the cascade oracle finds no tight decoration
+        with pytest.raises(ValueError, match="overtwisted"):
+            equivalent_surgery_count(-3, 0, Fraction(1, 3) + 3)
+        with pytest.raises(RuntimeError, match="no tight decoration"):
+            equivalent_count_by_cascade(-3, 0, Fraction(1, 3) + 3)
+        for tb in range(-8, -2):
+            for rot in rot_range(tb)[1:-1]:
+                for smooth in (Fraction(1, 3), Fraction(5, 2), Fraction(7)):
+                    with pytest.raises(ValueError, match="overtwisted"):
+                        equivalent_surgery_count(tb, rot, smooth - tb)
+                # below tb every rotation number counts 1
+                assert equivalent_surgery_count(tb, rot, Fraction(-1, 2)) == 1
+
     def test_errors(self):
+        with pytest.raises(ContactZeroError):
+            equivalent_surgery_count(-2, 1, 0)
         with pytest.raises(ContactZeroError):
             unknot_classify(LegendrianData(-1, 0), 0)
         with pytest.raises(SlopeError):

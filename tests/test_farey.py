@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactsurg.farey import FareyBlock, _classes, _edges, count_tight_lens_pq, minimal_path_blocks
+from contactsurg.farey import FareyBlock, count_tight_lens_pq, minimal_path_blocks
 from contactsurg.slopes import canonical_slope
 from oracles import (
     ANTICLOCKWISE,
     CLOCKWISE,
     INF,
     DecoratedFareyPath,
+    _classes,
     _det,
+    _edges,
     cf_blocks,
     clockwise_ends,
     decorated_path_key,
@@ -369,6 +371,18 @@ class TestCounts:
         if math.gcd(p, q) != 1:
             return
         assert count_tight_lens_pq(p, q) == honda_lens_count(p, q)
+
+    @given(p=st.integers(2, 10**30), q=st.integers(1, 10**30))
+    @settings(max_examples=500, deadline=None)
+    def test_honda_product_is_the_sign_shuffle_count(self, p, q):
+        # the closed form against the regular-fraction Honda loop and the
+        # Farey-side count of decorated minimal paths from -p/q to 0 up to
+        # shuffles inside each block, first and last edges unsigned
+        q %= p
+        if q == 0 or math.gcd(p, q) != 1:
+            return
+        count = count_tight_lens_pq(p, q)
+        assert count == honda_lens_count(p, q) == _classes(_edges((-p, q), (0, 1)), 1, 1)
 
     def test_lens_pq_builds_no_slope_and_no_block(self, monkeypatch):
         # no rational slope (a Fraction) and no FareyBlock

@@ -51,7 +51,7 @@ def test_library_example_runs_as_its_comments_say():
             values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
-    assert values == [{1, -3}, {0, 2, 4, 6}, 3,
+    assert values == [{1, -3}, {0, 2, 4, 6}, 3, [((5, -2), (-3, 1), 1), ((2, -1), (-1, 0), 1)],
                       {"closed forms": 2686, "d3 regressions": 24, "obstruction scan": 144}]
 
 
