@@ -337,12 +337,11 @@ def equivalent_surgery_count(tb: int, rot: int, contact_coeff) -> int:
         raise ContactZeroError("contact (0)-surgery is not well-defined")
     if tb < smooth < 0:
         raise ValueError("overtwisted regime; per-slope counts are tight-only")
-    plus = (-tb - 1 + rot) // 2
-    if not 0 <= plus <= -tb - 1:
+    if abs(rot) > -tb - 1 or (rot - tb - 1) % 2:
         raise ValueError("rotation number out of range for an unknot")
     if smooth < tb:
         return 1
-    if 0 < plus < -tb - 1:
+    if abs(rot) < -tb - 1:
         raise ValueError("overtwisted regime: above 0 only the boundary rotations are tight")
     return -(-smooth.denominator // smooth.numerator) + (tb == -1)
 

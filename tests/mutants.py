@@ -42,6 +42,11 @@ _SPLIT = "tests/test_invariants.py::TestSplitPairCancellation::test_split_pair_l
 _CASCADE = "tests/test_cosmetic.py::TestUnknotClassification::test_closed_form_is_the_merge_cascade"
 _ENUMERATED = "tests/test_cosmetic.py::TestUnknotClassification::test_count_matches_enumeration"
 _SOLVER_CHECK = "tests/test_regressions.py::test_a_solver_check_failure_is_one_scan_mismatch"
+_REDUCTION = "tests/test_linalg.py::TestRunReduction::test_matches_char_poly_and_the_kernel"
+_SIGNATURES = "tests/test_linalg.py::TestSignature::test_examples"
+_KERNEL = "tests/test_linalg.py::TestPathKernel::test_matches_the_oracle"
+_ONE_PASS = "tests/test_linalg.py::TestPathKernel::test_one_pass_block_is_the_transposed_block"
+_LEADING = "tests/test_linalg.py::TestLeadingDeterminants::"
 
 # (name, file under src/contactsurg, snippet, replacement, test ids that must fail)
 MUTANTS = [
@@ -112,11 +117,40 @@ MUTANTS = [
     ("phi_read_one_index_off", "linalg.py",
      "ends = [phi[j + 1] for j in touched]",
      "ends = [phi[j] for j in touched]",
-     ("tests/test_linalg.py::TestPathKernel::test_one_pass_block_is_the_transposed_block",)),
+     (_ONE_PASS,)),
     ("phi_left_reversed", "linalg.py",
      "    phi.reverse()\n",
      "",
-     ("tests/test_linalg.py::TestPathKernel::test_one_pass_block_is_the_transposed_block",)),
+     (_ONE_PASS,)),
+    ("reduce_run_without_the_link_test", "linalg.py",
+     " and (first is None or b[v - 1] ** 2 == 1)",
+     "",
+     (_REDUCTION,)),
+    ("reduce_left_schur_term_over_r", "linalg.py",
+     "* r * d[left] ** 2 // (r + 1)",
+     "* r * d[left] ** 2 // r",
+     (_REDUCTION, _SIGNATURES)),
+    ("reduce_bridge_link_unsquared", "linalg.py",
+     "bridge[right] = link * link",
+     "bridge[right] = link",
+     (_REDUCTION, "tests/test_linalg.py::TestSparseRows::test_linking_forms_match_the_dense_oracles")),
+    ("descartes_negates_the_even_powers", "linalg.py",
+     "negated[-2::-2]",
+     "negated[-1::-2]",
+     (_REDUCTION, _SIGNATURES)),
+    ("check_basis_reads_the_link_after", "linalg.py",
+     "b[min(i, j)]",
+     "b[max(i, j)]",
+     (_KERNEL, _ONE_PASS)),
+    ("leading_determinants_link_one_row_late", "linalg.py",
+     "zip(a, [0, *w])",
+     "zip(a, [*w, 0])",
+     (_LEADING + "test_each_entry_is_the_oracle_determinant_of_its_block",
+      _LEADING + "test_singular_prefix_and_one_way_links")),
+    ("theta_signs_without_the_empty_minor", "linalg.py",
+     "signs = [t > 0 for t in theta if t]",
+     "signs = [t > 0 for t in theta[1:] if t]",
+     (_SIGNATURES, _KERNEL)),
     ("report_stabilized_push_off_tb_unstabilized", "cli.py",
      '"tb": framings[l] + 1,',
      '"tb": framings[l],',
@@ -155,6 +189,11 @@ MUTANTS = [
      'raise RuntimeError("overtwisted regime: above 0',
      ("tests/test_cosmetic.py::TestUnknotClassification::"
       "test_off_boundary_rotations_above_zero_are_a_domain_error",)),
+    ("unknot_count_rotation_parity_unchecked", "cosmetic.py",
+     "abs(rot) > -tb - 1 or (rot - tb - 1) % 2",
+     "abs(rot) > -tb - 1",
+     ("tests/test_cosmetic.py::TestUnknotClassification::"
+      "test_rotation_numbers_off_the_unknot_range_are_refused",)),
 ]
 
 

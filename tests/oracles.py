@@ -1,51 +1,51 @@
-"""Brute-force oracles and cross-checks for the fast paths of the library.
+"""Independent references for the functions of the library, one each.
 
-Each is slow but plainly right, and shares no code with the route it
-checks: exhaustive search, breadth-first search, enumeration, negative
-continued fractions one term at a time, vertex by vertex Farey paths
-with their own extended Euclid, their signs, class count and shortening
-move, Honda's lens count from the regular continued fraction and the
-lens count as sign-shuffle classes of the block edge counts, the unknot
-count by the merge cascade of the glued path, a dense
-Bareiss elimination for determinants and adjugates, a sparse symmetric
-one that gives signatures and adjugate blocks of any symmetric matrix,
-characteristic polynomials from its determinants, by Berkowitz and by a
-continuant one vertex at a time, the determinant and the Descartes
-signature from the last of these, chi(Q) of the whole form with runs of
--2 framings in closed-form steps (the polynomial the library's signature
-check read before it dropped those runs), a dense Fraction
-congruence diagonalization, r^T adj(A) r entry by entry, d3 one
-rotation vector at a time, the
-d3-equality equations with hand-derived coefficients and the +-1/n
-line solved by a walk over s, the
-intersection-form families built by hand from their displayed shape,
-linking matrices built dense, entry by entry, and conversions that
-build one presentation per stabilization outcome.
+The rule: every function of ``src/contactsurg`` is checked against one
+reference here that shares no method with it, plus sympy where sympy
+applies.  A reference that guards no library function goes, with the
+tests that compared it with other references.  Two references for one
+function stay only where each covers inputs the other cannot: the unknot
+count by enumerating decorations (small slopes) and by the merge cascade
+(slopes of 10^12, knots of tb -10^6), the lens count as sign-shuffle
+classes over the vertex-by-vertex path (small p) and over the block edge
+counts ``farey._runs`` reads (p of 100 digits), and the minimal path by
+breadth-first search (small denominators, and the only check that it is
+shortest and unique) and vertex by vertex (any denominator).  ``python
+tests/reach.py`` shows which tests call which library function through
+which reference, and fails if a library function is called by no test;
+``python tests/mutants.py`` runs the named mutants of ``src/`` against
+the tests that must kill them.
 
-Helpers the library does not need live here too: slopes as reduced
-vectors, the Farey edge test, anticlockwise paths as reflections p -> -p
-of the library's clockwise ones, lens-space classification, sparse rows
-from dense ones, their symmetry check and their reading into a path,
-the lemma matrices (chain, primed chain, bordered block) as sparse
-rows, which the library builds as paths, verify's closed-form and d3
-regression stages each run alone, for counting the calls one stage
-makes, and scan's spectra one knot at a time, one ``d3_records`` each.
+The references, each slow but plainly right: negative continued
+fractions one term at a time, Rolfsen twists and the lens-space
+classification; the conversion as one presentation per stabilization
+outcome, built a component at a time, its form entry by entry, and the
+smooth slope recovered by slam-dunks; the minimal Farey path vertex by
+vertex with its own extended Euclid and by search, decorated paths,
+their block classes and the shortening move; one sparse fraction-free
+symmetric elimination for the determinant, signature and adjugate blocks
+of a symmetric matrix of any shape, and Berkowitz's characteristic
+polynomial of any square matrix, its constant term the determinant; d3
+one rotation vector at a time; the d3-equality equations with
+hand-derived coefficients and the affine line solved by a walk over s;
+the intersection-form families built by hand; verify's stages each run
+alone, the c1^2 check one full vector at a time, and scan's spectra one
+knot at a time.  Helpers live here too: slopes as reduced vectors, the
+lemma matrices and other sparse rows, their symmetry check and their
+reading into a ``linalg._Path``.
 """
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, compress, product
-from operator import add, mul, sub
+from itertools import compress, product
+from operator import add, sub
 from typing import NamedTuple
 
-from contactsurg.cosmetic import _shifted_d3
 from contactsurg.farey import minimal_path_blocks
 from contactsurg import closedforms, farey, invariants, linalg, regressions
 from contactsurg.invariants import NonTorsionEulerClassError, d3_spectrum
-from contactsurg.linalg import SingularMatrixError
 from contactsurg.slopes import SlopeError, neg_cf_runs, parse_slope
 from contactsurg.surgery import ContactZeroError, LegendrianData, rot_range
 
@@ -132,17 +132,8 @@ def same_lens_space(a, b) -> bool:
     L(p, q) and L(p', q') are orientation-preserving diffeomorphic iff
     p = p' and q' is congruent to q or to the inverse of q mod p.
     """
-    p, q = a
-    p2, q2 = b
-    if p != p2:
-        return False
-    if p <= 1:
-        return True
-    q %= p
-    q2 %= p
-    if q == q2:
-        return True
-    return (q * q2) % p == 1
+    (p, q), (p2, q2) = a, b
+    return p == p2 and (p <= 1 or (q - q2) % p == 0 or q * q2 % p == 1)
 
 
 def smooth_recovery(pres) -> Fraction:
@@ -193,22 +184,6 @@ class Component:
     rot: int | None = None
 
 
-class ListedForm(NamedTuple):
-    """The linking form of a listed presentation, as its path and l, with
-    its sparse rows (``linalg._rows``) and size n for ``d3_values``."""
-
-    path: linalg._Path
-    l: int
-
-    @property
-    def rows(self):
-        return linalg._rows(self.path)
-
-    @property
-    def n(self):
-        return len(self.path.a)
-
-
 @dataclass(frozen=True)
 class ListedPresentation:
     """A presentation as its tuple of Components, one per row."""
@@ -250,23 +225,45 @@ def component_choices(pres) -> list:
             for c in pres.components]
 
 
-def listed_linking_matrix(pres) -> ListedForm:
-    """The form of a presentation's components, read one row at a time:
-    the framings on the diagonal, the p push-offs first, linked by the
-    base tb (a clique head when p >= 3 and tb != 0, else a path), then
-    each chain component linked to its predecessor by -1."""
+class Form(NamedTuple):
+    """Q as the sparse rows of a symmetric matrix of any shape, with the
+    count l of (+1)-components: a form for ``d3_values``, where a
+    presentation holds only the shapes the path kernel takes."""
+
+    rows: tuple
+    l: int
+
+    @property
+    def n(self):
+        return len(self.rows)
+
+
+def listed_linking_matrix(pres) -> Form:
+    """The form of a listed presentation, its sparse rows built entry by
+    entry as the library once built Q: the framings on the diagonal, the
+    base tb between any two push-offs, and -1 between each chain unknot
+    and the component before it; a zero entry is not stored."""
     comps = pres.components
-    p = 0
-    while p < len(comps) and comps[p].role == "pushoff":
-        p += 1
-    if any(c.role != "chain" for c in comps[p:]):
-        raise ValueError("push-offs must come before the chain")
-    if comps and not p:
-        raise ValueError("chain component without a predecessor")
-    tb = pres.base_tb
-    path = linalg._Path([framing(c) for c in comps], [tb] * (p - 1) + [-1] * (len(comps) - p),
-                        *((p, tb) if p >= 3 and tb else (0, 0)))
-    return ListedForm(path, pres.l)
+    rows = [{} for _ in comps]
+
+    def put(i, j, x):
+        if x:
+            rows[i][j] = rows[j][i] = x
+
+    pushoffs = [i for i, c in enumerate(comps) if c.role == "pushoff"]
+    for i, c in enumerate(comps):
+        put(i, i, framing(c))
+    for k, i in enumerate(pushoffs):
+        for j in pushoffs[k + 1:]:
+            put(i, j, pres.base_tb)
+    prev = pushoffs[-1] if pushoffs else None
+    for i, c in enumerate(comps):
+        if c.role == "chain":
+            if prev is None:
+                raise ValueError("chain component without a predecessor")
+            put(i, prev, -1)
+            prev = i
+    return Form(tuple(rows), pres.l)
 
 
 # ---------------------------------------------------------------------------
@@ -454,53 +451,17 @@ def _merge_signs(s1, s2):
     return None, True
 
 
-def shorten(path: DecoratedFareyPath):
-    """Shorten a decorated path to minimal length.
-
-    Two consecutive edges merge when the outer vertices are themselves
-    Farey neighbours.  Merging edges of opposite sign detects an
-    overtwisted structure; merging across an unsigned edge is always
-    allowed and the merged edge stays unsigned.  Returns the fully
-    shortened path and the verdict 'tight' or 'overtwisted'.
-
-    Intended for monotone concatenations (paths winding clockwise
-    through less than a full turn), which is what gluing produces; on
-    those the verdict and final path do not depend on the order in which
-    merges are applied.  One stack pass: merges run at the top of the
-    stack, leftmost first, as rescanning from the start after every
-    merge would (``shorten_restart``).
-    """
-    verts = [path.vertices[0]]
-    signs = []
-    overtwisted = False
-    for vertex, sign in zip(path.vertices[1:], path.signs):
-        verts.append(vertex)
-        signs.append(sign)
-        while len(verts) > 2:
-            if verts[-3] == verts[-1]:
-                raise ValueError("path backtracks; not a monotone concatenation")
-            if abs(_det(verts[-3], verts[-1])) != 1:
-                break
-            merged, clash = _merge_signs(signs[-2], signs[-1])
-            overtwisted = overtwisted or clash
-            del verts[-2]
-            signs[-2:] = [merged]
-    result = DecoratedFareyPath(tuple(verts), tuple(signs))
-    return result, ("overtwisted" if overtwisted else "tight")
-
-
 def cf_blocks(path) -> list:
     """Partition of the edges of a minimal path into continued-fraction
     blocks: edges e_i and e_{i+1} share a block exactly when the outer
     vertices satisfy |det| = 2."""
     verts = path.vertices if isinstance(path, DecoratedFareyPath) else tuple(path)
-    n_edges = len(verts) - 1
-    for i in range(1, n_edges):
-        if abs(_det(verts[i - 1], verts[i + 1])) == 1:
-            raise ValueError("continued-fraction blocks require a minimal path")
     blocks = [[0]]
-    for i in range(1, n_edges):
-        if abs(_det(verts[i - 1], verts[i + 1])) == 2:
+    for i in range(1, len(verts) - 1):
+        det = abs(_det(verts[i - 1], verts[i + 1]))
+        if det == 1:
+            raise ValueError("continued-fraction blocks require a minimal path")
+        if det == 2:
             blocks[-1].append(i)
         else:
             blocks.append([i])
@@ -519,43 +480,14 @@ def decorated_path_key(path: DecoratedFareyPath):
     return (path.vertices, tuple(multisets))
 
 
-def _class_count(edge_counts, unsigned_positions) -> int:
-    """Decorated paths up to block shuffles, from the number of edges in
-    each block and the set of unsigned edge positions: a block with s
-    signed edges contributes a factor s + 1."""
-    total, offset = 1, 0
-    for edges in edge_counts:
-        unsigned = sum(1 for i in unsigned_positions if offset <= i < offset + edges)
-        total *= edges - unsigned + 1
-        offset += edges
-    return total
-
-
 def sign_class_count(vertices, unsigned_positions) -> int:
-    """Number of decorated paths on given vertices up to block shuffles."""
-    return _class_count([len(block) for block in cf_blocks(vertices)], unsigned_positions)
-
-
-def honda_lens_count(p: int, q: int) -> int:
-    """Honda's |(r_0 + 1) ... (r_k + 1)| for L(p, q), over the negative
-    continued fraction -p/q = [r_0, ..., r_k], read off the regular one
-    p/q = [a_0; a_1, ..., a_n] (0 < q < p) by one divmod per term.
-
-    The -r_i are a_0 + 1, then a_1 - 1 twos, a_2 + 2, a_3 - 1 twos,
-    a_4 + 2, ..., except that an even n ends on a_n + 1 (on a_0 if
-    n = 0).  Twos give factors 1, so the product is that of a_i + 1 over
-    even i, less 1 at i = 0 and at i = n.
-    """
-    terms = []
-    while q:
-        a, r = divmod(p, q)
-        terms.append(a)
-        p, q = q, r
-    n = len(terms) - 1
-    count = 1
-    for i in range(0, n + 1, 2):
-        count *= terms[i] + 1 - (i == 0) - (i == n)
-    return count
+    """Decorated paths on the minimal path ``vertices`` up to shuffles of
+    the signs inside each block (``cf_blocks``), the edges at
+    ``unsigned_positions`` unsigned: a block of s signed edges gives a
+    factor s + 1.  It reads each edge, where ``_classes`` reads only the
+    block sizes."""
+    return math.prod(1 + sum(i not in unsigned_positions for i in block)
+                     for block in cf_blocks(vertices))
 
 
 def _edges(a: tuple, b: tuple) -> list:
@@ -666,45 +598,6 @@ def tbk_two_matrix(k: int, sign: int):
     return bordered_chain(-k + 1, -k - 2, -k, size)
 
 
-def linking_matrix_dense(pres):
-    """Q of a listed presentation as a dense tuple of rows, built entry by
-    entry as the library once built it: framings on the diagonal, the
-    base tb between push-offs, -1 along the chain."""
-    comps = pres.components
-    n = len(comps)
-    q = [[0] * n for _ in range(n)]
-    pushoff_idx = [i for i, c in enumerate(comps) if c.role == "pushoff"]
-    for i, c in enumerate(comps):
-        q[i][i] = framing(c)
-    for a_i, i in enumerate(pushoff_idx):
-        for j in pushoff_idx[a_i + 1:]:
-            q[i][j] = q[j][i] = pres.base_tb
-    prev = pushoff_idx[-1] if pushoff_idx else None
-    for i, c in enumerate(comps):
-        if c.role == "chain":
-            if prev is None:
-                raise ValueError("chain component without a predecessor")
-            q[i][prev] = q[prev][i] = -1
-            prev = i
-    return tuple(tuple(row) for row in q)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra, lens spaces, d3 and unknot counts
-
-class Form(NamedTuple):
-    """Q as the sparse rows of a symmetric matrix of any shape, with the
-    count l of (+1)-components: a form for ``d3_values``, where a
-    presentation holds only the shapes the path kernel takes."""
-
-    rows: list
-    l: int
-
-    @property
-    def n(self):
-        return len(self.rows)
-
-
 def sparse(rows):
     """The sparse rows of a square matrix given as dense rows; the inverse
     of ``linalg.dense``."""
@@ -797,116 +690,6 @@ def path_kernel(rows, cols=()):
     """``linalg._path_kernel`` of sparse ``rows``, read by ``read``:
     (det, signature, adj[cols, cols]), or (0, None, ()) at det 0."""
     return linalg._path_kernel(read(rows), cols)
-
-
-def path_kernel_by_transposes(path, cols):
-    """(det, sigma, B) of the ``linalg._Path`` ``path`` as ``linalg._path_kernel``
-    gives them, B = adj(Q)[cols, cols], built as that kernel once built
-    it: the same continuants and E, then adj(Q') on the touched indices as
-    an upper triangle, one ``accumulate`` of link products per row, its
-    lower half read down the columns of a transpose, and B = E[:, cols]^T
-    adj(Q') E[:, cols] as row differences, a transpose, the same
-    differences and a transpose again.  A singular Q gives (0, None, ())."""
-    a, b, h, c = path
-    n = len(a)
-    if h:
-        a, b = a.copy(), b.copy()
-        for i in range(h - 2):
-            a[i], b[i] = a[i] - 2 * c + a[i + 1], c - a[i + 1]
-    w = [x * x for x in b]
-    theta = linalg.leading_determinants(a, w)
-    phi = linalg.leading_determinants(a[::-1], w[::-1])[::-1]
-    det = theta[n]
-    if det != phi[0]:
-        raise linalg.KernelCheckError(f"continuants disagree: theta_n={det} phi_0={phi[0]}")
-    if det == 0:
-        return 0, None, ()
-    signs = [t > 0 for t in theta if t]
-    sigma = n - 2 * sum(x != y for x, y in zip(signs, signs[1:]))
-    touched = sorted({*cols, *(s - 1 for s in cols if 0 < s < h - 1)})
-    links = [(-1) ** (j - i) * math.prod(b[i:j]) for i, j in zip(touched, touched[1:])]
-    ends = [phi[j + 1] for j in touched]
-    upper = [[0] * k + list(map(mul, accumulate(links[k:], mul, initial=theta[i]), ends[k:]))
-             for k, i in enumerate(touched)]
-    adj = [[*col[:k], *row[k:]] for k, (row, col) in enumerate(zip(upper, zip(*upper)))]
-    at = {i: k for k, i in enumerate(touched)}
-    picks = [(at[s], at[s - 1] if 0 < s < h - 1 else None) for s in cols]
-    block = adj
-    for _ in range(2):
-        block = list(zip(*(block[k] if j is None else list(map(sub, block[k], block[j]))
-                           for k, j in picks)))
-    return det, sigma, tuple(block)
-
-
-def bareiss(rows, cols=()):
-    """Dense fraction-free (Bareiss) elimination over [A | e_c for c in cols].
-
-    Returns (det, adj): det A of any square integer matrix, and
-    {c: column c of adj(A)} as integers; a singular A gives (0, {}).
-    Partial pivoting by row swaps.  A row skipped by the steps t..k-1
-    (zero in their pivot columns) is rescaled lazily, by p_k / p_t, and
-    ``hi`` bounds each row's nonzero columns.  Back-substitution on the
-    triangular result U, y_k = (det * b_k - sum_{j>k} U_kj y_j) // U_kk,
-    is exact because y = det * A^-1 e_c is integral.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    cols = list(cols)
-    w = n + len(cols)
-    a = [list(map(int, row)) for row in rows]
-    for i, row in enumerate(a):
-        row.extend(1 if c == i else 0 for c in cols)
-    # one past each row's last nonzero column
-    hi = [next(compress(range(w, 0, -1), reversed(row)), 0) for row in a]
-    level = [0] * n
-    pivots = [1] * (n + 1)  # pivots[t] = pivot of step t-1
-    sign = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return 0, {}
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            level[k], level[piv] = level[piv], level[k]
-            hi[k], hi[piv] = hi[piv], hi[k]
-            sign = -sign
-        t = level[k]
-        row_k = a[k]
-        if t < k:
-            num, den = pivots[k], pivots[t]
-            for j in range(k, hi[k]):
-                row_k[j] = row_k[j] * num // den
-            level[k] = k
-        pivot = row_k[k]
-        pivots[k + 1] = pivot
-        prev = pivots[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            if row_i[k] == 0:
-                continue
-            t = level[i]
-            if t < k:
-                num, den = pivots[k], pivots[t]
-                for j in range(k, hi[i]):
-                    row_i[j] = row_i[j] * num // den
-            f = row_i[k]
-            top = max(hi[i], hi[k])
-            for j in range(k + 1, top):
-                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
-            row_i[k] = 0
-            hi[i] = top
-            level[i] = k + 1
-    det = sign * pivots[n]
-    adj = {}
-    for idx, c in enumerate(cols):
-        y = [0] * n
-        for k in range(n - 1, -1, -1):
-            row = a[k]
-            s = det * row[n + idx] - sum(row[j] * y[j] for j in range(k + 1, min(hi[k], n)))
-            y[k] = s // row[k]
-        adj[c] = y
-    return det, adj
 
 
 def eliminate(rows, cols=()):
@@ -1037,17 +820,24 @@ def eliminate(rows, cols=()):
     return det, sigma, tuple(tuple(y[c]) for c in cols)
 
 
+def char_poly(rows):
+    """det(x*I - A), descending, of any square integer matrix A of sparse
+    ``rows``, by ``berkowitz`` on the whole matrix."""
+    return berkowitz(rows)[::-1]
+
+
 def determinant(rows) -> int:
-    """Exact determinant of a square integer matrix (sparse rows),
-    (-1)^n chi_A(0) from ``char_poly_berkowitz``: the constant term of the
-    continuant and Berkowitz route, with no elimination."""
-    coeffs = char_poly_berkowitz(rows)
-    return (-1) ** (len(coeffs) - 1) * coeffs[-1]
+    """Exact determinant of any square integer matrix (sparse rows),
+    (-1)^n chi_A(0) from ``berkowitz``, with no elimination."""
+    coeffs = berkowitz(rows)
+    return (-1) ** (len(coeffs) - 1) * coeffs[0]
 
 
-def berkowitz(a, idx):
-    """Ascending coefficients of det(x*I - A) on ``idx`` (Berkowitz 1984),
-    for any square matrix A of sparse rows ``a``.
+def berkowitz(a):
+    """Ascending coefficients of det(x*I - A) (Berkowitz 1984), for any
+    square matrix A of sparse rows ``a``: the one characteristic
+    polynomial of the tests, sharing nothing with the library's
+    continuant and determinant lemma.
 
     Grows the leading block A_k one vertex v at a time, with column c and
     row r the entries joining v to A_k.  From p = chi(A_k) and
@@ -1057,12 +847,11 @@ def berkowitz(a, idx):
     sparse, so a step costs k matrix-vector products over the nonzeros:
     O(k^4) on a dense block of k rows.
     """
-    where = {w: pos for pos, w in enumerate(idx)}
-    off = [[(where[w], x) for w, x in a[u].items() if w != u and w in where] for u in idx]
-    diag = [a[u].get(u, 0) for u in idx]
+    off = [[(w, x) for w, x in row.items() if w != u] for u, row in enumerate(a)]
+    diag = [row.get(u, 0) for u, row in enumerate(a)]
     p = [1]
-    for k, v in enumerate(idx):
-        col = [a[u].get(v, 0) for u in idx[:k]]
+    for k in range(len(a)):
+        col = [a[u].get(k, 0) for u in range(k)]
         row = [(pos, x) for pos, x in off[k] if pos < k]
         t = []
         for m in range(k):
@@ -1078,402 +867,6 @@ def berkowitz(a, idx):
             q[j] -= sum(p[i] * t[i - j - 1] for i in range(j + 1, k + 1))
         p = q
     return p
-
-
-def char_poly_berkowitz(rows):
-    """det(x*I - A), descending, of any square integer matrix (sparse
-    rows): Berkowitz on the head 0..t-1 and on the head less t-1 seed the
-    one-vertex continuant ``continuant_steps`` along the banded rows
-    t..n-1 that end the matrix (row i banded when row and column i are
-    zero outside i-1..i+1).  This is ``linalg.char_poly`` before a clique
-    head took the determinant lemma, for every shape: a head of k rows
-    costs O(k^4)."""
-    n = len(rows)
-    nbrs = [set(row) - {i} for i, row in enumerate(rows)]
-    for i, row in enumerate(rows):
-        for j in row:
-            if j != i:
-                nbrs[j].add(i)
-    t = n
-    while t and nbrs[t - 1] <= {t - 2, t}:
-        t -= 1
-    m = linalg.dense(rows)
-    if not t:
-        return continuant_steps(m, range(n), None, [1], None)[::-1]
-    return continuant_steps(m, range(t, n), t - 1, berkowitz(rows, range(t)),
-                            berkowitz(rows, range(t - 1)))[::-1]
-
-
-def descartes_signature(rows) -> int:
-    """Signature of a symmetric integer matrix (sparse rows) by Descartes'
-    rule of signs on ``char_poly_berkowitz``: its spectrum is real, so the
-    sign changes of chi(x) count the positive eigenvalues and those of
-    chi(-x) the negative ones.  Raises SingularMatrixError at det 0."""
-    coeffs = char_poly_berkowitz(rows)
-    if coeffs[-1] == 0:
-        raise SingularMatrixError("matrix is singular")
-    degree = len(coeffs) - 1
-    changes = []
-    for poly in (coeffs, [(-1) ** (degree - i) * x for i, x in enumerate(coeffs)]):
-        signs = [x > 0 for x in poly if x]
-        changes.append(sum(a != b for a, b in zip(signs, signs[1:])))
-    return changes[0] - changes[1]
-
-
-def char_poly_minors(rows):
-    """Characteristic polynomial of A via principal-minor sums.
-
-    Returns the coefficients of det(lambda*I - A) in descending degree:
-    [1, -E_1, +E_2, ..., (-1)^n E_n], where E_i is the sum of all i x i
-    principal minors.  Exponential in n; for small matrices only.
-    """
-    n = len(rows)
-    coeffs = [1]
-    for size in range(1, n + 1):
-        e = 0
-        for subset in combinations(range(n), size):
-            sub = [[rows[i][j] for j in subset] for i in subset]
-            e += bareiss(sub)[0]
-        coeffs.append((-1) ** size * e)
-    return coeffs
-
-
-def char_poly_interpolate(rows):
-    """Characteristic polynomial via exact interpolation of det(x*I - A).
-
-    Evaluates the determinant at n+1 integer points and runs Newton's
-    divided differences; n+1 determinants, so O(n^4).
-    """
-    n = len(rows)
-    if n == 0:
-        return [1]
-    xs = list(range(n + 1))
-    base = [[-int(x) for x in row] for row in rows]
-    table = []
-    for x in xs:
-        shifted = [row.copy() for row in base]
-        for i in range(n):
-            shifted[i][i] += x
-        table.append(Fraction(bareiss(shifted)[0]))
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion of the Newton form, descending-degree coefficients
-    poly = [Fraction(0)] * n + [table[n]]
-    for i in range(n - 1, -1, -1):
-        new = [Fraction(0)] * (n + 1)
-        for j in range(n + 1):
-            c = poly[j]
-            if c:
-                if j - 1 >= 0:
-                    new[j - 1] += c
-                new[j] -= xs[i] * c
-        new[n] += table[i]
-        poly = new
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise RuntimeError("characteristic polynomial interpolation not integral")
-        out.append(c.numerator)
-    return out
-
-
-def continuant_steps(a, path, attach, f, g):
-    """The continuant F_v = (x - a_vv) F_prev - a[v][prev] a[prev][v] F_prev2
-    along ``path``, one vertex at a time, from F_0 = f and F_-1 = g
-    (ascending coefficient lists); with ``attach`` None the first step has
-    no second term.  This is ``path_extend`` before runs of -2
-    framings took one closed-form step."""
-    prev = attach
-    for v in path:
-        nxt = [0] + f
-        for i, x in enumerate(f):
-            nxt[i] -= a[v][v] * x
-        if prev is not None:
-            w2 = a[v][prev] * a[prev][v]
-            for i, x in enumerate(g):
-                nxt[i] -= w2 * x
-        f, g, prev = nxt, f, v
-    return f
-
-
-def char_poly(rows):
-    """Characteristic polynomial det(x*I - A) of a square integer matrix of
-    a shape ``linalg._path_kernel`` takes, though the path rows need not be
-    symmetric; any other shape raises ValueError.  This is the chi(Q) that
-    ``linalg.adjugate_block`` read its Descartes signature off before
-    ``linalg._reduce`` dropped each run of -2 framings by its Schur
-    complement.
-
-    Returns the integer coefficients in descending degree, leading 1,
-    division-free and without elimination.  Row i is banded when row and
-    column i are zero outside positions i-1..i+1.  The banded rows t..n-1
-    that end the matrix form a path; when t > 0 (then t >= 3), rows 0..t-1
-    must be a clique head, every entry between two of them one value
-    c != 0, which the path meets only at (t-1, t), as a presentation
-    hangs the meridian chain on the last push-off.  The head is c J + D
-    with D = diag(d_i - c), so by the matrix determinant lemma its chi is
-    P - c P', P = prod (x - d_i + c), in O(t^2) integer operations; a
-    continuant along the path, seeded with chi of the head and of the head
-    without t-1, gives chi.  It costs O(len f) integer operations per
-    vertex, and O(r len f) for a run of r framings -2 that it takes in one
-    step (see ``run_step``).  So a slope -1/N, one such run, costs O(N k)
-    for k push-offs, and a clique of N push-offs (``--coeff 1/N``) O(N^2).
-    """
-    n = len(rows)
-    # nonzero off-diagonal entries of each row, then of each column too
-    nbrs = list(map(set, rows))
-    for i, row in enumerate(nbrs):
-        row.discard(i)
-        for j in row:
-            nbrs[j].add(i)
-    t = n
-    while t and nbrs[t - 1] <= {t - 2, t}:
-        t -= 1
-    if not t:
-        return path_extend(rows, range(n), None, [1], None)[::-1]
-    c = rows[0].get(1)
-    if not c or any(rows[i].get(j) != c for i in range(t) for j in range(t) if j != i):
-        raise ValueError("matrix is neither a path nor a clique head with a path on its last row")
-    p = [1]  # P, ascending, over the head rows so far; q the P before the last
-    for i in range(t):
-        q, e = p, rows[i].get(i, 0) - c
-        p = list(map(sub, [0] + p, [e * x for x in p] + [0]))
-    # chi_k = P_k - c (k + 1) P_(k+1), for the head and the head less t-1
-    f, g = ([x - c * k * y for k, (x, y) in enumerate(zip(poly, poly[1:] + [0]), 1)]
-            for poly in (p, q))
-    return path_extend(rows, range(t, n), t - 1, f, g)[::-1]
-
-
-def path_extend(a, path, attach, f, g):
-    """Run the continuant F_v = (x - a_vv) F_prev - w^2 F_prev2 along
-    ``path`` from F_0 = f and F_-1 = g, with w^2 = a[v][prev] a[prev][v].
-
-    ``attach`` is the vertex the path hangs on; with None, the first step
-    has no w^2 term (the path starts the matrix and f = 1).  A vertex
-    with a_vv = -2 and w^2 = 1 is held back, and each maximal run of them,
-    such as the meridian chain of a slope -1/N, goes to ``run_step`` at once.
-    Polynomials are ascending coefficient lists.
-    """
-    prev, r = attach, 0
-    for v in path:
-        d = a[v].get(v, 0)
-        w2 = 0 if prev is None else a[v].get(prev, 0) * a[prev].get(v, 0)
-        prev = v
-        if d == -2 and w2 == 1:
-            r += 1
-            continue
-        if r:
-            f, g = run_step(f, g, r, True)
-            r = 0
-        nxt = [0] + f
-        for k, x in enumerate(f):
-            nxt[k] -= d * x
-        if w2:
-            for k, x in enumerate(g):
-                nxt[k] -= w2 * x
-        f, g = nxt, f
-    if r:
-        f = run_step(f, g, r, False)[0]
-    return f
-
-
-# a run takes the closed form when r >= RUN_MIN len f; below that, r
-# plain steps cost less than its products and the 2r steps of run_polys
-RUN_MIN = 8
-
-
-def run_step(f, g, r, more):
-    """(F_r, F_(r-1)) after r steps F_v = (x + 2) F_prev - F_prev2 from
-    F_0 = f and F_-1 = g; the closed form leaves F_(r-1) None unless
-    ``more``.
-
-    The run's transfer matrix is [[P_r, -P_(r-1)], [P_(r-1), -P_(r-2)]]
-    with P_r = U_r(1 + x/2) (see ``run_polys``), P_0 = 1 and P_-1 = 0,
-    so F_r = P_r f - P_(r-1) g costs O(r len f) integer operations where r
-    steps cost O(r (len f + r)).  F_(r-1) = P_(r-1) f - P_(r-2) g, with
-    P_(r-2) = (x + 2) P_(r-1) - P_r, is built only for ``more``.
-    """
-    if r < RUN_MIN * len(f):
-        for _ in range(r):
-            nxt = [0] + f
-            for k, x in enumerate(f):
-                nxt[k] += 2 * x
-            for k, x in enumerate(g):
-                nxt[k] -= x
-            f, g = nxt, f
-        return f, g
-    p, q = run_polys(r)
-    pairs = [(p, q)]
-    if more:
-        pairs.append((q, [x + 2 * y - z for x, y, z in zip([0] + q, q, p[:r - 1])]))
-    out = []
-    for top, low in pairs:
-        h = [0] * (len(f) + len(top) - 1)
-        for poly, by, op in ((f, top, add), (g, low, sub)):
-            m = len(by)
-            for k, x in enumerate(poly):
-                if x:
-                    h[k:k + m] = map(op, h[k:k + m], map(x.__mul__, by))
-        out.append(h)
-    return out[0], out[1] if more else None
-
-
-def run_polys(r):
-    """Ascending coefficients of P_r and P_(r-1), where
-    P_s = U_s(1 + x/2) = sum_j C(s+1+j, 2j+1) x^j; consecutive
-    coefficients differ by the exact factor
-    (s+2+j)(s-j) / ((2j+2)(2j+3))."""
-    out = []
-    for s in (r, r - 1):
-        c, poly = s + 1, []
-        for j in range(s + 1):
-            poly.append(c)
-            c = c * (s + 2 + j) * (s - j) // ((2 * j + 2) * (2 * j + 3))
-        out.append(poly)
-    return out
-
-
-def congruence_signature_dense(rows) -> int:
-    """Signature by dense congruence diagonalization over the rationals.
-
-    Every entry becomes a Fraction; a zero pivot swaps in a later nonzero
-    diagonal entry, and an all-zero remaining diagonal mixes in a row
-    with a nonzero off-diagonal entry.  Raises SingularMatrixError when
-    det = 0.  O(n^3) Fraction operations, zeros included.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("matrix must be symmetric")
-    zero = Fraction(0)  # immutable, so one object serves every zero entry
-    a = [[Fraction(x) if x else zero for x in row] for row in rows]
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][r] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                mix = next((r for r in range(k + 1, n) if a[k][r] != 0), None)
-                if mix is None:
-                    raise SingularMatrixError("matrix is singular")
-                for j in range(n):
-                    a[k][j] += a[mix][j]
-                for i in range(n):
-                    a[i][k] += a[i][mix]
-        pk = a[k][k]
-        if pk > 0:
-            pos += 1
-        else:
-            neg += 1
-        ak = a[k]
-        for r in range(k + 1, n):
-            f = a[r][k]
-            if not f:
-                continue
-            ratio = f / pk
-            ar = a[r]
-            for j in range(k, n):
-                if ak[j]:
-                    ar[j] -= ratio * ak[j]
-            for i in range(k, n):
-                if a[i][k]:
-                    a[i][r] -= ratio * a[i][k]
-    return pos - neg
-
-
-def normalize_lens_bruteforce(p: int, q: int):
-    """Canonical representative of the lens class by exhaustive search.
-
-    Independent of ``pow(q, -1, p)``: scans for the multiplicative inverse
-    and returns min(q, q^-1) mod p.  Used to cross-check same_lens_space.
-    """
-    if p <= 1:
-        return (p, 0)
-    q %= p
-    inverse = None
-    for x in range(1, p):
-        if (q * x) % p == 1:
-            inverse = x
-            break
-    if inverse is None:
-        return (p, q)
-    return (p, min(q, inverse))
-
-
-def minimal_path_bfs(a: tuple, b: tuple, direction: str = CLOCKWISE,
-                     num_bound=None, den_bound=None, count_paths=False):
-    """Breadth-first-search oracle for minimal paths.
-
-    Searches the subgraph of slopes inside the arc with numerator and
-    denominator bounds (defaults are generous multiples of the endpoint
-    sizes).  Used to cross-validate minimal_path; with count_paths=True
-    also returns the number of geodesics.
-    """
-    if a == b:
-        raise ValueError("minimal path needs distinct endpoints")
-    if direction == ANTICLOCKWISE:
-        res = minimal_path_bfs(neg(a), neg(b), CLOCKWISE, num_bound, den_bound, count_paths)
-        if count_paths:
-            return [neg(v) for v in res[0]], res[1]
-        return [neg(v) for v in res]
-    if num_bound is None:
-        num_bound = 2 * (abs(a[0]) + abs(b[0])) + 3
-    if den_bound is None:
-        den_bound = 2 * (a[1] + b[1]) + 3
-    vertices = {a, b}
-    for q in range(0, den_bound + 1):
-        for p in range(-num_bound, num_bound + 1):
-            if q == 0 and p != 1:
-                continue
-            if math.gcd(abs(p), q) != 1:
-                continue
-            s = (p, q)
-            if in_clockwise_arc(s, a, b):
-                vertices.add(s)
-    verts = list(vertices)
-    neighbours = {v: [] for v in verts}
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if is_edge(u, v):
-                neighbours[u].append(v)
-                neighbours[v].append(u)
-    dist = {a: 0}
-    ways = {a: 1}
-    parent = {a: None}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        for v in neighbours[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                ways[v] = ways[u]
-                parent[v] = u
-                queue.append(v)
-            elif dist[v] == dist[u] + 1:
-                ways[v] += ways[u]
-    if b not in dist:
-        raise RuntimeError("BFS bounds too small to connect the endpoints")
-    path = []
-    v = b
-    while v is not None:
-        path.append(v)
-        v = parent[v]
-    path.reverse()
-    if count_paths:
-        return path, ways[b]
-    return path
-
-
-def raw_sign_count(vertices, unsigned_positions) -> int:
-    """Number of raw sign assignments, before the block-shuffle quotient."""
-    n_edges = len(vertices) - 1
-    signed = sum(1 for i in range(n_edges) if i not in unsigned_positions)
-    return 2 ** signed
 
 
 @dataclass(frozen=True)
@@ -1493,10 +886,6 @@ class D3Result:
         c, d = self.c_squared.numerator, self.c_squared.denominator
         if (4 * (a - self.l * b) + (3 * self.sigma + 2 * (self.chi - 1)) * b) * d != c * b:
             raise ValueError("inconsistent d3 data")
-
-    def to_json(self):
-        return {"chi": self.chi, "sigma": self.sigma, "c_squared": str(self.c_squared),
-                "l": self.l, "d3": str(self.d3)}
 
 
 def enumerate_rotations(pres):
@@ -1638,24 +1027,6 @@ def affine_solutions_loop(a_n, d_s, c_0, n_max):
     return solutions
 
 
-def solve_one_over_n_loop(tb: int, n_max: int, rots):
-    """``solve_d3_equation(tb, "pm_one_over_n", n_max)`` over the rotation
-    numbers ``rots``, with the affine coefficients read off the closed
-    forms the same way, and each line solved by ``affine_solutions_loop``."""
-    k, signs, solutions = -tb, (1, -1), []
-    neg_n, pos_n, _, _ = _shifted_d3(k)
-    for i in rots:
-        for e1, e2, j in product(signs, repeat=3):
-            neg_0, neg_1 = (neg_n(n, i, e1, j) for n in (0, 1))
-            pos_00, pos_10, pos_01 = (pos_n(n, i, e2, s) for n, s in ((0, 0), (1, 0), (0, 1)))
-            c_0 = pos_00 - neg_0
-            a_n, d_s = pos_10 - neg_1 - c_0, pos_01 - neg_0 - c_0
-            solutions += [{"family": "pm_one_over_n", "i": i, "e1": e1, "e2": e2, "j": j,
-                           "s": s, "n": n}
-                          for s, n in affine_solutions_loop(a_n, d_s, c_0, n_max)]
-    return solutions
-
-
 def _bezout(a: int, b: int):
     """(x, y) with a x + b y = gcd(a, b) >= 0, by the recursive extended
     Euclid."""
@@ -1691,8 +1062,9 @@ def path_from_infinity(target: Fraction):
 
 
 def minimal_path_vertexwise(a: tuple, b: tuple, direction: str = CLOCKWISE):
-    """``farey.minimal_path`` built vertex by vertex: move a to infinity,
-    take the greedy path there, and move it back."""
+    """The vertices of the minimal path from a to b in ``direction``, the
+    reference for ``farey.minimal_path_blocks``, built vertex by vertex:
+    move a to infinity, take the greedy path there, and move it back."""
     if direction == ANTICLOCKWISE:
         return [neg(v) for v in minimal_path_vertexwise(neg(a), neg(b), CLOCKWISE)]
     p, q = a
@@ -1704,8 +1076,44 @@ def minimal_path_vertexwise(a: tuple, b: tuple, direction: str = CLOCKWISE):
             for vn, vd in path_from_infinity(target)]
 
 
-def shorten_restart(path: DecoratedFareyPath):
-    """``farey.shorten`` by rescanning from the start after every merge."""
+def minimal_path_bfs(a: tuple, b: tuple, direction: str = CLOCKWISE):
+    """The minimal path from a to b in ``direction`` and the number of
+    minimal paths, by breadth-first search over the reduced slopes inside
+    the arc with numerator and denominator at most twice the ends'.  The
+    small-denominator reference for ``farey.minimal_path_blocks``: it uses
+    no continued fraction, so it also checks that the path has the fewest
+    edges and is the only one that does."""
+    if direction == ANTICLOCKWISE:
+        path, ways = minimal_path_bfs(neg(a), neg(b), CLOCKWISE)
+        return [neg(v) for v in path], ways
+    nums, dens = 2 * (abs(a[0]) + abs(b[0])) + 3, 2 * (a[1] + b[1]) + 3
+    verts = [b] + [(p, q) for q in range(dens + 1) for p in range(-nums, nums + 1)
+                   if math.gcd(p, q) == 1 and (q or p == 1) and in_clockwise_arc((p, q), a, b)]
+    # the minimal paths from a, a level at a time; b out of reach raises KeyError
+    paths, level = {a: [[a]]}, [a]
+    while level and b not in paths:
+        reached = {}
+        for u in level:
+            for v in verts:
+                if v not in paths and is_edge(u, v):
+                    reached.setdefault(v, []).extend(path + [v] for path in paths[u])
+        paths.update(reached)
+        level = list(reached)
+    return paths[b][0], len(paths[b])
+
+
+def shorten(path: DecoratedFareyPath):
+    """Shorten a decorated path to minimal length, rescanning from the
+    start after every merge.
+
+    Two consecutive edges merge when the outer vertices are themselves
+    Farey neighbours.  Merging edges of opposite sign detects an
+    overtwisted structure; merging across an unsigned edge is always
+    allowed and the merged edge stays unsigned.  Returns the fully
+    shortened path and the verdict 'tight' or 'overtwisted'.  Meant for
+    monotone concatenations (paths winding clockwise through less than a
+    full turn), which is what gluing produces.
+    """
     verts = list(path.vertices)
     signs = list(path.signs)
     overtwisted = False
@@ -1769,7 +1177,7 @@ def equivalent_count_enumerated(tb: int, rot: int, contact_coeff):
     fibers = {}
     tight = 0
     for dec in surgery_decorations(surgery_path):
-        shortened, verdict = shorten_restart(DecoratedFareyPath(vertices, dec + comp))
+        shortened, verdict = shorten(DecoratedFareyPath(vertices, dec + comp))
         if verdict == "tight":
             tight += 1
             key = decorated_path_key(shortened)

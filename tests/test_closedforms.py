@@ -39,14 +39,12 @@ from oracles import (
 
 class TestBlockDeterminant:
     def test_full_cube(self):
-        # det of the bordered block equals (-1)^m ((a(c+1)-b^2) m + (ac-b^2))
-        for a in range(-6, 7):
-            for b in range(-6, 7):
-                for c in range(-6, 7):
-                    for m in range(1, 11):
-                        expected = (-1) ** m * ((a * (c + 1) - b * b) * m + (a * c - b * b))
-                        block = bordered_block_matrix(a, b, c, m)
-                        assert determinant(block) == expected
+        # det of the bordered block equals (-1)^m ((a(c+1)-b^2) m + (ac-b^2)),
+        # every m <= 10 read off one leading-minor pass, as verify reads them
+        for a, b, c in itertools.product(range(-6, 7), repeat=3):
+            dets = linalg.leading_determinants(*band(bordered_block_matrix(a, b, c, 10)))
+            assert dets[3:] == [(-1) ** m * ((a * (c + 1) - b * b) * m + (a * c - b * b))
+                                for m in range(1, 11)]
 
     def test_spot_value(self):
         # a=0, b=-1, c=0, m=1 gives determinant 2 (3x3 cofactor expansion)

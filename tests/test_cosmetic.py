@@ -28,7 +28,6 @@ from oracles import (
     equivalent_count_by_cascade,
     equivalent_count_enumerated,
     solve_d3_equation_by_hand,
-    solve_one_over_n_loop,
     spectra_by_knot,
 )
 
@@ -257,13 +256,14 @@ class TestEquationSolver:
         for tb in range(-30, -2):
             for n_max in (1, 2, 3, 5, 8, 13, 21, 34, 55, 60):
                 assert solve_d3_equation(tb, "pm_one_over_n", n_max) == \
-                    solve_one_over_n_loop(tb, n_max, rot_range(tb)) == []
+                    solve_d3_equation_by_hand(tb, "pm_one_over_n", rot_range(tb), n_max) == []
         monkeypatch.setattr(cosmetic, "rot_range", lifted_rot_range)
         found = 0
         for tb in range(-12, -2):
             for n_max in (2, 7, 20, 60):
                 solved = solve_d3_equation(tb, "pm_one_over_n", n_max)
-                assert solved == solve_one_over_n_loop(tb, n_max, lifted_rot_range(tb))
+                assert solved == solve_d3_equation_by_hand(tb, "pm_one_over_n",
+                                                           lifted_rot_range(tb), n_max)
                 found += len(solved)
         assert found > 20
 
@@ -545,6 +545,26 @@ class TestUnknotClassification:
                         equivalent_surgery_count(tb, rot, smooth - tb)
                 # below tb every rotation number counts 1
                 assert equivalent_surgery_count(tb, rot, Fraction(-1, 2)) == 1
+
+    def test_rotation_numbers_off_the_unknot_range_are_refused(self):
+        # an unknot's rotation number has |rot| <= -tb - 1 and the parity of
+        # tb + 1 (rot_range): rot = -tb is one past the top, and rot = 1 at
+        # tb = -3 has the wrong parity, where the count once read 3 and
+        # "overtwisted"
+        for rot in (3, 1):
+            with pytest.raises(ValueError, match="rotation number out of range"):
+                equivalent_surgery_count(-3, rot, Fraction(1, 3) + 3)
+        for tb in range(-8, 0):
+            for rot in range(tb - 3, -tb + 4):
+                for smooth in (Fraction(1, 3), tb - Fraction(1, 2)):
+                    if rot in rot_range(tb):
+                        try:
+                            equivalent_surgery_count(tb, rot, smooth - tb)
+                        except ValueError as err:
+                            assert "overtwisted" in str(err)
+                    else:
+                        with pytest.raises(ValueError, match="rotation number out of range"):
+                            equivalent_surgery_count(tb, rot, smooth - tb)
 
     def test_errors(self):
         with pytest.raises(ContactZeroError):

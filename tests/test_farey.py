@@ -19,16 +19,13 @@ from oracles import (
     cf_blocks,
     clockwise_ends,
     decorated_path_key,
-    honda_lens_count,
     in_clockwise_arc,
     is_edge,
     minimal_path,
     minimal_path_bfs,
     minimal_path_vertexwise,
     neg_cf_terms,
-    raw_sign_count,
     shorten,
-    shorten_restart,
     sign_class_count,
     vec,
 )
@@ -98,14 +95,10 @@ class TestMinimalPaths:
         for a, b in pairs[:150]:
             for direction in (CLOCKWISE, ANTICLOCKWISE):
                 mine = minimal_path(a, b, direction)
-                bfs, ways = minimal_path_bfs(a, b, direction, count_paths=True)
+                bfs, ways = minimal_path_bfs(a, b, direction)
                 assert len(mine) == len(bfs)
                 assert mine == bfs
                 assert ways == 1
-
-    def test_bfs_denominator_bound_example(self):
-        path = minimal_path_bfs(vec(-5, 2), vec(-1), den_bound=8)
-        assert path == [vec(-5, 2), vec(-2), vec(-1)]
 
 
 SMALL_SLOPES = small_slopes(6, 5)
@@ -120,7 +113,6 @@ class TestBlockRoute:
             return
         path = minimal_path(a, b, direction)
         assert path == minimal_path_vertexwise(a, b, direction)
-        assert path == minimal_path_bfs(a, b, direction)
         # the builder's blocks are the continued-fraction blocks of the path
         blocks = minimal_path_blocks(*clockwise_ends(a, b, direction))
         assert [blk.edges for blk in blocks] == [len(bl) for bl in cf_blocks(path)]
@@ -139,10 +131,12 @@ class TestBlockRoute:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_stack_shorten_matches_restart_scan(self, data):
-        # monotone concatenations, as gluing produces, and also arbitrary
-        # walks in the Farey graph, on which both must raise alike
+        # a monotone concatenation, as gluing produces, shortens to the
+        # minimal path between its ends; an arbitrary walk in the Farey
+        # graph shortens to a path with no merge left, or raises
         a, mid, b = (data.draw(st.sampled_from(small_slopes(5, 3))) for _ in range(3))
-        if data.draw(st.booleans()):
+        monotone = data.draw(st.booleans())
+        if monotone:
             if len({a, mid, b}) < 3 or not in_clockwise_arc(mid, a, b):
                 return
             verts = tuple(minimal_path(a, mid)) + tuple(minimal_path(mid, b)[1:])
@@ -154,14 +148,15 @@ class TestBlockRoute:
             verts = tuple(verts)
         signs = tuple(data.draw(st.sampled_from((1, -1, None)))
                       for _ in range(len(verts) - 1))
-        path = DecoratedFareyPath(verts, signs)
         try:
-            expected = shorten_restart(path)
+            shortened, _ = shorten(DecoratedFareyPath(verts, signs))
         except ValueError:
-            with pytest.raises(ValueError):
-                shorten(path)
+            assert not monotone
             return
-        assert shorten(path) == expected
+        got = shortened.vertices
+        assert not any(map(is_edge, got, got[2:]))
+        if monotone:
+            assert list(got) == minimal_path(a, b)
 
 
 class TestShorten:
@@ -281,7 +276,6 @@ class TestBlocks:
                     keys.add(decorated_path_key(
                         DecoratedFareyPath(tuple(path), tuple(signs))))
                 assert len(keys) == sign_class_count(path, unsigned)
-                assert raw_sign_count(path, unsigned) == 2 ** len(signed_pos)
 
 
 class TestCounts:
@@ -315,9 +309,8 @@ class TestCounts:
         assert count_tight_lens_pq(3, 2) == 1
 
     def test_lens_counts_match_continued_fraction_product(self):
-        # Honda's |(r_0 + 1) ... (r_k + 1)| over -p/q = [r_0, ..., r_k], the
-        # count on the vertex-by-vertex path and the regular-fraction oracle,
-        # on all 1085 pairs p < 60
+        # Honda's |(r_0 + 1) ... (r_k + 1)| over -p/q = [r_0, ..., r_k] and
+        # the count on the vertex-by-vertex path, on all 1085 pairs p < 60
         pairs = [(p, q) for p in range(2, 60) for q in range(1, p) if math.gcd(p, q) == 1]
         assert len(pairs) == 1085
         for p, q in pairs:
@@ -327,7 +320,6 @@ class TestCounts:
             path = minimal_path_vertexwise(vec(-p, q), vec(0))
             assert sign_class_count(path, {0, len(path) - 2}) == expected
             assert count_tight_lens_pq(p, q) == expected
-            assert honda_lens_count(p, q) == expected
 
     def test_lens_general_form(self):
         # collapsing slope s at one end of T^2 x I and r at the other:
@@ -370,19 +362,18 @@ class TestCounts:
         q %= p
         if math.gcd(p, q) != 1:
             return
-        assert count_tight_lens_pq(p, q) == honda_lens_count(p, q)
+        assert count_tight_lens_pq(p, q) == _classes(_edges((-p, q), (0, 1)), 1, 1)
 
     @given(p=st.integers(2, 10**30), q=st.integers(1, 10**30))
     @settings(max_examples=500, deadline=None)
     def test_honda_product_is_the_sign_shuffle_count(self, p, q):
-        # the closed form against the regular-fraction Honda loop and the
-        # Farey-side count of decorated minimal paths from -p/q to 0 up to
-        # shuffles inside each block, first and last edges unsigned
+        # the closed form against the Farey-side count of decorated minimal
+        # paths from -p/q to 0 up to shuffles inside each block, first and
+        # last edges unsigned
         q %= p
         if q == 0 or math.gcd(p, q) != 1:
             return
-        count = count_tight_lens_pq(p, q)
-        assert count == honda_lens_count(p, q) == _classes(_edges((-p, q), (0, 1)), 1, 1)
+        assert count_tight_lens_pq(p, q) == _classes(_edges((-p, q), (0, 1)), 1, 1)
 
     def test_lens_pq_builds_no_slope_and_no_block(self, monkeypatch):
         # no rational slope (a Fraction) and no FareyBlock
@@ -403,9 +394,10 @@ class TestCounts:
         canonical_slope(Fraction(-7, 3))
         minimal_path_blocks((-7, 3), (0, 1))
         assert "Fraction" in built and "FareyBlock" in built
+        cases = ((2, 1), (7, 3), (200001, 1), (10**12, 10**12 - 1), (10**30 + 1, 10**15))
+        want = [_classes(_edges((-p, q), (0, 1)), 1, 1) for p, q in cases]
         built.clear()
-        for p, q in ((2, 1), (7, 3), (200001, 1), (10**12, 10**12 - 1), (10**30 + 1, 10**15)):
-            assert count_tight_lens_pq(p, q) == honda_lens_count(p, q)
+        assert [count_tight_lens_pq(p, q) for p, q in cases] == want
         assert built == []
 
 

@@ -86,12 +86,6 @@ class TestD3:
     def test_ratio_text_is_the_fraction_string(self, num, den):
         assert ratio_text(num, den) == str(Fraction(num, den))
 
-    def test_json_is_exact(self):
-        res = d3([[-2]], 1, (2,))
-        data = res.to_json()
-        assert data["d3"] == "3/4"
-        assert data["c_squared"] == "-2"
-
 
 class TestSpectra:
     def test_worked_values(self):
@@ -145,7 +139,7 @@ def outcome(L, slope, plans=None):
         return type(err), str(err)
     values = [(r, Fraction(num, plan.det), Fraction(*pairs[num]))
               for r, num in zip(plan.rotations(d), nums)]
-    shape = plan.presentation.path, plan.presentation.l  # equal to the oracle's ListedForm
+    shape = plan.presentation.rows, plan.presentation.l  # equal to the oracle's Form
     return [(shape, run) for run in plan.runs(values)]
 
 
@@ -243,6 +237,51 @@ class TestSplitPairCancellation:
             except (SlopeError, NonTorsionEulerClassError) as err:
                 got = type(err)
         assert got == want
+
+
+def with_cancelling_head(k):
+    """``_presentation`` of contact 1/(k-1)-surgery, k - 1 push-offs of
+    framing tb + 1, with one (+1) and one (-1) push-off more: k rows of
+    framing tb + 1, then one of tb - 1, all linked with tb (a clique head
+    for tb != 0), all pinned at the knot's rot, and l = k."""
+    def build(L, p, q):
+        pres = _presentation(L, p, q)
+        n = k + 1
+        path = linalg._Path([L.tb + 1] * k + [L.tb - 1], [L.tb] * k,
+                            *((n, L.tb) if L.tb else (0, 0)))
+        return replace(pres, path=path, choices=[(L.rot,)] * n, pinned=(1,) * n, l=k)
+    return build
+
+
+class TestCancellingHead:
+    """The head case of the cancellation lemma (Ding and Geiges 2004): a
+    contact (+1)-surgery and a (-1)-surgery on push-offs of L cancel, so
+    k (+1) push-offs and one (-1) push-off, all linked with tb, present
+    contact 1/(k-1)-surgery on L, and have its d3 spectrum."""
+
+    def test_head_has_the_spectrum_of_one_over_k_minus_one(self):
+        cases = 0
+        for tb in range(-1, -6, -1):
+            for rot, k in product(rot_range(tb), range(2, 8)):
+                L, slope = LegendrianData(tb, rot), tb + Fraction(1, k - 1)
+                want = oracle_spectrum(L, slope)
+                q = [[tb + 1 if i == j < k else tb - 1 if i == j else tb for j in range(k + 1)]
+                     for i in range(k + 1)]
+                try:
+                    head = {res.d3 for res in d3_values(form(q, k), [(rot,) * (k + 1)])}
+                except NonTorsionEulerClassError as err:
+                    head = type(err)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(invariants, "_presentation", with_cancelling_head(k))
+                    try:
+                        got = d3_spectrum(L, slope)
+                    except NonTorsionEulerClassError as err:
+                        got = type(err)
+                # at slope 0 (tb = -1, k = 2) both sides are singular
+                assert head == got == want, (tb, rot, k)
+                assert (want is NonTorsionEulerClassError) == (slope == 0)
+                cases += 1
+        assert cases == 90
 
 
 class TestPlans:

@@ -13,32 +13,20 @@ from contactsurg import closedforms, linalg, regressions
 from contactsurg.invariants import d3_records, d3_spectrum
 from contactsurg.slopes import SlopeError
 from contactsurg.surgery import LegendrianData, _presentation
-import oracles
 from oracles import (
     adjugate_quadratic,
     band,
-    bareiss,
-    berkowitz,
     bordered_block_matrix,
     chain_matrix,
     chain_matrix_primed,
     char_poly,
-    char_poly_berkowitz,
-    char_poly_interpolate,
-    char_poly_minors,
     check_symmetric,
-    congruence_signature_dense,
-    continuant_steps,
-    descartes_signature,
     determinant,
     eliminate,
     listed_convert,
     listed_linking_matrix,
     path_kernel,
-    path_kernel_by_transposes,
     read,
-    run_polys,
-    run_step,
     sparse,
     tb2_negative_matrix,
     tb2_positive_matrix,
@@ -47,39 +35,25 @@ from oracles import (
 
 
 def random_matrix(rng, n, lo=-9, hi=9, symmetric=False):
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            m[i][j] = rng.randint(lo, hi)
-    if symmetric:
-        for i in range(n):
-            for j in range(i):
-                m[j][i] = m[i][j]
-    return m
+    m = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+    # symmetric: the entries below the diagonal copied above it
+    return [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)] if symmetric else m
 
 
-def det_reference(rows):
-    """Plain rational Gaussian elimination, as an independent oracle."""
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    sign = 1
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        det *= a[k][k]
-        for r in range(k + 1, n):
-            if a[r][k]:
-                f = a[r][k] / a[k][k]
-                for j in range(k, n):
-                    a[r][j] -= f * a[k][j]
-    value = sign * det
-    assert value.denominator == 1
-    return value.numerator
+def nonsingular(seed, count, max_n, bound):
+    """(rng, m) for ``count`` seeded random symmetric matrices m of size
+    n <= max_n, entries in -bound..bound and det != 0, with the generator
+    rng that drew them, for a test that draws more."""
+    rng = random.Random(seed)
+    while count:
+        m = random_matrix(rng, rng.randint(1, max_n), -bound, bound, symmetric=True)
+        if determinant(sparse(m)):
+            count -= 1
+            yield rng, m
+
+
+def sympy_det(m):
+    return sympy.Matrix(m).det() if m else 1
 
 
 class TestDeterminant:
@@ -101,18 +75,15 @@ class TestDeterminant:
         for _ in range(500):
             n = rng.randint(1, 7)
             m = random_matrix(rng, n)
-            assert determinant(sparse(m)) == bareiss(m)[0] == det_reference(m)
+            assert determinant(sparse(m)) == sympy_det(m)
 
     def test_sparse_rows(self):
         rng = random.Random(4)
         for _ in range(200):
             n = rng.randint(2, 9)
-            m = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    if rng.random() < 0.35:
-                        m[i][j] = rng.randint(-5, 5)
-            assert determinant(sparse(m)) == bareiss(m)[0] == det_reference(m)
+            m = [[rng.randint(-5, 5) if rng.random() < 0.35 else 0 for _ in range(n)]
+                 for _ in range(n)]
+            assert determinant(sparse(m)) == sympy_det(m)
 
 
 @st.composite
@@ -143,7 +114,6 @@ class TestLeadingDeterminants:
         rows = sparse(m)
         dets = linalg.leading_determinants(*band(rows))
         assert dets == [determinant(leading_block(rows, i)) for i in range(len(m) + 1)]
-        assert dets == [det_reference([row[:i] for row in m[:i]]) for i in range(len(m) + 1)]
 
     def test_singular_prefix_and_one_way_links(self):
         # D_2 = 1 - 1 * 1 = 0, then D_3 = 2 D_2 - (2 * 1) D_1 = -2
@@ -233,14 +203,8 @@ class TestInverseEntry:
             assert inverse_entry(tb2_negative_matrix(n), 0, 0) == 3 - 4 * n
 
     def test_assembled_inverse_multiplies_to_identity(self):
-        rng = random.Random(12)
-        done = 0
-        while done < 40:
-            n = rng.randint(1, 5)
-            m = random_matrix(rng, n, -4, 4, symmetric=True)
-            if determinant(sparse(m)) == 0:
-                continue
-            done += 1
+        for _, m in nonsingular(12, 40, 5, 4):
+            n = len(m)
             inv = [[inverse_entry(m, i, j, oracle_block) for j in range(n)] for i in range(n)]
             for i in range(n):
                 for j in range(n):
@@ -255,14 +219,8 @@ class TestInverseEntry:
 class TestSolve:
     def test_solve_linear_matches_inverse(self):
         # x = adj(A) b / det(A) solves A x = b
-        rng = random.Random(3)
-        done = 0
-        while done < 60:
-            n = rng.randint(1, 6)
-            m = random_matrix(rng, n, -6, 6, symmetric=True)
-            if determinant(sparse(m)) == 0:
-                continue
-            done += 1
+        for rng, m in nonsingular(3, 60, 6, 6):
+            n = len(m)
             b = [rng.randint(-5, 5) for _ in range(n)]
             det, _, adj = oracle_block(sparse(m), range(n))
             x = [Fraction(sum(adj[i][c] * b[c] for c in range(n)), det) for i in range(n)]
@@ -271,14 +229,8 @@ class TestSolve:
 
     def test_solve_columns(self):
         # A adj(A) = det(A) I, column by column
-        rng = random.Random(8)
-        done = 0
-        while done < 60:
-            n = rng.randint(1, 6)
-            m = random_matrix(rng, n, -6, 6, symmetric=True)
-            if determinant(sparse(m)) == 0:
-                continue
-            done += 1
+        for _, m in nonsingular(8, 60, 6, 6):
+            n = len(m)
             det, _, adj = oracle_block(sparse(m), range(n))
             assert det == determinant(sparse(m))
             for c in range(n):
@@ -287,14 +239,8 @@ class TestSolve:
                     assert s == (det if i == c else 0)
 
     def test_inverse_quadratic(self):
-        rng = random.Random(5)
-        done = 0
-        while done < 60:
-            n = rng.randint(1, 6)
-            m = random_matrix(rng, n, -6, 6, symmetric=True)
-            if determinant(sparse(m)) == 0:
-                continue
-            done += 1
+        for rng, m in nonsingular(5, 60, 6, 6):
+            n = len(m)
             r = [rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
             support = [i for i, x in enumerate(r) if x]
             det, _, block = oracle_block(sparse(m), support)
@@ -399,58 +345,42 @@ class TestDefiniteness:
                     assert negative_definite(linalg.dense(bordered_block_matrix(a, b, c, m)))
 
     def test_sylvester_agrees_with_descartes_definiteness(self):
-        rng = random.Random(2026)
-        done = 0
-        while done < 300:
-            n = rng.randint(1, 6)
-            m = random_matrix(rng, n, -9, 9, symmetric=True)
-            if determinant(sparse(m)) == 0:
-                continue
-            done += 1
+        for _, m in nonsingular(2026, 300, 6, 9):
+            n = len(m)
             sylvester = kernel_negative_definite(m)
-            all_negative = descartes_signature(sparse(m)) == -n
+            all_negative = linalg._descartes(char_poly(sparse(m))) == -n
             assert sylvester == all_negative
 
 
 class TestCharPoly:
     def test_identity(self):
-        assert char_poly_minors([[1, 0], [0, 1]]) == [1, -2, 1]
         assert char_poly(sparse([[1, 0], [0, 1]])) == [1, -2, 1]
+        assert reduced(sparse([[1, 0], [0, 1]])) == (1, 2)
 
     def test_chain_two(self):
-        # E_1 = -4, E_2 = 3 for the 2 x 2 chain
-        assert char_poly_minors(linalg.dense(chain_matrix(2))) == [1, 4, 3]
+        # E_1 = -4, E_2 = 3 for the 2 x 2 chain, which the library drops as
+        # one run of two framings -2: det 3 and signature -2
         assert char_poly(chain_matrix(2)) == [1, 4, 3]
+        assert reduced(chain_matrix(2)) == (3, linalg._descartes([1, 4, 3])) == (3, -2)
 
     def test_constant_term_is_signed_determinant(self):
-        # not necessarily symmetric: the oracle route works on any square
-        # matrix, and the library's on the shapes the path kernel takes
+        # not necessarily symmetric: Berkowitz takes any square matrix
         rng = random.Random(6)
         for _ in range(100):
             n = rng.randint(1, 5)
             m = random_matrix(rng, n, -5, 5)
-            coeffs = char_poly_minors(m)
-            assert coeffs[-1] == (-1) ** n * bareiss(m)[0]
-            assert char_poly_berkowitz(sparse(m)) == coeffs
-            assert_char_poly(m, coeffs)
-
-    def test_minors_equal_interpolation(self):
-        rng = random.Random(7)
-        for _ in range(150):
-            n = rng.randint(1, 6)
-            m = random_matrix(rng, n, -6, 6)
-            assert char_poly_minors(m) == char_poly_interpolate(m)
+            coeffs = char_poly(sparse(m))
+            assert coeffs == sympy_char_poly(m)
+            assert coeffs[-1] == (-1) ** n * sympy_det(m)
 
 
-def assert_char_poly(m, want):
-    """``linalg.char_poly`` of sparse(m) is ``want`` on the shapes the path
-    kernel takes (``path_shape``, read off the entries of m), and raises
-    ValueError on every other shape."""
-    if path_shape(m):
-        assert char_poly(sparse(m)) == want
-    else:
-        with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
-            char_poly(sparse(m))
+def assert_reduced(m, coeffs):
+    """``reduced`` of symmetric m, where m is a shape the path kernel takes,
+    is det m = (-1)^n chi(0) and, at det != 0, the Descartes signature of
+    chi = ``coeffs`` (descending); ``read`` refuses the other shapes."""
+    if kernel_shape(m):
+        det = (-1) ** len(m) * coeffs[-1]
+        assert reduced(sparse(m)) == (det, linalg._descartes(coeffs) if det else None)
 
 
 def graph_matrix(n, edges):
@@ -554,17 +484,9 @@ class TestCharPolyRoute:
     @settings(max_examples=400, deadline=None)
     @given(graph_shapes())
     def test_matches_oracles_and_sympy(self, m):
-        coeffs = char_poly_berkowitz(sparse(m))
-        assert coeffs == char_poly_minors(m)
-        assert coeffs == char_poly_interpolate(m)
+        coeffs = char_poly(sparse(m))
         assert coeffs == sympy_char_poly(m)
-        assert_char_poly(m, coeffs)
-
-    @settings(max_examples=100, deadline=None)
-    @given(graph_shapes())
-    def test_berkowitz_alone(self, m):
-        # Berkowitz on the whole matrix, with no continuant
-        assert berkowitz(sparse(m), range(len(m)))[::-1] == char_poly_interpolate(m)
+        assert_reduced(m, coeffs)
 
     @settings(max_examples=200, deadline=None)
     @given(graph_shapes(), st.randoms(use_true_random=False))
@@ -577,15 +499,12 @@ class TestCharPolyRoute:
                         m[i][j] = 0
                     else:
                         m[j][i] = 0
-        coeffs = char_poly_berkowitz(sparse(m))
-        assert coeffs == char_poly_minors(m)
-        assert coeffs == sympy_char_poly(m)
-        assert_char_poly(m, coeffs)
+        assert char_poly(sparse(m)) == sympy_char_poly(m)
 
     def test_clique_with_a_leaf_on_every_vertex(self):
         # every leaf hangs on a clique vertex, so no row at the end is
-        # banded: the oracle's Berkowitz takes the whole matrix, and the
-        # library, whose head must be a clique, refuses it
+        # banded: Berkowitz takes the whole matrix, and the library, whose
+        # head must be a clique, never sees it
         k = 10
         m = [[0] * (2 * k) for _ in range(2 * k)]
         for i in range(k):
@@ -593,129 +512,50 @@ class TestCharPolyRoute:
             m[i][k + i] = m[k + i][i] = 1 + i % 3
             for j in range(i):
                 m[i][j] = m[j][i] = -1
-        assert char_poly_berkowitz(sparse(m)) == char_poly_interpolate(m)
-        assert not path_shape(m)
-        assert_char_poly(m, char_poly_interpolate(m))
+        assert char_poly(sparse(m)) == sympy_char_poly(m)
+        assert not path_shape(m) and not kernel_shape(m)
 
     def test_linking_matrices(self):
         forms = linking_forms(CHAIN_CASES)
         assert max(map(len, forms)) == 61
         for m in forms:
-            assert char_poly(sparse(m)) == char_poly_interpolate(m)
+            assert reduced(sparse(m)) == eliminate(sparse(m))[:2]
 
-    def test_route_guard(self, monkeypatch):
+    def test_route_guard(self):
         # the determinant lemma sees at most the push-offs of a linking
-        # matrix, and nothing of a lemma matrix: the continuant takes every
-        # chain row, from a seed of the head's degree
-        sizes = []
-        extend = oracles.path_extend
-
-        def recording(a, path, attach, f, g):
-            sizes.append(len(f) - 1)
-            return extend(a, path, attach, f, g)
-
-        monkeypatch.setattr(oracles, "path_extend", recording)
+        # matrix, and nothing of a lemma matrix; the run reduction leaves a
+        # polynomial of one degree for each row it keeps
         forms = linking_forms(CHAIN_CASES + [(-1, 0, Fraction(r)) for r in ("1/3", "3/4", "1/20")])
         for m, pushoffs in forms.items():
-            sizes.clear()
-            char_poly(sparse(m))
-            assert max(sizes, default=0) <= pushoffs, (len(m), pushoffs, sizes)
-        sizes.clear()
+            path = read(sparse(m))
+            removed, _, _, coeffs = linalg._reduce(*path)
+            assert path.h <= pushoffs and len(coeffs) - 1 + removed == len(m), (len(m), pushoffs)
         for n in range(1, 51):
-            char_poly(chain_matrix(n))
-            char_poly(chain_matrix_primed(n))
+            assert read(chain_matrix(n)).h == 0
+            assert linalg._reduce(*read(chain_matrix(n)))[::3] == (n, [1])
         for a, b, c, m in itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), range(1, 7)):
-            char_poly(bordered_block_matrix(a, b, c, m))
-        assert not any(sizes)
-
-
-# (a[v][prev], a[prev][v]) for a tail vertex v: w^2 = 1 most often, so
-# runs of -2 framings form; then 4, 0, one-sided entries and w^2 = -1
-_LINKS = st.sampled_from([(1, 1), (-1, -1), (1, 1), (-1, -1), (2, 2), (-2, -2),
-                          (0, 0), (1, 0), (0, -1), (2, 0), (1, -1), (-1, 1)])
-
-
-@st.composite
-def banded_tails(draw):
-    """A dense head of 0-3 rows, then a path of up to 64 banded rows: runs
-    of -2 framings of length 0..60 at random places between vertices of
-    other diagonals, each joined to the one before by a link of _LINKS."""
-    t = draw(st.integers(0, 3))
-    diag = []
-    for run, other in draw(st.lists(st.tuples(st.integers(0, 60), st.integers(-5, 3)),
-                                    min_size=1, max_size=4)):
-        diag += [-2] * run + [other]
-    diag = diag[:64] if draw(st.booleans()) else diag[:-1][:64]  # end on a run or not
-    n = t + len(diag)
-    m = [[0] * n for _ in range(n)]
-    for i in range(t):
-        for j in range(i + 1):
-            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
-    for v, d in enumerate(diag, t):
-        m[v][v] = d
-        if v:
-            m[v][v - 1], m[v - 1][v] = draw(_LINKS)
-    return t, m
-
-
-def _seeds(m, t):
-    """(attach, F_0, F_-1) for the continuant along rows t..n-1 of m:
-    Berkowitz's chi of the head and of the head less t-1."""
-    if not t:
-        return None, [1], None
-    return t - 1, berkowitz(sparse(m), range(t)), berkowitz(sparse(m), range(t - 1))
-
-
-def _steps_oracle(m, t):
-    """char_poly of m by the one-vertex continuant along rows t..n-1."""
-    return continuant_steps(m, range(t, len(m)), *_seeds(m, t))[::-1]
-
-
-def _p_polys(r_max):
-    """P_-1 = 0, P_0 = 1, ..., P_r_max by P_r = (x + 2) P_(r-1) - P_(r-2)."""
-    polys = [[], [1]]
-    for _ in range(r_max):
-        a, b = polys[-1], polys[-2] + [0] * (len(polys[-1]) + 1 - len(polys[-2]))
-        polys.append([2 * x + y - z for x, y, z in zip(a + [0], [0] + a, b)])
-    return polys
+            assert read(bordered_block_matrix(a, b, c, m)).h == 0
 
 
 class TestRunStep:
-    """A run of -2 framings with w^2 = 1 in one closed-form step."""
+    """A run of -2 framings joined by links of square 1, which
+    ``linalg._reduce`` drops by one Schur complement."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(banded_tails())
-    def test_matches_steps_and_berkowitz(self, case):
-        # the library's continuant from the oracle's seeds on every head,
-        # and char_poly itself where the head is a path or a clique
-        t, m = case
-        want = _steps_oracle(m, t)
-        assert want == berkowitz(sparse(m), range(len(m)))[::-1]
-        for run_min in (oracles.RUN_MIN, 0):  # then every run takes the closed form
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(oracles, "RUN_MIN", run_min)
-                extended = oracles.path_extend(sparse(m), range(t, len(m)), *_seeds(m, t))
-                assert extended[::-1] == want
-                assert_char_poly(m, want)
-
-    def test_run_polys_follow_the_recurrence(self):
-        polys = _p_polys(80)
-        for r in range(1, 81):
-            assert run_polys(r) == [polys[r + 1], polys[r]]
-
-    def test_run_against_steps(self, monkeypatch):
-        # F_r, and F_(r-1) when the path goes on, from seeds of 1-4 terms
-        monkeypatch.setattr(oracles, "RUN_MIN", 0)
+    def test_run_against_steps(self):
+        # a run of r framings -2 between two rows of any diagonal, joined
+        # to them by links of any size: the reduction's det and signature
+        # are the elimination's, one row at a time
         rng = random.Random(29)
-        chain = linalg.dense(chain_matrix(82))
         for r in range(1, 81):
-            size = rng.randint(1, 4)
-            f = [rng.randint(-10**30, 10**30) for _ in range(size)] + [1]
-            g = [rng.randint(-9, 9) for _ in range(size)]
-            want = continuant_steps(chain, range(1, r + 1), 0, f, g)
-            assert run_step(f, g, r, False)[0] == want
-            before = continuant_steps(chain, range(1, r), 0, f, g)
-            assert run_step(f, g, r, True) == (want, before)
+            a = [rng.randint(-5, 5)] + [-2] * r + [rng.randint(-5, 5)]
+            b = [rng.randint(-3, 3)] + [rng.choice((1, -1)) for _ in range(r - 1)]
+            b.append(rng.randint(-3, 3))
+            m = [[0] * (r + 2) for _ in range(r + 2)]
+            for i, x in enumerate(a):
+                m[i][i] = x
+            for i, x in enumerate(b):
+                m[i][i + 1] = m[i + 1][i] = x
+            assert reduced(sparse(m)) == eliminate(sparse(m))[:2]
 
     def test_long_chain_signature(self):
         # the meridian chain of -1/1600 is one run of -2 framings
@@ -723,7 +563,7 @@ class TestRunStep:
         plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 1600))[0]
         assert plan.sigma == forms["tb1_neg_sigma"](1600) == -1598
         rows = plan.presentation.rows
-        assert path_kernel(rows)[1] == linalg._descartes(char_poly(rows)) == -1598
+        assert path_kernel(rows)[1] == eliminate(rows)[1] == -1598
         assert reduced(rows) == (plan.det, -1598)
 
 
@@ -761,15 +601,8 @@ class TestSignature:
 
     def test_methods_agree_on_seeded_corpus(self):
         # criterion corpus: 1000 seeded random symmetric nonsingular matrices
-        rng = random.Random(20260809)
-        count = 0
-        while count < 1000:
-            n = rng.randint(1, 8)
-            m = random_matrix(rng, n, -9, 9, symmetric=True)
-            if determinant(sparse(m)) == 0:
-                continue
-            count += 1
-            assert eliminate(sparse(m))[1] == descartes_signature(sparse(m))
+        for _, m in nonsingular(20260809, 1000, 8, 9):
+            assert eliminate(sparse(m))[1] == linalg._descartes(char_poly(sparse(m)))
 
     def test_methods_agree_at_scale(self):
         # the chain forms behind `d3 --tb -1 --rot 0 --slope -1/400`
@@ -779,14 +612,14 @@ class TestSignature:
             rows = listed_linking_matrix(pres).rows
             assert len(rows) == 400
             assert path_kernel(rows)[1] == eliminate(rows)[1] == \
-                descartes_signature(rows)
+                linalg.adjugate_block(read(rows), ())[1]
 
     def test_zero_diagonal_handling(self):
         # congruence diagonalization must survive all-zero diagonals
         m = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         assert determinant(sparse(m)) == 2
         assert path_kernel(sparse(m))[1] == eliminate(sparse(m))[1] == \
-            descartes_signature(sparse(m)) == -1
+            linalg._descartes(char_poly(sparse(m))) == -1
 
 
 def zero_diagonal(m):
@@ -910,8 +743,7 @@ class TestKernelAgainstSympy:
         n = len(m)
         ref = sympy.Matrix(n, n, [x for row in m for x in row])
         det = ref.det()
-        oracle_det, oracle_adj = bareiss(m, range(n))
-        assert determinant(sparse(m)) == oracle_det == det
+        assert determinant(sparse(m)) == det
         if det == 0:
             with pytest.raises(linalg.SingularMatrixError):
                 oracle_block(sparse(m), range(n))
@@ -920,8 +752,6 @@ class TestKernelAgainstSympy:
         assert got_det == det and sigma == sympy_signature(m)
         ref_adj = DomainMatrix.from_Matrix(ref).adjugate().to_Matrix().tolist() if n else []
         assert [list(row) for row in adj] == ref_adj
-        assert [list(row) for row in adj] == [[oracle_adj[c][i] for c in range(n)]
-                                              for i in range(n)]
 
     @settings(max_examples=300, deadline=None)
     @given(square_matrices())
@@ -954,17 +784,6 @@ class TestKernelAgainstSympy:
 
 
 class TestCongruence:
-    @settings(max_examples=300, deadline=None)
-    @given(congruence_shapes())
-    def test_matches_dense_oracle_and_sympy(self, m):
-        det, sigma, _ = eliminate(sparse(m))
-        if (sympy.Matrix(m).det() if m else 1) == 0:
-            assert det == 0
-            with pytest.raises(linalg.SingularMatrixError):
-                congruence_signature_dense(m)
-            return
-        assert sigma == congruence_signature_dense(m) == sympy_signature(m)
-
     def test_integer_only_and_independent(self, monkeypatch):
         # no Fraction is made, and nothing of the other method's route runs
         made = []
@@ -1017,9 +836,9 @@ class TestCongruence:
             rows = linalg.dense(
                 _presentation(LegendrianData(-1, 0), *coeff.as_integer_ratio()).rows)
             assert len(rows) == n
-            assert path_kernel(sparse(rows))[1] == congruence_signature_dense(rows) == sig
+            assert path_kernel(sparse(rows))[1] == eliminate(sparse(rows))[1] == sig
             if n < 100:
-                assert descartes_signature(sparse(rows)) == sig
+                assert linalg._descartes(char_poly(sparse(rows))) == sig
 
 
 def acceptance_forms():
@@ -1042,23 +861,18 @@ def acceptance_forms():
 
 
 def assert_sparse_matches_dense(m):
-    """adjugate_block, or on a shape the path kernel does not take (which
-    ``read`` refuses, see test_other_shapes_raise) the oracle's sparse
-    elimination and Berkowitz route, on sparse(m) against the dense Bareiss and
-    interpolation oracles on m."""
-    n = len(m)
-    det, adj = bareiss(m, range(n))
-    block_of = adjugate_rows if kernel_shape(m) else oracle_block
-    if det == 0:
+    """adjugate_block of sparse(m), on a shape the path kernel takes (the
+    others ``read`` refuses, see test_other_shapes_raise), against the
+    oracle's elimination: det, signature and the whole adjugate, or
+    SingularMatrixError at det 0."""
+    if not kernel_shape(m):
+        return
+    want = eliminate(sparse(m), range(len(m)))
+    if want[0] == 0:
         with pytest.raises(linalg.SingularMatrixError):
-            block_of(sparse(m), range(n))
+            adjugate_rows(sparse(m), range(len(m)))
     else:
-        got_det, _, block = block_of(sparse(m), range(n))
-        assert got_det == det
-        assert [list(row) for row in block] == [[adj[c][i] for c in range(n)] for i in range(n)]
-    want = char_poly_interpolate(m)
-    assert char_poly_berkowitz(sparse(m)) == want
-    assert_char_poly(m, want)
+        assert adjugate_rows(sparse(m), range(len(m))) == want
 
 
 class TestSparseRows:
@@ -1179,12 +993,12 @@ class TestPathKernel:
     @example((linalg._Path([-2] * 9, [-1] * 8, 0, 0), [0, 8]))  # far corners of a chain
     def test_one_pass_block_is_the_transposed_block(self, case):
         # B built in one pass over pairs of indices, with E's differences on
-        # the head's two-entry columns only, is the block the kernel built
-        # with transposes; det and sigma are unchanged, and a singular form
-        # gives (0, None, ())
+        # the head's two-entry columns only, is the oracle's block, with its
+        # det and sigma, at entries of up to 10^6; a singular form gives
+        # (0, None, ())
         path, support = case
         got = linalg._path_kernel(path, support)
-        assert got == path_kernel_by_transposes(path, support)
+        assert got == eliminate(linalg._rows(path), support)
         if got[0] == 0:
             assert got == (0, None, ())
         else:
@@ -1267,19 +1081,18 @@ class TestCliqueLemma:
     @given(clique_paths())
     @example([[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]])  # link 0, then a zero row
     def test_matches_berkowitz(self, m):
-        rows = sparse(m)
-        want = berkowitz(rows, range(len(m)))[::-1]
-        assert char_poly(rows) == want == char_poly_berkowitz(rows)
+        # the run reduction, which seeds its continuant with the lemma's
+        # chi of the head, against Berkowitz on the whole matrix
+        assert kernel_shape(m)
+        assert_reduced(m, char_poly(sparse(m)))
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(graph_shapes(), clique_paths(), clique_paths().flatmap(spoiled),
                      kernel_shapes().map(lambda case: case[0])))
     def test_refuses_exactly_where_the_kernel_does(self, m):
-        # on symmetric matrices the two routes take the same shapes
-        try:
-            path_kernel(sparse(m))
-        except ValueError:
-            with pytest.raises(ValueError, match="^matrix is neither a path nor a clique head"):
-                char_poly(sparse(m))
-        else:
-            assert char_poly(sparse(m)) == char_poly_berkowitz(sparse(m))
+        # the kernel and the run reduction take the one shape ``read``
+        # takes, and agree on its determinant; ``read`` refuses the rest
+        if not kernel_shape(m):
+            assert not path_shape(m)
+            return
+        assert reduced(sparse(m))[0] == path_kernel(sparse(m))[0]

@@ -13,8 +13,8 @@ from contactsurg.slopes import (
     neg_cf_runs,
     parse_slope,
 )
-from oracles import (INF, expand_runs, neg_cf_terms, neg_cf_value, normalize_lens_bruteforce,
-                     rolfsen_twist, same_lens_space, vec)
+from oracles import (INF, expand_runs, neg_cf_terms, neg_cf_value, rolfsen_twist,
+                     same_lens_space, vec)
 
 
 def runs_expanded(r) -> list:
@@ -186,7 +186,6 @@ class TestCosmeticSlopeSet:
                 for s in cs_set(p, q, 3 * p):
                     lp = lens_parameters(s)
                     assert same_lens_space(lp, base)
-                    assert normalize_lens_bruteforce(*lp) == normalize_lens_bruteforce(*base)
 
 
 class TestLensSpaces:
@@ -194,14 +193,3 @@ class TestLensSpaces:
         assert same_lens_space((7, 2), (7, 4))
         assert not same_lens_space((7, 2), (7, 3))
         assert same_lens_space((5, 3), (5, 3))
-
-    def test_brute_force_agreement(self):
-        for p in range(1, 30):
-            for q in range(1, p + 1):
-                if math.gcd(p, q) != 1:
-                    continue
-                for q2 in range(1, p + 1):
-                    if math.gcd(p, q2) != 1:
-                        continue
-                    brute = normalize_lens_bruteforce(p, q) == normalize_lens_bruteforce(p, q2)
-                    assert same_lens_space((p, q), (p, q2)) == brute

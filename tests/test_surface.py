@@ -162,14 +162,13 @@ def test_bareiss_lives_only_in_the_oracles():
     oracles = SRC.parents[1] / "tests" / "oracles.py"
     tree = ast.parse(oracles.read_text(), str(oracles))
     names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert {"eliminate", "bareiss"} <= names and len(_bareiss_steps(tree)) >= 2
+    assert {"eliminate"} <= names and len(_bareiss_steps(tree)) >= 1
 
 
 def test_characteristic_polynomial_has_one_route():
     # the signature check reads chi of the run-reduced form, seeded by the
-    # determinant lemma on a clique head; chi of the whole form with its
-    # closed-form run steps, Berkowitz's algorithm, which takes any head,
-    # and the Descartes signature read from it are the tests' oracles, and
+    # determinant lemma on a clique head; Berkowitz's chi of the whole
+    # form, which takes any shape, is the tests' one oracle for it, and
     # the list-building conversion is the oracle listed_convert
     gone = ("_berkowitz", "berkowitz", "descartes_signature", "convert", "char_poly",
             "_path_extend", "_run", "_run_polys", "_RUN_MIN")
@@ -181,8 +180,7 @@ def test_characteristic_polynomial_has_one_route():
     oracles = SRC.parents[1] / "tests" / "oracles.py"
     tree = ast.parse(oracles.read_text(), str(oracles))
     names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert {"berkowitz", "char_poly_berkowitz", "descartes_signature", "listed_convert",
-            "char_poly", "path_extend", "run_step", "run_polys"} <= names
+    assert {"berkowitz", "char_poly", "listed_convert"} <= names
 
 
 def test_one_matrix_type_in_the_library():
