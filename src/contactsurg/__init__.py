@@ -1,5 +1,5 @@
 """Exact computation of contact-surgery invariants and cosmetic-surgery
-obstructions: slope calculus, Farey-graph classification data, surgery
+obstructions: slope calculus, the tight lens count, surgery
 presentations, and the chi / sigma / c1^2 / d3 invariants, all in exact
 integer and rational arithmetic."""
 
@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .slopes import (SlopeError, canonical_slope, cs_set, lens_parameters, neg_cf_runs,
                      parse_slope)
-from .farey import count_tight_lens_pq, minimal_path_blocks
+from .farey import count_tight_lens_pq
 from .surgery import ContactZeroError, LegendrianData, rot_range
 from .invariants import d3_spectrum
 from .cosmetic import candidate_slopes, scan, solve_d3_equation, unknot_classify
@@ -17,8 +17,8 @@ __all__ = [
     # slopes
     "SlopeError", "canonical_slope", "cs_set", "lens_parameters", "neg_cf_runs",
     "parse_slope",
-    # Farey paths and counts
-    "count_tight_lens_pq", "minimal_path_blocks",
+    # the tight lens count
+    "count_tight_lens_pq",
     # surgery presentations
     "ContactZeroError", "LegendrianData", "rot_range",
     # d3

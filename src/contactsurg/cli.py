@@ -269,29 +269,36 @@ def cmd_d3(args) -> int:
     return 0
 
 
+def _cs_set_lines(members):
+    """Text report of ``cmd_cs_set``, produced only when it is printed."""
+    yield ", ".join(members)
+
+
 def cmd_cs_set(args) -> int:
-    members = cs_set(args.p, args.q, args.bound)
+    members = [str(s) for s in cs_set(args.p, args.q, args.bound)]
     report = envelope("cs-set", {"p": args.p, "q": args.q, "bound": args.bound},
-                      {"members": [str(s) for s in members]})
-    emit(report, args.json, [", ".join(str(s) for s in members)])
+                      {"members": members})
+    emit(report, args.json, _cs_set_lines(members))
     return 0
+
+
+def _unknot_lines(args, result):
+    """Text report of ``cmd_unknot``, produced only when it is printed."""
+    count = result.count_at_slope
+    yield (f"contact ({result.contact_coeff})-surgery on the tb={args.tb}, "
+           f"rot={args.rot} unknot: smooth slope {result.smooth_slope}")
+    yield f"tightness: {result.tightness}"
+    yield f"canonical slope: {result.canonical}  lens space: L{result.lens}"
+    yield (f"equivalence class: {result.equivalence}"
+           + ("" if count is None else
+              f", {count} equivalent {'surgery' if count == 1 else 'surgeries'} at this slope"))
 
 
 def cmd_unknot(args) -> int:
     L = LegendrianData(args.tb, args.rot)
     result = unknot_classify(L, parse_slope(args.coeff))
-    data, count = result.to_json(), result.count_at_slope
-    lines = [
-        f"contact ({result.contact_coeff})-surgery on the tb={args.tb}, "
-        f"rot={args.rot} unknot: smooth slope {result.smooth_slope}",
-        f"tightness: {result.tightness}",
-        f"canonical slope: {result.canonical}  lens space: L{result.lens}",
-        f"equivalence class: {result.equivalence}"
-        + ("" if count is None else
-           f", {count} equivalent {'surgery' if count == 1 else 'surgeries'} at this slope"),
-    ]
     emit(envelope("unknot", {"tb": args.tb, "rot": args.rot, "coeff": args.coeff},
-                  data), args.json, lines)
+                  result.to_json()), args.json, _unknot_lines(args, result))
     return 0
 
 

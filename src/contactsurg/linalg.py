@@ -136,7 +136,9 @@ def _path_kernel(path, cols):
         raise KernelCheckError(f"continuants disagree: theta_n={det} phi_0={phi[0]}")
     if det == 0:
         return 0, None, ()
-    signs = [t > 0 for t in theta if t]
+    # theta_0 = 1, theta_n = det != 0, and a zero theta sits alone between
+    # thetas of opposite sign, so reading it as negative adds no sign change
+    signs = [t > 0 for t in theta]
     sigma = n - 2 * sum(map(ne, signs, signs[1:]))
     two = sorted(s for s in cols if 0 < s < h - 1)
     touched = sorted({*cols, *(s - 1 for s in two)})

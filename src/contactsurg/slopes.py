@@ -1,17 +1,15 @@
 """Exact slope arithmetic for surgery coefficients.
 
 Finite slopes are ``Fraction``s.  The slope at infinity has no rational
-value: ``parse_slope`` rejects it, and only ``farey`` meets it, as the
-vector (1, 0).
+value, and ``parse_slope`` rejects it.
 
 The module also provides negative continued fractions (all coefficients
 <= -2, the unique expansion of a rational < -1) by one Euclid,
-``neg_cf_runs``, which codes a run of -2 terms as one entry: both the
-(+1/-1) presentations of ``surgery`` and the Farey paths of ``farey``
-read their terms from it.  It also provides canonical representatives
-of Rolfsen-twist orbits on the unknot, the lens space L(p, q) of a
-surgery on the unknot, and the set of surgery coefficients on the
-unknot producing a fixed lens space.
+``neg_cf_runs``, which codes a run of -2 terms as one entry: the
+(+1/-1) presentations of ``surgery`` read their terms from it.  It also
+provides canonical representatives of Rolfsen-twist orbits on the
+unknot, the lens space L(p, q) of a surgery on the unknot, and the set
+of surgery coefficients on the unknot producing a fixed lens space.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 
 
 class SlopeError(ValueError):
@@ -116,18 +115,22 @@ def cs_set(p: int, q: int, den_bound: int):
     over all integers n, where qbar inverts q mod p.  The set is
     infinite; returns its members -p/q' with 0 < |q'| <= den_bound, as
     Fractions sorted by value.
+
+    The q' are the residue classes of q and qbar mod p, two ascending
+    progressions on each side of 0, merged as ints.  -p/q' increases
+    with q' on each side, and every q' > 0 gives a negative member, so
+    the members come in value order as the q' > 0, then the q' < 0.
     """
     if p < 1 or not (0 < q <= p) or math.gcd(p, q) != 1:
         raise SlopeError(f"p={p}, q={q}: -p/q is not a canonical surgery "
                          "coefficient (needs 0 < q <= p, gcd(p, q) = 1)")
     if den_bound < 1:
         raise ValueError("denominator bound must be positive")
-    seen = set()
-    for start in {q, pow(q, -1, p)}:
-        n0 = (-den_bound - start) // p
-        qq = start + n0 * p
-        while qq <= den_bound:
-            if qq != 0 and qq >= -den_bound:
-                seen.add(Fraction(-p, qq))
-            qq += p
-    return sorted(seen)
+    starts = {q % p, pow(q, -1, p)}
+    # each class from its first q' > 0, then from its first q' >= -den_bound;
+    # sorted merges the two ascending runs of a side in one pass
+    dens = sorted(chain.from_iterable(range((s - 1) % p + 1, den_bound + 1, p)
+                                      for s in starts))
+    dens += sorted(chain.from_iterable(range(-den_bound + (s + den_bound) % p, 0, p)
+                                       for s in starts))
+    return [Fraction(-p, d) for d in dens]

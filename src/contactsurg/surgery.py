@@ -13,7 +13,8 @@ push-off, and when q - kp = 0 the k push-offs complete the surgery.  The
 m + 1 presentations differ only in the stabilized push-off's rotation
 number, so the pipeline builds one (``_presentation``), whose push-off
 holds them all as a range.  It is built as integers, one list
-multiplication per run of the continued fraction (``neg_cf_runs``).
+multiplication per run of the continued fraction (``neg_cf_runs``; no
+other library code reads it).
 
 Orientations are fixed so that push-off pairs link with lk = tb(L) and
 consecutive meridian chain components contribute -1 off-diagonal

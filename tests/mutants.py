@@ -47,6 +47,9 @@ _SIGNATURES = "tests/test_linalg.py::TestSignature::test_examples"
 _KERNEL = "tests/test_linalg.py::TestPathKernel::test_matches_the_oracle"
 _ONE_PASS = "tests/test_linalg.py::TestPathKernel::test_one_pass_block_is_the_transposed_block"
 _LEADING = "tests/test_linalg.py::TestLeadingDeterminants::"
+_LENS_TABLE = "tests/test_farey.py::TestCounts::test_lens_counts_match_continued_fraction_product"
+_LENS_SHUFFLE = "tests/test_farey.py::TestCounts::test_honda_product_is_the_sign_shuffle_count"
+_LENS_RUNS = "tests/test_farey.py::TestCounts::test_fused_count_is_the_product_over_runs"
 
 # (name, file under src/contactsurg, snippet, replacement, test ids that must fail)
 MUTANTS = [
@@ -148,8 +151,8 @@ MUTANTS = [
      (_LEADING + "test_each_entry_is_the_oracle_determinant_of_its_block",
       _LEADING + "test_singular_prefix_and_one_way_links")),
     ("theta_signs_without_the_empty_minor", "linalg.py",
-     "signs = [t > 0 for t in theta if t]",
-     "signs = [t > 0 for t in theta[1:] if t]",
+     "signs = [t > 0 for t in theta]",
+     "signs = [t > 0 for t in theta[1:]]",
      (_SIGNATURES, _KERNEL)),
     ("report_stabilized_push_off_tb_unstabilized", "cli.py",
      '"tb": framings[l] + 1,',
@@ -172,10 +175,17 @@ MUTANTS = [
      "return smooth.denominator // smooth.numerator + (tb == -1)",
      (_CASCADE, _ENUMERATED)),
     ("honda_factor_read_as_minus_c", "farey.py",
-     "math.prod(-c - 1 for c, _",
-     "math.prod(-c for c, _",
-     ("tests/test_farey.py::TestCounts::test_lens_counts_match_continued_fraction_product",
-      "tests/test_farey.py::TestCounts::test_honda_product_is_the_sign_shuffle_count")),
+     "count *= (n - 1) // b",
+     "count *= -(-n // b)",
+     (_LENS_TABLE, _LENS_SHUFFLE, _LENS_RUNS)),
+    ("lens_euclid_takes_the_positive_remainder", "farey.py",
+     "n, b = b, -n % b",
+     "n, b = b, n % b",
+     (_LENS_TABLE, _LENS_SHUFFLE, _LENS_RUNS)),
+    ("lens_coprimality_accepts_a_common_factor", "farey.py",
+     "    if n != 1:\n",
+     "    if n == p:\n",
+     (_LENS_RUNS, "tests/test_farey.py::TestCounts::test_pairs_that_are_no_lens_space_are_refused")),
     ("verify_lets_the_solver_check_escape", "regressions.py",
      "    except _ERRORS as exc:\n        solutions = []\n",
      "    except ZeroDivisionError as exc:\n        solutions = []\n",

@@ -6,12 +6,14 @@ applies.  A reference that guards no library function goes, with the
 tests that compared it with other references.  Two references for one
 function stay only where each covers inputs the other cannot: the unknot
 count by enumerating decorations (small slopes) and by the merge cascade
-(slopes of 10^12, knots of tb -10^6), the lens count as sign-shuffle
-classes over the vertex-by-vertex path (small p) and over the block edge
-counts ``farey._runs`` reads (p of 100 digits), and the minimal path by
-breadth-first search (small denominators, and the only check that it is
-shortest and unique) and vertex by vertex (any denominator).  ``python
-tests/reach.py`` shows which tests call which library function through
+(slopes of 10^12, knots of tb -10^6), and the lens count as Honda's
+product over ``neg_cf_runs`` (any int p and q, errors too), as
+sign-shuffle classes over the vertex-by-vertex path (small p) and over
+the block edge counts ``_runs`` reads (p of 100 digits).  The block path
+the cascade reads, ``minimal_path_blocks``, has two references of its
+own: breadth-first search (small denominators, and the only check that
+it is shortest and unique) and vertex by vertex (any denominator).
+``python tests/reach.py`` shows which tests call which library function through
 which reference, and fails if a library function is called by no test;
 ``python tests/mutants.py`` runs the named mutants of ``src/`` against
 the tests that must kill them.
@@ -20,9 +22,11 @@ The references, each slow but plainly right: negative continued
 fractions one term at a time, Rolfsen twists and the lens-space
 classification; the conversion as one presentation per stabilization
 outcome, built a component at a time, its form entry by entry, and the
-smooth slope recovered by slam-dunks; the minimal Farey path vertex by
-vertex with its own extended Euclid and by search, decorated paths,
-their block classes and the shortening move; one sparse fraction-free
+smooth slope recovered by slam-dunks; Honda's lens count over the
+runs of the negative continued fraction; the minimal Farey path as its
+continued-fraction blocks, vertex by vertex with its own extended Euclid
+and by search, decorated paths, their block classes and the shortening
+move; one sparse fraction-free
 symmetric elimination for the determinant, signature and adjugate blocks
 of a symmetric matrix of any shape, and Berkowitz's characteristic
 polynomial of any square matrix, its constant term the determinant; d3
@@ -43,8 +47,7 @@ from itertools import compress, product
 from operator import add, sub
 from typing import NamedTuple
 
-from contactsurg.farey import minimal_path_blocks
-from contactsurg import closedforms, farey, invariants, linalg, regressions
+from contactsurg import closedforms, invariants, linalg, regressions
 from contactsurg.invariants import NonTorsionEulerClassError, d3_spectrum
 from contactsurg.slopes import SlopeError, neg_cf_runs, parse_slope
 from contactsurg.surgery import ContactZeroError, LegendrianData, rot_range
@@ -53,8 +56,8 @@ from contactsurg.surgery import ContactZeroError, LegendrianData, rot_range
 # ---------------------------------------------------------------------------
 # slope calculus
 
-# Farey vertices are the reduced vectors ``farey`` takes: (p, q) with
-# q > 0 for p/q, and (1, 0) for infinity
+# Farey vertices are the reduced vectors ``minimal_path_blocks`` takes:
+# (p, q) with q > 0 for p/q, and (1, 0) for infinity
 INF = (1, 0)
 
 
@@ -134,6 +137,14 @@ def same_lens_space(a, b) -> bool:
     """
     (p, q), (p2, q2) = a, b
     return p == p2 and (p <= 1 or (q - q2) % p == 0 or q * q2 % p == 1)
+
+
+def cs_set_by_search(p: int, q: int, den_bound: int) -> list:
+    """``slopes.cs_set`` by search: every -p/d, 0 < |d| <= den_bound and
+    gcd(p, d) = 1, whose lens space L(p, d mod p) is L(p, q) by
+    ``same_lens_space``, as Fractions sorted by value."""
+    return sorted(Fraction(-p, d) for d in range(-den_bound, den_bound + 1)
+                  if d and math.gcd(p, d) == 1 and same_lens_space((p, d % p), (p, q % p)))
 
 
 def smooth_recovery(pres) -> Fraction:
@@ -353,9 +364,9 @@ def listed_convert(L: LegendrianData, contact_coeff) -> list:
 # Farey paths vertex by vertex, with signs
 
 # "clockwise" from a slope is the direction of increasing slope, through
-# infinity; ``farey`` builds clockwise paths only, and an anticlockwise
-# path from a to b is the reflection p -> -p of the clockwise one from -a
-# to -b
+# infinity; ``minimal_path_blocks`` builds clockwise paths only, and an
+# anticlockwise path from a to b is the reflection p -> -p of the clockwise
+# one from -a to -b
 CLOCKWISE = "clockwise"
 ANTICLOCKWISE = "anticlockwise"
 
@@ -395,9 +406,107 @@ def in_clockwise_arc(x: tuple, a: tuple, b: tuple) -> bool:
     return x > a or x < b
 
 
+def _mul(m, v):
+    """The integer matrix m times the vector v = (num, den)."""
+    (a, b), (c, d) = m
+    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+
+
+def _normalizing_matrix(p: int, q: int):
+    """A determinant +1 integer matrix sending the slope p/q to infinity,
+    and its inverse: such maps keep Farey adjacency and the cyclic
+    (clockwise) order of slopes, so they keep minimal paths."""
+    # x*p + y*q = 1 (infinity is p, q = 1, 0), so rows (x, y) and (-q, p)
+    # have determinant +1 and their adjugate ((p, -y), (q, x)) is the inverse
+    x = pow(p, -1, q) if q else 1
+    y = (1 - x * p) // q if q else 0
+    return ((x, y), (-q, p)), ((p, -y), (q, x))
+
+
+class FareyBlock(NamedTuple):
+    """One continued-fraction block of a minimal path: the vertices
+    start + j * step for j = 0, ..., edges, as integer vectors (num, den).
+
+    All of them are Farey neighbours of the slope of step, and a block
+    ends where the next block starts.
+    """
+
+    start: tuple
+    step: tuple
+    edges: int
+
+
+def _frame(a: tuple, b: tuple):
+    """b's image (num, den), den > 0, in the frame where the minimal
+    clockwise path from a to b starts at infinity, and the matrix that
+    carries the frame's vertices back: the inverse of
+    ``_normalizing_matrix`` of a.
+
+    The endpoints are reduced vectors (num, den), den > 0, or (1, 0) for
+    infinity; any other pair raises ValueError, since the frame of an
+    unreduced vector is not the frame of its slope."""
+    for num, den in (a, b):
+        if not (den > 0 and math.gcd(num, den) == 1 or (num, den) == (1, 0)):
+            raise ValueError(f"slope vector ({num}, {den}) is not reduced: needs "
+                             "den > 0 and gcd(num, den) = 1, or (1, 0) for infinity")
+    if a == b:
+        raise ValueError("minimal path needs distinct endpoints")
+    m, back = _normalizing_matrix(*a)
+    num, den = _mul(m, b)
+    if den < 0:
+        num, den = -num, -den
+    return (num, den), back
+
+
+def _runs(num: int, den: int):
+    """Each continued-fraction block of the minimal path from infinity
+    clockwise to num/den (den > 0), as (edges, turn): its number of
+    edges, and the turn at its last vertex (0 after the last block).
+
+    Along the path every vertex y, with neighbours x before and z after,
+    satisfies z = a y - x, where a = |det(x, z)| >= 2 is its turn; turns
+    of 2 continue a block (z - y = y - x) and larger ones start the next.
+    After infinity and floor(num/den) + 1, the turns are the terms of
+    -den/u's negative continued fraction, negated, for u = num mod den:
+    ``neg_cf_runs`` gives a run of turns of 2 as one entry, so this takes
+    O(log den) steps however many vertices the path has.
+    """
+    u = num % den
+    edges = 1
+    for term, m in neg_cf_runs(-den, u) if u else ():
+        if term == -2:
+            edges += m
+        else:
+            yield edges, -term
+            edges = 1
+    yield edges, 0
+
+
+def minimal_path_blocks(a: tuple, b: tuple) -> list:
+    """Continued-fraction blocks of the minimal Farey path from a
+    clockwise to b, in O(log) of the endpoints: the reference that the
+    merge cascade reads.  Each endpoint is a reduced vector (num, den):
+    den > 0, or (1, 0) for infinity.
+
+    All intermediate vertices lie strictly inside the clockwise arc from
+    a to b, and among such paths this one has the fewest edges.  The
+    blocks are placed from ``_runs`` in the path's ``_frame`` and carried
+    back by a determinant +1 map, which keeps arithmetic progressions."""
+    (num, den), back = _frame(a, b)
+    # infinity as (-1, 0), so that det(v_i, v_{i+1}) = -1 along the path
+    start, step = (-1, 0), (num // den + 1, 1)
+    blocks = []
+    for edges, turn in _runs(num, den):
+        blocks.append(FareyBlock(_mul(back, start), _mul(back, step), edges))
+        # from the block's last vertex y, the next step is z - y = (turn - 2) y + step
+        start = (start[0] + edges * step[0], start[1] + edges * step[1])
+        step = ((turn - 2) * start[0] + step[0], (turn - 2) * start[1] + step[1])
+    return blocks
+
+
 def minimal_path(a: tuple, b: tuple, direction: str = CLOCKWISE):
     """The vertices of the minimal path from a to b in ``direction``, from
-    ``farey.minimal_path_blocks`` (reflected, for an anticlockwise path)."""
+    ``minimal_path_blocks`` (reflected, for an anticlockwise path)."""
     blocks = minimal_path_blocks(*clockwise_ends(a, b, direction))
     path = [vec(*blocks[0].start)]
     for (sn, sd), (wn, wd), edges in blocks:
@@ -492,9 +601,9 @@ def sign_class_count(vertices, unsigned_positions) -> int:
 
 def _edges(a: tuple, b: tuple) -> list:
     """The edge count of each block of the minimal clockwise path from a
-    to b, reduced vectors as ``farey.minimal_path_blocks`` takes them,
-    read off ``farey._runs`` in the path's frame with no vertex built."""
-    return [edges for edges, _ in farey._runs(*farey._frame(a, b)[0])]
+    to b, reduced vectors as ``minimal_path_blocks`` takes them, read off
+    ``_runs`` in the path's frame with no vertex built."""
+    return [edges for edges, _ in _runs(*_frame(a, b)[0])]
 
 
 def _classes(edges: list, first: int, last: int) -> int:
@@ -513,6 +622,21 @@ def _classes(edges: list, first: int, last: int) -> int:
         if end > start:
             total *= end - start + 1
     return total
+
+
+def honda_product(p: int, q: int) -> int:
+    """``farey.count_tight_lens_pq`` as Honda's product of -c - 1 over the
+    terms c of ``neg_cf_runs(-p, q)``, the runs of -2 skipped (each a
+    factor 1), coprimality by ``math.gcd``: the same values and the same
+    errors for any int p and q."""
+    if p < 1:
+        raise ValueError("lens space needs p >= 1")
+    q %= p
+    if p == 1:
+        return 1
+    if q == 0 or math.gcd(p, q) != 1:
+        raise ValueError(f"L({p},{q}) is not a lens space")
+    return math.prod(-c - 1 for c, _ in neg_cf_runs(-p, q) if c != -2)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,7 +1187,7 @@ def path_from_infinity(target: Fraction):
 
 def minimal_path_vertexwise(a: tuple, b: tuple, direction: str = CLOCKWISE):
     """The vertices of the minimal path from a to b in ``direction``, the
-    reference for ``farey.minimal_path_blocks``, built vertex by vertex:
+    reference for ``minimal_path_blocks``, built vertex by vertex:
     move a to infinity, take the greedy path there, and move it back."""
     if direction == ANTICLOCKWISE:
         return [neg(v) for v in minimal_path_vertexwise(neg(a), neg(b), CLOCKWISE)]
@@ -1080,7 +1204,7 @@ def minimal_path_bfs(a: tuple, b: tuple, direction: str = CLOCKWISE):
     """The minimal path from a to b in ``direction`` and the number of
     minimal paths, by breadth-first search over the reduced slopes inside
     the arc with numerator and denominator at most twice the ends'.  The
-    small-denominator reference for ``farey.minimal_path_blocks``: it uses
+    small-denominator reference for ``minimal_path_blocks``: it uses
     no continued fraction, so it also checks that the path has the fewest
     edges and is the only one that does."""
     if direction == ANTICLOCKWISE:

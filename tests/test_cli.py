@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from contactsurg import cli
 from contactsurg.cli import json_text, main
 from contactsurg.surgery import LegendrianData
-from oracles import listed_convert
+from oracles import cs_set_by_search, listed_convert
 
 
 def run(capsys, *argv):
@@ -234,6 +234,17 @@ class TestCsSetCommand:
         assert code == 0
         parsed = json.loads(out)
         assert json.dumps(parsed, sort_keys=True, indent=2) == out.strip()
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (7, 2), (7, 3), (12, 5), (40, 11), (40, 39)])
+    def test_text_and_json_are_the_searched_members(self, capsys, p, q):
+        for bound in (1, p, 2 * p + 1, 200):
+            members = [str(s) for s in cs_set_by_search(p, q, bound)]
+            inputs = {"p": p, "q": q, "bound": bound}
+            want = json.dumps(cli.envelope("cs-set", inputs, {"members": members}),
+                              sort_keys=True, indent=2) + "\n"
+            args = ("cs-set", str(p), str(q), "--bound", str(bound))
+            assert run(capsys, *args) == (0, ", ".join(members) + "\n", "")
+            assert run(capsys, *args, "--json") == (0, want, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,25 +3,28 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactsurg.farey import FareyBlock, count_tight_lens_pq, minimal_path_blocks
+from contactsurg.farey import count_tight_lens_pq
 from contactsurg.slopes import canonical_slope
 from oracles import (
     ANTICLOCKWISE,
     CLOCKWISE,
     INF,
     DecoratedFareyPath,
+    FareyBlock,
     _classes,
     _det,
     _edges,
     cf_blocks,
     clockwise_ends,
     decorated_path_key,
+    honda_product,
     in_clockwise_arc,
     is_edge,
     minimal_path,
+    minimal_path_blocks,
     minimal_path_bfs,
     minimal_path_vertexwise,
     neg_cf_terms,
@@ -123,6 +126,7 @@ class TestBlockRoute:
         # that walks the terms hangs on p = 10^12
         assert count_tight_lens_pq(200001, 1) == 200000
         assert count_tight_lens_pq(10**12, 10**12 - 1) == 1
+        assert count_tight_lens_pq(10**18 + 1, 10**18) == 1
         assert count_tight_lens_pq(10**12, 1) == 10**12 - 1
         blocks = minimal_path_blocks(vec(-(10**12)), vec(0))
         assert [blk.edges for blk in blocks] == [10**12]
@@ -374,6 +378,41 @@ class TestCounts:
         if q == 0 or math.gcd(p, q) != 1:
             return
         assert count_tight_lens_pq(p, q) == _classes(_edges((-p, q), (0, 1)), 1, 1)
+
+    @given(p=st.integers(max_value=10**40), q=st.integers())
+    @example(p=10**18 + 1, q=10**18)  # one run of 10^18 terms -2: one step
+    @example(p=1000, q=1)  # the (p, 1) ladder of perfbench's farey workload
+    @example(p=3000, q=1)
+    @example(p=10000, q=1)
+    @example(p=30000, q=1)
+    @example(p=60000, q=1)
+    @example(p=200001, q=1)  # and its longest pair
+    @example(p=1, q=0)  # S^3
+    @example(p=1, q=-7)
+    @example(p=5, q=0)  # q = 0 (mod p)
+    @example(p=5, q=-10)
+    @example(p=4, q=2)  # not coprime
+    @example(p=6, q=4)
+    @example(p=0, q=1)  # p < 1
+    @settings(max_examples=500, deadline=None)
+    def test_fused_count_is_the_product_over_runs(self, p, q):
+        # the one-pass Euclid against Honda's product over neg_cf_runs with
+        # math.gcd: the same value, or the same error type and text
+        def outcome(count):
+            try:
+                return count(p, q)
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(count_tight_lens_pq) == outcome(honda_product)
+
+    def test_pairs_that_are_no_lens_space_are_refused(self):
+        for p, q in ((4, 2), (6, 4), (9, 6), (10**30, 10**15), (7, 0), (7, 14)):
+            with pytest.raises(ValueError, match=rf"^L\({p},{q % p}\) is not a lens space$"):
+                count_tight_lens_pq(p, q)
+        with pytest.raises(ValueError, match="lens space needs p >= 1"):
+            count_tight_lens_pq(0, 1)
+        assert count_tight_lens_pq(1, 0) == count_tight_lens_pq(1, 5) == 1
 
     def test_lens_pq_builds_no_slope_and_no_block(self, monkeypatch):
         # no rational slope (a Fraction) and no FareyBlock

@@ -782,6 +782,25 @@ class TestKernelAgainstSympy:
         assert not kernel_negative_definite([[-1, 0], [0, 0]])
         assert kernel_negative_definite([])
 
+    @pytest.mark.parametrize("a, b", [
+        ([1, 1, 2], [1, 1]),  # thetas 1, 1, 0, -1
+        ([0, 0], [1]),  # 1, 0, -1
+        ([0, 3, 0, -2], [1, 2, 1]),  # 1, 0, -1, 0, 1
+        ([1, 1, 1, 1, 0], [1, 1, 1, 1]),  # 1, 1, 0, -1, -1, 1
+        ([-1, -1, -2, 0, 1], [1, 1, 1, 2]),  # 1, -1, 0, 1, 0, -4
+    ])
+    def test_interior_zero_leading_minors(self, a, b):
+        # a zero theta between thetas of opposite sign, read as a sign,
+        # gives the kernel sympy's inertia and adjugate
+        theta = linalg.leading_determinants(a, [x * x for x in b])
+        assert 0 in theta[1:-1] and theta[-1]
+        m = linalg.dense(linalg._rows(linalg._Path(a, b, 0, 0)))
+        det, sigma, adj = linalg.adjugate_block(linalg._Path(a, b, 0, 0), range(len(a)))
+        ref = sympy.Matrix(m)
+        assert (det, sigma) == (ref.det(), sympy_signature(m))
+        assert [list(row) for row in adj] == \
+            DomainMatrix.from_Matrix(ref).adjugate().to_Matrix().tolist()
+
 
 class TestCongruence:
     def test_integer_only_and_independent(self, monkeypatch):

@@ -13,8 +13,8 @@ from contactsurg.slopes import (
     neg_cf_runs,
     parse_slope,
 )
-from oracles import (INF, expand_runs, neg_cf_terms, neg_cf_value, rolfsen_twist,
-                     same_lens_space, vec)
+from oracles import (INF, cs_set_by_search, expand_runs, neg_cf_terms, neg_cf_value,
+                     rolfsen_twist, same_lens_space, vec)
 
 
 def runs_expanded(r) -> list:
@@ -168,6 +168,21 @@ class TestCosmeticSlopeSet:
         qbar = pow(2, -1, 7)
         for s in cs_set(7, 2, 40):
             assert canonical_slope(s) in (Fraction(-7, 2), Fraction(-7, qbar))
+
+    def test_every_canonical_slope_matches_the_search(self):
+        # every canonical -p/q with p <= 40, at bounds around p and at 200
+        for p in range(1, 41):
+            for q in range(1, p + 1):
+                if math.gcd(p, q) == 1 and (q < p or p == 1):
+                    for bound in {1, 2, p - 1, p, p + 1, 2 * p + 1, 200} - {0}:
+                        assert cs_set(p, q, bound) == cs_set_by_search(p, q, bound)
+
+    @given(p=st.integers(1, 10**6), q=st.integers(1, 10**6), bound=st.integers(1, 3000))
+    @settings(max_examples=100, deadline=None)
+    def test_large_p_matches_the_search(self, p, q, bound):
+        q = q % p or p
+        if math.gcd(p, q) == 1:
+            assert cs_set(p, q, bound) == cs_set_by_search(p, q, bound)
 
     def test_non_canonical_rejected(self):
         with pytest.raises(SlopeError):

@@ -27,7 +27,7 @@ def _loaded(tree):
 
 
 def test_public_names_resolve_and_stay_few():
-    assert len(contactsurg.__all__) <= 17
+    assert len(contactsurg.__all__) <= 16
     assert len(set(contactsurg.__all__)) == len(contactsurg.__all__)
     for name in contactsurg.__all__:
         assert getattr(contactsurg, name) is not None
@@ -51,7 +51,7 @@ def test_library_example_runs_as_its_comments_say():
             values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
-    assert values == [{1, -3}, {0, 2, 4, 6}, 3, [((5, -2), (-3, 1), 1), ((2, -1), (-1, 0), 1)],
+    assert values == [{1, -3}, {0, 2, 4, 6}, 3,
                       {"closed forms": 2686, "d3 regressions": 24, "obstruction scan": 144}]
 
 
