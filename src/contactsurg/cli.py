@@ -22,7 +22,8 @@ from fractions import Fraction
 from . import __version__, regressions
 from .cosmetic import unknot_classify
 from .invariants import d3_records, ratio_text
-from .slopes import SlopeError, cs_set, parse_slope
+from .linalg import _band, _Path
+from .slopes import SlopeError, _cs_set_dens, parse_slope
 from .surgery import LegendrianData
 
 
@@ -39,35 +40,26 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 _INT_TEXTS = {i: str(i) for i in range(-256, 257)}  # the texts of small ints, made once
 
 
-class _SparseRows(tuple):
-    """Sparse rows of an n x n matrix, row i the dict {j: x} of its
-    nonzeros with 0 <= j < n (``SurgeryPresentation.rows``, built from
-    its path)."""
-
-
-def _row(row, n, head, sep, tail, text=int.__repr__):
-    """head + the n entries of the sparse ``row`` joined by sep + tail: only
-    the nonzeros go through ``text``, and a run of zeros is one repeated string."""
-    zero, pieces, k = text(0) + sep, [head], 0
-    for j in sorted(row):
-        if type(row[j]) is not int:  # not isinstance: True is no matrix entry
-            raise TypeError(f"Object of type {type(row[j]).__name__} is not JSON serializable")
-        pieces += (zero * (j - k), text(row[j]), sep)
-        k = j + 1
-    if k == n:
-        pieces[-1] = tail
-    else:
-        pieces += (zero * (n - 1 - k), text(0), tail)
-    return "".join(pieces)
+def _row(path, i, head, sep, tail, text=int.__repr__):
+    """head + the n entries of row i of the ``_Path`` ``path`` joined by sep
+    + tail: only the band (``linalg._band``) goes through ``text``, and each
+    run of zeros around it is one repeated string."""
+    start, entries = _band(path, i)
+    for x in entries:
+        if type(x) is not int:  # not isinstance: True is no matrix entry
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    zero = text(0)
+    return (head + (zero + sep) * start + sep.join(map(text, entries))
+            + (sep + zero) * (len(path.a) - start - len(entries)) + tail)
 
 
 def json_text(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, where a
-    ``_SparseRows`` stands for its dense rows.
+    ``linalg._Path`` stands for the dense rows of its form.
 
     The stdlib drops its C encoder when ``indent`` is set, and its Python
     encoder then writes a matrix one token at a time.  Here each row of a
-    ``_SparseRows`` is one ``_row`` string, and a list whose elements are
+    ``_Path`` is one ``_row`` string, and a list whose elements are
     all exactly ``int`` is one join in which only large ints go through
     ``str`` (``_ints``); a dict writes its str, int, bool and None values
     and its int lists in place (``_fields``), and a list of dicts writes
@@ -144,7 +136,8 @@ def _write(obj, newline, out, spans):
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, (list, tuple)):
-        if not obj:
+        form = type(obj) is _Path  # written as its dense rows
+        if not (obj.a if form else obj):
             out.append("[]")
             return
         kinds = set(map(type, obj))
@@ -158,10 +151,10 @@ def _write(obj, newline, out, spans):
         inner = newline + "  "
         start, sep = len(out), "," + inner
         lead, last = "[" + inner, out  # no element is the output list
-        if type(obj) is _SparseRows:  # one piece per row
+        if form:  # one piece per row
             entry = inner + "  "
-            for row in obj:
-                out.append(_row(row, len(obj), lead + "[" + entry, "," + entry, inner + "]"))
+            for i in range(len(obj.a)):
+                out.append(_row(obj, i, lead + "[" + entry, "," + entry, inner + "]"))
                 lead = sep
         elif kinds == {dict}:  # one pass; the sorted keys once per key set
             order = {}
@@ -215,12 +208,13 @@ def emit(report: dict, as_json: bool, lines) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _d3_lines(pres, results, matrix, spectrum):
+def _d3_lines(pres, results, spectrum):
     """Text report of ``cmd_d3``, produced only when it is printed; the
-    framings of ``pres`` and the shared matrix's rows made once, for
-    every entry of ``results``, the spectrum in numeric order."""
-    head = f"presentation: framings {pres.path.a} (l = {pres.l})"
-    rows = [_row(row, len(matrix), "  ", " ", "", "{:4d}".format) for row in matrix]
+    framings of ``pres`` and its form's rows made once, for every entry
+    of ``results``, the spectrum in numeric order."""
+    path = pres.path
+    head = f"presentation: framings {path.a} (l = {pres.l})"
+    rows = [_row(path, i, "  ", " ", "", "{:4d}".format) for i in range(len(path.a))]
     for res in results:
         yield head
         yield from rows
@@ -249,7 +243,6 @@ def cmd_d3(args) -> int:
     value = {num: {**head, "c_squared": ratio_text(num, plan.det), "d3": ratio_text(a, b)}
              for num, (a, b) in pairs.items()}
     values = [{"rotations": list(r), **value[num]} for r, num in zip(plan.rotations(0), nums)]
-    matrix = _SparseRows(pres.rows)  # written once
     # the l push-offs share one dict, the chain rows of one framing one, and
     # the stabilized push-off, if there is one, has a dict per rotation number
     pushoffs = [{"role": "pushoff", "tb": pres.base_tb, "rot": pres.base_rot, "sign": 1}] * l
@@ -259,13 +252,13 @@ def cmd_d3(args) -> int:
     stabilized = ([[{"role": "pushoff", "tb": framings[l] + 1, "rot": r, "sign": -1}]
                    for r in pres.choices[l]] if pins > l else [[]])
     results = [{"presentation": {"components": pushoffs + one + tail, "l": l},
-                "matrix": matrix, "values": run}
+                "matrix": pres.path, "values": run}  # one path, written once
                for one, run in zip(stabilized, plan.runs(values))]
     spectrum = set(pairs.values())
     report = envelope("d3", {"tb": args.tb, "rot": args.rot, "smooth_slope": str(smooth)},
                       {"presentations": results,
                        "spectrum": sorted(ratio_text(a, b) for a, b in spectrum)})
-    emit(report, args.json, _d3_lines(pres, results, matrix, spectrum))
+    emit(report, args.json, _d3_lines(pres, results, spectrum))
     return 0
 
 
@@ -275,7 +268,10 @@ def _cs_set_lines(members):
 
 
 def cmd_cs_set(args) -> int:
-    members = [str(s) for s in cs_set(args.p, args.q, args.bound)]
+    p = args.p
+    # -p/q' is in lowest terms: q' is q or its inverse mod p, plus a multiple of p
+    members = [f"-{p}/{d}" if d > 1 else f"{p}/{-d}" if d < -1 else str(-p * d)
+               for d in _cs_set_dens(p, args.q, args.bound)]
     report = envelope("cs-set", {"p": args.p, "q": args.q, "bound": args.bound},
                       {"members": members})
     emit(report, args.json, _cs_set_lines(members))

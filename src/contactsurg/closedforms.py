@@ -117,12 +117,12 @@ class _Report:
         self.checks = 0
         self.mismatches = []
 
-    def record(self, name, context, expected, actual, pres=None):
+    def record(self, name, context, expected, actual, path=None):
         self.checks += 1
         if expected != actual:
-            self._mismatch(name, context, expected, actual, pres)
+            self._mismatch(name, context, expected, actual, path)
 
-    def ratio(self, name, context, expected, actual, pres=None, entry=None):
+    def ratio(self, name, context, expected, actual, path=None, entry=None):
         """Check a rational ``expected`` (int or Fraction) against the
         exact quotient ``actual`` = (num, den), by cross-multiplication; a
         mismatch's context gains the table ``entry`` if one is given."""
@@ -131,17 +131,17 @@ class _Report:
         if expected.numerator * den != num * expected.denominator:
             if entry is not None:
                 context = {**context, "entry": entry}
-            self._mismatch(name, context, expected, Fraction(num, den), pres)
+            self._mismatch(name, context, expected, Fraction(num, den), path)
 
-    def _mismatch(self, name, context, expected, actual, pres):
+    def _mismatch(self, name, context, expected, actual, path):
         entry = {
             "check": name,
             "context": context,
             "expected": str(expected),
             "actual": str(actual),
         }
-        if pres is not None:
-            entry["matrix"] = linalg.dense(pres.rows)
+        if path is not None:
+            entry["matrix"] = linalg.dense(path)
         self.mismatches.append(entry)
 
     def as_dict(self):
@@ -153,12 +153,12 @@ class _Report:
 
 
 def _form(tb, smooth_slope):
-    """The presentation of (tb, smooth_slope), for the report of a form
-    without a plan, built as the plans build theirs
+    """The path of the form of (tb, smooth_slope), for the report of a
+    form without a plan, built as the plans build theirs
     (``invariants._presentation``)."""
     knot = LegendrianData(tb, rot_range(tb)[0])
     p, q = smooth_slope.numerator, smooth_slope.denominator
-    return invariants._presentation(knot, p - tb * q, q)
+    return invariants._presentation(knot, p - tb * q, q).path
 
 
 def _names(tag):
@@ -196,19 +196,19 @@ def _family(rep, names, context, top, smooth_slope, plans, entries=(), negdef=Fa
         rep._mismatch(names["slope"], context, f"a form of slope {smooth_slope}", exc,
                       _form(knot.tb, smooth_slope))
         return None
-    pres = plan.presentation
-    n = len(pres.path.a)
+    path = plan.presentation.path
+    n = len(path.a)
     if names["det"] in f:
-        rep.record(names["det"], context, f[names["det"]](*args), plan.det, pres)
+        rep.record(names["det"], context, f[names["det"]](*args), plan.det, path)
     if negdef:
-        rep.record(names["negdef"], context, True, plan.sigma == -n, pres)
-    rep.record(names["sigma"], context, f[names["sigma"]](*args), plan.sigma, pres)
+        rep.record(names["negdef"], context, True, plan.sigma == -n, path)
+    rep.record(names["sigma"], context, f[names["sigma"]](*args), plan.sigma, path)
     for name, row, col in entries:
         if max(row, col) < n:
-            rep.ratio(name, context, f[name](*args), _inverse(plan, row, col), pres)
+            rep.ratio(name, context, f[name](*args), _inverse(plan, row, col), path)
     for row, line in enumerate(table):
         for col, value in enumerate(line):
-            rep.ratio(names["q"], context, value, _inverse(plan, row, col), pres,
+            rep.ratio(names["q"], context, value, _inverse(plan, row, col), path,
                       entry=(row + 1, col + 1))
     return plan, shifts
 
@@ -240,7 +240,7 @@ def _csq(rep, name, family, read, check, context):
             for v, want, num in zip(plan.rotations(d), check(form, args, (d,), 1), shifted):
                 if want * det != num:
                     rep._mismatch(name, context(v), want, Fraction(num, det),
-                                  plan.presentation)
+                                  plan.presentation.path)
     rep.checks += len(nums)
 
 

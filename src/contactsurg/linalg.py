@@ -23,9 +23,9 @@ kernel's determinant.  That polynomial is a continuant along the kept
 path, seeded on a clique head by the matrix determinant lemma, in
 O(m^2) integer operations for the m rows left.
 
-Sparse rows, row i the dict {j: x} of its nonzeros, exist only for
-reports: ``_rows`` builds them from a path, once per presentation
-(``SurgeryPresentation.rows``), and ``dense`` dense rows from them.
+Row i of a path is one band of entries, read by ``_band``: the report
+writes a form's rows from it, ``dense`` builds dense rows from it for
+mismatch provenance, and ``_check_basis`` reads the head's rows with it.
 """
 
 from __future__ import annotations
@@ -47,11 +47,6 @@ class KernelCheckError(RuntimeError):
     """A self-check of the path kernel failed; internal error."""
 
 
-def dense(rows):
-    """The dense rows, as lists, of sparse ``rows``."""
-    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
-
-
 class _Path(NamedTuple):
     """A symmetric Q of the one shape the kernel takes, as lists: its
     diagonal a, its links b from i to i+1, the size h of the clique head E
@@ -66,20 +61,25 @@ class _Path(NamedTuple):
     c: int
 
 
-def _rows(path):
-    """The sparse rows of the ``_Path`` ``path``, for reports: the head's
-    rows, then the band's links after it, with no stored 0."""
+def _band(path, i):
+    """(start, entries): row i of the symmetric Q of the ``_Path`` ``path``
+    is 0 but for ``entries`` from column start on.  A head row is c with
+    a_i on the diagonal, and the last one links the path after it by
+    b_(h-1); a path row is b_(i-1), a_i, b_i."""
     a, b, h, c = path
-    rows = [dict.fromkeys(range(h), c) for _ in range(h)] + [{} for _ in range(len(a) - h)]
-    for i, (row, x) in enumerate(zip(rows, a)):
-        if x:
-            row[i] = x
-        elif i < h:
-            del row[i]
-    for i in range(max(h - 1, 0), len(b)):
-        if b[i]:
-            rows[i][i + 1] = rows[i + 1][i] = b[i]
-    return tuple(rows)
+    if i < h:
+        row = [c] * h + (b[h - 1:h] if i == h - 1 else [])
+        row[i] = a[i]
+        return 0, row
+    start = max(i - 1, 0)
+    return start, b[start:i] + [a[i]] + b[i:i + 1]
+
+
+def dense(path):
+    """The dense rows, as lists, of the ``_Path`` ``path``."""
+    n = len(path.a)
+    return [[0] * start + entries + [0] * (n - start - len(entries))
+            for start, entries in (_band(path, i) for i in range(n))]
 
 
 def leading_determinants(a, w):
@@ -165,16 +165,12 @@ def _path_kernel(path, cols):
 def _check_basis(path, a, b):
     """Raises KernelCheckError unless row i of E Q E^T is row i of the
     path (a, b) for each head row i < h of the Q of ``path``, on columns
-    0..h.  E Q E^T there is Q's dense head rows, each row i <= h - 3 less
-    the next, then each column j <= h - 3 less the next: O(h^2), in list
-    operations."""
-    d, link, h, c = path
-    m = min(h + 1, len(d))
-    q = [[c] * h + [0] * (m - h) for _ in range(h)]
-    for i in range(h):
-        q[i][i] = d[i]
-    if m > h:
-        q[h - 1][h] = link[h - 1]
+    0..h.  E Q E^T there is Q's head rows (``_band``), each row i <= h - 3
+    less the next, then each column j <= h - 3 less the next: O(h^2), in
+    list operations."""
+    h = path.h
+    m = min(h + 1, len(path.a))
+    q = [row + [0] * (m - len(row)) for row in (_band(path, i)[1] for i in range(h))]
     for i, row in enumerate([list(map(sub, x, y)) for x, y in zip(q, q[1:h - 1])] + q[h - 2:]):
         got = list(map(sub, row[:h - 2], row[1:h - 1])) + row[h - 2:]
         want = [0] * m

@@ -108,13 +108,8 @@ def lens_parameters(r: Fraction):
     return (abs(a), (b if a < 0 else -b) % abs(a))
 
 
-def cs_set(p: int, q: int, den_bound: int):
-    """Surgery coefficients on the unknot giving the lens space of -p/q.
-
-    For canonical -p/q the set consists of -p/(q + np) and -p/(qbar + np)
-    over all integers n, where qbar inverts q mod p.  The set is
-    infinite; returns its members -p/q' with 0 < |q'| <= den_bound, as
-    Fractions sorted by value.
+def _cs_set_dens(p: int, q: int, den_bound: int) -> list:
+    """The q' of the members -p/q' of ``cs_set``, in its order, as ints.
 
     The q' are the residue classes of q and qbar mod p, two ascending
     progressions on each side of 0, merged as ints.  -p/q' increases
@@ -133,4 +128,15 @@ def cs_set(p: int, q: int, den_bound: int):
                                       for s in starts))
     dens += sorted(chain.from_iterable(range(-den_bound + (s + den_bound) % p, 0, p)
                                        for s in starts))
-    return [Fraction(-p, d) for d in dens]
+    return dens
+
+
+def cs_set(p: int, q: int, den_bound: int):
+    """Surgery coefficients on the unknot giving the lens space of -p/q.
+
+    For canonical -p/q the set consists of -p/(q + np) and -p/(qbar + np)
+    over all integers n, where qbar inverts q mod p.  The set is
+    infinite; returns its members -p/q' with 0 < |q'| <= den_bound, as
+    Fractions sorted by value (``_cs_set_dens`` lists the q').
+    """
+    return [Fraction(-p, d) for d in _cs_set_dens(p, q, den_bound)]

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
-from .linalg import _Path, _rows
+from .linalg import _Path
 from .slopes import SlopeError, neg_cf_runs
 
 
@@ -59,9 +58,8 @@ class SurgeryPresentation:
     linking form, the rotation numbers each row may take, ``pinned`` 1 on
     the push-offs (the first rows) and 0 on the chain, the count l of
     contact (+1) components (the first l) and the knot's tb and rot.
-    ``rows`` are built from the path on first use: only reports that
-    write the matrix ask for them, and ``linalg.dense`` makes dense rows
-    at the edge."""
+    Reports write the matrix straight from the path, row by row
+    (``linalg._band``)."""
 
     path: _Path
     choices: list
@@ -69,10 +67,6 @@ class SurgeryPresentation:
     l: int
     base_tb: int
     base_rot: int
-
-    @cached_property
-    def rows(self) -> tuple:
-        return _rows(self.path)
 
 
 def rot_range(tb: int) -> list:

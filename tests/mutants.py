@@ -154,6 +154,11 @@ MUTANTS = [
      "signs = [t > 0 for t in theta]",
      "signs = [t > 0 for t in theta[1:]]",
      (_SIGNATURES, _KERNEL)),
+    ("band_last_head_row_unlinked", "linalg.py",
+     "row = [c] * h + (b[h - 1:h] if i == h - 1 else [])",
+     "row = [c] * h",
+     (_D3_DIGEST, "tests/test_cli.py::TestJsonText::test_paths_equal_json_dumps_of_dense_rows",
+      "tests/test_linalg.py::TestDense::test_rows_are_the_form_entry_by_entry")),
     ("report_stabilized_push_off_tb_unstabilized", "cli.py",
      '"tb": framings[l] + 1,',
      '"tb": framings[l],',

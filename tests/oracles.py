@@ -723,8 +723,8 @@ def tbk_two_matrix(k: int, sign: int):
 
 
 def sparse(rows):
-    """The sparse rows of a square matrix given as dense rows; the inverse
-    of ``linalg.dense``."""
+    """The sparse rows of a square matrix given as dense rows, such as the
+    rows ``linalg.dense`` makes of a path."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
@@ -749,7 +749,7 @@ def read(rows, name="matrix"):
     """The ``linalg._Path`` of sparse ``rows``, checked by
     ``check_symmetric`` (``name`` names the matrix in its errors): h is 0
     when the nonzeros are those of the band.  Any other shape raises
-    ValueError.  ``linalg._rows`` is its inverse."""
+    ValueError.  ``read(sparse(linalg.dense(path)))`` is ``path``."""
     check_symmetric(rows, name)
     a = [row.get(i, 0) for i, row in enumerate(rows)]
     b = [rows[i].get(i + 1, 0) for i in range(len(rows) - 1)]
@@ -1489,7 +1489,7 @@ def csq_by_vector(rep, name, family, value, context):
             want = value(form, v, d)
             if want * det != num:
                 rep._mismatch(name, context(shifted), want, Fraction(num, det),
-                              plan.presentation)
+                              plan.presentation.path)
         rep.checks += len(nums)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactsurg import cli
+from contactsurg import cli, linalg
 from contactsurg.cli import json_text, main
 from contactsurg.surgery import LegendrianData
 from oracles import cs_set_by_search, listed_convert
@@ -318,20 +318,27 @@ _SHARED = [[1, 2], [None, "x", [0, 3]], [], {"k": [True]}]
 
 
 @st.composite
-def _sparse_matrices(draw):
-    """A ``_SparseRows`` of n <= 9 rows with nonzeros (and now and then a
-    stored 0) anywhere, big and negative ones among them; n = 0 and empty
-    rows included."""
-    n = draw(st.integers(0, 9))
+def _paths(draw):
+    """A ``linalg._Path`` of n <= 9 rows: a path, or a clique head of h >= 3
+    rows with one link c, 0 included, and a path after it; zero diagonals
+    and links, big and negative entries among them, and n = 0 and 1."""
     entries = st.one_of(st.integers(-3, 3), st.sampled_from([10**40, -10**40, -2**63]))
-    return cli._SparseRows(draw(st.dictionaries(st.integers(0, n - 1), entries, max_size=n))
-                           for _ in range(n))
+    n = draw(st.integers(0, 9))
+    h = draw(st.sampled_from([0, *range(3, n + 1)]))
+    c = draw(entries) if h else 0
+    links = max(n - 1, 0) - max(h - 1, 0)
+    b = [c] * max(h - 1, 0) + draw(st.lists(entries, min_size=links, max_size=links))
+    return linalg._Path(draw(st.lists(entries, min_size=n, max_size=n)), b, h, c)
 
 
 def _dense(tree):
-    """``tree`` with each ``_SparseRows`` replaced by its dense rows."""
-    if isinstance(tree, cli._SparseRows):
-        return [[row.get(j, 0) for j in range(len(tree))] for row in tree]
+    """``tree`` with each ``linalg._Path`` replaced by its dense rows, entry
+    (i, j) read off the path: a_i on the diagonal, c inside the head, else
+    b_min(i, j) next to the diagonal and 0 off it."""
+    if type(tree) is linalg._Path:
+        a, b, h, c = tree
+        return [[a[i] if i == j else c if max(i, j) < h else b[min(i, j)] if abs(i - j) == 1
+                 else 0 for j in range(len(a))] for i in range(len(a))]
     if isinstance(tree, (list, tuple)):
         return [_dense(x) for x in tree]
     if isinstance(tree, dict):
@@ -340,17 +347,18 @@ def _dense(tree):
 
 
 _MATRIX_TREES = st.recursive(
-    st.one_of(_sparse_matrices(), _JSON_TREES),
+    st.one_of(_paths(), _JSON_TREES),
     lambda children: st.one_of(st.lists(children, max_size=3),
                                st.dictionaries(_TEXT, children, max_size=3),
                                st.lists(st.tuples(children, st.integers(1, 3)),
                                         max_size=3).map(_runs)),
     max_leaves=8)
 
-# a 5 x 5 matrix with an empty row and nonzeros in the first and last
-# columns, placed twice at one indent and once at another
-_MATRIX = cli._SparseRows([{0: -7, 4: 10**30}, {}, {2: 1}, {0: 1, 1: -1, 2: 2, 3: -3, 4: 4},
-                           {4: -10**40}])
+# a 5 x 5 path with a zero diagonal and a zero link, and a clique head
+# of three rows with zero diagonals and a zero link to the path after it,
+# each placed twice at one indent and once at another
+_PATH = linalg._Path([-7, 0, 1, 2, -10**40], [10**30, 0, -1, 4], 0, 0)
+_HEAD = linalg._Path([0, 0, 0, 5, 10**40], [-1, -1, 0, 3], 3, -1)
 
 
 class TestJsonText:
@@ -394,27 +402,37 @@ class TestJsonText:
         assert len(calls) == once + 1
 
     @given(_MATRIX_TREES)
-    @example(cli._SparseRows())
-    @example(cli._SparseRows([{}]))
-    @example(cli._SparseRows([{0: -5}]))
-    @example({"a": cli._SparseRows([{}, {}]), "b": [cli._SparseRows([{1: 10**40}, {0: -1}])]})
-    @example(_MATRIX)
-    @example({"a": _MATRIX, "b": _MATRIX, "c": [_MATRIX]})
-    @example([_MATRIX, [_MATRIX], {"k": _MATRIX}, _MATRIX])
-    @example([{"matrix": _MATRIX, "values": [1, 2]}, {"matrix": _MATRIX, "values": []}])
+    @example(linalg._Path([], [], 0, 0))
+    @example(linalg._Path([0], [], 0, 0))
+    @example(linalg._Path([-5], [], 0, 0))
+    @example({"a": linalg._Path([0, 0], [0], 0, 0),
+              "b": [linalg._Path([0, 0], [10**40], 0, 0)]})
+    @example(linalg._Path([1, 2, 3], [0, 0], 3, 0))  # c = 0: a head of zeros off the diagonal
+    @example(_PATH)
+    @example({"a": _PATH, "b": _PATH, "c": [_PATH]})
+    @example([_PATH, [_PATH], {"k": _PATH}, _PATH])
+    @example([{"matrix": _PATH, "values": [1, 2]}, {"matrix": _PATH, "values": []}])
+    @example(_HEAD)
+    @example([_HEAD, {"k": _HEAD}, _HEAD, _PATH])
     @settings(max_examples=300, deadline=None)
-    def test_sparse_rows_equal_json_dumps_of_dense_rows(self, tree):
+    def test_paths_equal_json_dumps_of_dense_rows(self, tree):
         assert json_text(tree) == json.dumps(_dense(tree), sort_keys=True, indent=2)
 
     @given(_shared_subtrees(_MATRIX_TREES))
     @settings(max_examples=100, deadline=None)
-    def test_shared_sparse_rows_equal_json_dumps_of_dense_rows(self, tree):
+    def test_shared_paths_equal_json_dumps_of_dense_rows(self, tree):
         assert json_text(tree) == json.dumps(_dense(tree), sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(0), 0.5, 0.0, True, False])
     def test_inexact_or_bool_sparse_entry_raises(self, value):
-        for rows in ([{0: value}], [{}, {1: 1, 2: value}, {}], [{0: 1}, {0: 2}, {2: value}]):
-            for tree in (cli._SparseRows(rows), {"k": [cli._SparseRows(rows)]}):
+        Path = linalg._Path
+        for path in (Path([value], [], 0, 0),  # in a
+                     Path([1, 2, value], [0, 0], 0, 0),
+                     Path([1, 2, 3], [1, value], 0, 0),  # in b, on a path
+                     Path([0, 0, 0, 1], [2, 2, value], 3, 2),  # in b, after a head
+                     Path([0, 0, 0], [value, value], 3, value),  # in c
+                     Path([1, 1, 1, -2], [value, value, -1], 3, value)):
+            for tree in (path, {"k": [path]}):
                 with pytest.raises(TypeError):
                     json_text(tree)
 
@@ -423,18 +441,19 @@ class TestJsonText:
         # once, in JSON and in text, and the JSON holds the matrix thrice
         rows = []
         write = cli._row
-        monkeypatch.setattr(cli, "_row", lambda row, *args: rows.append(row) or write(row, *args))
+        monkeypatch.setattr(cli, "_row",
+                            lambda path, i, *args: rows.append(i) or write(path, i, *args))
         argv = ["d3", "--tb", "-2", "--rot", "1", "--slope", "-1/40"]
         code, out, _ = run(capsys, *argv, "--json")
         results = json.loads(out)["results"]["presentations"]
         assert code == 0 and len(results) == 3 and out.count('"matrix"') == 3
         n = len(results[0]["matrix"])
         assert results[1]["matrix"] == results[2]["matrix"] == results[0]["matrix"] and n == 40
-        assert len(rows) == len({id(row) for row in rows}) == n
+        assert rows == list(range(n))
         rows.clear()
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.count("presentation:") == 3
-        assert len(rows) == len({id(row) for row in rows}) == n
+        assert rows == list(range(n))
 
     @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {1, 2}])
     def test_inexact_or_unknown_types_raise(self, value):

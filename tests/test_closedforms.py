@@ -105,7 +105,7 @@ class TestFamilies:
                  for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)
                  for m in range(1, 5)]
         for m in mats:
-            assert sparse(linalg.dense(m)) == m
+            assert sparse([[row.get(j, 0) for j in range(len(m))] for row in m]) == m
         for m in mats[:8] + mats[15:]:
             assert check_symmetric(m) == tuple(m)
 
@@ -127,10 +127,10 @@ class TestFamilies:
                           (tbk_positive_matrix(k, n), -k, Fraction(1, n))]
         for family, tb, slope in cases:
             knot = LegendrianData(tb, rot_range(tb)[0])
-            forms = [linalg.dense(listed_linking_matrix(pres).rows)
+            forms = [linalg.dense(read(listed_linking_matrix(pres).rows))
                      for pres in listed_convert(knot, slope - tb)]
             forms.append(linalg.dense(
-                invariants._presentation(knot, *(slope - tb).as_integer_ratio()).rows))
+                invariants._presentation(knot, *(slope - tb).as_integer_ratio()).path))
             assert forms and all(q == [list(row) for row in family] for q in forms), (tb, slope)
 
 
@@ -202,7 +202,7 @@ class TestVerifier:
             pres = _presentation(L, p, q)
             if 0 not in pres.pinned or tbs is not None and pres.base_tb not in tbs:
                 return pres
-            rows = linalg.dense(pres.rows)
+            rows = linalg.dense(pres.path)
             i = pres.pinned.index(0)
             rows[i][i] += delta
             return replace(pres, path=read(sparse(rows)))

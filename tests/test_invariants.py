@@ -112,7 +112,7 @@ class TestSpectra:
         # times), so det = 1 - N and sigma = N - 2; every c1 is 0, and
         # d3 = (-3 sigma - 2 N + 4 l) / 4 = (6 - N) / 4
         plan, _, nums, pairs = d3_records(LegendrianData(-1, 0), Fraction(1, n) - 1)
-        assert dense(plan.presentation.rows) == [[int(i == j) - 1 for j in range(n)]
+        assert dense(plan.presentation.path) == [[int(i == j) - 1 for j in range(n)]
                                                  for i in range(n)]
         assert (plan.det, plan.sigma) == (1 - n, n - 2)
         assert set(nums) == set(pairs) and [Fraction(*ab) for ab in pairs.values()] == \
@@ -139,7 +139,8 @@ def outcome(L, slope, plans=None):
         return type(err), str(err)
     values = [(r, Fraction(num, plan.det), Fraction(*pairs[num]))
               for r, num in zip(plan.rotations(d), nums)]
-    shape = plan.presentation.rows, plan.presentation.l  # equal to the oracle's Form
+    pres = plan.presentation
+    shape = tuple(sparse(dense(pres.path))), pres.l  # equal to the oracle's Form
     return [(shape, run) for run in plan.runs(values)]
 
 
@@ -198,7 +199,7 @@ def oracle_spectrum(L, slope, pair=None):
     try:
         spectrum = set()
         for pres in listed_convert(L, slope - L.tb):
-            rows, l = dense(listed_linking_matrix(pres).rows), pres.l
+            rows, l = dense(read(listed_linking_matrix(pres).rows)), pres.l
             vectors = enumerate_rotations(pres)
             if pair:
                 tb_u, rot_u = pair
@@ -392,7 +393,7 @@ def mutant(change):
     """``_presentation`` with ``change(rows, pinned)`` applied to Q."""
     def build(L, p, q):
         pres = _presentation(L, p, q)
-        rows = dense(pres.rows)
+        rows = dense(pres.path)
         change(rows, pres.pinned)
         return replace(pres, path=read(sparse(rows)))
     return build

@@ -135,6 +135,11 @@ class TestLeadingDeterminants:
             assert dets[3:] == [determinant(bordered_block_matrix(a, b, c, m)) for m in range(1, 7)]
 
 
+def dense_rows(rows):
+    """The dense rows of sparse ``rows`` of any shape, one-way links too."""
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
+
+
 def adjugate_rows(rows, support):
     """``linalg.adjugate_block`` of sparse ``rows``, read into a path by
     ``read``."""
@@ -332,7 +337,7 @@ def kernel_negative_definite(m):
 class TestDefiniteness:
     def test_chain_matrices_negative_definite(self):
         for n in range(1, 11):
-            assert negative_definite(linalg.dense(chain_matrix(n)))
+            assert negative_definite(linalg.dense(read(chain_matrix(n))))
 
     def test_zero_diagonal_not_definite(self):
         assert not negative_definite([[0, -1], [-1, 0]])
@@ -342,7 +347,8 @@ class TestDefiniteness:
         for (a, b, c) in [(-1, -2, -5), (-2, 1, -1), (-3, 2, -2)]:
             if a * c - b * b > 0 and a * (c + 1) - b * b >= 0:
                 for m in range(1, 8):
-                    assert negative_definite(linalg.dense(bordered_block_matrix(a, b, c, m)))
+                    assert negative_definite(
+                        linalg.dense(read(bordered_block_matrix(a, b, c, m))))
 
     def test_sylvester_agrees_with_descartes_definiteness(self):
         for _, m in nonsingular(2026, 300, 6, 9):
@@ -455,7 +461,7 @@ def graph_shapes():
 def _key(pres):
     """The dense rows of the presentation ``pres`` as a tuple of tuples, a
     dict key."""
-    return tuple(map(tuple, linalg.dense(pres.rows)))
+    return tuple(map(tuple, linalg.dense(pres.path)))
 
 
 def linking_forms(cases):
@@ -562,7 +568,7 @@ class TestRunStep:
         forms = closedforms.DEFAULT_FORMS
         plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 1600))[0]
         assert plan.sigma == forms["tb1_neg_sigma"](1600) == -1598
-        rows = plan.presentation.rows
+        rows = sparse(linalg.dense(plan.presentation.path))
         assert path_kernel(rows)[1] == eliminate(rows)[1] == -1598
         assert reduced(rows) == (plan.det, -1598)
 
@@ -709,7 +715,7 @@ class TestRunReduction:
 
     @settings(max_examples=400, deadline=None)
     @given(run_shapes())
-    @example(linalg.dense(chain_matrix(6)))  # one run, nothing kept
+    @example(linalg.dense(read(chain_matrix(6))))  # one run, nothing kept
     @example([[-2, -1, 0, 0, 0], [-1, -2, -1, 0, 0], [0, -1, 3, 1, 0], [0, 0, 1, -2, 1],
               [0, 0, 0, 1, -2]])  # runs at index 0 and at the end
     @example(clique(-1, [0, 0, 0], [-2, -2, -2]))  # a run next to the head
@@ -794,7 +800,7 @@ class TestKernelAgainstSympy:
         # gives the kernel sympy's inertia and adjugate
         theta = linalg.leading_determinants(a, [x * x for x in b])
         assert 0 in theta[1:-1] and theta[-1]
-        m = linalg.dense(linalg._rows(linalg._Path(a, b, 0, 0)))
+        m = linalg.dense(linalg._Path(a, b, 0, 0))
         det, sigma, adj = linalg.adjugate_block(linalg._Path(a, b, 0, 0), range(len(a)))
         ref = sympy.Matrix(m)
         assert (det, sigma) == (ref.det(), sympy_signature(m))
@@ -832,12 +838,12 @@ class TestCongruence:
 
         monkeypatch.setattr(linalg, "_path_kernel", forbidden)
         for m in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], clique(-1, [0] * 6, [-2, -3]),
-                  linalg.dense(chain_matrix(12)), tbk_two_matrix(5, 1)):
+                  linalg.dense(read(chain_matrix(12))), tbk_two_matrix(5, 1)):
             assert reduced(sparse(m)) == (sympy.Matrix(m).det(), sympy_signature(m))
             assert linalg._descartes(char_poly(sparse(m))) == sympy_signature(m)
             assert char_poly(sparse(m)) == sympy_char_poly(m)
             assert determinant(sparse(m)) == sympy.Matrix(m).det()
-        for m in (linalg.dense(chain_matrix_primed(7)), [[1, 2], [3, 4]]):
+        for m in (dense_rows(chain_matrix_primed(7)), [[1, 2], [3, 4]]):
             assert char_poly(sparse(m)) == sympy_char_poly(m)
             assert determinant(sparse(m)) == sympy.Matrix(m).det()
 
@@ -853,7 +859,7 @@ class TestCongruence:
         # Descartes on long chains is test_methods_agree_at_scale's
         for coeff, n, sig in ((Fraction(-1, 1600) + 1, 1600, -1598), (Fraction(1, 40), 40, 38)):
             rows = linalg.dense(
-                _presentation(LegendrianData(-1, 0), *coeff.as_integer_ratio()).rows)
+                _presentation(LegendrianData(-1, 0), *coeff.as_integer_ratio()).path)
             assert len(rows) == n
             assert path_kernel(sparse(rows))[1] == eliminate(sparse(rows))[1] == sig
             if n < 100:
@@ -899,7 +905,7 @@ class TestSparseRows:
         forms = acceptance_forms()
         assert len(forms) > 2000 and max(map(len, forms)) == 38
         for m, pres in forms.items():
-            assert list(pres.rows) == sparse(m)
+            assert read(sparse(m)) == pres.path
             assert_sparse_matches_dense(m)
 
     @settings(max_examples=200, deadline=None)
@@ -928,15 +934,13 @@ class TestSparseRows:
                 check(rows)
 
     def test_a_pipeline_form_is_checked_once(self):
-        # a pipeline form is read off its presentation as a path, so the d3
-        # route builds no rows; rows read into a form's path by the oracle
-        # come back from it unchanged
-        plan = d3_records(LegendrianData(-1, 0), Fraction(-1, 40))[0]
-        assert "rows" not in vars(plan.presentation)
+        # a pipeline form is read off its presentation as a path; rows read
+        # into a form's path by the oracle come back from its dense rows
         path = read(chain_matrix(3))
         assert linalg.adjugate_block(path, ()) == adjugate_rows(chain_matrix(3), ())
         rows = check_symmetric(chain_matrix(3))
-        assert check_symmetric(rows) == rows == tuple(chain_matrix(3)) == linalg._rows(path)
+        assert check_symmetric(rows) == rows == tuple(chain_matrix(3)) == \
+            tuple(sparse(linalg.dense(path)))
         for rows in ([], [{0: 1, 1: 2}, {0: 2, 1: 4}]):
             assert check_symmetric(rows) == tuple(rows)
 
@@ -1003,6 +1007,25 @@ def kernel_paths(draw):
     return linalg._Path(a, b, h, c), support
 
 
+class TestDense:
+    """``linalg.dense`` writes each row of a path from its one reader,
+    ``linalg._band``; read back by the oracles, it gives the path (on
+    pipeline forms, ``test_dense_rows_match_the_dense_build``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_paths())
+    @example((linalg._Path([0, 0, 0], [1, 1], 3, 1), []))  # a head, no path after it
+    @example((linalg._Path([1, 2, 3, 4, 5], [-1, -1, 0, 7], 3, -1), []))  # a zero link after it
+    def test_rows_are_the_form_entry_by_entry(self, shape):
+        path = shape[0]
+        a, b, h, c = path
+        n = len(a)
+        assert linalg.dense(path) == [
+            [a[i] if i == j else c if max(i, j) < h else b[min(i, j)] if abs(i - j) == 1 else 0
+             for j in range(n)] for i in range(n)]
+        assert read(sparse(linalg.dense(path))) == path
+
+
 class TestPathKernel:
     @settings(max_examples=400, deadline=None)
     @given(kernel_paths())
@@ -1017,7 +1040,7 @@ class TestPathKernel:
         # (0, None, ())
         path, support = case
         got = linalg._path_kernel(path, support)
-        assert got == eliminate(linalg._rows(path), support)
+        assert got == eliminate(sparse(linalg.dense(path)), support)
         if got[0] == 0:
             assert got == (0, None, ())
         else:
@@ -1061,7 +1084,7 @@ class TestPathKernel:
             assert path_shape(m) and kernel_shape(m)
         for coeff, h in (("1/3", 3), ("1/40", 40), ("2/7", 5), ("3/2", 0)):
             pres = _presentation(LegendrianData(-1, 0), *Fraction(coeff).as_integer_ratio())
-            assert head(pres.rows) == h
+            assert head(sparse(linalg.dense(pres.path))) == h
 
 
 @st.composite

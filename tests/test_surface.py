@@ -52,6 +52,7 @@ def test_library_example_runs_as_its_comments_say():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert values == [{1, -3}, {0, 2, 4, 6}, 3,
+                      ["-3", "-3/4", "-3/7", "-3/10", "3/8", "3/5", "3/2"],
                       {"closed forms": 2686, "d3 regressions": 24, "obstruction scan": 144}]
 
 
@@ -98,7 +99,9 @@ def test_verify_has_one_walk():
     # regressions.verify is the one walk over tb behind verify: the
     # per-tb stage helpers are named only at their definitions and inside
     # it (and _scan_tb inside scan_cells, its own walk), and the command
-    # line reaches no private name of another module
+    # line reaches no private name of another module but the readers its
+    # reports are written from: a form's path and its rows, and the
+    # denominators of a cosmetic slope set
     allowed = {"_families": {"closedforms.py:_families", "regressions.py:verify"},
                "_check_cells": {"regressions.py:_check_cells", "regressions.py:verify"},
                "_scan_tb": {"cosmetic.py:_scan_tb", "cosmetic.py:scan_cells",
@@ -122,9 +125,11 @@ def test_verify_has_one_walk():
     def private(name):  # __version__ is the package's, not a private name
         return name.startswith("_") and not name.endswith("__")
 
+    readers = {("linalg", "_Path"), ("linalg", "_band"), ("slopes", "_cs_set_dens")}
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.level == 1
-             and any(private(alias.name) for alias in node.names)
+             and any(private(alias.name) and (node.module, alias.name) not in readers
+                     for alias in node.names)
              or isinstance(node, ast.Attribute) and private(node.attr)
              and isinstance(node.value, ast.Name) and node.value.id in modules]
     assert "regressions" in modules and lines == []
@@ -241,3 +246,22 @@ def test_component_roles_are_named_only_by_the_d3_report():
     where = {f"{path.name}:{node.lineno}" for path, tree in _modules() for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and node.value in ("pushoff", "chain")}
     assert where and {place.split(":")[0] for place in where} == {"cli.py"}
+
+
+def test_one_reader_of_a_form_s_rows():
+    # a form is its linalg._Path from the conversion to the report: no
+    # sparse-row view of it is built, cached or wrapped, and only
+    # linalg._band reads its rows, for the writer, dense and _check_basis
+    for path, tree in _modules():
+        for name in ("_rows", "_SparseRows", "cached_property"):
+            lines = [node.lineno for node in ast.walk(tree) if _names(node, name)]
+            assert lines == [], f"{path.name}: {name} on lines {lines}"
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "rows"
+                 or isinstance(node, ast.FunctionDef) and node.name == "rows"]
+        assert lines == [], f"{path.name}: a rows attribute on lines {lines}"
+    callers = {f"{path.name}:{func.name}" for path, tree in _modules()
+               for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Call)
+               and _names(node.func, "_band")}
+    assert callers == {"cli.py:_row", "linalg.py:dense", "linalg.py:_check_basis"}

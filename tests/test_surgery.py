@@ -37,7 +37,7 @@ from oracles import (
 
 def matrix_of(tb, rot, smooth):
     pres = _presentation(LegendrianData(tb, rot), *(Fraction(smooth) - tb).as_integer_ratio())
-    return dense(pres.rows)
+    return dense(pres.path)
 
 
 class TestLegendrianData:
@@ -235,7 +235,7 @@ class TestLinkingMatrix:
 
     def test_pushoff_linking_is_base_tb(self):
         pres = _presentation(LegendrianData(-1, 0), 2, 5)  # three pushoffs
-        q = dense(pres.rows)
+        q = dense(pres.path)
         assert q[0][1] == q[0][2] == q[1][2] == -1
 
     @settings(max_examples=300, deadline=None)
@@ -248,11 +248,11 @@ class TestLinkingMatrix:
             presentations = listed_convert(L, coeff)
         except (SlopeError, ValueError):
             return
-        rows = _presentation(L, *coeff.as_integer_ratio()).rows
-        m = dense(rows)
+        path = _presentation(L, *coeff.as_integer_ratio()).path
+        m = dense(path)
         for pres in presentations:
-            assert m == dense(listed_linking_matrix(pres).rows)
-        assert tuple(sparse(m)) == rows  # dense is the inverse of sparse
+            assert m == dense(read(listed_linking_matrix(pres).rows))
+        assert read(sparse(m)) == path  # read is the inverse of dense
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-6, 0), st.integers(0, 3), st.one_of(
@@ -270,7 +270,7 @@ class TestLinkingMatrix:
         # the path is built from the runs of the continued fraction; the
         # oracle builds Q entry by entry from the listed components, its
         # rows read by the oracle read must give the same path, and the
-        # rows built from the path must be its rows
+        # dense rows of the path must be its rows
         kind, value = slope
         L = LegendrianData(tb, tb + 1 - 2 * j)
         coeff = value - tb if kind == "smooth" else value
@@ -281,8 +281,7 @@ class TestLinkingMatrix:
         listed = listed_convert(L, coeff)[0]
         want = listed_linking_matrix(listed).rows
         assert pres.path == read(want)
-        assert "rows" not in vars(pres)  # built on first use only
-        assert pres.rows == want
+        assert sparse(dense(pres.path)) == list(want)
         assert len(pres.path.a) == len(want) and pres.l == listed.l
 
 
